@@ -173,10 +173,9 @@ def metric_mismatches(got: Mapping[str, Any], want: Mapping[str, Any],
 
 def compare_rows(label: str, got: Mapping[str, Mapping[str, Any]],
                  want: Mapping[str, Mapping[str, Any]],
-                 rtol: float = METRIC_RTOL,
-                 errors: Optional[List[str]] = None) -> List[str]:
+                 rtol: float = METRIC_RTOL) -> List[str]:
     """Compare ``{spec_hash: metrics}`` maps; returns problem lines."""
-    errors = [] if errors is None else errors
+    errors = []
     missing = sorted(set(want) - set(got))
     if missing:
         errors.append(f"{label}: {len(missing)} row(s) missing, "

@@ -27,9 +27,11 @@ N_QUERIES = 1100
 #: ``batch_size`` per workload: 0 = the user default (auto batching).
 BATCH_SIZE = {"fig7-fft": 0, "eq5-batched": 0, "eq5-perpoint": 1}
 
-#: A run of ``--seconds`` does ``seconds / ROUND_S`` rounds, whatever
-#: the host's speed: at 20 s, 15-20 s of jobs on a quiet 2-CPU host.
-ROUND_S = {"fig7-fft": 1.0, "eq5-batched": 3.5, "eq5-perpoint": 2.2}
+#: A run of ``--seconds`` does ``seconds / ROUND_S`` whole rounds,
+#: whatever the host's speed.  Each is about one round's job time on a
+#: 2-CPU host, so at 20 s: fig7 14 rounds (~19 s of jobs), eq5-batched
+#: 5 (~25 s), eq5-perpoint 9 (~21 s).
+ROUND_S = {"fig7-fft": 1.4, "eq5-batched": 4.0, "eq5-perpoint": 2.2}
 
 #: Metrics that count simulated events; fast vs reference must match
 #: them exactly, not just within tolerance.
@@ -183,10 +185,9 @@ def check(ctx: Context, phase: Phase) -> Dict[str, Any]:
             ):
                 recomputed[point.spec_hash] = point.metrics
         other_s = time.perf_counter() - t0
-        common.compare_rows(
+        errors += common.compare_rows(
             f"batch_size={other} vs {ctx.workload}",
             {k: row.metrics for k, row in phase.rows.items()}, recomputed,
-            errors=errors,
         )
         batched_s, perpoint_s = (
             (phase.first_s, other_s) if other == 1
@@ -206,9 +207,8 @@ def check(ctx: Context, phase: Phase) -> Dict[str, Any]:
         base.with_overrides({"kernel": "reference"}),
         {k: [v] for k, v in point.items()},
     ).run(parallel=False).points[0]
-    common.compare_rows(
+    errors += common.compare_rows(
         "fast vs reference", {"p": fast.metrics}, {"p": reference.metrics},
-        errors=errors,
     )
     for name in EVENT_COUNTS:
         if fast.metrics.get(name) != reference.metrics.get(name):
@@ -216,9 +216,10 @@ def check(ctx: Context, phase: Phase) -> Dict[str, Any]:
     if fast.spec_hash not in phase.rows:
         errors.append("fast recomputation changed the spec hash")
     else:
-        common.compare_rows("solo fast recomputation",
-                            {"p": phase.rows[fast.spec_hash].metrics},
-                            {"p": fast.metrics}, errors=errors)
+        errors += common.compare_rows(
+            "solo fast recomputation",
+            {"p": phase.rows[fast.spec_hash].metrics}, {"p": fast.metrics},
+        )
     return {"errors": errors, "diagnostics": diagnostics}
 
 

@@ -126,10 +126,6 @@ PER_LAYER: Dict[str, str] = {
     "trace.overhead_frac": "ratio",
 }
 
-#: Per-layer metrics where more is better; for the rest, less is.
-HIGHER_IS_BETTER = ("mcu.instr_per_s", "sim.chunked_frac", "batch.ckernel",
-                    "batch.pass.c", "store.dedupe_hits")
-
 
 def per_layer(traces: List[Mapping[str, Any]], inst: Mapping[str, float],
               jobs: Mapping[str, float], ckernel: bool,

@@ -37,8 +37,8 @@ THREADS = max(1, min(4, os.cpu_count() or 1))
 CHECK_JOBS = 12
 #: A run of ``--seconds`` sends ``seconds * OPS_PER_S`` closed-loop
 #: operations (a third jobs, two thirds queries) per client thread,
-#: whatever the host's speed: at 20 s, ~16 s on a quiet 2-CPU host.
-OPS_PER_S = 45
+#: whatever the host's speed: at 20 s, ~20 s on a 2-CPU host.
+OPS_PER_S = 40
 TERMINAL = ("done", "failed", "interrupted")
 
 
@@ -125,9 +125,13 @@ class Phase:
     points: int = 0
     job_s: List[float] = field(default_factory=list)
     query_ms: List[float] = field(default_factory=list)
-    #: Failed or interrupted jobs plus error rows; and HTTP errors.
+    #: Failed or interrupted jobs plus error rows; and operations that
+    #: raised (HTTP errors, broken responses).
     failed: int = 0
-    http_errors: int = 0
+    op_errors: int = 0
+    #: Operations finished, failed ones included; a client thread that
+    #: died leaves this short of the run's fixed count.
+    ops_done: int = 0
     queue_wait_s: float = 0.0
     run_s: float = 0.0
     wall_s: float = 0.0
@@ -145,7 +149,7 @@ class Phase:
 def _client_loop(url: str, seed: int, thread: int, ops: int,
                  phase: Phase, lock: threading.Lock,
                  tracer: Optional[Tracer]) -> None:
-    from repro.serve.client import ServiceClient, ServiceError
+    from repro.serve.client import ServiceClient
 
     client = ServiceClient(url, timeout=120)
     span = tracer.span if tracer is not None else (lambda name: nullcontext())
@@ -158,6 +162,7 @@ def _client_loop(url: str, seed: int, thread: int, ops: int,
                 client.results(**op["params"])
                 with lock:
                     phase.query_ms.append((time.perf_counter() - t0) * 1e3)
+                    phase.ops_done += 1
                 continue
             record = submit[op["kind"]](op["request"])
             if tracer is not None:
@@ -167,12 +172,17 @@ def _client_loop(url: str, seed: int, thread: int, ops: int,
                 _follow(client, record)
             elapsed = time.perf_counter() - t0
             final = client.job(record["job_id"])
-        except ServiceError as error:
+        except Exception as error:
+            # Anything one operation raises (an HTTP status, a reset or
+            # truncated response, bad JSON) is a counted failure; it
+            # must not end the thread and shorten the run.
             with lock:
-                phase.http_errors += 1
-                phase.problems.append(f"{op['op']}: {error}")
+                phase.op_errors += 1
+                phase.ops_done += 1
+                phase.problems.append(f"{op['op']}: {error!r}")
             continue
         with lock:
+            phase.ops_done += 1
             phase.job_s.append(elapsed)
             failed = (final["status"] != "done") + final["points_errors"]
             if failed:
@@ -218,6 +228,12 @@ def run_phase(server: Server, seed: int, seconds: float,
                    - cpu0)
     phase.peak_rss_mb = (common.self_peak_rss_mb()
                          + common.tree_peak_rss_mb(server.proc.pid))
+    if phase.ops_done != ops * THREADS:
+        phase.op_errors += ops * THREADS - phase.ops_done
+        phase.problems.append(
+            f"client threads finished {phase.ops_done} of "
+            f"{ops * THREADS} operations"
+        )
     return phase
 
 
@@ -249,19 +265,17 @@ def check(server: Server, phase: Phase, seed: int) -> List[str]:
                 parallel=False
             )
         }
-        common.compare_rows(
+        errors += common.compare_rows(
             "served vs in-process serial",
             {k: row["metrics"] for k, row in served.items()}, expected,
-            errors=errors,
         )
     if stop_server(server) != 0:
         errors.append(f"server exited with status {server.proc.returncode}")
     reopened = ResultStore(server.store_path)
-    common.compare_rows(
+    errors += common.compare_rows(
         "served vs reopened store",
         {r.spec_hash: r.metrics for r in reopened},
         {k: row["metrics"] for k, row in served.items()}, rtol=0.0,
-        errors=errors,
     )
     if len(reopened) != len(served):
         errors.append(f"store round-trip: {len(reopened)} rows on disk, "
@@ -336,8 +350,8 @@ def run(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
     out.update(
         errors=errors,
         attempted=len(checked.job_s) + checked.points
-        + len(checked.query_ms) + checked.http_errors,
-        failed=checked.failed + checked.http_errors,
+        + len(checked.query_ms) + checked.op_errors,
+        failed=checked.failed + checked.op_errors,
         samples={"jobs": len(phase.job_s), "queries": len(phase.query_ms),
                  "points": phase.points, "threads": THREADS,
                  "beyond_job_p90": common.beyond(phase.job_s, 90),

@@ -197,6 +197,31 @@ def test_values_match_tolerates_only_tiny_float_differences():
     assert common.metric_mismatches({"a": 1.0}, {"a": 1.0, "b": 2}) == ["b"]
 
 
+def test_client_loop_counts_every_raising_operation(monkeypatch):
+    common.bootstrap()
+    import http.client
+
+    import servemix
+    from repro.serve.client import ServiceClient
+
+    def reset(self, *args, **kwargs):
+        raise ConnectionResetError("reset by peer")
+
+    def truncated(self, *args, **kwargs):
+        raise http.client.IncompleteRead(b"{")
+
+    monkeypatch.setattr(ServiceClient, "results", reset)
+    for name in ("submit_run", "submit_sweep", "submit_exploration"):
+        monkeypatch.setattr(ServiceClient, name, truncated)
+    phase = servemix.Phase()
+    servemix._client_loop("http://127.0.0.1:9", 1, 0, 30, phase,
+                          threading.Lock(), None)
+    assert phase.ops_done == phase.op_errors == len(phase.problems) == 30
+    assert not phase.job_s and not phase.query_ms and phase.points == 0
+    assert any("IncompleteRead" in p for p in phase.problems)
+    assert any("ConnectionResetError" in p for p in phase.problems)
+
+
 # -- smoke runs ------------------------------------------------------------------
 
 def _run(workload, trace=0, seconds=1):

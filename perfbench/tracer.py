@@ -20,6 +20,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 #: A finished span: (name, pid, tid, start_s, end_s).
 Span = Sequence[Any]
 
+#: How many spans a tracer keeps for its Chrome trace; the rest only
+#: count towards self time.
+KEEP_EVENTS = 50_000
+
 
 def self_times(spans: Iterable[Span]) -> Dict[str, float]:
     """Exclusive seconds per span name.
@@ -51,15 +55,11 @@ class Tracer:
     Forked children (pool workers) inherit the wrappers but record
     nothing: their work reaches the benchmark through the program's
     own metrics instead.
-
-    Args:
-        keep_events: how many spans to keep for the Chrome trace.
     """
 
-    def __init__(self, keep_events: int = 50_000):
+    def __init__(self):
         self.pid = os.getpid()
         self.active = True
-        self.keep_events = keep_events
         self.self_s: Dict[str, float] = defaultdict(float)
         self.calls: Dict[str, int] = defaultdict(int)
         self.sums: Dict[str, float] = defaultdict(float)
@@ -96,7 +96,7 @@ class Tracer:
                 self.self_s[name] += seconds
             for span in spans:
                 self.calls[span[0]] += 1
-            room = self.keep_events - len(self.kept)
+            room = KEEP_EVENTS - len(self.kept)
             self.kept.extend(spans[:max(0, room)])
             self.dropped += max(0, len(spans) - max(0, room))
 

@@ -51,8 +51,9 @@ def _sig(value: float, digits: int = 4) -> float:
 
 
 #: How much of its stratum a value may wander over, around the centre.
-#: The batched kernel's memory jumps between levels with its inputs
-#: (394-571 MB peak over seeds at 0.2), so seeds only nudge the points.
+#: Seeds only nudge the points, so every seed does the same simulated
+#: work per round (fig7: the same interpreter instruction and kernel
+#: step counts on every seed tried).
 JITTER = 0.02
 
 
