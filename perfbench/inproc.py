@@ -3,7 +3,9 @@
 Each job is one :class:`repro.spec.SweepRunner` run over a generated grid,
 serial and in-process, writing to a fresh JSONL result store; result
 queries against that store run between jobs.  A run is a fixed number of
-rounds, so every run of a seed does the same work.
+rounds, so every run of a seed does the same work.  A host-speed probe
+(:class:`common.HostSpeed`) follows every job, and every timed sample is
+reported at reference host speed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ N_QUERIES = 1100
 #: ``batch_size`` per workload: 0 = the user default (auto batching).
 BATCH_SIZE = {"fig7-fft": 0, "eq5-batched": 0, "eq5-perpoint": 1}
 
+#: Workloads whose ``job_s`` sample is a whole round: one Eq. (5)
+#: crossover, both strategies' sweeps.  A Hibernus sweep costs about
+#: twice a QuickRecall one, so per-sweep percentiles would sit on the
+#: gap between the two.
+ROUND_IS_JOB = ("eq5-batched", "eq5-perpoint")
+
 #: A run of ``--seconds`` does ``seconds / ROUND_S`` whole rounds,
 #: whatever the host's speed.  Each is about one round's job time on a
 #: 2-CPU host, so at 20 s: fig7 14 rounds (~19 s of jobs), eq5-batched
@@ -44,10 +52,18 @@ class Phase:
     """What one timed phase produced."""
 
     store_path: str
+    speed: common.HostSpeed = field(default_factory=common.HostSpeed)
     points: int = 0
+    round_is_job: bool = False
+    #: Per sweep: seconds, CPU seconds, the probe taken right after it,
+    #: and its round.
     job_s: List[float] = field(default_factory=list)
-    cpu_s: float = 0.0
+    job_cpu_s: List[float] = field(default_factory=list)
+    job_probe: List[int] = field(default_factory=list)
+    job_round: List[int] = field(default_factory=list)
+    #: Per query: milliseconds, and the probe after the job before it.
     query_ms: List[float] = field(default_factory=list)
+    query_probe: List[int] = field(default_factory=list)
     failed: int = 0
     problems: List[str] = field(default_factory=list)
     #: spec hash -> the RunResult the sweep returned.
@@ -59,10 +75,28 @@ class Phase:
     rounds: int = 0
     peak_rss_mb: float = 0.0
 
+    def at_reference(self, values: List[float],
+                     probes: List[int]) -> List[float]:
+        """``values`` at reference host speed, each by its probe."""
+        return [v * self.speed.scale(k) for v, k in zip(values, probes)]
+
+    def job_samples(self) -> List[float]:
+        """Job seconds at reference host speed: one per sweep, or one
+        per round where a round is one job (:data:`ROUND_IS_JOB`)."""
+        scaled = self.at_reference(self.job_s, self.job_probe)
+        if not self.round_is_job:
+            return scaled
+        rounds: Dict[int, float] = {}
+        for index, seconds in zip(self.job_round, scaled):
+            rounds[index] = rounds.get(index, 0.0) + seconds
+        return list(rounds.values())
+
     @property
     def points_per_s(self) -> float:
-        """Points per second of job time (queries excluded)."""
-        return self.points / sum(self.job_s)
+        """Points per second of job time (queries excluded), at
+        reference host speed."""
+        return self.points / sum(self.at_reference(self.job_s,
+                                                   self.job_probe))
 
 
 class Context:
@@ -117,10 +151,12 @@ def run_phase(ctx: Context, seconds: float, workdir: str, label: str,
     batch_size = BATCH_SIZE[ctx.workload]
     span = tracer.span if tracer is not None else (lambda name: nullcontext())
     phase.rounds = max(2, round(seconds / ROUND_S[ctx.workload]))
+    phase.round_is_job = ctx.workload in ROUND_IS_JOB
     rounds = inproc_rounds(ctx.workload, ctx.seed, start=first_round)
     jobs_per_round = len(next(inproc_rounds(ctx.workload, ctx.seed)))
     queries_per_job = math.ceil(N_QUERIES / (phase.rounds * jobs_per_round))
-    for _ in range(phase.rounds):
+    phase.speed.probe()
+    for round_index in range(phase.rounds):
         jobs = next(rounds)
         for job in jobs:
             cpu0, t_job = common.self_cpu_s(), time.perf_counter()
@@ -135,7 +171,10 @@ def run_phase(ctx: Context, seconds: float, workdir: str, label: str,
                 phase.problems.append(f"job raised {error!r}")
                 continue
             phase.job_s.append(time.perf_counter() - t_job)
-            phase.cpu_s += common.self_cpu_s() - cpu0
+            phase.job_cpu_s.append(common.self_cpu_s() - cpu0)
+            probe = phase.speed.probe()
+            phase.job_probe.append(probe)
+            phase.job_round.append(round_index)
             phase.points += len(sweep)
             for point in sweep:
                 phase.rows[point.spec_hash] = point
@@ -145,6 +184,7 @@ def run_phase(ctx: Context, seconds: float, workdir: str, label: str,
                 with span("bench.query"):
                     ctx.query(store, QUERIES[k % len(QUERIES)])
                 phase.query_ms.append((time.perf_counter() - t_query) * 1e3)
+                phase.query_probe.append(probe)
         if not phase.first_jobs:
             phase.first_jobs, phase.first_s = jobs, sum(phase.job_s)
     phase.peak_rss_mb = common.self_peak_rss_mb()
@@ -225,21 +265,39 @@ def check(ctx: Context, phase: Phase) -> Dict[str, Any]:
 
 def end_to_end(phase: Phase, setup_s: float) -> Dict[str, float]:
     """The end-to-end metrics of one untraced phase."""
+    job_s = phase.job_samples()
+    cpu_s = phase.at_reference(phase.job_cpu_s, phase.job_probe)
+    query_ms = phase.at_reference(phase.query_ms, phase.query_probe)
     return {
         "setup_s": setup_s,
         "points_per_s": phase.points_per_s,
-        "cpu_ms_per_point": phase.cpu_s * 1e3 / phase.points,
+        "cpu_ms_per_point": sum(cpu_s) * 1e3 / phase.points,
         "peak_rss_mb": phase.peak_rss_mb,
-        "job_s_p50": common.percentile(phase.job_s, 50),
-        "job_s_p90": common.percentile(phase.job_s, 90),
-        "query_ms_p50": common.percentile(phase.query_ms, 50),
-        "query_ms_p90": common.percentile(phase.query_ms, 90),
+        "job_s_p50": common.percentile(job_s, 50),
+        "job_s_p90": common.percentile(job_s, 90),
+        "query_ms_p50": common.percentile(query_ms, 50),
+        "query_ms_p90": common.percentile(query_ms, 90),
+    }
+
+
+def as_measured(phase: Phase) -> Dict[str, float]:
+    """Figures in host time as measured, and the run's host scale."""
+    return {
+        "points_per_s": phase.points / sum(phase.job_s),
+        "cpu_ms_per_point": sum(phase.job_cpu_s) * 1e3 / phase.points,
+        "host_scale": phase.speed.run_scale(),
     }
 
 
 def run(workload: str, seed: int, seconds: float, trace: bool,
         setup_s: float) -> Dict[str, Any]:
-    """One benchmark invocation of an in-process workload."""
+    """One benchmark invocation of an in-process workload.
+
+    The workload runs on one thread, pinned to one CPU, so the
+    host-speed probes time the CPU the program runs on: the host slows
+    its CPUs by different shares at a time.
+    """
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     ctx = Context(workload, seed)
     workdir = common.fresh_dir(workload)
     out: Dict[str, Any] = {"ckernel": ctx.ckernel}
@@ -268,13 +326,14 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         )
         write_json(out["trace_path"], tracer.chrome_trace())
     gate = check(ctx, phase)
+    gate["diagnostics"]["as_measured"] = as_measured(phase)
     out.update(
         errors=gate["errors"], diagnostics=gate["diagnostics"],
         attempted=len(phase.job_s) + phase.points + len(phase.query_ms),
         failed=phase.failed,
-        samples={"rounds": phase.rounds, "jobs": len(phase.job_s),
+        samples={"rounds": phase.rounds, "jobs": len(phase.job_samples()),
                  "queries": len(phase.query_ms), "points": phase.points,
-                 "beyond_job_p90": common.beyond(phase.job_s, 90),
+                 "beyond_job_p90": common.beyond(phase.job_samples(), 90),
                  "beyond_query_p90": common.beyond(phase.query_ms, 90)},
         workdir=workdir,
     )

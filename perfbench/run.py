@@ -59,9 +59,12 @@ def setup_probe(workload: str, seed: int) -> None:
 
 
 def inproc_setup_s(workload: str, seed: int) -> float:
-    """Median time for a fresh process to import, parse and load."""
+    """Median time for a fresh process to import, parse and load, at
+    reference host speed."""
+    speed = common.HostSpeed()
     samples = []
     for _ in range(common.SETUP_REPEATS):
+        speed.probe()
         t0 = time.monotonic()
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--workload",
@@ -70,7 +73,8 @@ def inproc_setup_s(workload: str, seed: int) -> float:
             timeout=600, check=True,
         ).stdout
         samples.append(float(out.split()[-1]) - t0)
-    return common.median(samples)
+    speed.probe()
+    return common.reference_median(samples, speed)
 
 
 def main(argv: List[str]) -> int:

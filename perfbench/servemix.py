@@ -5,7 +5,9 @@ in a closed loop: each thread sends its next request only after the
 previous reply.  Job latency is timed from the POST to the end of the
 job's ``events?follow=1`` stream, which closes when the job reaches a
 terminal status (``ServiceClient.wait`` would round it to its 0.1 s
-poll).
+poll).  Every ``SLICE_OPS`` operations the threads meet at a barrier
+while a host-speed probe runs (:class:`common.HostSpeed`), and every
+timed sample is reported at reference host speed.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ CHECK_JOBS = 12
 #: operations (a third jobs, two thirds queries) per client thread,
 #: whatever the host's speed: at 20 s, ~20 s on a 2-CPU host.
 OPS_PER_S = 40
+#: Operations each client thread sends between two host-speed probes
+#: (about a second of load).  The threads meet at a barrier for each
+#: probe, so the server is idle while it runs.
+SLICE_OPS = 40
+#: How long a thread waits at that barrier for the others.
+BARRIER_TIMEOUT_S = 150
 TERMINAL = ("done", "failed", "interrupted")
 
 
@@ -122,9 +130,15 @@ def _follow(client: Any, record: Dict[str, Any]) -> None:
 class Phase:
     """What one timed serve phase produced."""
 
+    speed: common.HostSpeed = field(default_factory=common.HostSpeed)
     points: int = 0
+    #: Per sample: seconds (milliseconds for queries), and the slice of
+    #: the phase it fell in; slice ``s`` runs between probes ``s`` and
+    #: ``s + 1``.
     job_s: List[float] = field(default_factory=list)
+    job_slice: List[int] = field(default_factory=list)
     query_ms: List[float] = field(default_factory=list)
+    query_slice: List[int] = field(default_factory=list)
     #: Failed or interrupted jobs plus error rows; and operations that
     #: raised (HTTP errors, broken responses).
     failed: int = 0
@@ -134,12 +148,27 @@ class Phase:
     ops_done: int = 0
     queue_wait_s: float = 0.0
     run_s: float = 0.0
-    wall_s: float = 0.0
     cpu_s: float = 0.0
     peak_rss_mb: float = 0.0
     #: (request, final job record) of every new run/sweep job.
     done: List[Any] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
+
+    def at_reference(self, values: List[float],
+                     slices: List[int]) -> List[float]:
+        """``values`` at reference host speed, each by its slice."""
+        return [v * self.speed.scale(s + 1) for v, s in zip(values, slices)]
+
+    def slice_s(self) -> List[float]:
+        """Wall seconds of each slice of client load, as measured."""
+        spans = self.speed.spans
+        return [spans[s + 1][0] - spans[s][1] for s in range(len(spans) - 1)]
+
+    @property
+    def wall_s(self) -> float:
+        """Seconds of client load, at reference host speed."""
+        slice_s = self.slice_s()
+        return sum(self.at_reference(slice_s, list(range(len(slice_s)))))
 
     @property
     def points_per_s(self) -> float:
@@ -148,6 +177,7 @@ class Phase:
 
 def _client_loop(url: str, seed: int, thread: int, ops: int,
                  phase: Phase, lock: threading.Lock,
+                 barrier: threading.Barrier,
                  tracer: Optional[Tracer]) -> None:
     from repro.serve.client import ServiceClient
 
@@ -155,13 +185,25 @@ def _client_loop(url: str, seed: int, thread: int, ops: int,
     span = tracer.span if tracer is not None else (lambda name: nullcontext())
     submit = {"run": client.submit_run, "sweep": client.submit_sweep,
               "exploration": client.submit_exploration}
-    for op in itertools.islice(serve_ops(seed, thread), ops):
+    ops_iter = itertools.islice(serve_ops(seed, thread), ops)
+    for index, op in enumerate(ops_iter):
+        if index and index % SLICE_OPS == 0:
+            try:
+                barrier.wait(BARRIER_TIMEOUT_S)
+            except threading.BrokenBarrierError:
+                with lock:
+                    phase.problems.append(
+                        f"client thread {thread}: probe barrier broken"
+                    )
+                return
+        part = index // SLICE_OPS
         t0 = time.perf_counter()
         try:
             if op["op"] == "query":
                 client.results(**op["params"])
                 with lock:
                     phase.query_ms.append((time.perf_counter() - t0) * 1e3)
+                    phase.query_slice.append(part)
                     phase.ops_done += 1
                 continue
             record = submit[op["kind"]](op["request"])
@@ -184,6 +226,7 @@ def _client_loop(url: str, seed: int, thread: int, ops: int,
         with lock:
             phase.ops_done += 1
             phase.job_s.append(elapsed)
+            phase.job_slice.append(part)
             failed = (final["status"] != "done") + final["points_errors"]
             if failed:
                 phase.failed += failed
@@ -205,27 +248,28 @@ def run_phase(server: Server, seed: int, seconds: float,
     """Drive ``server`` with ``THREADS`` closed-loop clients.
 
     Each thread sends ``seconds * OPS_PER_S`` operations; CPU counts this
-    process and the server's whole process tree.
+    process and the server's whole process tree, less the probes.
     """
     phase = Phase()
     lock = threading.Lock()
     ops = max(1, round(seconds * OPS_PER_S))
+    barrier = threading.Barrier(THREADS, action=phase.speed.probe)
     threads = [
         threading.Thread(
             target=_client_loop,
-            args=(server.url, seed, k, ops, phase, lock, tracer),
+            args=(server.url, seed, k, ops, phase, lock, barrier, tracer),
         )
         for k in range(THREADS)
     ]
     cpu0 = common.self_cpu_s() + common.tree_cpu_s(server.proc.pid)
-    t0 = time.perf_counter()
+    phase.speed.probe()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    phase.wall_s = time.perf_counter() - t0
+    phase.speed.probe()
     phase.cpu_s = (common.self_cpu_s() + common.tree_cpu_s(server.proc.pid)
-                   - cpu0)
+                   - cpu0 - phase.speed.spent_s)
     phase.peak_rss_mb = (common.self_peak_rss_mb()
                          + common.tree_peak_rss_mb(server.proc.pid))
     if phase.ops_done != ops * THREADS:
@@ -294,30 +338,42 @@ def run(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
     from repro.sim import _ckernel
 
     workdir = common.fresh_dir("serve-mix")
+    setup_speed = common.HostSpeed()
     setup_samples = []
     server = None
     for k in range(common.SETUP_REPEATS):
         if server is not None:
             stop_server(server)
+        setup_speed.probe()
         t0 = time.monotonic()
         server = start_server(workdir, f"setup{k}", seed)
         setup_samples.append(time.monotonic() - t0)
+    setup_speed.probe()
     out: Dict[str, Any] = {"ckernel": _ckernel.load() is not None,
                            "workdir": workdir}
     try:
         if not trace:
             phase = run_phase(server, seed, seconds)
             checked = phase
+            job_s = phase.at_reference(phase.job_s, phase.job_slice)
+            query_ms = phase.at_reference(phase.query_ms, phase.query_slice)
             out["metrics"] = {
-                "setup_s": common.median(setup_samples),
+                "setup_s": common.reference_median(setup_samples,
+                                                   setup_speed),
                 "points_per_s": phase.points_per_s,
-                "cpu_ms_per_point": phase.cpu_s * 1e3 / phase.points,
+                "cpu_ms_per_point": (phase.cpu_s * phase.speed.run_scale()
+                                     * 1e3 / phase.points),
                 "peak_rss_mb": phase.peak_rss_mb,
-                "job_s_p50": common.percentile(phase.job_s, 50),
-                "job_s_p90": common.percentile(phase.job_s, 90),
-                "query_ms_p50": common.percentile(phase.query_ms, 50),
-                "query_ms_p90": common.percentile(phase.query_ms, 90),
+                "job_s_p50": common.percentile(job_s, 50),
+                "job_s_p90": common.percentile(job_s, 90),
+                "query_ms_p50": common.percentile(query_ms, 50),
+                "query_ms_p90": common.percentile(query_ms, 90),
             }
+            out["diagnostics"] = {"as_measured": {
+                "points_per_s": phase.points / sum(phase.slice_s()),
+                "cpu_ms_per_point": phase.cpu_s * 1e3 / phase.points,
+                "host_scale": phase.speed.run_scale(),
+            }}
             errors = check(server, phase, seed)
         else:
             plain = run_phase(server, seed, seconds / 2)

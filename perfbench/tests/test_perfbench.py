@@ -189,6 +189,33 @@ def test_percentiles_and_tail_counts():
     assert common.percentile([3.0], 90) == 3.0
 
 
+def test_host_speed_scales_each_sample_by_the_probes_around_it():
+    ref = common.REFERENCE_PROBE_S
+    gap = common.PROBE_WINDOW_S / 2
+    speed = common.HostSpeed()
+    # The host runs at half speed for four probes, then at full speed;
+    # probes end ``gap`` apart, so a window spans five of them.
+    speed.samples = [2 * ref] * 4 + [ref] * 4
+    speed.spans = [(k * gap, k * gap) for k in range(8)]
+    assert speed.scale(1) == pytest.approx(0.5)
+    assert speed.scale(7) == pytest.approx(1.0)
+    # Probes 3-7 around probe 5: one slow, four fast.
+    assert speed.scale(5) == pytest.approx(1.0)
+    # Sample k lies between probes k and k + 1: 0.5, 0.5 and 4.0 * 0.5.
+    assert common.reference_median([1.0, 1.0, 4.0], speed) == \
+        pytest.approx(0.5)
+    assert speed.run_scale() == pytest.approx(ref / (1.5 * ref))
+
+
+def test_probe_records_samples_and_restores_cpu_affinity():
+    before = os.sched_getaffinity(0)
+    speed = common.HostSpeed()
+    assert speed.probe() == 0 and speed.probe() == 1
+    assert os.sched_getaffinity(0) == before
+    assert all(s > 0 for s in speed.samples)
+    assert speed.spent_s >= sum(speed.samples)
+
+
 def test_values_match_tolerates_only_tiny_float_differences():
     assert common.values_match(float("nan"), float("nan"), 0.0)
     assert common.values_match(1.0, 1.0 + 1e-12, 1e-9)
@@ -215,7 +242,7 @@ def test_client_loop_counts_every_raising_operation(monkeypatch):
         monkeypatch.setattr(ServiceClient, name, truncated)
     phase = servemix.Phase()
     servemix._client_loop("http://127.0.0.1:9", 1, 0, 30, phase,
-                          threading.Lock(), None)
+                          threading.Lock(), threading.Barrier(1), None)
     assert phase.ops_done == phase.op_errors == len(phase.problems) == 30
     assert not phase.job_s and not phase.query_ms and phase.points == 0
     assert any("IncompleteRead" in p for p in phase.problems)
