@@ -147,7 +147,6 @@ class MachineEngine(ComputeEngine):
         self.sram = sram
         self.fram = fram
         self.include_peripherals = include_peripherals
-        self._useful_cycles = 0
 
     @property
     def done(self) -> bool:
@@ -172,7 +171,6 @@ class MachineEngine(ComputeEngine):
         if budget == 0 or self.machine.halted:
             return EngineSlice(halted=self.machine.halted)
         raw = self.machine.run(budget, stop_at_ckpt=stop_at_ckpt)
-        self._useful_cycles += raw.cycles
         return EngineSlice(
             cycles=raw.cycles,
             memory_energy=self.power_model.slice_memory_energy(
@@ -215,7 +213,6 @@ class MachineEngine(ComputeEngine):
         self.machine.total_cycles = 0
         for peripheral in self.machine.ports.values():
             peripheral.reset()
-        self._useful_cycles = 0
 
 
 @register("synthetic", kind="engine")

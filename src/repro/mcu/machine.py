@@ -22,12 +22,12 @@ which is what happens after an outage when no snapshot is restored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MachineError
 from repro.mcu.assembler import ProgramImage
-from repro.mcu.isa import Instruction, to_signed, to_word
+from repro.mcu.isa import to_signed, to_word
 from repro.mcu.peripherals import OutputPort, Peripheral
 
 
@@ -47,6 +47,64 @@ class MachineConfig:
     data_in_fram: bool = False
     fram_fetch_wait: int = 0
     fram_data_wait: int = 1
+
+
+#: Predecoded opcode numbers: the index of each mnemonic here.  The run
+#: loop compares ``op`` against these numbers as literals, in this order,
+#: so the most frequent instructions (the FFT's dynamic mix) come first.
+_MNEMONICS = (
+    "add", "ldi", "ld", "st", "mulq", "srai", "sub", "addi", "subi", "bne",
+    "blt", "shri", "shli", "andi", "or", "mul", "bge", "beq", "jmp", "mov",
+    "xor", "and", "ori", "xori", "shl", "shr", "sra", "slt", "slti", "ckpt",
+    "call", "ret", "push", "pop", "in", "out", "nop", "halt",
+)
+_OPCODE_OF = {name: number for number, name in enumerate(_MNEMONICS)}
+
+# Kinds whose only effect is writing the destination register: with
+# destination r0 they decode to ``nop`` (r0 is hardwired to zero).
+_PURE_KINDS = frozenset({"alu", "alui", "ldi", "mov"})
+# Kinds that access data memory and pay its wait state.
+_DATA_KINDS = frozenset({"load", "store", "call", "ret", "push", "pop"})
+
+
+def _decode(image: ProgramImage, config: MachineConfig) -> List[Tuple[int, ...]]:
+    """Decode ``image`` once into flat ``(opcode, a, b, c, cost)`` tuples.
+
+    ``a, b, c`` are the operands in assembly order (unused slots are 0),
+    except that ``ldi rd, imm`` keeps its immediate in ``c``.  Immediates
+    arrive in the form the run loop uses: a word for the ALU forms and
+    ``ldi``, a shift count (``& 15``) for ``shli``/``shri``/``srai``, a
+    signed value for ``slti`` and the load/store offsets.  ``cost``
+    includes the fetch wait state and, for data-memory instructions, the
+    data wait state of the configured technology.
+    """
+    data_wait = config.fram_data_wait if config.data_in_fram else 0
+    code = []
+    for index, ins in enumerate(image.instructions):
+        spec = ins.spec
+        kind = spec.kind
+        a, b, c = (tuple(ins.operands) + (0, 0, 0))[:3]
+        target = c if kind == "branch" else a
+        if kind in ("jump", "branch", "call") and target < 0:
+            raise MachineError(
+                f"instruction {index}: branch target {target} out of range"
+            )
+        cost = spec.cycles + config.fram_fetch_wait
+        if kind in _DATA_KINDS:
+            cost += data_wait
+        op = _OPCODE_OF[spec.name]
+        if kind in _PURE_KINDS and a == 0:
+            op, b, c = _OPCODE_OF["nop"], 0, 0
+        elif kind == "ldi":
+            b, c = 0, to_word(b)
+        elif spec.name in ("shli", "shri", "srai"):
+            c &= 15
+        elif spec.name in ("slti", "ld", "st"):
+            c = to_signed(to_word(c))
+        elif kind == "alui":
+            c = to_word(c)
+        code.append((op, a, b, c, cost))
+    return code
 
 
 @dataclass
@@ -114,12 +172,7 @@ class Machine:
         self.total_cycles = 0
         self.ports: Dict[int, Peripheral] = {7: OutputPort()}
         self.data: List[int] = [0] * self.config.data_space_words
-        # Precompute per-instruction cycle costs including fetch wait states.
-        self._cycle_cost = [
-            ins.spec.cycles + self.config.fram_fetch_wait
-            for ins in image.instructions
-        ]
-        self._data_wait = self.config.fram_data_wait if self.config.data_in_fram else 0
+        self._code = _decode(image, self.config)
         self.cold_boot()
 
     # ------------------------------------------------------------------
@@ -200,30 +253,14 @@ class Machine:
     # Execution
     # ------------------------------------------------------------------
 
-    def _read_mem(self, address: int, slice_: ExecutionSlice) -> int:
-        if not 0 <= address < len(self.data):
-            raise MachineError(f"data read out of range: {address} (pc={self.pc})")
-        if self.config.data_in_fram:
-            slice_.fram_reads += 1
-        else:
-            slice_.sram_reads += 1
-        return self.data[address]
-
-    def _write_mem(self, address: int, value: int, slice_: ExecutionSlice) -> None:
-        if not 0 <= address < len(self.data):
-            raise MachineError(f"data write out of range: {address} (pc={self.pc})")
-        if self.config.data_in_fram:
-            slice_.fram_writes += 1
-        else:
-            slice_.sram_writes += 1
-        self.data[address] = to_word(value)
-
-    def _set_reg(self, index: int, value: int) -> None:
-        if index != 0:
-            self.registers[index] = to_word(value)
-
     def run(self, max_cycles: int, stop_at_ckpt: bool = False) -> ExecutionSlice:
         """Execute until the cycle budget is spent, ``halt``, or a ``ckpt``.
+
+        The loop keeps the PC, the counters and the energy in locals and
+        writes them back once, in ``finally``: on a :class:`MachineError`
+        ``pc`` still names the faulting instruction and ``total_cycles``
+        counts only the retired ones.  An instruction starts while cycles
+        remain, so a slice may overshoot ``max_cycles`` by one instruction.
 
         Args:
             max_cycles: cycle budget for this slice (>= 0).
@@ -237,138 +274,221 @@ class Machine:
         if self.halted:
             slice_.halted = True
             return slice_
+        code = self._code
         regs = self.registers
-        instructions = self.image.instructions
-        n_instructions = len(instructions)
-        while slice_.cycles < max_cycles:
-            if not 0 <= self.pc < n_instructions:
-                raise MachineError(f"PC out of range: {self.pc}")
-            ins = instructions[self.pc]
-            cost = self._cycle_cost[self.pc]
-            slice_.fram_reads += 1  # instruction fetch
-            kind = ins.spec.kind
-            ops = ins.operands
-            next_pc = self.pc + 1
-
-            if kind == "alu":
-                a = regs[ops[1]]
-                b = regs[ops[2]]
-                self._set_reg(ops[0], self._alu(ins.spec.name, a, b))
-            elif kind == "alui":
-                a = regs[ops[1]]
-                self._set_reg(ops[0], self._alu(ins.spec.name.rstrip("i"), a, ops[2]))
-            elif kind == "ldi":
-                self._set_reg(ops[0], ops[1])
-            elif kind == "mov":
-                self._set_reg(ops[0], regs[ops[1]])
-            elif kind == "load":
-                address = to_signed(regs[ops[1]]) + to_signed(to_word(ops[2]))
-                self._set_reg(ops[0], self._read_mem(address, slice_))
-                cost += self._data_wait
-            elif kind == "store":
-                address = to_signed(regs[ops[1]]) + to_signed(to_word(ops[2]))
-                self._write_mem(address, regs[ops[0]], slice_)
-                cost += self._data_wait
-            elif kind == "jump":
-                next_pc = ops[0]
-            elif kind == "branch":
-                if self._branch_taken(ins.spec.name, regs[ops[0]], regs[ops[1]]):
-                    next_pc = ops[2]
-            elif kind == "call":
-                sp = to_word(regs[15] - 1)
-                self._write_mem(sp, next_pc, slice_)
-                regs[15] = sp
-                next_pc = ops[0]
-                cost += self._data_wait
-            elif kind == "ret":
-                sp = regs[15]
-                next_pc = self._read_mem(sp, slice_)
-                regs[15] = to_word(sp + 1)
-                cost += self._data_wait
-            elif kind == "push":
-                sp = to_word(regs[15] - 1)
-                self._write_mem(sp, regs[ops[0]], slice_)
-                regs[15] = sp
-                cost += self._data_wait
-            elif kind == "pop":
-                sp = regs[15]
-                self._set_reg(ops[0], self._read_mem(sp, slice_))
-                regs[15] = to_word(sp + 1)
-                cost += self._data_wait
-            elif kind == "in":
-                peripheral = self._port(ops[1])
-                self._set_reg(ops[0], to_word(peripheral.read()))
-                slice_.peripheral_energy += peripheral.access_energy
-            elif kind == "out":
-                peripheral = self._port(ops[0])
-                peripheral.write(regs[ops[1]])
-                slice_.peripheral_energy += peripheral.access_energy
-            elif kind == "nop":
-                pass
-            elif kind == "ckpt":
-                self.pc = next_pc
-                slice_.cycles += cost
-                slice_.instructions += 1
-                self.total_cycles += cost
-                if stop_at_ckpt:
-                    slice_.hit_checkpoint = True
-                    return slice_
-                continue
-            elif kind == "halt":
-                self.halted = True
-                slice_.halted = True
-                slice_.cycles += cost
-                slice_.instructions += 1
-                self.total_cycles += cost
-                return slice_
-            else:  # pragma: no cover - spec table is internal
-                raise MachineError(f"unhandled instruction kind {kind!r}")
-
-            self.pc = next_pc
-            slice_.cycles += cost
-            slice_.instructions += 1
-            self.total_cycles += cost
+        data = self.data
+        n_data = len(data)
+        ports = self.ports
+        pc = self.pc
+        # Fetches index ``code`` directly, so only an index past the end
+        # raises; a negative PC must be caught before it wraps around.
+        if pc < 0 < max_cycles:
+            raise MachineError(f"PC out of range: {pc}")
+        cycles = instructions = reads = writes = 0
+        energy = 0.0
+        # Inlined word helpers: ``((x & 0xFFFF) ^ 0x8000) - 0x8000`` is
+        # ``to_signed(x)``, and ``(x & 0xFFFF) ^ 0x8000`` orders words the
+        # way their signed values do.
+        try:
+            while cycles < max_cycles:
+                try:
+                    op, a, b, c, cost = code[pc]
+                except IndexError:
+                    raise MachineError(f"PC out of range: {pc}") from None
+                if op == 0:  # add
+                    regs[a] = (regs[b] + regs[c]) & 0xFFFF
+                    pc += 1
+                elif op == 1:  # ldi
+                    regs[a] = c
+                    pc += 1
+                elif op == 2:  # ld
+                    address = ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 + c
+                    if not 0 <= address < n_data:
+                        raise MachineError(
+                            f"data read out of range: {address} (pc={pc})"
+                        )
+                    reads += 1
+                    if a:
+                        regs[a] = data[address] & 0xFFFF
+                    pc += 1
+                elif op == 3:  # st
+                    address = ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 + c
+                    if not 0 <= address < n_data:
+                        raise MachineError(
+                            f"data write out of range: {address} (pc={pc})"
+                        )
+                    writes += 1
+                    data[address] = regs[a] & 0xFFFF
+                    pc += 1
+                elif op == 4:  # mulq
+                    regs[a] = (
+                        (((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000)
+                        * (((regs[c] & 0xFFFF) ^ 0x8000) - 0x8000)
+                        >> 15
+                    ) & 0xFFFF
+                    pc += 1
+                elif op == 5:  # srai
+                    regs[a] = ((((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000) >> c) & 0xFFFF
+                    pc += 1
+                elif op == 6:  # sub
+                    regs[a] = (regs[b] - regs[c]) & 0xFFFF
+                    pc += 1
+                elif op == 7:  # addi
+                    regs[a] = (regs[b] + c) & 0xFFFF
+                    pc += 1
+                elif op == 8:  # subi
+                    regs[a] = (regs[b] - c) & 0xFFFF
+                    pc += 1
+                elif op == 9:  # bne
+                    pc = c if regs[a] != regs[b] else pc + 1
+                elif op == 10:  # blt
+                    pc = (
+                        c
+                        if ((regs[a] & 0xFFFF) ^ 0x8000) < ((regs[b] & 0xFFFF) ^ 0x8000)
+                        else pc + 1
+                    )
+                elif op == 11:  # shri
+                    regs[a] = (regs[b] & 0xFFFF) >> c
+                    pc += 1
+                elif op == 12:  # shli
+                    regs[a] = (regs[b] << c) & 0xFFFF
+                    pc += 1
+                elif op == 13:  # andi
+                    regs[a] = regs[b] & c
+                    pc += 1
+                elif op == 14:  # or
+                    regs[a] = (regs[b] | regs[c]) & 0xFFFF
+                    pc += 1
+                elif op == 15:  # mul
+                    regs[a] = (regs[b] * regs[c]) & 0xFFFF
+                    pc += 1
+                elif op == 16:  # bge
+                    pc = (
+                        c
+                        if ((regs[a] & 0xFFFF) ^ 0x8000) >= ((regs[b] & 0xFFFF) ^ 0x8000)
+                        else pc + 1
+                    )
+                elif op == 17:  # beq
+                    pc = c if regs[a] == regs[b] else pc + 1
+                elif op == 18:  # jmp
+                    pc = a
+                elif op == 19:  # mov
+                    regs[a] = regs[b] & 0xFFFF
+                    pc += 1
+                elif op == 20:  # xor
+                    regs[a] = (regs[b] ^ regs[c]) & 0xFFFF
+                    pc += 1
+                elif op == 21:  # and
+                    regs[a] = regs[b] & regs[c] & 0xFFFF
+                    pc += 1
+                elif op == 22:  # ori
+                    regs[a] = (regs[b] | c) & 0xFFFF
+                    pc += 1
+                elif op == 23:  # xori
+                    regs[a] = (regs[b] ^ c) & 0xFFFF
+                    pc += 1
+                elif op == 24:  # shl
+                    regs[a] = (regs[b] << (regs[c] & 15)) & 0xFFFF
+                    pc += 1
+                elif op == 25:  # shr
+                    regs[a] = (regs[b] & 0xFFFF) >> (regs[c] & 15)
+                    pc += 1
+                elif op == 26:  # sra
+                    regs[a] = (
+                        (((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000) >> (regs[c] & 15)
+                    ) & 0xFFFF
+                    pc += 1
+                elif op == 27:  # slt
+                    regs[a] = (
+                        1
+                        if ((regs[b] & 0xFFFF) ^ 0x8000) < ((regs[c] & 0xFFFF) ^ 0x8000)
+                        else 0
+                    )
+                    pc += 1
+                elif op == 28:  # slti
+                    regs[a] = 1 if ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 < c else 0
+                    pc += 1
+                elif op == 29:  # ckpt
+                    pc += 1
+                    if stop_at_ckpt:
+                        cycles += cost
+                        instructions += 1
+                        slice_.hit_checkpoint = True
+                        break
+                elif op == 30:  # call
+                    sp = (regs[15] - 1) & 0xFFFF
+                    if sp >= n_data:
+                        raise MachineError(f"data write out of range: {sp} (pc={pc})")
+                    writes += 1
+                    data[sp] = (pc + 1) & 0xFFFF
+                    regs[15] = sp
+                    pc = a
+                elif op == 31:  # ret
+                    sp = regs[15]
+                    if not 0 <= sp < n_data:
+                        raise MachineError(f"data read out of range: {sp} (pc={pc})")
+                    reads += 1
+                    pc = data[sp]
+                    regs[15] = (sp + 1) & 0xFFFF
+                    if pc < 0:  # only a corrupted stack holds a non-word
+                        cycles += cost
+                        instructions += 1
+                        if cycles < max_cycles:
+                            raise MachineError(f"PC out of range: {pc}")
+                        break
+                elif op == 32:  # push
+                    sp = (regs[15] - 1) & 0xFFFF
+                    if sp >= n_data:
+                        raise MachineError(f"data write out of range: {sp} (pc={pc})")
+                    writes += 1
+                    data[sp] = regs[a] & 0xFFFF
+                    regs[15] = sp
+                    pc += 1
+                elif op == 33:  # pop
+                    sp = regs[15]
+                    if not 0 <= sp < n_data:
+                        raise MachineError(f"data read out of range: {sp} (pc={pc})")
+                    reads += 1
+                    if a:
+                        regs[a] = data[sp] & 0xFFFF
+                    regs[15] = (sp + 1) & 0xFFFF
+                    pc += 1
+                elif op == 34:  # in
+                    if b not in ports:
+                        raise MachineError(f"no peripheral at port {b}")
+                    peripheral = ports[b]
+                    value = peripheral.read() & 0xFFFF
+                    if a:
+                        regs[a] = value
+                    energy += peripheral.access_energy
+                    pc += 1
+                elif op == 35:  # out
+                    if a not in ports:
+                        raise MachineError(f"no peripheral at port {a}")
+                    peripheral = ports[a]
+                    peripheral.write(regs[b])
+                    energy += peripheral.access_energy
+                    pc += 1
+                elif op == 36:  # nop
+                    pc += 1
+                else:  # halt
+                    cycles += cost
+                    instructions += 1
+                    self.halted = slice_.halted = True
+                    break
+                cycles += cost
+                instructions += 1
+        finally:
+            self.pc = pc
+            self.total_cycles += cycles
+            slice_.cycles = cycles
+            slice_.instructions = instructions
+            slice_.peripheral_energy = energy
+            if self.config.data_in_fram:
+                slice_.fram_reads = instructions + reads
+                slice_.fram_writes = writes
+            else:
+                slice_.fram_reads = instructions
+                slice_.sram_reads = reads
+                slice_.sram_writes = writes
         return slice_
-
-    def _port(self, port: int) -> Peripheral:
-        if port not in self.ports:
-            raise MachineError(f"no peripheral at port {port}")
-        return self.ports[port]
-
-    @staticmethod
-    def _alu(name: str, a: int, b: int) -> int:
-        if name == "add":
-            return a + b
-        if name == "sub":
-            return a - b
-        if name == "and":
-            return a & b
-        if name == "or":
-            return a | b
-        if name == "xor":
-            return a ^ b
-        if name == "shl":
-            return a << (b & 15)
-        if name == "shr":
-            return (a & 0xFFFF) >> (b & 15)
-        if name == "sra":
-            return to_signed(a) >> (b & 15)
-        if name == "mul":
-            return to_signed(a) * to_signed(b)
-        if name == "mulq":
-            return (to_signed(a) * to_signed(b)) >> 15
-        if name == "slt":
-            return 1 if to_signed(a) < to_signed(b) else 0
-        raise MachineError(f"unknown ALU op {name!r}")  # pragma: no cover
-
-    @staticmethod
-    def _branch_taken(name: str, a: int, b: int) -> bool:
-        if name == "beq":
-            return a == b
-        if name == "bne":
-            return a != b
-        if name == "blt":
-            return to_signed(a) < to_signed(b)
-        if name == "bge":
-            return to_signed(a) >= to_signed(b)
-        raise MachineError(f"unknown branch {name!r}")  # pragma: no cover

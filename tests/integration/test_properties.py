@@ -9,7 +9,7 @@ from repro.analysis.pareto import pareto_points
 from repro.core.design import hibernate_threshold, minimum_capacitance
 from repro.mcu.assembler import assemble
 from repro.mcu.engine import SyntheticEngine
-from repro.mcu.isa import to_signed, to_word
+from repro.mcu.isa import OPCODES, to_signed, to_word
 from repro.mcu.machine import Machine, MachineConfig
 from repro.mcu.programs import counter_program
 from repro.storage.capacitor import Capacitor
@@ -29,34 +29,119 @@ def test_to_word_is_mod_2_16(value):
     assert to_word(value) == value % 0x10000
 
 
+immediates = st.integers(min_value=-0x8000, max_value=0xFFFF)
+
+#: Reference semantics of the register ALU ops on 16-bit words; the
+#: machine stores ``to_word`` of the result.
+ALU_MODELS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << (b & 15),
+    "shr": lambda a, b: a >> (b & 15),
+    "sra": lambda a, b: to_signed(a) >> (b & 15),
+    "mul": lambda a, b: to_signed(a) * to_signed(b),
+    "mulq": lambda a, b: (to_signed(a) * to_signed(b)) >> 15,
+    "slt": lambda a, b: int(to_signed(a) < to_signed(b)),
+}
+IMMEDIATE_FORMS = sorted(name + "i" for name in ALU_MODELS if name + "i" in OPCODES)
+BRANCH_MODELS = {
+    "beq": lambda a, b: a == b,
+    "bne": lambda a, b: a != b,
+    "blt": lambda a, b: to_signed(a) < to_signed(b),
+    "bge": lambda a, b: to_signed(a) >= to_signed(b),
+}
+
+
+def _run(source, r1=0, r2=0):
+    """Assemble ``source`` + ``halt``, preset r1/r2, run it to the halt."""
+    machine = Machine(assemble(source + "\nhalt\n"), MachineConfig(data_space_words=64))
+    machine.registers[1] = r1
+    machine.registers[2] = r2
+    slice_ = machine.run(1000)
+    assert slice_.halted
+    return machine, slice_
+
+
+def _alu(line, r1, r2=0):
+    """Result register r3 after the one-instruction program ``line``."""
+    machine, slice_ = _run(line, r1, r2)
+    mnemonic = line.split()[0]
+    assert slice_.instructions == 2
+    assert slice_.cycles == OPCODES[mnemonic].cycles + OPCODES["halt"].cycles
+    return machine.registers[3]
+
+
+def _branch_taken(name, a, b):
+    machine, _ = _run(f"{name} r1, r2, taken\n  ldi r3, 1\n  halt\ntaken:\n  ldi r3, 2", a, b)
+    return machine.registers[3] == 2
+
+
+def test_immediate_forms_cover_every_alui_opcode():
+    assert IMMEDIATE_FORMS == sorted(n for n, spec in OPCODES.items() if spec.kind == "alui")
+
+
 @given(words, words)
 def test_machine_alu_add_matches_modular_arithmetic(a, b):
-    assert Machine._alu("add", a, b) & 0xFFFF == (a + b) & 0xFFFF
+    assert _alu("add r3, r1, r2", a, b) == (a + b) & 0xFFFF
 
 
 @given(words, words)
 def test_machine_alu_mulq_is_q15(a, b):
-    result = to_word(Machine._alu("mulq", a, b))
     expected = to_word((to_signed(a) * to_signed(b)) >> 15)
-    assert result == expected
+    assert _alu("mulq r3, r1, r2", a, b) == expected
 
 
 @given(words, st.integers(min_value=0, max_value=15))
 def test_machine_sra_sign_extends(a, shift):
-    result = to_word(Machine._alu("sra", a, shift))
-    assert result == to_word(to_signed(a) >> shift)
+    expected = to_word(to_signed(a) >> shift)
+    assert _alu("sra r3, r1, r2", a, shift) == expected
+    assert _alu(f"srai r3, r1, {shift}", a) == expected
+
+
+@given(st.sampled_from(sorted(ALU_MODELS)), words, words)
+def test_register_alu_ops_match_model(name, a, b):
+    assert _alu(f"{name} r3, r1, r2", a, b) == to_word(ALU_MODELS[name](a, b))
+
+
+@given(st.sampled_from(IMMEDIATE_FORMS), words, immediates)
+def test_immediate_alu_ops_match_model(name, a, imm):
+    expected = to_word(ALU_MODELS[name[:-1]](a, to_word(imm)))
+    assert _alu(f"{name} r3, r1, {imm}", a) == expected
+
+
+@given(st.sampled_from(sorted(BRANCH_MODELS)), words, words)
+def test_branches_match_model(name, a, b):
+    assert _branch_taken(name, a, b) == BRANCH_MODELS[name](a, b)
 
 
 @given(words, words)
 def test_branch_comparisons_are_consistent(a, b):
-    lt = Machine._branch_taken("blt", a, b)
-    ge = Machine._branch_taken("bge", a, b)
-    eq = Machine._branch_taken("beq", a, b)
-    ne = Machine._branch_taken("bne", a, b)
+    lt = _branch_taken("blt", a, b)
+    ge = _branch_taken("bge", a, b)
+    eq = _branch_taken("beq", a, b)
+    ne = _branch_taken("bne", a, b)
     assert lt != ge
     assert eq != ne
     if eq:
         assert ge
+
+
+@given(
+    st.sampled_from([
+        "add r0, r1, r2", "mulq r0, r1, r2", "addi r0, r1, -1", "slti r0, r1, 5",
+        "ldi r0, {imm}", "mov r0, r1", "ld r0, r2, 0", "push r1\n  pop r0",
+        "in r0, 7",
+    ]),
+    words,
+    immediates,
+)
+def test_writes_to_r0_are_discarded(line, a, imm):
+    machine, _ = _run(line.format(imm=imm), a, a % 64)
+    assert machine.registers[0] == 0
+    assert machine.registers[1:3] == [a, a % 64]
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import MachineError
-from repro.mcu.assembler import assemble
+from repro.mcu.assembler import ProgramImage, assemble
+from repro.mcu.isa import OPCODES, Instruction
 from repro.mcu.machine import Machine, MachineConfig
 
 
@@ -186,6 +187,81 @@ def test_pc_out_of_range_raises():
 def test_unmapped_port_raises():
     with pytest.raises(MachineError, match="no peripheral"):
         run_asm("in r1, 3\nhalt\n")
+
+
+#: case -> (setup line, faulting line, error message).  Every program
+#: first runs ``ldi r1, 7`` and ``st r1, r0, 2`` so registers and data
+#: both hold state the fault must leave alone.  In the ``pc`` case the
+#: setup jumps one past the last instruction.
+ERROR_CASES = {
+    "ld": ("ldi r2, 60", "ld r3, r2, 10", "data read out of range: 70 (pc=3)"),
+    "st": ("ldi r2, 60", "st r1, r2, 4", "data write out of range: 64 (pc=3)"),
+    "call": ("ldi r15, 0", "call 0", "data write out of range: 65535 (pc=3)"),
+    "push": ("ldi r15, 0", "push r1", "data write out of range: 65535 (pc=3)"),
+    "ret": ("nop", "ret", "data read out of range: 64 (pc=3)"),
+    "pop": ("nop", "pop r3", "data read out of range: 64 (pc=3)"),
+    "in": ("nop", "in r3, 3", "no peripheral at port 3"),
+    "out": ("nop", "out 3, r1", "no peripheral at port 3"),
+    "pc": ("jmp 3", None, "PC out of range: 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_fault_leaves_state_at_the_faulting_instruction(case):
+    setup, fault, message = ERROR_CASES[case]
+    retired = ["ldi r1, 7", "st r1, r0, 2", setup]
+    source = "\n".join(retired + ([fault, "halt"] if fault else [])) + "\n"
+    config = MachineConfig(data_space_words=64)
+    retired_cost = sum(OPCODES[line.split()[0]].cycles for line in retired)
+    # Reference: the same program stopped by its budget just before the fault.
+    reference = Machine(assemble(source), config)
+    assert reference.run(retired_cost).instructions == len(retired)
+
+    machine = Machine(assemble(source), config)
+    with pytest.raises(MachineError) as excinfo:
+        machine.run(1000)
+    assert str(excinfo.value) == message
+    assert machine.pc == reference.pc == len(retired)
+    assert machine.registers == reference.registers
+    assert machine.data == reference.data
+    assert machine.total_cycles == reference.total_cycles == retired_cost
+
+
+def test_negative_pc_raises_before_fetch():
+    machine = Machine(assemble("nop\nhalt\n"))
+    machine.pc = -1
+    assert machine.run(0).cycles == 0
+    with pytest.raises(MachineError, match="PC out of range: -1"):
+        machine.run(10)
+    assert machine.pc == -1 and machine.total_cycles == 0
+
+
+def test_negative_branch_target_rejected_at_decode():
+    # The assembler never emits one; a hand-built image is caught before
+    # the fetch could wrap around to the end of the program.
+    image = ProgramImage([Instruction(OPCODES["jmp"], (-1,))], {}, 0, {})
+    with pytest.raises(MachineError, match="instruction 0: branch target -1"):
+        Machine(image)
+
+
+def _ret_to(address):
+    machine = Machine(assemble("ret\nhalt\n"), MachineConfig(data_space_words=64))
+    machine.registers[15] = 10
+    machine.data[10] = address
+    return machine
+
+
+def test_ret_to_corrupt_address_faults_at_next_fetch():
+    ret_cost = OPCODES["ret"].cycles
+    machine = _ret_to(-2)
+    assert machine.run(ret_cost).instructions == 1  # budget ends with the ret
+    assert machine.pc == -2
+    with pytest.raises(MachineError, match="PC out of range: -2"):
+        machine.run(10)
+    machine = _ret_to(-2)
+    with pytest.raises(MachineError, match="PC out of range: -2"):
+        machine.run(10)
+    assert machine.pc == -2 and machine.total_cycles == ret_cost
 
 
 def test_data_image_loaded_at_boot():
