@@ -547,6 +547,7 @@ class ExplorationDriver:
                     advanced=stats.get("advanced"),
                     settled=stats.get("settled"),
                     diverged=stats.get("diverged"),
+                    scalar_chunks=stats.get("scalar_chunks"),
                 )
                 obs.record_progress(event)
                 if self.progress is not None:

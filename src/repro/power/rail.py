@@ -139,9 +139,10 @@ class HarvesterInjector(Injector):
             self._memo.get(step0, dt, n) if step0 is not None else None
         )
         if values is None:
-            values = self.harvester.power_array(chunk_times(t0, dt, n)).tolist()
+            power = self.harvester.power_array(chunk_times(t0, dt, n))
             if step0 is not None:
-                self._memo.put(step0, dt, values)
+                self._memo.put(step0, dt, power)
+            values = power.tolist()
         return PowerSourcePlan(values=values, converter=self.converter)
 
     def reset(self) -> None:
@@ -204,9 +205,9 @@ class RectifiedInjector(Injector):
             )
             if take_abs:
                 voc = np.abs(voc)
-            values = voc.tolist()
             if step0 is not None:
-                self._memo.put(step0, dt, values)
+                self._memo.put(step0, dt, voc)
+            values = voc.tolist()
         return VoltageSourcePlan(values=values, drop=drop, r_total=r_total)
 
     def reset(self) -> None:

@@ -5,35 +5,42 @@ time; a sweep over M grid points still pays the per-step Python cost M
 times.  This module advances M scenarios that share a topology *together*
 as structure-of-arrays state: one numpy lane per member holding the rail
 voltage ``vcc[M]``, the cumulative energy ledger, and per-lane event
-horizons, with closed-form source plans evaluated once over the full run
-horizon and shared across every member with an identical harvester
-configuration.
+horizons, with closed-form source plans evaluated once and shared across
+every member with an identical harvester configuration.
 
 Execution model (see DESIGN.md, "Batched SoA kernel"):
 
 * Each member is a **lane**: its own built system, simulator, rail and
-  platform, plus the per-lane scalars the array passes need (capacitor
-  physics, precomputed source-plan arrays, the last startable step).
+  platform, plus the per-lane scalars the array pass needs (capacitor
+  physics, the source-plan arrays, the last startable step).  Shared
+  plans grow on demand, only as far as some lane runs, and seed every
+  injector's memo, so each waveform sample is evaluated once per batch.
 * A **round** gathers every runnable lane's current regime — exactly the
   same :meth:`~repro.power.rail.RailLoad.load_profile` /
-  source-plan protocol the per-scenario fast kernel uses — groups lanes
-  whose regimes have the same shape, and advances each group through one
-  masked **array pass**.  Per-step arithmetic inside a pass replicates
-  the scalar chunk loops of :class:`~repro.power.rail.SupplyRail`
-  operation for operation, so the committed voltage sequence is
-  bit-identical to a per-scenario fast run (chunk partitioning cannot
-  change a pure per-step recurrence).
+  source-plan protocol the per-scenario fast kernel uses — and advances
+  the lanes in the simple-loop regime (one rectified source, one
+  constant-energy load, ideal capacitor) through one masked **array
+  pass**: compiled C when a compiler is available, numpy otherwise.
+  Per-step arithmetic inside a pass replicates
+  :meth:`~repro.power.rail.SupplyRail._chunk_loop_simple` operation for
+  operation, so the committed voltage sequence is bit-identical to a
+  per-scenario fast run (chunk partitioning cannot change a pure
+  per-step recurrence).
 * Per-lane event boundaries (boot/wake/brownout/active-guard voltage
   crossings, snapshot/restore countdowns via ``max_steps``) freeze the
   lane inside the pass at exactly the step the scalar loop would have
   broken on; the boundary step then settles scalar-side through the
   unmodified reference path and the lane re-enters the next round.
-* Lanes whose regime cannot be vectorized degrade gracefully: a lane in
-  a one-member group advances through the ordinary scalar
-  :meth:`~repro.power.rail.SupplyRail.step_chunk`; a lane whose sources
-  cannot publish array plans at all (MPPT trackers, converter-fronted
-  power sources, stateful harvesters) runs the entire scenario through
-  the untouched per-scenario path.
+* Every other lane — any other regime, or fewer than
+  ``_MIN_VECTOR_GROUP`` lanes in the simple one — advances **per lane**
+  through the ordinary scalar
+  :meth:`~repro.power.rail.SupplyRail.step_chunk` on the solo kernel's
+  grow/backoff schedule, reading the shared plans through the injector
+  memo.  A lane whose shape can never form a simple pass runs to the
+  end that way at once.  A lane whose sources cannot publish array
+  plans at all (MPPT trackers, converter-fronted power sources,
+  stateful harvesters) runs the entire scenario through the untouched
+  per-scenario path.
 
 Exactness contract: the vcc trace and every event step index are
 bit-identical to per-scenario fast runs.  Scalar metric accumulators
@@ -47,7 +54,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +63,7 @@ from repro.power.rail import HarvesterInjector, RectifiedInjector, SupplyRail
 from repro.results.run_result import MAX_TRACE_SAMPLES, RunResult, spec_hash
 from repro.sim import _ckernel
 from repro.sim.engine import _MAX_BACKOFF, _MIN_CHUNK
+from repro.sim.kernel import SourcePlanMemo
 from repro.spec.specs import ScenarioSpec
 
 #: Hard cap on steps per array pass (bounds the per-pass vcc matrix and
@@ -69,17 +77,17 @@ _PASS_CAP = 65536
 _PASS_BUDGET_BYTES = 256 * 1024 * 1024
 #: Minimum steps before the break-at-quarter early exit may trigger.
 _EARLY_EXIT_MIN_STEPS = 64
-#: Below this many runnable lanes a round stops vectorizing and the
-#: remaining lanes finish through the per-scenario chunked path.
-_MIN_VECTOR_LANES = 2
-#: Minimum lanes in a pass group before the vectorized pass beats the
+#: Minimum lanes in the simple regime before the array pass beats the
 #: scalar chunk loop (per-row numpy dispatch is ~30x a scalar step, so
-#: small groups advance through ``step_chunk`` instead).  Tests lower
-#: this to force array passes on tiny batches.
+#: smaller groups advance through ``step_chunk`` instead, and once fewer
+#: runnable lanes than this can ever form a pass, they all finish on the
+#: solo schedule).  Tests lower this to force array passes on tiny
+#: batches.
 _MIN_VECTOR_GROUP = 32
-#: Auto batch size cap (memory: one full-horizon plan per distinct
-#: harvester configuration plus O(pass_cap * M) scratch — ~17 MB of
-#: per-pass vcc matrix at the cap, amortised over 512 grid points).
+#: Auto batch size cap (memory: one shared plan per distinct harvester
+#: configuration, at most the run horizon, plus O(pass_cap * M) scratch
+#: — ~17 MB of per-pass vcc matrix at the cap, amortised over 512 grid
+#: points).
 AUTO_BATCH_SIZE = 512
 
 
@@ -114,10 +122,14 @@ class BatchStats:
     Attributes:
         members: lanes that entered batched execution.
         passes: array passes executed.
-        advanced: member-steps advanced through array passes.
+        advanced: member-steps advanced in chunks (array passes and
+            scalar lane chunks).
         settled: member-steps settled through the scalar reference path.
-        diverged: members that left array execution for the per-scenario
-            fast kernel (ineligible sources or a drained batch).
+        diverged: members that ran outside the batch, through the
+            per-scenario path on a fresh system (ineligible sources or a
+            batch-machinery failure).
+        scalar_chunks: chunks lanes advanced one at a time through
+            :meth:`SupplyRail.step_chunk` (outside any array pass).
     """
 
     members: int = 0
@@ -125,6 +137,7 @@ class BatchStats:
     advanced: int = 0
     settled: int = 0
     diverged: int = 0
+    scalar_chunks: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -133,6 +146,7 @@ class BatchStats:
             "advanced": self.advanced,
             "settled": self.settled,
             "diverged": self.diverged,
+            "scalar_chunks": self.scalar_chunks,
         }
 
 
@@ -177,13 +191,14 @@ def batchable(spec: ScenarioSpec) -> bool:
 
 
 class _PlanCache:
-    """Full-horizon source-plan arrays shared across batch members.
+    """Source-plan arrays shared across batch members, grown on demand.
 
     Keyed by the harvester's resolved configuration and the time grid, so
     a capacitance sweep — every member carrying the same harvester —
-    plans each waveform exactly once per batch, not once per member.
+    evaluates each waveform sample once per batch, not once per member.
     Values are a pure function of the step index (evaluated at the exact
-    engine grid ``k * dt``), so any member's window is a plain slice.
+    engine grid ``k * dt``), so a plan grows by evaluating only the new
+    steps and appending them, and any member's window is a plain slice.
     """
 
     def __init__(self) -> None:
@@ -214,39 +229,35 @@ class _PlanCache:
             default=str,
         )
 
-    def voltage_values(
-        self, key: str, injector: RectifiedInjector, take_abs: bool,
-        dt: float, steps: int,
-    ) -> np.ndarray:
-        plan = self._plans.get(key)
-        if plan is None or len(plan) < steps:
-            times = np.arange(0, steps) * dt
-            values = injector.harvester.open_circuit_voltage_array(times)
-            if take_abs:
-                values = np.abs(values)
-            plan = np.asarray(values, dtype=float)
-            self._plans[key] = plan
-        return plan
+    def values(self, source: _Source, dt: float, steps: int,
+               limit: int) -> np.ndarray:
+        """``source``'s plan, covering at least ``min(steps, limit)``.
 
-    def power_values(
-        self, key: str, injector: HarvesterInjector, dt: float, steps: int
-    ) -> np.ndarray:
-        plan = self._plans.get(key)
-        if plan is None or len(plan) < steps:
-            times = np.arange(0, steps) * dt
-            plan = np.asarray(
-                injector.harvester.power_array(times), dtype=float
+        A plan that must grow at least doubles (up to ``limit``, the
+        requesting lane's horizon), so a lane advancing chunk by chunk
+        triggers O(log) evaluations, not one per chunk.
+        """
+        plan = self._plans.get(source.key)
+        have = 0 if plan is None else len(plan)
+        if have < min(steps, limit):
+            grown = min(limit, max(steps, 2 * have))
+            fresh = np.asarray(
+                source.evaluate(np.arange(have, grown) * dt), dtype=float
             )
-            self._plans[key] = plan
+            plan = fresh if plan is None else np.concatenate((plan, fresh))
+            self._plans[source.key] = plan
         return plan
 
 
 @dataclass
 class _Source:
-    """One injector's array-pass descriptor (full-horizon values)."""
+    """One injector's shared plan and array-pass parameters."""
 
     kind: str  # 'v' (rectified voltage source) or 'p' (power source)
-    values: np.ndarray
+    key: str
+    evaluate: Callable[[np.ndarray], np.ndarray]
+    memo: SourcePlanMemo
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
     drop: float = 0.0
     r_total: float = 1.0
 
@@ -256,8 +267,9 @@ class _Lane:
 
     __slots__ = (
         "index", "spec", "overrides", "system", "sim", "rail", "platform",
-        "physics", "s_max", "dt", "sources", "leak", "overhead",
-        "done", "stopped_early", "pending_scalar", "backoff", "error",
+        "physics", "s_max", "dt", "cache", "sources", "leak", "overhead",
+        "simple", "done", "stopped_early", "pending_scalar", "backoff",
+        "grow",
     )
 
     def __init__(self, index: int, spec: ScenarioSpec,
@@ -272,14 +284,19 @@ class _Lane:
         self.physics = None
         self.s_max = -1
         self.dt = spec.dt
+        self.cache: Optional[_PlanCache] = None
         self.sources: List[_Source] = []
         self.leak: Optional[float] = None
         self.overhead = 1.0
+        #: Whether the lane's static shape admits the simple-loop regime
+        #: (one rectified source, one load, ideal capacitor).
+        self.simple = False
         self.done = False
         self.stopped_early = False
         self.pending_scalar = 0
         self.backoff = 0
-        self.error: Optional[str] = None
+        #: Next scalar chunk request, on the solo kernel's schedule.
+        self.grow = _MIN_CHUNK
 
 
 @dataclass
@@ -328,7 +345,7 @@ def _lane_chunkable(lane: _Lane) -> bool:
 
 
 def _lane_vectorizable(lane: _Lane, cache: _PlanCache) -> bool:
-    """Resolve every injector to a full-horizon array plan, or fail.
+    """Resolve every injector to a shared array plan, or fail.
 
     The eligibility predicates mirror the injectors' own ``chunk_plan``
     guards; a converter-fronted power source additionally disqualifies
@@ -336,34 +353,37 @@ def _lane_vectorizable(lane: _Lane, cache: _PlanCache) -> bool:
     does any injector outside the two standard classes.
     """
     rail = lane.rail
-    total_steps = lane.s_max + 1
-    if total_steps <= 0:
-        return True  # zero-step run: trivially fine
     sources: List[_Source] = []
     for position, injector in enumerate(rail._injectors):
         if isinstance(injector, RectifiedInjector):
             if type(injector).inject is not RectifiedInjector.inject:
                 return False
-            if not injector.harvester.chunk_safe():
+            harvester = injector.harvester
+            if not harvester.chunk_safe():
                 return False
             chunk_params = getattr(injector.rectifier, "chunk_params", None)
             params = (
-                chunk_params(injector.harvester.source_resistance)
+                chunk_params(harvester.source_resistance)
                 if chunk_params is not None
                 else None
             )
             if params is None:
                 return False
             drop, r_total, take_abs = params
+            if take_abs:
+                def evaluate(times, harvester=harvester):
+                    return np.abs(
+                        harvester.open_circuit_voltage_array(times)
+                    )
+            else:
+                evaluate = harvester.open_circuit_voltage_array
             key = cache.key(
                 lane.spec, position, "v-abs" if take_abs else "v"
             )
-            values = cache.voltage_values(
-                key, injector, take_abs, lane.dt, total_steps
-            )
-            sources.append(
-                _Source("v", values, drop=drop, r_total=r_total)
-            )
+            sources.append(_Source(
+                "v", key, evaluate, injector._memo,
+                drop=drop, r_total=r_total,
+            ))
         elif isinstance(injector, HarvesterInjector):
             if type(injector).inject is not HarvesterInjector.inject:
                 return False
@@ -372,12 +392,37 @@ def _lane_vectorizable(lane: _Lane, cache: _PlanCache) -> bool:
             if not injector.harvester.chunk_safe():
                 return False
             key = cache.key(lane.spec, position, "p")
-            values = cache.power_values(key, injector, lane.dt, total_steps)
-            sources.append(_Source("p", values))
+            sources.append(_Source(
+                "p", key, injector.harvester.power_array, injector._memo
+            ))
         else:
             return False
+    lane.cache = cache
     lane.sources = sources
+    lane.simple = (
+        len(sources) == 1
+        and sources[0].kind == "v"
+        and len(rail._loads) == 1
+        and lane.leak is None
+        and lane.overhead == 1.0
+    )
     return True
+
+
+def _cover(lane: _Lane, steps: int) -> None:
+    """Make the lane's plans cover its first ``steps`` steps.
+
+    Every lane reads the cache's current array for each plan (lanes
+    sharing a plan stay on one array, so a lock-step pass slices it
+    once), and each new array re-seeds the injector's memo: the lane's
+    scalar chunks then slice the shared plan instead of evaluating the
+    waveform themselves.
+    """
+    for source in lane.sources:
+        plan = lane.cache.values(source, lane.dt, steps, lane.s_max + 1)
+        if plan is not source.values:
+            source.values = plan
+            source.memo.put(0, lane.dt, plan)
 
 
 def _check_lane_stopped(lane: _Lane) -> None:
@@ -411,93 +456,79 @@ def _run_scalar_steps(lane: _Lane, count: int, stats: BatchStats) -> None:
         lane.done = True
 
 
-def _advance_chunk_scalar(lane: _Lane, stats: BatchStats) -> None:
-    """Advance a lone lane one chunk through the ordinary scalar loop."""
+def _advance_sim(lane: _Lane, taken: int, stats: BatchStats) -> None:
+    """Move a lane's clock and probes past ``taken`` chunked steps.
+
+    The solo fast kernel's post-chunk commit, then the stop-condition /
+    end-of-run checks.
+    """
     sim = lane.sim
-    n = min(sim.chunk_size, lane.s_max - sim.steps + 1)
+    chunk_stats = sim.chunk_stats
+    chunk_stats.chunks += 1
+    chunk_stats.chunked_steps += taken
+    first = sim.steps + 1
+    sim.steps += taken
+    sim.t = sim.steps * sim.dt
+    sim._recorder.sample_chunk(first, taken, sim.dt)
+    stats.advanced += taken
+    _check_lane_stopped(lane)
+
+
+def _advance_chunk_scalar(lane: _Lane, stats: BatchStats) -> None:
+    """One chunk attempt through the ordinary scalar loop.
+
+    Follows :meth:`Simulator._run_fast`'s schedule exactly: the request
+    starts at ``_MIN_CHUNK`` and doubles while chunks are fully
+    consumed, dropping back when one ends short (an event boundary is
+    near, so a long request would only be discarded).  A refused
+    attempt queues what the solo kernel runs before its next attempt:
+    the refused step itself plus the backoff run.
+    """
+    sim = lane.sim
+    n = min(lane.grow, sim.chunk_size, lane.s_max - sim.steps + 1)
     taken = 0
     if n > 1:
+        _cover(lane, sim.steps + n)
         taken = lane.rail.step_chunk(sim.t, sim.dt, n)
     if taken:
         lane.backoff = 0
-        chunk_stats = sim.chunk_stats
-        chunk_stats.chunks += 1
-        chunk_stats.chunked_steps += taken
-        first = sim.steps + 1
-        sim.steps += taken
-        sim.t = sim.steps * sim.dt
-        sim._recorder.sample_chunk(first, taken, sim.dt)
-        stats.advanced += taken
-        _check_lane_stopped(lane)
-    else:
+        lane.grow = min(2 * n, sim.chunk_size) if taken == n else _MIN_CHUNK
+        stats.scalar_chunks += 1
+        _advance_sim(lane, taken, stats)
+        return
+    if n > 1:
         lane.backoff = (
             min(2 * lane.backoff, _MAX_BACKOFF) if lane.backoff else 1
         )
-        lane.pending_scalar = lane.backoff
+        lane.pending_scalar = lane.backoff + 1
+    else:
+        lane.pending_scalar = 1
 
 
 def _finish_solo(lane: _Lane, stats: BatchStats) -> None:
-    """Run a lane to completion through the per-scenario fast schedule.
+    """Run a lane to completion on the per-scenario fast schedule.
 
     Identical results to :meth:`Simulator._run_fast` continuing from the
     lane's current state: the grow/backoff schedule only changes which
     steps chunk, never their arithmetic.
     """
-    sim = lane.sim
-    rail = lane.rail
-    dt = sim.dt
-    chunk_stats = sim.chunk_stats
-    conditions = sim._stop_conditions
-    grow = _MIN_CHUNK
-    skip = 0
-    backoff = 0
-    chunkable = lane.physics is not None
     while not lane.done:
-        if sim.steps > lane.s_max:
-            lane.done = True
-            return
-        taken = 0
-        if chunkable and skip == 0:
-            n = min(grow, sim.chunk_size, lane.s_max - sim.steps + 1)
-            if n > 1:
-                taken = rail.step_chunk(sim.t, dt, n)
-                if taken:
-                    backoff = 0
-                    grow = (
-                        min(2 * n, sim.chunk_size)
-                        if taken == n
-                        else _MIN_CHUNK
-                    )
-                    chunk_stats.chunks += 1
-                    chunk_stats.chunked_steps += taken
-                    first = sim.steps + 1
-                    sim.steps += taken
-                    sim.t = sim.steps * dt
-                    sim._recorder.sample_chunk(first, taken, dt)
-                    stats.advanced += taken
-                else:
-                    backoff = min(2 * backoff, _MAX_BACKOFF) if backoff else 1
-                    skip = backoff
-        elif skip:
-            skip -= 1
-        if taken == 0:
-            chunk_stats.fallback_steps += 1
-            sim.step()
-            stats.settled += 1
-        if conditions and any(cond(sim.t) for cond in conditions):
-            lane.done = True
-            lane.stopped_early = True
-            return
+        if lane.pending_scalar:
+            count = lane.pending_scalar
+            lane.pending_scalar = 0
+            _run_scalar_steps(lane, count, stats)
+        else:
+            _advance_chunk_scalar(lane, stats)
 
 
 def _gather(lane: _Lane) -> Optional[_Gathered]:
-    """One lane's regime for the next pass, or None to settle scalar-side.
+    """One lane's regime for the next pass, or None when it cannot chunk.
 
     Mirrors :meth:`SupplyRail.step_chunk`'s gather phase: fresh load
     profiles at the present voltage, the horizon bounded by every
     profile's ``max_steps`` and the last startable step.  Source windows
-    come from the lane's precomputed full-horizon arrays instead of
-    per-chunk ``chunk_plan`` calls.
+    come from the lane's shared plan arrays instead of per-chunk
+    ``chunk_plan`` calls.
     """
     sim = lane.sim
     remaining = lane.s_max - sim.steps + 1
@@ -523,79 +554,17 @@ def _gather(lane: _Lane) -> Optional[_Gathered]:
     return _Gathered(lane=lane, v=v, horizon=horizon, profiles=profiles)
 
 
-def _group_key(gathered: _Gathered) -> Tuple:
-    """The pass-group a gathered lane joins.
+def _simple_regime(gathered: _Gathered) -> bool:
+    """Whether a gathered simple-shaped lane may join the array pass.
 
-    ``('s',)`` is the simple-loop shape (single rectified source, single
-    constant-energy load, ideal capacitor) — classified with exactly the
-    predicate :meth:`SupplyRail.step_chunk` uses, so the committed
-    per-load energies follow the same accumulation as the scalar kernel.
-    A load profile mixing a resistive and a current-like term falls back
-    to the scalar chunk loop (``('c', ...)``: a one-lane group).
+    The static shape is :attr:`_Lane.simple`; the load's present profile
+    must also be a constant energy (no resistive or current-like term) —
+    exactly the predicate :meth:`SupplyRail.step_chunk` uses to pick its
+    simple loop, so the committed per-load energies follow the same
+    accumulation as the scalar kernel.
     """
-    lane = gathered.lane
-    profiles = gathered.profiles
-    for profile in profiles:
-        if profile.resistance is not None and profile.current != 0.0:
-            return ("c", lane.index)
-    if (
-        len(lane.sources) == 1
-        and lane.sources[0].kind == "v"
-        and len(profiles) == 1
-        and profiles[0].resistance is None
-        and profiles[0].current == 0.0
-        and lane.leak is None
-        and lane.overhead == 1.0
-    ):
-        return ("s",)
-    kinds = tuple(source.kind for source in lane.sources)
-    return ("g", kinds, len(profiles))
-
-
-def _commit_lane(
-    lane: _Lane,
-    gathered: _Gathered,
-    taken: int,
-    v_final: float,
-    ledger: Dict[str, float],
-    esums: Sequence[float],
-    vcc: np.ndarray,
-    evented: bool,
-    stats: BatchStats,
-) -> None:
-    """Fold one lane's pass outcome back into its live system.
-
-    Mirrors the commit the solo fast kernel performs after
-    ``step_chunk``: voltage write-back, stats ledger, per-load commits,
-    probe bulk-sampling, then the stop-condition / end-of-run checks.
-    """
-    sim = lane.sim
-    dt = sim.dt
-    if taken > 0:
-        lane.physics.write_voltage(v_final)
-        rail_stats = lane.rail.stats
-        rail_stats.harvested = ledger["harvested"]
-        rail_stats.consumed = ledger["consumed"]
-        rail_stats.starved = ledger["starved"]
-        if "leaked" in ledger:
-            rail_stats.leaked = ledger["leaked"]
-        lane.rail._chunk_vcc = vcc
-        for profile, esum in zip(gathered.profiles, esums):
-            if profile.commit is not None:
-                profile.commit(taken, dt, esum)
-        chunk_stats = sim.chunk_stats
-        chunk_stats.chunks += 1
-        chunk_stats.chunked_steps += taken
-        first = sim.steps + 1
-        sim.steps += taken
-        sim.t = sim.steps * dt
-        sim._recorder.sample_chunk(first, taken, dt)
-        stats.advanced += taken
-    _check_lane_stopped(lane)
-    if not lane.done and evented:
-        # The boundary step itself must execute through the reference
-        # path — exactly as the solo kernel's failed-attempt fallback.
-        lane.pending_scalar = max(lane.pending_scalar, 1)
+    profile = gathered.profiles[0]
+    return profile.resistance is None and profile.current == 0.0
 
 
 def _pass_order(members: List[_Gathered]) -> None:
@@ -605,17 +574,14 @@ def _pass_order(members: List[_Gathered]) -> None:
     window columns with one broadcast slice each instead of M strided
     column writes."""
     members.sort(
-        key=lambda g: (
-            tuple(id(source.values) for source in g.lane.sources),
-            g.lane.sim.steps,
-        )
+        key=lambda g: (id(g.lane.sources[0].values), g.lane.sim.steps)
     )
 
 
 def _source_windows(
-    members: Sequence[_Gathered], source_index: int, pass_n: int,
+    members: Sequence[_Gathered], pass_n: int
 ) -> np.ndarray:
-    """The ``[pass_n, M]`` value matrix for one source position.
+    """The ``[pass_n, M]`` source value matrix of a simple pass.
 
     Members must be in :func:`_pass_order`; each run of lanes sharing a
     plan array and step position fills as one broadcast column block.
@@ -627,12 +593,12 @@ def _source_windows(
     begin = 0
     while begin < m_count:
         lane = members[begin].lane
-        plan = lane.sources[source_index].values
+        plan = lane.sources[0].values
         start = lane.sim.steps
         end = begin + 1
         while (
             end < m_count
-            and members[end].lane.sources[source_index].values is plan
+            and members[end].lane.sources[0].values is plan
             and members[end].lane.sim.steps == start
         ):
             end += 1
@@ -645,7 +611,7 @@ def _source_windows(
 def _compiled_windows(
     lanes: Sequence[_Lane], horizons: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Per-lane data pointers into each lane's full source plan.
+    """Per-lane data pointers into each lane's shared source plan.
 
     The compiled kernel reads each lane's pass window in place (no
     [pass_n, M] matrix, no ``tolist``).  Returns None when any plan
@@ -679,24 +645,34 @@ def _commit_pass(
     vcc: np.ndarray,
     stats: BatchStats,
 ) -> None:
-    """Fold a finished simple pass back into every member lane."""
+    """Fold a finished simple pass back into every member lane.
+
+    Mirrors the commit the solo fast kernel performs after
+    ``step_chunk``: voltage write-back, stats ledger, the load's commit,
+    probe bulk-sampling, then the stop-condition / end-of-run checks.
+    """
     for m, gathered in enumerate(members):
+        lane = gathered.lane
         steps_taken = int(taken[m])
-        _commit_lane(
-            gathered.lane,
-            gathered,
-            steps_taken,
-            float(v[m]),
-            {
-                "harvested": float(harvested[m]),
-                "consumed": float(consumed[m]),
-                "starved": float(starved[m]),
-            },
-            [steps_taken * e_dem_py[m]],
-            vcc[m, :steps_taken],
-            evented=steps_taken < int(horizons[m]),
-            stats=stats,
-        )
+        if steps_taken > 0:
+            lane.physics.write_voltage(float(v[m]))
+            rail = lane.rail
+            rail.stats.harvested = float(harvested[m])
+            rail.stats.consumed = float(consumed[m])
+            rail.stats.starved = float(starved[m])
+            rail._chunk_vcc = vcc[m, :steps_taken]
+            commit = gathered.profiles[0].commit
+            if commit is not None:
+                commit(steps_taken, lane.sim.dt, steps_taken * e_dem_py[m])
+            _advance_sim(lane, steps_taken, stats)
+        else:
+            _check_lane_stopped(lane)
+        if not lane.done and steps_taken < int(horizons[m]):
+            # The boundary step itself must execute through the
+            # reference path — exactly as the solo kernel's failed-
+            # attempt fallback — and the next scalar chunk starts short.
+            lane.pending_scalar = 1
+            lane.grow = _MIN_CHUNK
     stats.passes += 1
 
 
@@ -708,10 +684,14 @@ def _simple_pass(members: List[_Gathered], stats: BatchStats) -> None:
     horizon) freeze in place via the ``alive`` mask while the rest of
     the batch keeps advancing.
     """
-    _pass_order(members)
     m_count = len(members)
-    lanes = [g.lane for g in members]
     cap_n = _pass_cap(m_count)
+    # Farthest first: the first cover of each plan grows it far enough
+    # for every lane, so lanes sharing it all read one array.
+    for g in sorted(members, key=lambda g: -(g.lane.sim.steps + g.horizon)):
+        _cover(g.lane, g.lane.sim.steps + min(g.horizon, cap_n))
+    _pass_order(members)
+    lanes = [g.lane for g in members]
     horizons = np.array(
         [min(g.horizon, cap_n) for g in members], dtype=np.int64
     )
@@ -789,7 +769,7 @@ def _simple_pass(members: List[_Gathered], stats: BatchStats) -> None:
         # Python-float rows: the fastest scalar ufunc operand path.
         vals = plan0[start0:start0 + pass_n].tolist()
     else:
-        vals = _source_windows(members, 0, pass_n)
+        vals = _source_windows(members, pass_n)
     # Parameters every lane agrees on collapse to Python-float operands
     # (bit-identical arithmetic, one array read per step less; grid
     # sweeps usually vary only an axis or two).
@@ -988,205 +968,6 @@ def _simple_pass(members: List[_Gathered], stats: BatchStats) -> None:
                  starved, e_dem_py, vcc, stats)
 
 
-def _general_pass(members: List[_Gathered], stats: BatchStats) -> None:
-    """Vectorized counterpart of :meth:`SupplyRail._chunk_loop`.
-
-    Handles any mix of rectified/power sources, multiple loads, leakage
-    and ESR draw overhead.  Every lane in the group shares the source
-    kind sequence and load count; all other parameters are per-lane
-    arrays.  Operation order per step matches the scalar loop so every
-    committed step is bit-identical.
-    """
-    obs.counter("repro_batch_pass_path_total", path="numpy-general").inc()
-    _pass_order(members)
-    m_count = len(members)
-    lanes = [g.lane for g in members]
-    n_sources = len(lanes[0].sources)
-    n_loads = len(members[0].profiles)
-    cap_n = _pass_cap(m_count)
-    horizons = np.array(
-        [min(g.horizon, cap_n) for g in members], dtype=np.int64
-    )
-    pass_n = int(horizons.max())
-    dt_arr = np.array([lane.dt for lane in lanes], dtype=float)
-    v = np.array([g.v for g in members], dtype=float)
-    cap = np.array([lane.physics.capacitance for lane in lanes], dtype=float)
-    half_c = 0.5 * cap
-    v_max = np.array([lane.physics.v_max for lane in lanes], dtype=float)
-    e_cap = (half_c * v_max) * v_max
-    overhead = np.array([lane.overhead for lane in lanes], dtype=float)
-    has_leak = any(lane.leak is not None for lane in lanes)
-    leak = np.array(
-        [1.0 if lane.leak is None else lane.leak for lane in lanes],
-        dtype=float,
-    )
-    source_vals = [
-        _source_windows(members, k, pass_n) for k in range(n_sources)
-    ]
-    source_kind = [lanes[0].sources[k].kind for k in range(n_sources)]
-    source_drop = [
-        np.array([lane.sources[k].drop for lane in lanes], dtype=float)
-        for k in range(n_sources)
-    ]
-    source_rt = [
-        np.array([lane.sources[k].r_total for lane in lanes], dtype=float)
-        for k in range(n_sources)
-    ]
-    # Per-load constants; e_const precombined per lane in Python floats
-    # (power * dt + energy), matching the scalar loop's precombination.
-    load_e_const = [
-        np.array(
-            [g.profiles[j].power * g.lane.dt + g.profiles[j].energy
-             for g in members],
-            dtype=float,
-        )
-        for j in range(n_loads)
-    ]
-    load_res = [
-        np.array(
-            [np.inf if g.profiles[j].resistance is None
-             else g.profiles[j].resistance for g in members],
-            dtype=float,
-        )
-        for j in range(n_loads)
-    ]
-    load_cur = [
-        np.array([g.profiles[j].current for g in members], dtype=float)
-        for j in range(n_loads)
-    ]
-    load_gain = [
-        np.array([g.profiles[j].current_gain for g in members], dtype=float)
-        for j in range(n_loads)
-    ]
-    load_rise = [
-        np.array([g.profiles[j].v_rising for g in members], dtype=float)
-        for j in range(n_loads)
-    ]
-    load_fall = [
-        np.array([g.profiles[j].v_falling for g in members], dtype=float)
-        for j in range(n_loads)
-    ]
-    harvested = np.array(
-        [lane.rail.stats.harvested for lane in lanes], dtype=float
-    )
-    leaked = np.array([lane.rail.stats.leaked for lane in lanes], dtype=float)
-    consumed = np.array(
-        [lane.rail.stats.consumed for lane in lanes], dtype=float
-    )
-    starved = np.array(
-        [lane.rail.stats.starved for lane in lanes], dtype=float
-    )
-    esums = [np.zeros(m_count, dtype=float) for _ in range(n_loads)]
-    edems = [None] * n_loads
-    # Lane-major, padded rows: see the matching comment in _simple_pass.
-    vcc = np.empty((m_count, pass_n + 8), dtype=float)[:, :pass_n]
-    taken = horizons.copy()
-    alive = np.ones(m_count, dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for i in range(pass_n):
-            v0 = v
-            tv = v.copy()
-            h_t = harvested
-            for k in range(n_sources):
-                if source_kind[k] == "v":
-                    head = source_vals[k][i] - v0
-                    head = head - source_drop[k]
-                    pos = head > 0.0
-                    before = (half_c * tv) * tv
-                    q = head / source_rt[k]
-                    q = q * dt_arr
-                    q = q / cap
-                    vn = tv + q
-                    clamped = np.minimum(vn, v_max)
-                    after = (half_c * clamped) * clamped
-                    h_t = np.where(pos, h_t + (after - before), h_t)
-                    tv = np.where(pos, clamped, tv)
-                else:
-                    p = source_vals[k][i]
-                    p_dt = p * dt_arr
-                    ppos = p > 0.0
-                    e = (half_c * tv) * tv
-                    e_new = e + p_dt
-                    over = e_new > e_cap
-                    accepted = e_cap - e
-                    rem = 2.0 * e_new
-                    rem = rem / cap
-                    root = np.sqrt(rem)
-                    h_over = np.where(accepted > 0.0, h_t + accepted, h_t)
-                    h_new = np.where(over, h_over, h_t + p_dt)
-                    tv_new = np.where(over, v_max, root)
-                    tv = np.where(ppos, tv_new, tv)
-                    h_t = np.where(ppos, h_new, h_t)
-            le_t = leaked
-            if has_leak:
-                before = (half_c * tv) * tv
-                tv = tv * leak
-                after = (half_c * tv) * tv
-                le_t = le_t + (before - after)
-            co_t = consumed
-            st_t = starved
-            evstep = np.zeros(m_count, dtype=bool)
-            for j in range(n_loads):
-                ev = (tv >= load_rise[j]) | (tv < load_fall[j])
-                evstep = evstep | ev
-                r_term = ((tv * tv) / load_res[j]) * dt_arr
-                c_term = ((load_cur[j] * tv) * load_gain[j]) * dt_arr
-                e_dem = (r_term + c_term) + load_e_const[j]
-                demand = e_dem * overhead
-                avail = (half_c * tv) * tv
-                starve = demand >= avail
-                rem = avail - demand
-                rem = 2.0 * rem
-                rem = rem / cap
-                root = np.sqrt(rem)
-                delivered = np.where(
-                    starve, avail / overhead, demand / overhead
-                )
-                tv = np.where(starve, 0.0, root)
-                co_t = co_t + delivered
-                st_t = st_t + (e_dem - delivered)
-                edems[j] = e_dem
-            newly = alive & evstep
-            if newly.any():
-                np.copyto(taken, i, where=newly)
-            commit = alive & ~evstep
-            np.copyto(v, tv, where=commit)
-            np.copyto(harvested, h_t, where=commit)
-            if has_leak:
-                np.copyto(leaked, le_t, where=commit)
-            np.copyto(consumed, co_t, where=commit)
-            np.copyto(starved, st_t, where=commit)
-            for j in range(n_loads):
-                np.copyto(esums[j], esums[j] + edems[j], where=commit)
-            vcc[:, i] = v
-            alive = commit & (np.int64(i + 1) < horizons)
-            live = int(np.count_nonzero(alive))
-            if live == 0:
-                break
-            if i + 1 >= _EARLY_EXIT_MIN_STEPS and live * 4 < m_count:
-                np.copyto(taken, i + 1, where=alive)
-                break
-    for m, gathered in enumerate(members):
-        steps_taken = int(taken[m])
-        _commit_lane(
-            gathered.lane,
-            gathered,
-            steps_taken,
-            float(v[m]),
-            {
-                "harvested": float(harvested[m]),
-                "leaked": float(leaked[m]),
-                "consumed": float(consumed[m]),
-                "starved": float(starved[m]),
-            },
-            [float(esums[j][m]) for j in range(n_loads)],
-            vcc[m, :steps_taken],
-            evented=steps_taken < int(horizons[m]),
-            stats=stats,
-        )
-    stats.passes += 1
-
-
 def _finalize(lane: _Lane, capture_traces: Sequence[str],
               max_trace_samples: int) -> RunResult:
     """Wrap a finished lane as a RunResult, mirroring run_point_payload."""
@@ -1330,9 +1111,9 @@ def run_specs_batched(
             key: value - stats0.get(key, 0)
             for key, value in stats.to_dict().items()
         }
-        for key in ("members", "passes", "advanced", "settled", "diverged"):
-            if delta.get(key):
-                obs.counter(f"repro_batch_{key}_total").inc(delta[key])
+        for key, value in delta.items():
+            if value:
+                obs.counter(f"repro_batch_{key}_total").inc(value)
         obs.histogram("repro_batch_run_seconds").observe(
             time.monotonic() - t0
         )
@@ -1344,15 +1125,27 @@ def run_specs_batched(
 def _drive_lanes(
     lanes: List[_Lane], stats: BatchStats, round_hook: Optional[RoundHook]
 ) -> None:
-    """The round loop: settle, gather, group, pass — until all lanes end."""
+    """Advance every lane to its end: array passes while at least
+    ``_MIN_VECTOR_GROUP`` lanes share the simple regime, the solo chunk
+    schedule for everything else."""
+    vector: List[_Lane] = []
+    for lane in lanes:
+        if lane.simple:
+            vector.append(lane)
+            continue
+        # No regime of this lane's shape fits the array pass: run it to
+        # the end now, on exactly the solo kernel's schedule.
+        _finish_solo(lane, stats)
+        if round_hook is not None:
+            round_hook(stats)
     while True:
-        runnable = [lane for lane in lanes if not lane.done]
-        if not runnable:
-            return
-        if len(runnable) < _MIN_VECTOR_LANES:
+        runnable = [lane for lane in vector if not lane.done]
+        if len(runnable) < _MIN_VECTOR_GROUP:
+            # Too few lanes left to ever fill a pass.
             for lane in runnable:
-                stats.diverged += 1
                 _finish_solo(lane, stats)
+            if round_hook is not None:
+                round_hook(stats)
             return
         # 1. Scalar settlement: event-boundary steps and backoff runs
         #    execute through the unmodified reference path.
@@ -1361,33 +1154,25 @@ def _drive_lanes(
                 count = lane.pending_scalar
                 lane.pending_scalar = 0
                 _run_scalar_steps(lane, count, stats)
-        # 2. Gather every lane's current regime and group compatible
-        #    shapes for shared passes.
-        groups: Dict[Tuple, List[_Gathered]] = {}
+        # 2. Gather every lane's current regime; lanes in the simple
+        #    one share a pass.
+        simple: List[_Gathered] = []
+        scalar: List[_Lane] = []
         for lane in runnable:
             if lane.done:
                 continue
             gathered = _gather(lane)
-            if gathered is None:
-                if not lane.done:
-                    lane.backoff = (
-                        min(2 * lane.backoff, _MAX_BACKOFF)
-                        if lane.backoff
-                        else 1
-                    )
-                    lane.pending_scalar = lane.backoff
-                continue
-            lane.backoff = 0
-            groups.setdefault(_group_key(gathered), []).append(gathered)
-        # 3. Advance each group: vectorized passes for real groups, the
-        #    ordinary scalar chunk loop for loners.
-        for key, members in groups.items():
-            if len(members) < _MIN_VECTOR_GROUP or key[0] == "c":
-                for gathered in members:
-                    _advance_chunk_scalar(gathered.lane, stats)
-            elif key[0] == "s":
-                _simple_pass(members, stats)
-            else:
-                _general_pass(members, stats)
+            if gathered is not None and _simple_regime(gathered):
+                simple.append(gathered)
+            elif not lane.done:
+                scalar.append(lane)
+        # 3. One array pass for a full group; every other lane takes one
+        #    chunk attempt on the solo schedule.
+        if len(simple) >= _MIN_VECTOR_GROUP:
+            _simple_pass(simple, stats)
+        else:
+            scalar.extend(gathered.lane for gathered in simple)
+        for lane in scalar:
+            _advance_chunk_scalar(lane, stats)
         if round_hook is not None:
             round_hook(stats)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -196,8 +196,14 @@ class SourcePlanMemo:
     scenario that chunks in short state-bounded bursts still pays for
     each waveform sample once.
 
-    ``get`` returns the cached slice or None; ``put`` stores a freshly
-    computed window.  Only on-grid requests (``t0 == step0 * dt``, the
+    The memo holds one float64 array and serves windows as
+    ``values[lo:hi].tolist()``.  A batch seeds it with a shared plan from
+    step 0 (``put(0, dt, plan)``) that covers every window the lane is
+    about to ask for, so those windows are slices of the shared array
+    and the lane never evaluates the waveform itself.
+
+    ``get`` returns the cached window or None; ``put`` stores a freshly
+    computed array.  Only on-grid requests (``t0 == step0 * dt``, the
     only kind the engine produces) are memoised.
     """
 
@@ -206,7 +212,7 @@ class SourcePlanMemo:
     def __init__(self) -> None:
         self._step0 = 0
         self._dt = 0.0
-        self._values: Optional[List[float]] = None
+        self._values: Optional[np.ndarray] = None
 
     @staticmethod
     def grid_step(t0: float, dt: float) -> Optional[int]:
@@ -223,13 +229,17 @@ class SourcePlanMemo:
         hi = lo + n
         if lo < 0 or hi > len(values):
             return None
-        return values[lo:hi]
+        return values[lo:hi].tolist()
 
-    def put(self, step0: int, dt: float, values: List[float]) -> None:
-        """Remember a freshly computed window."""
+    def put(self, step0: int, dt: float, values: Sequence[float]) -> None:
+        """Remember the values of steps ``[step0, step0 + len(values))``.
+
+        A float64 array is kept as is (no copy), so a seeded plan stays
+        shared with whoever else holds it.
+        """
         self._step0 = step0
         self._dt = dt
-        self._values = values
+        self._values = np.asarray(values, dtype=float)
 
     def clear(self) -> None:
         """Drop the cache (component reset / waveform state change)."""

@@ -271,9 +271,13 @@ class BatchProgress:
         members: points that ran through the batched SoA kernel (None
             when batching was off for this batch).
         passes: vectorized passes the batched kernel executed.
-        advanced: member-steps advanced inside vectorized passes.
-        settled: members settled scalar-side at event boundaries.
-        diverged: members that degraded to the per-scenario kernel.
+        advanced: member-steps advanced in chunks (vectorized passes and
+            scalar lane chunks).
+        settled: member-steps settled scalar-side at event boundaries.
+        diverged: members that ran outside the batch, through the
+            per-scenario path.
+        scalar_chunks: chunks lanes advanced one at a time through the
+            scalar chunk loop (outside any vectorized pass).
     """
 
     label: str
@@ -287,6 +291,7 @@ class BatchProgress:
     advanced: Optional[int] = None
     settled: Optional[int] = None
     diverged: Optional[int] = None
+    scalar_chunks: Optional[int] = None
 
     def describe(self) -> str:
         """The canonical one-line rendering of this event."""
@@ -299,6 +304,7 @@ class BatchProgress:
             line += (
                 f" [batched: {self.members} members, "
                 f"{self.passes or 0} passes, "
+                f"{self.scalar_chunks or 0} scalar chunks, "
                 f"{self.advanced or 0} advanced, "
                 f"{self.settled or 0} settled, "
                 f"{self.diverged or 0} diverged]"
@@ -1465,6 +1471,7 @@ class SweepRunner:
             advanced=batch_stats.get("advanced"),
             settled=batch_stats.get("settled"),
             diverged=batch_stats.get("diverged"),
+            scalar_chunks=batch_stats.get("scalar_chunks"),
         )
         obs.record_progress(event)
         if progress is not None:

@@ -15,18 +15,53 @@ import pytest
 import repro.sim.batch as B
 from repro.sim import _ckernel
 from repro.results.run_result import spec_hash
-from repro.spec.presets import fig7_spec
+from repro.harvest.synthetic import TrapezoidSupply
+from repro.power.rail import SupplyRail
+from repro.sim.engine import _MIN_CHUNK
+from repro.spec.presets import fig7_spec, preset
 from repro.spec.runner import run_point_payload
+from repro.spec.specs import StorageSpec
 
 #: Relative tolerance for scalar metrics (float re-association between
 #: chunk partitions; the vcc trace itself must match bit for bit).
 METRIC_RTOL = 1e-9
 
 
+#: The shipped pass-group threshold, read before any fixture lowers it.
+DEFAULT_MIN_VECTOR_GROUP = B._MIN_VECTOR_GROUP
+
+
 @pytest.fixture(autouse=True)
 def _small_groups(monkeypatch):
     """Let tiny test batches reach the vectorized passes."""
     monkeypatch.setattr(B, "_MIN_VECTOR_GROUP", 2)
+
+
+@pytest.fixture
+def default_groups(monkeypatch):
+    """Undo ``_small_groups``: batches take the shipped routing."""
+    monkeypatch.setattr(B, "_MIN_VECTOR_GROUP", DEFAULT_MIN_VECTOR_GROUP)
+
+
+def crossover_grid(strategy, frequencies, capacitances, storage=None):
+    """Short Eq. (5) crossover points on the fast kernel; ``storage``
+    swaps the preset's ideal capacitor for another storage kind."""
+    base = preset(f"crossover-{strategy}").with_overrides({
+        "kernel": "fast", "engine__total_cycles": 1_000_000,
+        "duration": 3.0,
+    })
+    specs = []
+    for frequency in frequencies:
+        for capacitance in capacitances:
+            spec = base.with_overrides(
+                {"frequency": frequency, "capacitance": capacitance}
+            )
+            if storage is not None:
+                spec = dataclasses.replace(spec, storage=StorageSpec(
+                    storage, {"capacitance": capacitance, "v_max": 3.3}
+                ))
+            specs.append(spec)
+    return specs
 
 
 def base_spec(duration=0.05, **overrides):
@@ -175,6 +210,92 @@ def test_event_timestamps_never_reordered_or_merged():
         s_edges = np.flatnonzero(s_states[1:] != s_states[:-1]) + 1
         assert np.array_equal(b_times[b_edges], s_times[s_edges])
         assert np.array_equal(b_states[b_edges], s_states[s_edges])
+
+
+@pytest.mark.parametrize("strategy", ["hibernus", "quickrecall"])
+def test_crossover_scalar_lanes_match_solo_at_default_group(
+    strategy, default_groups
+):
+    """The path Eq. (5) sweeps take at the shipped group size: lanes
+    outside the simple regime (here the preset's two loads, and a
+    32-lane group on a leaky supercapacitor with ESR overhead) advance
+    one at a time through the scalar chunk loop — no array pass — and
+    still meet the full batch contract against solo fast runs."""
+    plain = crossover_grid(strategy, (2.0, 30.0), (10e-6, 22e-6))
+    leaky = crossover_grid(
+        strategy, (1.5, 3.1, 6.4, 13.0, 27.0, 43.0, 61.0, 90.0),
+        (10e-6, 14e-6, 22e-6, 33e-6), storage="supercapacitor",
+    )
+    assert len(leaky) >= DEFAULT_MIN_VECTOR_GROUP
+    for specs in (plain, leaky):
+        results, stats = run_batched(specs)
+        assert stats.members == len(specs)
+        assert stats.diverged == 0
+        assert stats.passes == 0
+        assert stats.scalar_chunks > 0
+        assert sum(r.metrics["brownouts"] for r in results) > 0
+        for spec, result in zip(specs, results):
+            assert_member_matches_solo(spec, result)
+
+
+def test_crossover_batch_work_counts(monkeypatch, default_groups):
+    """Work, not time: a batched crossover evaluates each waveform sample
+    once per distinct plan — lanes slice the shared plans through their
+    injector memos — and only about as far as the lanes actually run,
+    not to the full duration; every lane's scalar chunk requests follow
+    the solo schedule, short after an event rather than full-length."""
+    evaluated = []
+    original = TrapezoidSupply.open_circuit_voltage_array
+
+    def counting(self, times):
+        evaluated.append(len(times))
+        return original(self, times)
+
+    monkeypatch.setattr(
+        TrapezoidSupply, "open_circuit_voltage_array", counting
+    )
+    caches = []
+
+    class RecordingCache(B._PlanCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(B, "_PlanCache", RecordingCache)
+    requests = {}
+    step_chunk = SupplyRail.step_chunk
+
+    def recording(self, t0, dt, n):
+        taken = step_chunk(self, t0, dt, n)
+        requests.setdefault(id(self), []).append((round(t0 / dt), n, taken))
+        return taken
+
+    monkeypatch.setattr(SupplyRail, "step_chunk", recording)
+    frequencies = (2.0, 9.0, 40.0)
+    specs = crossover_grid("hibernus", frequencies, (10e-6, 22e-6))
+    results, stats = run_batched(specs)
+    assert all(result.ok for result in results)
+    plans = [plan for cache in caches for plan in cache._plans.values()]
+    assert len(plans) == len(frequencies)
+    assert sum(evaluated) == sum(len(plan) for plan in plans)
+    furthest = max(
+        step0 + n for lane in requests.values() for step0, n, _ in lane
+    )
+    horizon = round(specs[0].duration / specs[0].dt)
+    assert 2 * furthest < horizon  # runs stop on completion
+    assert max(len(plan) for plan in plans) <= 2 * furthest
+    assert len(requests) == len(specs)
+    assert stats.scalar_chunks == sum(
+        1 for lane in requests.values() for _, _, taken in lane if taken
+    )
+    events = 0
+    for lane in requests.values():
+        assert lane[0][1] <= _MIN_CHUNK
+        for (_, n, taken), (_, n_next, _) in zip(lane, lane[1:]):
+            if 0 < taken < n:
+                events += 1
+                assert n_next <= _MIN_CHUNK, (n, taken, n_next)
+    assert events > 0
 
 
 def test_compiled_and_numpy_passes_agree(monkeypatch):

@@ -80,6 +80,51 @@ def test_rectified_injector_memoises_across_chunks():
     assert calls == [256, 64, 8]
 
 
+def test_seeded_plan_memo_serves_windows_without_reevaluating():
+    """A memo seeded with a full-horizon plan (as a batch seeds every
+    lane's injectors) serves each window bit-identical to evaluating it
+    on the chunk's own time grid, never touching the waveform; a window
+    past the seeded horizon recomputes, and clear() drops the seed."""
+    import numpy as np
+
+    from repro.harvest.synthetic import TrapezoidSupply
+    from repro.power.rail import RectifiedInjector
+    from repro.sim.kernel import chunk_times
+
+    calls = []
+
+    class CountingSupply(TrapezoidSupply):
+        def open_circuit_voltage_array(self, times):
+            calls.append(len(times))
+            return super().open_circuit_voltage_array(times)
+
+    fresh = TrapezoidSupply(frequency=7.3)
+    dt = 1e-4
+    horizon = 5000
+    plan = fresh.open_circuit_voltage_array(np.arange(0, horizon) * dt)
+    injector = RectifiedInjector(CountingSupply(frequency=7.3))
+    injector._memo.put(0, dt, plan)
+    for step0, n in ((0, 16), (37, 64), (1234, 2048), (horizon - 8, 8)):
+        window = injector.chunk_plan(step0 * dt, dt, n)
+        assert window is not None
+        expected = fresh.open_circuit_voltage_array(
+            chunk_times(step0 * dt, dt, n)
+        ).tolist()
+        assert window.values == expected
+    assert calls == []
+    injector.chunk_plan((horizon - 8) * dt, dt, 16)  # past the horizon
+    assert calls == [16]
+    injector._memo.put(0, dt, plan)
+    injector.reset()  # clears the memo
+    injector.chunk_plan(0.0, dt, 16)
+    assert calls == [16, 16]
+    memo = SourcePlanMemo()
+    memo.put(0, dt, plan)
+    assert memo.get(100, dt, 4) == plan[100:104].tolist()
+    memo.clear()
+    assert memo.get(100, dt, 4) is None
+
+
 # -- SyntheticEngine.active_plan -------------------------------------------
 
 

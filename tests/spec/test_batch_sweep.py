@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro.sim.batch as B
+from repro.sim import _ckernel
 from repro.sim.batch import topology_key
 from repro.spec import SweepRunner
 from repro.spec.presets import fig7_spec
@@ -85,18 +86,41 @@ def test_batch_size_partitions_within_a_topology():
     assert sorted(order) == list(range(len(payloads)))
 
 
-def test_batched_sweep_rows_equal_per_point_rows():
-    """The whole-stack identity contract: batched and per-point sweeps
-    produce identical metrics and spec hashes, row for row."""
+@pytest.fixture
+def pass_rung(monkeypatch):
+    """Select the batched pass implementation: ``"c"`` (the compiled
+    kernel; skips without a C compiler) or ``"numpy"``."""
+
+    def select(rung):
+        if rung == "numpy":
+            monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+        else:
+            monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+        _ckernel.reset_cache()
+        if rung == "c" and _ckernel.load() is None:
+            pytest.skip("no C compiler available")
+
+    yield select
+    _ckernel.reset_cache()
+
+
+def _capacitance_rows(**run_kwargs):
     runner = SweepRunner(
         small_base(),
         {"capacitance": [22e-6, 33e-6, 47e-6, 68e-6]},
     )
-    serial = runner.run(parallel=False)
+    return runner.run(parallel=False, **run_kwargs)
+
+
+def test_batched_sweep_rows_equal_per_point_rows(pass_rung):
+    """The whole-stack identity contract on the compiled pass: batched
+    and per-point sweeps produce identical metrics and spec hashes, row
+    for row (the C pass accumulates the ledger in the scalar loop's own
+    order, so even the float metrics match exactly)."""
+    pass_rung("c")
+    serial = _capacitance_rows()
     events = []
-    batched = runner.run(
-        parallel=False, batch_size=0, progress=events.append
-    )
+    batched = _capacitance_rows(batch_size=0, progress=events.append)
     assert [p.spec_hash for p in batched] == [p.spec_hash for p in serial]
     assert [p.metrics for p in batched] == [p.metrics for p in serial]
     assert len(events) == 1
@@ -106,6 +130,30 @@ def test_batched_sweep_rows_equal_per_point_rows():
     assert event.passes and event.passes > 0
     assert event.advanced and event.advanced > 0
     assert "batched:" in event.describe()
+
+
+def test_batched_sweep_rows_match_per_point_rows_numpy_rung(pass_rung):
+    """Without a C compiler the numpy pass keeps the documented contract:
+    identical spec hashes and vcc traces, metrics within 1e-9 relative
+    (its telescoped ledger re-associates the energy sums)."""
+    pass_rung("numpy")
+    traces = {"capture_traces": ("vcc",)}
+    serial = _capacitance_rows(**traces)
+    batched = _capacitance_rows(batch_size=0, **traces)
+    assert [p.spec_hash for p in batched] == [p.spec_hash for p in serial]
+    for row, reference in zip(batched, serial):
+        assert row.traces["vcc"]["values"]
+        assert (row.traces["vcc"]["values"]
+                == reference.traces["vcc"]["values"])
+        assert row.metrics.keys() == reference.metrics.keys()
+        for key, value in row.metrics.items():
+            expected = reference.metrics[key]
+            if isinstance(value, float) and isinstance(expected, float):
+                assert abs(value - expected) <= 1e-9 * max(
+                    1.0, abs(expected)
+                ), (key, value, expected)
+            else:
+                assert value == expected, (key, value, expected)
 
 
 def test_batched_sweep_store_replays_with_zero_recomputes():
