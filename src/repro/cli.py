@@ -444,15 +444,14 @@ def _load_base(args: argparse.Namespace) -> ScenarioSpec:
 
 def _supervision_policy(args: argparse.Namespace):
     """The ``--deadline``/``--max-retries`` flags as a
-    :class:`~repro.spec.runner.SupervisionPolicy` (None when both are
-    unset — the exact historical unsupervised path)."""
-    deadline = getattr(args, "deadline", None)
-    retries = getattr(args, "max_retries", 0) or 0
-    if deadline is None and retries <= 0:
-        return None
+    :class:`~repro.spec.runner.SupervisionPolicy` (idle when both are
+    unset: one unsupervised attempt)."""
     from repro.spec.runner import SupervisionPolicy
 
-    return SupervisionPolicy(deadline_s=deadline, max_retries=retries)
+    return SupervisionPolicy(
+        deadline_s=getattr(args, "deadline", None),
+        max_retries=getattr(args, "max_retries", 0) or 0,
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -569,14 +568,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     def progress(event):
         print(f"  {event.describe()}")
 
-    # --deadline/--max-retries ride in on a supervised warm pool (the
-    # driver threads no per-call policy; a pool default covers it).
-    policy = _supervision_policy(args)
-    pool = None
-    if policy is not None and not args.serial:
-        from repro.spec.runner import WarmPool
-
-        pool = WarmPool(max_workers=args.workers, policy=policy)
     driver = ExplorationDriver(
         base,
         space,
@@ -590,17 +581,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
         seed=args.seed,
         progress=progress,
         batch_size=args.batch_size,
-        pool=pool,
+        policy=_supervision_policy(args),
     )
     goals = ", ".join(o.describe() for o in driver.objectives)
     print(f"explore: {base.name} via {args.optimizer} "
           f"(budget {args.budget}, {goals})")
-    try:
-        with _maybe_tracing(args.trace_out):
-            outcome = driver.run(budget=args.budget)
-    finally:
-        if pool is not None:
-            pool.close()
+    with _maybe_tracing(args.trace_out):
+        outcome = driver.run(budget=args.budget)
     print_section(
         f"top {min(args.top, len(outcome))} of {len(outcome)} evaluation(s)",
         outcome.format(top=args.top),

@@ -8,9 +8,10 @@ framework:
   :meth:`ScenarioSpec.with_overrides`, with sub-full fidelity mapped to
   the fast kernel over a proportionally shortened horizon
   (:meth:`spec_for` — the engine's entire fidelity model);
-* batches evaluate through the same process-pool worker a sweep uses
-  (:func:`repro.spec.runner.execute_payloads`), so scenario failures pin
-  error rows instead of killing the exploration;
+* batches evaluate through the same core a sweep uses
+  (:func:`repro.spec.runner.evaluate`), so scenario failures pin error
+  rows instead of killing the exploration, and the supervision policy
+  (``policy=``) applies the same way in-process and on a pool;
 * every evaluation persists as a :class:`RunResult` in a
   :class:`ResultStore`, keyed by spec hash — re-asked points (within a
   run or across resumed runs) cost a dictionary lookup, which is why an
@@ -22,7 +23,6 @@ framework:
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,13 +41,15 @@ from repro.results.metrics import result_columns
 from repro.results.run_result import RunResult, spec_hash
 from repro.results.store import ResultStore
 from repro.spec.runner import (
-    BatchProgress,
+    EvaluationStats,
+    Executor,
     ProgressHook,
+    SupervisionPolicy,
     WarmPool,
     _is_worker_crash,
-    execute_payloads,
-    flatten_batch_records,
-    group_batch_payloads,
+    evaluate,
+    run_in_process,
+    stored_outcome,
 )
 from repro.spec.specs import ScenarioSpec
 
@@ -209,6 +211,9 @@ class ExplorationDriver:
             to this many members (``0`` = auto, ``None``/``1`` =
             per-candidate execution).  Results and spec hashes are
             identical either way.
+        policy: supervise every batch (deadlines, retries, quarantine
+            — see :class:`SupervisionPolicy`), in-process and on a pool
+            alike.  None = unsupervised.
     """
 
     def __init__(
@@ -228,6 +233,7 @@ class ExplorationDriver:
         pool: Optional[WarmPool] = None,
         store_backend: Optional[str] = None,
         batch_size: Optional[int] = None,
+        policy: Optional[SupervisionPolicy] = None,
     ):
         self.base = base
         self.space = space
@@ -264,13 +270,9 @@ class ExplorationDriver:
         self.seed = seed
         self.progress = progress
         self.batch_size = batch_size
+        self.policy = policy
         #: A caller-owned pool shared across runs (never closed here).
-        self._external_pool = pool
-        #: The warm-worker pool serving the current run(), if parallel.
-        self._pool: Optional[WarmPool] = None
-        #: Batched-kernel stats from the most recent _evaluate() call
-        #: (empty when nothing batched); surfaced on progress events.
-        self._last_batch_stats: Dict[str, int] = {}
+        self.pool = pool
 
     # -- the fidelity model ----------------------------------------------
 
@@ -363,10 +365,9 @@ class ExplorationDriver:
                     "fidelity": candidate.fidelity,
                 })
                 if key not in seen:
-                    stored = (self.store.get(key)
-                              if self.resume and self.store is not None
-                              else None)
-                    if stored is not None and not _is_worker_crash(stored):
+                    stored = (stored_outcome(self.store, key)
+                              if self.resume else None)
+                    if stored is not None:
                         seen[key] = stored
                     else:
                         failed = RunResult.failed(
@@ -384,26 +385,21 @@ class ExplorationDriver:
         return specs, keys, fresh_failures
 
     def _evaluate(
-        self, batch: Sequence[Candidate], seen: Dict[str, RunResult],
-        index_base: int,
-    ) -> Tuple[List[Evaluation], int, int]:
-        """Satisfy one batch; returns (evaluations, computed, full)."""
+        self,
+        batch: Sequence[Candidate],
+        seen: Dict[str, RunResult],
+        executor: Executor,
+    ) -> Tuple[List[Evaluation], int, int, EvaluationStats]:
+        """Satisfy one batch.
+
+        Returns ``(evaluations, computed, computed_full, stats)``.
+        Candidates already in ``seen`` (this run's non-crash rows) are
+        cache hits; the rest go through :func:`evaluate`.
+        """
         specs, hashes, fresh_failures = self._build_specs(batch, seen)
-        to_compute: List[int] = []
-        for i, key in enumerate(hashes):
-            if key in seen:
-                continue
-            if self.resume and self.store is not None:
-                stored = self.store.get(key)
-                if stored is not None and not _is_worker_crash(stored):
-                    seen[key] = stored.with_context(
-                        index=index_base + i, spec=specs[i]
-                    )
-                    continue
-            if key not in {hashes[j] for j in to_compute}:
-                to_compute.append(i)
-        payloads = []
-        for i in to_compute:
+        todo = [i for i, key in enumerate(hashes) if key not in seen]
+        points = []
+        for i in todo:
             overrides = dict(batch[i].overrides)
             if batch[i].fidelity != FULL_FIDELITY:
                 overrides["fidelity"] = batch[i].fidelity
@@ -415,75 +411,30 @@ class ExplorationDriver:
             if batch[i].fidelity < FULL_FIDELITY:
                 task["duration"] = specs[i].duration
                 task["kernel"] = specs[i].kernel
-            payloads.append({
-                "spec_overrides": task,
-                "overrides": overrides,
-            })
-        self._last_batch_stats = {}
-        if (self.batch_size is not None and self.batch_size != 1
-                and len(payloads) > 1):
-            grouped, order = group_batch_payloads(
-                payloads, [specs[i] for i in to_compute], self.batch_size
-            )
-            raw = execute_payloads(
-                grouped,
-                parallel=self.parallel,
-                max_workers=self.max_workers,
-                base_spec=self.base.to_dict(),
-                pool=self._pool,
-            )
-            flat, self._last_batch_stats = flatten_batch_records(raw)
-            records: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-            for position, record in zip(order, flat):
-                records[position] = record
-            from repro.spec.runner import WORKER_FAILURE_PREFIX
-
-            records = [
-                record if record is not None else RunResult.failed(
-                    f"{WORKER_FAILURE_PREFIX}batch worker returned no "
-                    "record",
-                    spec_hash=hashes[to_compute[position]],
-                    name=self.base.name,
-                    overrides=dict(batch[to_compute[position]].overrides),
-                ).to_record()
-                for position, record in enumerate(records)
-            ]
-        else:
-            records = execute_payloads(
-                payloads,
-                parallel=self.parallel,
-                max_workers=self.max_workers,
-                base_spec=self.base.to_dict(),
-                pool=self._pool,
-            )
-        computed_full = 0
-        transient: Dict[str, RunResult] = {}
-        store_batch = (
-            self.store.batch() if self.store is not None
-            else nullcontext()
+            points.append((specs[i], task, overrides))
+        results, stats = evaluate(
+            self.base,
+            points,
+            store=self.store,
+            resume=self.resume,
+            batch_size=self.batch_size,
+            executor=executor,
+            policy=self.policy,
         )
-        with store_batch:
-            for i, record in zip(to_compute, records):
-                result = RunResult.from_record(record).with_context(
-                    index=index_base + i, spec=specs[i]
-                )
-                if batch[i].fidelity == FULL_FIDELITY:
-                    computed_full += 1
-                # Deterministic outcomes (successes and infeasible-
-                # scenario error rows) are cacheable; worker crashes stay
-                # transient — out of the store AND the in-run map, so a
-                # later re-ask of the point retries it, exactly as
-                # SweepRunner's resume does.
-                if _is_worker_crash(result):
-                    transient[hashes[i]] = result
-                else:
-                    seen[hashes[i]] = result
-                    if self.store is not None:
-                        self.store.add(result, overwrite=True)
+        fresh = dict(zip(todo, results))
+        for i, result in fresh.items():
+            # Worker crashes stay transient — out of the in-run map as
+            # well as the store — so a later re-ask retries them.
+            if not _is_worker_crash(result):
+                seen.setdefault(hashes[i], result)
+        computed = {todo[p] for p in stats.computed} | set(fresh_failures)
+        computed_full = sum(
+            1 for p in stats.computed
+            if batch[todo[p]].fidelity == FULL_FIDELITY
+        )
         evaluations = []
-        computed_indices = set(to_compute) | set(fresh_failures)
-        for j, (candidate, key) in enumerate(zip(batch, hashes)):
-            result = seen.get(key, transient.get(key))
+        for j, candidate in enumerate(batch):
+            result = fresh[j] if j in fresh else seen[hashes[j]]
             evaluations.append(Evaluation(
                 candidate=candidate,
                 result=result,
@@ -492,9 +443,9 @@ class ExplorationDriver:
                 # the occurrence that paid for the outcome (a worker run,
                 # or pinning a fresh build-failure row) is non-cached;
                 # in-batch duplicates and store hits are cache hits.
-                cached=j not in computed_indices,
+                cached=j not in computed,
             ))
-        return evaluations, len(computed_indices), computed_full
+        return evaluations, len(computed), computed_full, stats
 
     def run(self, budget: Optional[int] = None) -> ExplorationResult:
         """Drive the optimizer until it finishes or exhausts the budget."""
@@ -505,14 +456,12 @@ class ExplorationDriver:
         # One warm pool for the whole exploration: workers initialise
         # from the base spec once and serve every optimizer batch.  A
         # caller-owned pool takes precedence and outlives the run.
-        owns_pool = self._external_pool is None and self.parallel
-        self._pool = self._external_pool or (
-            WarmPool(
-                max_workers=self.max_workers,
-                base_spec=self.base.to_dict(),
+        pool, owned = self.pool, None
+        if self.parallel and pool is None:
+            pool = owned = WarmPool(
+                max_workers=self.max_workers, base_spec=self.base.to_dict()
             )
-            if self.parallel else None
-        )
+        executor = pool.run if self.parallel else run_in_process
         explore_span = obs.span("explore.run", label=self.base.name)
         explore_span.__enter__()
         try:
@@ -520,8 +469,8 @@ class ExplorationDriver:
                 batch = optimizer.ask()
                 if not batch:
                     break
-                batch_evals, batch_computed, batch_full = self._evaluate(
-                    batch, seen, index_base=len(evaluations)
+                batch_evals, batch_computed, batch_full, stats = (
+                    self._evaluate(batch, seen, executor)
                 )
                 optimizer.tell(batch_evals)
                 evaluations.extend(batch_evals)
@@ -531,23 +480,9 @@ class ExplorationDriver:
                 batches += 1
                 # Progress always flows through the obs layer first (one
                 # shared stream), then to any caller hook.
-                stats = self._last_batch_stats
-                event = BatchProgress(
-                    label=self.base.name,
-                    batch=batches,
-                    computed=batch_computed,
-                    cached=len(batch_evals) - batch_computed,
-                    errors=sum(
-                        1 for e in batch_evals
-                        if e.result.error is not None
-                    ),
-                    total=len(evaluations),
-                    members=stats.get("members") if stats else None,
-                    passes=stats.get("passes"),
-                    advanced=stats.get("advanced"),
-                    settled=stats.get("settled"),
-                    diverged=stats.get("diverged"),
-                    scalar_chunks=stats.get("scalar_chunks"),
+                event = stats.progress(
+                    self.base.name, batches, [e.result for e in batch_evals],
+                    computed=batch_computed, total=len(evaluations),
                 )
                 obs.record_progress(event)
                 if self.progress is not None:
@@ -555,9 +490,8 @@ class ExplorationDriver:
         finally:
             explore_span.annotate(batches=batches, computed=computed)
             explore_span.__exit__(None, None, None)
-            if self._pool is not None and owns_pool:
-                self._pool.close()
-            self._pool = None
+            if owned is not None:
+                owned.close()
         frontier = optimizer.frontier()
         return ExplorationResult(
             name=self.base.name,

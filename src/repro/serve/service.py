@@ -259,6 +259,7 @@ class SimulationService:
         self,
         payload: Mapping[str, Any],
         record: Optional[JobRecord] = None,
+        policy: Optional[SupervisionPolicy] = None,
     ) -> ExplorationDriver:
         base = self._base_spec(payload)
         space_payload = _require_mapping(payload.get("space"), "'space'")
@@ -313,6 +314,7 @@ class SimulationService:
             progress=self._progress_hook(record) if record else None,
             pool=self.pool,
             batch_size=self._batch_size(payload),
+            policy=policy,
         )
 
     def _validate_exploration(self, payload: Mapping[str, Any]) -> None:
@@ -337,18 +339,16 @@ class SimulationService:
 
         return hook
 
-    def _job_policy(self, record: JobRecord) -> Optional[SupervisionPolicy]:
-        """The task-level supervision this job runs under (None: the
-        exact historical unsupervised path).
+    def _job_policy(self, record: JobRecord) -> SupervisionPolicy:
+        """The task-level supervision this job runs under.
 
         The job's remaining wall budget becomes the per-attempt task
         deadline (so a hung worker is reaped before the job's clock
         runs out) and the job's ``max_retries`` doubles as the
-        per-payload retry budget for transient worker crashes.
+        per-payload retry budget for transient worker crashes.  A job
+        with neither gets an idle policy: one unsupervised attempt.
         """
         remaining = record.deadline_remaining()
-        if remaining is None and record.max_retries <= 0:
-            return None
         return SupervisionPolicy(
             deadline_s=max(0.001, remaining) if remaining is not None
             else None,
@@ -382,18 +382,13 @@ class SimulationService:
         policy = self._job_policy(record)
         retry_delay: Optional[float] = None
         with obs.span("job.run", kind=record.kind) as jspan:
-            if self.pool is not None:
-                # Jobs execute one at a time, so the shared pool can
-                # carry this job's policy for paths that do not thread
-                # it explicitly (exploration drivers).
-                self.pool.policy = policy
             try:
                 if record.kind == "run":
                     record.result = self._run_job(record, policy)
                 elif record.kind == "sweep":
                     record.result = self._sweep_job(record, policy)
                 else:
-                    record.result = self._exploration_job(record)
+                    record.result = self._exploration_job(record, policy)
                 record.status = "done"
                 record.finished_s = time.time()
                 self.queue.emit(
@@ -423,9 +418,6 @@ class SimulationService:
                     record.status = "failed"
                     record.finished_s = time.time()
                     self.queue.emit(record, f"failed: {record.error}")
-            finally:
-                if self.pool is not None:
-                    self.pool.policy = None
             jspan.annotate(
                 status="retrying" if retry_delay is not None
                 else record.status
@@ -495,8 +487,12 @@ class SimulationService:
             "spec_hashes": list(runner.hashes),
         }
 
-    def _exploration_job(self, record: JobRecord) -> Dict[str, Any]:
-        driver = self._explore_driver(record.request, record)
+    def _exploration_job(
+        self,
+        record: JobRecord,
+        policy: Optional[SupervisionPolicy] = None,
+    ) -> Dict[str, Any]:
+        driver = self._explore_driver(record.request, record, policy)
         outcome = driver.run(budget=record.request["budget"])
         best = None
         if outcome.best is not None:

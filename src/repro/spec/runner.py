@@ -20,12 +20,14 @@ are module-level functions so they pickle under every
 keeping the inter-process traffic tiny regardless of how many probe
 samples a run records.
 
-Execution goes through a *warm-worker* pool (:class:`WarmPool`): worker
+Sweeps, explorations and service jobs all evaluate through
+:func:`evaluate` on a *warm-worker* pool (:class:`WarmPool`): worker
 processes initialise once from a shared base spec, tasks ship only
 override dicts (not full pickled spec payloads), and submission is
 chunked so a large grid costs a handful of round-trips instead of one
 per point.  The pool object survives across batches — an exploration
 driver reuses the same warm workers for every optimizer round.
+``parallel=False`` runs on :func:`run_in_process` instead.
 """
 
 from __future__ import annotations
@@ -339,6 +341,18 @@ def _is_worker_crash(result: Optional[RunResult]) -> bool:
     )
 
 
+def stored_outcome(
+    store: Optional[ResultStore], key: str
+) -> Optional[RunResult]:
+    """The row ``store`` holds for ``key`` if it counts on resume.
+
+    Every stored row does except a worker crash: that one is transient
+    and must recompute.
+    """
+    stored = store.get(key) if store is not None else None
+    return None if _is_worker_crash(stored) else stored
+
+
 def is_quarantined(result: Optional[RunResult]) -> bool:
     """True for a row pinned by poison-payload quarantine.
 
@@ -355,7 +369,8 @@ def is_quarantined(result: Optional[RunResult]) -> bool:
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """How :meth:`WarmPool.run` supervises one batch of payloads.
+    """How an executor (:meth:`WarmPool.run`, :func:`run_in_process`)
+    supervises one batch of payloads.
 
     Attributes:
         deadline_s: per-*attempt* monotonic deadline.  A chunk whose
@@ -672,6 +687,132 @@ def install_signal_handlers(signals: Optional[Sequence[int]] = None) -> bool:
     return True
 
 
+def _run_in_process(
+    payloads: List[Dict[str, Any]],
+    base_spec: Optional[Dict[str, Any]],
+    deadline: Optional[float] = None,
+) -> List[Dict[str, Any]]:
+    """One unsupervised attempt in this process, in payload order."""
+    worker = sys.modules[__name__].run_point_payload
+    global _SHARED_BASE, _SHARED_BASE_DICT
+    saved = (_SHARED_BASE, _SHARED_BASE_DICT)
+    _install_shared_base(base_spec)
+    # In-process execution: kernel instrumentation lands directly in
+    # this process's registry/trace buffer — no shipment envelope.
+    obs.counter("repro_pool_tasks_total", mode="serial").inc(len(payloads))
+    try:
+        with obs.span("pool.serial", tasks=len(payloads)):
+            records = []
+            for payload in payloads:
+                # In-process a running payload cannot be reaped; the
+                # deadline bounds how much *further* work starts once
+                # the budget is spent.
+                if deadline is not None and time.monotonic() > deadline:
+                    records.append(_worker_failure(
+                        payload,
+                        TimeoutError("task deadline exceeded"),
+                        _SHARED_BASE_DICT,
+                    ))
+                    continue
+                try:
+                    records.append(worker(payload))
+                except Exception as error:
+                    records.append(
+                        _worker_failure(payload, error, _SHARED_BASE_DICT)
+                    )
+            return records
+    finally:
+        _SHARED_BASE, _SHARED_BASE_DICT = saved
+
+
+def _supervise(
+    payloads: List[Dict[str, Any]],
+    policy: Optional[SupervisionPolicy],
+    attempt_fn: Callable[
+        [List[Dict[str, Any]], Optional[float]], List[Dict[str, Any]]
+    ],
+) -> List[Dict[str, Any]]:
+    """The retry/quarantine loop around per-attempt execution.
+
+    Without a supervising ``policy`` this is one attempt with no
+    deadline.  Otherwise attempt 0 runs every payload; each later
+    attempt re-runs only the payloads whose previous record was a crash
+    (worker death or deadline timeout), shipping them with a bumped
+    ``fault_attempt`` counter so injected faults re-roll.  Results are
+    position-stable: retried payloads overwrite their own slot.
+    """
+    if policy is None or not policy.supervised:
+        return attempt_fn(payloads, None)
+    final: List[Any] = [None] * len(payloads)
+    indices = list(range(len(payloads)))
+    current = list(payloads)
+    attempt = 0
+    while True:
+        deadline = (
+            time.monotonic() + policy.deadline_s
+            if policy.deadline_s is not None else None
+        )
+        for position, record in zip(indices, attempt_fn(current, deadline)):
+            final[position] = record
+        crashed = [
+            position for position in indices
+            if _record_is_crash(final[position])
+        ]
+        if not crashed:
+            break
+        if attempt >= policy.max_retries:
+            if policy.max_retries > 0:
+                # Poison payloads: stop burning attempts on them and
+                # pin a persistent, rank-excluded outcome row carrying
+                # the attempt history.
+                for position in crashed:
+                    final[position] = _quarantine_record(
+                        final[position], attempt + 1
+                    )
+                obs.counter("repro_pool_quarantined_total").inc(
+                    len(crashed)
+                )
+                obs.instant(
+                    "pool.quarantine", payloads=len(crashed),
+                    attempts=attempt + 1,
+                )
+            break
+        attempt += 1
+        obs.counter("repro_pool_retries_total").inc(len(crashed))
+        obs.instant("pool.retry", attempt=attempt, payloads=len(crashed))
+        delay = policy.backoff_delay(attempt)
+        if delay > 0:
+            time.sleep(delay)
+        indices = crashed
+        current = [
+            dict(payloads[position], fault_attempt=attempt)
+            for position in crashed
+        ]
+    return final
+
+
+def run_in_process(
+    payloads: List[Dict[str, Any]],
+    base_spec: Optional[Dict[str, Any]] = None,
+    policy: Optional[SupervisionPolicy] = None,
+) -> List[Dict[str, Any]]:
+    """The in-process executor: :meth:`WarmPool.run` without a pool.
+
+    What ``parallel=False`` runs on: same signature, same records, same
+    supervision loop, minus hung-worker reaping — a deadline only stops
+    further payloads from starting once it has passed.
+    """
+    return _supervise(
+        payloads, policy,
+        lambda tasks, deadline: _run_in_process(tasks, base_spec, deadline),
+    )
+
+
+#: What :func:`evaluate` runs payloads on: :meth:`WarmPool.run`,
+#: :func:`run_in_process`, or any callable with their signature.
+Executor = Callable[..., List[Dict[str, Any]]]
+
+
 class WarmPool:
     """A persistent warm-worker process pool for spec payloads.
 
@@ -693,13 +834,9 @@ class WarmPool:
         self,
         max_workers: Optional[int] = None,
         base_spec: Optional[Dict[str, Any]] = None,
-        policy: Optional[SupervisionPolicy] = None,
     ):
         self.base_spec = base_spec
         self.max_workers = max_workers or (os.cpu_count() or 1)
-        #: Default supervision for every :meth:`run` (per-call policies
-        #: override).  None = unsupervised, the historical behaviour.
-        self.policy = policy
         self._pool: Optional[ProcessPoolExecutor] = None
         self._broken = False
         # Track from birth so shutdown_all_pools() reaps pools whose
@@ -804,53 +941,11 @@ class WarmPool:
             )
         return result["records"]
 
-    def _run_serial(
-        self,
-        payloads: List[Dict[str, Any]],
-        base_spec: Optional[Dict[str, Any]] = None,
-        deadline: Optional[float] = None,
-    ) -> List[Dict[str, Any]]:
-        worker = sys.modules[__name__].run_point_payload
-        global _SHARED_BASE, _SHARED_BASE_DICT
-        saved = (_SHARED_BASE, _SHARED_BASE_DICT)
-        _install_shared_base(
-            base_spec if base_spec is not None else self.base_spec
-        )
-        # In-process execution: kernel instrumentation lands directly in
-        # this process's registry/trace buffer — no shipment envelope.
-        obs.counter("repro_pool_tasks_total", mode="serial").inc(
-            len(payloads)
-        )
-        try:
-            with obs.span("pool.serial", tasks=len(payloads)):
-                records = []
-                for payload in payloads:
-                    # In-process a running payload cannot be reaped;
-                    # the deadline bounds how much *further* work
-                    # starts once the budget is spent.
-                    if deadline is not None and time.monotonic() > deadline:
-                        records.append(_worker_failure(
-                            payload,
-                            TimeoutError("task deadline exceeded"),
-                            _SHARED_BASE_DICT,
-                        ))
-                        continue
-                    try:
-                        records.append(worker(payload))
-                    except Exception as error:
-                        records.append(
-                            _worker_failure(payload, error, _SHARED_BASE_DICT)
-                        )
-                return records
-        finally:
-            _SHARED_BASE, _SHARED_BASE_DICT = saved
-
     def run(
         self,
         payloads: List[Dict[str, Any]],
         base_spec: Optional[Dict[str, Any]] = None,
         policy: Optional[SupervisionPolicy] = None,
-        serial: bool = False,
     ) -> List[Dict[str, Any]]:
         """Run one batch; failures become error records, never raises.
 
@@ -866,94 +961,19 @@ class WarmPool:
         the active base with each chunk; workers re-parse only when it
         actually changes.
 
-        ``policy`` (default: the pool's own) supervises the batch: each
+        ``policy`` supervises the batch (see :func:`_supervise`): each
         attempt gets a per-attempt deadline (hung workers are reaped
         at expiry), crashed payloads are retried with exponential
         backoff up to ``max_retries`` times, and payloads still
         crashing after that are quarantined as persistent error rows.
-        ``serial=True`` runs attempts in-process (supervision minus
-        reaping) — used by ``execute_payloads(parallel=False)``.
         """
         batch_base = base_spec if base_spec is not None else self.base_spec
-        policy = policy if policy is not None else self.policy
-        if serial:
-            def attempt_fn(tasks, deadline):
-                return self._run_serial(
-                    tasks, base_spec=batch_base, deadline=deadline
-                )
-        else:
-            def attempt_fn(tasks, deadline):
-                return self._run_pool_once(tasks, batch_base, deadline)
-        if policy is None or not policy.supervised:
-            return attempt_fn(payloads, None)
-        return self._supervise(payloads, policy, attempt_fn)
-
-    def _supervise(
-        self,
-        payloads: List[Dict[str, Any]],
-        policy: SupervisionPolicy,
-        attempt_fn: Callable[
-            [List[Dict[str, Any]], Optional[float]], List[Dict[str, Any]]
-        ],
-    ) -> List[Dict[str, Any]]:
-        """The retry/quarantine loop around per-attempt execution.
-
-        Attempt 0 runs every payload; each later attempt re-runs only
-        the payloads whose previous record was a crash (worker death or
-        deadline timeout), shipping them with a bumped
-        ``fault_attempt`` counter so injected faults re-roll.  Results
-        are position-stable: retried payloads overwrite their own slot.
-        """
-        final: List[Any] = [None] * len(payloads)
-        indices = list(range(len(payloads)))
-        current = list(payloads)
-        attempt = 0
-        while True:
-            deadline = (
-                time.monotonic() + policy.deadline_s
-                if policy.deadline_s is not None else None
-            )
-            for position, record in zip(
-                indices, attempt_fn(current, deadline)
-            ):
-                final[position] = record
-            crashed = [
-                position for position in indices
-                if _record_is_crash(final[position])
-            ]
-            if not crashed:
-                break
-            if attempt >= policy.max_retries:
-                if policy.max_retries > 0:
-                    # Poison payloads: stop burning attempts on them
-                    # and pin a persistent, rank-excluded outcome row
-                    # carrying the attempt history.
-                    for position in crashed:
-                        final[position] = _quarantine_record(
-                            final[position], attempt + 1
-                        )
-                    obs.counter("repro_pool_quarantined_total").inc(
-                        len(crashed)
-                    )
-                    obs.instant(
-                        "pool.quarantine", payloads=len(crashed),
-                        attempts=attempt + 1,
-                    )
-                break
-            attempt += 1
-            obs.counter("repro_pool_retries_total").inc(len(crashed))
-            obs.instant(
-                "pool.retry", attempt=attempt, payloads=len(crashed)
-            )
-            delay = policy.backoff_delay(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            indices = crashed
-            current = [
-                dict(payloads[position], fault_attempt=attempt)
-                for position in crashed
-            ]
-        return final
+        return _supervise(
+            payloads, policy,
+            lambda tasks, deadline: self._run_pool_once(
+                tasks, batch_base, deadline
+            ),
+        )
 
     def _run_pool_once(
         self,
@@ -972,16 +992,12 @@ class WarmPool:
         # A deadline needs the process boundary: an in-process hang
         # cannot be reaped, so even a single payload goes to the pool.
         if len(payloads) <= 1 and deadline is None:
-            return self._run_serial(
-                payloads, base_spec=batch_base, deadline=deadline
-            )
+            return _run_in_process(payloads, batch_base, deadline)
         pool = self._ensure_pool()
         if pool is None:
             obs.counter("repro_pool_serial_fallback_total").inc()
             degrade.report("executor", "serial")
-            return self._run_serial(
-                payloads, base_spec=batch_base, deadline=deadline
-            )
+            return _run_in_process(payloads, batch_base, deadline)
         # Resolved in the submitting process so tests (and callers) can
         # substitute the worker; it is pickled by reference per chunk.
         worker = sys.modules[__name__].run_point_payload
@@ -1028,9 +1044,7 @@ class WarmPool:
                 self.close()
                 obs.counter("repro_pool_serial_fallback_total").inc()
                 degrade.report("executor", "serial")
-                return self._run_serial(
-                    payloads, base_spec=batch_base, deadline=deadline
-                )
+                return _run_in_process(payloads, batch_base, deadline)
             from concurrent.futures import BrokenExecutor
             from concurrent.futures import TimeoutError as _FutureTimeout
 
@@ -1085,51 +1099,6 @@ class WarmPool:
             # pool-per-call design) instead of crashing the run.
             self.close()
         return records
-
-
-def execute_payloads(
-    payloads: List[Dict[str, Any]],
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    base_spec: Optional[Dict[str, Any]] = None,
-    pool: Optional[WarmPool] = None,
-    policy: Optional[SupervisionPolicy] = None,
-) -> List[Dict[str, Any]]:
-    """Run worker payloads; failures become error records, never raises.
-
-    The shared execution core of :class:`SweepRunner` and
-    :class:`repro.explore.driver.ExplorationDriver`: each payload goes
-    through :func:`run_point_payload` — across a warm-worker process
-    pool by default, in-process when ``parallel=False`` or the sandbox
-    lacks multiprocessing primitives.  Pass ``base_spec`` (a spec dict)
-    to let payloads ship ``"spec_overrides"`` instead of full specs, and
-    ``pool`` to reuse a caller-managed :class:`WarmPool` across batches
-    (the pool is left open; ``base_spec`` rides along per batch, so a
-    session-wide pool can serve callers with different base scenarios).
-    ``policy`` supervises the batch (deadlines, retries, quarantine —
-    see :class:`SupervisionPolicy`); with ``parallel=False`` the same
-    loop runs in-process, minus hung-worker reaping.
-    """
-    if pool is not None:
-        if parallel:
-            return pool.run(payloads, base_spec=base_spec, policy=policy)
-        if policy is not None and policy.supervised:
-            return pool.run(
-                payloads, base_spec=base_spec, policy=policy, serial=True
-            )
-        return pool._run_serial(payloads, base_spec=base_spec)
-    workers = min(
-        max_workers or (os.cpu_count() or 1), max(1, len(payloads))
-    )
-    transient = WarmPool(max_workers=workers, base_spec=base_spec)
-    try:
-        if parallel:
-            return transient.run(payloads, policy=policy)
-        if policy is not None and policy.supervised:
-            return transient.run(payloads, policy=policy, serial=True)
-        return transient._run_serial(payloads)
-    finally:
-        transient.close()
 
 
 def group_batch_payloads(
@@ -1221,6 +1190,98 @@ def flatten_batch_records(
         else:
             flat.append(record)
     return flat, totals
+
+
+@dataclass(frozen=True)
+class EvaluationStats:
+    """How one :func:`evaluate` call satisfied its points: the positions
+    that ran on the executor, and the batched-kernel totals (empty when
+    nothing batched)."""
+
+    computed: Tuple[int, ...]
+    batch: Mapping[str, int]
+
+    def progress(
+        self, label: str, batch: int, results: Sequence[RunResult], *,
+        computed: int, total: int,
+    ) -> BatchProgress:
+        """The event for ``results``, ``computed`` of which cost work."""
+        return BatchProgress(
+            label=label, batch=batch, computed=computed,
+            cached=len(results) - computed,
+            errors=sum(1 for result in results if result.error is not None),
+            total=total, **self.batch,
+        )
+
+
+def evaluate(
+    base: ScenarioSpec,
+    points: Sequence[Tuple[ScenarioSpec, Dict[str, Any], Dict[str, Any]]],
+    *,
+    store: Optional[ResultStore] = None,
+    resume: bool = False,
+    batch_size: Optional[int] = None,
+    executor: Executor = run_in_process,
+    policy: Optional[SupervisionPolicy] = None,
+    traces: Sequence[str] = (),
+) -> Tuple[List[RunResult], EvaluationStats]:
+    """Satisfy ``points`` against ``base``: the one evaluation core.
+
+    Each point is ``(spec, task overrides, label overrides)``: the task
+    overrides reproduce ``spec`` against ``base`` in a warm worker, the
+    label overrides tag its result row.  With ``resume``, a stored row
+    is reused unless it is a worker crash; a spec hash listed twice
+    computes once; the rest run on ``executor`` under ``policy``,
+    grouped into batched-kernel payloads per ``batch_size`` (see
+    :func:`group_batch_payloads`), and are written back in one
+    ``store.batch()`` — worker crashes excepted, so they stay
+    recomputable.  Returns one result per point, anchored to its
+    position and spec, and the call's :class:`EvaluationStats`.
+    """
+    base_dict = base.to_dict()
+    hashes = [spec_hash(spec) for spec, _, _ in points]
+    outcome: Dict[str, Optional[RunResult]] = {}
+    pending: List[int] = []
+    for position, key in enumerate(hashes):
+        if key in outcome:
+            continue
+        outcome[key] = stored_outcome(store, key) if resume else None
+        if outcome[key] is None:
+            pending.append(position)
+    payloads = [
+        {"spec_overrides": points[position][1],
+         "overrides": points[position][2], "traces": list(traces)}
+        for position in pending
+    ]
+    grouped, order = group_batch_payloads(
+        payloads, [points[position][0] for position in pending], batch_size
+    )
+    flat, batch_stats = flatten_batch_records(
+        executor(grouped, base_spec=base_dict, policy=policy)
+    )
+    records: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
+    for slot, record in zip(order, flat):
+        records[slot] = record
+    # One batched store transaction: appends buffer and hit the disk
+    # with a single fsync instead of one per point.
+    with (store.batch() if store is not None else nullcontext()):
+        for position, payload, record in zip(pending, payloads, records):
+            if record is None:  # a batch worker returned a short batch
+                record = _worker_failure(
+                    payload, RuntimeError("batch worker returned no record"),
+                    base_dict,
+                )
+            result = RunResult.from_record(record).with_context(
+                index=position, spec=points[position][0]
+            )
+            outcome[hashes[position]] = result
+            if store is not None and not _is_worker_crash(result):
+                store.add(result, overwrite=True)
+    results = [
+        outcome[key].with_context(index=position, spec=point[0])
+        for position, (key, point) in enumerate(zip(hashes, points))
+    ]
+    return results, EvaluationStats(tuple(pending), batch_stats)
 
 
 @dataclass(frozen=True)
@@ -1326,37 +1387,18 @@ class SweepRunner:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def _payloads(
-        self, indices: Sequence[int], capture_traces: Sequence[str]
-    ) -> List[Dict[str, Any]]:
-        # Warm-worker tasks: only the override dicts travel; every
-        # worker resolves them against the shared base spec it parsed
-        # once at initialisation.
-        return [
-            {
-                "spec_overrides": self.overrides[i],
-                "overrides": self.overrides[i],
-                "traces": list(capture_traces),
-            }
-            for i in indices
-        ]
-
-    def _execute(
+    def _run_transient(
         self,
         payloads: List[Dict[str, Any]],
-        parallel: bool,
-        pool: Optional[WarmPool] = None,
+        base_spec: Optional[Dict[str, Any]] = None,
         policy: Optional[SupervisionPolicy] = None,
     ) -> List[Dict[str, Any]]:
-        """Run payloads through the shared :func:`execute_payloads` core."""
-        return execute_payloads(
-            payloads,
-            parallel=parallel,
-            max_workers=self.max_workers,
-            base_spec=self.base.to_dict(),
-            pool=pool,
-            policy=policy,
+        """Run on a pool owned by this call, no wider than its payloads."""
+        workers = min(
+            self.max_workers or (os.cpu_count() or 1), max(1, len(payloads))
         )
+        with WarmPool(max_workers=workers, base_spec=base_spec) as pool:
+            return pool.run(payloads, policy=policy)
 
     def run(
         self,
@@ -1396,94 +1438,55 @@ class SweepRunner:
                 hung-worker reaping, bounded retries with backoff,
                 poison-payload quarantine) — see
                 :class:`SupervisionPolicy`.  None = unsupervised.
+
+        Points are evaluated by :func:`evaluate`, so a grid value listed
+        twice computes once.
         """
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store, backend=store_backend)
         if resume and store is None:
             raise SpecError("resume=True needs a result store to resume from")
-        sweep_span = obs.span(
+        if not parallel:
+            executor: Executor = run_in_process
+        elif pool is not None:
+            executor = pool.run
+        else:
+            executor = self._run_transient
+        with obs.span(
             "sweep.run", label=self.base.name, points=len(self.specs),
             parallel=parallel,
-        )
-        sweep_span.__enter__()
-        pending = [
-            i for i in range(len(self.specs))
-            # A stored worker-crash row (older stores may hold them) is
-            # not a satisfied point: resume retries it.
-            if not (resume and self.hashes[i] in store
-                    and not _is_worker_crash(store.get(self.hashes[i])))
-        ]
-        payloads = self._payloads(pending, capture_traces)
-        batch_stats: Dict[str, int] = {}
-        if batch_size is not None and batch_size != 1:
-            grouped, order = group_batch_payloads(
-                payloads, [self.specs[i] for i in pending], batch_size
+        ) as sweep_span:
+            # Warm-worker tasks: only the override dicts travel.
+            points, stats = evaluate(
+                self.base,
+                [
+                    (spec, overrides, overrides)
+                    for spec, overrides in zip(self.specs, self.overrides)
+                ],
+                store=store,
+                resume=resume,
+                batch_size=batch_size,
+                executor=executor,
+                policy=policy,
+                traces=capture_traces,
             )
-            raw = self._execute(grouped, parallel, pool=pool, policy=policy)
-            flat, batch_stats = flatten_batch_records(raw)
-            records: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-            for position, record in zip(order, flat):
-                records[position] = record
-            for position, record in enumerate(records):
-                if record is None:  # a worker returned a short batch
-                    records[position] = _worker_failure(
-                        payloads[position],
-                        RuntimeError("batch worker returned no record"),
-                        self.base.to_dict(),
-                    )
-        else:
-            records = self._execute(
-                payloads, parallel, pool=pool, policy=policy
+            computed = len(stats.computed)
+            # One shared progress stream: the event always flows through
+            # the obs layer (metrics + trace instant), then to any hook.
+            event = stats.progress(
+                self.base.name, 1, points, computed=computed,
+                total=len(points),
             )
-        computed: Dict[int, RunResult] = {}
-        # One batched store transaction: appends buffer and hit the disk
-        # with a single fsync instead of one per point.
-        with (store.batch() if store is not None else nullcontext()):
-            for i, record in zip(pending, records):
-                result = RunResult.from_record(record).with_context(
-                    index=i, spec=self.specs[i]
-                )
-                computed[i] = result
-                # Deterministic outcomes (successes *and* infeasible-
-                # scenario error rows) are cacheable; worker crashes are
-                # transient and must stay recomputable on the next resume.
-                if store is not None and not _is_worker_crash(result):
-                    store.add(result, overwrite=True)
-        points = []
-        for i in range(len(self.specs)):
-            if i in computed:
-                points.append(computed[i])
-            else:
-                cached = store.get(self.hashes[i])
-                points.append(cached.with_context(index=i, spec=self.specs[i]))
-        # One shared progress stream: the event always flows through the
-        # obs layer (metrics + trace instant), then to any caller hook.
-        event = BatchProgress(
-            label=self.base.name,
-            batch=1,
-            computed=len(computed),
-            cached=len(points) - len(computed),
-            errors=sum(1 for p in points if p.error is not None),
-            total=len(points),
-            members=batch_stats.get("members")
-            if batch_stats else None,
-            passes=batch_stats.get("passes"),
-            advanced=batch_stats.get("advanced"),
-            settled=batch_stats.get("settled"),
-            diverged=batch_stats.get("diverged"),
-            scalar_chunks=batch_stats.get("scalar_chunks"),
-        )
-        obs.record_progress(event)
-        if progress is not None:
-            progress(event)
-        sweep_span.annotate(
-            computed=len(computed), cached=len(points) - len(computed),
-        )
-        sweep_span.__exit__(None, None, None)
+            obs.record_progress(event)
+            if progress is not None:
+                progress(event)
+            sweep_span.annotate(
+                computed=computed, cached=len(points) - computed
+            )
         return SweepResult(
             base_name=self.base.name,
             grid_keys=list(self.grid),
             points=points,
-            computed=len(computed),
-            cached=len(points) - len(computed),
+            computed=computed,
+            cached=len(points) - computed,
         )

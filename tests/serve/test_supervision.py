@@ -12,6 +12,7 @@ from urllib.error import HTTPError, URLError
 
 import pytest
 
+from repro import faults
 from repro.errors import SpecError
 from repro.serve import SimulationService
 from repro.serve.client import ServiceClient, ServiceError
@@ -117,6 +118,27 @@ def test_transient_engine_failure_retries_then_succeeds(service):
         record.job_id, follow=False
     )
     assert any("retrying in" in line for line in events)
+
+
+def test_serial_exploration_job_retries_worker_crashes(service):
+    """An exploration job's ``max_retries`` supervises its evaluations on
+    the in-process executor too: injected transient crashes retry until
+    no error row is left."""
+    with faults.active({"worker.crash": 0.5}, seed=11):
+        record = service.submit("exploration", {
+            "preset": "fig7",
+            "overrides": {"n": 64, "duration": 0.25},
+            "space": {
+                "capacitance": {"kind": "log", "low": 1e-5, "high": 1e-4},
+            },
+            "optimizer": "random",
+            "budget": 4,
+            "max_retries": 10,
+        })
+        done = wait_terminal(service, record.job_id)
+    assert done.status == "done"
+    assert done.result["evaluations"] == 4
+    assert done.result["errors"] == 0
 
 
 def test_retry_budget_exhausts_to_failed(service):

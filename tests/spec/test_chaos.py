@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro import faults, obs
+from repro.explore import Axis, ExplorationDriver, SearchSpace
 from repro.spec import SweepRunner
 from repro.spec.presets import fig7_spec
 from repro.spec.runner import (
@@ -163,5 +164,49 @@ def test_64_point_pool_sweep_survives_crashes_and_hangs():
     # ...and hangs (sleeping 30 s each) were reaped within the 5 s task
     # deadline — the sweep's wall time stays bounded by deadline windows,
     # under even a single hang's full sleep.
+    assert counter_value("repro_pool_workers_reaped_total") > reaped_before
+    assert wall < 30.0
+
+
+def test_supervised_pool_exploration_survives_crashes_and_hangs():
+    """The same contract for an exploration: its policy supervises every
+    optimizer batch on the driver's own pool."""
+    base = small_base()
+    space = SearchSpace.of(
+        Axis.log("capacitance", 22e-6, 82e-6),
+        Axis("frequency", "continuous", low=2.0, high=9.4),
+    )
+
+    def explore(policy=None):
+        return ExplorationDriver(
+            base, space, ["completion_time"], optimizer="random",
+            optimizer_params={"batch": 8}, seed=3, max_workers=4,
+            policy=policy,
+        ).run(budget=16)
+
+    def rows(outcome):
+        return [
+            (e.result.spec_hash, e.result.metrics, e.result.traces)
+            for e in outcome.evaluations
+        ]
+
+    clean = explore()
+    assert len(clean) == 16
+
+    reaped_before = counter_value("repro_pool_workers_reaped_total")
+    retries_before = counter_value("repro_pool_retries_total")
+    policy = SupervisionPolicy(
+        deadline_s=3.0, max_retries=10, backoff_base_s=0.0, jitter=0.0,
+    )
+    started = time.monotonic()
+    with faults.active(
+        {"worker.crash": 0.3, "worker.hang": 0.1}, seed=5, hang_s=30.0,
+    ):
+        chaotic = explore(policy)
+    wall = time.monotonic() - started
+
+    assert rows(chaotic) == rows(clean)
+    assert not any(is_quarantined(e.result) for e in chaotic.evaluations)
+    assert counter_value("repro_pool_retries_total") > retries_before
     assert counter_value("repro_pool_workers_reaped_total") > reaped_before
     assert wall < 30.0

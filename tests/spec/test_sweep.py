@@ -28,7 +28,7 @@ def test_warm_pool_serves_multiple_batches():
     """One WarmPool instance survives across run() batches (the
     exploration driver's usage pattern) and produces rows identical to
     the transient-pool path."""
-    from repro.spec.runner import WarmPool, execute_payloads
+    from repro.spec.runner import WarmPool, run_in_process
 
     base = small_base()
     payloads = [
@@ -39,10 +39,9 @@ def test_warm_pool_serves_multiple_batches():
         first = pool.run(payloads)
         second = pool.run(payloads)  # same workers, second batch
     assert [r["metrics"] for r in first] == [r["metrics"] for r in second]
-    direct = execute_payloads(
+    direct = run_in_process(
         [{"spec": base.with_overrides({"frequency": f}).to_dict(),
           "overrides": {"frequency": f}} for f in (4.7, 9.4)],
-        parallel=False,
     )
     assert [r["metrics"] for r in first] == [r["metrics"] for r in direct]
     assert [r["spec_hash"] for r in first] == [r["spec_hash"] for r in direct]
@@ -106,12 +105,11 @@ def test_resolution_failure_and_crash_share_one_key(monkeypatch):
 def test_override_only_payload_without_base_is_an_error_row():
     """Defensive path: an override-only task with no shared base spec
     resolves to an error record, not a crash."""
-    from repro.spec.runner import execute_payloads
+    from repro.spec.runner import run_in_process
 
-    records = execute_payloads(
+    records = run_in_process(
         [{"spec_overrides": {"frequency": 4.7},
           "overrides": {"frequency": 4.7}}],
-        parallel=False,
     )
     assert len(records) == 1
     assert "shared base spec" in records[0]["metrics"]["error"]

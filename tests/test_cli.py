@@ -279,6 +279,22 @@ def test_explore_command_space_file(tmp_path, capsys):
     assert "best (min completion_time" in capsys.readouterr().out
 
 
+def test_explore_serial_honours_max_retries(capsys):
+    """--max-retries supervises a --serial exploration: injected
+    transient worker crashes retry until no error row is left."""
+    from repro import faults
+
+    with faults.active({"worker.crash": 0.5}, seed=11):
+        assert main([
+            "explore", "--preset", "fig7",
+            "--axis", "capacitance=log:22e-6:68e-6",
+            "--budget", "4", "--optimizer", "random",
+            "--max-retries", "10", "--serial",
+        ]) == 0
+    out = capsys.readouterr().out
+    assert "4 computed (4 at full fidelity), 0 cached, 0 error(s)" in out
+
+
 def test_explore_command_rejects_bad_configuration(capsys):
     # No search space at all.
     assert main(["explore", "--budget", "2"]) == 2
