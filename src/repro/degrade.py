@@ -1,16 +1,21 @@
 """``repro.degrade`` — the explicit, observable degradation ladder.
 
-The stack has always degraded gracefully — the batched kernel falls
-back from the runtime-compiled C pass to numpy, the warm pool falls
-back to in-process serial execution when multiprocessing is broken —
-but those fallbacks were implicit: a slow run looked identical to a
-healthy one until someone profiled it.  This module names each ladder
-and makes every transition observable.
+The stack has always degraded gracefully — solo chunks fall back from
+the runtime-compiled C loop to the Python loops, the batched kernel
+from the compiled C pass to numpy, the warm pool to in-process serial
+execution when multiprocessing is broken — but those fallbacks were
+implicit: a slow run looked identical to a healthy one until someone
+profiled it.  This module names each ladder and makes every transition
+observable.
 
 Each **domain** is one independent ladder of modes, best first::
 
+    chunk.kernel   c -> python       (solo and scalar-lane chunks)
     batch.kernel   c -> numpy        (the batched SoA pass)
     executor       pool -> serial    (payload execution)
+
+``chunk.kernel`` is reported once per run (when the rail first
+chunks), never per chunk.
 
 Components report the mode they actually used via :func:`report`;
 the module keeps the current rung per domain, exports it as the
@@ -21,7 +26,8 @@ instant event on the trace timeline when the rung *changes* — steady
 state costs a dict lookup and an equality check per report.
 
 :func:`snapshot` feeds the service ``/readyz`` payload so an operator
-sees "running, but on the numpy kernel" without reading profiles.
+sees "running, but on the Python chunk loops" without reading
+profiles.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro import obs
 
 #: Ladder definition: domain -> modes ordered best (level 0) to worst.
 LADDERS: Dict[str, tuple] = {
+    "chunk.kernel": ("c", "python"),
     "batch.kernel": ("c", "numpy"),
     "executor": ("pool", "serial"),
 }

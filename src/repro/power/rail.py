@@ -15,22 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro import degrade
 from repro.errors import ConfigurationError
 from repro.harvest.base import PowerHarvester, VoltageHarvester
 from repro.power.converter import ConversionStage
 from repro.power.mppt import FractionalVocMPPT
 from repro.power.rectifier import HalfWaveRectifier
+from repro.sim import _ckernel
 from repro.sim.engine import Component
 from repro.sim.kernel import (
     LoadProfile,
     PowerSourcePlan,
     SourcePlanMemo,
     VoltageSourcePlan,
-    chunk_times,
 )
 from repro.results.metrics import register_metric
 from repro.spec.registry import register
@@ -134,16 +135,12 @@ class HarvesterInjector(Injector):
             return None  # the tracker's convergence lag is per-step state
         if not self.harvester.chunk_safe():
             return None  # stateful sampling: discarded chunks would desync it
-        step0 = SourcePlanMemo.grid_step(t0, dt)
-        values = (
-            self._memo.get(step0, dt, n) if step0 is not None else None
+        values, address = self._memo.window(
+            t0, dt, n, self.harvester.power_array
         )
-        if values is None:
-            power = self.harvester.power_array(chunk_times(t0, dt, n))
-            if step0 is not None:
-                self._memo.put(step0, dt, power)
-            values = power.tolist()
-        return PowerSourcePlan(values=values, converter=self.converter)
+        return PowerSourcePlan(
+            values=values, converter=self.converter, address=address
+        )
 
     def reset(self) -> None:
         self.harvester.reset()
@@ -195,20 +192,18 @@ class RectifiedInjector(Injector):
         if params is None:
             return None
         drop, r_total, take_abs = params
-        step0 = SourcePlanMemo.grid_step(t0, dt)
-        values = (
-            self._memo.get(step0, dt, n) if step0 is not None else None
+        values, address = self._memo.window(
+            t0, dt, n,
+            self.rectified_voc_array if take_abs
+            else self.harvester.open_circuit_voltage_array,
         )
-        if values is None:
-            voc = self.harvester.open_circuit_voltage_array(
-                chunk_times(t0, dt, n)
-            )
-            if take_abs:
-                voc = np.abs(voc)
-            if step0 is not None:
-                self._memo.put(step0, dt, voc)
-            values = voc.tolist()
-        return VoltageSourcePlan(values=values, drop=drop, r_total=r_total)
+        return VoltageSourcePlan(
+            values=values, drop=drop, r_total=r_total, address=address
+        )
+
+    def rectified_voc_array(self, times: np.ndarray) -> np.ndarray:
+        """``|V_oc|`` over ``times``: the plan a bridge rectifier reads."""
+        return np.abs(self.harvester.open_circuit_voltage_array(times))
 
     def reset(self) -> None:
         self.harvester.reset()
@@ -236,6 +231,11 @@ class SupplyRail(Component):
     scalar loop with per-step arithmetic identical to :meth:`step`.  The
     chunk ends (and per-step execution resumes) at the first step whose
     voltage crosses a load's declared event boundary.
+
+    The loop is the compiled ``chunk_loop`` of :mod:`repro.sim._ckernel`
+    where it loads; the Python loops below are its exact reference and
+    the rung without a compiler, and they also serve chunks whose power
+    source sits behind a converter (a per-step Python call).
     """
 
     def __init__(self, storage: StorageElement):
@@ -243,10 +243,14 @@ class SupplyRail(Component):
         self._injectors: List[Injector] = []
         self._loads: List[RailLoad] = []
         self.stats = RailStats()
-        self._chunk_vcc: List[float] = []
+        self._chunk_vcc: Sequence[float] = []
         #: Cached CapacitorPhysics (False until first step_chunk attempt,
         #: then the descriptor or None for non-chunkable storage).
         self._physics = False
+        #: This rail's compiled-loop runner (False until the first
+        #: step_chunk of a run, then a ChunkLoop or None on the Python
+        #: rung).
+        self._compiled = False
 
     @property
     def voltage(self) -> float:
@@ -256,11 +260,13 @@ class SupplyRail(Component):
     def attach_injector(self, injector: Injector) -> Injector:
         """Register a conditioned source; returns it for chaining."""
         self._injectors.append(injector)
+        self._compiled = False
         return injector
 
     def attach_load(self, load: RailLoad) -> RailLoad:
         """Register a load; returns it for chaining."""
         self._loads.append(load)
+        self._compiled = False
         return load
 
     def step(self, t: float, dt: float) -> None:
@@ -279,8 +285,22 @@ class SupplyRail(Component):
     # -- fast kernel -----------------------------------------------------
 
     def last_chunk_voltages(self) -> np.ndarray:
-        """Per-step rail voltages of the most recent chunk (probe feed)."""
+        """Per-step rail voltages of the most recent chunk (probe feed).
+
+        On the compiled rung this is a view of the rail's voltage
+        buffer, valid until the next chunk overwrites it.
+        """
         return np.asarray(self._chunk_vcc, dtype=float)
+
+    def _resolve_compiled(self) -> Optional[_ckernel.ChunkLoop]:
+        """This run's compiled-loop runner, reporting the rung once."""
+        kernel = _ckernel.load()
+        degrade.report("chunk.kernel", "python" if kernel is None else "c")
+        if kernel is None:
+            return None
+        return _ckernel.ChunkLoop(
+            kernel.chunk_loop, len(self._injectors), len(self._loads)
+        )
 
     def step_chunk(self, t0: float, dt: float, n: int) -> int:
         """Advance up to ``n`` steps in bulk; 0 when the regime can't chunk."""
@@ -312,6 +332,27 @@ class SupplyRail(Component):
                 return 0
             plans.append(plan)
         leak = physics.leak_factor(dt)
+        compiled = self._compiled
+        if compiled is False:
+            compiled = self._compiled = self._resolve_compiled()
+        result = None
+        if compiled is not None:
+            result = compiled.run(
+                physics, plans, profiles, v, leak, dt, n, self.stats
+            )
+        if result is None:
+            taken, energies = self._python_chunk(
+                physics, plans, profiles, v, leak, dt, n
+            )
+        else:
+            taken, energies, self._chunk_vcc = result
+        for profile, energy in zip(profiles, energies):
+            if profile.commit is not None:
+                profile.commit(taken, dt, energy)
+        return taken
+
+    def _python_chunk(self, physics, plans, profiles, v, leak, dt, n):
+        """The Python rung: the simple loop where the shape allows it."""
         if (
             len(plans) == 1
             and isinstance(plans[0], VoltageSourcePlan)
@@ -321,17 +362,10 @@ class SupplyRail(Component):
             and leak is None
             and physics.draw_overhead == 1.0
         ):
-            taken, energies = self._chunk_loop_simple(
+            return self._chunk_loop_simple(
                 physics, plans[0], profiles[0], v, dt, n
             )
-        else:
-            taken, energies = self._chunk_loop(
-                physics, plans, profiles, v, leak, dt, n
-            )
-        for profile, energy in zip(profiles, energies):
-            if profile.commit is not None:
-                profile.commit(taken, dt, energy)
-        return taken
+        return self._chunk_loop(physics, plans, profiles, v, leak, dt, n)
 
     def _chunk_loop_simple(self, physics, plan, profile, v, dt, n):
         """One rectified source, one constant load, ideal capacitor.
@@ -343,7 +377,7 @@ class SupplyRail(Component):
         half_c = 0.5 * C
         v_max = physics.v_max
         sqrt = math.sqrt
-        values = plan.values
+        values = _floats(plan.values)
         drop = plan.drop
         r_total = plan.r_total
         e_dem = profile.power * dt + profile.energy
@@ -400,7 +434,7 @@ class SupplyRail(Component):
         sources = [
             (
                 isinstance(plan, VoltageSourcePlan),
-                plan.values,
+                _floats(plan.values),
                 getattr(plan, "drop", 0.0),
                 getattr(plan, "r_total", 1.0),
                 getattr(plan, "converter", None),
@@ -517,6 +551,12 @@ class SupplyRail(Component):
             load.reset()
         self.stats = RailStats()
         self._chunk_vcc = []
+        self._compiled = False
+
+
+def _floats(values: Sequence[float]) -> Sequence[float]:
+    """Plan values as the Python loops read them fastest: Python floats."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 # ---------------------------------------------------------------------------

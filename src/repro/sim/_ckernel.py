@@ -1,24 +1,36 @@
-"""Runtime-compiled C fast path for the batched simple pass.
+"""Runtime-compiled C chunk recurrences: the solo chunk loop and the
+batched simple pass.
 
-The hot loop of :func:`repro.sim.batch._simple_pass` is a per-step
-voltage recursion whose dependency chain (divide, then square root)
-cannot be hidden by numpy's one-ufunc-at-a-time execution.  This module
-compiles a C transcription of :meth:`SupplyRail._chunk_loop_simple` at
-first use — each lane runs the exact scalar operation sequence, and
-lanes are interleaved in blocks so their independent chains pipeline
-through the divider — and loads it through :mod:`ctypes`.
+One C source holds two entry points, both literal transcriptions of the
+Python loops on :class:`~repro.power.rail.SupplyRail`:
 
-Exactness: the C body performs the same IEEE-754 double operations in
-the same order as the Python loop (CPython floats are C doubles), and
+* ``chunk_loop`` — :meth:`SupplyRail._chunk_loop` for one rail (any
+  number of voltage sources, converter-less power sources with the
+  ``e_cap`` clamp, leakage, ESR draw overhead, resistive / current /
+  constant demand terms and any number of loads), dispatching
+  simple-shaped chunks to the transcription of
+  :meth:`SupplyRail._chunk_loop_simple`.  Every solo fast-kernel chunk
+  and every batched scalar lane runs through it (:class:`ChunkLoop`).
+* ``simple_pass`` — the hot loop of :func:`repro.sim.batch._simple_pass`:
+  each lane runs the simple loop's exact operation sequence, and lanes
+  are interleaved in blocks so their independent divide/sqrt chains
+  pipeline through the divider.
+
+Exactness: the C bodies perform the same IEEE-754 double operations in
+the same order as the Python loops (CPython floats are C doubles), and
 the build disables contraction (``-ffp-contract=off -fno-fast-math``)
 so no fused multiply-add can perturb a rounding.  A self-check at load
-time replays a small scenario against a Python reference and discards
-the library on any bit difference.
+time replays small scenarios covering every branch against the Python
+loops and discards the library on any bit difference.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
-self-check, or ``REPRO_BATCH_CKERNEL=0`` simply leave the numpy pass in
-charge.  The compiled object is cached on disk keyed by a digest of the
-source and flags, so each machine compiles once.
+self-check, or ``REPRO_BATCH_CKERNEL=0`` leave the Python chunk loops
+in charge of solo chunks and the numpy pass in charge of batched simple
+passes.  Failed loads are counted in
+``repro_ckernel_load_failures_total{reason}``; the rung solo chunks run
+on is the ``chunk.kernel`` domain of :mod:`repro.degrade`.  The
+compiled object is cached on disk keyed by a digest of the source and
+flags, so each machine compiles once.
 """
 
 from __future__ import annotations
@@ -27,24 +39,45 @@ import ctypes
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import faults, obs
+from repro.sim.kernel import VoltageSourcePlan
 
 #: Interleave width: independent per-lane recursions advanced together
 #: so their divide/sqrt latencies overlap.  8 saturates the divider on
 #: current x86-64 cores; the tail loop handles any remainder.
 _BLOCK = 8
 
+#: ``chunk_loop`` frame layout, in 8-byte slots: the header below, then
+#: per source (address, kind, drop, r_total), per load (kind,
+#: resistance, e_const, current, current_gain, v_rising, v_falling),
+#: then per load its committed energy (out) and a scratch slot.  The
+#: first five header slots are read and written back.
+_HEADER = (
+    "v", "harvested", "leaked", "consumed", "starved",
+    "capacitance", "v_max", "draw_overhead", "leak", "has_leak", "dt",
+)
+_SOURCE_SLOTS = 4
+_LOAD_SLOTS = 7
+#: Source and load kinds as the frame encodes them.
+_VOLTAGE, _POWER = 0.0, 1.0
+_CONSTANT, _RESISTIVE, _CURRENT = 0.0, 1.0, 2.0
+
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define BLK %(block)d
+#define HDR %(header)d
+#define SRC_SLOTS %(source_slots)d
+#define LOAD_SLOTS %(load_slots)d
 
 /* Exact transcription of SupplyRail._chunk_loop_simple for one lane,
    starting at pass step i0.  Returns the committed step count (an
@@ -187,7 +220,131 @@ void simple_pass(
         consumed[lane] = cl; starved[lane] = sl;
     }
 }
-""" % {"block": _BLOCK}
+
+static const double *slot_pointer(const double *slot)
+{
+    uint64_t address;
+    memcpy(&address, slot, sizeof address);
+    return (const double *) (uintptr_t) address;
+}
+
+/* Exact transcription of SupplyRail._chunk_loop for one rail; a
+   simple-shaped chunk (one voltage source, one constant load, no
+   leakage, no draw overhead) runs lane_tail, the transcription of
+   _chunk_loop_simple, and commits taken * e_dem as that loop does.
+   Frame layout: see _HEADER in _ckernel.py.  Returns the committed
+   step count; vcc receives the committed voltages. */
+int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
+                   double *frame, double *vcc)
+{
+    const double *src = frame + HDR;
+    const double *ld = src + SRC_SLOTS * n_src;
+    double *esums = (double *) ld + LOAD_SLOTS * n_loads;
+    double *edems = esums + n_loads;
+    double v = frame[0], harvested = frame[1], leaked = frame[2];
+    double consumed = frame[3], starved = frame[4];
+    const double C = frame[5], v_max = frame[6], overhead = frame[7];
+    const double leak = frame[8];
+    const int has_leak = frame[9] != 0.0;
+    const double dt = frame[10];
+    int64_t i = 0;
+    if (n_src == 1 && src[1] == %(voltage)r && n_loads == 1
+            && ld[0] == %(constant)r && !has_leak && overhead == 1.0) {
+        double ed = ld[2];
+        i = lane_tail(slot_pointer(src), 0, n, &v, C, v_max, src[2],
+                      src[3], ed, ld[5], ld[6], dt,
+                      &harvested, &consumed, &starved, vcc);
+        esums[0] = (double) i * ed;
+    } else {
+        const double half_c = 0.5 * C;
+        const double e_cap = half_c * v_max * v_max;
+        for (int64_t j = 0; j < n_loads; ++j) esums[j] = 0.0;
+        while (i < n) {
+            double v0 = v, tv = v0, h_t = harvested;
+            for (int64_t s = 0; s < n_src; ++s) {
+                const double *sp = src + SRC_SLOTS * s;
+                const double *values = slot_pointer(sp);
+                if (sp[1] == %(voltage)r) {
+                    double head = values[i] - v0 - sp[2];
+                    if (head > 0.0) {
+                        double before = half_c * tv * tv;
+                        double vn = tv + (head / sp[3] * dt) / C;
+                        tv = vn > v_max ? v_max : vn;
+                        h_t += half_c * tv * tv - before;
+                    }
+                } else {
+                    double p = values[i];
+                    if (p > 0.0) {
+                        double e = half_c * tv * tv;
+                        double e_new = e + p * dt;
+                        if (e_new > e_cap) {
+                            double accepted = e_cap - e;
+                            tv = v_max;
+                            h_t += accepted > 0.0 ? accepted : 0.0;
+                        } else {
+                            tv = sqrt(2.0 * e_new / C);
+                            h_t += p * dt;
+                        }
+                    }
+                }
+            }
+            double le_t = leaked;
+            if (has_leak && tv != 0.0) {
+                double before = half_c * tv * tv;
+                tv *= leak;
+                le_t += before - half_c * tv * tv;
+            }
+            double co_t = consumed, st_t = starved;
+            int event = 0;
+            for (int64_t j = 0; j < n_loads; ++j) {
+                const double *lp = ld + LOAD_SLOTS * j;
+                if (tv >= lp[5] || tv < lp[6]) { event = 1; break; }
+                double e_dem;
+                if (lp[0] == %(resistive)r)
+                    e_dem = tv * tv / lp[1] * dt + lp[2];
+                else if (lp[0] == %(current)r)
+                    e_dem = ((lp[3] * tv) * lp[4]) * dt + lp[2];
+                else
+                    e_dem = lp[2];
+                double demand = e_dem * overhead;
+                double avail = half_c * tv * tv;
+                double delivered;
+                if (demand >= avail) {
+                    tv = 0.0;
+                    delivered = avail / overhead;
+                } else {
+                    tv = sqrt(2.0 * (avail - demand) / C);
+                    delivered = demand / overhead;
+                }
+                co_t += delivered;
+                st_t += e_dem - delivered;
+                edems[j] = e_dem;
+            }
+            if (event) break;  /* discard the step: it reruns per step */
+            v = tv;
+            harvested = h_t;
+            leaked = le_t;
+            consumed = co_t;
+            starved = st_t;
+            for (int64_t j = 0; j < n_loads; ++j) esums[j] += edems[j];
+            vcc[i] = v;
+            ++i;
+        }
+    }
+    frame[0] = v; frame[1] = harvested; frame[2] = leaked;
+    frame[3] = consumed; frame[4] = starved;
+    return i;
+}
+""" % {
+    "block": _BLOCK,
+    "header": len(_HEADER),
+    "source_slots": _SOURCE_SLOTS,
+    "load_slots": _LOAD_SLOTS,
+    "voltage": _VOLTAGE,
+    "constant": _CONSTANT,
+    "resistive": _RESISTIVE,
+    "current": _CURRENT,
+}
 
 #: No ``-march``: correctly-rounded scalar/SSE2 code is both portable
 #: and (measured) faster here than the wide-vector encodings, and the
@@ -199,7 +356,7 @@ _cached: object = _UNSET
 
 #: Circuit breaker on the runtime build: after this many consecutive
 #: failed compile attempts the loader stops invoking the compiler and
-#: the numpy pass stays in charge until :func:`reset_breaker` (a flaky
+#: the Python rungs stay in charge until :func:`reset_breaker` (a flaky
 #: toolchain should cost a bounded number of build attempts, not one
 #: per ``reset_cache``/process-pool respawn).  Successful builds —
 #: including cache hits — close the breaker.
@@ -259,6 +416,7 @@ def _compile() -> Optional[str]:
         _note_compile_failure()
         return None
     cache = _cache_dir()
+    # The name predates chunk_loop; perfbench's cold-cache check reads it.
     so_path = os.path.join(cache, f"simple_pass-{digest}.so")
     if os.path.exists(so_path):
         _compile_failures = 0
@@ -293,14 +451,24 @@ def _compile() -> Optional[str]:
         return None
 
 
-def _bind(so_path: str):
+class Kernel:
+    """The loaded library's two entry points (see the module docstring)."""
+
+    __slots__ = ("simple_pass", "chunk_loop")
+
+    def __init__(self, simple_pass, chunk_loop):
+        self.simple_pass = simple_pass
+        self.chunk_loop = chunk_loop
+
+
+def _bind(so_path: str) -> Kernel:
     lib = ctypes.CDLL(so_path)
-    fn = lib.simple_pass
-    fn.restype = None
+    simple = lib.simple_pass
+    simple.restype = None
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     uptr = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
-    fn.argtypes = [
+    simple.argtypes = [
         ctypes.c_int64,  # m_count
         uptr,            # vals (per-lane data pointers)
         i64,             # horizons
@@ -310,53 +478,161 @@ def _bind(so_path: str):
         ctypes.c_int64,  # row_stride
         i64,             # taken
     ]
-    return fn
+    chunk = lib.chunk_loop
+    chunk.restype = ctypes.c_int64
+    # Raw addresses, not ndpointer: a chunk averages a few dozen steps,
+    # so per-call argument checking would cost more than the loop.
+    chunk.argtypes = [
+        ctypes.c_int64,   # n
+        ctypes.c_int64,   # n_src
+        ctypes.c_int64,   # n_loads
+        ctypes.c_void_p,  # frame
+        ctypes.c_void_p,  # vcc
+    ]
+    return Kernel(simple, chunk)
 
 
-def _reference_lane(values, v, C, vm, dp, rt, ed, vr, vf, dtv, n):
-    """Python-float replay of the scalar loop (the exactness oracle)."""
-    import math
+class ChunkLoop:
+    """Runs the compiled ``chunk_loop`` for one rail.
 
-    half_c = 0.5 * C
-    hv = co = st = 0.0
-    out = []
-    i = 0
-    while i < n:
-        head = values[i] - v - dp
-        if head > 0.0:
-            before = half_c * v * v
-            vn = v + (head / rt * dtv) / C
-            if vn > vm:
-                vn = vm
-            dh = half_c * vn * vn - before
-        else:
-            vn = v
-            dh = 0.0
-        if vn >= vr or vn < vf:
-            break
-        avail = half_c * vn * vn
-        if ed >= avail:
-            vn = 0.0
-            delivered = avail
-        else:
-            vn = math.sqrt(2.0 * (avail - ed) / C)
-            delivered = ed
-        hv += dh
-        co += delivered
-        st += ed - delivered
-        v = vn
-        out.append(v)
-        i += 1
-    return i, v, hv, co, st, out
-
-
-def _self_check(fn) -> bool:
-    """Replay a tiny mixed scenario and demand bit-identical results.
-
-    The case exercises every branch: charging, the v_max clamp, a
-    starved step, a non-charging step, and an event boundary on one
-    lane while the other runs to horizon.
+    Owns the rail's frame and voltage buffers with their addresses
+    resolved once, so a chunk costs one ``struct`` pack, the foreign
+    call and two unpacks.  Source plans are read in place through their
+    ``address``.
     """
+
+    __slots__ = (
+        "_fn", "_pack", "_state", "_energies", "_energies_at",
+        "_frame", "_frame_address", "_vcc", "_vcc_address",
+    )
+
+    def __init__(self, fn, n_sources: int, n_loads: int):
+        self._fn = fn
+        inputs = (
+            len(_HEADER) + _SOURCE_SLOTS * n_sources + _LOAD_SLOTS * n_loads
+        )
+        self._pack = struct.Struct(
+            "=%dd" % len(_HEADER) + "Q3d" * n_sources + "7d" * n_loads
+        ).pack_into
+        self._state = struct.Struct("=5d").unpack_from
+        self._energies = struct.Struct("=%dd" % n_loads).unpack_from
+        self._energies_at = 8 * inputs
+        self._frame = (ctypes.c_double * (inputs + 2 * n_loads))()
+        self._frame_address = ctypes.addressof(self._frame)
+        self._vcc = np.empty(0)
+        self._vcc_address = 0
+
+    def run(
+        self, physics, plans: Sequence, profiles: Sequence,
+        v: float, leak: Optional[float], dt: float, n: int, stats,
+    ) -> Optional[Tuple[int, List[float], np.ndarray]]:
+        """One chunk with the Python loops' semantics, or None.
+
+        Writes the rail ``stats`` totals and the storage voltage back
+        like :meth:`SupplyRail._chunk_loop`, and returns ``(taken,
+        per-load committed energies, voltages)``; ``voltages`` is a view
+        of the rail's buffer, valid until the next chunk.  None (nothing
+        touched) when a plan cannot be read in place: no known address,
+        fewer than ``n`` values, or a converter in front of a power
+        source.
+        """
+        fields = [
+            v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
+            physics.capacitance, physics.v_max, physics.draw_overhead,
+            0.0 if leak is None else leak, 0.0 if leak is None else 1.0, dt,
+        ]
+        for plan in plans:
+            address = plan.address
+            if not address or len(plan.values) < n:
+                return None
+            if isinstance(plan, VoltageSourcePlan):
+                fields += (address, _VOLTAGE, plan.drop, plan.r_total)
+            elif plan.converter is None:
+                fields += (address, _POWER, 0.0, 1.0)
+            else:
+                return None
+        for profile in profiles:
+            resistance = profile.resistance
+            if resistance is not None:
+                kind = _RESISTIVE
+            else:
+                resistance = 0.0
+                kind = _CURRENT if profile.current != 0.0 else _CONSTANT
+            fields += (
+                kind, resistance, profile.power * dt + profile.energy,
+                profile.current, profile.current_gain,
+                profile.v_rising, profile.v_falling,
+            )
+        if n > len(self._vcc):
+            self._vcc = np.empty(max(n, 2 * len(self._vcc)))
+            self._vcc_address = self._vcc.ctypes.data
+        frame = self._frame
+        self._pack(frame, 0, *fields)
+        taken = self._fn(
+            n, len(plans), len(profiles),
+            self._frame_address, self._vcc_address,
+        )
+        (
+            v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
+        ) = self._state(frame, 0)
+        physics.write_voltage(v)
+        energies = list(self._energies(frame, self._energies_at))
+        return taken, energies, self._vcc[:taken]
+
+
+def _replay(chunk_loop, rail, plans, profiles, n):
+    """One chunk through the compiled loop, or the Python loops when
+    ``chunk_loop`` is None; every result as plain Python values.
+
+    ``rail`` is ``(capacitance, v_max, leak_tau, draw_overhead, v0,
+    dt)``.  Returns ``(taken, v, harvested, leaked, consumed, starved,
+    energies, voltages)``.
+    """
+    from repro.power.rail import SupplyRail
+    from repro.sim.kernel import CapacitorPhysics
+
+    capacitance, v_max, leak_tau, overhead, v0, dt = rail
+    cell = [v0]
+    physics = CapacitorPhysics(
+        capacitance, v_max, leak_tau, overhead,
+        read_voltage=lambda: cell[0],
+        write_voltage=lambda v: cell.__setitem__(0, v),
+    )
+    host = SupplyRail(storage=None)
+    leak = physics.leak_factor(dt)
+    if chunk_loop is None:
+        taken, energies = host._python_chunk(
+            physics, plans, profiles, v0, leak, dt, n
+        )
+        voltages = list(host._chunk_vcc)
+    else:
+        taken, energies, voltages = ChunkLoop(
+            chunk_loop, len(plans), len(profiles)
+        ).run(physics, plans, profiles, v0, leak, dt, n, host.stats)
+        voltages = voltages.tolist()
+    stats = host.stats
+    return (taken, cell[0], stats.harvested, stats.leaked, stats.consumed,
+            stats.starved, list(energies), voltages)
+
+
+def _self_check(kernel: Kernel) -> bool:
+    """Replay small scenarios through both entry points and demand
+    results bit-identical to the Python loops.
+
+    ``simple_pass`` runs three lanes covering charging, the v_max clamp,
+    a starved step, a non-charging step, and an event boundary on one
+    lane while the others run to horizon.  ``chunk_loop`` runs a general
+    chunk (voltage and power sources with the ``e_cap`` clamp, leakage,
+    ESR overhead, resistive, current and constant loads) to its horizon
+    and again with an event on the third load, a starving one (leakage
+    skipped at zero volts), a charging and starving one, one starving
+    through the ESR overhead, one whose event is the clamp voltage
+    itself, a simple-shaped one and a source-less one.
+    """
+    from repro.sim.kernel import (
+        LoadProfile, PowerSourcePlan, VoltageSourcePlan,
+    )
+
     n = 40
     steps = np.arange(n, dtype=float)
     plan = np.ascontiguousarray(
@@ -379,40 +655,95 @@ def _self_check(fn) -> bool:
     vcc = np.empty((m, stride))
     taken = np.empty(m, dtype=np.int64)
     ptrs = np.full(m, plan.ctypes.data, dtype=np.uintp)
-    fn(m, ptrs, horizons, v, cap, vmx, drp, rt, ed, vr, vf, dt,
-       hv, co, st, vcc, stride, taken)
-    values = plan.tolist()
-    for lane in range(m):
-        ri, rv, rhv, rco, rst, rout = _reference_lane(
-            values, *params[lane], n
+    kernel.simple_pass(m, ptrs, horizons, v, cap, vmx, drp, rt, ed, vr,
+                       vf, dt, hv, co, st, vcc, stride, taken)
+    for lane, (v0, C, vm, dp, r, e, rise, fall, step) in enumerate(params):
+        ri, rv, rhv, _, rco, rst, _, rout = _replay(
+            None, (C, vm, None, 1.0, v0, step),
+            [VoltageSourcePlan(plan, dp, r, plan.ctypes.data)],
+            [LoadProfile(energy=e, v_rising=rise, v_falling=fall)], n,
         )
         if int(taken[lane]) != ri:
             return False
         if (rv != v[lane] or rhv != hv[lane] or rco != co[lane]
                 or rst != st[lane]):
             return False
-        if rout and list(vcc[lane, :ri]) != rout:
+        if vcc[lane, :ri].tolist() != rout:
+            return False
+
+    n = 400
+    steps = np.arange(n)
+    wave = np.ascontiguousarray(np.maximum(3.6 * np.sin(steps * 0.3), 0.0))
+    power = np.ascontiguousarray(
+        np.where(steps % 9 < 2, 0.5, np.where(steps % 9 < 5, 1e-3, 0.0))
+    )
+    charge = VoltageSourcePlan(wave, 0.2, 150.0, wave.ctypes.data)
+    mixed = [charge, PowerSourcePlan(power, None, power.ctypes.data)]
+    cases = [
+        ((10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
+         [LoadProfile(power=1e-3, resistance=2000.0),
+          LoadProfile(current=2e-3, current_gain=1.1, energy=1e-9),
+          LoadProfile(power=5e-4, energy=2e-9)]),
+        ((10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
+         [LoadProfile(power=1e-3, resistance=2000.0),
+          LoadProfile(current=2e-3, current_gain=1.1, energy=1e-9),
+          LoadProfile(power=5e-4, energy=2e-9, v_rising=3.19)]),
+        ((4.7e-6, 3.3, 5e-3, 1.02, 0.4, 5e-5),
+         [VoltageSourcePlan(wave, 0.2, 5000.0, wave.ctypes.data)],
+         [LoadProfile(resistance=50.0), LoadProfile(energy=1e-6)]),
+        ((33e-6, 3.3, 5e-2, 1.05, 0.3, 1e-4),
+         [VoltageSourcePlan(wave, 0.1, 77.7, wave.ctypes.data)],
+         [LoadProfile(resistance=5000.0), LoadProfile(energy=3e-6)]),
+        ((10e-6, 3.3, None, 1.02, 3.1, 5e-5), [charge],
+         [LoadProfile(energy=1e-3)]),
+        ((10e-6, 3.3, None, 1.0, 1.0, 5e-5),
+         [PowerSourcePlan(power, None, power.ctypes.data)],
+         [LoadProfile(power=1e-4, v_rising=3.3)]),
+        ((22e-6, 3.3, None, 1.0, 0.5, 5e-5), [charge],
+         [LoadProfile(power=1e-4, v_rising=0.9, v_falling=0.1)]),
+        ((22e-6, 3.3, None, 1.02, 2.0, 5e-5), [],
+         [LoadProfile(current=1e-3, current_gain=0.9, v_falling=1.5)]),
+    ]
+    for rail, plans, profiles in cases:
+        if (_replay(kernel.chunk_loop, rail, plans, profiles, n)
+                != _replay(None, rail, plans, profiles, n)):
             return False
     return True
 
 
-def load():
-    """The bound ``simple_pass`` callable, or None when unavailable."""
+def _note_load_failure(reason: str, **attrs) -> None:
+    obs.counter("repro_ckernel_load_failures_total", reason=reason).inc()
+    obs.instant("ckernel.load_failed", reason=reason, **attrs)
+
+
+def load() -> Optional[Kernel]:
+    """The loaded :class:`Kernel`, or None when unavailable.
+
+    A build that raises while loading, or that fails the self-check, is
+    discarded and counted in
+    ``repro_ckernel_load_failures_total{reason=exception|selfcheck}``.
+    """
     global _cached
     if _cached is not _UNSET:
         return _cached
-    fn = None
+    kernel = None
     if os.environ.get("REPRO_BATCH_CKERNEL", "1") != "0":
         try:
             so_path = _compile()
             if so_path is not None:
                 candidate = _bind(so_path)
                 if _self_check(candidate):
-                    fn = candidate
-        except Exception:
-            fn = None
-    _cached = fn
-    return fn
+                    kernel = candidate
+                else:
+                    _note_load_failure("selfcheck")
+        except Exception as error:
+            # The loader is a boundary: a broken build must degrade to
+            # the Python rung, never stop a run, and is counted.
+            _note_load_failure(
+                "exception", error=f"{type(error).__name__}: {error}"
+            )
+    _cached = kernel
+    return kernel
 
 
 def reset_cache() -> None:

@@ -34,13 +34,13 @@ Execution model (see DESIGN.md, "Batched SoA kernel"):
 * Every other lane — any other regime, or fewer than
   ``_MIN_VECTOR_GROUP`` lanes in the simple one — advances **per lane**
   through the ordinary scalar
-  :meth:`~repro.power.rail.SupplyRail.step_chunk` on the solo kernel's
-  grow/backoff schedule, reading the shared plans through the injector
-  memo.  A lane whose shape can never form a simple pass runs to the
-  end that way at once.  A lane whose sources cannot publish array
-  plans at all (MPPT trackers, converter-fronted power sources,
-  stateful harvesters) runs the entire scenario through the untouched
-  per-scenario path.
+  :meth:`~repro.power.rail.SupplyRail.step_chunk` (the compiled chunk
+  loop where it loads) on the solo kernel's grow/backoff schedule,
+  reading the shared plans in place through the injector memo.  A lane
+  whose shape can never form a simple pass runs to the end that way at
+  once.  A lane whose sources cannot publish array plans at all (MPPT
+  trackers, converter-fronted power sources, stateful harvesters) runs
+  the entire scenario through the untouched per-scenario path.
 
 Exactness contract: the vcc trace and every event step index are
 bit-identical to per-scenario fast runs.  Scalar metric accumulators
@@ -370,13 +370,10 @@ def _lane_vectorizable(lane: _Lane, cache: _PlanCache) -> bool:
             if params is None:
                 return False
             drop, r_total, take_abs = params
-            if take_abs:
-                def evaluate(times, harvester=harvester):
-                    return np.abs(
-                        harvester.open_circuit_voltage_array(times)
-                    )
-            else:
-                evaluate = harvester.open_circuit_voltage_array
+            evaluate = (
+                injector.rectified_voc_array if take_abs
+                else harvester.open_circuit_voltage_array
+            )
             key = cache.key(
                 lane.spec, position, "v-abs" if take_abs else "v"
             )
@@ -744,7 +741,7 @@ def _simple_pass(members: List[_Gathered], stats: BatchStats) -> None:
         if ptrs is not None:
             obs.counter("repro_batch_pass_path_total", path="c").inc()
             degrade.report("batch.kernel", "c")
-            kernel(
+            kernel.simple_pass(
                 m_count, ptrs, horizons, v, cap, v_max, drop, r_total,
                 e_dem, v_rise, v_fall, dt_raw, harvested, consumed,
                 starved, vcc_full, pass_n + 8, taken,

@@ -35,19 +35,21 @@ Three descriptor families exist:
   always executes through the reference path.
 * :class:`VoltageSourcePlan` / :class:`PowerSourcePlan` — published by an
   injector (:meth:`~repro.power.rail.Injector.chunk_plan`): the source
-  waveform for the chunk precomputed as a plain list plus the scalar
-  parameters needed to turn it into charge/energy per step.
+  waveform for the chunk precomputed as a float64 array view plus the
+  scalar parameters needed to turn it into charge/energy per step.
 
-All values are stored as plain Python floats/lists, not numpy arrays —
-the rail's inner loop is scalar Python, and float arithmetic on list
-elements is substantially faster than on numpy scalars.
+Source windows are float64 array views into a :class:`SourcePlanMemo`,
+carrying the raw address of their first element: the compiled chunk
+loop (:mod:`repro.sim._ckernel`) reads them in place, and the Python
+chunk loops (the no-compiler rung) convert them to lists themselves.
+Every other descriptor field is a plain Python float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,11 +164,15 @@ class VoltageSourcePlan:
     Per step ``i`` the charging current is
     ``max(0, values[i] - v_rail - drop) / r_total`` — exactly the
     rectifier equation with the per-chunk constants folded in.
+    ``address`` is the raw address of ``values[0]`` in a C-contiguous
+    float64 array (see :meth:`SourcePlanMemo.window`), or 0 when the
+    values are not known to be laid out that way.
     """
 
-    values: List[float]
+    values: Sequence[float]
     drop: float
     r_total: float
+    address: int = 0
 
 
 @dataclass
@@ -176,43 +182,53 @@ class PowerSourcePlan:
     ``values[i]`` is the available power at step ``i``; when ``converter``
     is set it is passed through ``converter.output_power`` against the
     live rail voltage each step (the converter is a pure function of
-    ``(p_in, v_in)``).
+    ``(p_in, v_in)``).  ``address`` as for :class:`VoltageSourcePlan`.
     """
 
-    values: List[float]
+    values: Sequence[float]
     converter: Optional[object] = None
+    address: int = 0
+
+
+#: Largest look-ahead a :class:`SourcePlanMemo` miss evaluates (steps).
+LOOKAHEAD_CAP = 4096
 
 
 class SourcePlanMemo:
     """Memoised per-step source values on the exact engine time grid.
 
-    Closed-form harvesters evaluate their waveform over a whole chunk at
-    once (:func:`chunk_times`); when a chunk ends early at an event
-    boundary, the already-evaluated tail covers the grid the *next*
-    chunks will ask for.  Because plan values are a pure function of the
-    step index (``values[i]`` belongs to step ``step0 + i``), any
-    requested window that falls inside a previously computed one is
-    served as a slice — bit-identical to recomputing it — so a transient
-    scenario that chunks in short state-bounded bursts still pays for
-    each waveform sample once.
+    Closed-form harvesters evaluate their waveform over many steps at
+    once (:func:`chunk_times`).  Because plan values are a pure function
+    of the step index (``values[i]`` belongs to step ``step0 + i``, and
+    evaluating a longer window that starts earlier yields bit-identical
+    values for the overlapping steps), any requested window that falls
+    inside a previously computed one is served as a slice — identical to
+    recomputing it.
 
-    The memo holds one float64 array and serves windows as
-    ``values[lo:hi].tolist()``.  A batch seeds it with a shared plan from
-    step 0 (``put(0, dt, plan)``) that covers every window the lane is
-    about to ask for, so those windows are slices of the shared array
-    and the lane never evaluates the waveform itself.
+    :meth:`window` is the one entry point the injectors use.  On a miss
+    it evaluates ``max(n, min(2 * held, LOOKAHEAD_CAP))`` steps from the
+    requested step, ``held`` being the length of the window it replaces,
+    so a run advancing chunk by chunk costs O(log) waveform evaluations
+    until the look-ahead reaches its cap, then one per
+    :data:`LOOKAHEAD_CAP` steps.  A batch seeds the memo with a shared
+    plan from step 0 (``put(0, dt, plan)``) that covers every window the
+    lane is about to ask for, so the lane never evaluates the waveform
+    itself.
 
-    ``get`` returns the cached window or None; ``put`` stores a freshly
-    computed array.  Only on-grid requests (``t0 == step0 * dt``, the
-    only kind the engine produces) are memoised.
+    The memo holds one C-contiguous float64 array and serves windows as
+    views into it, with the raw address of the first element: the
+    compiled chunk loop reads them in place.  Only on-grid requests
+    (``t0 == step0 * dt``, the only kind the engine produces) are
+    memoised.
     """
 
-    __slots__ = ("_step0", "_dt", "_values")
+    __slots__ = ("_step0", "_dt", "_values", "_address")
 
     def __init__(self) -> None:
         self._step0 = 0
         self._dt = 0.0
         self._values: Optional[np.ndarray] = None
+        self._address = 0
 
     @staticmethod
     def grid_step(t0: float, dt: float) -> Optional[int]:
@@ -220,8 +236,8 @@ class SourcePlanMemo:
         step0 = round(t0 / dt)
         return step0 if step0 * dt == t0 else None
 
-    def get(self, step0: int, dt: float, n: int) -> Optional[List[float]]:
-        """The cached values for steps ``[step0, step0 + n)``, or None."""
+    def get(self, step0: int, dt: float, n: int) -> Optional[np.ndarray]:
+        """A view of the cached values for ``[step0, step0 + n)``, or None."""
         values = self._values
         if values is None or dt != self._dt:
             return None
@@ -229,21 +245,49 @@ class SourcePlanMemo:
         hi = lo + n
         if lo < 0 or hi > len(values):
             return None
-        return values[lo:hi].tolist()
+        return values[lo:hi]
 
     def put(self, step0: int, dt: float, values: Sequence[float]) -> None:
         """Remember the values of steps ``[step0, step0 + len(values))``.
 
-        A float64 array is kept as is (no copy), so a seeded plan stays
-        shared with whoever else holds it.
+        A C-contiguous float64 array is kept as is (no copy), so a
+        seeded plan stays shared with whoever else holds it.
         """
         self._step0 = step0
         self._dt = dt
-        self._values = np.asarray(values, dtype=float)
+        self._values = np.ascontiguousarray(values, dtype=float)
+        self._address = self._values.ctypes.data
+
+    def window(
+        self,
+        t0: float,
+        dt: float,
+        n: int,
+        evaluate: Callable[[np.ndarray], np.ndarray],
+    ) -> Tuple[np.ndarray, int]:
+        """The values of the ``n`` steps from ``t0`` and their address.
+
+        ``evaluate`` maps an array of step times to the waveform values;
+        it runs only on a miss, over the look-ahead window.
+        """
+        step0 = self.grid_step(t0, dt)
+        if step0 is None:
+            values = np.ascontiguousarray(
+                evaluate(chunk_times(t0, dt, n)), dtype=float
+            )
+            return values, values.ctypes.data
+        values = self.get(step0, dt, n)
+        if values is None:
+            held = 0 if self._values is None else len(self._values)
+            count = max(n, min(2 * held, LOOKAHEAD_CAP))
+            self.put(step0, dt, evaluate(np.arange(step0, step0 + count) * dt))
+            values = self._values[:n]
+        return values, self._address + 8 * (step0 - self._step0)
 
     def clear(self) -> None:
         """Drop the cache (component reset / waveform state change)."""
         self._values = None
+        self._address = 0
 
 
 @dataclass

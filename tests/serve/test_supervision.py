@@ -182,6 +182,23 @@ def test_readyz_reports_checks_and_degrade(service):
     assert closed["checks"]["accepting"] is False
 
 
+def test_readyz_shows_the_rung_fast_chunks_ran_on(service):
+    from repro import degrade
+    from repro.sim import _ckernel
+
+    degrade.reset()
+    record = service.submit("sweep", {
+        "preset": "crossover-hibernus",
+        "overrides": {"kernel": "fast", "duration": 0.3},
+        "grid": {"frequency": [20.0, 40.0]},
+    })
+    assert wait_terminal(service, record.job_id).status == "done"
+    mode = "python" if _ckernel.load() is None else "c"
+    assert service.readyz()["degrade"]["chunk.kernel"] == {
+        "mode": mode, "level": degrade.level_of("chunk.kernel", mode),
+    }
+
+
 def test_readyz_http_surface(client):
     body = client._json("GET", "/readyz")
     assert body["ready"] is True

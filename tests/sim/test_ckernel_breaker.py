@@ -84,3 +84,48 @@ def test_single_transient_failure_heals_without_tripping():
     kernel = _ckernel.load()
     if kernel is not None:  # toolchain present: success clears the streak
         assert _ckernel._compile_failures == 0
+
+
+def load_failures(reason):
+    for row in obs.registry.snapshot()["counters"]:
+        if row["name"] == "repro_ckernel_load_failures_total" \
+                and dict(row["labels"]) == {"reason": reason}:
+            return row["value"]
+    return 0
+
+
+def failure_instants():
+    return [event["args"] for event in obs.drain()
+            if event["name"] == "ckernel.load_failed"]
+
+
+def test_self_check_mismatch_is_counted_not_silent(monkeypatch):
+    if _ckernel._compile() is None:
+        pytest.skip("no C compiler available")
+    before = load_failures("selfcheck")
+    monkeypatch.setattr(_ckernel, "_self_check", lambda kernel: False)
+    _ckernel.reset_cache()
+    obs.drain()
+    with obs.capture():
+        assert _ckernel.load() is None
+    assert load_failures("selfcheck") == before + 1
+    assert failure_instants() == [{"reason": "selfcheck"}]
+
+
+def test_load_exception_is_counted_not_silent(monkeypatch):
+    if _ckernel._compile() is None:
+        pytest.skip("no C compiler available")
+    before = load_failures("exception")
+
+    def broken(so_path):
+        raise OSError("cannot map the library")
+
+    monkeypatch.setattr(_ckernel, "_bind", broken)
+    _ckernel.reset_cache()
+    obs.drain()
+    with obs.capture():
+        assert _ckernel.load() is None
+    assert load_failures("exception") == before + 1
+    assert failure_instants() == [
+        {"reason": "exception", "error": "OSError: cannot map the library"}
+    ]

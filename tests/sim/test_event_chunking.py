@@ -29,9 +29,9 @@ def test_plan_memo_serves_interior_slices():
     dt = 1e-4
     values = [float(i) for i in range(100)]
     memo.put(50, dt, values)
-    assert memo.get(50, dt, 100) == values
-    assert memo.get(60, dt, 10) == values[10:20]
-    assert memo.get(149, dt, 1) == [99.0]
+    assert memo.get(50, dt, 100).tolist() == values
+    assert memo.get(60, dt, 10).tolist() == values[10:20]
+    assert memo.get(149, dt, 1).tolist() == [99.0]
 
 
 def test_plan_memo_misses_outside_window_and_on_dt_change():
@@ -47,6 +47,41 @@ def test_plan_memo_misses_outside_window_and_on_dt_change():
 def test_plan_memo_grid_step_rejects_off_grid_times():
     assert SourcePlanMemo.grid_step(0.05, 1e-4) == 500
     assert SourcePlanMemo.grid_step(0.05 + 3e-11, 1e-4) is None
+
+
+def test_plan_memo_window_looks_ahead_geometrically():
+    """A miss evaluates ``max(n, min(2 * held, LOOKAHEAD_CAP))`` steps
+    from the requested step; hits are views into the held array whose
+    address is the view's own data pointer."""
+    import numpy as np
+
+    from repro.sim.kernel import LOOKAHEAD_CAP
+
+    calls = []
+
+    def evaluate(times):
+        calls.append(len(times))
+        return np.sin(times * 3.0)
+
+    memo = SourcePlanMemo()
+    dt = 1e-4
+    step = 0
+    while step < 20000:
+        values, address = memo.window(step * dt, dt, 40, evaluate)
+        assert address == values.ctypes.data
+        assert values.tolist() == np.sin(
+            (np.arange(step, step + 40) * dt) * 3.0
+        ).tolist()
+        step += 40
+    expected = [40]
+    while expected[-1] < LOOKAHEAD_CAP:
+        expected.append(min(2 * expected[-1], LOOKAHEAD_CAP))
+    assert calls[:len(expected)] == expected
+    assert set(calls[len(expected):]) == {LOOKAHEAD_CAP}
+    # Off-grid requests are evaluated exactly and never memoised.
+    values, address = memo.window(0.5 * dt, dt, 8, evaluate)
+    assert len(values) == 8 and calls[-1] == 8
+    assert address == values.ctypes.data
 
 
 def test_rectified_injector_memoises_across_chunks():
@@ -71,13 +106,14 @@ def test_rectified_injector_memoises_across_chunks():
     # A shorter window further in: served from the memo, no re-eval.
     second = injector.chunk_plan(64 * dt, dt, 64)
     assert second is not None and calls == [256]
-    assert second.values == first.values[64:128]
-    # Past the cached window: recomputed.
+    assert second.values.tolist() == first.values[64:128].tolist()
+    assert second.address == first.address + 64 * 8
+    # Past the cached window: recomputed with twice the held look-ahead.
     injector.chunk_plan(300 * dt, dt, 64)
-    assert calls == [256, 64]
+    assert calls == [256, 512]
     injector.reset()
     injector.chunk_plan(0.0, dt, 8)
-    assert calls == [256, 64, 8]
+    assert calls == [256, 512, 8]
 
 
 def test_seeded_plan_memo_serves_windows_without_reevaluating():
@@ -110,17 +146,17 @@ def test_seeded_plan_memo_serves_windows_without_reevaluating():
         expected = fresh.open_circuit_voltage_array(
             chunk_times(step0 * dt, dt, n)
         ).tolist()
-        assert window.values == expected
+        assert window.values.tolist() == expected
     assert calls == []
     injector.chunk_plan((horizon - 8) * dt, dt, 16)  # past the horizon
-    assert calls == [16]
+    assert calls == [4096]  # look-ahead: min(2 * held, LOOKAHEAD_CAP)
     injector._memo.put(0, dt, plan)
     injector.reset()  # clears the memo
     injector.chunk_plan(0.0, dt, 16)
-    assert calls == [16, 16]
+    assert calls == [4096, 16]
     memo = SourcePlanMemo()
     memo.put(0, dt, plan)
-    assert memo.get(100, dt, 4) == plan[100:104].tolist()
+    assert memo.get(100, dt, 4).tolist() == plan[100:104].tolist()
     memo.clear()
     assert memo.get(100, dt, 4) is None
 

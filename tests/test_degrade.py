@@ -25,6 +25,8 @@ def transition_count(domain, mode):
 def test_level_of_orders_rungs_best_first():
     assert degrade.level_of("batch.kernel", "c") == 0
     assert degrade.level_of("batch.kernel", "numpy") == 1
+    assert degrade.level_of("chunk.kernel", "c") == 0
+    assert degrade.level_of("chunk.kernel", "python") == 1
     assert degrade.level_of("executor", "pool") == 0
     assert degrade.level_of("executor", "serial") == 1
     # Unknown domains/modes collapse to rung 0 instead of exploding.
@@ -57,3 +59,47 @@ def test_transitions_count_changes_not_reports():
     degrade.report("executor", "pool")
     degrade.report("executor", "serial")  # a genuine flap counts again
     assert transition_count("executor", "serial") == before + 2
+
+
+def fast_run():
+    """A short fast-kernel run that advances in many chunks."""
+    from repro.spec.presets import preset
+
+    spec = preset("crossover-hibernus", frequency=20.0, duration=0.3)
+    spec = spec.with_overrides({"kernel": "fast"})
+    system = spec.build()
+    system.run(spec.duration)
+    return system.simulator.chunk_stats.chunks
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+def test_solo_chunks_report_their_rung_once_per_run(monkeypatch, disabled):
+    """The solo fast path reports ``chunk.kernel`` once per run (never
+    per chunk), on the rung the compiled loop's availability implies."""
+    from repro.sim import _ckernel
+
+    if disabled:
+        monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+    _ckernel.reset_cache()
+    reports = []
+    real_report = degrade.report
+
+    def spy(domain, mode):
+        if domain == "chunk.kernel":
+            reports.append(mode)
+        real_report(domain, mode)
+
+    monkeypatch.setattr(degrade, "report", spy)
+    try:
+        chunks = fast_run() + fast_run()
+        expected = "python" if _ckernel.load() is None else "c"
+    finally:
+        monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+        _ckernel.reset_cache()
+    assert chunks > 10
+    assert reports == [expected, expected]
+    assert degrade.snapshot()["chunk.kernel"] == {
+        "mode": expected, "level": degrade.level_of("chunk.kernel", expected),
+    }
+    if disabled:
+        assert expected == "python"
