@@ -841,10 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_batch_size_flag(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--batch-size", type=batch_size, default=0, metavar="M",
-            help="advance up to M same-topology fast-kernel points "
-                 "together through the batched SoA kernel (0 = auto, "
-                 "1 = per-point execution); results are identical "
-                 "either way",
+            help="run up to M same-topology fast-kernel points per "
+                 "task (0 = auto, 1 = one task per point); results "
+                 "are identical either way",
         )
 
     def add_supervision_flags(

@@ -1,17 +1,15 @@
 """``repro.degrade`` — the explicit, observable degradation ladder.
 
-The stack has always degraded gracefully — solo chunks fall back from
-the runtime-compiled C loop to the Python loops, the batched kernel
-from the compiled C pass to numpy, the warm pool to in-process serial
-execution when multiprocessing is broken — but those fallbacks were
-implicit: a slow run looked identical to a healthy one until someone
-profiled it.  This module names each ladder and makes every transition
+The stack has always degraded gracefully — chunks fall back from the
+runtime-compiled C loop to the Python loops, the warm pool to
+in-process serial execution when multiprocessing is broken — but those
+fallbacks were implicit: a slow run looked identical to a healthy one
+until someone profiled it.  This module names each ladder and makes every transition
 observable.
 
 Each **domain** is one independent ladder of modes, best first::
 
-    chunk.kernel   c -> python       (solo and scalar-lane chunks)
-    batch.kernel   c -> numpy        (the batched SoA pass)
+    chunk.kernel   c -> python       (fast-kernel chunks)
     executor       pool -> serial    (payload execution)
 
 ``chunk.kernel`` is reported once per run (when the rail first
@@ -40,7 +38,6 @@ from repro import obs
 #: Ladder definition: domain -> modes ordered best (level 0) to worst.
 LADDERS: Dict[str, tuple] = {
     "chunk.kernel": ("c", "python"),
-    "batch.kernel": ("c", "numpy"),
     "executor": ("pool", "serial"),
 }
 

@@ -206,11 +206,10 @@ class ExplorationDriver:
             driver then leaves lifecycle to the caller (the pool stays
             open after :meth:`run`) — how the ``repro serve`` executor
             shares one warm pool across every job.
-        batch_size: evaluate each ask-batch through the batched SoA
-            kernel, grouping same-topology candidates into batches of up
-            to this many members (``0`` = auto, ``None``/``1`` =
-            per-candidate execution).  Results and spec hashes are
-            identical either way.
+        batch_size: points per task: same-topology candidates of each
+            ask-batch share tasks of up to this many members (``0`` =
+            auto, ``None``/``1`` = one task per candidate).  Results
+            and spec hashes are identical either way.
         policy: supervise every batch (deadlines, retries, quarantine
             — see :class:`SupervisionPolicy`), in-process and on a pool
             alike.  None = unsupervised.

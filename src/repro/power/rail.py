@@ -294,12 +294,14 @@ class SupplyRail(Component):
 
     def _resolve_compiled(self) -> Optional[_ckernel.ChunkLoop]:
         """This run's compiled-loop runner, reporting the rung once."""
-        kernel = _ckernel.load()
-        degrade.report("chunk.kernel", "python" if kernel is None else "c")
-        if kernel is None:
+        chunk_loop = _ckernel.load()
+        degrade.report(
+            "chunk.kernel", "python" if chunk_loop is None else "c"
+        )
+        if chunk_loop is None:
             return None
         return _ckernel.ChunkLoop(
-            kernel.chunk_loop, len(self._injectors), len(self._loads)
+            chunk_loop, len(self._injectors), len(self._loads)
         )
 
     def step_chunk(self, t0: float, dt: float, n: int) -> int:

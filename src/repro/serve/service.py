@@ -226,7 +226,7 @@ class SimulationService:
         return list(traces)
 
     def _batch_size(self, payload: Mapping[str, Any]) -> int:
-        """The job's batched-kernel width: 0 = auto, 1 = per-point."""
+        """The job's points per task: 0 = auto, 1 = per-point."""
         size = payload.get("batch_size", 0)
         if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             raise SpecError("'batch_size' must be a non-negative integer "

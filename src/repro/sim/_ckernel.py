@@ -1,36 +1,28 @@
-"""Runtime-compiled C chunk recurrences: the solo chunk loop and the
-batched simple pass.
+"""The runtime-compiled C chunk recurrence.
 
-One C source holds two entry points, both literal transcriptions of the
-Python loops on :class:`~repro.power.rail.SupplyRail`:
+``chunk_loop`` is a literal transcription of
+:meth:`~repro.power.rail.SupplyRail._chunk_loop` for one rail (any
+number of voltage sources, converter-less power sources with the
+``e_cap`` clamp, leakage, ESR draw overhead, resistive / current /
+constant demand terms and any number of loads), dispatching
+simple-shaped chunks to ``lane_tail``, the transcription of
+:meth:`SupplyRail._chunk_loop_simple`.  Every fast-kernel chunk runs
+through it (:class:`ChunkLoop`).
 
-* ``chunk_loop`` — :meth:`SupplyRail._chunk_loop` for one rail (any
-  number of voltage sources, converter-less power sources with the
-  ``e_cap`` clamp, leakage, ESR draw overhead, resistive / current /
-  constant demand terms and any number of loads), dispatching
-  simple-shaped chunks to the transcription of
-  :meth:`SupplyRail._chunk_loop_simple`.  Every solo fast-kernel chunk
-  and every batched scalar lane runs through it (:class:`ChunkLoop`).
-* ``simple_pass`` — the hot loop of :func:`repro.sim.batch._simple_pass`:
-  each lane runs the simple loop's exact operation sequence, and lanes
-  are interleaved in blocks so their independent divide/sqrt chains
-  pipeline through the divider.
-
-Exactness: the C bodies perform the same IEEE-754 double operations in
+Exactness: the C body performs the same IEEE-754 double operations in
 the same order as the Python loops (CPython floats are C doubles), and
 the build disables contraction (``-ffp-contract=off -fno-fast-math``)
 so no fused multiply-add can perturb a rounding.  A self-check at load
-time replays small scenarios covering every branch against the Python
+time replays small chunks covering every branch against the Python
 loops and discards the library on any bit difference.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
 self-check, or ``REPRO_BATCH_CKERNEL=0`` leave the Python chunk loops
-in charge of solo chunks and the numpy pass in charge of batched simple
-passes.  Failed loads are counted in
-``repro_ckernel_load_failures_total{reason}``; the rung solo chunks run
-on is the ``chunk.kernel`` domain of :mod:`repro.degrade`.  The
-compiled object is cached on disk keyed by a digest of the source and
-flags, so each machine compiles once.
+in charge.  Failed loads are counted in
+``repro_ckernel_load_failures_total{reason}``; the rung chunks run on
+is the ``chunk.kernel`` domain of :mod:`repro.degrade`.  The compiled
+object is cached on disk keyed by a digest of the source and flags, so
+each machine compiles once.
 """
 
 from __future__ import annotations
@@ -48,11 +40,6 @@ import numpy as np
 
 from repro import faults, obs
 from repro.sim.kernel import VoltageSourcePlan
-
-#: Interleave width: independent per-lane recursions advanced together
-#: so their divide/sqrt latencies overlap.  8 saturates the divider on
-#: current x86-64 cores; the tail loop handles any remainder.
-_BLOCK = 8
 
 #: ``chunk_loop`` frame layout, in 8-byte slots: the header below, then
 #: per source (address, kind, drop, r_total), per load (kind,
@@ -74,14 +61,13 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-#define BLK %(block)d
 #define HDR %(header)d
 #define SRC_SLOTS %(source_slots)d
 #define LOAD_SLOTS %(load_slots)d
 
-/* Exact transcription of SupplyRail._chunk_loop_simple for one lane,
-   starting at pass step i0.  Returns the committed step count (an
-   event boundary leaves the lane frozen at the pre-step voltage). */
+/* Exact transcription of SupplyRail._chunk_loop_simple, starting at
+   step i0.  Returns the committed step count (an event boundary leaves
+   the voltage at its pre-step value). */
 static int64_t lane_tail(
     const double *values, int64_t i0, int64_t n,
     double *v_io, double C, double vm, double dp, double rt,
@@ -117,108 +103,6 @@ static int64_t lane_tail(
     }
     *v_io = vv; *hv_io = hv; *co_io = co; *st_io = st;
     return i;
-}
-
-void simple_pass(
-    int64_t m_count,
-    const uintptr_t *vals,      /* per-lane pointer to pass step 0 */
-    const int64_t *horizons,
-    double *v,
-    const double *cap,
-    const double *v_max,
-    const double *drop,
-    const double *r_total,
-    const double *e_dem,
-    const double *v_rise,
-    const double *v_fall,
-    const double *dt,
-    double *harvested,
-    double *consumed,
-    double *starved,
-    double *vcc,                /* [m_count, row_stride] */
-    int64_t row_stride,
-    int64_t *taken)
-{
-    int64_t lane = 0;
-    while (lane + BLK <= m_count) {
-        const double *values[BLK];
-        double vv[BLK], C[BLK], hc[BLK], vm[BLK], dp[BLK], rt[BLK];
-        double ed[BLK], vr[BLK], vf[BLK], dtv[BLK];
-        double hv[BLK], co[BLK], st[BLK];
-        double *row[BLK];
-        int64_t n_min = horizons[lane];
-        for (int k = 0; k < BLK; ++k) {
-            int64_t l = lane + k;
-            values[k] = (const double *) vals[l];
-            vv[k] = v[l]; C[k] = cap[l]; hc[k] = 0.5 * C[k];
-            vm[k] = v_max[l]; dp[k] = drop[l]; rt[k] = r_total[l];
-            ed[k] = e_dem[l]; vr[k] = v_rise[l]; vf[k] = v_fall[l];
-            dtv[k] = dt[l];
-            hv[k] = harvested[l]; co[k] = consumed[l]; st[k] = starved[l];
-            row[k] = vcc + l * row_stride;
-            if (horizons[l] < n_min) n_min = horizons[l];
-        }
-        /* Lock-step over the block while nobody events.  The branchless
-           first half computes identical doubles to the branch form: a
-           non-positive charge clamps to +0.0 (vv + 0.0 == vv, and the
-           energy gain becomes a - a = +0.0, the scalar loop's dh = 0.0),
-           and vv <= vm always holds so the unconditional clamp is a
-           no-op on a non-charging step. */
-        int64_t i = 0;
-        for (; i < n_min; ++i) {
-            double vn[BLK], dh[BLK];
-            int ev = 0;
-            for (int k = 0; k < BLK; ++k) {
-                double head = values[k][i] - vv[k] - dp[k];
-                double before = hc[k] * vv[k] * vv[k];
-                double q = head / rt[k] * dtv[k] / C[k];
-                q = (q > 0.0) ? q : 0.0;
-                double tv = vv[k] + q;
-                tv = (tv > vm[k]) ? vm[k] : tv;
-                vn[k] = tv;
-                dh[k] = hc[k] * tv * tv - before;
-                ev |= (tv >= vr[k]) | (tv < vf[k]);
-            }
-            if (ev) break;  /* no lane committed this step */
-            for (int k = 0; k < BLK; ++k) {
-                double avail = hc[k] * vn[k] * vn[k];
-                int sv = (ed[k] >= avail);
-                double root = sqrt(2.0 * (avail - ed[k]) / C[k]);
-                double vfin = sv ? 0.0 : root;
-                double delivered = sv ? avail : ed[k];
-                hv[k] += dh[k];
-                co[k] += delivered;
-                st[k] += ed[k] - delivered;
-                vv[k] = vfin;
-                row[k][i] = vfin;
-            }
-        }
-        /* Settle each lane to its own event or horizon (step i reruns
-           from the unchanged pre-step state, so the eventing lane
-           freezes there and the others continue). */
-        for (int k = 0; k < BLK; ++k) {
-            int64_t l = lane + k;
-            double vl = vv[k], hl = hv[k], cl = co[k], sl = st[k];
-            taken[l] = lane_tail(values[k], i, horizons[l], &vl,
-                                 C[k], vm[k], dp[k], rt[k], ed[k],
-                                 vr[k], vf[k], dtv[k],
-                                 &hl, &cl, &sl, row[k]);
-            v[l] = vl; harvested[l] = hl; consumed[l] = cl; starved[l] = sl;
-        }
-        lane += BLK;
-    }
-    for (; lane < m_count; ++lane) {
-        double vl = v[lane], hl = harvested[lane];
-        double cl = consumed[lane], sl = starved[lane];
-        taken[lane] = lane_tail((const double *) vals[lane], 0,
-                                horizons[lane], &vl,
-                                cap[lane], v_max[lane], drop[lane],
-                                r_total[lane], e_dem[lane], v_rise[lane],
-                                v_fall[lane], dt[lane],
-                                &hl, &cl, &sl, vcc + lane * row_stride);
-        v[lane] = vl; harvested[lane] = hl;
-        consumed[lane] = cl; starved[lane] = sl;
-    }
 }
 
 static const double *slot_pointer(const double *slot)
@@ -336,7 +220,6 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
     return i;
 }
 """ % {
-    "block": _BLOCK,
     "header": len(_HEADER),
     "source_slots": _SOURCE_SLOTS,
     "load_slots": _LOAD_SLOTS,
@@ -350,6 +233,11 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
 #: and (measured) faster here than the wide-vector encodings, and the
 #: contraction switches guarantee no FMA rewrites the rounding sequence.
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
+
+#: File-name prefix of the cached shared object.  Keep it:
+#: ``perfbench/common.py`` (``ckernel_cache_cold``) looks for files
+#: starting ``simple_pass-``.
+_SO_PREFIX = "simple_pass"
 
 _UNSET = object()
 _cached: object = _UNSET
@@ -416,8 +304,7 @@ def _compile() -> Optional[str]:
         _note_compile_failure()
         return None
     cache = _cache_dir()
-    # The name predates chunk_loop; perfbench's cold-cache check reads it.
-    so_path = os.path.join(cache, f"simple_pass-{digest}.so")
+    so_path = os.path.join(cache, f"{_SO_PREFIX}-{digest}.so")
     if os.path.exists(so_path):
         _compile_failures = 0
         return so_path
@@ -429,10 +316,10 @@ def _compile() -> Optional[str]:
     try:
         os.makedirs(cache, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=cache) as work:
-            c_path = os.path.join(work, "simple_pass.c")
+            c_path = os.path.join(work, f"{_SO_PREFIX}.c")
             with open(c_path, "w") as fh:
                 fh.write(_SOURCE)
-            tmp_so = os.path.join(work, "simple_pass.so")
+            tmp_so = os.path.join(work, f"{_SO_PREFIX}.so")
             result = subprocess.run(
                 [compiler, *_CFLAGS, "-o", tmp_so, c_path, "-lm"],
                 capture_output=True,
@@ -451,34 +338,9 @@ def _compile() -> Optional[str]:
         return None
 
 
-class Kernel:
-    """The loaded library's two entry points (see the module docstring)."""
-
-    __slots__ = ("simple_pass", "chunk_loop")
-
-    def __init__(self, simple_pass, chunk_loop):
-        self.simple_pass = simple_pass
-        self.chunk_loop = chunk_loop
-
-
-def _bind(so_path: str) -> Kernel:
-    lib = ctypes.CDLL(so_path)
-    simple = lib.simple_pass
-    simple.restype = None
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    uptr = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
-    simple.argtypes = [
-        ctypes.c_int64,  # m_count
-        uptr,            # vals (per-lane data pointers)
-        i64,             # horizons
-        f64, f64, f64, f64, f64, f64, f64, f64, f64,  # v .. dt
-        f64, f64, f64,   # harvested, consumed, starved
-        f64,             # vcc
-        ctypes.c_int64,  # row_stride
-        i64,             # taken
-    ]
-    chunk = lib.chunk_loop
+def _bind(so_path: str):
+    """The library's ``chunk_loop`` as a ctypes function."""
+    chunk = ctypes.CDLL(so_path).chunk_loop
     chunk.restype = ctypes.c_int64
     # Raw addresses, not ndpointer: a chunk averages a few dozen steps,
     # so per-call argument checking would cost more than the loop.
@@ -489,7 +351,7 @@ def _bind(so_path: str) -> Kernel:
         ctypes.c_void_p,  # frame
         ctypes.c_void_p,  # vcc
     ]
-    return Kernel(simple, chunk)
+    return chunk
 
 
 class ChunkLoop:
@@ -615,19 +477,19 @@ def _replay(chunk_loop, rail, plans, profiles, n):
             stats.starved, list(energies), voltages)
 
 
-def _self_check(kernel: Kernel) -> bool:
-    """Replay small scenarios through both entry points and demand
+def _self_check(chunk_loop) -> bool:
+    """Replay small chunks through the compiled ``chunk_loop`` and demand
     results bit-identical to the Python loops.
 
-    ``simple_pass`` runs three lanes covering charging, the v_max clamp,
-    a starved step, a non-charging step, and an event boundary on one
-    lane while the others run to horizon.  ``chunk_loop`` runs a general
-    chunk (voltage and power sources with the ``e_cap`` clamp, leakage,
-    ESR overhead, resistive, current and constant loads) to its horizon
-    and again with an event on the third load, a starving one (leakage
-    skipped at zero volts), a charging and starving one, one starving
-    through the ESR overhead, one whose event is the clamp voltage
-    itself, a simple-shaped one and a source-less one.
+    Three simple-shaped chunks exercise ``lane_tail``: charging, the
+    v_max clamp, a starved step, a non-charging step, and an event
+    boundary before the horizon.  General chunks run voltage and power
+    sources with the ``e_cap`` clamp, leakage, ESR overhead, resistive,
+    current and constant loads to their horizon, and again with an
+    event on the third load, a starving one (leakage skipped at zero
+    volts), a charging and starving one, one starving through the ESR
+    overhead, one whose event is the clamp voltage itself (general and
+    simple-shaped), a simple-shaped one and a source-less one.
     """
     from repro.sim.kernel import (
         LoadProfile, PowerSourcePlan, VoltageSourcePlan,
@@ -638,37 +500,18 @@ def _self_check(kernel: Kernel) -> bool:
     plan = np.ascontiguousarray(
         np.maximum(1.2 * np.sin(steps * 0.7), 0.0)
     )
-    m = 3
-    params = [
+    simple = [
         # (v0, C, v_max, drop, r_total, e_dem, v_rise, v_fall, dt)
         (0.30, 47e-6, 3.3, 0.2, 150.0, 5e-11, 2.9, -np.inf, 50e-6),
         (0.90, 10e-6, 1.0, 0.2, 50.0, 1e-9, 1.0, -np.inf, 50e-6),
         (0.05, 22e-6, 3.3, 0.2, 500.0, 2e-7, 2.9, 0.01, 50e-6),
     ]
-    cols = [np.array([p[j] for p in params]) for j in range(9)]
-    v, cap, vmx, drp, rt, ed, vr, vf, dt = cols
-    hv = np.zeros(m)
-    co = np.zeros(m)
-    st = np.zeros(m)
-    horizons = np.full(m, n, dtype=np.int64)
-    stride = n + 8
-    vcc = np.empty((m, stride))
-    taken = np.empty(m, dtype=np.int64)
-    ptrs = np.full(m, plan.ctypes.data, dtype=np.uintp)
-    kernel.simple_pass(m, ptrs, horizons, v, cap, vmx, drp, rt, ed, vr,
-                       vf, dt, hv, co, st, vcc, stride, taken)
-    for lane, (v0, C, vm, dp, r, e, rise, fall, step) in enumerate(params):
-        ri, rv, rhv, _, rco, rst, _, rout = _replay(
-            None, (C, vm, None, 1.0, v0, step),
-            [VoltageSourcePlan(plan, dp, r, plan.ctypes.data)],
-            [LoadProfile(energy=e, v_rising=rise, v_falling=fall)], n,
-        )
-        if int(taken[lane]) != ri:
-            return False
-        if (rv != v[lane] or rhv != hv[lane] or rco != co[lane]
-                or rst != st[lane]):
-            return False
-        if vcc[lane, :ri].tolist() != rout:
+    for v0, C, vm, dp, r, e, rise, fall, step in simple:
+        rail = (C, vm, None, 1.0, v0, step)
+        plans = [VoltageSourcePlan(plan, dp, r, plan.ctypes.data)]
+        profiles = [LoadProfile(energy=e, v_rising=rise, v_falling=fall)]
+        if (_replay(chunk_loop, rail, plans, profiles, n)
+                != _replay(None, rail, plans, profiles, n)):
             return False
 
     n = 400
@@ -701,11 +544,14 @@ def _self_check(kernel: Kernel) -> bool:
          [LoadProfile(power=1e-4, v_rising=3.3)]),
         ((22e-6, 3.3, None, 1.0, 0.5, 5e-5), [charge],
          [LoadProfile(power=1e-4, v_rising=0.9, v_falling=0.1)]),
+        ((10e-6, 3.3, None, 1.0, 3.1, 5e-5),
+         [VoltageSourcePlan(wave, 0.2, 5.0, wave.ctypes.data)],
+         [LoadProfile(energy=1e-9, v_rising=3.3)]),
         ((22e-6, 3.3, None, 1.02, 2.0, 5e-5), [],
          [LoadProfile(current=1e-3, current_gain=0.9, v_falling=1.5)]),
     ]
     for rail, plans, profiles in cases:
-        if (_replay(kernel.chunk_loop, rail, plans, profiles, n)
+        if (_replay(chunk_loop, rail, plans, profiles, n)
                 != _replay(None, rail, plans, profiles, n)):
             return False
     return True
@@ -716,8 +562,9 @@ def _note_load_failure(reason: str, **attrs) -> None:
     obs.instant("ckernel.load_failed", reason=reason, **attrs)
 
 
-def load() -> Optional[Kernel]:
-    """The loaded :class:`Kernel`, or None when unavailable.
+def load():
+    """The compiled ``chunk_loop`` (a ctypes function), or None when
+    unavailable.
 
     A build that raises while loading, or that fails the self-check, is
     discarded and counted in
@@ -726,14 +573,14 @@ def load() -> Optional[Kernel]:
     global _cached
     if _cached is not _UNSET:
         return _cached
-    kernel = None
+    chunk_loop = None
     if os.environ.get("REPRO_BATCH_CKERNEL", "1") != "0":
         try:
             so_path = _compile()
             if so_path is not None:
                 candidate = _bind(so_path)
                 if _self_check(candidate):
-                    kernel = candidate
+                    chunk_loop = candidate
                 else:
                     _note_load_failure("selfcheck")
         except Exception as error:
@@ -742,8 +589,8 @@ def load() -> Optional[Kernel]:
             _note_load_failure(
                 "exception", error=f"{type(error).__name__}: {error}"
             )
-    _cached = kernel
-    return kernel
+    _cached = chunk_loop
+    return chunk_loop
 
 
 def reset_cache() -> None:

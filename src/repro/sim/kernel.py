@@ -210,10 +210,8 @@ class SourcePlanMemo:
     requested step, ``held`` being the length of the window it replaces,
     so a run advancing chunk by chunk costs O(log) waveform evaluations
     until the look-ahead reaches its cap, then one per
-    :data:`LOOKAHEAD_CAP` steps.  A batch seeds the memo with a shared
-    plan from step 0 (``put(0, dt, plan)``) that covers every window the
-    lane is about to ask for, so the lane never evaluates the waveform
-    itself.
+    :data:`LOOKAHEAD_CAP` steps.  Each injector owns its memo; nothing
+    is shared across runs.
 
     The memo holds one C-contiguous float64 array and serves windows as
     views into it, with the raw address of the first element: the

@@ -149,7 +149,7 @@ class Probe:
 
         A no-op for ring probes (fixed capacity) and for buffers that
         are already large enough.  Callers that know the run horizon
-        (the fast kernel, the batched kernel) use this to skip the
+        (the fast kernel) use this to skip the
         incremental grow-and-copy churn of long runs.
         """
         if self._capacity is not None:

@@ -150,13 +150,12 @@ def _run_batch_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker body for a whole-batch task: M grid points in one payload.
 
     Members resolve against the shared base spec exactly like
-    override-only point tasks, then run together through the batched
-    SoA kernel (:func:`repro.sim.batch.run_specs_batched`) — identical
-    spec hashes, metrics and traces per member, one worker round-trip
-    for the whole batch.  Returns ``{"batch": [records...], "stats":
-    {...}}`` with one record per member, in member order.
+    override-only point tasks, then run one after another through
+    :func:`repro.sim.batch.run_specs_batched` — the per-point body,
+    one worker round-trip for the whole batch.  Returns ``{"batch":
+    [records...]}`` with one record per member, in member order.
     """
-    from repro.sim.batch import BatchStats, run_specs_batched
+    from repro.sim.batch import run_specs_batched
 
     member_tasks = payload["spec_overrides_batch"]
     overrides_list = payload.get("overrides_batch") or member_tasks
@@ -179,7 +178,6 @@ def _run_batch_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         specs.append(spec)
         spec_overrides.append(dict(overrides_list[index]))
         positions.append(index)
-    stats = BatchStats()
     results = run_specs_batched(
         specs,
         overrides_list=spec_overrides,
@@ -187,11 +185,41 @@ def _run_batch_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         max_trace_samples=payload.get(
             "max_trace_samples", MAX_TRACE_SAMPLES
         ),
-        stats=stats,
     )
     for position, result in zip(positions, results):
         records[position] = result.to_record()
-    return {"batch": records, "stats": stats.to_dict()}
+    return {"batch": records}
+
+
+def run_spec(
+    spec: ScenarioSpec,
+    overrides: Dict[str, Any],
+    capture_traces: Sequence[str] = (),
+    max_trace_samples: int = MAX_TRACE_SAMPLES,
+) -> RunResult:
+    """Build and run one spec: the body of every point, batched or not.
+
+    A spec that fails to build or run becomes an error row keyed by its
+    spec hash, so one bad point cannot kill the sweep.
+    """
+    try:
+        system = spec.build()
+        run = system.run(spec.duration, decimate=spec.decimate)
+        return RunResult.from_system_run(
+            run,
+            spec,
+            overrides=overrides,
+            capture_traces=tuple(capture_traces),
+            max_trace_samples=max_trace_samples,
+        )
+    except Exception as error:  # one bad point must not kill the sweep
+        return RunResult.failed(
+            f"{type(error).__name__}: {error}",
+            spec_hash=spec_hash(spec),
+            name=spec.name,
+            overrides=overrides,
+            spec=spec,
+        )
 
 
 def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -204,9 +232,8 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     :meth:`RunResult.to_record` dict.
 
     A *batch* payload (``"spec_overrides_batch"``: a list of override
-    dicts) runs all its members through the batched SoA kernel in one
-    task and returns ``{"batch": [records...], "stats": {...}}``
-    instead (see :func:`_run_batch_payload`).
+    dicts) runs all its members in one task and returns ``{"batch":
+    [records...]}`` instead (see :func:`_run_batch_payload`).
     """
     if faults.is_armed():
         # Chaos harness: an injected crash raises out of the worker (the
@@ -226,27 +253,14 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             spec_hash=_task_failure_key(payload, _SHARED_BASE_DICT),
             overrides=overrides,
         ).to_record()
-    try:
-        system = spec.build()
-        run = system.run(spec.duration, decimate=spec.decimate)
-        result = RunResult.from_system_run(
-            run,
-            spec,
-            overrides=overrides,
-            capture_traces=tuple(payload.get("traces", ())),
-            max_trace_samples=payload.get(
-                "max_trace_samples", MAX_TRACE_SAMPLES
-            ),
-        )
-    except Exception as error:  # one bad point must not kill the sweep
-        result = RunResult.failed(
-            f"{type(error).__name__}: {error}",
-            spec_hash=spec_hash(spec),
-            name=spec.name,
-            overrides=overrides,
-            spec=spec,
-        )
-    return result.to_record()
+    return run_spec(
+        spec,
+        overrides,
+        capture_traces=tuple(payload.get("traces", ())),
+        max_trace_samples=payload.get(
+            "max_trace_samples", MAX_TRACE_SAMPLES
+        ),
+    ).to_record()
 
 
 #: Back-compat alias: a sweep point and a standalone run share one type.
@@ -270,16 +284,6 @@ class BatchProgress:
         cached: points satisfied from the result store in this batch.
         errors: points in this batch whose row carries an error.
         total: cumulative points satisfied so far across the run.
-        members: points that ran through the batched SoA kernel (None
-            when batching was off for this batch).
-        passes: vectorized passes the batched kernel executed.
-        advanced: member-steps advanced in chunks (vectorized passes and
-            scalar lane chunks).
-        settled: member-steps settled scalar-side at event boundaries.
-        diverged: members that ran outside the batch, through the
-            per-scenario path.
-        scalar_chunks: chunks lanes advanced one at a time through the
-            scalar chunk loop (outside any vectorized pass).
     """
 
     label: str
@@ -288,30 +292,14 @@ class BatchProgress:
     cached: int
     errors: int
     total: int
-    members: Optional[int] = None
-    passes: Optional[int] = None
-    advanced: Optional[int] = None
-    settled: Optional[int] = None
-    diverged: Optional[int] = None
-    scalar_chunks: Optional[int] = None
 
     def describe(self) -> str:
         """The canonical one-line rendering of this event."""
-        line = (
+        return (
             f"[{self.label}] batch {self.batch}: "
             f"{self.computed} computed, {self.cached} cached, "
             f"{self.errors} error(s); {self.total} total"
         )
-        if self.members is not None:
-            line += (
-                f" [batched: {self.members} members, "
-                f"{self.passes or 0} passes, "
-                f"{self.scalar_chunks or 0} scalar chunks, "
-                f"{self.advanced or 0} advanced, "
-                f"{self.settled or 0} settled, "
-                f"{self.diverged or 0} diverged]"
-            )
-        return line
 
 
 #: The progress-hook signature accepted by runners and drivers.
@@ -1106,11 +1094,12 @@ def group_batch_payloads(
     specs: Sequence[ScenarioSpec],
     batch_size: Optional[int],
 ) -> Tuple[List[Dict[str, Any]], List[int]]:
-    """Regroup per-point payloads into batched-kernel payloads.
+    """Regroup per-point payloads into batch-task payloads.
 
     Points whose specs share a topology (same component skeleton, fast
     kernel — see :func:`repro.sim.batch.topology_key`) merge into batch
-    payloads of up to ``batch_size`` members; everything else (full-spec
+    payloads of up to ``batch_size`` members, each one task whose
+    members run one after another; everything else (full-spec
     payloads, non-batchable specs, singleton groups) passes through
     untouched.  ``batch_size`` semantics: ``None`` or ``1`` disables
     grouping, ``0`` (or negative) picks
@@ -1170,36 +1159,29 @@ def group_batch_payloads(
 
 def flatten_batch_records(
     records: List[Dict[str, Any]],
-) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+) -> List[Dict[str, Any]]:
     """Expand batch worker records back to one record per point.
 
     The inverse of :func:`group_batch_payloads`'s regrouping: batch
-    records (``{"batch": [...], "stats": {...}}``) contribute their
-    members in order, point records pass through — so the flattened list
-    lines up with the ``order`` index list.  Batch stats sum across all
-    batches into the returned totals dict (empty when nothing batched).
+    records (``{"batch": [...]}``) contribute their members in order,
+    point records pass through — so the flattened list lines up with
+    the ``order`` index list.
     """
     flat: List[Dict[str, Any]] = []
-    totals: Dict[str, int] = {}
     for record in records:
         if isinstance(record, dict) and "batch" in record:
             flat.extend(record["batch"])
-            for key, value in (record.get("stats") or {}).items():
-                totals[key] = totals.get(key, 0) + int(value)
-            totals.setdefault("members", 0)
         else:
             flat.append(record)
-    return flat, totals
+    return flat
 
 
 @dataclass(frozen=True)
 class EvaluationStats:
     """How one :func:`evaluate` call satisfied its points: the positions
-    that ran on the executor, and the batched-kernel totals (empty when
-    nothing batched)."""
+    that ran on the executor."""
 
     computed: Tuple[int, ...]
-    batch: Mapping[str, int]
 
     def progress(
         self, label: str, batch: int, results: Sequence[RunResult], *,
@@ -1210,7 +1192,7 @@ class EvaluationStats:
             label=label, batch=batch, computed=computed,
             cached=len(results) - computed,
             errors=sum(1 for result in results if result.error is not None),
-            total=total, **self.batch,
+            total=total,
         )
 
 
@@ -1232,7 +1214,7 @@ def evaluate(
     label overrides tag its result row.  With ``resume``, a stored row
     is reused unless it is a worker crash; a spec hash listed twice
     computes once; the rest run on ``executor`` under ``policy``,
-    grouped into batched-kernel payloads per ``batch_size`` (see
+    grouped into batch-task payloads per ``batch_size`` (see
     :func:`group_batch_payloads`), and are written back in one
     ``store.batch()`` — worker crashes excepted, so they stay
     recomputable.  Returns one result per point, anchored to its
@@ -1256,7 +1238,7 @@ def evaluate(
     grouped, order = group_batch_payloads(
         payloads, [points[position][0] for position in pending], batch_size
     )
-    flat, batch_stats = flatten_batch_records(
+    flat = flatten_batch_records(
         executor(grouped, base_spec=base_dict, policy=policy)
     )
     records: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
@@ -1281,7 +1263,7 @@ def evaluate(
         outcome[key].with_context(index=position, spec=point[0])
         for position, (key, point) in enumerate(zip(hashes, points))
     ]
-    return results, EvaluationStats(tuple(pending), batch_stats)
+    return results, EvaluationStats(tuple(pending))
 
 
 @dataclass(frozen=True)
@@ -1429,8 +1411,8 @@ class SweepRunner:
                 event (a sweep is one batch) once the grid is satisfied.
             pool: a caller-managed :class:`WarmPool` to execute on (left
                 open); this sweep's base spec rides along per batch.
-            batch_size: group points sharing a topology into batched
-                SoA-kernel tasks of up to this many members (``0`` =
+            batch_size: points per task: points sharing a topology
+                share tasks of up to this many members (``0`` =
                 :data:`repro.sim.batch.AUTO_BATCH_SIZE`; ``None``/``1``
                 = per-point execution).  Results are identical either
                 way — same spec hashes, metrics and store rows.

@@ -2,7 +2,7 @@
 
 Repeated compile failures must not cost a compile attempt per batch
 forever: after :data:`BREAKER_THRESHOLD` consecutive failures the
-breaker opens and :func:`_compile` short-circuits to the numpy rung
+breaker opens and :func:`_compile` short-circuits to the Python rung
 until it is explicitly reset."""
 
 import pytest
@@ -129,3 +129,12 @@ def test_load_exception_is_counted_not_silent(monkeypatch):
     assert failure_instants() == [
         {"reason": "exception", "error": "OSError: cannot map the library"}
     ]
+
+
+def test_ckernel_self_check_guards_loading():
+    """The load-time self-check passes for a healthy build (the module
+    would otherwise silently fall back to the Python loops)."""
+    chunk_loop = _ckernel.load()
+    if chunk_loop is None:
+        pytest.skip("no C compiler available")
+    assert _ckernel._self_check(chunk_loop)

@@ -2,32 +2,29 @@
 
 Covers the grouping bugfix (spec axes that change batch eligibility or
 topology must partition the grid, never silently merge), the row
-identity contract (batched rows == per-point rows, same hashes, same
-store entries), and zero-recompute replay on a store written by a
-batched sweep.
+identity contract (batched rows byte-identical to per-point rows across
+the strategy catalog, event-heavy members and error rows), and
+zero-recompute replay on a store written by a batched sweep.
 """
 
+import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-import repro.sim.batch as B
-from repro.sim import _ckernel
 from repro.sim.batch import topology_key
 from repro.spec import SweepRunner
-from repro.spec.presets import fig7_spec
+from repro.spec.presets import fig7_spec, preset
 from repro.spec.runner import (
     BatchProgress,
     flatten_batch_records,
     group_batch_payloads,
 )
 from repro.results.store import ResultStore
-
-
-@pytest.fixture(autouse=True)
-def _small_groups(monkeypatch):
-    monkeypatch.setattr(B, "_MIN_VECTOR_GROUP", 2)
+from repro.spec.specs import StorageSpec
 
 
 def small_base(**kw):
@@ -86,74 +83,155 @@ def test_batch_size_partitions_within_a_topology():
     assert sorted(order) == list(range(len(payloads)))
 
 
-@pytest.fixture
-def pass_rung(monkeypatch):
-    """Select the batched pass implementation: ``"c"`` (the compiled
-    kernel; skips without a C compiler) or ``"numpy"``."""
-
-    def select(rung):
-        if rung == "numpy":
-            monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
-        else:
-            monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
-        _ckernel.reset_cache()
-        if rung == "c" and _ckernel.load() is None:
-            pytest.skip("no C compiler available")
-
-    yield select
-    _ckernel.reset_cache()
-
-
-def _capacitance_rows(**run_kwargs):
-    runner = SweepRunner(
-        small_base(),
-        {"capacitance": [22e-6, 33e-6, 47e-6, 68e-6]},
+def with_strategy(spec, strategy):
+    platform = dataclasses.replace(
+        spec.platform, strategy=strategy, strategy_params={}
     )
-    return runner.run(parallel=False, **run_kwargs)
+    return dataclasses.replace(spec, platform=platform)
 
 
-def test_batched_sweep_rows_equal_per_point_rows(pass_rung):
-    """The whole-stack identity contract on the compiled pass: batched
-    and per-point sweeps produce identical metrics and spec hashes, row
-    for row (the C pass accumulates the ledger in the scalar loop's own
-    order, so even the float metrics match exactly)."""
-    pass_rung("c")
-    serial = _capacitance_rows()
+def state_transitions(row):
+    """``(times, states)`` at each change of platform state."""
+    times = np.asarray(row.traces["state"]["times"])
+    states = np.asarray(row.traces["state"]["values"])
+    edges = np.r_[True, states[1:] != states[:-1]]
+    return times[edges], states[edges]
+
+
+def died_mid_snapshot(row):
+    _, states = state_transitions(row)
+    return any(
+        a == 3.0 and b == 0.0  # SNAPSHOT -> OFF
+        for a, b in zip(states, states[1:])
+    )
+
+
+def catalog_case(strategy):
+    return (
+        with_strategy(small_base(), strategy),
+        {"capacitance": [22e-6, 40e-6, 68e-6]},
+        lambda rows: None,
+    )
+
+
+def brownout_case():
+    """An undersized explicit V_H against a large snapshot image: the
+    22 uF point browns out mid-snapshot, the 33 and 47 uF points do
+    not."""
+    base = fig7_spec(fft_size=512, duration=0.4).with_overrides(
+        {"kernel": "fast"}
+    )
+    base = dataclasses.replace(base, platform=dataclasses.replace(
+        base.platform,
+        strategy_params={"v_hibernate": 2.0, "v_restore": 2.9},
+        machine_params={
+            **base.platform.machine_params, "data_space_words": 60000,
+        },
+    ))
+
+    def check(rows):
+        assert [died_mid_snapshot(row) for row in rows] == [
+            True, False, False
+        ]
+
+    return base, {"capacitance": [22e-6, 33e-6, 47e-6]}, check
+
+
+def mixed_capacitance_case():
+    def check(rows):
+        assert all(row.traces["vcc"]["values"] for row in rows)
+
+    grid = {"capacitance": [float(c) for c in np.linspace(22e-6, 80e-6, 6)]}
+    return small_base(), grid, check
+
+
+def event_timestamps_case():
+    """Transition times are strictly increasing: nothing reordered or
+    merged."""
+    rng = np.random.default_rng(7)
+    grid = {
+        "capacitance": [float(c) for c in rng.uniform(15e-6, 90e-6, 4)],
+        "source_resistance": [
+            float(r) for r in rng.uniform(800.0, 2500.0, 2)
+        ],
+    }
+
+    def check(rows):
+        for row in rows:
+            assert bool(np.all(np.diff(row.traces["state"]["times"]) > 0))
+        assert max(len(state_transitions(row)[0]) for row in rows) > 2
+
+    return small_base(duration=0.3), grid, check
+
+
+def crossover_case(strategy):
+    """Eq. (5) crossover points (two loads) on a leaky supercapacitor
+    with ESR overhead: the general chunk loop."""
+    base = preset(f"crossover-{strategy}").with_overrides({
+        "kernel": "fast", "engine__total_cycles": 1_000_000,
+        "duration": 3.0,
+    })
+    base = dataclasses.replace(base, storage=StorageSpec(
+        "supercapacitor", {"capacitance": 22e-6, "v_max": 3.3}
+    ))
+
+    def check(rows):
+        assert sum(row.metrics["brownouts"] for row in rows) > 0
+
+    return base, {"frequency": [2.0, 30.0], "capacitance": [10e-6, 22e-6]}, \
+        check
+
+
+CASES = {
+    **{
+        f"strategy-{strategy}": (lambda s=strategy: catalog_case(s))
+        for strategy in ("hibernus", "hibernus++", "quickrecall", "nvp",
+                         "mementos")
+    },
+    "mid-snapshot-brownout": brownout_case,
+    "mixed-capacitance": mixed_capacitance_case,
+    "event-timestamps": event_timestamps_case,
+    **{
+        f"crossover-{strategy}": (lambda s=strategy: crossover_case(s))
+        for strategy in ("hibernus", "quickrecall")
+    },
+}
+
+
+def records(rows):
+    return [json.dumps(row.to_record(), sort_keys=True) for row in rows]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_batched_sweep_rows_equal_per_point_rows(case):
+    """The whole-stack identity contract, on whichever chunk-loop rung
+    the environment selects: a batched sweep's rows — metrics, traces,
+    spec hashes and overrides — are byte-identical to per-point rows."""
+    base, grid, check = CASES[case]()
+    runner = SweepRunner(base, grid)
+    traces = ("vcc", "state")
+    per_point = runner.run(parallel=False, capture_traces=traces)
     events = []
-    batched = _capacitance_rows(batch_size=0, progress=events.append)
-    assert [p.spec_hash for p in batched] == [p.spec_hash for p in serial]
-    assert [p.metrics for p in batched] == [p.metrics for p in serial]
-    assert len(events) == 1
-    event = events[0]
-    assert isinstance(event, BatchProgress)
-    assert event.members == 4
-    assert event.passes and event.passes > 0
-    assert event.advanced and event.advanced > 0
-    assert "batched:" in event.describe()
+    batched = runner.run(
+        parallel=False, batch_size=0, capture_traces=traces,
+        progress=events.append,
+    )
+    assert records(batched) == records(per_point)
+    assert all(row.error is None for row in batched)
+    assert len(events) == 1 and isinstance(events[0], BatchProgress)
+    check(list(batched))
 
 
-def test_batched_sweep_rows_match_per_point_rows_numpy_rung(pass_rung):
-    """Without a C compiler the numpy pass keeps the documented contract:
-    identical spec hashes and vcc traces, metrics within 1e-9 relative
-    (its telescoped ledger re-associates the energy sums)."""
-    pass_rung("numpy")
-    traces = {"capture_traces": ("vcc",)}
-    serial = _capacitance_rows(**traces)
-    batched = _capacitance_rows(batch_size=0, **traces)
-    assert [p.spec_hash for p in batched] == [p.spec_hash for p in serial]
-    for row, reference in zip(batched, serial):
-        assert row.traces["vcc"]["values"]
-        assert (row.traces["vcc"]["values"]
-                == reference.traces["vcc"]["values"])
-        assert row.metrics.keys() == reference.metrics.keys()
-        for key, value in row.metrics.items():
-            expected = reference.metrics[key]
-            if isinstance(value, float) and isinstance(expected, float):
-                assert abs(value - expected) <= 1e-9 * max(
-                    1.0, abs(expected)
-                ), (key, value, expected)
-            else:
-                assert value == expected, (key, value, expected)
+def test_batched_build_failure_row_equals_per_point_row():
+    """A member whose build raises becomes the same error row — spec
+    hash, error text, overrides — in a batch task as on its own."""
+    runner = SweepRunner(small_base(), {"capacitance": [-1e-6, 22e-6]})
+    per_point = runner.run(parallel=False, batch_size=1)
+    batched = runner.run(parallel=False, batch_size=0)
+    assert records(batched) == records(per_point)
+    failed = batched.points[0]
+    assert failed.error is not None
+    assert failed.overrides == {"capacitance": -1e-6}
 
 
 def test_batched_sweep_store_replays_with_zero_recomputes():
@@ -183,14 +261,11 @@ def test_batched_sweep_store_replays_with_zero_recomputes():
     assert [p.metrics for p in replay] == [p.metrics for p in first]
 
 
-def test_flatten_batch_records_sums_stats_and_orders_members():
+def test_flatten_batch_records_orders_members():
     records = [
-        {"batch": [{"metrics": {"a": 1}}, {"metrics": {"a": 2}}],
-         "stats": {"members": 2, "passes": 3}},
+        {"batch": [{"metrics": {"a": 1}}, {"metrics": {"a": 2}}]},
         {"metrics": {"a": 3}},
-        {"batch": [{"metrics": {"a": 4}}],
-         "stats": {"members": 1, "passes": 1}},
+        {"batch": [{"metrics": {"a": 4}}]},
     ]
-    flat, totals = flatten_batch_records(records)
+    flat = flatten_batch_records(records)
     assert [r["metrics"]["a"] for r in flat] == [1, 2, 3, 4]
-    assert totals == {"members": 3, "passes": 4}

@@ -10,6 +10,7 @@ outcomes (infeasible rows included) are reused.
 
 import pytest
 
+from repro import obs
 from repro.explore import Axis, ExplorationDriver, SearchSpace
 from repro.results.run_result import WORKER_FAILURE_PREFIX, RunResult
 from repro.results.store import ResultStore
@@ -53,6 +54,14 @@ def run_caller(caller, store, resume=False, parallel=False, batch_size=None,
     return [e.result for e in outcome.evaluations], outcome.computed
 
 
+def batch_members():
+    """Points run as batch-task members so far, workers' included."""
+    return sum(
+        row["value"] for row in obs.registry.snapshot()["counters"]
+        if row["name"] == "repro_batch_members_total"
+    )
+
+
 def store_rows(store):
     return sorted(
         ((row.spec_hash, row.metrics) for row in store), key=lambda r: r[0]
@@ -67,6 +76,7 @@ def test_sweep_and_grid_exploration_write_identical_rows(
     sweep_store = ResultStore(str(tmp_path / "sweep.jsonl"))
     explore_store = ResultStore(str(tmp_path / "explore.jsonl"))
     events = []
+    members = batch_members()
     run_caller(
         "sweep", sweep_store, parallel=parallel, batch_size=batch_size,
         progress=events.append,
@@ -76,9 +86,11 @@ def test_sweep_and_grid_exploration_write_identical_rows(
         batch_size=batch_size, progress=events.append,
     )
     # One event per caller (the grid is one optimizer batch), and both
-    # went through the batched kernel exactly when asked to.
+    # ran their points as batch tasks exactly when asked to.
     assert len(events) == 2
-    assert all((e.members is not None) == (batch_size == 0) for e in events)
+    assert batch_members() - members == (
+        2 * RESOLUTION if batch_size == 0 else 0
+    )
     rows = store_rows(sweep_store)
     assert len(rows) == RESOLUTION
     assert sum(1 for _, metrics in rows if metrics["error"]) == 1

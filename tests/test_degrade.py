@@ -23,8 +23,6 @@ def transition_count(domain, mode):
 
 
 def test_level_of_orders_rungs_best_first():
-    assert degrade.level_of("batch.kernel", "c") == 0
-    assert degrade.level_of("batch.kernel", "numpy") == 1
     assert degrade.level_of("chunk.kernel", "c") == 0
     assert degrade.level_of("chunk.kernel", "python") == 1
     assert degrade.level_of("executor", "pool") == 0
@@ -34,18 +32,18 @@ def test_level_of_orders_rungs_best_first():
 
 
 def test_report_tracks_current_mode():
-    assert degrade.current("batch.kernel") is None
-    degrade.report("batch.kernel", "c")
-    assert degrade.current("batch.kernel") == "c"
-    degrade.report("batch.kernel", "numpy")
-    assert degrade.current("batch.kernel") == "numpy"
+    assert degrade.current("chunk.kernel") is None
+    degrade.report("chunk.kernel", "c")
+    assert degrade.current("chunk.kernel") == "c"
+    degrade.report("chunk.kernel", "python")
+    assert degrade.current("chunk.kernel") == "python"
 
 
 def test_snapshot_reports_mode_and_level():
-    degrade.report("batch.kernel", "numpy")
+    degrade.report("chunk.kernel", "python")
     degrade.report("executor", "pool")
     assert degrade.snapshot() == {
-        "batch.kernel": {"mode": "numpy", "level": 1},
+        "chunk.kernel": {"mode": "python", "level": 1},
         "executor": {"mode": "pool", "level": 0},
     }
 
