@@ -164,6 +164,14 @@ def event_timestamps_case():
     return small_base(duration=0.3), grid, check
 
 
+def capacitance_grid_case():
+    def check(rows):
+        assert len(rows) == 4
+
+    return small_base(), {"capacitance": [22e-6, 33e-6, 47e-6, 68e-6]}, \
+        check
+
+
 def crossover_case(strategy):
     """Eq. (5) crossover points (two loads) on a leaky supercapacitor
     with ESR overhead: the general chunk loop."""
@@ -188,6 +196,7 @@ CASES = {
         for strategy in ("hibernus", "hibernus++", "quickrecall", "nvp",
                          "mementos")
     },
+    "capacitance-grid": capacitance_grid_case,
     "mid-snapshot-brownout": brownout_case,
     "mixed-capacitance": mixed_capacitance_case,
     "event-timestamps": event_timestamps_case,
@@ -219,6 +228,7 @@ def test_batched_sweep_rows_equal_per_point_rows(case):
     assert records(batched) == records(per_point)
     assert all(row.error is None for row in batched)
     assert len(events) == 1 and isinstance(events[0], BatchProgress)
+    assert events[0].computed == len(per_point)
     check(list(batched))
 
 
