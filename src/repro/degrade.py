@@ -1,7 +1,8 @@
 """``repro.degrade`` — the explicit, observable degradation ladder.
 
-The stack has always degraded gracefully — chunks fall back from the
-runtime-compiled C loop to the Python loops, the warm pool to
+The stack has always degraded gracefully — chunks and the mini-ISA
+interpreter fall back from the runtime-compiled C loops to the Python
+loops, the warm pool to
 in-process serial execution when multiprocessing is broken — but those
 fallbacks were implicit: a slow run looked identical to a healthy one
 until someone profiled it.  This module names each ladder and makes every transition
@@ -10,10 +11,12 @@ observable.
 Each **domain** is one independent ladder of modes, best first::
 
     chunk.kernel   c -> python       (fast-kernel chunks)
+    mcu.kernel     c -> python       (the mini-ISA interpreter)
     executor       pool -> serial    (payload execution)
 
 ``chunk.kernel`` is reported once per run (when the rail first
-chunks), never per chunk.
+chunks), never per chunk; ``mcu.kernel`` once per machine (at its
+first ``Machine.run``), never per ``run`` call.
 
 Components report the mode they actually used via :func:`report`;
 the module keeps the current rung per domain, exports it as the
@@ -38,6 +41,7 @@ from repro import obs
 #: Ladder definition: domain -> modes ordered best (level 0) to worst.
 LADDERS: Dict[str, tuple] = {
     "chunk.kernel": ("c", "python"),
+    "mcu.kernel": ("c", "python"),
     "executor": ("pool", "serial"),
 }
 

@@ -18,17 +18,24 @@ Volatility: registers and PC are always volatile.  SRAM-backed data is lost
 on power failure; FRAM-backed data survives.  :meth:`Machine.cold_boot`
 re-runs crt0 (zero registers, re-initialise .data from the image, reset SP),
 which is what happens after an outage when no snapshot is restored.
+
+Data memory is one ``array('q')`` of words, so the compiled interpreter
+(``machine_run`` in :mod:`repro.sim._ckernel`) reads and writes it in
+place; snapshots carry it as a plain list.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import degrade
 from repro.errors import MachineError
 from repro.mcu.assembler import ProgramImage
-from repro.mcu.isa import to_signed, to_word
+from repro.mcu.isa import NUM_REGISTERS, to_signed, to_word
 from repro.mcu.peripherals import OutputPort, Peripheral
+from repro.sim import _ckernel
 
 
 @dataclass(frozen=True)
@@ -77,12 +84,21 @@ def _decode(image: ProgramImage, config: MachineConfig) -> List[Tuple[int, ...]]
     signed value for ``slti`` and the load/store offsets.  ``cost``
     includes the fetch wait state and, for data-memory instructions, the
     data wait state of the configured technology.
+
+    Raises:
+        MachineError: a negative branch target, or a register operand
+            outside r0..r15 (the assembler emits neither).
     """
     data_wait = config.fram_data_wait if config.data_in_fram else 0
     code = []
     for index, ins in enumerate(image.instructions):
         spec = ins.spec
         kind = spec.kind
+        for letter, operand in zip(spec.signature, ins.operands):
+            if letter == "r" and not 0 <= operand < NUM_REGISTERS:
+                raise MachineError(
+                    f"instruction {index}: register {operand} out of range"
+                )
         a, b, c = (tuple(ins.operands) + (0, 0, 0))[:3]
         target = c if kind == "branch" else a
         if kind in ("jump", "branch", "call") and target < 0:
@@ -155,6 +171,10 @@ class MachineState:
         return base
 
 
+#: ``Machine._loop`` before the first ``run`` picks the rung.
+_UNRESOLVED = object()
+
+
 class Machine:
     """Interpreter for the mini-ISA (see module docstring)."""
 
@@ -171,9 +191,16 @@ class Machine:
         self.halted = False
         self.total_cycles = 0
         self.ports: Dict[int, Peripheral] = {7: OutputPort()}
-        self.data: List[int] = [0] * self.config.data_space_words
+        self.data = self._blank_data()  # cold_boot loads .data into it
         self._code = _decode(image, self.config)
+        #: The compiled-loop runner, None on the Python rung; resolved
+        #: by the first ``run``.
+        self._loop: object = _UNRESOLVED
         self.cold_boot()
+
+    def _blank_data(self) -> array:
+        """Zeroed data memory."""
+        return array("q", bytes(8 * self.config.data_space_words))
 
     # ------------------------------------------------------------------
     # Boot / power management
@@ -185,7 +212,7 @@ class Machine:
         self.registers[15] = self.config.data_space_words  # stack pointer
         self.pc = 0
         self.halted = False
-        self.data = [0] * self.config.data_space_words
+        self.data = self._blank_data()
         for address, value in self.image.data_image.items():
             self.data[address] = value
 
@@ -196,7 +223,7 @@ class Machine:
         self.pc = 0
         self.halted = False
         if not self.config.data_in_fram:
-            self.data = [0] * self.config.data_space_words
+            self.data = self._blank_data()
         for peripheral in self.ports.values():
             peripheral.on_power_fail()
 
@@ -227,7 +254,7 @@ class Machine:
                 for port, peripheral in self.ports.items()
             }
         return MachineState(
-            tuple(self.registers), self.pc, list(self.data), peripherals
+            tuple(self.registers), self.pc, self.data.tolist(), peripherals
         )
 
     def capture_registers(self) -> MachineState:
@@ -235,15 +262,22 @@ class Machine:
         return MachineState(tuple(self.registers), self.pc, None)
 
     def restore(self, state: MachineState) -> None:
-        """Restore a snapshot taken by either capture method."""
+        """Restore a snapshot taken by either capture method.
+
+        A snapshot whose data does not fit this machine raises before
+        anything is restored.
+        """
+        data = None
+        if state.data is not None:
+            if len(state.data) != len(self.data):
+                raise MachineError("snapshot data size mismatch")
+            data = array("q", state.data)
         self.registers = list(state.registers)
         self.registers[0] = 0
         self.pc = state.pc
         self.halted = False
-        if state.data is not None:
-            if len(state.data) != len(self.data):
-                raise MachineError("snapshot data size mismatch")
-            self.data = list(state.data)
+        if data is not None:
+            self.data = data
         if state.peripherals is not None:
             for port, payload in state.peripherals.items():
                 if port in self.ports and payload is not None:
@@ -256,14 +290,18 @@ class Machine:
     def run(self, max_cycles: int, stop_at_ckpt: bool = False) -> ExecutionSlice:
         """Execute until the cycle budget is spent, ``halt``, or a ``ckpt``.
 
-        The loop keeps the PC, the counters and the energy in locals and
-        writes them back once, in ``finally``: on a :class:`MachineError`
-        ``pc`` still names the faulting instruction and ``total_cycles``
-        counts only the retired ones.  An instruction starts while cycles
-        remain, so a slice may overshoot ``max_cycles`` by one instruction.
+        Runs on the compiled loop when the ``_ckernel`` library loads
+        (the ``mcu.kernel`` rung of :mod:`repro.degrade`, reported once
+        per machine), else on the Python loop below; both give the same
+        slices, state and errors.  The loop keeps the PC, the counters
+        and the energy in locals and writes them back once, in
+        ``finally``: on a :class:`MachineError` ``pc`` still names the
+        faulting instruction and ``total_cycles`` counts only the
+        retired ones.  An instruction starts while cycles remain, so a
+        slice may overshoot ``max_cycles`` by one instruction.
 
         Args:
-            max_cycles: cycle budget for this slice (>= 0).
+            max_cycles: cycle budget for this slice (an int >= 0).
             stop_at_ckpt: when True, pause *after* executing a ``ckpt``
                 marker so a checkpointing supervisor can act.
 
@@ -274,16 +312,21 @@ class Machine:
         if self.halted:
             slice_.halted = True
             return slice_
-        code = self._code
-        regs = self.registers
-        data = self.data
-        n_data = len(data)
-        ports = self.ports
         pc = self.pc
         # Fetches index ``code`` directly, so only an index past the end
         # raises; a negative PC must be caught before it wraps around.
         if pc < 0 < max_cycles:
             raise MachineError(f"PC out of range: {pc}")
+        loop = self._loop
+        if loop is _UNRESOLVED:
+            loop = self._loop = self._resolve_loop()
+        if loop is not None:
+            self._run_compiled(loop, slice_, max_cycles, stop_at_ckpt)
+            return slice_
+        code = self._code
+        regs = self.registers
+        data = self.data
+        n_data = len(data)
         cycles = instructions = reads = writes = 0
         energy = 0.0
         # Inlined word helpers: ``((x & 0xFFFF) ^ 0x8000) - 0x8000`` is
@@ -453,21 +496,8 @@ class Machine:
                         regs[a] = data[sp] & 0xFFFF
                     regs[15] = (sp + 1) & 0xFFFF
                     pc += 1
-                elif op == 34:  # in
-                    if b not in ports:
-                        raise MachineError(f"no peripheral at port {b}")
-                    peripheral = ports[b]
-                    value = peripheral.read() & 0xFFFF
-                    if a:
-                        regs[a] = value
-                    energy += peripheral.access_energy
-                    pc += 1
-                elif op == 35:  # out
-                    if a not in ports:
-                        raise MachineError(f"no peripheral at port {a}")
-                    peripheral = ports[a]
-                    peripheral.write(regs[b])
-                    energy += peripheral.access_energy
+                elif op < 36:  # in, out
+                    energy += self._port(op, a, b, regs)
                     pc += 1
                 elif op == 36:  # nop
                     pc += 1
@@ -479,16 +509,82 @@ class Machine:
                 cycles += cost
                 instructions += 1
         finally:
-            self.pc = pc
-            self.total_cycles += cycles
-            slice_.cycles = cycles
-            slice_.instructions = instructions
-            slice_.peripheral_energy = energy
-            if self.config.data_in_fram:
-                slice_.fram_reads = instructions + reads
-                slice_.fram_writes = writes
-            else:
-                slice_.fram_reads = instructions
-                slice_.sram_reads = reads
-                slice_.sram_writes = writes
+            self._finish(slice_, pc, cycles, instructions, reads, writes, energy)
         return slice_
+
+    def _resolve_loop(self) -> Optional[_ckernel.MachineLoop]:
+        """This machine's compiled-loop runner, reporting the rung."""
+        kernel = _ckernel.load()
+        degrade.report("mcu.kernel", "python" if kernel is None else "c")
+        if kernel is None:
+            return None
+        return _ckernel.MachineLoop(kernel.machine_run, self._code)
+
+    def _run_compiled(
+        self, loop: _ckernel.MachineLoop, slice_: ExecutionSlice,
+        max_cycles: int, stop_at_ckpt: bool,
+    ) -> None:
+        """``run`` on the compiled loop, which exits before each
+        ``in``/``out``: those run here, in order, and the loop resumes."""
+        regs = self.registers
+        pc = self.pc
+        cycles = instructions = reads = writes = 0
+        energy = 0.0
+        try:
+            while True:
+                reason, pc, cycles, instructions, reads, writes, address = (
+                    loop.run(regs, pc, cycles, instructions, reads, writes,
+                             self.data, max_cycles, stop_at_ckpt)
+                )
+                if reason != _ckernel.EXIT_PORT:
+                    break
+                op, a, b, _, cost = self._code[pc]
+                energy += self._port(op, a, b, regs)
+                pc += 1
+                cycles += cost
+                instructions += 1
+            if reason == _ckernel.EXIT_HALT:
+                self.halted = slice_.halted = True
+            elif reason == _ckernel.EXIT_CKPT:
+                slice_.hit_checkpoint = True
+            elif reason == _ckernel.EXIT_PC:
+                raise MachineError(f"PC out of range: {pc}")
+            elif reason == _ckernel.EXIT_READ:
+                raise MachineError(f"data read out of range: {address} (pc={pc})")
+            elif reason == _ckernel.EXIT_WRITE:
+                raise MachineError(f"data write out of range: {address} (pc={pc})")
+        finally:
+            self._finish(slice_, pc, cycles, instructions, reads, writes, energy)
+
+    def _port(self, op: int, a: int, b: int, regs: List[int]) -> float:
+        """Execute ``in rd, port`` (op 34) or ``out port, rs`` (op 35);
+        returns the access energy."""
+        port = b if op == 34 else a
+        if port not in self.ports:
+            raise MachineError(f"no peripheral at port {port}")
+        peripheral = self.ports[port]
+        if op == 34:
+            value = peripheral.read() & 0xFFFF
+            if a:
+                regs[a] = value
+        else:
+            peripheral.write(regs[b])
+        return peripheral.access_energy
+
+    def _finish(
+        self, slice_: ExecutionSlice, pc: int, cycles: int,
+        instructions: int, reads: int, writes: int, energy: float,
+    ) -> None:
+        """Write a slice's PC and counters back (also after a fault)."""
+        self.pc = pc
+        self.total_cycles += cycles
+        slice_.cycles = cycles
+        slice_.instructions = instructions
+        slice_.peripheral_energy = energy
+        if self.config.data_in_fram:
+            slice_.fram_reads = instructions + reads
+            slice_.fram_writes = writes
+        else:
+            slice_.fram_reads = instructions
+            slice_.sram_reads = reads
+            slice_.sram_writes = writes

@@ -294,14 +294,12 @@ class SupplyRail(Component):
 
     def _resolve_compiled(self) -> Optional[_ckernel.ChunkLoop]:
         """This run's compiled-loop runner, reporting the rung once."""
-        chunk_loop = _ckernel.load()
-        degrade.report(
-            "chunk.kernel", "python" if chunk_loop is None else "c"
-        )
-        if chunk_loop is None:
+        kernel = _ckernel.load()
+        degrade.report("chunk.kernel", "python" if kernel is None else "c")
+        if kernel is None:
             return None
         return _ckernel.ChunkLoop(
-            chunk_loop, len(self._injectors), len(self._loads)
+            kernel.chunk_loop, len(self._injectors), len(self._loads)
         )
 
     def step_chunk(self, t0: float, dt: float, n: int) -> int:

@@ -1,4 +1,5 @@
-"""The runtime-compiled C chunk recurrence.
+"""The runtime-compiled C kernels: the chunk recurrence and the
+mini-ISA interpreter, in one library.
 
 ``chunk_loop`` is a literal transcription of
 :meth:`~repro.power.rail.SupplyRail._chunk_loop` for one rail (any
@@ -9,20 +10,28 @@ simple-shaped chunks to ``lane_tail``, the transcription of
 :meth:`SupplyRail._chunk_loop_simple`.  Every fast-kernel chunk runs
 through it (:class:`ChunkLoop`).
 
-Exactness: the C body performs the same IEEE-754 double operations in
-the same order as the Python loops (CPython floats are C doubles), and
-the build disables contraction (``-ffp-contract=off -fno-fast-math``)
-so no fused multiply-add can perturb a rounding.  A self-check at load
-time replays small chunks covering every branch against the Python
-loops and discards the library on any bit difference.
+``machine_run`` is a literal transcription of the dispatch loop of
+:meth:`~repro.mcu.machine.Machine.run` over the predecoded image
+(:class:`MachineLoop`).  It stops with an exit reason at ``halt``, a
+``ckpt`` pause, a fault or the end of the budget, and before every
+``in``/``out``: port handlers and all float work stay in Python.
+
+Exactness: the C bodies perform the same IEEE-754 double operations in
+the same order as the Python loops (CPython floats are C doubles) and
+the same 16-bit word arithmetic, and the build disables contraction
+(``-ffp-contract=off -fno-fast-math``) so no fused multiply-add can
+perturb a rounding.  A self-check at load time replays small chunks
+covering every branch against the Python chunk loops, and small
+programs covering every opcode and fault against the Python
+interpreter, and discards the library on any difference.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
-self-check, or ``REPRO_BATCH_CKERNEL=0`` leave the Python chunk loops
-in charge.  Failed loads are counted in
-``repro_ckernel_load_failures_total{reason}``; the rung chunks run on
-is the ``chunk.kernel`` domain of :mod:`repro.degrade`.  The compiled
-object is cached on disk keyed by a digest of the source and flags, so
-each machine compiles once.
+self-check, or ``REPRO_BATCH_CKERNEL=0`` leave the Python loops in
+charge of both.  Failed loads are counted in
+``repro_ckernel_load_failures_total{reason}``; the rungs chunks and
+machines run on are the ``chunk.kernel`` and ``mcu.kernel`` domains of
+:mod:`repro.degrade`.  The compiled object is cached on disk keyed by a
+digest of the source and flags, so each machine compiles once.
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ import shutil
 import struct
 import subprocess
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from array import array
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +65,19 @@ _LOAD_SLOTS = 7
 #: Source and load kinds as the frame encodes them.
 _VOLTAGE, _POWER = 0.0, 1.0
 _CONSTANT, _RESISTIVE, _CURRENT = 0.0, 1.0, 2.0
+
+#: ``machine_run`` state layout, in int64 slots after r0..r15.  All but
+#: ``address`` (a data fault's address, out only) are read and written
+#: back.
+_MACHINE_STATE = ("pc", "cycles", "instructions", "reads", "writes", "address")
+#: ``machine_run`` exit reasons: the budget is spent, ``halt``, a
+#: ``ckpt`` pause, an ``in``/``out`` to run in Python (not executed),
+#: and the faults: PC out of range, data read or write out of range.
+(
+    EXIT_BUDGET, EXIT_HALT, EXIT_CKPT, EXIT_PORT,
+    EXIT_PC, EXIT_READ, EXIT_WRITE,
+) = range(7)
+_INT64_MAX = 2 ** 63 - 1
 
 _SOURCE = r"""
 #include <math.h>
@@ -219,6 +242,179 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
     frame[3] = consumed; frame[4] = starved;
     return i;
 }
+
+#define WORD(x) ((int64_t) ((uint64_t) (x) & 0xFFFF))
+#define SIGNED(x) ((WORD(x) ^ 0x8000) - 0x8000)
+#define ORDER(x) (WORD(x) ^ 0x8000)  /* orders words as their signed values */
+
+/* Exact transcription of Machine.run's dispatch loop over the
+   predecoded image: five int64 slots (op, a, b, c, cost) per
+   instruction, opcodes numbered as _MNEMONICS in machine.py numbers
+   them.  Word arithmetic runs in uint64 so wrap-around is defined and
+   the low 16 bits match Python's.  state holds r0..r15 then
+   _MACHINE_STATE (see _ckernel.py).  Returns the exit reason; on a
+   fault or a port instruction pc names that instruction and the
+   counters exclude it. */
+int64_t machine_run(const int64_t *code, int64_t n_code, int64_t *data,
+                    int64_t n_data, int64_t *state, int64_t max_cycles,
+                    int64_t stop_at_ckpt)
+{
+    int64_t r[16];
+    memcpy(r, state, sizeof r);
+    int64_t pc = state[16], cycles = state[17], instructions = state[18];
+    int64_t reads = state[19], writes = state[20], address = 0;
+    int64_t reason = %(exit_budget)d;
+    while (cycles < max_cycles) {
+        /* Unsigned: a negative PC (a ret to a corrupted address) is out
+           of range too. */
+        if ((uint64_t) pc >= (uint64_t) n_code) {
+            reason = %(exit_pc)d;
+            break;
+        }
+        const int64_t *ins = code + 5 * pc;
+        const int64_t a = ins[1], b = ins[2], c = ins[3];
+        switch (ins[0]) {
+        case 0:  /* add */
+            r[a] = WORD((uint64_t) r[b] + (uint64_t) r[c]); ++pc; break;
+        case 1:  /* ldi */
+            r[a] = c; ++pc; break;
+        case 2:  /* ld */
+            address = SIGNED(r[b]) + c;
+            if (address < 0 || address >= n_data) {
+                reason = %(exit_read)d;
+                goto out;
+            }
+            ++reads;
+            if (a) r[a] = WORD(data[address]);
+            ++pc; break;
+        case 3:  /* st */
+            address = SIGNED(r[b]) + c;
+            if (address < 0 || address >= n_data) {
+                reason = %(exit_write)d;
+                goto out;
+            }
+            ++writes;
+            data[address] = WORD(r[a]);
+            ++pc; break;
+        case 4:  /* mulq */
+            r[a] = WORD((SIGNED(r[b]) * SIGNED(r[c])) >> 15); ++pc; break;
+        case 5:  /* srai */
+            r[a] = WORD(SIGNED(r[b]) >> c); ++pc; break;
+        case 6:  /* sub */
+            r[a] = WORD((uint64_t) r[b] - (uint64_t) r[c]); ++pc; break;
+        case 7:  /* addi */
+            r[a] = WORD((uint64_t) r[b] + (uint64_t) c); ++pc; break;
+        case 8:  /* subi */
+            r[a] = WORD((uint64_t) r[b] - (uint64_t) c); ++pc; break;
+        case 9:  /* bne */
+            pc = r[a] != r[b] ? c : pc + 1; break;
+        case 10:  /* blt */
+            pc = ORDER(r[a]) < ORDER(r[b]) ? c : pc + 1; break;
+        case 11:  /* shri */
+            r[a] = WORD(r[b]) >> c; ++pc; break;
+        case 12:  /* shli */
+            r[a] = WORD((uint64_t) r[b] << c); ++pc; break;
+        case 13:  /* andi */
+            r[a] = r[b] & c; ++pc; break;
+        case 14:  /* or */
+            r[a] = WORD(r[b] | r[c]); ++pc; break;
+        case 15:  /* mul */
+            r[a] = WORD((uint64_t) r[b] * (uint64_t) r[c]); ++pc; break;
+        case 16:  /* bge */
+            pc = ORDER(r[a]) >= ORDER(r[b]) ? c : pc + 1; break;
+        case 17:  /* beq */
+            pc = r[a] == r[b] ? c : pc + 1; break;
+        case 18:  /* jmp */
+            pc = a; break;
+        case 19:  /* mov */
+            r[a] = WORD(r[b]); ++pc; break;
+        case 20:  /* xor */
+            r[a] = WORD(r[b] ^ r[c]); ++pc; break;
+        case 21:  /* and */
+            r[a] = r[b] & r[c] & 0xFFFF; ++pc; break;
+        case 22:  /* ori */
+            r[a] = WORD(r[b] | c); ++pc; break;
+        case 23:  /* xori */
+            r[a] = WORD(r[b] ^ c); ++pc; break;
+        case 24:  /* shl */
+            r[a] = WORD((uint64_t) r[b] << (r[c] & 15)); ++pc; break;
+        case 25:  /* shr */
+            r[a] = WORD(r[b]) >> (r[c] & 15); ++pc; break;
+        case 26:  /* sra */
+            r[a] = WORD(SIGNED(r[b]) >> (r[c] & 15)); ++pc; break;
+        case 27:  /* slt */
+            r[a] = ORDER(r[b]) < ORDER(r[c]) ? 1 : 0; ++pc; break;
+        case 28:  /* slti */
+            r[a] = SIGNED(r[b]) < c ? 1 : 0; ++pc; break;
+        case 29:  /* ckpt */
+            ++pc;
+            if (stop_at_ckpt) {
+                cycles += ins[4];
+                ++instructions;
+                reason = %(exit_ckpt)d;
+                goto out;
+            }
+            break;
+        case 30:  /* call */
+            address = WORD((uint64_t) r[15] - 1);
+            if (address >= n_data) {
+                reason = %(exit_write)d;
+                goto out;
+            }
+            ++writes;
+            data[address] = WORD(pc + 1);
+            r[15] = address;
+            pc = a; break;
+        case 31:  /* ret */
+            address = r[15];
+            if (address < 0 || address >= n_data) {
+                reason = %(exit_read)d;
+                goto out;
+            }
+            ++reads;
+            pc = data[address];
+            r[15] = WORD((uint64_t) address + 1); break;
+        case 32:  /* push */
+            address = WORD((uint64_t) r[15] - 1);
+            if (address >= n_data) {
+                reason = %(exit_write)d;
+                goto out;
+            }
+            ++writes;
+            data[address] = WORD(r[a]);
+            r[15] = address;
+            ++pc; break;
+        case 33:  /* pop */
+            address = r[15];
+            if (address < 0 || address >= n_data) {
+                reason = %(exit_read)d;
+                goto out;
+            }
+            ++reads;
+            if (a) r[a] = WORD(data[address]);
+            r[15] = WORD((uint64_t) address + 1);
+            ++pc; break;
+        case 34:  /* in */
+        case 35:  /* out */
+            reason = %(exit_port)d;
+            goto out;
+        case 36:  /* nop */
+            ++pc; break;
+        default:  /* halt */
+            cycles += ins[4];
+            ++instructions;
+            reason = %(exit_halt)d;
+            goto out;
+        }
+        cycles += ins[4];
+        ++instructions;
+    }
+out:
+    memcpy(state, r, sizeof r);
+    state[16] = pc; state[17] = cycles; state[18] = instructions;
+    state[19] = reads; state[20] = writes; state[21] = address;
+    return reason;
+}
 """ % {
     "header": len(_HEADER),
     "source_slots": _SOURCE_SLOTS,
@@ -227,6 +423,13 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
     "constant": _CONSTANT,
     "resistive": _RESISTIVE,
     "current": _CURRENT,
+    "exit_budget": EXIT_BUDGET,
+    "exit_halt": EXIT_HALT,
+    "exit_ckpt": EXIT_CKPT,
+    "exit_port": EXIT_PORT,
+    "exit_pc": EXIT_PC,
+    "exit_read": EXIT_READ,
+    "exit_write": EXIT_WRITE,
 }
 
 #: No ``-march``: correctly-rounded scalar/SSE2 code is both portable
@@ -338,9 +541,17 @@ def _compile() -> Optional[str]:
         return None
 
 
-def _bind(so_path: str):
-    """The library's ``chunk_loop`` as a ctypes function."""
-    chunk = ctypes.CDLL(so_path).chunk_loop
+class Kernel(NamedTuple):
+    """The library's functions as ctypes functions."""
+
+    chunk_loop: Any
+    machine_run: Any
+
+
+def _bind(so_path: str) -> Kernel:
+    """The library's ``chunk_loop`` and ``machine_run``."""
+    library = ctypes.CDLL(so_path)
+    chunk = library.chunk_loop
     chunk.restype = ctypes.c_int64
     # Raw addresses, not ndpointer: a chunk averages a few dozen steps,
     # so per-call argument checking would cost more than the loop.
@@ -351,7 +562,18 @@ def _bind(so_path: str):
         ctypes.c_void_p,  # frame
         ctypes.c_void_p,  # vcc
     ]
-    return chunk
+    machine = library.machine_run
+    machine.restype = ctypes.c_int64
+    machine.argtypes = [
+        ctypes.c_void_p,  # code
+        ctypes.c_int64,   # n_code
+        ctypes.c_void_p,  # data
+        ctypes.c_int64,   # n_data
+        ctypes.c_void_p,  # state
+        ctypes.c_int64,   # max_cycles
+        ctypes.c_int64,   # stop_at_ckpt
+    ]
+    return Kernel(chunk, machine)
 
 
 class ChunkLoop:
@@ -442,6 +664,58 @@ class ChunkLoop:
         return taken, energies, self._vcc[:taken]
 
 
+class MachineLoop:
+    """Runs the compiled ``machine_run`` for one machine.
+
+    Packs the predecoded image once into an int64 buffer.  A call packs
+    the registers, PC and counters into the state buffer with one
+    ``struct``, runs the foreign loop on data memory in place and
+    unpacks once.  Data memory is an ``array('q')`` whose address is
+    read per call: the machine rebuilds it on boot, power failure and
+    restore.
+    """
+
+    __slots__ = ("_fn", "_code", "_code_address", "_n_code",
+                 "_state", "_state_address")
+
+    _layout = struct.Struct("=%dq" % (16 + len(_MACHINE_STATE)))
+
+    def __init__(self, fn, code: Sequence[Tuple[int, ...]]):
+        self._fn = fn
+        self._code = array("q", [field for ins in code for field in ins])
+        self._code_address = self._code.buffer_info()[0]
+        self._n_code = len(code)
+        self._state = array("q", bytes(self._layout.size))
+        self._state_address = self._state.buffer_info()[0]
+
+    def run(
+        self, registers: List[int], pc: int, cycles: int, instructions: int,
+        reads: int, writes: int, data: array, max_cycles: int,
+        stop_at_ckpt: bool,
+    ) -> Tuple[int, ...]:
+        """Run until an exit; returns ``(reason, pc, cycles,
+        instructions, reads, writes, address)``.
+
+        ``registers`` is updated in place and ``data`` written through;
+        the counters continue from the values passed in, so the caller
+        can resume after handling a port instruction.
+        """
+        state = self._state
+        self._layout.pack_into(state, 0, *registers, pc, cycles,
+                               instructions, reads, writes, 0)
+        data_address, n_data = data.buffer_info()
+        reason = self._fn(
+            self._code_address, self._n_code, data_address, n_data,
+            self._state_address,
+            # No run reaches 2**63 cycles; the cap keeps any int budget
+            # a valid int64, as the Python loop accepts any int.
+            min(max_cycles, _INT64_MAX), stop_at_ckpt,
+        )
+        values = self._layout.unpack_from(state)
+        registers[:] = values[:16]
+        return (reason,) + values[16:]
+
+
 def _replay(chunk_loop, rail, plans, profiles, n):
     """One chunk through the compiled loop, or the Python loops when
     ``chunk_loop`` is None; every result as plain Python values.
@@ -477,7 +751,7 @@ def _replay(chunk_loop, rail, plans, profiles, n):
             stats.starved, list(energies), voltages)
 
 
-def _self_check(chunk_loop) -> bool:
+def _chunk_self_check(chunk_loop) -> bool:
     """Replay small chunks through the compiled ``chunk_loop`` and demand
     results bit-identical to the Python loops.
 
@@ -556,15 +830,151 @@ def _self_check(chunk_loop) -> bool:
             return False
     return True
 
+#: The interpreter self-check program: every opcode, on words chosen for
+#: sign, wrap and shift edge cases, each pass feeding the next through
+#: data memory, the stack and both ports' paths.
+_MACHINE_PROGRAM = """
+.data v: 30000, -12345, 7, -1, 255, -32768
+  ldi r13, v
+  ldi r14, 9
+  ldi r0, 5
+loop:
+  ld r1, r13, 0
+  ld r2, r13, 1
+  add r3, r1, r2
+  sub r4, r1, r2
+  mulq r5, r1, r2
+  mul r6, r1, r2
+  srai r7, r2, 5
+  sra r8, r2, r14
+  shr r9, r2, r14
+  shl r10, r1, r14
+  shri r11, r1, 3
+  shli r12, r2, 7
+  xor r3, r3, r5
+  and r4, r4, r6
+  or r5, r7, r8
+  xori r6, r9, 0x5A5A
+  ori r7, r10, 0x0F0F
+  andi r8, r11, 0x3C3C
+  slt r9, r1, r2
+  slti r10, r2, -7
+  mov r11, r12
+  addi r12, r12, 1234
+  subi r11, r11, -99
+  push r3
+  push r4
+  push r5
+  call mix
+  pop r0
+  pop r4
+  pop r3
+  ld r0, r13, 2
+  in r0, 7
+  add r4, r4, r12
+  st r3, r13, 0
+  st r4, r13, 1
+  st r5, r13, 2
+  st r8, r13, 3
+  st r11, r13, 4
+  st r12, r13, 5
+  blt r1, r2, less
+  bge r3, r4, more
+less:
+  out 7, r9
+more:
+  beq r9, r10, same
+  in r9, 7
+  nop
+same:
+  ckpt
+  subi r14, r14, 1
+  bne r14, r0, loop
+  jmp done
+mix:
+  add r3, r3, r6
+  xor r4, r4, r7
+  ret
+done:
+  out 7, r3
+  halt
+"""
+
+#: Programs that fault on their second or third instruction: a data
+#: read and write just past either end (``ld``/``st``, ``call``/``push``
+#: below the stack, ``ret``/``pop`` above it), a fetch past the end and
+#: an ``in`` from an unmapped port.
+_MACHINE_FAULTS = (
+    "ldi r2, 20\nld r3, r2, -4\nhalt\n",
+    "ldi r2, -3\nld r3, r2, 2\nhalt\n",
+    "ldi r2, 15\nst r2, r2, 1\nhalt\n",
+    "ldi r2, -3\nst r2, r2, 2\nhalt\n",
+    "ldi r15, 0\ncall 0\n",
+    "ldi r15, 0\npush r1\n",
+    "nop\nret\n",
+    "nop\npop r1\n",
+    "nop\n",
+    "nop\nin r1, 3\n",
+)
+
+
+def _machine_replay(machine_run, image, budgets, stop_at_ckpt):
+    """``image`` on a 16-word :class:`~repro.mcu.machine.Machine`, one
+    slice per budget, through the compiled ``machine_run`` or the Python
+    loop when it is None; every observable as plain values."""
+    from repro.errors import MachineError
+    from repro.mcu.machine import Machine, MachineConfig
+
+    machine = Machine(image, MachineConfig(data_space_words=16))
+    machine._loop = (
+        None if machine_run is None else MachineLoop(machine_run, machine._code)
+    )
+    seen = []
+    for budget in budgets:
+        try:
+            seen.append(vars(machine.run(budget, stop_at_ckpt)))
+        except MachineError as error:
+            seen.append(str(error))
+        seen.append((machine.registers[:], machine.pc, machine.total_cycles,
+                     machine.halted, machine.data.tolist()))
+    seen.append(machine.output_port.log)
+    return seen
+
+
+def _machine_self_check(machine_run) -> bool:
+    """Run the self-check programs through the compiled ``machine_run``
+    and demand every slice, register, data word, counter, output and
+    error identical to the Python interpreter's."""
+    from repro.mcu.assembler import assemble
+
+    program = assemble(_MACHINE_PROGRAM)
+    runs = [
+        (program, (0, 1, 7, 40, 13, 90, 5000, 5000), True),
+        (program, (333, 5000), False),
+    ]
+    runs += [
+        (assemble(source), (0, 2, 100, 100), False)
+        for source in _MACHINE_FAULTS
+    ]
+    return all(
+        _machine_replay(machine_run, *run) == _machine_replay(None, *run)
+        for run in runs
+    )
+
+
+def _self_check(kernel: Kernel) -> bool:
+    """Both functions of a freshly loaded library against Python."""
+    return (_chunk_self_check(kernel.chunk_loop)
+            and _machine_self_check(kernel.machine_run))
+
 
 def _note_load_failure(reason: str, **attrs) -> None:
     obs.counter("repro_ckernel_load_failures_total", reason=reason).inc()
     obs.instant("ckernel.load_failed", reason=reason, **attrs)
 
 
-def load():
-    """The compiled ``chunk_loop`` (a ctypes function), or None when
-    unavailable.
+def load() -> Optional[Kernel]:
+    """The compiled library's functions, or None when unavailable.
 
     A build that raises while loading, or that fails the self-check, is
     discarded and counted in
@@ -573,14 +983,14 @@ def load():
     global _cached
     if _cached is not _UNSET:
         return _cached
-    chunk_loop = None
+    kernel = None
     if os.environ.get("REPRO_BATCH_CKERNEL", "1") != "0":
         try:
             so_path = _compile()
             if so_path is not None:
                 candidate = _bind(so_path)
                 if _self_check(candidate):
-                    chunk_loop = candidate
+                    kernel = candidate
                 else:
                     _note_load_failure("selfcheck")
         except Exception as error:
@@ -589,8 +999,8 @@ def load():
             _note_load_failure(
                 "exception", error=f"{type(error).__name__}: {error}"
             )
-    _cached = chunk_loop
-    return chunk_loop
+    _cached = kernel
+    return kernel
 
 
 def reset_cache() -> None:

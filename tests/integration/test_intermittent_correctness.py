@@ -106,7 +106,7 @@ def test_matmul_memory_exact_across_outages():
     c, checksum = matmul_golden(8)
     assert machine.output_port.last == checksum
     base = machine.image.symbols["mat_c"]
-    assert machine.data[base : base + 64] == c
+    assert machine.data[base : base + 64].tolist() == c
 
 
 def test_sieve_exact_across_outages():

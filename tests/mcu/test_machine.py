@@ -244,6 +244,14 @@ def test_negative_branch_target_rejected_at_decode():
         Machine(image)
 
 
+def test_register_operand_out_of_range_rejected_at_decode():
+    # The assembler never emits one; a hand-built image is caught before
+    # any instruction could index past the register file.
+    image = ProgramImage([Instruction(OPCODES["add"], (16, 1, 2))], {}, 0, {})
+    with pytest.raises(MachineError, match="instruction 0: register 16"):
+        Machine(image)
+
+
 def _ret_to(address):
     machine = Machine(assemble("ret\nhalt\n"), MachineConfig(data_space_words=64))
     machine.registers[15] = 10
@@ -329,6 +337,21 @@ def test_restore_rejects_size_mismatch():
     state = machine_a.capture_full()
     with pytest.raises(MachineError, match="mismatch"):
         machine_b.restore(state)
+
+
+def test_restore_of_a_mismatched_snapshot_changes_nothing():
+    source = ".data x: 5\n  ldi r1, 7\n  st r1, r0, 1\n  halt\n"
+    machine = Machine(assemble(source), MachineConfig(data_space_words=128))
+    machine.run(3)
+    before = (list(machine.registers), machine.pc, machine.halted,
+              machine.data.tolist())
+    small = Machine(assemble(source), MachineConfig(data_space_words=64))
+    state = small.capture_full()
+    state = type(state)((9,) * 16, 5, state.data)
+    with pytest.raises(MachineError, match="mismatch"):
+        machine.restore(state)
+    assert (list(machine.registers), machine.pc, machine.halted,
+            machine.data.tolist()) == before
 
 
 def test_fram_data_config_counts_fram_accesses():

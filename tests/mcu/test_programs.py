@@ -45,8 +45,8 @@ def test_fft_memory_matches_golden_exactly():
     re, im, _ = fft_golden(n)
     base_re = machine.image.symbols["re_arr"]
     base_im = machine.image.symbols["im_arr"]
-    assert machine.data[base_re : base_re + n] == re
-    assert machine.data[base_im : base_im + n] == im
+    assert machine.data[base_re : base_re + n].tolist() == re
+    assert machine.data[base_im : base_im + n].tolist() == im
 
 
 def test_fft_rejects_non_power_of_two():
@@ -81,7 +81,7 @@ def test_matmul_matches_golden(n):
     c, checksum = matmul_golden(n)
     assert machine.output_port.last == checksum
     base = machine.image.symbols["mat_c"]
-    assert machine.data[base : base + n * n] == c
+    assert machine.data[base : base + n * n].tolist() == c
 
 
 def test_matmul_size_validation():

@@ -23,7 +23,7 @@ def test_quicksort_sorts_and_matches_golden(length):
     machine = run_sort(length)
     sorted_vals, checksum = sort_golden(length)
     base = machine.image.symbols["arr"]
-    assert machine.data[base : base + length] == sorted_vals
+    assert machine.data[base : base + length].tolist() == sorted_vals
     assert machine.output_port.last == checksum
 
 

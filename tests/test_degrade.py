@@ -25,6 +25,8 @@ def transition_count(domain, mode):
 def test_level_of_orders_rungs_best_first():
     assert degrade.level_of("chunk.kernel", "c") == 0
     assert degrade.level_of("chunk.kernel", "python") == 1
+    assert degrade.level_of("mcu.kernel", "c") == 0
+    assert degrade.level_of("mcu.kernel", "python") == 1
     assert degrade.level_of("executor", "pool") == 0
     assert degrade.level_of("executor", "serial") == 1
     # Unknown domains/modes collapse to rung 0 instead of exploding.
@@ -98,6 +100,49 @@ def test_solo_chunks_report_their_rung_once_per_run(monkeypatch, disabled):
     assert reports == [expected, expected]
     assert degrade.snapshot()["chunk.kernel"] == {
         "mode": expected, "level": degrade.level_of("chunk.kernel", expected),
+    }
+    if disabled:
+        assert expected == "python"
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+def test_machines_report_their_rung_once_per_machine(monkeypatch, disabled):
+    """``Machine.run`` reports ``mcu.kernel`` at a machine's first run,
+    never per ``run`` call, on the rung the library's availability
+    implies; the snapshot (``/readyz``) shows it."""
+    from repro.mcu.assembler import assemble
+    from repro.mcu.machine import Machine
+    from repro.mcu.programs import fft_program
+    from repro.sim import _ckernel
+
+    if disabled:
+        monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+    _ckernel.reset_cache()
+    reports = []
+    real_report = degrade.report
+
+    def spy(domain, mode):
+        if domain == "mcu.kernel":
+            reports.append(mode)
+        real_report(domain, mode)
+
+    monkeypatch.setattr(degrade, "report", spy)
+    image = assemble(fft_program(16))
+    calls = 0
+    try:
+        for _ in range(2):
+            machine = Machine(image)
+            while not machine.halted:
+                machine.run(200)
+                calls += 1
+        expected = "python" if _ckernel.load() is None else "c"
+    finally:
+        monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+        _ckernel.reset_cache()
+    assert calls > 10
+    assert reports == [expected, expected]
+    assert degrade.snapshot()["mcu.kernel"] == {
+        "mode": expected, "level": degrade.level_of("mcu.kernel", expected),
     }
     if disabled:
         assert expected == "python"
