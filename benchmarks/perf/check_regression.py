@@ -14,11 +14,10 @@ one fails (so one regression does not mask another):
 * **sweep** — the sweep-throughput benchmarks (``perf_sweep.py``):
   a resumed sweep computes zero points, the cached mode beats serial by
   the documented floor, on a multi-core runner the warm-worker pool
-  beats serial points/sec by its floor, and on an eventful grid a
-  sweep run as one batch task keeps at least
-  ``BATCHED_VS_PERPOINT_FLOOR`` of per-point speed — CPU-count
-  independent and enforced on *every* runner, with byte-identical rows
-  and a zero-recompute store replay.
+  beats serial points/sec by its floor, and on an eventful grid no
+  point is an error row, pool rows are byte-identical to serial rows
+  and a store replay recomputes zero points — CPU-count independent
+  and enforced on *every* runner.
 * **explore** — the exploration-engine benchmarks (``perf_explore.py``):
   multi-fidelity search matches the exhaustive grid's answer within one
   grid step on at most 30% of its full-horizon simulations, and a
@@ -96,7 +95,6 @@ from perf_store import (
     run_benchmarks as run_store_benchmarks,
 )
 from perf_sweep import (
-    BATCHED_VS_PERPOINT_FLOOR,
     CACHED_SPEEDUP_FLOOR,
     POOL_GATE_MIN_CPUS,
     POOL_SPEEDUP_FLOOR,
@@ -168,9 +166,9 @@ def pool_gate_note(sweep_fresh) -> str:
 def sweep_gate_rows(sweep_fresh: dict) -> list:
     """(mode, speedup, floor, status) rows for every gated sweep mode.
 
-    The pool floor only enforces on multi-core runners; the cached and
-    batched floors are machine-independent (store lookups, and one
-    process either way) and enforce everywhere.
+    The pool floor only enforces on multi-core runners; the cached
+    floor is machine-independent (store lookups) and enforces
+    everywhere.
     """
     pool_enforced = sweep_fresh.get("pool_gate_enforced", False)
     pool_status = (
@@ -189,14 +187,6 @@ def sweep_gate_rows(sweep_fresh: dict) -> list:
         f">= {sweep_fresh.get('cached_speedup_floor', CACHED_SPEEDUP_FLOOR)}x",
         "enforced",
     ]]
-    batched = sweep_fresh["modes"].get("batched")
-    if batched is not None:
-        rows.append([
-            "batched vs per-point (eventful grid)",
-            f"{batched.get('speedup', 0.0)}x",
-            f">= {sweep_fresh.get('batched_vs_perpoint_floor', BATCHED_VS_PERPOINT_FLOOR)}x",
-            "enforced",
-        ])
     return rows
 
 
@@ -282,8 +272,9 @@ def write_github_summary(sections: dict, baseline: dict, fresh: dict,
             lines.append("| " + " | ".join(row) + " |")
         lines.append("")
         lines.append(
-            f"{sweep_fresh['cpus']} CPU(s); the batched and cached floors "
-            "enforce on every runner, the pool floor only with >= "
+            f"{sweep_fresh['cpus']} CPU(s); the cached floor and the "
+            "eventful-grid exactness gates enforce on every runner, the "
+            "pool floor only with >= "
             f"{sweep_fresh['pool_gate_min_cpus']} cores."
         )
     if explore_fresh is not None:
@@ -427,21 +418,11 @@ def main(argv=None) -> int:
                 print(f"  NOTE: pool-vs-serial floor recorded only "
                       f"({cpus} CPU < {POOL_GATE_MIN_CPUS}): "
                       f"speedup {pool_speedup}x not enforced")
-            # The batched floor is CPU-count independent (one process
-            # either way): enforced on every runner, so the sweep
-            # section cannot pass on a single-core box with a slow
-            # batched path the way the pool floor would allow.
-            batched = sweep_fresh["modes"].get("batched")
-            if batched is None:
+            # The eventful grid's exactness gates raise inside
+            # perf_sweep; a fresh run without the mode never ran them.
+            if "eventful" not in sweep_fresh["modes"]:
                 sections["sweep"].append(
-                    "batched mode missing from the fresh sweep run"
-                )
-            elif batched.get("speedup", 0.0) < BATCHED_VS_PERPOINT_FLOOR:
-                sections["sweep"].append(
-                    f"batched sweep at {batched.get('speedup')}x "
-                    f"per-point speed, below the "
-                    f"{BATCHED_VS_PERPOINT_FLOOR}x floor (enforced on "
-                    "every runner)"
+                    "eventful mode missing from the fresh sweep run"
                 )
         if sweep_fresh is not None:
             if args.sweep_output is not None:

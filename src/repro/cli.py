@@ -473,8 +473,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _maybe_tracing(args.trace_out):
         result = runner.run(
             parallel=not args.serial, store=store, resume=args.resume,
-            progress=progress, batch_size=args.batch_size,
-            policy=_supervision_policy(args),
+            progress=progress, policy=_supervision_policy(args),
         )
     mode = "serial" if args.serial else "parallel"
     print_section(
@@ -580,7 +579,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         seed=args.seed,
         progress=progress,
-        batch_size=args.batch_size,
         policy=_supervision_policy(args),
     )
     goals = ", ".join(o.describe() for o in driver.objectives)
@@ -832,20 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "*.colstore paths and JSONL otherwise",
         )
 
-    def batch_size(text: str) -> int:
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError("must be >= 0")
-        return value
-
-    def add_batch_size_flag(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--batch-size", type=batch_size, default=0, metavar="M",
-            help="run up to M same-topology fast-kernel points per "
-                 "task (0 = auto, 1 = one task per point); results "
-                 "are identical either way",
-        )
-
     def add_supervision_flags(
         command: argparse.ArgumentParser,
         deadline_help: str = "per-task wall deadline in seconds: a "
@@ -935,7 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "missing points are computed")
     sweep.add_argument("--progress", action="store_true",
                        help="print computed/cached/error counts per batch")
-    add_batch_size_flag(sweep)
     add_supervision_flags(sweep)
     add_kernel_flag(sweep)
     add_trace_flag(sweep)
@@ -990,7 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "re-run with the same seed recomputes nothing")
     explore.add_argument("--top", type=int, default=10,
                          help="rows of the ranked table to print")
-    add_batch_size_flag(explore)
     add_supervision_flags(explore)
     add_kernel_flag(explore)
     add_trace_flag(explore)

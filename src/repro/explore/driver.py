@@ -206,10 +206,6 @@ class ExplorationDriver:
             driver then leaves lifecycle to the caller (the pool stays
             open after :meth:`run`) — how the ``repro serve`` executor
             shares one warm pool across every job.
-        batch_size: points per task: same-topology candidates of each
-            ask-batch share tasks of up to this many members (``0`` =
-            auto, ``None``/``1`` = one task per candidate).  Results
-            and spec hashes are identical either way.
         policy: supervise every batch (deadlines, retries, quarantine
             — see :class:`SupervisionPolicy`), in-process and on a pool
             alike.  None = unsupervised.
@@ -231,7 +227,6 @@ class ExplorationDriver:
         progress: Optional[ProgressHook] = None,
         pool: Optional[WarmPool] = None,
         store_backend: Optional[str] = None,
-        batch_size: Optional[int] = None,
         policy: Optional[SupervisionPolicy] = None,
     ):
         self.base = base
@@ -268,7 +263,6 @@ class ExplorationDriver:
         self.max_workers = max_workers
         self.seed = seed
         self.progress = progress
-        self.batch_size = batch_size
         self.policy = policy
         #: A caller-owned pool shared across runs (never closed here).
         self.pool = pool
@@ -416,7 +410,6 @@ class ExplorationDriver:
             points,
             store=self.store,
             resume=self.resume,
-            batch_size=self.batch_size,
             executor=executor,
             policy=self.policy,
         )

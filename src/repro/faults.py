@@ -308,22 +308,26 @@ def maybe_delay(key: str) -> bool:
     return True
 
 
-def payload_key(payload: Mapping[str, Any]) -> str:
+def payload_key(
+    payload: Mapping[str, Any], base_hash: Optional[str] = None
+) -> str:
     """A stable roll key for a worker task payload.
 
-    Derived from the payload's spec content plus its supervision
-    ``fault_attempt`` counter — so a payload whose roll fires on
-    attempt 0 re-rolls on attempt 1 (a *transient* injected crash),
-    while a given ``(payload, attempt)`` pair always rolls the same
-    way run over run.
+    Derived from the scenario the payload resolves to — its full
+    ``spec``, or the shared base's ``base_hash`` plus its
+    ``spec_overrides`` — and its supervision ``fault_attempt`` counter,
+    so a payload whose roll fires on attempt 0 re-rolls on attempt 1
+    (a *transient* injected crash), while a given ``(payload,
+    attempt)`` pair always rolls the same way run over run.
     """
-    body = (
-        payload.get("spec_overrides")
-        or payload.get("spec_overrides_batch")
-        or payload.get("spec")
-    )
+    if "spec" in payload:
+        scenario: Any = {"spec": payload["spec"]}
+    else:
+        scenario = {
+            "base": base_hash, "overrides": payload.get("spec_overrides"),
+        }
     return json.dumps(
-        [body, payload.get("fault_attempt", 0)],
+        [scenario, payload.get("fault_attempt", 0)],
         sort_keys=True,
         default=str,
     )

@@ -21,7 +21,7 @@ clock step mid-span cannot produce negative durations); the absolute
 recorded in different processes (warm-pool workers) land on one
 mutually consistent timeline to within clock-read jitter.  Worker spans
 travel back to the parent as plain dicts (see
-:func:`repro.spec.runner._run_payload_batch`) and merge via
+:func:`repro.spec.runner._run_payload_chunk`) and merge via
 :func:`absorb`.
 
 Thread-safety: one module lock guards the buffer; span objects

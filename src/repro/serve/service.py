@@ -225,14 +225,6 @@ class SimulationService:
             raise SpecError("'traces' must be a list of probe names")
         return list(traces)
 
-    def _batch_size(self, payload: Mapping[str, Any]) -> int:
-        """The job's points per task: 0 = auto, 1 = per-point."""
-        size = payload.get("batch_size", 0)
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise SpecError("'batch_size' must be a non-negative integer "
-                            "(0 = auto, 1 = per-point execution)")
-        return size
-
     def _validate_run(self, payload: Mapping[str, Any]) -> None:
         self._base_spec(payload)
         self._traces(payload)
@@ -252,7 +244,6 @@ class SimulationService:
     def _validate_sweep(self, payload: Mapping[str, Any]) -> None:
         self._sweep_runner(payload)
         self._traces(payload)
-        self._batch_size(payload)
         self._supervision(payload)
 
     def _explore_driver(
@@ -313,7 +304,6 @@ class SimulationService:
             seed=seed,
             progress=self._progress_hook(record) if record else None,
             pool=self.pool,
-            batch_size=self._batch_size(payload),
             policy=policy,
         )
 
@@ -475,7 +465,6 @@ class SimulationService:
             capture_traces=self._traces(record.request),
             progress=self._progress_hook(record),
             pool=self.pool,
-            batch_size=self._batch_size(record.request),
             policy=policy,
         )
         return {

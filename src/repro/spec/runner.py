@@ -25,8 +25,11 @@ Sweeps, explorations and service jobs all evaluate through
 processes initialise once from a shared base spec, tasks ship only
 override dicts (not full pickled spec payloads), and submission is
 chunked so a large grid costs a handful of round-trips instead of one
-per point.  The pool object survives across batches — an exploration
-driver reuses the same warm workers for every optimizer round.
+per point.  Every point is its own task: the submission chunk is the
+only grouping, so a crash, retry, quarantine or deadline applies to
+exactly one point.  The pool object survives across batches — an
+exploration driver reuses the same warm workers for every optimizer
+round.
 ``parallel=False`` runs on :func:`run_in_process` instead.
 """
 
@@ -146,58 +149,13 @@ def _payload_spec(payload: Dict[str, Any]) -> ScenarioSpec:
     return _SHARED_BASE.with_overrides(payload["spec_overrides"])
 
 
-def _run_batch_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker body for a whole-batch task: M grid points in one payload.
-
-    Members resolve against the shared base spec exactly like
-    override-only point tasks, then run one after another through
-    :func:`repro.sim.batch.run_specs_batched` — the per-point body,
-    one worker round-trip for the whole batch.  Returns ``{"batch":
-    [records...]}`` with one record per member, in member order.
-    """
-    from repro.sim.batch import run_specs_batched
-
-    member_tasks = payload["spec_overrides_batch"]
-    overrides_list = payload.get("overrides_batch") or member_tasks
-    records: List[Optional[Dict[str, Any]]] = [None] * len(member_tasks)
-    specs: List[ScenarioSpec] = []
-    spec_overrides: List[Dict[str, Any]] = []
-    positions: List[int] = []
-    for index, task in enumerate(member_tasks):
-        try:
-            spec = _payload_spec({"spec_overrides": task})
-        except Exception as error:
-            records[index] = RunResult.failed(
-                f"{type(error).__name__}: {error}",
-                spec_hash=_task_failure_key(
-                    {"spec_overrides": task}, _SHARED_BASE_DICT
-                ),
-                overrides=dict(overrides_list[index]),
-            ).to_record()
-            continue
-        specs.append(spec)
-        spec_overrides.append(dict(overrides_list[index]))
-        positions.append(index)
-    results = run_specs_batched(
-        specs,
-        overrides_list=spec_overrides,
-        capture_traces=tuple(payload.get("traces", ())),
-        max_trace_samples=payload.get(
-            "max_trace_samples", MAX_TRACE_SAMPLES
-        ),
-    )
-    for position, result in zip(positions, results):
-        records[position] = result.to_record()
-    return {"batch": records}
-
-
 def run_spec(
     spec: ScenarioSpec,
     overrides: Dict[str, Any],
     capture_traces: Sequence[str] = (),
     max_trace_samples: int = MAX_TRACE_SAMPLES,
 ) -> RunResult:
-    """Build and run one spec: the body of every point, batched or not.
+    """Build and run one spec: the body of every point.
 
     A spec that fails to build or run becomes an error row keyed by its
     spec hash, so one bad point cannot kill the sweep.
@@ -230,20 +188,18 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     warm-worker tasks, ``"spec_overrides"`` (applied to the shared base
     spec) in place of ``"spec"``; the return value is a
     :meth:`RunResult.to_record` dict.
-
-    A *batch* payload (``"spec_overrides_batch"``: a list of override
-    dicts) runs all its members in one task and returns ``{"batch":
-    [records...]}`` instead (see :func:`_run_batch_payload`).
     """
     if faults.is_armed():
         # Chaos harness: an injected crash raises out of the worker (the
         # pool pins the chunk as retryable crash rows), an injected hang
         # sleeps until the supervisor's task deadline reaps this worker.
-        fault_key = faults.payload_key(payload)
+        fault_key = faults.payload_key(
+            payload,
+            spec_hash(_SHARED_BASE_DICT)
+            if _SHARED_BASE_DICT is not None else None,
+        )
         faults.inject("worker.crash", fault_key, "injected worker crash")
         faults.maybe_hang(fault_key)
-    if "spec_overrides_batch" in payload:
-        return _run_batch_payload(payload)
     overrides = dict(payload.get("overrides", {}))
     try:
         spec = _payload_spec(payload)
@@ -405,15 +361,9 @@ class SupervisionPolicy:
 
 
 def _record_is_crash(record: Any) -> bool:
-    """Crash test for a raw worker record (dict form, pre-RunResult).
-
-    A batch record counts as crashed when *any* member carries the
-    crash prefix — the whole payload is the retry unit.
-    """
+    """Crash test for a raw worker record (dict form, pre-RunResult)."""
     if not isinstance(record, dict):
         return False
-    if "batch" in record:
-        return any(_record_is_crash(member) for member in record["batch"])
     error = (record.get("metrics") or {}).get("error")
     return isinstance(error, str) and error.startswith(WORKER_FAILURE_PREFIX)
 
@@ -423,16 +373,8 @@ def _quarantine_record(record: Any, attempts: int) -> Any:
 
     The crash prefix is replaced (so the row stops being transient) and
     the attempt history rides in the message and an ``attempts`` metric
-    column.  Batch records quarantine only their crashed members.
+    column.
     """
-    if isinstance(record, dict) and "batch" in record:
-        out = dict(record)
-        out["batch"] = [
-            _quarantine_record(member, attempts)
-            if _record_is_crash(member) else member
-            for member in record["batch"]
-        ]
-        return out
     out = dict(record)
     metrics = dict(out.get("metrics") or {})
     last = metrics.get("error") or ""
@@ -449,29 +391,7 @@ def _quarantine_record(record: Any, attempts: int) -> Any:
 def _worker_failure(
     payload: Dict[str, Any], error: BaseException, base_spec=None
 ) -> Dict[str, Any]:
-    """The error record pinned to a payload whose worker crashed.
-
-    A batch payload comes back as ``{"batch": [...]}`` with one crash
-    record per member — keyed exactly like the member's own
-    resolution-failure path, so either scheme finds the other's rows.
-    """
-    if "spec_overrides_batch" in payload:
-        name = (base_spec or {}).get("name", "scenario")
-        member_tasks = payload["spec_overrides_batch"]
-        overrides_list = payload.get("overrides_batch") or member_tasks
-        return {
-            "batch": [
-                RunResult.failed(
-                    f"{WORKER_FAILURE_PREFIX}{type(error).__name__}: {error}",
-                    spec_hash=_task_failure_key(
-                        {"spec_overrides": task}, base_spec
-                    ),
-                    name=name,
-                    overrides=dict(overrides),
-                ).to_record()
-                for task, overrides in zip(member_tasks, overrides_list)
-            ]
-        }
+    """The error record pinned to a payload whose worker crashed."""
     if "spec" in payload:
         name = payload["spec"].get("name", "scenario")
     else:
@@ -484,14 +404,14 @@ def _worker_failure(
     ).to_record()
 
 
-def _run_payload_batch(
+def _run_payload_chunk(
     worker: Callable[[Dict[str, Any]], Dict[str, Any]],
     base_dict: Optional[Dict[str, Any]],
     tasks: List[Dict[str, Any]],
     obs_opts: Optional[Dict[str, Any]] = None,
     fault_state: Optional[Dict[str, Any]] = None,
 ) -> Any:
-    """Pool-side batch body: one IPC round-trip for many tasks.
+    """Pool-side chunk body: one IPC round-trip for many tasks.
 
     ``base_dict`` is the shared base spec the chunk's override-only
     tasks resolve against; it is installed only when it differs from
@@ -905,7 +825,7 @@ class WarmPool:
         """Unwrap one chunk result, folding its obs shipment into us.
 
         A chunk run with ``obs_opts`` comes back as an ``{"records",
-        "obs"}`` envelope (see :func:`_run_payload_batch`); a bare list
+        "obs"}`` envelope (see :func:`_run_payload_chunk`); a bare list
         means instrumentation was off at submit time.  Worker counter/
         histogram deltas merge only when they were produced by a
         *different* process — a shipment stamped with our own pid would
@@ -1008,7 +928,7 @@ class WarmPool:
             for i in range(0, len(payloads), chunk_size)
         ]
         # When instrumentation is on, workers wrap each chunk in an obs
-        # envelope (see _run_payload_batch); tracing in *this* process
+        # envelope (see _run_payload_chunk); tracing in *this* process
         # asks workers to capture and ship their spans too.
         obs_opts = None
         if obs.obs_enabled():
@@ -1022,7 +942,7 @@ class WarmPool:
             try:
                 futures = [
                     pool.submit(
-                        _run_payload_batch, worker, batch_base, chunk,
+                        _run_payload_chunk, worker, batch_base, chunk,
                         obs_opts, fault_state,
                     )
                     for chunk in chunks
@@ -1089,93 +1009,6 @@ class WarmPool:
         return records
 
 
-def group_batch_payloads(
-    payloads: List[Dict[str, Any]],
-    specs: Sequence[ScenarioSpec],
-    batch_size: Optional[int],
-) -> Tuple[List[Dict[str, Any]], List[int]]:
-    """Regroup per-point payloads into batch-task payloads.
-
-    Points whose specs share a topology (same component skeleton, fast
-    kernel — see :func:`repro.sim.batch.topology_key`) merge into batch
-    payloads of up to ``batch_size`` members, each one task whose
-    members run one after another; everything else (full-spec
-    payloads, non-batchable specs, singleton groups) passes through
-    untouched.  ``batch_size`` semantics: ``None`` or ``1`` disables
-    grouping, ``0`` (or negative) picks
-    :data:`repro.sim.batch.AUTO_BATCH_SIZE`.
-
-    Returns:
-        ``(grouped, order)`` — ``grouped`` is the payload list to
-        execute, and ``order[k]`` is the index into ``payloads`` of the
-        k-th record after :func:`flatten_batch_records` (batch payloads
-        contribute one record per member, in member order).
-    """
-    identity = list(range(len(payloads)))
-    if batch_size is None or batch_size == 1 or len(payloads) < 2:
-        return list(payloads), identity
-    from repro.sim.batch import AUTO_BATCH_SIZE, batchable, topology_key
-
-    size = batch_size if batch_size > 1 else AUTO_BATCH_SIZE
-    groups: Dict[str, List[int]] = {}
-    solo: List[int] = []
-    for index, (payload, spec) in enumerate(zip(payloads, specs)):
-        if "spec_overrides" in payload and batchable(spec):
-            groups.setdefault(topology_key(spec), []).append(index)
-        else:
-            solo.append(index)
-    grouped: List[Dict[str, Any]] = []
-    order: List[int] = []
-    for indices in groups.values():
-        if len(indices) < 2:
-            solo.extend(indices)
-            continue
-        for begin in range(0, len(indices), size):
-            chunk = indices[begin : begin + size]
-            if len(chunk) < 2:
-                solo.extend(chunk)
-                continue
-            first = payloads[chunk[0]]
-            batch_payload: Dict[str, Any] = {
-                "spec_overrides_batch": [
-                    payloads[i]["spec_overrides"] for i in chunk
-                ],
-                "overrides_batch": [
-                    payloads[i].get("overrides", {}) for i in chunk
-                ],
-                "traces": list(first.get("traces", ())),
-            }
-            if "max_trace_samples" in first:
-                batch_payload["max_trace_samples"] = first[
-                    "max_trace_samples"
-                ]
-            grouped.append(batch_payload)
-            order.extend(chunk)
-    for index in sorted(solo):
-        grouped.append(payloads[index])
-        order.append(index)
-    return grouped, order
-
-
-def flatten_batch_records(
-    records: List[Dict[str, Any]],
-) -> List[Dict[str, Any]]:
-    """Expand batch worker records back to one record per point.
-
-    The inverse of :func:`group_batch_payloads`'s regrouping: batch
-    records (``{"batch": [...]}``) contribute their members in order,
-    point records pass through — so the flattened list lines up with
-    the ``order`` index list.
-    """
-    flat: List[Dict[str, Any]] = []
-    for record in records:
-        if isinstance(record, dict) and "batch" in record:
-            flat.extend(record["batch"])
-        else:
-            flat.append(record)
-    return flat
-
-
 @dataclass(frozen=True)
 class EvaluationStats:
     """How one :func:`evaluate` call satisfied its points: the positions
@@ -1202,7 +1035,6 @@ def evaluate(
     *,
     store: Optional[ResultStore] = None,
     resume: bool = False,
-    batch_size: Optional[int] = None,
     executor: Executor = run_in_process,
     policy: Optional[SupervisionPolicy] = None,
     traces: Sequence[str] = (),
@@ -1213,12 +1045,11 @@ def evaluate(
     overrides reproduce ``spec`` against ``base`` in a warm worker, the
     label overrides tag its result row.  With ``resume``, a stored row
     is reused unless it is a worker crash; a spec hash listed twice
-    computes once; the rest run on ``executor`` under ``policy``,
-    grouped into batch-task payloads per ``batch_size`` (see
-    :func:`group_batch_payloads`), and are written back in one
-    ``store.batch()`` — worker crashes excepted, so they stay
-    recomputable.  Returns one result per point, anchored to its
-    position and spec, and the call's :class:`EvaluationStats`.
+    computes once; the rest run on ``executor`` under ``policy``, one
+    payload per point, and are written back in one ``store.batch()``
+    — worker crashes excepted, so they stay recomputable.  Returns one
+    result per point, anchored to its position and spec, and the call's
+    :class:`EvaluationStats`.
     """
     base_dict = base.to_dict()
     hashes = [spec_hash(spec) for spec, _, _ in points]
@@ -1235,22 +1066,17 @@ def evaluate(
          "overrides": points[position][2], "traces": list(traces)}
         for position in pending
     ]
-    grouped, order = group_batch_payloads(
-        payloads, [points[position][0] for position in pending], batch_size
+    records: List[Optional[Dict[str, Any]]] = list(
+        executor(payloads, base_spec=base_dict, policy=policy)
     )
-    flat = flatten_batch_records(
-        executor(grouped, base_spec=base_dict, policy=policy)
-    )
-    records: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-    for slot, record in zip(order, flat):
-        records[slot] = record
+    records += [None] * (len(payloads) - len(records))
     # One batched store transaction: appends buffer and hit the disk
     # with a single fsync instead of one per point.
     with (store.batch() if store is not None else nullcontext()):
         for position, payload, record in zip(pending, payloads, records):
-            if record is None:  # a batch worker returned a short batch
+            if record is None:  # the executor returned too few records
                 record = _worker_failure(
-                    payload, RuntimeError("batch worker returned no record"),
+                    payload, RuntimeError("executor returned no record"),
                     base_dict,
                 )
             result = RunResult.from_record(record).with_context(
@@ -1411,11 +1237,8 @@ class SweepRunner:
                 event (a sweep is one batch) once the grid is satisfied.
             pool: a caller-managed :class:`WarmPool` to execute on (left
                 open); this sweep's base spec rides along per batch.
-            batch_size: points per task: points sharing a topology
-                share tasks of up to this many members (``0`` =
-                :data:`repro.sim.batch.AUTO_BATCH_SIZE`; ``None``/``1``
-                = per-point execution).  Results are identical either
-                way — same spec hashes, metrics and store rows.
+            batch_size: accepted and ignored; every point is its own
+                task (kept for callers written against batch tasks).
             policy: supervise execution (per-attempt deadlines with
                 hung-worker reaping, bounded retries with backoff,
                 poison-payload quarantine) — see
@@ -1447,7 +1270,6 @@ class SweepRunner:
                 ],
                 store=store,
                 resume=resume,
-                batch_size=batch_size,
                 executor=executor,
                 policy=policy,
                 traces=capture_traces,

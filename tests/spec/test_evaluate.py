@@ -24,7 +24,6 @@ RESOLUTION = 4
 
 
 def small_base():
-    # The fast kernel makes the points batchable (see batch_size=0).
     return fig7_spec(fft_size=64, duration=0.25).with_override(
         "kernel", "fast"
     )
@@ -36,7 +35,11 @@ def grid_values():
 
 def run_caller(caller, store, resume=False, parallel=False, batch_size=None,
                progress=None):
-    """Evaluate the grid through ``caller``; (results, computed)."""
+    """Evaluate the grid through ``caller``; (results, computed).
+
+    ``batch_size`` reaches only the sweep, whose ``run`` accepts and
+    ignores it.
+    """
     if caller == "sweep":
         sweep = SweepRunner(
             small_base(), {"capacitance": grid_values()}, max_workers=2
@@ -49,16 +52,17 @@ def run_caller(caller, store, resume=False, parallel=False, batch_size=None,
         small_base(), SPACE, ["completion_time"],
         optimizer="grid", optimizer_params={"resolution": RESOLUTION},
         store=store, resume=resume, parallel=parallel, max_workers=2,
-        batch_size=batch_size, progress=progress,
+        progress=progress,
     ).run(budget=RESOLUTION)
     return [e.result for e in outcome.evaluations], outcome.computed
 
 
-def batch_members():
-    """Points run as batch-task members so far, workers' included."""
+def pool_tasks():
+    """Payloads submitted to a worker pool so far."""
     return sum(
         row["value"] for row in obs.registry.snapshot()["counters"]
-        if row["name"] == "repro_batch_members_total"
+        if row["name"] == "repro_pool_tasks_total"
+        and dict(row["labels"]) == {"mode": "pool"}
     )
 
 
@@ -76,21 +80,21 @@ def test_sweep_and_grid_exploration_write_identical_rows(
     sweep_store = ResultStore(str(tmp_path / "sweep.jsonl"))
     explore_store = ResultStore(str(tmp_path / "explore.jsonl"))
     events = []
-    members = batch_members()
+    before = pool_tasks()
     run_caller(
         "sweep", sweep_store, parallel=parallel, batch_size=batch_size,
         progress=events.append,
     )
+    # Whatever the ignored batch_size (0 was once "auto", which ran a
+    # one-topology grid as a single in-process payload), a parallel
+    # sweep submits every point to the pool as its own task.
+    assert pool_tasks() - before == (RESOLUTION if parallel else 0)
     run_caller(
         "exploration", explore_store, parallel=parallel,
-        batch_size=batch_size, progress=events.append,
+        progress=events.append,
     )
-    # One event per caller (the grid is one optimizer batch), and both
-    # ran their points as batch tasks exactly when asked to.
+    # One event per caller (the grid is one optimizer batch).
     assert len(events) == 2
-    assert batch_members() - members == (
-        2 * RESOLUTION if batch_size == 0 else 0
-    )
     rows = store_rows(sweep_store)
     assert len(rows) == RESOLUTION
     assert sum(1 for _, metrics in rows if metrics["error"]) == 1

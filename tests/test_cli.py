@@ -338,3 +338,24 @@ def test_sweep_command_progress_flag(capsys):
                  "--set", "capacitance=22e-6,47e-6", "--progress"]) == 0
     out = capsys.readouterr().out
     assert "batch 1: 2 computed, 0 cached" in out
+
+
+def test_sweep_default_flags_run_every_point_on_the_pool(capsys):
+    """A parallel sweep (no --serial) of a one-topology grid submits
+    every point to the worker pool, one task per point."""
+    from repro import obs
+
+    def pool_tasks():
+        return sum(
+            row["value"] for row in obs.registry.snapshot()["counters"]
+            if row["name"] == "repro_pool_tasks_total"
+            and dict(row["labels"]) == {"mode": "pool"}
+        )
+
+    before = pool_tasks()
+    assert main([
+        "sweep", "--duration", "0.2", "--kernel", "fast", "--workers", "2",
+        "--set", "capacitance=22e-6,33e-6,47e-6,68e-6",
+    ]) == 0
+    assert "4 points (parallel)" in capsys.readouterr().out
+    assert pool_tasks() - before == 4

@@ -174,6 +174,26 @@ def test_payload_key_varies_with_attempt():
     assert faults.payload_key(payload) == faults.payload_key(dict(payload))
 
 
+def test_payload_key_separates_override_free_payloads_of_two_presets():
+    """Regression: an empty override dict used to key as ``null``, so
+    every override-free payload (a service run job, a one-point sweep)
+    rolled alike whatever its scenario."""
+    from repro.spec.presets import preset
+    from repro.spec.runner import spec_hash
+
+    payload = {"spec_overrides": {}, "overrides": {}}
+    fig7, crossover = (
+        spec_hash(preset(name)) for name in ("fig7", "crossover-hibernus")
+    )
+    assert faults.payload_key(payload, fig7) != \
+        faults.payload_key(payload, crossover)
+    assert faults.payload_key(payload, fig7) == \
+        faults.payload_key(dict(payload), fig7)
+    # Full-spec payloads key on the spec itself.
+    assert faults.payload_key({"spec": preset("fig7").to_dict()}) != \
+        faults.payload_key({"spec": preset("crossover-hibernus").to_dict()})
+
+
 def test_fired_injections_bump_the_counter():
     before = counter_value("repro_faults_injected_total", point="io.slow")
     faults.configure({"io.slow": 1.0}, seed=0, slow_s=0.0)
