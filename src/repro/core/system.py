@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.harvest.base import PowerHarvester, VoltageHarvester
 from repro.power.converter import ConversionStage
@@ -154,19 +152,15 @@ class EnergyDrivenSystem:
                     else 0.0
                 )
 
-            # Constant across a chunk: a zero-stride broadcast view is
-            # enough (the recorder copies the decimated samples out).
+            # Constant across a chunk: the 0-d form fills the chunk's
+            # samples with the one value.
             self.simulator.probe(
                 "state", state_code, decimate=decimate,
-                chunk_fn=lambda k: np.broadcast_to(
-                    np.float64(state_code()), (k,)
-                ),
+                chunk_fn=lambda k: state_code(),
             )
             self.simulator.probe(
                 "frequency", frequency, decimate=decimate,
-                chunk_fn=lambda k: np.broadcast_to(
-                    np.float64(frequency()), (k,)
-                ),
+                chunk_fn=lambda k: frequency(),
             )
         self._probes_installed = True
 
@@ -175,7 +169,8 @@ class EnergyDrivenSystem:
 
         Custom probes without a ``chunk_fn`` disable chunking under the
         fast kernel (their values must be observed every step); pass one
-        returning per-step values for a k-step chunk to keep it engaged.
+        returning per-step values for a k-step chunk, or one 0-d value
+        when the signal is constant over the chunk, to keep it engaged.
         """
         self.simulator.probe(name, fn, decimate=decimate, chunk_fn=chunk_fn)
 

@@ -237,14 +237,16 @@ class TrapezoidSupply(VoltageHarvester):
         t_up = (self.v_high - self.v_low) / self.ramp_up
         after_down = phase - t_down
         after_dwell = after_down - self.dwell_low
-        return np.select(
-            [phase < t_down, after_down < self.dwell_low, after_dwell < t_up],
-            [
-                self.v_high - self.ramp_down * phase,
-                np.full(len(times), self.v_low, dtype=float),
-                self.v_low + self.ramp_up * after_dwell,
-            ],
-            default=self.v_high,
+        # The scalar method's branches, applied last to first so the
+        # earliest matching segment wins.
+        values = np.where(
+            after_dwell < t_up,
+            self.v_low + self.ramp_up * after_dwell,
+            self.v_high,
+        )
+        values = np.where(after_down < self.dwell_low, self.v_low, values)
+        return np.where(
+            phase < t_down, self.v_high - self.ramp_down * phase, values
         )
 
     def chunk_safe(self) -> bool:

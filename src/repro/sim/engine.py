@@ -16,7 +16,8 @@ Two kernels execute that schedule:
   every declared event boundary — voltage thresholds *and* timed events
   (snapshot/restore completion, workload task boundaries), so the step
   an event fires on always runs the unmodified reference path (see
-  :mod:`repro.sim.kernel`).  Probes
+  :mod:`repro.sim.kernel`).  A chunk that stops short is followed by
+  that event step directly; only a refused chunk backs off.  Probes
   must be chunk-capable (see :class:`~repro.sim.probes.Probe`) for
   chunking to engage; otherwise the fast kernel behaves exactly like the
   reference one.  A stop condition registered without ``chunk_safe=True``
@@ -60,9 +61,12 @@ class Component:
 
         Returning 0 means the component cannot chunk its present regime
         (an event boundary is imminent or its state is not vectorizable);
-        the engine then executes one reference :meth:`step`.  A non-zero
-        return k means the component advanced exactly k full steps with
-        per-step semantics identical to k :meth:`step` calls.
+        the engine then executes one reference :meth:`step` and backs
+        off before asking again.  A non-zero return k means the
+        component advanced exactly k full steps with per-step semantics
+        identical to k :meth:`step` calls; ``k < n`` means it stopped
+        before a declared event boundary, so the engine runs the next
+        step, the event step, through :meth:`step` without asking.
         """
         return 0
 
@@ -166,9 +170,11 @@ class Simulator:
     ) -> None:
         """Register a probe sampling ``fn()`` every ``decimate`` steps.
 
-        ``chunk_fn`` makes the probe bulk-samplable by the fast kernel
-        (see :class:`~repro.sim.probes.Probe`); ``capacity`` bounds the
-        ring buffer to the most recent samples.
+        ``chunk_fn`` makes the probe bulk-samplable by the fast kernel:
+        called with a chunk's step count, it returns that many per-step
+        values, or one 0-d value when the signal is constant over the
+        chunk (see :class:`~repro.sim.probes.Probe`).  ``capacity``
+        bounds the ring buffer to the most recent samples.
         """
         self._recorder.add(name, fn, decimate=decimate, chunk_fn=chunk_fn,
                            capacity=capacity)
@@ -255,6 +261,7 @@ class Simulator:
         chunks0, chunked0, fallback0 = (
             stats.chunks, stats.chunked_steps, stats.fallback_steps,
         )
+        reasons0 = dict(stats.fallbacks)
         t0 = time.monotonic()
         with obs.span("kernel.run", kernel=self.kernel) as kspan:
             if self.kernel == "fast":
@@ -282,6 +289,11 @@ class Simulator:
                 obs.counter("repro_kernel_fallback_steps_total").inc(
                     stats.fallback_steps - fallback0
                 )
+                for reason, count in stats.fallbacks.items():
+                    obs.counter(
+                        "repro_kernel_fallback_steps_by_reason_total",
+                        reason=reason,
+                    ).inc(count - reasons0[reason])
         return SimulationResult(
             t_end=self.t,
             steps=self.steps - steps_before,
@@ -335,36 +347,50 @@ class Simulator:
         # Scheduling heuristics (semantics-neutral: steps not chunked just
         # run per-step): chunks start short and double while fully
         # consumed, so a chunk ending at a nearby event boundary never
-        # pays for a full-length source plan; failed attempts back off
-        # exponentially so unchunkable regimes (ACTIVE execution) don't
-        # re-probe the component every step.
+        # pays for a full-length source plan.  A chunk that stops short
+        # ended before a declared boundary, so the next step is the event
+        # step and runs per-step without a chunk attempt.  Only a refused
+        # attempt backs off, exponentially, so unchunkable regimes
+        # (interpreted ACTIVE execution) don't re-probe the component
+        # every step.  Every per-step step is counted under its reason.
         grow = _MIN_CHUNK
         skip = 0
         backoff = 0
+        event = False
         stats = self.chunk_stats
+        fallbacks = stats.fallbacks
+        step_chunk = component.step_chunk if component is not None else None
         while True:
             if s_max is not None and self.steps > s_max:
                 return False
             if max_steps is not None and self.steps - steps_before >= max_steps:
                 return False
-            taken = 0
-            if chunkable and skip == 0:
+            if event:
+                event = False
+                reason = "event"
+            elif skip:
+                skip -= 1
+                reason = "backoff"
+            else:
                 n = min(grow, self.chunk_size)
                 if s_max is not None:
                     n = min(n, s_max - self.steps + 1)
                 if max_steps is not None:
                     n = min(n, max_steps - (self.steps - steps_before))
-                if n > 1:
-                    taken = n if component is None else component.step_chunk(
+                if not chunkable or n <= 1:
+                    reason = "unchunkable"
+                else:
+                    taken = n if step_chunk is None else step_chunk(
                         self.t, dt, n
                     )
                     if taken:
+                        reason = None
                         backoff = 0
-                        grow = (
-                            min(2 * n, self.chunk_size)
-                            if taken == n
-                            else _MIN_CHUNK
-                        )
+                        if taken == n:
+                            grow = min(2 * n, self.chunk_size)
+                        else:
+                            grow = _MIN_CHUNK
+                            event = True
                         stats.chunks += 1
                         stats.chunked_steps += taken
                         first = self.steps + 1
@@ -372,13 +398,13 @@ class Simulator:
                         self.t = self.steps * dt
                         self._recorder.sample_chunk(first, taken, dt)
                     else:
+                        reason = "refused"
                         backoff = (
                             min(2 * backoff, _MAX_BACKOFF) if backoff else 1
                         )
                         skip = backoff
-            elif skip:
-                skip -= 1
-            if taken == 0:
+            if reason is not None:
+                fallbacks[reason] += 1
                 stats.fallback_steps += 1
                 self.step()
             if conditions and any(cond(self.t) for cond in conditions):

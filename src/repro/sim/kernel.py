@@ -48,8 +48,8 @@ Every other descriptor field is a plain Python float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -288,13 +288,34 @@ class SourcePlanMemo:
         self._address = 0
 
 
+#: Why a fast-kernel step ran per-step (see :class:`ChunkStats`).
+FALLBACK_REASONS = ("event", "refused", "backoff", "unchunkable")
+
+
 @dataclass
 class ChunkStats:
-    """Diagnostic counters a fast-kernel simulator accumulates."""
+    """Diagnostic counters a fast-kernel simulator accumulates.
+
+    ``fallback_steps`` counts every step run per-step; ``fallbacks``
+    splits it by reason and always sums to it:
+
+    * ``event`` — the step after a chunk that stopped short of a
+      declared boundary: the event step itself;
+    * ``refused`` — a chunk attempt returned 0 (brownout due, no load
+      profile for the present state);
+    * ``backoff`` — skipped without an attempt while backing off after a
+      refusal;
+    * ``unchunkable`` — the schedule cannot chunk at all (a probe or
+      stop condition needs per-step observation, a component has no
+      ``step_chunk``), or a single step remains before the horizon.
+    """
 
     chunks: int = 0
     chunked_steps: int = 0
     fallback_steps: int = 0
+    fallbacks: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(FALLBACK_REASONS, 0)
+    )
 
     def chunked_fraction(self) -> float:
         """Fraction of all steps executed through the chunk path."""

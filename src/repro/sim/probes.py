@@ -15,7 +15,7 @@ the most recent samples (long soak runs at bounded memory).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -104,9 +104,11 @@ class Probe:
         decimate: record every ``decimate``-th step.
         chunk_fn: optional bulk sampler for the fast kernel — called with
             the number of steps a chunk advanced and returning that many
-            per-step values.  Probes without one force the fast kernel
-            back to per-step execution (values must be observed every
-            step; there is no way to reconstruct them after the fact).
+            per-step values, or a single 0-d value (a float or 0-d
+            array) meaning "constant over the chunk".  Probes without
+            one force the fast kernel back to per-step execution (values
+            must be observed every step; there is no way to reconstruct
+            them after the fact).
         capacity: optional ring limit — when set, only the most recent
             ``capacity`` (decimated) samples are retained.
     """
@@ -172,29 +174,36 @@ class Probe:
         self._values = values
 
     def _append(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Store ``times`` with ``values``: one per time, or one 0-d value."""
         k = times.size
         if k == 0:
             return
         if self._capacity is None:
-            self._grow(self._n + k)
-            self._times[self._n : self._n + k] = times
-            self._values[self._n : self._n + k] = values
-            self._n += k
+            n = self._n
+            end = n + k
+            if end > self._times.size:
+                self._grow(end)
+            self._times[n:end] = times
+            self._values[n:end] = values
+            self._n = end
             return
         cap = self._capacity
+        constant = values.ndim == 0
         if k >= cap:  # only the newest `cap` samples survive
             self._times[:] = times[k - cap :]
-            self._values[:] = values[k - cap :]
+            self._values[:] = values if constant else values[k - cap :]
             self._n = cap
             self._head = 0
             return
         first = min(k, cap - self._head)
         self._times[self._head : self._head + first] = times[:first]
-        self._values[self._head : self._head + first] = values[:first]
+        self._values[self._head : self._head + first] = (
+            values if constant else values[:first]
+        )
         rest = k - first
         if rest:
             self._times[:rest] = times[first:]
-            self._values[:rest] = values[first:]
+            self._values[:rest] = values if constant else values[first:]
         self._head = (self._head + k) % cap
         self._n = min(self._n + k, cap)
 
@@ -242,14 +251,27 @@ class Probe:
         self._append(np.asarray(times[sel], dtype=float),
                      np.asarray(values[sel], dtype=float))
 
-    def sample_chunk_grid(self, first_step: int, k: int, dt: float) -> None:
+    def sample_chunk_grid(
+        self,
+        first_step: int,
+        k: int,
+        dt: float,
+        grids: Dict[Tuple[int, int], np.ndarray],
+    ) -> None:
         """Record a chunk of ``k`` steps on the regular ``steps * dt`` grid.
 
         Equivalent to ``sample_chunk(arange(first_step, first_step+k)*dt,
         chunk_fn(k))`` but materialises only the decimated sample times
         (``(first_step + j) * dt`` for the selected ``j`` — bit-identical
         to slicing the full grid, since the integer step indices are
-        exact either way).
+        exact either way).  The decimation counter carries over between
+        chunks and per-step samples, so both select the same steps.
+
+        ``grids`` shares those time arrays between the probes of one
+        chunk: it maps ``(first sampled step, decimation)`` to the times,
+        which fixes the array since every probe's chunk ends on the
+        same step.  A 0-d ``chunk_fn`` result fills every sample of the
+        chunk with that one value.
         """
         if k == 0:
             return
@@ -259,11 +281,14 @@ class Probe:
         self._counter = (self._counter + k) % d
         if first >= k:
             return
-        steps = np.arange(first_step + first, first_step + k, d)
+        start = first_step + first
+        times = grids.get((start, d))
+        if times is None:
+            times = grids[start, d] = np.arange(start, first_step + k, d) * dt
         values = np.asarray(values, dtype=float)
-        if d > 1:
+        if d > 1 and values.ndim:
             values = values[first::d]
-        self._append(steps * dt, values)
+        self._append(times, values)
 
     def clear(self) -> None:
         """Drop all recorded samples (buffers are kept allocated)."""
@@ -324,8 +349,9 @@ class Recorder:
         chunk, so sample times are ``first_step*dt .. (first_step+k-1)*dt``
         — the exact ``steps * dt`` grid per-step execution produces.
         """
+        grids: Dict[Tuple[int, int], np.ndarray] = {}
         for probe in self._probes.values():
-            probe.sample_chunk_grid(first_step, k, dt)
+            probe.sample_chunk_grid(first_step, k, dt, grids)
 
     def chunk_capable(self) -> bool:
         """True when every probe supports bulk chunk sampling."""

@@ -16,6 +16,10 @@ supply interruptions and checks:
 * the reference trace against a committed golden file
   (``tests/data/golden/strategy-*.json``), pinning the physics.
 
+The Eq. (5) crossover presets (Hibernus and QuickRecall) also run on
+generated points, stratified over 1-99 Hz and 10-33 uF, with the same
+checks against the reference kernel.
+
 A dedicated case forces a brownout *mid-snapshot* (an oversized NVM
 write against a collapsing supply), exercising the abort path across
 the kernel boundary.  Regenerate goldens after an intentional physics
@@ -25,6 +29,8 @@ change with::
 """
 
 import json
+import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +227,55 @@ def test_mementos_case_exercises_checkpoint_sites():
     ref, _ = _run("mementos", "reference")
     assert ref.platform.stop_at_checkpoints
     assert ref.platform.metrics.snapshots_started > 0
+
+
+# -- generated Eq. (5) crossover points ------------------------------------
+
+
+def _strata(rng, low, high, count):
+    """One log-uniform draw from each of ``count`` equal log strata."""
+    a, b = math.log(low), math.log(high)
+    return [
+        math.exp(a + (b - a) * (i + rng.random()) / count)
+        for i in range(count)
+    ]
+
+
+def _crossover_points():
+    """4 frequencies over 1-99 Hz x 2 capacitances over 10-33 uF."""
+    rng = random.Random(19)
+    frequencies = _strata(rng, 1.0, 99.0, 4)
+    capacitances = _strata(rng, 10e-6, 33e-6, 2)
+    return [(f, c) for f in frequencies for c in capacitances]
+
+
+@pytest.mark.parametrize("strategy", ["hibernus", "quickrecall"])
+@pytest.mark.parametrize(
+    "frequency, capacitance", _crossover_points(),
+    ids=lambda value: f"{value:.3g}",
+)
+def test_generated_crossover_point_parity(strategy, frequency, capacitance):
+    """The Eq. (5) crossover presets on generated (frequency, C) points."""
+    from repro.spec.presets import preset
+
+    runs = {}
+    for kernel in ("reference", "fast"):
+        spec = preset(f"crossover-{strategy}").with_overrides({
+            "frequency": frequency, "capacitance": capacitance,
+            "kernel": kernel,
+        })
+        runs[kernel] = spec.build().run(spec.duration, decimate=spec.decimate)
+    ref, fast = runs["reference"], runs["fast"]
+    assert ref.t_end == fast.t_end
+    assert len(ref.vcc()) == len(fast.vcc())
+    assert np.max(np.abs(ref.vcc().values - fast.vcc().values)) <= FAST_ATOL
+    ref_m, fast_m = ref.platform.metrics, fast.platform.metrics
+    assert ref_m.completions == 1
+    for counter in EVENT_COUNTERS:
+        assert getattr(ref_m, counter) == getattr(fast_m, counter), counter
+    assert ref_m.first_completion_time == fast_m.first_completion_time
+    for key, ref_e in ref_m.energy.items():
+        assert fast_m.energy[key] == pytest.approx(ref_e, rel=1e-9, abs=1e-15)
 
 
 # -- golden traces ---------------------------------------------------------

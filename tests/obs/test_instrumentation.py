@@ -105,3 +105,23 @@ def test_pool_gate_status_reports_cpu_policy():
     assert status == {"cpus": 8, "min_cpus": 2, "enforced": True}
     assert pool_gate_status(cpus=1)["enforced"] is False
     assert set(pool_gate_status()) == {"cpus", "min_cpus", "enforced"}
+
+
+def test_fast_run_counts_fallback_steps_by_reason():
+    from repro.spec.presets import preset
+
+    spec = preset("crossover-quickrecall").with_overrides(
+        {"kernel": "fast", "frequency": 40.0}
+    )
+    system = spec.build()
+    system.run(spec.duration)
+    by_reason = {
+        c["labels"]["reason"]: c["value"]
+        for c in obs.registry.snapshot()["counters"]
+        if c["name"] == "repro_kernel_fallback_steps_by_reason_total"
+    }
+    assert set(by_reason) == {"event", "refused", "backoff", "unchunkable"}
+    assert by_reason == system.simulator.chunk_stats.fallbacks
+    assert sum(by_reason.values()) == _counter_total(
+        "repro_kernel_fallback_steps_total"
+    )

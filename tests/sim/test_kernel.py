@@ -417,3 +417,86 @@ def test_fast_kernel_reports_chunk_coverage():
     assert stats.chunks > 0
     system.reset()
     assert system.simulator.chunk_stats.chunked_steps == 0
+
+
+# ---------------------------------------------------------------------------
+# Event-exact schedule and fallback reasons
+# ---------------------------------------------------------------------------
+
+
+class _ShortChunks(Component):
+    """Chunks at most 10 steps at a time, logging every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def step(self, t, dt):
+        self.calls.append("step")
+
+    def step_chunk(self, t0, dt, n):
+        self.calls.append("chunk")
+        return min(n, 10)
+
+
+class _Refuses(_ShortChunks):
+    def step_chunk(self, t0, dt, n):
+        self.calls.append("chunk")
+        return 0
+
+
+def test_short_chunk_is_followed_by_its_event_step_without_an_attempt():
+    sim = Simulator(dt=1e-3, kernel="fast")
+    component = sim.add(_ShortChunks())
+    sim.run(max_steps=55)
+    # Each 10-step chunk stops short of the requested length, so the
+    # next step is the event step: run per-step, no refused attempt.
+    assert component.calls == ["chunk", "step"] * 5
+    stats = sim.chunk_stats
+    assert stats.fallbacks == {
+        "event": 5, "refused": 0, "backoff": 0, "unchunkable": 0,
+    }
+    assert stats.chunked_steps + stats.fallback_steps == 55
+
+
+def test_refused_attempts_back_off_exponentially():
+    sim = Simulator(dt=1e-3, kernel="fast")
+    component = sim.add(_Refuses())
+    sim.run(max_steps=15)
+    # Attempts on steps 1, 3, 6 and 11; 1, 2, 4 and 4 backoff steps.
+    assert component.calls.count("chunk") == 4
+    assert sim.chunk_stats.fallbacks == {
+        "event": 0, "refused": 4, "backoff": 11, "unchunkable": 0,
+    }
+    assert sim.chunk_stats.fallback_steps == 15
+
+
+def test_unchunkable_schedules_count_every_step():
+    sim = Simulator(dt=1e-3, kernel="fast")
+    sim.add(_ShortChunks())
+    sim.probe("t", lambda: sim.t)  # no chunk_fn: per-step only
+    sim.run(max_steps=7)
+    empty = Simulator(dt=1e-3, kernel="fast")
+    empty.run(max_steps=1)  # a single step left: nothing to chunk
+    for stats, steps in ((sim.chunk_stats, 7), (empty.chunk_stats, 1)):
+        assert stats.fallbacks["unchunkable"] == stats.fallback_steps == steps
+
+
+@pytest.mark.parametrize(
+    "name", ["crossover-hibernus", "crossover-quickrecall"]
+)
+def test_crossover_schedule_is_event_exact(name):
+    from repro.spec.presets import preset
+
+    spec = preset(name).with_overrides({"kernel": "fast", "frequency": 40.0})
+    system = spec.build()
+    system.run(spec.duration, decimate=spec.decimate)
+    sim = system.simulator
+    stats = sim.chunk_stats
+    reasons = stats.fallbacks
+    assert sum(reasons.values()) == stats.fallback_steps
+    assert stats.chunked_steps + stats.fallback_steps == sim.steps
+    # Every supply interruption ends chunks at declared boundaries; the
+    # steps after them are event steps, and almost no attempt is refused
+    # (before event-exact scheduling each short chunk cost one refusal).
+    assert reasons["event"] > 50
+    assert reasons["refused"] < 0.1 * reasons["event"]

@@ -94,3 +94,78 @@ def test_recorder_samples_all_probes():
     assert list(traces["a"].values) == [1.0, 1.0]
     assert list(traces["b"].values) == [2.0, 2.0]
     assert "a" in recorder and "missing" not in recorder
+
+
+# -- chunk sampling vs per-step sampling ------------------------------------
+
+#: Step length for the chunk-sampling comparisons.
+DT = 1e-3
+
+#: ``(kind, steps)`` segments: per-step stretches between chunks, 1-step
+#: chunks, and chunks longer than a small ring.
+SCHEDULE = (
+    ("chunk", 5), ("step", 2), ("chunk", 1), ("chunk", 7), ("step", 1),
+    ("chunk", 13), ("chunk", 1), ("step", 3), ("chunk", 20), ("chunk", 2),
+)
+
+
+def _record(decimate, capacity, constant, chunked):
+    """Traces of three probes driven through ``SCHEDULE``.
+
+    ``a`` samples every ``decimate`` steps, ``b`` every ``decimate + 1``,
+    and ``late`` (same decimation as ``a``) joins after the first
+    segment, so its decimation phase differs from ``a``'s.  The signal
+    is per-step (``0.5 * step + 1``) or, when ``constant``, the segment
+    index, which a chunk reports as one 0-d value.
+    """
+    recorder = Recorder()
+    clock = {"step": 0, "segment": 0}
+
+    def fn():
+        if constant:
+            return float(clock["segment"])
+        return 0.5 * clock["step"] + 1.0
+
+    def chunk_fn(k):
+        if constant:
+            return float(clock["segment"])
+        steps = np.arange(clock["step"] - k + 1, clock["step"] + 1)
+        return 0.5 * steps + 1.0
+
+    def add(name, d):
+        recorder.add(name, fn, decimate=d, chunk_fn=chunk_fn,
+                     capacity=capacity)
+
+    add("a", decimate)
+    add("b", decimate + 1)
+    for index, (kind, k) in enumerate(SCHEDULE):
+        clock["segment"] = index
+        if index == 1:
+            add("late", decimate)
+        if chunked and kind == "chunk":
+            first = clock["step"] + 1
+            clock["step"] += k
+            recorder.sample_chunk(first, k, DT)
+        else:
+            for _ in range(k):
+                clock["step"] += 1
+                recorder.sample(clock["step"] * DT)
+    return recorder.traces()
+
+
+@pytest.mark.parametrize("capacity", [None, 4])
+@pytest.mark.parametrize("decimate", [1, 3, 7])
+@pytest.mark.parametrize("constant", [False, True], ids=["array", "0-d"])
+def test_chunk_sampling_equals_per_step_sampling(constant, decimate, capacity):
+    per_step = _record(decimate, capacity, constant, chunked=False)
+    chunked = _record(decimate, capacity, constant, chunked=True)
+    assert set(chunked) == {"a", "b", "late"}
+    for name, trace in per_step.items():
+        assert len(trace) > 0
+        if capacity is not None:
+            assert len(trace) <= capacity
+        np.testing.assert_array_equal(chunked[name].times, trace.times)
+        np.testing.assert_array_equal(chunked[name].values, trace.values)
+    if decimate > 1 and capacity is None:
+        # The late probe's samples sit on other steps than a's.
+        assert set(per_step["late"].times).isdisjoint(per_step["a"].times)
