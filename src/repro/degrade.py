@@ -14,9 +14,10 @@ Each **domain** is one independent ladder of modes, best first::
     mcu.kernel     c -> python       (the mini-ISA interpreter)
     executor       pool -> serial    (payload execution)
 
-``chunk.kernel`` is reported once per run (when the rail first
-chunks), never per chunk; ``mcu.kernel`` once per machine (at its
-first ``Machine.run``), never per ``run`` call.
+``chunk.kernel`` is reported at a run's first chunk, and once more if
+the compiled loop declines a chunk (the Python loop then serves the
+rest of the run), never per chunk; ``mcu.kernel`` once per machine (at
+its first ``Machine.run``), never per ``run`` call.
 
 Components report the mode they actually used via :func:`report`;
 the module keeps the current rung per domain, exports it as the
@@ -27,7 +28,7 @@ instant event on the trace timeline when the rung *changes* — steady
 state costs a dict lookup and an equality check per report.
 
 :func:`snapshot` feeds the service ``/readyz`` payload so an operator
-sees "running, but on the Python chunk loops" without reading
+sees "running, but on the Python chunk loop" without reading
 profiles.
 """
 

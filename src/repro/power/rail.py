@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.power.rectifier import HalfWaveRectifier
 from repro.sim import _ckernel
 from repro.sim.engine import Component
 from repro.sim.kernel import (
+    CapacitorPhysics,
     LoadProfile,
     PowerSourcePlan,
     SourcePlanMemo,
@@ -232,10 +233,14 @@ class SupplyRail(Component):
     chunk ends (and per-step execution resumes) at the first step whose
     voltage crosses a load's declared event boundary.
 
-    The loop is the compiled ``chunk_loop`` of :mod:`repro.sim._ckernel`
-    where it loads; the Python loops below are its exact reference and
-    the rung without a compiler, and they also serve chunks whose power
-    source sits behind a converter (a per-step Python call).
+    One recurrence runs every chunk, on one of two rungs with one call
+    shape: the compiled ``chunk_loop`` of :mod:`repro.sim._ckernel`
+    where it loads, and the Python :func:`chunk_loop` below, its exact
+    reference, where it does not.  The Python loop also takes over for
+    the rest of a run once the compiled loop declines a chunk (a power
+    source behind a converter, a per-step Python call); the
+    ``chunk.kernel`` rung reported to :mod:`repro.degrade` is the one
+    the run's chunks ran on.
     """
 
     def __init__(self, storage: StorageElement):
@@ -247,9 +252,9 @@ class SupplyRail(Component):
         #: Cached CapacitorPhysics (False until first step_chunk attempt,
         #: then the descriptor or None for non-chunkable storage).
         self._physics = False
-        #: This rail's compiled-loop runner (False until the first
-        #: step_chunk of a run, then a ChunkLoop or None on the Python
-        #: rung).
+        #: This run's compiled-loop runner (False until the first
+        #: chunk of a run, then a ChunkLoop, or None once the run is on
+        #: the Python rung).
         self._compiled = False
 
     @property
@@ -292,10 +297,10 @@ class SupplyRail(Component):
         """
         return np.asarray(self._chunk_vcc, dtype=float)
 
-    def _resolve_compiled(self) -> Optional[_ckernel.ChunkLoop]:
-        """This run's compiled-loop runner, reporting the rung once."""
+    def _compiled_loop(self) -> Optional[_ckernel.ChunkLoop]:
+        """A compiled-loop runner for this rail, or None on the Python
+        rung."""
         kernel = _ckernel.load()
-        degrade.report("chunk.kernel", "python" if kernel is None else "c")
         if kernel is None:
             return None
         return _ckernel.ChunkLoop(
@@ -331,217 +336,29 @@ class SupplyRail(Component):
             if plan is None:
                 return 0
             plans.append(plan)
-        leak = physics.leak_factor(dt)
+        args = (physics, plans, profiles, v, physics.leak_factor(dt), dt, n,
+                self.stats)
         compiled = self._compiled
         if compiled is False:
-            compiled = self._compiled = self._resolve_compiled()
-        result = None
-        if compiled is not None:
-            result = compiled.run(
-                physics, plans, profiles, v, leak, dt, n, self.stats
-            )
+            compiled = self._compiled_loop()
+        result = None if compiled is None else compiled.run(*args)
         if result is None:
-            taken, energies = self._python_chunk(
-                physics, plans, profiles, v, leak, dt, n
+            # The Python loop serves the rest of the run: there is no
+            # compiled loop, or it declined a chunk it cannot read.
+            compiled = None
+            result = chunk_loop(*args)
+        if compiled is not self._compiled:
+            # The run's first chunk, or its first declined one: report
+            # the rung its chunks run on, never once per chunk.
+            self._compiled = compiled
+            degrade.report(
+                "chunk.kernel", "python" if compiled is None else "c"
             )
-        else:
-            taken, energies, self._chunk_vcc = result
+        taken, energies, self._chunk_vcc = result
         for profile, energy in zip(profiles, energies):
             if profile.commit is not None:
                 profile.commit(taken, dt, energy)
         return taken
-
-    def _python_chunk(self, physics, plans, profiles, v, leak, dt, n):
-        """The Python rung: the simple loop where the shape allows it."""
-        if (
-            len(plans) == 1
-            and isinstance(plans[0], VoltageSourcePlan)
-            and len(profiles) == 1
-            and profiles[0].resistance is None
-            and profiles[0].current == 0.0
-            and leak is None
-            and physics.draw_overhead == 1.0
-        ):
-            return self._chunk_loop_simple(
-                physics, plans[0], profiles[0], v, dt, n
-            )
-        return self._chunk_loop(physics, plans, profiles, v, leak, dt, n)
-
-    def _chunk_loop_simple(self, physics, plan, profile, v, dt, n):
-        """One rectified source, one constant load, ideal capacitor.
-
-        The hot path for the paper's scenarios; same arithmetic as
-        :meth:`step` with everything in locals.
-        """
-        C = physics.capacitance
-        half_c = 0.5 * C
-        v_max = physics.v_max
-        sqrt = math.sqrt
-        values = _floats(plan.values)
-        drop = plan.drop
-        r_total = plan.r_total
-        e_dem = profile.power * dt + profile.energy
-        v_rise = profile.v_rising
-        v_fall = profile.v_falling
-        stats = self.stats
-        harvested = stats.harvested
-        consumed = stats.consumed
-        starved = stats.starved
-        vcc: List[float] = []
-        append = vcc.append
-        i = 0
-        while i < n:
-            head = values[i] - v - drop
-            if head > 0.0:
-                before = half_c * v * v
-                vn = v + (head / r_total * dt) / C
-                if vn > v_max:
-                    vn = v_max
-                dh = half_c * vn * vn - before
-            else:
-                vn = v
-                dh = 0.0
-            if vn >= v_rise or vn < v_fall:
-                break  # event boundary: the step reruns via the reference path
-            avail = half_c * vn * vn
-            if e_dem >= avail:
-                vn = 0.0
-                delivered = avail
-            else:
-                vn = sqrt(2.0 * (avail - e_dem) / C)
-                delivered = e_dem
-            harvested += dh
-            consumed += delivered
-            starved += e_dem - delivered
-            v = vn
-            append(v)
-            i += 1
-        physics.write_voltage(v)
-        stats.harvested = harvested
-        stats.consumed = consumed
-        stats.starved = starved
-        self._chunk_vcc = vcc
-        return i, [i * e_dem]
-
-    def _chunk_loop(self, physics, plans, profiles, v, leak, dt, n):
-        """General chunk loop: any mix of sources, loads, leakage, ESR."""
-        C = physics.capacitance
-        half_c = 0.5 * C
-        v_max = physics.v_max
-        e_cap = half_c * v_max * v_max
-        overhead = physics.draw_overhead
-        sqrt = math.sqrt
-        sources = [
-            (
-                isinstance(plan, VoltageSourcePlan),
-                _floats(plan.values),
-                getattr(plan, "drop", 0.0),
-                getattr(plan, "r_total", 1.0),
-                getattr(plan, "converter", None),
-            )
-            for plan in plans
-        ]
-        # Per-load demand terms, precombined where constant: e_const is
-        # the voltage-independent joules per step (power*dt + energy, in
-        # that order — matching the reference implementations' `power *
-        # dt` and `active + extra` arithmetic exactly).
-        loads = [
-            (profile.resistance, profile.power * dt + profile.energy,
-             profile.current, profile.current_gain,
-             profile.v_rising, profile.v_falling)
-            for profile in profiles
-        ]
-        n_loads = len(loads)
-        load_range = range(n_loads)
-        # Committed per-load demand totals, plus a per-step scratch list:
-        # a step that hits an event boundary is discarded wholesale, so
-        # demands fold into the totals only when the full step commits.
-        esums = [0.0] * n_loads
-        edems = [0.0] * n_loads
-        stats = self.stats
-        harvested = stats.harvested
-        leaked = stats.leaked
-        consumed = stats.consumed
-        starved = stats.starved
-        vcc: List[float] = []
-        append = vcc.append
-        i = 0
-        while i < n:
-            v0 = v
-            tv = v0
-            h_t = harvested
-            # Injection: every injector sees the start-of-step voltage,
-            # charge lands on the running (clamped) voltage — as step().
-            for is_voltage, values, drop, r_total, converter in sources:
-                if is_voltage:
-                    head = values[i] - v0 - drop
-                    if head > 0.0:
-                        before = half_c * tv * tv
-                        vn = tv + (head / r_total * dt) / C
-                        tv = v_max if vn > v_max else vn
-                        h_t += half_c * tv * tv - before
-                else:
-                    p = values[i]
-                    if converter is not None:
-                        p = converter.output_power(p, v0 if v0 > 0 else 1.0)
-                    if p > 0.0:
-                        e = half_c * tv * tv
-                        e_new = e + p * dt
-                        if e_new > e_cap:
-                            accepted = e_cap - e
-                            tv = v_max
-                            h_t += accepted if accepted > 0.0 else 0.0
-                        else:
-                            tv = sqrt(2.0 * e_new / C)
-                            h_t += p * dt
-            le_t = leaked
-            if leak is not None and tv != 0.0:
-                before = half_c * tv * tv
-                tv *= leak
-                le_t += before - half_c * tv * tv
-            co_t = consumed
-            st_t = starved
-            event = False
-            for j in load_range:
-                resistance, e_const, current, gain, v_rise, v_fall = loads[j]
-                if tv >= v_rise or tv < v_fall:
-                    event = True
-                    break
-                if resistance is not None:
-                    e_dem = tv * tv / resistance * dt + e_const
-                elif current != 0.0:
-                    e_dem = ((current * tv) * gain) * dt + e_const
-                else:
-                    e_dem = e_const
-                demand = e_dem * overhead
-                avail = half_c * tv * tv
-                if demand >= avail:
-                    tv = 0.0
-                    delivered = avail / overhead
-                else:
-                    tv = sqrt(2.0 * (avail - demand) / C)
-                    delivered = demand / overhead
-                co_t += delivered
-                st_t += e_dem - delivered
-                edems[j] = e_dem
-            if event:
-                break  # discard this step; it reruns via the reference path
-            v = tv
-            harvested = h_t
-            leaked = le_t
-            consumed = co_t
-            starved = st_t
-            for j in load_range:
-                esums[j] += edems[j]
-            append(v)
-            i += 1
-        physics.write_voltage(v)
-        stats.harvested = harvested
-        stats.leaked = leaked
-        stats.consumed = consumed
-        stats.starved = starved
-        self._chunk_vcc = vcc
-        return i, esums
 
     def reset(self) -> None:
         self.storage.reset()
@@ -554,8 +371,139 @@ class SupplyRail(Component):
         self._compiled = False
 
 
+def chunk_loop(
+    physics: CapacitorPhysics, plans: Sequence, profiles: Sequence,
+    v: float, leak: Optional[float], dt: float, n: int, stats: RailStats,
+) -> Tuple[int, List[float], List[float]]:
+    """The Python chunk loop: up to ``n`` steps of :meth:`SupplyRail.step`
+    for any mix of sources, loads, leakage and ESR, in locals.
+
+    Takes the arguments of :meth:`repro.sim._ckernel.ChunkLoop.run` and
+    returns what it returns, ``(taken, per-load committed energies,
+    voltages)``; writes the ``stats`` totals and the storage voltage
+    back.  It is the compiled loop's exact reference and the rung that
+    serves every chunk the compiled loop cannot: no compiler, and power
+    sources behind a converter (a per-step Python call).
+    """
+    C = physics.capacitance
+    half_c = 0.5 * C
+    v_max = physics.v_max
+    e_cap = half_c * v_max * v_max
+    overhead = physics.draw_overhead
+    sqrt = math.sqrt
+    sources = [
+        (
+            isinstance(plan, VoltageSourcePlan),
+            _floats(plan.values),
+            getattr(plan, "drop", 0.0),
+            getattr(plan, "r_total", 1.0),
+            getattr(plan, "converter", None),
+        )
+        for plan in plans
+    ]
+    # Per-load demand terms, precombined where constant: e_const is
+    # the voltage-independent joules per step (power*dt + energy, in
+    # that order — matching the reference implementations' `power *
+    # dt` and `active + extra` arithmetic exactly).
+    loads = [
+        (profile.resistance, profile.power * dt + profile.energy,
+         profile.current, profile.current_gain,
+         profile.v_rising, profile.v_falling)
+        for profile in profiles
+    ]
+    n_loads = len(loads)
+    load_range = range(n_loads)
+    # Committed per-load demand totals, plus a per-step scratch list:
+    # a step that hits an event boundary is discarded wholesale, so
+    # demands fold into the totals only when the full step commits.
+    esums = [0.0] * n_loads
+    edems = [0.0] * n_loads
+    harvested = stats.harvested
+    leaked = stats.leaked
+    consumed = stats.consumed
+    starved = stats.starved
+    vcc: List[float] = []
+    append = vcc.append
+    i = 0
+    while i < n:
+        v0 = v
+        tv = v0
+        h_t = harvested
+        # Injection: every injector sees the start-of-step voltage,
+        # charge lands on the running (clamped) voltage — as step().
+        for is_voltage, values, drop, r_total, converter in sources:
+            if is_voltage:
+                head = values[i] - v0 - drop
+                if head > 0.0:
+                    before = half_c * tv * tv
+                    vn = tv + (head / r_total * dt) / C
+                    tv = v_max if vn > v_max else vn
+                    h_t += half_c * tv * tv - before
+            else:
+                p = values[i]
+                if converter is not None:
+                    p = converter.output_power(p, v0 if v0 > 0 else 1.0)
+                if p > 0.0:
+                    e = half_c * tv * tv
+                    e_new = e + p * dt
+                    if e_new > e_cap:
+                        accepted = e_cap - e
+                        tv = v_max
+                        h_t += accepted if accepted > 0.0 else 0.0
+                    else:
+                        tv = sqrt(2.0 * e_new / C)
+                        h_t += p * dt
+        le_t = leaked
+        if leak is not None and tv != 0.0:
+            before = half_c * tv * tv
+            tv *= leak
+            le_t += before - half_c * tv * tv
+        co_t = consumed
+        st_t = starved
+        event = False
+        for j in load_range:
+            resistance, e_const, current, gain, v_rise, v_fall = loads[j]
+            if tv >= v_rise or tv < v_fall:
+                event = True
+                break
+            if resistance is not None:
+                e_dem = tv * tv / resistance * dt + e_const
+            elif current != 0.0:
+                e_dem = ((current * tv) * gain) * dt + e_const
+            else:
+                e_dem = e_const
+            demand = e_dem * overhead
+            avail = half_c * tv * tv
+            if demand >= avail:
+                tv = 0.0
+                delivered = avail / overhead
+            else:
+                tv = sqrt(2.0 * (avail - demand) / C)
+                delivered = demand / overhead
+            co_t += delivered
+            st_t += e_dem - delivered
+            edems[j] = e_dem
+        if event:
+            break  # discard this step; it reruns via the reference path
+        v = tv
+        harvested = h_t
+        leaked = le_t
+        consumed = co_t
+        starved = st_t
+        for j in load_range:
+            esums[j] += edems[j]
+        append(v)
+        i += 1
+    physics.write_voltage(v)
+    stats.harvested = harvested
+    stats.leaked = leaked
+    stats.consumed = consumed
+    stats.starved = starved
+    return i, esums, vcc
+
+
 def _floats(values: Sequence[float]) -> Sequence[float]:
-    """Plan values as the Python loops read them fastest: Python floats."""
+    """Plan values as the Python loop reads them fastest: Python floats."""
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 

@@ -1,14 +1,13 @@
 """The runtime-compiled C kernels: the chunk recurrence and the
 mini-ISA interpreter, in one library.
 
-``chunk_loop`` is a literal transcription of
-:meth:`~repro.power.rail.SupplyRail._chunk_loop` for one rail (any
-number of voltage sources, converter-less power sources with the
-``e_cap`` clamp, leakage, ESR draw overhead, resistive / current /
-constant demand terms and any number of loads), dispatching
-simple-shaped chunks to ``lane_tail``, the transcription of
-:meth:`SupplyRail._chunk_loop_simple`.  Every fast-kernel chunk runs
-through it (:class:`ChunkLoop`).
+``chunk_loop`` is a literal transcription of the Python chunk loop,
+:func:`~repro.power.rail.chunk_loop`, for one rail: any number of
+voltage sources, converter-less power sources with the ``e_cap``
+clamp, leakage, ESR draw overhead, and any number of loads with
+resistive / current / constant demand terms.  :class:`ChunkLoop` runs
+it with the Python loop's call shape, and every fast-kernel chunk it
+can read goes through it.
 
 ``machine_run`` is a literal transcription of the dispatch loop of
 :meth:`~repro.mcu.machine.Machine.run` over the predecoded image
@@ -21,7 +20,7 @@ the same order as the Python loops (CPython floats are C doubles) and
 the same 16-bit word arithmetic, and the build disables contraction
 (``-ffp-contract=off -fno-fast-math``) so no fused multiply-add can
 perturb a rounding.  A self-check at load time replays small chunks
-covering every branch against the Python chunk loops, and small
+covering every branch against the Python chunk loop, and small
 programs covering every opcode and fault against the Python
 interpreter, and discards the library on any difference.
 
@@ -49,7 +48,7 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import faults, obs
-from repro.sim.kernel import VoltageSourcePlan
+from repro.sim.kernel import LoadProfile, PowerSourcePlan, VoltageSourcePlan
 
 #: ``chunk_loop`` frame layout, in 8-byte slots: the header below, then
 #: per source (address, kind, drop, r_total), per load (kind,
@@ -88,46 +87,6 @@ _SOURCE = r"""
 #define SRC_SLOTS %(source_slots)d
 #define LOAD_SLOTS %(load_slots)d
 
-/* Exact transcription of SupplyRail._chunk_loop_simple, starting at
-   step i0.  Returns the committed step count (an event boundary leaves
-   the voltage at its pre-step value). */
-static int64_t lane_tail(
-    const double *values, int64_t i0, int64_t n,
-    double *v_io, double C, double vm, double dp, double rt,
-    double ed, double vr, double vf, double dtv,
-    double *hv_io, double *co_io, double *st_io, double *row)
-{
-    const double half_c = 0.5 * C;
-    double vv = *v_io, hv = *hv_io, co = *co_io, st = *st_io;
-    int64_t i = i0;
-    while (i < n) {
-        double head = values[i] - vv - dp;
-        double vn, dh;
-        if (head > 0.0) {
-            double before = half_c * vv * vv;
-            vn = vv + (head / rt * dtv) / C;
-            if (vn > vm) vn = vm;
-            dh = half_c * vn * vn - before;
-        } else {
-            vn = vv;
-            dh = 0.0;
-        }
-        if (vn >= vr || vn < vf) break;
-        double avail = half_c * vn * vn;
-        double delivered;
-        if (ed >= avail) { vn = 0.0; delivered = avail; }
-        else { vn = sqrt(2.0 * (avail - ed) / C); delivered = ed; }
-        hv += dh;
-        co += delivered;
-        st += ed - delivered;
-        vv = vn;
-        row[i] = vv;
-        ++i;
-    }
-    *v_io = vv; *hv_io = hv; *co_io = co; *st_io = st;
-    return i;
-}
-
 static const double *slot_pointer(const double *slot)
 {
     uint64_t address;
@@ -135,10 +94,7 @@ static const double *slot_pointer(const double *slot)
     return (const double *) (uintptr_t) address;
 }
 
-/* Exact transcription of SupplyRail._chunk_loop for one rail; a
-   simple-shaped chunk (one voltage source, one constant load, no
-   leakage, no draw overhead) runs lane_tail, the transcription of
-   _chunk_loop_simple, and commits taken * e_dem as that loop does.
+/* Exact transcription of repro.power.rail.chunk_loop for one rail.
    Frame layout: see _HEADER in _ckernel.py.  Returns the committed
    step count; vcc receives the committed voltages. */
 int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
@@ -154,89 +110,80 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
     const double leak = frame[8];
     const int has_leak = frame[9] != 0.0;
     const double dt = frame[10];
+    const double half_c = 0.5 * C;
+    const double e_cap = half_c * v_max * v_max;
     int64_t i = 0;
-    if (n_src == 1 && src[1] == %(voltage)r && n_loads == 1
-            && ld[0] == %(constant)r && !has_leak && overhead == 1.0) {
-        double ed = ld[2];
-        i = lane_tail(slot_pointer(src), 0, n, &v, C, v_max, src[2],
-                      src[3], ed, ld[5], ld[6], dt,
-                      &harvested, &consumed, &starved, vcc);
-        esums[0] = (double) i * ed;
-    } else {
-        const double half_c = 0.5 * C;
-        const double e_cap = half_c * v_max * v_max;
-        for (int64_t j = 0; j < n_loads; ++j) esums[j] = 0.0;
-        while (i < n) {
-            double v0 = v, tv = v0, h_t = harvested;
-            for (int64_t s = 0; s < n_src; ++s) {
-                const double *sp = src + SRC_SLOTS * s;
-                const double *values = slot_pointer(sp);
-                if (sp[1] == %(voltage)r) {
-                    double head = values[i] - v0 - sp[2];
-                    if (head > 0.0) {
-                        double before = half_c * tv * tv;
-                        double vn = tv + (head / sp[3] * dt) / C;
-                        tv = vn > v_max ? v_max : vn;
-                        h_t += half_c * tv * tv - before;
-                    }
-                } else {
-                    double p = values[i];
-                    if (p > 0.0) {
-                        double e = half_c * tv * tv;
-                        double e_new = e + p * dt;
-                        if (e_new > e_cap) {
-                            double accepted = e_cap - e;
-                            tv = v_max;
-                            h_t += accepted > 0.0 ? accepted : 0.0;
-                        } else {
-                            tv = sqrt(2.0 * e_new / C);
-                            h_t += p * dt;
-                        }
+    for (int64_t j = 0; j < n_loads; ++j) esums[j] = 0.0;
+    while (i < n) {
+        double v0 = v, tv = v0, h_t = harvested;
+        for (int64_t s = 0; s < n_src; ++s) {
+            const double *sp = src + SRC_SLOTS * s;
+            const double *values = slot_pointer(sp);
+            if (sp[1] == %(voltage)r) {
+                double head = values[i] - v0 - sp[2];
+                if (head > 0.0) {
+                    double before = half_c * tv * tv;
+                    double vn = tv + (head / sp[3] * dt) / C;
+                    tv = vn > v_max ? v_max : vn;
+                    h_t += half_c * tv * tv - before;
+                }
+            } else {
+                double p = values[i];
+                if (p > 0.0) {
+                    double e = half_c * tv * tv;
+                    double e_new = e + p * dt;
+                    if (e_new > e_cap) {
+                        double accepted = e_cap - e;
+                        tv = v_max;
+                        h_t += accepted > 0.0 ? accepted : 0.0;
+                    } else {
+                        tv = sqrt(2.0 * e_new / C);
+                        h_t += p * dt;
                     }
                 }
             }
-            double le_t = leaked;
-            if (has_leak && tv != 0.0) {
-                double before = half_c * tv * tv;
-                tv *= leak;
-                le_t += before - half_c * tv * tv;
-            }
-            double co_t = consumed, st_t = starved;
-            int event = 0;
-            for (int64_t j = 0; j < n_loads; ++j) {
-                const double *lp = ld + LOAD_SLOTS * j;
-                if (tv >= lp[5] || tv < lp[6]) { event = 1; break; }
-                double e_dem;
-                if (lp[0] == %(resistive)r)
-                    e_dem = tv * tv / lp[1] * dt + lp[2];
-                else if (lp[0] == %(current)r)
-                    e_dem = ((lp[3] * tv) * lp[4]) * dt + lp[2];
-                else
-                    e_dem = lp[2];
-                double demand = e_dem * overhead;
-                double avail = half_c * tv * tv;
-                double delivered;
-                if (demand >= avail) {
-                    tv = 0.0;
-                    delivered = avail / overhead;
-                } else {
-                    tv = sqrt(2.0 * (avail - demand) / C);
-                    delivered = demand / overhead;
-                }
-                co_t += delivered;
-                st_t += e_dem - delivered;
-                edems[j] = e_dem;
-            }
-            if (event) break;  /* discard the step: it reruns per step */
-            v = tv;
-            harvested = h_t;
-            leaked = le_t;
-            consumed = co_t;
-            starved = st_t;
-            for (int64_t j = 0; j < n_loads; ++j) esums[j] += edems[j];
-            vcc[i] = v;
-            ++i;
         }
+        double le_t = leaked;
+        if (has_leak && tv != 0.0) {
+            double before = half_c * tv * tv;
+            tv *= leak;
+            le_t += before - half_c * tv * tv;
+        }
+        double co_t = consumed, st_t = starved;
+        int event = 0;
+        for (int64_t j = 0; j < n_loads; ++j) {
+            const double *lp = ld + LOAD_SLOTS * j;
+            if (tv >= lp[5] || tv < lp[6]) { event = 1; break; }
+            double e_dem;
+            if (lp[0] == %(resistive)r)
+                e_dem = tv * tv / lp[1] * dt + lp[2];
+            else if (lp[0] == %(current)r)
+                e_dem = ((lp[3] * tv) * lp[4]) * dt + lp[2];
+            else
+                e_dem = lp[2];
+            double demand = e_dem * overhead;
+            double avail = half_c * tv * tv;
+            double delivered;
+            if (demand >= avail) {
+                tv = 0.0;
+                delivered = avail / overhead;
+            } else {
+                tv = sqrt(2.0 * (avail - demand) / C);
+                delivered = demand / overhead;
+            }
+            co_t += delivered;
+            st_t += e_dem - delivered;
+            edems[j] = e_dem;
+        }
+        if (event) break;  /* discard the step: it reruns per step */
+        v = tv;
+        harvested = h_t;
+        leaked = le_t;
+        consumed = co_t;
+        starved = st_t;
+        for (int64_t j = 0; j < n_loads; ++j) esums[j] += edems[j];
+        vcc[i] = v;
+        ++i;
     }
     frame[0] = v; frame[1] = harvested; frame[2] = leaked;
     frame[3] = consumed; frame[4] = starved;
@@ -420,7 +367,6 @@ out:
     "source_slots": _SOURCE_SLOTS,
     "load_slots": _LOAD_SLOTS,
     "voltage": _VOLTAGE,
-    "constant": _CONSTANT,
     "resistive": _RESISTIVE,
     "current": _CURRENT,
     "exit_budget": EXIT_BUDGET,
@@ -610,15 +556,14 @@ class ChunkLoop:
         self, physics, plans: Sequence, profiles: Sequence,
         v: float, leak: Optional[float], dt: float, n: int, stats,
     ) -> Optional[Tuple[int, List[float], np.ndarray]]:
-        """One chunk with the Python loops' semantics, or None.
+        """One chunk of :func:`repro.power.rail.chunk_loop`, or None.
 
-        Writes the rail ``stats`` totals and the storage voltage back
-        like :meth:`SupplyRail._chunk_loop`, and returns ``(taken,
-        per-load committed energies, voltages)``; ``voltages`` is a view
-        of the rail's buffer, valid until the next chunk.  None (nothing
-        touched) when a plan cannot be read in place: no known address,
-        fewer than ``n`` values, or a converter in front of a power
-        source.
+        Same arguments, results and write-back as that function:
+        returns ``(taken, per-load committed energies, voltages)``, with
+        ``voltages`` a view of the rail's buffer, valid until the next
+        chunk.  None (nothing touched) when a plan cannot be read in
+        place: no known address, fewer than ``n`` values, or a converter
+        in front of a power source.
         """
         fields = [
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
@@ -716,15 +661,15 @@ class MachineLoop:
         return (reason,) + values[16:]
 
 
-def _replay(chunk_loop, rail, plans, profiles, n):
-    """One chunk through the compiled loop, or the Python loops when
-    ``chunk_loop`` is None; every result as plain Python values.
+def _replay(compiled, rail, plans, profiles, n):
+    """One chunk through the compiled ``chunk_loop``, or the Python loop
+    when ``compiled`` is None; every result as plain Python values.
 
     ``rail`` is ``(capacitance, v_max, leak_tau, draw_overhead, v0,
     dt)``.  Returns ``(taken, v, harvested, leaked, consumed, starved,
     energies, voltages)``.
     """
-    from repro.power.rail import SupplyRail
+    from repro.power.rail import RailStats, chunk_loop
     from repro.sim.kernel import CapacitorPhysics
 
     capacitance, v_max, leak_tau, overhead, v0, dt = rail
@@ -734,101 +679,92 @@ def _replay(chunk_loop, rail, plans, profiles, n):
         read_voltage=lambda: cell[0],
         write_voltage=lambda v: cell.__setitem__(0, v),
     )
-    host = SupplyRail(storage=None)
-    leak = physics.leak_factor(dt)
-    if chunk_loop is None:
-        taken, energies = host._python_chunk(
-            physics, plans, profiles, v0, leak, dt, n
-        )
-        voltages = list(host._chunk_vcc)
-    else:
-        taken, energies, voltages = ChunkLoop(
-            chunk_loop, len(plans), len(profiles)
-        ).run(physics, plans, profiles, v0, leak, dt, n, host.stats)
-        voltages = voltages.tolist()
-    stats = host.stats
+    run = chunk_loop if compiled is None else ChunkLoop(
+        compiled, len(plans), len(profiles)
+    ).run
+    stats = RailStats()
+    taken, energies, voltages = run(
+        physics, plans, profiles, v0, physics.leak_factor(dt), dt, n, stats
+    )
     return (taken, cell[0], stats.harvested, stats.leaked, stats.consumed,
-            stats.starved, list(energies), voltages)
+            stats.starved, list(energies),
+            np.asarray(voltages, dtype=float).tolist())
 
 
-def _chunk_self_check(chunk_loop) -> bool:
+def _chunk_self_check(compiled) -> bool:
     """Replay small chunks through the compiled ``chunk_loop`` and demand
-    results bit-identical to the Python loops.
+    results bit-identical to the Python loop.
 
-    Three simple-shaped chunks exercise ``lane_tail``: charging, the
-    v_max clamp, a starved step, a non-charging step, and an event
-    boundary before the horizon.  General chunks run voltage and power
-    sources with the ``e_cap`` clamp, leakage, ESR overhead, resistive,
-    current and constant loads to their horizon, and again with an
-    event on the third load, a starving one (leakage skipped at zero
-    volts), a charging and starving one, one starving through the ESR
-    overhead, one whose event is the clamp voltage itself (general and
-    simple-shaped), a simple-shaped one and a source-less one.
+    The cases run voltage and power sources with the ``e_cap`` clamp,
+    leakage, ESR overhead, resistive, current and constant loads to
+    their horizon, and again with an event on the third load, a
+    starving one (leakage skipped at zero volts), a charging and
+    starving one, one starving through the ESR overhead, one whose
+    event is the clamp voltage itself, and a source-less one.  The
+    Fig. 7 quiescent shape (one rectified source, one constant load, an
+    ideal capacitor) covers charging, the v_max clamp, a starved step,
+    a non-charging step and an event boundary before the horizon.
     """
-    from repro.sim.kernel import (
-        LoadProfile, PowerSourcePlan, VoltageSourcePlan,
+    ripple = np.ascontiguousarray(
+        np.maximum(1.2 * np.sin(np.arange(40, dtype=float) * 0.7), 0.0)
     )
-
-    n = 40
-    steps = np.arange(n, dtype=float)
-    plan = np.ascontiguousarray(
-        np.maximum(1.2 * np.sin(steps * 0.7), 0.0)
-    )
-    simple = [
-        # (v0, C, v_max, drop, r_total, e_dem, v_rise, v_fall, dt)
-        (0.30, 47e-6, 3.3, 0.2, 150.0, 5e-11, 2.9, -np.inf, 50e-6),
-        (0.90, 10e-6, 1.0, 0.2, 50.0, 1e-9, 1.0, -np.inf, 50e-6),
-        (0.05, 22e-6, 3.3, 0.2, 500.0, 2e-7, 2.9, 0.01, 50e-6),
-    ]
-    for v0, C, vm, dp, r, e, rise, fall, step in simple:
-        rail = (C, vm, None, 1.0, v0, step)
-        plans = [VoltageSourcePlan(plan, dp, r, plan.ctypes.data)]
-        profiles = [LoadProfile(energy=e, v_rising=rise, v_falling=fall)]
-        if (_replay(chunk_loop, rail, plans, profiles, n)
-                != _replay(None, rail, plans, profiles, n)):
-            return False
-
     n = 400
     steps = np.arange(n)
     wave = np.ascontiguousarray(np.maximum(3.6 * np.sin(steps * 0.3), 0.0))
     power = np.ascontiguousarray(
         np.where(steps % 9 < 2, 0.5, np.where(steps % 9 < 5, 1e-3, 0.0))
     )
-    charge = VoltageSourcePlan(wave, 0.2, 150.0, wave.ctypes.data)
+
+    def rectified(values, drop, r_total):
+        return VoltageSourcePlan(values, drop, r_total, values.ctypes.data)
+
+    charge = rectified(wave, 0.2, 150.0)
     mixed = [charge, PowerSourcePlan(power, None, power.ctypes.data)]
+    # (steps, (C, v_max, leak_tau, draw_overhead, v0, dt), plans, loads)
     cases = [
-        ((10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
+        (40, (47e-6, 3.3, None, 1.0, 0.30, 50e-6),
+         [rectified(ripple, 0.2, 150.0)],
+         [LoadProfile(energy=5e-11, v_rising=2.9)]),
+        (40, (10e-6, 1.0, None, 1.0, 0.90, 50e-6),
+         [rectified(ripple, 0.2, 50.0)],
+         [LoadProfile(energy=1e-9, v_rising=1.0)]),
+        (40, (10e-6, 1.0, None, 1.0, 0.99, 50e-6),
+         [rectified(ripple, 0.0, 5.0)], [LoadProfile(energy=1e-9)]),
+        (40, (22e-6, 3.3, None, 1.0, 0.05, 50e-6),
+         [rectified(ripple, 0.2, 500.0)],
+         [LoadProfile(energy=2e-7, v_rising=2.9, v_falling=0.01)]),
+        (n, (10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
          [LoadProfile(power=1e-3, resistance=2000.0),
           LoadProfile(current=2e-3, current_gain=1.1, energy=1e-9),
           LoadProfile(power=5e-4, energy=2e-9)]),
-        ((10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
+        (n, (10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
          [LoadProfile(power=1e-3, resistance=2000.0),
           LoadProfile(current=2e-3, current_gain=1.1, energy=1e-9),
           LoadProfile(power=5e-4, energy=2e-9, v_rising=3.19)]),
-        ((4.7e-6, 3.3, 5e-3, 1.02, 0.4, 5e-5),
-         [VoltageSourcePlan(wave, 0.2, 5000.0, wave.ctypes.data)],
+        (n, (4.7e-6, 3.3, 5e-3, 1.02, 0.4, 5e-5),
+         [rectified(wave, 0.2, 5000.0)],
          [LoadProfile(resistance=50.0), LoadProfile(energy=1e-6)]),
-        ((33e-6, 3.3, 5e-2, 1.05, 0.3, 1e-4),
-         [VoltageSourcePlan(wave, 0.1, 77.7, wave.ctypes.data)],
+        (n, (33e-6, 3.3, 5e-2, 1.05, 0.3, 1e-4),
+         [rectified(wave, 0.1, 77.7)],
          [LoadProfile(resistance=5000.0), LoadProfile(energy=3e-6)]),
-        ((10e-6, 3.3, None, 1.02, 3.1, 5e-5), [charge],
+        (n, (10e-6, 3.3, None, 1.02, 3.1, 5e-5), [charge],
          [LoadProfile(energy=1e-3)]),
-        ((10e-6, 3.3, None, 1.0, 1.0, 5e-5),
+        (n, (10e-6, 3.3, None, 1.0, 1.0, 5e-5),
          [PowerSourcePlan(power, None, power.ctypes.data)],
          [LoadProfile(power=1e-4, v_rising=3.3)]),
-        ((22e-6, 3.3, None, 1.0, 0.5, 5e-5), [charge],
+        (n, (22e-6, 3.3, None, 1.0, 0.5, 5e-5), [charge],
          [LoadProfile(power=1e-4, v_rising=0.9, v_falling=0.1)]),
-        ((10e-6, 3.3, None, 1.0, 3.1, 5e-5),
-         [VoltageSourcePlan(wave, 0.2, 5.0, wave.ctypes.data)],
+        (n, (10e-6, 3.3, None, 1.0, 3.1, 5e-5), [rectified(wave, 0.2, 5.0)],
          [LoadProfile(energy=1e-9, v_rising=3.3)]),
-        ((22e-6, 3.3, None, 1.02, 2.0, 5e-5), [],
+        (n, (22e-6, 3.3, None, 1.02, 2.0, 5e-5), [],
          [LoadProfile(current=1e-3, current_gain=0.9, v_falling=1.5)]),
     ]
-    for rail, plans, profiles in cases:
-        if (_replay(chunk_loop, rail, plans, profiles, n)
-                != _replay(None, rail, plans, profiles, n)):
-            return False
-    return True
+    return all(
+        _replay(compiled, rail, plans, profiles, steps)
+        == _replay(None, rail, plans, profiles, steps)
+        for steps, rail, plans, profiles in cases
+    )
+
 
 #: The interpreter self-check program: every opcode, on words chosen for
 #: sign, wrap and shift edge cases, each pass feeding the next through

@@ -41,7 +41,8 @@ Three descriptor families exist:
 Source windows are float64 array views into a :class:`SourcePlanMemo`,
 carrying the raw address of their first element: the compiled chunk
 loop (:mod:`repro.sim._ckernel`) reads them in place, and the Python
-chunk loops (the no-compiler rung) convert them to lists themselves.
+chunk loop (:func:`repro.power.rail.chunk_loop`) converts them to lists
+itself.
 Every other descriptor field is a plain Python float.
 """
 

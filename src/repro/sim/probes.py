@@ -7,7 +7,7 @@ code needs (slicing by time, min/max, mean, integration).
 
 Storage is a preallocated numpy ring buffer: samples land in
 amortised-doubling arrays rather than Python lists, the fast kernel
-appends whole chunks at once through :meth:`Probe.sample_chunk`, and an
+appends whole chunks at once through :meth:`Recorder.sample_chunk`, and an
 optional ``capacity`` turns the buffer into a true ring that retains only
 the most recent samples (long soak runs at bounded memory).
 """
@@ -228,29 +228,6 @@ class Probe:
                 self._head = (head + 1) % self._capacity
                 self._n = min(self._n + 1, self._capacity)
 
-    def sample_chunk(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Record a chunk of per-step samples (pre-decimation).
-
-        ``times``/``values`` cover every step of the chunk; decimation is
-        applied here, continuing the running per-step counter so chunked
-        and per-step execution select identical sample steps.
-        """
-        k = len(times)
-        if k == 0:
-            return
-        d = self._decimate
-        if d == 1:
-            self._append(np.asarray(times, dtype=float),
-                         np.asarray(values, dtype=float))
-            return
-        first = d - self._counter - 1  # 0-based index of the first hit
-        self._counter = (self._counter + k) % d
-        if first >= k:
-            return
-        sel = slice(first, k, d)
-        self._append(np.asarray(times[sel], dtype=float),
-                     np.asarray(values[sel], dtype=float))
-
     def sample_chunk_grid(
         self,
         first_step: int,
@@ -260,12 +237,11 @@ class Probe:
     ) -> None:
         """Record a chunk of ``k`` steps on the regular ``steps * dt`` grid.
 
-        Equivalent to ``sample_chunk(arange(first_step, first_step+k)*dt,
-        chunk_fn(k))`` but materialises only the decimated sample times
-        (``(first_step + j) * dt`` for the selected ``j`` — bit-identical
-        to slicing the full grid, since the integer step indices are
-        exact either way).  The decimation counter carries over between
-        chunks and per-step samples, so both select the same steps.
+        Step ``first_step + j`` is sampled at ``(first_step + j) * dt``
+        with ``chunk_fn(k)[j]``, for the ``j`` on the decimation grid
+        only: just those sample times are materialised.  The decimation
+        counter carries over between chunks and per-step samples, so
+        both select the same steps.
 
         ``grids`` shares those time arrays between the probes of one
         chunk: it maps ``(first sampled step, decimation)`` to the times,

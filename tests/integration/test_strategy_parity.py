@@ -16,9 +16,13 @@ supply interruptions and checks:
 * the reference trace against a committed golden file
   (``tests/data/golden/strategy-*.json``), pinning the physics.
 
-The Eq. (5) crossover presets (Hibernus and QuickRecall) also run on
-generated points, stratified over 1-99 Hz and 10-33 uF, with the same
-checks against the reference kernel.
+The Fig. 7 and quickstart presets run through the same checks (no
+golden file): their chunks are the quiescent shape of one rectified
+source, one constant platform load and an ideal capacitor, which the
+crossover cases' resistive bleed never produces.  The Eq. (5) crossover
+presets (Hibernus and QuickRecall) also run on generated points,
+stratified over 1-99 Hz and 10-33 uF, with the same checks against the
+reference kernel.
 
 A dedicated case forces a brownout *mid-snapshot* (an oversized NVM
 write against a collapsing supply), exercising the abort path across
@@ -36,6 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.spec.presets import preset
 from repro.spec.specs import (
     HarvesterSpec,
     LoadSpec,
@@ -125,14 +130,26 @@ STRATEGY_CASES = {
 }
 
 
+#: Case name -> preset scenario, checked like ``STRATEGY_CASES`` but
+#: without a golden file: Hibernus FFTs from a rectified supply with no
+#: bleed resistor.
+PRESET_CASES = {
+    "fig7": lambda: preset("fig7", fft_size=64),
+    "quickstart": lambda: preset("quickstart"),
+}
+
+
 def _run(case: str, kernel: str):
-    spec = STRATEGY_CASES[case]().with_override("kernel", kernel)
+    factory = STRATEGY_CASES.get(case) or PRESET_CASES[case]
+    spec = factory().with_override("kernel", kernel)
     system = spec.build()
     result = system.run(spec.duration, decimate=spec.decimate)
     return result, system.simulator
 
 
-@pytest.mark.parametrize("case", sorted(STRATEGY_CASES))
+@pytest.mark.parametrize(
+    "case", sorted(STRATEGY_CASES) + sorted(PRESET_CASES)
+)
 def test_fast_kernel_matches_reference_for_strategy(case):
     ref, _ = _run(case, "reference")
     fast, fast_sim = _run(case, "fast")
@@ -256,8 +273,6 @@ def _crossover_points():
 )
 def test_generated_crossover_point_parity(strategy, frequency, capacitance):
     """The Eq. (5) crossover presets on generated (frequency, C) points."""
-    from repro.spec.presets import preset
-
     runs = {}
     for kernel in ("reference", "fast"):
         spec = preset(f"crossover-{strategy}").with_overrides({

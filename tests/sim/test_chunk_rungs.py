@@ -1,8 +1,8 @@
-"""The compiled chunk loop against the Python chunk loops, on generated
+"""The compiled chunk loop against the Python chunk loop, on generated
 rails.
 
 ``SupplyRail.step_chunk`` runs the compiled ``chunk_loop`` where it
-loads and the Python loops otherwise (``REPRO_BATCH_CKERNEL=0``, no
+loads and the Python loop otherwise (``REPRO_BATCH_CKERNEL=0``, no
 compiler).  The two rungs must agree bit for bit — steps taken, every
 per-step voltage, the four ``RailStats`` totals and each load's
 committed energy — and both must stay within 1e-9 of per-step reference
@@ -99,7 +99,7 @@ def scenario(seed):
     """A seeded rail description (plain data; :func:`build` makes it)."""
     rng = random.Random(seed)
     # One rectified source, one constant load, ideal capacitor: the
-    # shape the simple loops serve.
+    # quiescent shape of the Fig. 7 and quickstart chunks.
     simple = rng.random() < 0.15
     # A strong power source into an ideal capacitor whose first load
     # rises at the clamp voltage: clamped steps land on it exactly.

@@ -355,15 +355,31 @@ def test_probe_ring_capacity_keeps_most_recent_samples():
     assert list(trace.times) == [float(i) for i in range(15, 25)]
 
 
-def test_probe_ring_capacity_with_chunked_samples():
-    from repro.sim.probes import Probe
+def chunk_recorder(**probe):
+    """A one-probe recorder whose chunk values are the step indices, and
+    a function feeding it chunks of ``k`` steps from ``first`` (dt 1)."""
+    from repro.sim.probes import Recorder
 
-    probe = Probe("x", lambda: 0.0, chunk_fn=lambda k: np.zeros(k),
-                  capacity=8)
-    times = np.arange(30, dtype=float)
-    probe.sample_chunk(times[:13], np.arange(13, dtype=float))
-    probe.sample_chunk(times[13:], np.arange(13, 30, dtype=float))
-    trace = probe.trace()
+    recorder = Recorder()
+    last = [0]
+
+    def chunk_fn(k):
+        return np.arange(last[0] - k, last[0], dtype=float)
+
+    recorder.add("x", lambda: 0.0, chunk_fn=chunk_fn, **probe)
+
+    def feed(first, k):
+        last[0] = first + k
+        recorder.sample_chunk(first, k, 1.0)
+
+    return recorder, feed
+
+
+def test_probe_ring_capacity_with_chunked_samples():
+    recorder, feed = chunk_recorder(capacity=8)
+    feed(0, 13)
+    feed(13, 17)
+    trace = recorder.traces()["x"]
     assert len(trace) == 8
     assert list(trace.times) == [float(i) for i in range(22, 30)]
     assert list(trace.values) == [float(i) for i in range(22, 30)]
@@ -375,16 +391,12 @@ def test_chunked_decimation_matches_per_step_decimation():
     per_step = Probe("a", lambda: 1.0, decimate=3)
     for i in range(1, 23):
         per_step.sample(float(i))
-    chunked = Probe("b", lambda: 1.0, decimate=3)
-    times = np.arange(1.0, 23.0)
-    values = np.ones(22)
+    recorder, feed = chunk_recorder(decimate=3)
     # Split awkwardly to cross chunk boundaries mid-decimation-window.
-    chunked.sample_chunk(times[:4], values[:4])
-    chunked.sample_chunk(times[4:5], values[4:5])
-    chunked.sample_chunk(times[5:17], values[5:17])
-    chunked.sample_chunk(times[17:], values[17:])
+    for first, k in ((1, 4), (5, 1), (6, 12), (18, 5)):
+        feed(first, k)
     np.testing.assert_array_equal(per_step.trace().times,
-                                  chunked.trace().times)
+                                  recorder.traces()["x"].times)
 
 
 def test_simulator_probe_capacity_bounds_memory():

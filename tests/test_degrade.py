@@ -105,6 +105,61 @@ def test_solo_chunks_report_their_rung_once_per_run(monkeypatch, disabled):
         assert expected == "python"
 
 
+def converter_fed_run():
+    """A 1 s fast-kernel run whose one power source sits behind a
+    converter, which the compiled loop cannot read."""
+    from repro.core.system import EnergyDrivenSystem
+    from repro.harvest.synthetic import SquareWavePowerHarvester
+    from repro.power.converter import LinearRegulator
+    from repro.power.rail import ResistiveLoad
+    from repro.storage.capacitor import Capacitor
+
+    system = EnergyDrivenSystem(dt=1e-4, kernel="fast")
+    system.set_storage(Capacitor(47e-6, v_max=3.3))
+    system.add_power_source(
+        SquareWavePowerHarvester(5e-3, 0.2), converter=LinearRegulator(2.5)
+    )
+    system.add_load(ResistiveLoad(5000.0))
+    system.run(1.0)
+    return system.simulator.chunk_stats.chunks
+
+
+def test_declined_chunks_report_the_python_rung(monkeypatch):
+    """With the library loaded, a converter-fed rail's chunks all run on
+    the Python loop, and that is the rung reported; the next run whose
+    chunks the compiled loop serves reports ``c`` again."""
+    from repro.sim import _ckernel
+
+    _ckernel.reset_cache()
+    if _ckernel.load() is None:
+        pytest.skip("no C compiler available")
+    served = []
+    real_run = _ckernel.ChunkLoop.run
+
+    def counting_run(self, *args):
+        result = real_run(self, *args)
+        served.append(result is not None)
+        return result
+
+    reports = []
+    real_report = degrade.report
+
+    def spy(domain, mode):
+        if domain == "chunk.kernel":
+            reports.append(mode)
+        real_report(domain, mode)
+
+    monkeypatch.setattr(_ckernel.ChunkLoop, "run", counting_run)
+    monkeypatch.setattr(degrade, "report", spy)
+    assert converter_fed_run() > 1
+    assert degrade.current("chunk.kernel") == "python"
+    assert served == [False]  # declined once, then the run stays in Python
+    assert fast_run() > 10
+    assert all(served[1:])
+    assert reports == ["python", "c"]
+    assert degrade.current("chunk.kernel") == "c"
+
+
 @pytest.mark.parametrize("disabled", [False, True])
 def test_machines_report_their_rung_once_per_machine(monkeypatch, disabled):
     """``Machine.run`` reports ``mcu.kernel`` at a machine's first run,
