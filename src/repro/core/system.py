@@ -9,9 +9,9 @@ the simulation kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SpecError
 from repro.harvest.base import PowerHarvester, VoltageHarvester
 from repro.power.converter import ConversionStage
 from repro.power.mppt import FractionalVocMPPT
@@ -40,6 +40,21 @@ class SystemRunResult:
     def vcc(self) -> Trace:
         """The rail voltage trace (the oscilloscope's V_cc channel)."""
         return self.traces["vcc"]
+
+
+#: The standard probes: the only trace names a run can record.
+STANDARD_PROBES = ("vcc", "state", "frequency")
+
+
+def check_trace_names(names: Sequence[str]) -> None:
+    """Raise :class:`SpecError` unless every name is a standard probe:
+    a misspelled trace must fail the request, not every row."""
+    unknown = [name for name in names if name not in STANDARD_PROBES]
+    if unknown:
+        raise SpecError(
+            f"unknown trace name(s) {unknown}; recordable traces: "
+            f"{list(STANDARD_PROBES)}"
+        )
 
 
 #: Numeric encoding of platform states for the 'state' probe.
@@ -122,23 +137,27 @@ class EnergyDrivenSystem:
 
     # -- probes / running ----------------------------------------------------
 
-    def install_probes(self, decimate: int = 1) -> None:
-        """Install the standard probe set: vcc, state, frequency.
+    def install_probes(
+        self, decimate: int = 1, names: Sequence[str] = STANDARD_PROBES
+    ) -> None:
+        """Install the standard probes named in ``names`` (state and
+        frequency need a platform).  The first call fixes the set, so
+        calling it before :meth:`run` records fewer, or none.
 
         All three are chunk-capable: vcc reads the rail's per-chunk
         voltage record, and state/frequency are constant across a chunk
         by construction (chunks never span a platform state transition),
         so the fast kernel can bulk-sample them.
         """
+        check_trace_names(names)
         if self._probes_installed:
             return
+        self._probes_installed = True
         rail = self._require_rail()
-        self.simulator.probe(
-            "vcc",
-            lambda: rail.voltage,
-            decimate=decimate,
-            chunk_fn=lambda k: rail.last_chunk_voltages(),
-        )
+        probes = {
+            "vcc": (lambda: rail.voltage,
+                    lambda k: rail.last_chunk_voltages()),
+        }
         if self.platform is not None:
             platform = self.platform
 
@@ -154,15 +173,14 @@ class EnergyDrivenSystem:
 
             # Constant across a chunk: the 0-d form fills the chunk's
             # samples with the one value.
-            self.simulator.probe(
-                "state", state_code, decimate=decimate,
-                chunk_fn=lambda k: state_code(),
-            )
-            self.simulator.probe(
-                "frequency", frequency, decimate=decimate,
-                chunk_fn=lambda k: frequency(),
-            )
-        self._probes_installed = True
+            probes["state"] = (state_code, lambda k: state_code())
+            probes["frequency"] = (frequency, lambda k: frequency())
+        for name in STANDARD_PROBES:
+            if name in names and name in probes:
+                fn, chunk_fn = probes[name]
+                self.simulator.probe(
+                    name, fn, decimate=decimate, chunk_fn=chunk_fn
+                )
 
     def probe(self, name: str, fn, decimate: int = 1, chunk_fn=None) -> None:
         """Install a custom probe.
@@ -184,8 +202,16 @@ class EnergyDrivenSystem:
         self.simulator.stop_when(condition, chunk_safe=chunk_safe)
 
     def run(self, duration: float, decimate: int = 1) -> SystemRunResult:
-        """Install standard probes (if not yet) and run for ``duration``."""
+        """Run for ``duration`` seconds, recording all three standard
+        probes unless :meth:`install_probes` already ran.
+
+        ``decimate`` is the probes' sampling period and that of the
+        rail's V_cc envelope (:class:`~repro.power.rail.RailStats`).
+        """
+        if decimate < 1:
+            raise ConfigurationError(f"decimate must be >= 1, got {decimate}")
         self.install_probes(decimate=decimate)
+        self._require_rail().stats.vcc_every = decimate
         result = self.simulator.run(duration)
         return SystemRunResult(
             t_end=result.t_end,

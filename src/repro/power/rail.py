@@ -14,7 +14,7 @@ explicit scheme keeps every component O(1) per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -213,13 +213,19 @@ class RectifiedInjector(Injector):
 
 @dataclass
 class RailStats:
-    """Cumulative energy bookkeeping for a rail."""
+    """Cumulative energy bookkeeping for a rail, and its V_cc envelope:
+    the voltage after steps ``vcc_every``, ``2 * vcc_every``, ... since
+    reset (a ``decimate=vcc_every`` vcc probe's samples; empty until
+    one), ``vcc_phase`` steps after the last of them."""
 
     harvested: float = 0.0
     consumed: float = 0.0
     leaked: float = 0.0
     starved: float = 0.0
-    demands: List[float] = field(default_factory=list)
+    vcc_min: float = math.inf
+    vcc_max: float = -math.inf
+    vcc_every: int = 1
+    vcc_phase: int = 0
 
 
 class SupplyRail(Component):
@@ -240,7 +246,8 @@ class SupplyRail(Component):
     the rest of a run once the compiled loop declines a chunk (a power
     source behind a converter, a per-step Python call); the
     ``chunk.kernel`` rung reported to :mod:`repro.degrade` is the one
-    the run's chunks ran on.
+    the run's chunks ran on.  :meth:`step` and both loops also keep the
+    V_cc envelope that rows read (:class:`RailStats`).
     """
 
     def __init__(self, storage: StorageElement):
@@ -286,6 +293,13 @@ class SupplyRail(Component):
             delivered = self.storage.draw_energy(demand)
             self.stats.consumed += delivered
             self.stats.starved += demand - delivered
+        stats = self.stats
+        stats.vcc_phase += 1
+        if stats.vcc_phase >= stats.vcc_every:
+            stats.vcc_phase = 0
+            v = self.storage.voltage
+            stats.vcc_min = min(stats.vcc_min, v)
+            stats.vcc_max = max(stats.vcc_max, v)
 
     # -- fast kernel -----------------------------------------------------
 
@@ -366,7 +380,8 @@ class SupplyRail(Component):
             injector.reset()
         for load in self._loads:
             load.reset()
-        self.stats = RailStats()
+        # The envelope's sampling period is a setting: it outlives reset.
+        self.stats = RailStats(vcc_every=self.stats.vcc_every)
         self._chunk_vcc = []
         self._compiled = False
 
@@ -380,10 +395,11 @@ def chunk_loop(
 
     Takes the arguments of :meth:`repro.sim._ckernel.ChunkLoop.run` and
     returns what it returns, ``(taken, per-load committed energies,
-    voltages)``; writes the ``stats`` totals and the storage voltage
-    back.  It is the compiled loop's exact reference and the rung that
-    serves every chunk the compiled loop cannot: no compiler, and power
-    sources behind a converter (a per-step Python call).
+    voltages)``; writes the ``stats`` totals, the V_cc envelope and the
+    storage voltage back.  It is the compiled loop's exact reference and
+    the rung that serves every chunk the compiled loop cannot: no
+    compiler, and power sources behind a converter (a per-step Python
+    call).
     """
     C = physics.capacitance
     half_c = 0.5 * C
@@ -499,6 +515,17 @@ def chunk_loop(
     stats.leaked = leaked
     stats.consumed = consumed
     stats.starved = starved
+    # The envelope from the committed voltages, off the per-step path:
+    # `first` is the first step the sampling period reaches.
+    every = stats.vcc_every
+    first = max(every - 1 - stats.vcc_phase, 0)
+    if first < i:
+        sampled = vcc[first::every]
+        stats.vcc_min = min(stats.vcc_min, min(sampled))
+        stats.vcc_max = max(stats.vcc_max, max(sampled))
+        stats.vcc_phase = (i - 1 - first) % every
+    else:
+        stats.vcc_phase += i
     return i, esums, vcc
 
 

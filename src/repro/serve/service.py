@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro import degrade, obs
 from repro.analysis.crossover import series_from_store
 from repro.analysis.pareto import pareto_from_store
+from repro.core.system import check_trace_names
 from repro.errors import ReproError, SpecError
 from repro.explore import (
     ExplorationDriver,
@@ -223,6 +224,7 @@ class SimulationService:
             isinstance(name, str) for name in traces
         ):
             raise SpecError("'traces' must be a list of probe names")
+        check_trace_names(traces)
         return list(traces)
 
     def _validate_run(self, payload: Mapping[str, Any]) -> None:

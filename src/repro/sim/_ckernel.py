@@ -20,9 +20,10 @@ the same order as the Python loops (CPython floats are C doubles) and
 the same 16-bit word arithmetic, and the build disables contraction
 (``-ffp-contract=off -fno-fast-math``) so no fused multiply-add can
 perturb a rounding.  A self-check at load time replays small chunks
-covering every branch against the Python chunk loop, and small
-programs covering every opcode and fault against the Python
-interpreter, and discards the library on any difference.
+covering every branch, each under two V_cc envelope periods, against
+the Python chunk loop, and small programs covering every opcode and
+fault against the Python interpreter, and discards the library on any
+difference.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
 self-check, or ``REPRO_BATCH_CKERNEL=0`` leave the Python loops in
@@ -54,10 +55,12 @@ from repro.sim.kernel import LoadProfile, PowerSourcePlan, VoltageSourcePlan
 #: per source (address, kind, drop, r_total), per load (kind,
 #: resistance, e_const, current, current_gain, v_rising, v_falling),
 #: then per load its committed energy (out) and a scratch slot.  The
-#: first five header slots are read and written back.
+#: first eight header slots (the ``RailStats`` totals and V_cc
+#: envelope) are read and written back.
 _HEADER = (
-    "v", "harvested", "leaked", "consumed", "starved",
-    "capacitance", "v_max", "draw_overhead", "leak", "has_leak", "dt",
+    "v", "harvested", "leaked", "consumed", "starved", "vcc_min", "vcc_max",
+    "vcc_phase", "capacitance", "v_max", "draw_overhead", "leak", "has_leak",
+    "dt", "vcc_every",
 )
 _SOURCE_SLOTS = 4
 _LOAD_SLOTS = 7
@@ -96,7 +99,8 @@ static const double *slot_pointer(const double *slot)
 
 /* Exact transcription of repro.power.rail.chunk_loop for one rail.
    Frame layout: see _HEADER in _ckernel.py.  Returns the committed
-   step count; vcc receives the committed voltages. */
+   step count; vcc receives the committed voltages, and every
+   vcc_every-th step since reset widens the envelope. */
 int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
                    double *frame, double *vcc)
 {
@@ -106,10 +110,13 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
     double *edems = esums + n_loads;
     double v = frame[0], harvested = frame[1], leaked = frame[2];
     double consumed = frame[3], starved = frame[4];
-    const double C = frame[5], v_max = frame[6], overhead = frame[7];
-    const double leak = frame[8];
-    const int has_leak = frame[9] != 0.0;
-    const double dt = frame[10];
+    double vcc_min = frame[5], vcc_max = frame[6];
+    int64_t phase = (int64_t) frame[7];
+    const double C = frame[8], v_max = frame[9], overhead = frame[10];
+    const double leak = frame[11];
+    const int has_leak = frame[12] != 0.0;
+    const double dt = frame[13];
+    const int64_t every = (int64_t) frame[14];
     const double half_c = 0.5 * C;
     const double e_cap = half_c * v_max * v_max;
     int64_t i = 0;
@@ -183,10 +190,16 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
         starved = st_t;
         for (int64_t j = 0; j < n_loads; ++j) esums[j] += edems[j];
         vcc[i] = v;
+        if (++phase >= every) {
+            phase = 0;
+            if (v < vcc_min) vcc_min = v;
+            if (v > vcc_max) vcc_max = v;
+        }
         ++i;
     }
     frame[0] = v; frame[1] = harvested; frame[2] = leaked;
     frame[3] = consumed; frame[4] = starved;
+    frame[5] = vcc_min; frame[6] = vcc_max; frame[7] = (double) phase;
     return i;
 }
 
@@ -544,7 +557,7 @@ class ChunkLoop:
         self._pack = struct.Struct(
             "=%dd" % len(_HEADER) + "Q3d" * n_sources + "7d" * n_loads
         ).pack_into
-        self._state = struct.Struct("=5d").unpack_from
+        self._state = struct.Struct("=8d").unpack_from
         self._energies = struct.Struct("=%dd" % n_loads).unpack_from
         self._energies_at = 8 * inputs
         self._frame = (ctypes.c_double * (inputs + 2 * n_loads))()
@@ -567,8 +580,10 @@ class ChunkLoop:
         """
         fields = [
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
+            stats.vcc_min, stats.vcc_max, stats.vcc_phase,
             physics.capacitance, physics.v_max, physics.draw_overhead,
             0.0 if leak is None else leak, 0.0 if leak is None else 1.0, dt,
+            stats.vcc_every,
         ]
         for plan in plans:
             address = plan.address
@@ -603,7 +618,9 @@ class ChunkLoop:
         )
         (
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
+            stats.vcc_min, stats.vcc_max, phase,
         ) = self._state(frame, 0)
+        stats.vcc_phase = int(phase)
         physics.write_voltage(v)
         energies = list(self._energies(frame, self._energies_at))
         return taken, energies, self._vcc[:taken]
@@ -661,13 +678,13 @@ class MachineLoop:
         return (reason,) + values[16:]
 
 
-def _replay(compiled, rail, plans, profiles, n):
+def _replay(compiled, rail, plans, profiles, n, envelope):
     """One chunk through the compiled ``chunk_loop``, or the Python loop
     when ``compiled`` is None; every result as plain Python values.
 
     ``rail`` is ``(capacitance, v_max, leak_tau, draw_overhead, v0,
-    dt)``.  Returns ``(taken, v, harvested, leaked, consumed, starved,
-    energies, voltages)``.
+    dt)`` and ``envelope`` the starting ``RailStats`` envelope fields.
+    Returns ``(taken, v, RailStats fields, energies, voltages)``.
     """
     from repro.power.rail import RailStats, chunk_loop
     from repro.sim.kernel import CapacitorPhysics
@@ -682,12 +699,11 @@ def _replay(compiled, rail, plans, profiles, n):
     run = chunk_loop if compiled is None else ChunkLoop(
         compiled, len(plans), len(profiles)
     ).run
-    stats = RailStats()
+    stats = RailStats(**envelope)
     taken, energies, voltages = run(
         physics, plans, profiles, v0, physics.leak_factor(dt), dt, n, stats
     )
-    return (taken, cell[0], stats.harvested, stats.leaked, stats.consumed,
-            stats.starved, list(energies),
+    return (taken, cell[0], vars(stats), list(energies),
             np.asarray(voltages, dtype=float).tolist())
 
 
@@ -703,7 +719,9 @@ def _chunk_self_check(compiled) -> bool:
     event is the clamp voltage itself, and a source-less one.  The
     Fig. 7 quiescent shape (one rectified source, one constant load, an
     ideal capacitor) covers charging, the v_max clamp, a starved step,
-    a non-charging step and an event boundary before the horizon.
+    a non-charging step and an event boundary before the horizon.  Each
+    case samples its V_cc envelope every step from empty, and again
+    every 17th step entered mid-period on a non-empty envelope.
     """
     ripple = np.ascontiguousarray(
         np.maximum(1.2 * np.sin(np.arange(40, dtype=float) * 0.7), 0.0)
@@ -759,10 +777,14 @@ def _chunk_self_check(compiled) -> bool:
         (n, (22e-6, 3.3, None, 1.02, 2.0, 5e-5), [],
          [LoadProfile(current=1e-3, current_gain=0.9, v_falling=1.5)]),
     ]
+    envelopes = [
+        {}, dict(vcc_every=17, vcc_phase=5, vcc_min=0.4, vcc_max=0.6)
+    ]
     return all(
-        _replay(compiled, rail, plans, profiles, steps)
-        == _replay(None, rail, plans, profiles, steps)
+        _replay(compiled, rail, plans, profiles, steps, envelope)
+        == _replay(None, rail, plans, profiles, steps, envelope)
         for steps, rail, plans, profiles in cases
+        for envelope in envelopes
     )
 
 

@@ -166,18 +166,15 @@ class Simulator:
         fn: Callable[[], float],
         decimate: int = 1,
         chunk_fn=None,
-        capacity: Optional[int] = None,
     ) -> None:
         """Register a probe sampling ``fn()`` every ``decimate`` steps.
 
         ``chunk_fn`` makes the probe bulk-samplable by the fast kernel:
         called with a chunk's step count, it returns that many per-step
         values, or one 0-d value when the signal is constant over the
-        chunk (see :class:`~repro.sim.probes.Probe`).  ``capacity``
-        bounds the ring buffer to the most recent samples.
+        chunk (see :class:`~repro.sim.probes.Probe`).
         """
-        self._recorder.add(name, fn, decimate=decimate, chunk_fn=chunk_fn,
-                           capacity=capacity)
+        self._recorder.add(name, fn, decimate=decimate, chunk_fn=chunk_fn)
 
     def stop_when(self, condition: StopCondition, chunk_safe: bool = False) -> None:
         """Stop the run as soon as ``condition(t)`` returns True.
@@ -342,8 +339,6 @@ class Simulator:
         )
         conditions = self._stop_conditions
         s_max = self._last_startable_step(t_stop) if t_stop is not None else None
-        if s_max is not None:
-            self._recorder.reserve(s_max + 1)
         # Scheduling heuristics (semantics-neutral: steps not chunked just
         # run per-step): chunks start short and double while fully
         # consumed, so a chunk ending at a nearby event boundary never

@@ -59,6 +59,7 @@ from typing import (
 )
 
 from repro import degrade, faults, obs
+from repro.core.system import check_trace_names
 from repro.errors import SpecError
 from repro.results.metrics import empty_metrics, result_columns
 from repro.results.run_result import (
@@ -157,11 +158,13 @@ def run_spec(
 ) -> RunResult:
     """Build and run one spec: the body of every point.
 
-    A spec that fails to build or run becomes an error row keyed by its
-    spec hash, so one bad point cannot kill the sweep.
+    Records only the traces named in ``capture_traces``, none by
+    default.  A spec that fails to build or run becomes an error row
+    keyed by its spec hash, so one bad point cannot kill the sweep.
     """
     try:
         system = spec.build()
+        system.install_probes(spec.decimate, names=tuple(capture_traces))
         run = system.run(spec.duration, decimate=spec.decimate)
         return RunResult.from_system_run(
             run,
@@ -1049,8 +1052,10 @@ def evaluate(
     payload per point, and are written back in one ``store.batch()``
     — worker crashes excepted, so they stay recomputable.  Returns one
     result per point, anchored to its position and spec, and the call's
-    :class:`EvaluationStats`.
+    :class:`EvaluationStats`.  Trace names outside the standard probes
+    raise :class:`SpecError` before any point runs or is stored.
     """
+    check_trace_names(traces)
     base_dict = base.to_dict()
     hashes = [spec_hash(spec) for spec, _, _ in points]
     outcome: Dict[str, Optional[RunResult]] = {}
@@ -1231,8 +1236,9 @@ class SweepRunner:
                 (requires ``store``); only the gap is recomputed.
             store_backend: override backend selection when ``store`` is
                 a path (``"jsonl"`` or ``"columnar"``).
-            capture_traces: probe names whose (decimated) traces each
-                computed point should carry.
+            capture_traces: standard probe names (``vcc``, ``state``,
+                ``frequency``) whose decimated traces each computed
+                point should carry; none are recorded by default.
             progress: optional hook receiving one :class:`BatchProgress`
                 event (a sweep is one batch) once the grid is satisfied.
             pool: a caller-managed :class:`WarmPool` to execute on (left

@@ -175,6 +175,7 @@ def compare_strategies(
         system.set_platform(platform)
         if scenario.bleed_resistance:
             system.add_load(ResistiveLoad(scenario.bleed_resistance))
+        system.install_probes(names=())  # rows only: record no trace
         run = system.run(scenario.duration)
         result = RunResult.from_system_run(
             run,

@@ -83,6 +83,7 @@ def test_framework_errors_are_one_line_400s(client):
         ("submit_run", {}),
         ("submit_sweep", small_sweep_request(grid={"not_a_knob": [1]})),
         ("submit_sweep", {"preset": "fig7", "grid": {}}),
+        ("submit_run", {"preset": "fig7", "traces": ["bogus"]}),
         ("submit_exploration", {
             "preset": "fig7",
             "space": {"capacitance": {"kind": "banana", "low": 1, "high": 2}},

@@ -166,6 +166,17 @@ def test_traces_must_be_a_list_of_names(service):
         service.submit("run", {"preset": "fig7", "traces": "vcc"})
 
 
+def test_unknown_trace_names_are_rejected_at_submit(service):
+    requests = [
+        ("run", {"preset": "fig7", "traces": ["vcc", "bogus"]}),
+        ("sweep", small_sweep_request(traces=["Vcc"])),
+    ]
+    for kind, request in requests:
+        with pytest.raises(SpecError, match="unknown trace name"):
+            service.submit(kind, request)
+    assert service.queue.records() == []
+
+
 def test_unknown_kind_and_non_object_payloads_are_rejected(service):
     with pytest.raises(SpecError, match="unknown job kind"):
         service.submit("teleport", {"preset": "fig7"})

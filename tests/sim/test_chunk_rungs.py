@@ -4,13 +4,13 @@ rails.
 ``SupplyRail.step_chunk`` runs the compiled ``chunk_loop`` where it
 loads and the Python loop otherwise (``REPRO_BATCH_CKERNEL=0``, no
 compiler).  The two rungs must agree bit for bit — steps taken, every
-per-step voltage, the four ``RailStats`` totals and each load's
-committed energy — and both must stay within 1e-9 of per-step reference
-execution with the event on the identical step.  Scenarios are drawn
+per-step voltage, the four ``RailStats`` totals, the V_cc envelope
+and each load's committed energy — and both must stay within 1e-9 of
+per-step reference execution with the event on the identical step.  Scenarios are drawn
 from a seeded generator over storage (ideal, leaky, supercap), sources
 (rectified voltage, power with and without a converter) and one to
 three loads mixing resistive, current and constant demand with voltage
-event boundaries.
+event boundaries, and the envelope's sampling period and phase.
 """
 
 import math
@@ -158,6 +158,11 @@ def scenario(seed):
             "v_falling": (scn["v0"] - rng.uniform(0.01, 0.6)
                           if bounded else -math.inf),
         })
+    # Drawn last so the rails above match the draws before the
+    # envelope existed: the V_cc sampling period and the steps since
+    # the last sample on entry.
+    scn["every"] = rng.choice((1, 1, 2, 3, 7, 64))
+    scn["phase"] = rng.randrange(scn["every"])
     return scn
 
 
@@ -175,6 +180,8 @@ def build(scn):
             ),
         )
     rail = SupplyRail(storage)
+    rail.stats.vcc_every = scn["every"]
+    rail.stats.vcc_phase = scn["phase"]
     for kind, a, b in scn["sources"]:
         if kind == "trapezoid":
             rail.attach_injector(RectifiedInjector(
@@ -226,14 +233,19 @@ def chunk(scn):
         "v": rail.voltage,
         "stats": (stats.harvested, stats.consumed, stats.leaked,
                   stats.starved),
+        "envelope": envelope(stats),
         "commits": [getattr(load, "commits", None) for load in loads],
     }
 
 
+def envelope(stats):
+    return stats.vcc_min, stats.vcc_max, stats.vcc_phase
+
+
 def reference(scn, steps):
     """Per-step execution of ``steps`` steps: the voltages, the stats
-    totals, and each load's first boundary crossing over one more step
-    (the event step)."""
+    totals, the envelope, and each load's first boundary crossing over
+    one more step (the event step)."""
     rail, loads = build(scn)
     dt = scn["dt"]
     voltages = []
@@ -242,6 +254,7 @@ def reference(scn, steps):
             stats = rail.stats
             totals = (stats.harvested, stats.consumed, stats.leaked,
                       stats.starved)
+            bounds = envelope(stats)
         rail.step((scn["start"] + i) * dt, dt)
         voltages.append(rail.voltage)
     crossings = [
@@ -249,7 +262,7 @@ def reference(scn, steps):
         if isinstance(load, ProfileLoad) else (None, None)
         for load in loads
     ]
-    return voltages[:steps], totals, crossings
+    return voltages[:steps], totals, bounds, crossings
 
 
 def rung_results(monkeypatch, rung):
@@ -294,12 +307,21 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
         for seed, result in zip(SEEDS, results):
             scn = scenario(seed)
             taken, n = result["taken"], scn["n"]
-            voltages, totals, crossings = reference(scn, taken)
+            voltages, totals, bounds, crossings = reference(scn, taken)
             assert len(result["voltages"]) == taken
             for got, want in zip(result["voltages"], voltages):
                 assert abs(got - want) <= TOLERANCE, (rung, seed)
             for got, want in zip(result["stats"], totals):
                 assert abs(got - want) <= TOLERANCE * abs(want), (rung, seed)
+            low, high, phase = result["envelope"]
+            assert phase == bounds[2], (rung, seed)
+            for got, want in ((low, bounds[0]), (high, bounds[1])):
+                assert got == want or abs(got - want) <= TOLERANCE, (
+                    rung, seed)
+            if math.isinf(low):
+                seen.add("envelope-empty")
+            elif scn["every"] > 1 and scn["phase"] > 0:
+                seen.add("envelope-mid-period")
             steps = [step for step, _ in crossings if step is not None]
             event = min(steps) if steps else None
             if taken < n:
@@ -331,6 +353,7 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
     assert seen >= {
         "event", "event-on-later-load", "event-at-clamp", "full-chunk",
         "starved", "leaked", "simple",
+        "envelope-empty", "envelope-mid-period",
         "trapezoid", "sine-full", "square", "converter",
         "resistor", "resistive", "current", "constant",
         "capacitor", "leaky", "supercap",

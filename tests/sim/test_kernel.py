@@ -340,19 +340,8 @@ def test_chunked_steps_report_events_at_exact_threshold_crossings():
 
 
 # ---------------------------------------------------------------------------
-# Probe ring buffers
+# Chunked probe sampling
 # ---------------------------------------------------------------------------
-
-
-def test_probe_ring_capacity_keeps_most_recent_samples():
-    from repro.sim.probes import Probe
-
-    probe = Probe("x", lambda: 0.0, capacity=10)
-    for i in range(25):
-        probe.sample(float(i))
-    trace = probe.trace()
-    assert len(trace) == 10
-    assert list(trace.times) == [float(i) for i in range(15, 25)]
 
 
 def chunk_recorder(**probe):
@@ -375,16 +364,6 @@ def chunk_recorder(**probe):
     return recorder, feed
 
 
-def test_probe_ring_capacity_with_chunked_samples():
-    recorder, feed = chunk_recorder(capacity=8)
-    feed(0, 13)
-    feed(13, 17)
-    trace = recorder.traces()["x"]
-    assert len(trace) == 8
-    assert list(trace.times) == [float(i) for i in range(22, 30)]
-    assert list(trace.values) == [float(i) for i in range(22, 30)]
-
-
 def test_chunked_decimation_matches_per_step_decimation():
     from repro.sim.probes import Probe
 
@@ -397,15 +376,6 @@ def test_chunked_decimation_matches_per_step_decimation():
         feed(first, k)
     np.testing.assert_array_equal(per_step.trace().times,
                                   recorder.traces()["x"].times)
-
-
-def test_simulator_probe_capacity_bounds_memory():
-    sim = Simulator(dt=1e-3)
-    sim.probe("t", lambda: sim.t, capacity=100)
-    sim.run(max_steps=5000)
-    trace = sim.recorder.traces()["t"]
-    assert len(trace) == 100
-    assert trace.times[-1] == pytest.approx(5.0)
 
 
 def test_chunk_stats_helper():

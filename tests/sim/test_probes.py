@@ -102,14 +102,14 @@ def test_recorder_samples_all_probes():
 DT = 1e-3
 
 #: ``(kind, steps)`` segments: per-step stretches between chunks, 1-step
-#: chunks, and chunks longer than a small ring.
+#: chunks, and chunks longer than the decimation period.
 SCHEDULE = (
     ("chunk", 5), ("step", 2), ("chunk", 1), ("chunk", 7), ("step", 1),
     ("chunk", 13), ("chunk", 1), ("step", 3), ("chunk", 20), ("chunk", 2),
 )
 
 
-def _record(decimate, capacity, constant, chunked):
+def _record(decimate, constant, chunked):
     """Traces of three probes driven through ``SCHEDULE``.
 
     ``a`` samples every ``decimate`` steps, ``b`` every ``decimate + 1``,
@@ -133,8 +133,7 @@ def _record(decimate, capacity, constant, chunked):
         return 0.5 * steps + 1.0
 
     def add(name, d):
-        recorder.add(name, fn, decimate=d, chunk_fn=chunk_fn,
-                     capacity=capacity)
+        recorder.add(name, fn, decimate=d, chunk_fn=chunk_fn)
 
     add("a", decimate)
     add("b", decimate + 1)
@@ -153,19 +152,32 @@ def _record(decimate, capacity, constant, chunked):
     return recorder.traces()
 
 
-@pytest.mark.parametrize("capacity", [None, 4])
 @pytest.mark.parametrize("decimate", [1, 3, 7])
 @pytest.mark.parametrize("constant", [False, True], ids=["array", "0-d"])
-def test_chunk_sampling_equals_per_step_sampling(constant, decimate, capacity):
-    per_step = _record(decimate, capacity, constant, chunked=False)
-    chunked = _record(decimate, capacity, constant, chunked=True)
+def test_chunk_sampling_equals_per_step_sampling(constant, decimate):
+    per_step = _record(decimate, constant, chunked=False)
+    chunked = _record(decimate, constant, chunked=True)
     assert set(chunked) == {"a", "b", "late"}
     for name, trace in per_step.items():
         assert len(trace) > 0
-        if capacity is not None:
-            assert len(trace) <= capacity
         np.testing.assert_array_equal(chunked[name].times, trace.times)
         np.testing.assert_array_equal(chunked[name].values, trace.values)
-    if decimate > 1 and capacity is None:
+    if decimate > 1:
         # The late probe's samples sit on other steps than a's.
         assert set(per_step["late"].times).isdisjoint(per_step["a"].times)
+
+
+def test_buffers_grow_past_their_initial_size():
+    """Per-step and chunked samples both outgrow the first allocation
+    and keep every sample in order."""
+    probe = Probe("x", lambda: -1.0, chunk_fn=lambda k: np.arange(k) * 1.0)
+    probe.sample(DT)
+    probe.sample_chunk(2, 3000, DT)
+    for step in range(3002, 3005):
+        probe.sample(step * DT)
+    trace = probe.trace()
+    assert len(trace) == 3004
+    np.testing.assert_array_equal(trace.times, np.arange(1, 3005) * DT)
+    np.testing.assert_array_equal(
+        trace.values, [-1.0] + list(np.arange(3000.0)) + [-1.0] * 3
+    )

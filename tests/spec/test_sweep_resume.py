@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SpecError
 from repro.results import ResultStore, spec_hash
-from repro.spec import SweepRunner
+from repro.spec import SweepRunner, preset
 from repro.spec.presets import fig7_spec
 from repro.spec import runner as runner_mod
 
@@ -262,3 +262,24 @@ def test_sweep_progress_hook_reports_computed_vs_cached(tmp_path):
     assert resumed_events[0].computed == 0
     assert resumed_events[0].cached == 2
     assert resumed_events[0].errors == 1  # the cached error row still counts
+
+
+def test_unknown_trace_name_is_rejected_before_any_point(tmp_path,
+                                                         monkeypatch):
+    """A misspelled trace name fails the call up front: no point runs,
+    and the store gets no error row that a later resume would return
+    in place of the physics."""
+    calls = counting_worker(monkeypatch)
+    store = ResultStore(tmp_path / "sweep.jsonl")
+    runner = SweepRunner(
+        preset("crossover-quickrecall").with_overrides(
+            {"kernel": "fast", "duration": 0.5}
+        ),
+        {"frequency": [5.0]},
+    )
+    with pytest.raises(SpecError, match="unknown trace name.*'bogus'"):
+        runner.run(parallel=False, store=store, capture_traces=("bogus",))
+    assert calls == []
+    assert len(store) == 0
+    resumed = runner.run(parallel=False, store=store, resume=True)
+    assert resumed.points[0].ok, resumed.points[0].error
