@@ -106,7 +106,7 @@ def write_shards(results: list, root: str, backend: str) -> list:
         if not chunk:
             break
         path = os.path.join(root, f"shard-{s}{suffix}")
-        store = ResultStore(path, backend=backend)
+        store = ResultStore(path)
         with store.batch():
             for result in chunk:
                 store.add(result)
@@ -155,7 +155,7 @@ def bench_backend(results: list, root: str, backend: str) -> dict:
     del merged
 
     print(f"  [{backend}] timing cold load + queries ...", flush=True)
-    store = ResultStore(target, backend=backend)
+    store = ResultStore(target)
     # Row loading is lazy; len() forces the full materialization.
     load_wall, loaded = _timed(lambda: len(store))
     if loaded != len(results):

@@ -31,6 +31,17 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
+def format_cell(value: object, floatfmt: str = "{:.4g}") -> str:
+    """One table cell as text: ``-`` for None, yes/no, ``floatfmt``."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return floatfmt.format(value)
+    return str(value)
+
+
 def _fmt(value: object) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"

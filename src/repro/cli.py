@@ -56,7 +56,7 @@ from repro.explore import (
     SearchSpace,
     available_optimizers,
 )
-from repro.results import BACKEND_CHOICES, ResultStore, RunResult
+from repro.results import ResultStore, RunResult
 from repro.core.taxonomy import classify, exemplars
 from repro.errors import ReproError
 from repro.harvest.solar import PhotovoltaicHarvester
@@ -195,7 +195,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     interpolated crossover are store queries.
     """
     grid = {"frequency": [float(f) for f in args.frequencies]}
-    store = ResultStore(args.output, backend=args.backend)
+    store = ResultStore(args.output)
     wanted = set()
     for strategy in ("hibernus", "quickrecall"):
         base = crossover_spec(strategy)
@@ -392,7 +392,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             result = spec.run()
             _print_run_summary(spec, result)
         if args.output is not None:
-            store = ResultStore(args.output, backend=args.backend)
+            store = ResultStore(args.output)
             store.add(
                 RunResult.from_system_run(
                     result, spec, capture_traces=("vcc",)
@@ -464,7 +464,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = {"capacitance": [22e-6, 47e-6], "frequency": [4.7, 9.4]}
     if args.resume and args.output is None:
         raise ReproError("--resume needs --output (the store to resume from)")
-    store = (ResultStore(args.output, backend=args.backend)
+    store = (ResultStore(args.output)
              if args.output is not None else None)
     runner = SweepRunner(base, grid, max_workers=args.workers)
     progress = None
@@ -561,7 +561,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     ]
     if args.resume and args.output is None:
         raise ReproError("--resume needs --output (the store to resume from)")
-    store = (ResultStore(args.output, backend=args.backend)
+    store = (ResultStore(args.output)
              if args.output is not None else None)
 
     def progress(event):
@@ -611,22 +611,20 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0 if outcome.best is not None else 1
 
 
-def _load_store(path: str, backend: str = "auto") -> ResultStore:
+def _load_store(path: str) -> ResultStore:
     if not os.path.exists(path):
         raise ReproError(f"no result store at {path!r}")
-    return ResultStore(path, backend=backend)
+    return ResultStore(path)
 
 
 def cmd_results(args: argparse.Namespace) -> int:
     """Query a persisted result store: tabulate, merge, best, pareto."""
     if args.merge:
-        store = ResultStore.merge_shards(
-            args.merge, output=args.store, backend=args.backend
-        )
+        store = ResultStore.merge_shards(args.merge, output=args.store)
         print(f"merged {len(args.merge)} shard(s) into {args.store} "
               f"({len(store)} unique results)")
     else:
-        store = _load_store(args.store, args.backend)
+        store = _load_store(args.store)
     if len(store) == 0:
         print("store is empty")
         return 0
@@ -671,7 +669,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         store_path=args.store,
-        store_backend=args.backend,
         max_workers=args.workers,
         parallel=not args.serial,
         default_deadline_s=args.deadline,
@@ -700,7 +697,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     or quarantined payload.
     """
     from repro import faults as faults_mod
-    from repro.spec.runner import SupervisionPolicy, is_quarantined
+    from repro.results.run_result import is_quarantined_error
+    from repro.spec.runner import SupervisionPolicy
 
     base = _load_base(args)
     grid = _parse_grid(args.set)
@@ -736,7 +734,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     mismatched = []
     quarantined = 0
     for clean_point, chaos_point in zip(clean.points, chaos.points):
-        if is_quarantined(chaos_point):
+        if is_quarantined_error(chaos_point.error):
             quarantined += 1
         elif (clean_point.metrics != chaos_point.metrics
                 or clean_point.traces != chaos_point.traces):
@@ -823,13 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "identical physics)",
         )
 
-    def add_backend_flag(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--backend", choices=list(BACKEND_CHOICES), default="auto",
-            help="result-store backend; auto selects columnar for "
-                 "*.colstore paths and JSONL otherwise",
-        )
-
     def add_supervision_flags(
         command: argparse.ArgumentParser,
         deadline_help: str = "per-task wall deadline in seconds: a "
@@ -872,7 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="persist points to a result store — JSONL "
                                 "file or *.colstore directory (re-runs "
                                 "reuse stored points)")
-    add_backend_flag(crossover)
     add_kernel_flag(crossover)
     crossover.set_defaults(fn=cmd_crossover)
 
@@ -889,7 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="append the run (with its vcc trace) to a "
                           "result store (JSONL file or *.colstore "
                           "directory)")
-    add_backend_flag(run)
     run.add_argument("--profile", action="store_true",
                      help="profile the run with cProfile and print a "
                           "per-component cumulative-time breakdown plus "
@@ -913,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output", default=None, metavar="STORE",
                        help="persist every point to a result store "
                             "(JSONL file or *.colstore directory)")
-    add_backend_flag(sweep)
     sweep.add_argument("--resume", action="store_true",
                        help="skip points --output already holds; only the "
                             "missing points are computed")
@@ -967,7 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--output", default=None, metavar="STORE",
                          help="persist every evaluation to a result store "
                               "(JSONL file or *.colstore directory)")
-    add_backend_flag(explore)
     explore.add_argument("--resume", action="store_true",
                          help="reuse evaluations --output already holds; a "
                               "re-run with the same seed recomputes nothing")
@@ -982,13 +969,12 @@ def build_parser() -> argparse.ArgumentParser:
         "results", help="query a persisted result store"
     )
     results.add_argument("store", help="path to a result store (JSONL "
-                                       "file or *.colstore directory)")
+                                       "file or columnar directory)")
     results.add_argument("--merge", nargs="+", default=None,
                          metavar="SHARD",
                          help="fold shard stores into STORE before querying "
                               "(dedupes by spec hash; all-columnar merges "
                               "move whole column blocks)")
-    add_backend_flag(results)
     results.add_argument("--best", default=None, metavar="METRIC",
                          help="report the row optimising METRIC")
     results.add_argument("--maximize", action="store_true",
@@ -1011,7 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "compute cache) — JSONL file or *.colstore "
                             "directory; job status persists beside it "
                             "as STORE.jobs")
-    add_backend_flag(serve)
     serve.add_argument("--workers", type=int, default=None,
                        help="warm-pool width (default: CPU count)")
     serve.add_argument("--serial", action="store_true",

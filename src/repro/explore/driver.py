@@ -38,7 +38,11 @@ from repro.explore.optimizers import (
 )
 from repro.explore.space import SearchSpace
 from repro.results.metrics import result_columns
-from repro.results.run_result import RunResult, spec_hash
+from repro.results.run_result import (
+    RunResult,
+    is_worker_crash_error,
+    spec_hash,
+)
 from repro.results.store import ResultStore
 from repro.spec.runner import (
     EvaluationStats,
@@ -46,7 +50,6 @@ from repro.spec.runner import (
     ProgressHook,
     SupervisionPolicy,
     WarmPool,
-    _is_worker_crash,
     evaluate,
     run_in_process,
     stored_outcome,
@@ -135,20 +138,12 @@ class ExplorationResult:
 
     def format(self, top: int = 10, floatfmt: str = "{:.4g}") -> str:
         """The ranked evaluation table as aligned text."""
-        from repro.analysis.report import format_table
-
-        def fmt(value: Any) -> str:
-            if value is None:
-                return "-"
-            if isinstance(value, bool):
-                return "yes" if value else "no"
-            if isinstance(value, float):
-                return floatfmt.format(value)
-            return str(value)
+        from repro.analysis.report import format_cell, format_table
 
         return format_table(
             self.columns(),
-            [[fmt(cell) for cell in row] for row in self.rows(top=top)],
+            [[format_cell(cell, floatfmt) for cell in row]
+             for row in self.rows(top=top)],
         )
 
     def describe(self) -> str:
@@ -192,9 +187,8 @@ class ExplorationDriver:
             optimizer.
         store: persist every evaluation here; with ``resume`` (the
             default) previously stored rows satisfy re-asked candidates
-            for free.  A path opens one — ``.colstore`` selects the
-            sharded columnar backend, anything else JSONL
-            (``store_backend`` overrides).
+            for free.  A path opens one; its format follows the path
+            (see :class:`ResultStore`).
         resume: reuse rows the store already holds (stored worker-crash
             rows are never reused).
         parallel / max_workers: process-pool knobs, as for
@@ -226,7 +220,6 @@ class ExplorationDriver:
         seed: int = 0,
         progress: Optional[ProgressHook] = None,
         pool: Optional[WarmPool] = None,
-        store_backend: Optional[str] = None,
         policy: Optional[SupervisionPolicy] = None,
     ):
         self.base = base
@@ -254,9 +247,7 @@ class ExplorationDriver:
         self.optimizer = optimizer
         self.optimizer_params = dict(optimizer_params or {})
         if store is not None and not isinstance(store, ResultStore):
-            # A path selects its backend by suffix (`.colstore` ->
-            # columnar) unless store_backend overrides it.
-            store = ResultStore(store, backend=store_backend)
+            store = ResultStore(store)
         self.store = store
         self.resume = resume
         self.parallel = parallel
@@ -417,7 +408,7 @@ class ExplorationDriver:
         for i, result in fresh.items():
             # Worker crashes stay transient — out of the in-run map as
             # well as the store — so a later re-ask retries them.
-            if not _is_worker_crash(result):
+            if not is_worker_crash_error(result.error):
                 seen.setdefault(hashes[i], result)
         computed = {todo[p] for p in stats.computed} | set(fresh_failures)
         computed_full = sum(
@@ -445,14 +436,13 @@ class ExplorationDriver:
         seen: Dict[str, RunResult] = {}
         evaluations: List[Evaluation] = []
         computed = cached = computed_full = batches = 0
-        # One warm pool for the whole exploration: workers initialise
-        # from the base spec once and serve every optimizer batch.  A
-        # caller-owned pool takes precedence and outlives the run.
+        # One warm pool for the whole exploration: workers parse the
+        # base spec on their first chunk and serve every optimizer
+        # batch.  A caller-owned pool takes precedence and outlives the
+        # run.
         pool, owned = self.pool, None
         if self.parallel and pool is None:
-            pool = owned = WarmPool(
-                max_workers=self.max_workers, base_spec=self.base.to_dict()
-            )
+            pool = owned = WarmPool(max_workers=self.max_workers)
         executor = pool.run if self.parallel else run_in_process
         explore_span = obs.span("explore.run", label=self.base.name)
         explore_span.__enter__()

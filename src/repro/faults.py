@@ -313,19 +313,14 @@ def payload_key(
 ) -> str:
     """A stable roll key for a worker task payload.
 
-    Derived from the scenario the payload resolves to — its full
-    ``spec``, or the shared base's ``base_hash`` plus its
-    ``spec_overrides`` — and its supervision ``fault_attempt`` counter,
-    so a payload whose roll fires on attempt 0 re-rolls on attempt 1
-    (a *transient* injected crash), while a given ``(payload,
-    attempt)`` pair always rolls the same way run over run.
+    Derived from the scenario the payload resolves to — the base's
+    ``base_hash`` plus the payload's ``spec_overrides`` — and its
+    supervision ``fault_attempt`` counter, so a payload whose roll
+    fires on attempt 0 re-rolls on attempt 1 (a *transient* injected
+    crash), while a given ``(payload, attempt)`` pair always rolls the
+    same way run over run.
     """
-    if "spec" in payload:
-        scenario: Any = {"spec": payload["spec"]}
-    else:
-        scenario = {
-            "base": base_hash, "overrides": payload.get("spec_overrides"),
-        }
+    scenario = {"base": base_hash, "overrides": payload.get("spec_overrides")}
     return json.dumps(
         [scenario, payload.get("fault_attempt", 0)],
         sort_keys=True,

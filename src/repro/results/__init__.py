@@ -43,7 +43,6 @@ _LAZY = {
     "ColumnarBackend": "repro.results.backends",
     "MemoryBackend": "repro.results.backends",
     "make_backend": "repro.results.backends",
-    "BACKEND_CHOICES": "repro.results.backends",
     "COLUMNAR_SUFFIX": "repro.results.backends",
 }
 

@@ -65,7 +65,7 @@ from repro.results.run_result import RunResult, is_worker_crash_error
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: Path suffix that selects the columnar backend when ``backend="auto"``.
+#: Path suffix that makes a *new* store path columnar.
 COLUMNAR_SUFFIX = ".colstore"
 
 #: Frame marker opening every columnar record batch.
@@ -961,10 +961,7 @@ class ColumnarBackend(StoreBackend):
     # -- vectorized shard-merge ingest -----------------------------------
 
     def can_bulk_merge(self, shards: Sequence[str]) -> bool:
-        return all(
-            os.fspath(s).endswith(COLUMNAR_SUFFIX) and os.path.isdir(s)
-            for s in shards
-        )
+        return all(os.path.isdir(s) for s in shards)
 
     def bulk_merge(self, shards: Sequence[str]) -> int:
         """Fold columnar shard stores in by moving column blocks.
@@ -1114,29 +1111,18 @@ def _parse_spec(payload: str) -> Optional[Any]:
         return None
 
 
-#: backend= choices accepted by ResultStore and the CLI.
-BACKEND_CHOICES = ("auto", "jsonl", "columnar")
+def make_backend(path: Optional[PathLike]) -> StoreBackend:
+    """The backend a store path names: its format follows the path.
 
-
-def make_backend(
-    path: Optional[PathLike], backend: Optional[str] = None
-) -> StoreBackend:
-    """Resolve (path, backend name) to a StoreBackend instance.
-
-    ``backend=None``/``"auto"`` selects by path: a ``.colstore`` suffix
-    means columnar, anything else (including no path) keeps JSONL
-    semantics.  Pass ``"jsonl"`` or ``"columnar"`` to override.
+    An existing directory is columnar and an existing file is JSONL,
+    whatever their names; a new path is columnar only with a
+    ``.colstore`` suffix.  No path keeps the store in memory.
     """
     if path is None:
         return MemoryBackend()
     path = os.fspath(path)
-    choice = backend or "auto"
-    if choice == "auto":
-        choice = "columnar" if path.endswith(COLUMNAR_SUFFIX) else "jsonl"
-    if choice == "jsonl":
-        return JsonlBackend(path)
-    if choice == "columnar":
+    if os.path.isdir(path) or (
+        not os.path.exists(path) and path.endswith(COLUMNAR_SUFFIX)
+    ):
         return ColumnarBackend(path)
-    raise ResultStoreError(
-        f"unknown store backend {backend!r} (choices: {BACKEND_CHOICES})"
-    )
+    return JsonlBackend(path)

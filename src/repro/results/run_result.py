@@ -49,7 +49,7 @@ def is_quarantined_error(error: Optional[str]) -> bool:
     """True when an error message marks a quarantined poison payload."""
     return error is not None and error.startswith(QUARANTINE_PREFIX)
 
-#: Default cap on persisted trace samples: traces are evidence, not the
+#: Cap on persisted trace samples: traces are evidence, not the
 #: analysis substrate, so they are decimated down to a plottable size.
 MAX_TRACE_SAMPLES = 2048
 
@@ -168,7 +168,6 @@ class RunResult:
         name: Optional[str] = None,
         key_payload: Optional[Mapping[str, Any]] = None,
         capture_traces: tuple = (),
-        max_trace_samples: int = MAX_TRACE_SAMPLES,
     ) -> "RunResult":
         """Summarize a finished :class:`SystemRunResult` via the registry.
 
@@ -194,7 +193,7 @@ class RunResult:
                         f"{sorted(run.traces)}"
                     )
                 traces[trace_name] = _decimate_trace(
-                    run.traces[trace_name], max_trace_samples
+                    run.traces[trace_name], MAX_TRACE_SAMPLES
                 )
         return cls(
             spec_hash=key,

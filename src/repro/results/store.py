@@ -31,16 +31,11 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Unio
 
 from repro import obs
 from repro.errors import ResultStoreError
-from repro.results.backends import (
-    BACKEND_CHOICES,
-    ColumnarBackend,
-    StoreBackend,
-    make_backend,
-)
+from repro.results.backends import ColumnarBackend, StoreBackend, make_backend
 from repro.results.metrics import result_columns
 from repro.results.run_result import RunResult, is_worker_crash_error
 
-__all__ = ["ResultStore", "rankable_results", "BACKEND_CHOICES"]
+__all__ = ["ResultStore", "rankable_results"]
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -49,23 +44,18 @@ class ResultStore:
     """Columnar queries over run results, with pluggable persistence.
 
     Args:
-        path: the backing file (JSONL) or directory (``.colstore``) to
-            load from and append to.  None keeps the store purely in
-            memory (the default for one-shot sweeps).
-        backend: ``"auto"`` (default) selects by path suffix —
-            ``.colstore`` means the sharded columnar backend, anything
-            else JSONL; pass ``"jsonl"``/``"columnar"`` to override.
+        path: the backing file (JSONL) or directory (columnar) to load
+            from and append to; the path alone picks the format (see
+            :func:`~repro.results.backends.make_backend`).  None keeps
+            the store purely in memory (the default for one-shot
+            sweeps).
 
     Iteration order is insertion order (load order, then append order),
     so a store round-trips its table layout.
     """
 
-    def __init__(
-        self,
-        path: Optional[PathLike] = None,
-        backend: Optional[str] = None,
-    ):
-        self._backend: StoreBackend = make_backend(path, backend)
+    def __init__(self, path: Optional[PathLike] = None):
+        self._backend: StoreBackend = make_backend(path)
         self.path = self._backend.path
         #: Lazily-loaded row index (hash -> RunResult); None until the
         #: first access so pure block-move operations (columnar shard
@@ -263,7 +253,6 @@ class ResultStore:
         cls,
         shards: Iterable[PathLike],
         output: Optional[PathLike] = None,
-        backend: Optional[str] = None,
     ) -> "ResultStore":
         """Combine shard stores (one per worker/machine) into one store.
 
@@ -279,7 +268,7 @@ class ResultStore:
         for shard in shard_paths:
             if not os.path.exists(shard):
                 raise ResultStoreError(f"shard {shard!r} not found")
-        store = cls(output, backend=backend)
+        store = cls(output)
         if (
             isinstance(store._backend, ColumnarBackend)
             and store._backend.can_bulk_merge(shard_paths)
@@ -389,19 +378,12 @@ class ResultStore:
 
     def table(self, floatfmt: str = "{:.4g}") -> str:
         """The store as an aligned text table (see ``repro results``)."""
-        from repro.analysis.report import format_table
-
-        def fmt(value: Any) -> str:
-            if value is None:
-                return "-"
-            if isinstance(value, bool):
-                return "yes" if value else "no"
-            if isinstance(value, float):
-                return floatfmt.format(value)
-            return str(value)
+        from repro.analysis.report import format_cell, format_table
 
         return format_table(
-            self.columns(), [[fmt(cell) for cell in row] for row in self.rows()]
+            self.columns(),
+            [[format_cell(cell, floatfmt) for cell in row]
+             for row in self.rows()],
         )
 
 

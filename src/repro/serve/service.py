@@ -76,11 +76,8 @@ class SimulationService:
 
     Args:
         store_path: the shared result store (None: in-memory — the
-            cache then lives and dies with the process).  A
-            ``.colstore`` suffix selects the sharded columnar backend;
-            anything else is JSONL.
-        store_backend: override backend selection (``"jsonl"`` or
-            ``"columnar"``) regardless of the path suffix.
+            cache then lives and dies with the process).  Its format
+            follows the path (see :class:`ResultStore`).
         jobs_path: job-status persistence; defaults to
             ``<store_path>.jobs`` when a store path is given.
         max_workers: warm-pool width (defaults to the CPU count).
@@ -98,7 +95,6 @@ class SimulationService:
         jobs_path: Optional[str] = None,
         max_workers: Optional[int] = None,
         parallel: bool = True,
-        store_backend: Optional[str] = None,
         default_deadline_s: Optional[float] = None,
         default_max_retries: int = 0,
     ):
@@ -106,7 +102,7 @@ class SimulationService:
             jobs_path = f"{store_path}.jobs"
         self.default_deadline_s = default_deadline_s
         self.default_max_retries = default_max_retries
-        self.store = ResultStore(store_path, backend=store_backend)
+        self.store = ResultStore(store_path)
         self.parallel = parallel
         self.max_workers = max_workers
         self.pool = WarmPool(max_workers=max_workers) if parallel else None

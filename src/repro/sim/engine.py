@@ -10,7 +10,7 @@ the rail before loads are sampled.
 Two kernels execute that schedule:
 
 * ``"reference"`` — the plain per-step loop; the semantic baseline.
-* ``"fast"`` — advances in macro-chunks of up to ``chunk_size`` steps
+* ``"fast"`` — advances in macro-chunks of up to ``_MAX_CHUNK`` steps
   through :meth:`Component.step_chunk` when the (single) component can
   vectorize its current regime, falling back to per-step execution at
   every declared event boundary — voltage thresholds *and* timed events
@@ -78,6 +78,8 @@ StopCondition = Callable[[float], bool]
 
 #: Initial (and post-event) macro-chunk length for the fast kernel.
 _MIN_CHUNK = 64
+#: Longest macro-chunk the fast kernel asks for.
+_MAX_CHUNK = 4096
 #: Cap on the failed-chunk-attempt backoff (reference steps skipped).
 _MAX_BACKOFF = 64
 
@@ -116,7 +118,6 @@ class Simulator:
         kernel: ``"reference"`` (plain per-step loop) or ``"fast"``
             (chunked execution where components support it; identical
             per-step semantics, see the module docstring).
-        chunk_size: maximum steps per macro-chunk for the fast kernel.
 
     The engine is deliberately simple — a loop over components — because all
     the interesting dynamics live in the components (rail integration, MCU
@@ -129,7 +130,6 @@ class Simulator:
         dt: float,
         components: Optional[Sequence[Component]] = None,
         kernel: str = "reference",
-        chunk_size: int = 4096,
     ):
         if dt <= 0.0:
             raise ConfigurationError(f"timestep must be positive, got {dt!r}")
@@ -137,12 +137,9 @@ class Simulator:
             self.kernel = validate_kernel(kernel)
         except ValueError as error:
             raise ConfigurationError(str(error)) from error
-        if chunk_size < 2:
-            raise ConfigurationError(f"chunk_size must be >= 2, got {chunk_size}")
         self.dt = dt
         self.t = 0.0
         self.steps = 0
-        self.chunk_size = chunk_size
         #: Fast-kernel diagnostics: how much of the run actually chunked.
         self.chunk_stats = ChunkStats()
         self._components: List[Component] = list(components or [])
@@ -367,7 +364,7 @@ class Simulator:
                 skip -= 1
                 reason = "backoff"
             else:
-                n = min(grow, self.chunk_size)
+                n = min(grow, _MAX_CHUNK)
                 if s_max is not None:
                     n = min(n, s_max - self.steps + 1)
                 if max_steps is not None:
@@ -382,7 +379,7 @@ class Simulator:
                         reason = None
                         backoff = 0
                         if taken == n:
-                            grow = min(2 * n, self.chunk_size)
+                            grow = min(2 * n, _MAX_CHUNK)
                         else:
                             grow = _MIN_CHUNK
                             event = True

@@ -33,8 +33,6 @@ _LAZY = {
     "expand_grid": "repro.spec.specs",
     "SweepRunner": "repro.spec.runner",
     "SweepResult": "repro.spec.runner",
-    "PointResult": "repro.spec.runner",
-    "run_scenario_payload": "repro.spec.runner",
     "preset": "repro.spec.presets",
     "preset_names": "repro.spec.presets",
     "fig7_spec": "repro.spec.presets",

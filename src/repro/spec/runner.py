@@ -14,22 +14,21 @@ re-run skips every grid point whose spec hash the store already holds,
 so an interrupted sweep recomputes only the missing points, and shards
 computed on separate machines merge by hash.
 
-The workers (:func:`run_point_payload` / :func:`run_scenario_payload`)
-are module-level functions so they pickle under every
-``multiprocessing`` start method; they take and return plain dicts,
-keeping the inter-process traffic tiny regardless of how many probe
-samples a run records.
+The worker (:func:`run_point_payload`) is a module-level function so
+it pickles under every ``multiprocessing`` start method; it takes and
+returns plain dicts, keeping the inter-process traffic tiny regardless
+of how many probe samples a run records.
 
 Sweeps, explorations and service jobs all evaluate through
-:func:`evaluate` on a *warm-worker* pool (:class:`WarmPool`): worker
-processes initialise once from a shared base spec, tasks ship only
-override dicts (not full pickled spec payloads), and submission is
-chunked so a large grid costs a handful of round-trips instead of one
-per point.  Every point is its own task: the submission chunk is the
-only grouping, so a crash, retry, quarantine or deadline applies to
-exactly one point.  The pool object survives across batches — an
-exploration driver reuses the same warm workers for every optimizer
-round.
+:func:`evaluate` on a *warm-worker* pool (:class:`WarmPool`): every
+task is an override dict against the base spec that ships with its
+batch, a worker parses that base once (on the first chunk that brings
+it), and submission is chunked so a large grid costs a handful of
+round-trips instead of one per point.  Every point is its own task:
+the submission chunk is the only grouping, so a crash, retry,
+quarantine or deadline applies to exactly one point.  The pool object
+survives across batches — an exploration driver reuses the same warm
+workers for every optimizer round.
 ``parallel=False`` runs on :func:`run_in_process` instead.
 """
 
@@ -61,49 +60,29 @@ from typing import (
 from repro import degrade, faults, obs
 from repro.core.system import check_trace_names
 from repro.errors import SpecError
-from repro.results.metrics import empty_metrics, result_columns
+from repro.results.metrics import result_columns
 from repro.results.run_result import (
-    MAX_TRACE_SAMPLES,
     QUARANTINE_PREFIX,
     WORKER_FAILURE_PREFIX,
     RunResult,
+    content_hash,
+    is_worker_crash_error,
     spec_hash,
 )
 from repro.results.store import ResultStore
 from repro.spec.specs import ScenarioSpec, expand_grid
 
 
-def __getattr__(name: str):
-    # Back-compat: these used to be hand-maintained module constants and
-    # drifted apart; both now derive from the metric-extractor registry.
-    if name == "RESULT_COLUMNS":
-        return result_columns()
-    if name == "_EMPTY_SUMMARY":
-        return empty_metrics()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def run_scenario_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool worker: build, run and summarise one bare scenario.
-
-    Takes/returns plain dicts so it is picklable and cheap to ship.
-    Framework errors (an infeasible grid point, e.g. a capacitance too
-    small for its strategy's Eq. (4) threshold) come back as the
-    summary's ``error`` field instead of killing the whole sweep.
-    """
-    return run_point_payload({"spec": payload})["metrics"]
-
-
-#: The shared base spec a warm worker resolves override-only tasks
-#: against: parsed once per worker process (or per serial batch), not
-#: once per task.  ``None`` until :func:`_install_shared_base` runs.
+#: The base spec this process resolves task overrides against: parsed
+#: once per worker process (or per serial batch), not once per task.
+#: ``None`` until :func:`_install_shared_base` runs.
 _SHARED_BASE: Optional[ScenarioSpec] = None
 #: Its raw dict form (for failure keys), kept in lockstep.
 _SHARED_BASE_DICT: Optional[Dict[str, Any]] = None
 
 
 def _install_shared_base(base_dict: Optional[Dict[str, Any]]) -> None:
-    """Worker initializer: parse the shared base spec exactly once."""
+    """Parse ``base_dict`` as the base later tasks resolve against."""
     global _SHARED_BASE, _SHARED_BASE_DICT
     _SHARED_BASE_DICT = base_dict
     _SHARED_BASE = (
@@ -112,7 +91,7 @@ def _install_shared_base(base_dict: Optional[Dict[str, Any]]) -> None:
 
 
 def _task_failure_key(
-    payload: Dict[str, Any], base_spec: Optional[Dict[str, Any]]
+    payload: Dict[str, Any], base_spec: Dict[str, Any]
 ) -> str:
     """The one error-row key for a task that never resolved to a spec.
 
@@ -121,40 +100,16 @@ def _task_failure_key(
     payload — a stored error row under one scheme must be findable by
     the other.
     """
-    if "spec" in payload:
-        return spec_hash(payload["spec"])
-    from repro.results.run_result import content_hash
-
     return content_hash({
-        "base": spec_hash(base_spec) if base_spec is not None else None,
+        "base": spec_hash(base_spec),
         "overrides": payload.get("spec_overrides"),
     })
-
-
-def _payload_spec(payload: Dict[str, Any]) -> ScenarioSpec:
-    """Resolve a task payload to its runnable spec.
-
-    A payload either carries a full ``"spec"`` dict (self-contained
-    tasks) or a ``"spec_overrides"`` dict applied to the worker's shared
-    base spec (warm-worker tasks).  Both resolutions are deterministic,
-    so the resulting spec — and therefore its hash, the results
-    pipeline's cache key — is identical to the one the submitting
-    process computed.
-    """
-    if "spec" in payload:
-        return ScenarioSpec.from_dict(payload["spec"])
-    if _SHARED_BASE is None:
-        raise SpecError(
-            "override-only task but no shared base spec was installed"
-        )
-    return _SHARED_BASE.with_overrides(payload["spec_overrides"])
 
 
 def run_spec(
     spec: ScenarioSpec,
     overrides: Dict[str, Any],
     capture_traces: Sequence[str] = (),
-    max_trace_samples: int = MAX_TRACE_SAMPLES,
 ) -> RunResult:
     """Build and run one spec: the body of every point.
 
@@ -171,7 +126,6 @@ def run_spec(
             spec,
             overrides=overrides,
             capture_traces=tuple(capture_traces),
-            max_trace_samples=max_trace_samples,
         )
     except Exception as error:  # one bad point must not kill the sweep
         return RunResult.failed(
@@ -186,26 +140,23 @@ def run_spec(
 def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Process-pool worker: one grid point in, one result record out.
 
-    ``payload`` is ``{"spec": <ScenarioSpec dict>, "overrides": {...},
-    "traces": [probe names], "max_trace_samples": int}`` — or, for
-    warm-worker tasks, ``"spec_overrides"`` (applied to the shared base
-    spec) in place of ``"spec"``; the return value is a
-    :meth:`RunResult.to_record` dict.
+    ``payload`` is ``{"spec_overrides": {...}, "overrides": {...},
+    "traces": [probe names]}``: ``spec_overrides`` applied to the
+    installed base spec give the point's spec (deterministically, so
+    its hash — the results pipeline's cache key — equals the one the
+    submitting process computed), ``overrides`` label its row.  The
+    return value is a :meth:`RunResult.to_record` dict.
     """
     if faults.is_armed():
         # Chaos harness: an injected crash raises out of the worker (the
         # pool pins the chunk as retryable crash rows), an injected hang
         # sleeps until the supervisor's task deadline reaps this worker.
-        fault_key = faults.payload_key(
-            payload,
-            spec_hash(_SHARED_BASE_DICT)
-            if _SHARED_BASE_DICT is not None else None,
-        )
+        fault_key = faults.payload_key(payload, spec_hash(_SHARED_BASE_DICT))
         faults.inject("worker.crash", fault_key, "injected worker crash")
         faults.maybe_hang(fault_key)
     overrides = dict(payload.get("overrides", {}))
     try:
-        spec = _payload_spec(payload)
+        spec = _SHARED_BASE.with_overrides(payload["spec_overrides"])
     except Exception as error:
         return RunResult.failed(
             f"{type(error).__name__}: {error}",
@@ -213,17 +164,8 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             overrides=overrides,
         ).to_record()
     return run_spec(
-        spec,
-        overrides,
-        capture_traces=tuple(payload.get("traces", ())),
-        max_trace_samples=payload.get(
-            "max_trace_samples", MAX_TRACE_SAMPLES
-        ),
+        spec, overrides, capture_traces=tuple(payload.get("traces", ()))
     ).to_record()
-
-
-#: Back-compat alias: a sweep point and a standalone run share one type.
-PointResult = RunResult
 
 
 @dataclass(frozen=True)
@@ -264,28 +206,9 @@ class BatchProgress:
 #: The progress-hook signature accepted by runners and drivers.
 ProgressHook = Callable[[BatchProgress], None]
 
-
-def log_progress(event: BatchProgress) -> None:
-    """A ready-made progress hook: log through :mod:`logging`.
-
-    Attach with ``runner.run(progress=log_progress)`` (or the driver
-    equivalent) and configure the ``repro.progress`` logger to taste.
-    """
-    import logging
-
-    logging.getLogger("repro.progress").info("%s", event.describe())
-
 # WORKER_FAILURE_PREFIX / QUARANTINE_PREFIX live in
 # repro.results.run_result (the results layer classifies rows too) and
 # are re-exported here, their historical home.
-
-
-def _is_worker_crash(result: Optional[RunResult]) -> bool:
-    return (
-        result is not None
-        and result.error is not None
-        and result.error.startswith(WORKER_FAILURE_PREFIX)
-    )
 
 
 def stored_outcome(
@@ -297,21 +220,9 @@ def stored_outcome(
     and must recompute.
     """
     stored = store.get(key) if store is not None else None
-    return None if _is_worker_crash(stored) else stored
-
-
-def is_quarantined(result: Optional[RunResult]) -> bool:
-    """True for a row pinned by poison-payload quarantine.
-
-    Quarantine rows are deterministic outcomes: persisted, treated as
-    satisfied on resume, and skipped by best/pareto ranking like any
-    other error row.
-    """
-    return (
-        result is not None
-        and result.error is not None
-        and result.error.startswith(QUARANTINE_PREFIX)
-    )
+    if stored is None or is_worker_crash_error(stored.error):
+        return None
+    return stored
 
 
 @dataclass(frozen=True)
@@ -363,14 +274,6 @@ class SupervisionPolicy:
         return delay
 
 
-def _record_is_crash(record: Any) -> bool:
-    """Crash test for a raw worker record (dict form, pre-RunResult)."""
-    if not isinstance(record, dict):
-        return False
-    error = (record.get("metrics") or {}).get("error")
-    return isinstance(error, str) and error.startswith(WORKER_FAILURE_PREFIX)
-
-
 def _quarantine_record(record: Any, attempts: int) -> Any:
     """Convert a crash record into a persistent quarantine error row.
 
@@ -392,36 +295,33 @@ def _quarantine_record(record: Any, attempts: int) -> Any:
 
 
 def _worker_failure(
-    payload: Dict[str, Any], error: BaseException, base_spec=None
+    payload: Dict[str, Any], error: BaseException, base_spec: Dict[str, Any]
 ) -> Dict[str, Any]:
     """The error record pinned to a payload whose worker crashed."""
-    if "spec" in payload:
-        name = payload["spec"].get("name", "scenario")
-    else:
-        name = (base_spec or {}).get("name", "scenario")
     return RunResult.failed(
         f"{WORKER_FAILURE_PREFIX}{type(error).__name__}: {error}",
         spec_hash=_task_failure_key(payload, base_spec),
-        name=name,
+        name=base_spec.get("name", "scenario"),
         overrides=payload.get("overrides", {}),
     ).to_record()
 
 
 def _run_payload_chunk(
     worker: Callable[[Dict[str, Any]], Dict[str, Any]],
-    base_dict: Optional[Dict[str, Any]],
+    base_dict: Dict[str, Any],
     tasks: List[Dict[str, Any]],
     obs_opts: Optional[Dict[str, Any]] = None,
     fault_state: Optional[Dict[str, Any]] = None,
 ) -> Any:
     """Pool-side chunk body: one IPC round-trip for many tasks.
 
-    ``base_dict`` is the shared base spec the chunk's override-only
-    tasks resolve against; it is installed only when it differs from
-    what the worker already holds, so a pool serving one sweep parses
-    its base exactly once per worker while a *session-wide* pool (the
-    ``repro serve`` job executor) can switch bases between jobs at the
-    cost of one re-parse per worker per switch.
+    ``base_dict`` is the base spec the chunk's tasks resolve against;
+    it is installed only when it differs from what the worker already
+    holds, so the first chunk a worker runs parses the base and a pool
+    serving one sweep parses it exactly once per worker, while a
+    *session-wide* pool (the ``repro serve`` job executor) can switch
+    bases between jobs at the cost of one re-parse per worker per
+    switch.
 
     ``obs_opts`` (set by :meth:`WarmPool.run` when instrumentation is
     enabled) switches the return value from a bare record list to an
@@ -434,7 +334,7 @@ def _run_payload_chunk(
     its own registry/trace buffer so ``/metrics`` and ``--trace-out``
     reflect kernel activity wherever it physically ran.
     """
-    if base_dict is not None and base_dict != _SHARED_BASE_DICT:
+    if base_dict != _SHARED_BASE_DICT:
         _install_shared_base(base_dict)
     # The chunk carries the submitter's fault configuration: workers
     # spawned before the faults were armed programmatically (or after
@@ -600,7 +500,7 @@ def install_signal_handlers(signals: Optional[Sequence[int]] = None) -> bool:
 
 def _run_in_process(
     payloads: List[Dict[str, Any]],
-    base_spec: Optional[Dict[str, Any]],
+    base_spec: Dict[str, Any],
     deadline: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
     """One unsupervised attempt in this process, in payload order."""
@@ -667,7 +567,7 @@ def _supervise(
             final[position] = record
         crashed = [
             position for position in indices
-            if _record_is_crash(final[position])
+            if is_worker_crash_error(final[position]["metrics"].get("error"))
         ]
         if not crashed:
             break
@@ -704,7 +604,7 @@ def _supervise(
 
 def run_in_process(
     payloads: List[Dict[str, Any]],
-    base_spec: Optional[Dict[str, Any]] = None,
+    base_spec: Dict[str, Any],
     policy: Optional[SupervisionPolicy] = None,
 ) -> List[Dict[str, Any]]:
     """The in-process executor: :meth:`WarmPool.run` without a pool.
@@ -727,10 +627,10 @@ Executor = Callable[..., List[Dict[str, Any]]]
 class WarmPool:
     """A persistent warm-worker process pool for spec payloads.
 
-    Workers fork/spawn once — importing the framework and parsing the
-    shared ``base_spec`` in the initializer — and then serve any number
-    of :meth:`run` batches.  Tasks referencing the shared base ship only
-    their override dicts; submission is chunked
+    Workers fork/spawn once — importing the framework — and then serve
+    any number of :meth:`run` batches.  Each batch names its base spec;
+    a worker parses it on the first chunk that brings it, and tasks ship
+    only their override dicts.  Submission is chunked
     (:data:`_CHUNKS_PER_WORKER` chunks per worker per batch) so an
     N-point grid costs a handful of pickled messages rather than N.
 
@@ -741,12 +641,7 @@ class WarmPool:
     :meth:`close` when done.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        base_spec: Optional[Dict[str, Any]] = None,
-    ):
-        self.base_spec = base_spec
+    def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._broken = False
@@ -761,9 +656,7 @@ class WarmPool:
             _LIVE_POOLS.add(self)  # a closed pool can be re-driven
             try:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_install_shared_base,
-                    initargs=(self.base_spec,),
+                    max_workers=self.max_workers
                 )
             except (OSError, PermissionError):
                 # Environments without working multiprocessing
@@ -785,8 +678,8 @@ class WarmPool:
         deadline cannot be interrupted cooperatively, so the whole
         worker set is terminated (SIGTERM, then SIGKILL for any
         survivor) and the executor discarded — the next :meth:`run`
-        respawns fresh workers through the pool initializer.  Returns
-        the number of processes reaped.
+        respawns fresh workers, which re-parse the base on their first
+        chunk.  Returns the number of processes reaped.
         """
         pool, self._pool = self._pool, None
         if pool is None:
@@ -855,7 +748,7 @@ class WarmPool:
     def run(
         self,
         payloads: List[Dict[str, Any]],
-        base_spec: Optional[Dict[str, Any]] = None,
+        base_spec: Dict[str, Any],
         policy: Optional[SupervisionPolicy] = None,
     ) -> List[Dict[str, Any]]:
         """Run one batch; failures become error records, never raises.
@@ -866,11 +759,10 @@ class WarmPool:
         submission chunk as a :data:`WORKER_FAILURE_PREFIX` error record
         so the rest of the batch still lands.
 
-        ``base_spec`` overrides the pool's own base spec for this batch:
-        override-only payloads resolve against it instead.  A persistent
-        pool serving many scenarios (the ``repro serve`` executor) ships
-        the active base with each chunk; workers re-parse only when it
-        actually changes.
+        ``base_spec`` is the base the payloads' overrides resolve
+        against; it ships with each chunk, and workers re-parse only
+        when it changes, so a persistent pool serving many scenarios
+        (the ``repro serve`` executor) switches bases between batches.
 
         ``policy`` supervises the batch (see :func:`_supervise`): each
         attempt gets a per-attempt deadline (hung workers are reaped
@@ -878,18 +770,17 @@ class WarmPool:
         backoff up to ``max_retries`` times, and payloads still
         crashing after that are quarantined as persistent error rows.
         """
-        batch_base = base_spec if base_spec is not None else self.base_spec
         return _supervise(
             payloads, policy,
             lambda tasks, deadline: self._run_pool_once(
-                tasks, batch_base, deadline
+                tasks, base_spec, deadline
             ),
         )
 
     def _run_pool_once(
         self,
         payloads: List[Dict[str, Any]],
-        batch_base: Optional[Dict[str, Any]],
+        batch_base: Dict[str, Any],
         deadline: Optional[float] = None,
     ) -> List[Dict[str, Any]]:
         """One unsupervised attempt across the process pool.
@@ -1088,7 +979,7 @@ def evaluate(
                 index=position, spec=points[position][0]
             )
             outcome[hashes[position]] = result
-            if store is not None and not _is_worker_crash(result):
+            if store is not None and not is_worker_crash_error(result.error):
                 store.add(result, overwrite=True)
     results = [
         outcome[key].with_context(index=position, spec=point[0])
@@ -1151,18 +1042,12 @@ class SweepResult:
 
     def format(self, floatfmt: str = "{:.4g}") -> str:
         """Render the sweep as an aligned text table, one row per point."""
-        from repro.analysis.report import format_table
+        from repro.analysis.report import format_cell, format_table
 
-        def fmt(value: Any) -> str:
-            if value is None:
-                return "-"
-            if isinstance(value, bool):
-                return "yes" if value else "no"
-            if isinstance(value, float):
-                return floatfmt.format(value)
-            return str(value)
-
-        rows = [[fmt(cell) for cell in row] for row in self.rows()]
+        rows = [
+            [format_cell(cell, floatfmt) for cell in row]
+            for row in self.rows()
+        ]
         return format_table(self.columns(), rows)
 
 
@@ -1203,15 +1088,15 @@ class SweepRunner:
     def _run_transient(
         self,
         payloads: List[Dict[str, Any]],
-        base_spec: Optional[Dict[str, Any]] = None,
+        base_spec: Dict[str, Any],
         policy: Optional[SupervisionPolicy] = None,
     ) -> List[Dict[str, Any]]:
         """Run on a pool owned by this call, no wider than its payloads."""
         workers = min(
             self.max_workers or (os.cpu_count() or 1), max(1, len(payloads))
         )
-        with WarmPool(max_workers=workers, base_spec=base_spec) as pool:
-            return pool.run(payloads, policy=policy)
+        with WarmPool(max_workers=workers) as pool:
+            return pool.run(payloads, base_spec, policy=policy)
 
     def run(
         self,
@@ -1221,7 +1106,6 @@ class SweepRunner:
         capture_traces: Sequence[str] = (),
         progress: Optional[ProgressHook] = None,
         pool: Optional[WarmPool] = None,
-        store_backend: Optional[str] = None,
         batch_size: Optional[int] = None,
         policy: Optional[SupervisionPolicy] = None,
     ) -> SweepResult:
@@ -1230,12 +1114,10 @@ class SweepRunner:
         Args:
             parallel: fan points out across a process pool.
             store: persist/dedupe results through this store.  A path
-                opens one — a ``.colstore`` suffix selects the sharded
-                columnar backend, anything else JSONL.
+                opens one; its format follows the path (see
+                :class:`ResultStore`).
             resume: skip points whose spec hash ``store`` already holds
                 (requires ``store``); only the gap is recomputed.
-            store_backend: override backend selection when ``store`` is
-                a path (``"jsonl"`` or ``"columnar"``).
             capture_traces: standard probe names (``vcc``, ``state``,
                 ``frequency``) whose decimated traces each computed
                 point should carry; none are recorded by default.
@@ -1254,7 +1136,7 @@ class SweepRunner:
         twice computes once.
         """
         if store is not None and not isinstance(store, ResultStore):
-            store = ResultStore(store, backend=store_backend)
+            store = ResultStore(store)
         if resume and store is None:
             raise SpecError("resume=True needs a result store to resume from")
         if not parallel:

@@ -57,6 +57,26 @@ def test_backend_selected_by_suffix(store_path):
     assert store.backend == expected
 
 
+def test_existing_store_reopens_by_kind_not_by_name(tmp_path):
+    """An existing directory is columnar and an existing file JSONL,
+    whatever they are called: a columnar store at a suffix-free path and
+    a JSONL file named ``*.colstore`` both reopen with identical rows."""
+    rows = [make_result(i, energy_total=0.5 * i) for i in range(3)]
+    (tmp_path / "cs").mkdir()
+    for written, moved, backend in (
+        ("a.colstore", os.path.join("cs", "runs"), "columnar"),
+        ("b.jsonl", "b.colstore", "jsonl"),
+    ):
+        store = ResultStore(tmp_path / written)
+        for row in rows:
+            store.add(row)
+        os.rename(tmp_path / written, tmp_path / moved)
+        reopened = ResultStore(tmp_path / moved)
+        assert reopened.backend == backend
+        assert [r.to_record() for r in reopened] == \
+            [r.to_record() for r in rows]
+
+
 def test_round_trip_preserves_types_and_order(store_path):
     """bool/int/float/str/None metric values and insertion order all
     survive persistence bit-for-bit on every backend."""

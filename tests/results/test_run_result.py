@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SpecError
 from repro.results import RunResult, content_hash, spec_hash
 from repro.results.metrics import result_columns
+from repro.results.run_result import MAX_TRACE_SAMPLES
 from repro.spec.presets import fig7_spec
 
 
@@ -81,10 +82,10 @@ def test_failed_result_shape():
 def test_capture_traces_round_trip():
     spec = small_spec()
     result = RunResult.from_system_run(
-        spec.run(), spec, capture_traces=("vcc",), max_trace_samples=256
+        spec.run(), spec, capture_traces=("vcc",)
     )
     trace = result.trace("vcc")
-    assert 0 < len(trace) <= 256
+    assert 0 < len(trace) <= MAX_TRACE_SAMPLES
     assert trace.values.max() > 3.0
     restored = RunResult.from_record(result.to_record())
     assert restored.trace("vcc").values.tolist() == trace.values.tolist()

@@ -99,11 +99,6 @@ def test_unknown_kernel_rejected():
         validate_kernel("warp")
 
 
-def test_chunk_size_validated():
-    with pytest.raises(ConfigurationError):
-        Simulator(dt=1e-3, kernel="fast", chunk_size=1)
-
-
 # ---------------------------------------------------------------------------
 # Fast kernel equivalence on a real system
 # ---------------------------------------------------------------------------

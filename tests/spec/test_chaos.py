@@ -15,12 +15,8 @@ from repro import faults, obs
 from repro.explore import Axis, ExplorationDriver, SearchSpace
 from repro.spec import SweepRunner
 from repro.spec.presets import fig7_spec
-from repro.spec.runner import (
-    QUARANTINE_PREFIX,
-    SupervisionPolicy,
-    WarmPool,
-    is_quarantined,
-)
+from repro.results.run_result import is_quarantined_error
+from repro.spec.runner import QUARANTINE_PREFIX, SupervisionPolicy, WarmPool
 
 
 @pytest.fixture(autouse=True)
@@ -69,7 +65,7 @@ def test_serial_retries_converge_to_clean_results():
             max_retries=10, backoff_base_s=0.0, jitter=0.0,
         ))
     assert point_rows(chaotic) == point_rows(clean)
-    assert not any(is_quarantined(p) for p in chaotic)
+    assert not any(is_quarantined_error(p.error) for p in chaotic)
 
 
 def test_poison_payload_is_quarantined_with_attempt_history():
@@ -81,7 +77,7 @@ def test_poison_payload_is_quarantined_with_attempt_history():
             max_retries=2, backoff_base_s=0.0, jitter=0.0,
         ))
     point = result.points[0]
-    assert is_quarantined(point)
+    assert is_quarantined_error(point.error)
     assert point.error.startswith(QUARANTINE_PREFIX)
     assert "3 attempt(s) crashed" in point.error
     assert point.metrics["attempts"] == 3
@@ -97,7 +93,7 @@ def test_unsupervised_crash_rows_stay_transient():
         result = runner.run(parallel=False)
     point = result.points[0]
     assert is_worker_crash_error(point.error)
-    assert not is_quarantined(point)
+    assert not is_quarantined_error(point.error)
 
 
 def test_serial_deadline_pins_timeout_rows():
@@ -112,7 +108,7 @@ def test_serial_deadline_pins_timeout_rows():
             deadline_s=5.0, max_retries=1, backoff_base_s=0.0, jitter=0.0,
         ))
     assert time.monotonic() - started < 30.0
-    assert all(is_quarantined(p) for p in result)
+    assert all(is_quarantined_error(p.error) for p in result)
 
 
 # -- the pool acceptance criterion ---------------------------------------
@@ -153,7 +149,7 @@ def test_64_point_pool_sweep_survives_crashes_and_hangs():
 
     # Bit-identical to the fault-free run: hashes, metrics, traces.
     assert point_rows(chaotic) == point_rows(clean)
-    assert not any(is_quarantined(p) for p in chaotic)
+    assert not any(is_quarantined_error(p.error) for p in chaotic)
 
     # The chaos actually happened and the supervisor visibly handled it:
     # crash injections fired and were retried...
@@ -206,7 +202,9 @@ def test_supervised_pool_exploration_survives_crashes_and_hangs():
     wall = time.monotonic() - started
 
     assert rows(chaotic) == rows(clean)
-    assert not any(is_quarantined(e.result) for e in chaotic.evaluations)
+    assert not any(
+        is_quarantined_error(e.result.error) for e in chaotic.evaluations
+    )
     assert counter_value("repro_pool_retries_total") > retries_before
     assert counter_value("repro_pool_workers_reaped_total") > reaped_before
     assert wall < 30.0

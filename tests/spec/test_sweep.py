@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SpecError
 from repro.spec import ScenarioSpec, SweepRunner
 from repro.spec.presets import fig7_spec
-from repro.spec.runner import run_scenario_payload
+from repro.spec.runner import run_in_process
 from repro.spec.specs import expand_grid
 
 
@@ -28,21 +28,18 @@ def test_warm_pool_serves_multiple_batches():
     """One WarmPool instance survives across run() batches (the
     exploration driver's usage pattern) and produces rows identical to
     the transient-pool path."""
-    from repro.spec.runner import WarmPool, run_in_process
+    from repro.spec.runner import WarmPool
 
     base = small_base()
     payloads = [
         {"spec_overrides": {"frequency": f}, "overrides": {"frequency": f}}
         for f in (4.7, 9.4)
     ]
-    with WarmPool(max_workers=2, base_spec=base.to_dict()) as pool:
-        first = pool.run(payloads)
-        second = pool.run(payloads)  # same workers, second batch
+    with WarmPool(max_workers=2) as pool:
+        first = pool.run(payloads, base.to_dict())
+        second = pool.run(payloads, base.to_dict())  # same workers
     assert [r["metrics"] for r in first] == [r["metrics"] for r in second]
-    direct = run_in_process(
-        [{"spec": base.with_overrides({"frequency": f}).to_dict(),
-          "overrides": {"frequency": f}} for f in (4.7, 9.4)],
-    )
+    direct = run_in_process(payloads, base.to_dict())
     assert [r["metrics"] for r in first] == [r["metrics"] for r in direct]
     assert [r["spec_hash"] for r in first] == [r["spec_hash"] for r in direct]
 
@@ -65,17 +62,17 @@ def test_warm_pool_recovers_after_a_worker_death(monkeypatch):
         {"spec_overrides": {"frequency": f}, "overrides": {"frequency": f}}
         for f in (4.7, 9.4)
     ]
-    with WarmPool(max_workers=1, base_spec=base.to_dict()) as pool:
+    with WarmPool(max_workers=1) as pool:
         monkeypatch.setattr(
             runner_mod, "run_point_payload", _kill_worker_process
         )
-        crashed = pool.run(payloads)
+        crashed = pool.run(payloads, base.to_dict())
         assert all(
             r["metrics"]["error"].startswith(runner_mod.WORKER_FAILURE_PREFIX)
             for r in crashed
         )
         monkeypatch.undo()
-        recovered = pool.run(payloads)
+        recovered = pool.run(payloads, base.to_dict())
         assert all(r["metrics"]["error"] is None for r in recovered)
 
 
@@ -100,19 +97,6 @@ def test_resolution_failure_and_crash_share_one_key(monkeypatch):
     finally:
         runner_mod._install_shared_base(None)
     assert resolve_record["spec_hash"] == crash_record["spec_hash"]
-
-
-def test_override_only_payload_without_base_is_an_error_row():
-    """Defensive path: an override-only task with no shared base spec
-    resolves to an error record, not a crash."""
-    from repro.spec.runner import run_in_process
-
-    records = run_in_process(
-        [{"spec_overrides": {"frequency": 4.7},
-          "overrides": {"frequency": 4.7}}],
-    )
-    assert len(records) == 1
-    assert "shared base spec" in records[0]["metrics"]["error"]
 
 
 def test_expand_grid_deterministic_order():
@@ -227,15 +211,21 @@ def test_worker_records_build_errors_per_point():
         "duration": 0.01,
         "dt": 1e-3,
     })
-    summary = run_scenario_payload(spec.to_dict())
+    [record] = run_in_process(
+        [{"spec_overrides": {}, "overrides": {}}], spec.to_dict()
+    )
+    summary = record["metrics"]
     assert summary["error"] is not None
     assert "pv-outdoor" in summary["error"]
 
 
 def test_worker_is_pure_payload_in_payload_out():
-    payload = small_base().to_dict()
-    summary = run_scenario_payload(payload)
+    base = small_base().to_dict()
+    payload = {"spec_overrides": {}, "overrides": {}}
+    [record] = run_in_process([payload], base)
+    summary = record["metrics"]
     assert summary["completed"] is True
     assert summary["vcc_max"] > 3.0
-    # The payload round-trips untouched through the worker.
-    assert ScenarioSpec.from_dict(payload) == small_base()
+    # The payload and base round-trip untouched through the worker.
+    assert payload == {"spec_overrides": {}, "overrides": {}}
+    assert ScenarioSpec.from_dict(base) == small_base()

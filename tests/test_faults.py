@@ -189,9 +189,10 @@ def test_payload_key_separates_override_free_payloads_of_two_presets():
         faults.payload_key(payload, crossover)
     assert faults.payload_key(payload, fig7) == \
         faults.payload_key(dict(payload), fig7)
-    # Full-spec payloads key on the spec itself.
-    assert faults.payload_key({"spec": preset("fig7").to_dict()}) != \
-        faults.payload_key({"spec": preset("crossover-hibernus").to_dict()})
+    # Payloads of one base key on their overrides.
+    assert faults.payload_key({"spec_overrides": {"kernel": "fast"}}, fig7) \
+        != faults.payload_key({"spec_overrides": {"kernel": "reference"}},
+                              fig7)
 
 
 def test_fired_injections_bump_the_counter():
