@@ -31,14 +31,15 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_cell(value: object, floatfmt: str = "{:.4g}") -> str:
-    """One table cell as text: ``-`` for None, yes/no, ``floatfmt``."""
+def format_cell(value: object) -> str:
+    """One table cell as text: ``-`` for None, yes/no, floats to four
+    significant digits."""
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return floatfmt.format(value)
+        return f"{value:.4g}"
     return str(value)
 
 

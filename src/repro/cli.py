@@ -443,19 +443,20 @@ def _load_base(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _supervision_policy(args: argparse.Namespace):
-    """The ``--deadline``/``--max-retries`` flags as a
+    """The ``--deadline``/``--max-retries`` flags as a validated
     :class:`~repro.spec.runner.SupervisionPolicy` (idle when both are
     unset: one unsupervised attempt)."""
     from repro.spec.runner import SupervisionPolicy
 
     return SupervisionPolicy(
-        deadline_s=getattr(args, "deadline", None),
-        max_retries=getattr(args, "max_retries", 0) or 0,
+        deadline_s=args.deadline, max_retries=args.max_retries
     )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Expand a parameter grid over a base spec and run it in parallel."""
+    # Validated before anything opens the store: bad flags store nothing.
+    policy = _supervision_policy(args)
     base = _load_base(args)
     grid = _parse_grid(args.set)
     if not grid:
@@ -473,7 +474,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _maybe_tracing(args.trace_out):
         result = runner.run(
             parallel=not args.serial, store=store, resume=args.resume,
-            progress=progress, policy=_supervision_policy(args),
+            progress=progress, policy=policy,
         )
     mode = "serial" if args.serial else "parallel"
     print_section(
@@ -543,6 +544,7 @@ def _parse_optimizer_params(settings: Optional[List[str]]):
 
 def cmd_explore(args: argparse.Namespace) -> int:
     """Budgeted design-space search: optimizer + store-backed caching."""
+    policy = _supervision_policy(args)
     base = _load_base(args)
     if args.space is not None:
         if args.axis:
@@ -579,7 +581,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         seed=args.seed,
         progress=progress,
-        policy=_supervision_policy(args),
+        policy=policy,
     )
     goals = ", ".join(o.describe() for o in driver.objectives)
     print(f"explore: {base.name} via {args.optimizer} "
@@ -698,17 +700,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """
     from repro import faults as faults_mod
     from repro.results.run_result import is_quarantined_error
-    from repro.spec.runner import SupervisionPolicy
 
+    policy = _supervision_policy(args)
     base = _load_base(args)
     grid = _parse_grid(args.set)
     if not grid:
         grid = {"capacitance": [22e-6, 33e-6, 47e-6, 68e-6],
                 "frequency": [2.0, 4.7, 9.4, 20.0]}
     probabilities = faults_mod.parse_spec(args.faults)
-    policy = SupervisionPolicy(
-        deadline_s=args.deadline, max_retries=args.max_retries
-    )
     parallel = not args.serial
     if "worker.hang" in probabilities and not parallel:
         print("note: worker.hang is only reapable under pool execution; "

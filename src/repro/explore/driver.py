@@ -136,13 +136,13 @@ class ExplorationResult:
             rows.append(row)
         return rows
 
-    def format(self, top: int = 10, floatfmt: str = "{:.4g}") -> str:
+    def format(self, top: int = 10) -> str:
         """The ranked evaluation table as aligned text."""
         from repro.analysis.report import format_cell, format_table
 
         return format_table(
             self.columns(),
-            [[format_cell(cell, floatfmt) for cell in row]
+            [[format_cell(cell) for cell in row]
              for row in self.rows(top=top)],
         )
 

@@ -25,10 +25,9 @@ Injection points
                          and then raises — simulating death mid-write
                          (exercises torn-tail recovery on reopen)
 ``ckernel.compile_fail`` the runtime C-kernel build reports failure
-                         (exercises the compile circuit breaker and the
-                         c → numpy degradation rung)
-``io.slow``              an I/O path sleeps ``slow_s`` seconds before
-                         proceeding (latency, not failure)
+                         (exercises the C → Python degradation rung)
+``io.slow``              an I/O path sleeps :data:`DEFAULT_SLOW_S`
+                         seconds before proceeding (latency, not failure)
 ======================== ==================================================
 
 Arming
@@ -79,8 +78,6 @@ POINTS = (
 #: Environment variables the registry arms itself from at import.
 ENV_SPEC = "REPRO_FAULTS"
 ENV_SEED = "REPRO_FAULTS_SEED"
-ENV_HANG_S = "REPRO_FAULTS_HANG_S"
-ENV_SLOW_S = "REPRO_FAULTS_SLOW_S"
 
 #: How long a ``worker.hang`` injection sleeps.  Long enough that any
 #: sane task deadline expires first (the supervisor reaps the sleeping
@@ -106,19 +103,14 @@ class InjectedIOError(FaultInjected, OSError):
 class _FaultState:
     """One armed configuration (immutable once installed)."""
 
-    __slots__ = ("probabilities", "seed", "hang_s", "slow_s")
+    __slots__ = ("probabilities", "seed", "hang_s")
 
     def __init__(
-        self,
-        probabilities: Mapping[str, float],
-        seed: int,
-        hang_s: float,
-        slow_s: float,
+        self, probabilities: Mapping[str, float], seed: int, hang_s: float
     ):
         self.probabilities = dict(probabilities)
         self.seed = int(seed)
         self.hang_s = float(hang_s)
-        self.slow_s = float(slow_s)
 
 
 #: ``None`` = disarmed (the production state).
@@ -166,7 +158,6 @@ def configure(
     probabilities: Mapping[str, float],
     seed: int = 0,
     hang_s: Optional[float] = None,
-    slow_s: Optional[float] = None,
 ) -> None:
     """Arm the registry with per-point probabilities and a seed."""
     for point in probabilities:
@@ -179,7 +170,6 @@ def configure(
         probabilities,
         seed=seed,
         hang_s=DEFAULT_HANG_S if hang_s is None else hang_s,
-        slow_s=DEFAULT_SLOW_S if slow_s is None else slow_s,
     )
 
 
@@ -199,12 +189,11 @@ def active(
     probabilities: Mapping[str, float],
     seed: int = 0,
     hang_s: Optional[float] = None,
-    slow_s: Optional[float] = None,
 ) -> Iterator[None]:
     """Arm for the duration of a ``with`` block, then restore."""
     global _state
     previous = _state
-    configure(probabilities, seed=seed, hang_s=hang_s, slow_s=slow_s)
+    configure(probabilities, seed=seed, hang_s=hang_s)
     try:
         yield
     finally:
@@ -224,7 +213,6 @@ def state_snapshot() -> Optional[Dict[str, Any]]:
         "probabilities": dict(_state.probabilities),
         "seed": _state.seed,
         "hang_s": _state.hang_s,
-        "slow_s": _state.slow_s,
     }
 
 
@@ -238,7 +226,6 @@ def install(snapshot: Optional[Mapping[str, Any]]) -> None:
         snapshot["probabilities"],
         seed=snapshot["seed"],
         hang_s=snapshot["hang_s"],
-        slow_s=snapshot["slow_s"],
     )
 
 
@@ -300,11 +287,10 @@ def maybe_hang(key: str) -> bool:
 
 
 def maybe_delay(key: str) -> bool:
-    """Sleep ``slow_s`` seconds if ``io.slow`` fires (latency fault)."""
-    state = _state
-    if state is None or not fire("io.slow", key):
+    """Sleep :data:`DEFAULT_SLOW_S` seconds if ``io.slow`` fires."""
+    if not fire("io.slow", key):
         return False
-    time.sleep(state.slow_s)
+    time.sleep(DEFAULT_SLOW_S)
     return True
 
 
@@ -335,8 +321,6 @@ def _load_env() -> None:
     configure(
         parse_spec(spec),
         seed=int(os.environ.get(ENV_SEED, "0")),
-        hang_s=float(os.environ.get(ENV_HANG_S, DEFAULT_HANG_S)),
-        slow_s=float(os.environ.get(ENV_SLOW_S, DEFAULT_SLOW_S)),
     )
 
 

@@ -376,14 +376,13 @@ class ResultStore:
         """Each result as one flat record (overrides merged with metrics)."""
         return [dict(r.overrides, **r.metrics) for r in self]
 
-    def table(self, floatfmt: str = "{:.4g}") -> str:
+    def table(self) -> str:
         """The store as an aligned text table (see ``repro results``)."""
         from repro.analysis.report import format_cell, format_table
 
         return format_table(
             self.columns(),
-            [[format_cell(cell, floatfmt) for cell in row]
-             for row in self.rows()],
+            [[format_cell(cell) for cell in row] for row in self.rows()],
         )
 
 

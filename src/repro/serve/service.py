@@ -26,7 +26,6 @@ error rows exactly as sweeps always have.
 from __future__ import annotations
 
 import os
-import random
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -49,15 +48,11 @@ from repro.spec.runner import (
     BatchProgress,
     SupervisionPolicy,
     WarmPool,
+    backoff_delay,
     pool_gate_status,
     register_shutdown_hook,
     unregister_shutdown_hook,
 )
-
-#: Job-retry backoff: ``min(cap, base * 2**(attempt-1))`` seconds plus
-#: up to 25% jitter, clamped to the job's remaining deadline budget.
-_JOB_RETRY_BASE_S = 0.25
-_JOB_RETRY_CAP_S = 5.0
 
 #: Event cap for the service's always-on trace window: ``GET /v1/trace``
 #: returns the most recent window of spans, old events evicted beyond it.
@@ -76,10 +71,10 @@ class SimulationService:
 
     Args:
         store_path: the shared result store (None: in-memory — the
-            cache then lives and dies with the process).  Its format
-            follows the path (see :class:`ResultStore`).
-        jobs_path: job-status persistence; defaults to
-            ``<store_path>.jobs`` when a store path is given.
+            cache then lives and dies with the process, as do the job
+            records).  Its format follows the path (see
+            :class:`ResultStore`); job status persists beside it in
+            ``<store_path>.jobs``.
         max_workers: warm-pool width (defaults to the CPU count).
         parallel: fan grid points across the pool; ``False`` runs every
             point on the executor thread (sandboxes, deterministic tests).
@@ -87,25 +82,27 @@ class SimulationService:
             request does not set ``deadline_s`` (None: no deadline).
         default_max_retries: job-retry budget applied to jobs whose
             request does not set ``max_retries``.
+
+    The defaults are validated as a :class:`SupervisionPolicy` here, so
+    a bad one fails at startup rather than on every later request.
     """
 
     def __init__(
         self,
         store_path: Optional[str] = None,
-        jobs_path: Optional[str] = None,
         max_workers: Optional[int] = None,
         parallel: bool = True,
         default_deadline_s: Optional[float] = None,
         default_max_retries: int = 0,
     ):
-        if jobs_path is None and store_path is not None:
-            jobs_path = f"{store_path}.jobs"
-        self.default_deadline_s = default_deadline_s
-        self.default_max_retries = default_max_retries
+        defaults = SupervisionPolicy(default_deadline_s, default_max_retries)
+        self.default_deadline_s = defaults.deadline_s
+        self.default_max_retries = defaults.max_retries
         self.store = ResultStore(store_path)
         self.parallel = parallel
         self.max_workers = max_workers
         self.pool = WarmPool(max_workers=max_workers) if parallel else None
+        jobs_path = f"{store_path}.jobs" if store_path is not None else None
         self.queue = JobQueue(JobStore(jobs_path), execute=self._execute_job)
         self.started_s = time.time()
         self.requests_served = 0
@@ -167,31 +164,17 @@ class SimulationService:
                 f"unknown job kind {kind!r}; expected run, sweep, "
                 "or exploration"
             )
-        deadline_s, max_retries = self._supervision(payload)
+        # The job's (deadline_s, max_retries), service defaults for
+        # unset keys, validated by the one policy rule.
+        supervision = SupervisionPolicy(
+            deadline_s=payload.get("deadline_s", self.default_deadline_s),
+            max_retries=payload.get("max_retries", self.default_max_retries),
+        )
         record, _ = self.queue.submit(
-            kind, payload, deadline_s=deadline_s, max_retries=max_retries
+            kind, payload, deadline_s=supervision.deadline_s,
+            max_retries=supervision.max_retries,
         )
         return record
-
-    def _supervision(
-        self, payload: Mapping[str, Any]
-    ) -> "tuple[Optional[float], int]":
-        """The job's validated ``(deadline_s, max_retries)``, falling
-        back to the service defaults for unset keys."""
-        deadline_s = payload.get("deadline_s", self.default_deadline_s)
-        if deadline_s is not None:
-            if isinstance(deadline_s, bool) or not isinstance(
-                deadline_s, (int, float)
-            ) or deadline_s <= 0:
-                raise SpecError(
-                    "'deadline_s' must be a positive number of seconds"
-                )
-            deadline_s = float(deadline_s)
-        max_retries = payload.get("max_retries", self.default_max_retries)
-        if isinstance(max_retries, bool) or not isinstance(max_retries, int) \
-                or max_retries < 0:
-            raise SpecError("'max_retries' must be a non-negative integer")
-        return deadline_s, max_retries
 
     def _base_spec(self, payload: Mapping[str, Any]) -> ScenarioSpec:
         """The request's base scenario: a full spec dict or a preset."""
@@ -226,7 +209,6 @@ class SimulationService:
     def _validate_run(self, payload: Mapping[str, Any]) -> None:
         self._base_spec(payload)
         self._traces(payload)
-        self._supervision(payload)
 
     def _sweep_runner(self, payload: Mapping[str, Any]) -> SweepRunner:
         base = self._base_spec(payload)
@@ -242,7 +224,6 @@ class SimulationService:
     def _validate_sweep(self, payload: Mapping[str, Any]) -> None:
         self._sweep_runner(payload)
         self._traces(payload)
-        self._supervision(payload)
 
     def _explore_driver(
         self,
@@ -307,7 +288,6 @@ class SimulationService:
 
     def _validate_exploration(self, payload: Mapping[str, Any]) -> None:
         self._explore_driver(payload)
-        self._supervision(payload)
 
     # -- execution (runs on the queue's executor thread) -----------------
 
@@ -396,10 +376,7 @@ class SimulationService:
                 if record.attempts <= record.max_retries and (
                     remaining is None or remaining > 0
                 ):
-                    retry_delay = min(
-                        _JOB_RETRY_CAP_S,
-                        _JOB_RETRY_BASE_S * 2 ** (record.attempts - 1),
-                    ) * (1.0 + 0.25 * random.random())
+                    retry_delay = backoff_delay(record.attempts)
                     if remaining is not None:
                         retry_delay = min(retry_delay, remaining)
                 else:

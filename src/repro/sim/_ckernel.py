@@ -404,36 +404,6 @@ _SO_PREFIX = "simple_pass"
 _UNSET = object()
 _cached: object = _UNSET
 
-#: Circuit breaker on the runtime build: after this many consecutive
-#: failed compile attempts the loader stops invoking the compiler and
-#: the Python rungs stay in charge until :func:`reset_breaker` (a flaky
-#: toolchain should cost a bounded number of build attempts, not one
-#: per ``reset_cache``/process-pool respawn).  Successful builds —
-#: including cache hits — close the breaker.
-BREAKER_THRESHOLD = 3
-_compile_failures = 0
-
-
-def breaker_open() -> bool:
-    """True when repeated compile failures disabled further attempts."""
-    return _compile_failures >= BREAKER_THRESHOLD
-
-
-def reset_breaker() -> None:
-    """Close the compile circuit breaker (tests, operator override)."""
-    global _compile_failures
-    _compile_failures = 0
-
-
-def _note_compile_failure() -> None:
-    global _compile_failures
-    _compile_failures += 1
-    obs.counter("repro_ckernel_compile_failures_total").inc()
-    if _compile_failures == BREAKER_THRESHOLD:
-        obs.counter("repro_ckernel_breaker_trips_total").inc()
-        obs.instant("ckernel.breaker_open", failures=_compile_failures)
-
-
 def _cache_dir() -> str:
     override = os.environ.get("REPRO_CKERNEL_DIR")
     if override:
@@ -453,27 +423,26 @@ def _find_compiler() -> Optional[str]:
 
 
 def _compile() -> Optional[str]:
-    """Build (or reuse) the shared object; returns its path or None."""
-    global _compile_failures
-    if breaker_open():
-        return None
+    """Build (or reuse) the shared object; returns its path or None.
+
+    A failed build is counted as
+    ``repro_ckernel_load_failures_total{reason=compile}``; a missing
+    compiler is a configuration, not a failure, and is not counted.
+    """
     digest = hashlib.sha256(
         ("\x00".join([_SOURCE] + _CFLAGS)).encode()
     ).hexdigest()[:16]
     # The injection fires *before* the disk-cache check so chaos runs
-    # exercise the breaker even on machines holding a warm build cache.
+    # reach the Python rung even on machines holding a warm build cache.
     if faults.fire("ckernel.compile_fail", digest):
-        _note_compile_failure()
+        _note_load_failure("compile")
         return None
     cache = _cache_dir()
     so_path = os.path.join(cache, f"{_SO_PREFIX}-{digest}.so")
     if os.path.exists(so_path):
-        _compile_failures = 0
         return so_path
     compiler = _find_compiler()
     if compiler is None:
-        # No toolchain at all is a permanent condition, not a flaky
-        # build — it neither trips nor closes the breaker.
         return None
     try:
         os.makedirs(cache, exist_ok=True)
@@ -488,15 +457,14 @@ def _compile() -> Optional[str]:
                 timeout=120,
             )
             if result.returncode != 0:
-                _note_compile_failure()
+                _note_load_failure("compile")
                 return None
             # Atomic publish: concurrent builders (warm-pool workers)
             # race benignly to install identical bytes.
             os.replace(tmp_so, so_path)
-        _compile_failures = 0
         return so_path
     except (OSError, subprocess.SubprocessError):
-        _note_compile_failure()
+        _note_load_failure("compile")
         return None
 
 
@@ -934,9 +902,10 @@ def _note_load_failure(reason: str, **attrs) -> None:
 def load() -> Optional[Kernel]:
     """The compiled library's functions, or None when unavailable.
 
-    A build that raises while loading, or that fails the self-check, is
+    Memoised, None included, so a process builds at most once.  A
+    build that fails, raises while loading, or fails the self-check is
     discarded and counted in
-    ``repro_ckernel_load_failures_total{reason=exception|selfcheck}``.
+    ``repro_ckernel_load_failures_total{reason=compile|exception|selfcheck}``.
     """
     global _cached
     if _cached is not _UNSET:

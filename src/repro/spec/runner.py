@@ -225,6 +225,21 @@ def stored_outcome(
     return stored
 
 
+#: The one retry backoff schedule, for pool payload retries and service
+#: job retries alike: ``min(cap, base * 2**(attempt-1))`` seconds,
+#: stretched by up to ``BACKOFF_JITTER`` fraction of random jitter
+#: (thundering-herd protection; timing only, never results).
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+BACKOFF_JITTER = 0.25
+
+
+def backoff_delay(attempt: int) -> float:
+    """Seconds to sleep before retry ``attempt`` (1-based)."""
+    delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2.0 ** max(0, attempt - 1)))
+    return delay * (1.0 + BACKOFF_JITTER * random.random())
+
+
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """How an executor (:meth:`WarmPool.run`, :func:`run_in_process`)
@@ -238,40 +253,47 @@ class SupervisionPolicy:
             deadline window, never the whole sweep.  None = wait
             forever (the historical behaviour).
         max_retries: how many times a payload whose worker *crashed*
-            (or timed out) is re-attempted.  Retries re-ship the
-            payload with a bumped ``fault_attempt`` counter, so
-            injected faults re-roll per attempt.  A payload still
+            (or timed out) is re-attempted, after :func:`backoff_delay`.
+            Retries re-ship the payload with a bumped ``fault_attempt``
+            counter, so injected faults re-roll per attempt.  A payload still
             crashing after ``max_retries`` retries is **quarantined**:
             its crash row becomes a persistent
             :data:`QUARANTINE_PREFIX` error row carrying the attempt
             count.  0 = no retries, crash rows stay transient
             (the historical behaviour).
-        backoff_base_s / backoff_cap_s / jitter: exponential backoff
-            between attempts — ``min(cap, base * 2**(attempt-1))``
-            stretched by up to ``jitter`` fraction of random jitter
-            (thundering-herd protection; timing only, never results).
+
+    Both are validated when the policy is built — the deadline is None
+    or a finite number of seconds > 0, the retry budget an int >= 0 —
+    and a bad one raises :class:`SpecError`, so CLI flags, service
+    requests and service defaults share one rule.
     """
 
     deadline_s: Optional[float] = None
     max_retries: int = 0
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    jitter: float = 0.25
+
+    def __post_init__(self) -> None:
+        deadline_s = self.deadline_s
+        if deadline_s is not None:
+            if isinstance(deadline_s, bool) or not isinstance(
+                deadline_s, (int, float)
+            ) or not math.isfinite(deadline_s) or deadline_s <= 0:
+                raise SpecError(
+                    "'deadline_s' must be a positive, finite number of "
+                    f"seconds, got {deadline_s!r}"
+                )
+            object.__setattr__(self, "deadline_s", float(deadline_s))
+        max_retries = self.max_retries
+        if isinstance(max_retries, bool) or not isinstance(max_retries, int) \
+                or max_retries < 0:
+            raise SpecError(
+                "'max_retries' must be a non-negative integer, got "
+                f"{max_retries!r}"
+            )
 
     @property
     def supervised(self) -> bool:
         """True when this policy changes anything about execution."""
         return self.deadline_s is not None or self.max_retries > 0
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Seconds to sleep before retry ``attempt`` (1-based)."""
-        delay = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2.0 ** max(0, attempt - 1)),
-        )
-        if self.jitter:
-            delay *= 1.0 + self.jitter * random.random()
-        return delay
 
 
 def _quarantine_record(record: Any, attempts: int) -> Any:
@@ -591,7 +613,7 @@ def _supervise(
         attempt += 1
         obs.counter("repro_pool_retries_total").inc(len(crashed))
         obs.instant("pool.retry", attempt=attempt, payloads=len(crashed))
-        delay = policy.backoff_delay(attempt)
+        delay = backoff_delay(attempt)
         if delay > 0:
             time.sleep(delay)
         indices = crashed
@@ -619,8 +641,8 @@ def run_in_process(
     )
 
 
-#: What :func:`evaluate` runs payloads on: :meth:`WarmPool.run`,
-#: :func:`run_in_process`, or any callable with their signature.
+#: What :func:`evaluate` runs payloads on: :meth:`WarmPool.run` or
+#: :func:`run_in_process`, one record per payload, in payload order.
 Executor = Callable[..., List[Dict[str, Any]]]
 
 
@@ -690,10 +712,7 @@ class WarmPool:
                 process.terminate()
             except Exception:
                 pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # pragma: no cover - pre-3.9 signature
-            pool.shutdown(wait=False)
+        pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             try:
                 process.join(0.2)
@@ -962,19 +981,16 @@ def evaluate(
          "overrides": points[position][2], "traces": list(traces)}
         for position in pending
     ]
-    records: List[Optional[Dict[str, Any]]] = list(
-        executor(payloads, base_spec=base_dict, policy=policy)
-    )
-    records += [None] * (len(payloads) - len(records))
+    records = executor(payloads, base_spec=base_dict, policy=policy)
+    if len(records) != len(payloads):
+        raise RuntimeError(
+            f"executor returned {len(records)} record(s) for "
+            f"{len(payloads)} payload(s)"
+        )
     # One batched store transaction: appends buffer and hit the disk
     # with a single fsync instead of one per point.
     with (store.batch() if store is not None else nullcontext()):
-        for position, payload, record in zip(pending, payloads, records):
-            if record is None:  # the executor returned too few records
-                record = _worker_failure(
-                    payload, RuntimeError("executor returned no record"),
-                    base_dict,
-                )
+        for position, record in zip(pending, records):
             result = RunResult.from_record(record).with_context(
                 index=position, spec=points[position][0]
             )
@@ -1040,14 +1056,11 @@ class SweepResult:
             raise SpecError(f"no sweep point recorded metric {metric!r}")
         return (min if minimize else max)(candidates, key=lambda p: p[metric])
 
-    def format(self, floatfmt: str = "{:.4g}") -> str:
+    def format(self) -> str:
         """Render the sweep as an aligned text table, one row per point."""
         from repro.analysis.report import format_cell, format_table
 
-        rows = [
-            [format_cell(cell, floatfmt) for cell in row]
-            for row in self.rows()
-        ]
+        rows = [[format_cell(cell) for cell in row] for row in self.rows()]
         return format_table(self.columns(), rows)
 
 

@@ -7,6 +7,7 @@ re-enqueue) and task-level worker crashes (the derived
 :class:`SupervisionPolicy`)."""
 
 import io
+import json
 import time
 from urllib.error import HTTPError, URLError
 
@@ -45,10 +46,33 @@ def wait_terminal(service, job_id, timeout=60.0):
     {"deadline_s": True},
     {"max_retries": -1}, {"max_retries": 1.5}, {"max_retries": True},
     {"max_retries": "many"},
+    {"deadline_s": float("inf")}, {"deadline_s": float("nan")},
 ])
 def test_supervision_fields_are_validated(service, bad):
     with pytest.raises(SpecError):
         service.submit("sweep", small_sweep_request(**bad))
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_json_deadlines_are_rejected(service, literal):
+    # JSON bodies parse these literals to floats; none is a deadline.
+    request = small_sweep_request(
+        deadline_s=json.loads(f'{{"d": {literal}}}')["d"]
+    )
+    with pytest.raises(SpecError, match="deadline_s"):
+        service.submit("sweep", request)
+
+
+@pytest.mark.parametrize("defaults", [
+    {"default_deadline_s": -1}, {"default_deadline_s": float("inf")},
+    {"default_max_retries": -1},
+])
+def test_service_defaults_are_validated_at_construction(tmp_path, defaults):
+    with pytest.raises(SpecError):
+        SimulationService(
+            store_path=str(tmp_path / "s.jsonl"), parallel=False, **defaults
+        )
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_supervision_fields_land_on_the_record(service):

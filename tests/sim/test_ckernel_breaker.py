@@ -1,89 +1,27 @@
-"""The C-kernel compile circuit breaker.
+"""Loading the C kernel: every reason it is absent is counted.
 
-Repeated compile failures must not cost a compile attempt per batch
-forever: after :data:`BREAKER_THRESHOLD` consecutive failures the
-breaker opens and :func:`_compile` short-circuits to the Python rung
-until it is explicitly reset."""
+:func:`_ckernel.load` memoises its result, None included, so a process
+builds at most once; a failed build, a load that raises and a failed
+self-check each land in ``repro_ckernel_load_failures_total{reason}``
+and leave the Python rung serving."""
 
 import pytest
 
-from repro import faults, obs
+from repro import degrade, faults, obs
 from repro.sim import _ckernel
+from repro.spec.presets import preset
+from repro.spec.runner import run_spec
 
 
 @pytest.fixture(autouse=True)
 def pristine_kernel_state():
-    """Isolate breaker + memo state; leave the module healthy after."""
+    """Isolate the memo state; leave the module healthy after."""
     faults.clear()
-    _ckernel.reset_breaker()
     _ckernel.reset_cache()
     yield
     faults.clear()
-    _ckernel.reset_breaker()
     _ckernel.reset_cache()
-
-
-def counter_value(name):
-    for row in obs.registry.snapshot()["counters"]:
-        if row["name"] == name and not row["labels"]:
-            return row["value"]
-    return 0
-
-
-def test_breaker_opens_after_consecutive_failures():
-    failures_before = counter_value("repro_ckernel_compile_failures_total")
-    trips_before = counter_value("repro_ckernel_breaker_trips_total")
-    with faults.active({"ckernel.compile_fail": 1.0}):
-        for attempt in range(1, _ckernel.BREAKER_THRESHOLD + 1):
-            _ckernel.reset_cache()
-            assert _ckernel.load() is None
-            assert _ckernel._compile_failures == attempt
-    assert _ckernel.breaker_open()
-    assert counter_value("repro_ckernel_compile_failures_total") \
-        == failures_before + _ckernel.BREAKER_THRESHOLD
-    assert counter_value("repro_ckernel_breaker_trips_total") \
-        == trips_before + 1
-
-
-def test_open_breaker_short_circuits_even_when_builds_would_succeed():
-    with faults.active({"ckernel.compile_fail": 1.0}):
-        for _ in range(_ckernel.BREAKER_THRESHOLD):
-            _ckernel.reset_cache()
-            _ckernel.load()
-    assert _ckernel.breaker_open()
-    # Faults disarmed: a compile would now succeed, but the breaker
-    # holds the numpy rung — no compile attempt is even made.
-    _ckernel.reset_cache()
-    assert _ckernel.load() is None
-    assert _ckernel.breaker_open()
-
-
-def test_reset_breaker_restores_compilation():
-    with faults.active({"ckernel.compile_fail": 1.0}):
-        for _ in range(_ckernel.BREAKER_THRESHOLD):
-            _ckernel.reset_cache()
-            _ckernel.load()
-    assert _ckernel.breaker_open()
-    _ckernel.reset_breaker()
-    assert not _ckernel.breaker_open()
-    _ckernel.reset_cache()
-    # With the breaker closed the build path runs again; on a machine
-    # with a toolchain it succeeds and *resets* the failure streak.
-    kernel = _ckernel.load()
-    if kernel is not None:
-        assert _ckernel._compile_failures == 0
-
-
-def test_single_transient_failure_heals_without_tripping():
-    with faults.active({"ckernel.compile_fail": 1.0}):
-        _ckernel.reset_cache()
-        assert _ckernel.load() is None
-    assert _ckernel._compile_failures == 1
-    assert not _ckernel.breaker_open()
-    _ckernel.reset_cache()
-    kernel = _ckernel.load()
-    if kernel is not None:  # toolchain present: success clears the streak
-        assert _ckernel._compile_failures == 0
+    degrade.reset()
 
 
 def load_failures(reason):
@@ -97,6 +35,23 @@ def load_failures(reason):
 def failure_instants():
     return [event["args"] for event in obs.drain()
             if event["name"] == "ckernel.load_failed"]
+
+
+def test_failed_compile_is_counted_and_the_python_rung_serves(monkeypatch):
+    spec = preset("crossover-hibernus").with_override("kernel", "fast")
+    before = load_failures("compile")
+    with faults.active({"ckernel.compile_fail": 1.0}):
+        _ckernel.reset_cache()
+        assert _ckernel.load() is None
+    assert load_failures("compile") == before + 1
+    # The None is memoised: disarming does not rebuild in this process.
+    degrade.reset()
+    faulted = run_spec(spec, {}).to_record()
+    assert degrade.current("chunk.kernel") == "python"
+    assert load_failures("compile") == before + 1
+    monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+    _ckernel.reset_cache()
+    assert run_spec(spec, {}).to_record() == faulted
 
 
 def test_self_check_mismatch_is_counted_not_silent(monkeypatch):

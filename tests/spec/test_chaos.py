@@ -26,6 +26,12 @@ def disarmed():
     faults.clear()
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retry at once: backoff is timing only, never results."""
+    monkeypatch.setattr("repro.spec.runner.BACKOFF_BASE_S", 0.0)
+
+
 def counter_value(name, **labels):
     wanted = {str(k): str(v) for k, v in labels.items()}
     total = 0
@@ -61,9 +67,7 @@ def test_serial_retries_converge_to_clean_results():
         chaotic = SweepRunner(
             small_base(),
             {"capacitance": [22e-6, 47e-6], "frequency": [4.7]},
-        ).run(parallel=False, policy=SupervisionPolicy(
-            max_retries=10, backoff_base_s=0.0, jitter=0.0,
-        ))
+        ).run(parallel=False, policy=SupervisionPolicy(max_retries=10))
     assert point_rows(chaotic) == point_rows(clean)
     assert not any(is_quarantined_error(p.error) for p in chaotic)
 
@@ -73,9 +77,9 @@ def test_poison_payload_is_quarantined_with_attempt_history():
     it lands as a persistent quarantine row carrying the attempt count."""
     runner = SweepRunner(small_base(), {"frequency": [4.7]})
     with faults.active({"worker.crash": 1.0}, seed=0):
-        result = runner.run(parallel=False, policy=SupervisionPolicy(
-            max_retries=2, backoff_base_s=0.0, jitter=0.0,
-        ))
+        result = runner.run(
+            parallel=False, policy=SupervisionPolicy(max_retries=2)
+        )
     point = result.points[0]
     assert is_quarantined_error(point.error)
     assert point.error.startswith(QUARANTINE_PREFIX)
@@ -105,7 +109,7 @@ def test_serial_deadline_pins_timeout_rows():
     started = time.monotonic()
     with faults.active({"worker.crash": 1.0}, seed=0):
         result = runner.run(parallel=False, policy=SupervisionPolicy(
-            deadline_s=5.0, max_retries=1, backoff_base_s=0.0, jitter=0.0,
+            deadline_s=5.0, max_retries=1,
         ))
     assert time.monotonic() - started < 30.0
     assert all(is_quarantined_error(p.error) for p in result)
@@ -135,9 +139,7 @@ def test_64_point_pool_sweep_survives_crashes_and_hangs():
     injected_before = counter_value(
         "repro_faults_injected_total", point="worker.crash"
     )
-    policy = SupervisionPolicy(
-        deadline_s=3.0, max_retries=10, backoff_base_s=0.0, jitter=0.0,
-    )
+    policy = SupervisionPolicy(deadline_s=3.0, max_retries=10)
     started = time.monotonic()
     with faults.active(
         {"worker.crash": 0.3, "worker.hang": 0.1}, seed=5, hang_s=30.0,
@@ -191,9 +193,7 @@ def test_supervised_pool_exploration_survives_crashes_and_hangs():
 
     reaped_before = counter_value("repro_pool_workers_reaped_total")
     retries_before = counter_value("repro_pool_retries_total")
-    policy = SupervisionPolicy(
-        deadline_s=3.0, max_retries=10, backoff_base_s=0.0, jitter=0.0,
-    )
+    policy = SupervisionPolicy(deadline_s=3.0, max_retries=10)
     started = time.monotonic()
     with faults.active(
         {"worker.crash": 0.3, "worker.hang": 0.1}, seed=5, hang_s=30.0,

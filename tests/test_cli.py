@@ -153,6 +153,42 @@ def test_sweep_resume_requires_output(capsys):
     assert "--resume needs --output" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--deadline", "-1"], ["--deadline", "inf"], ["--max-retries", "-1"],
+])
+def test_sweep_rejects_bad_supervision_flags_and_stores_nothing(
+    tmp_path, capsys, flags
+):
+    store_path = tmp_path / "sweep.jsonl"
+    argv = ["sweep", "--serial", "--duration", "0.4",
+            "--set", "capacitance=22e-6", "--output", str(store_path)]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "quarantined" not in captured.out
+    assert not store_path.exists()
+
+
+def test_serve_rejects_a_bad_default_deadline_at_startup(
+    tmp_path, capsys, monkeypatch
+):
+    import repro.serve
+
+    def never_serve(server):
+        server.service.close()
+        server.server_close()
+        raise AssertionError("a bad default deadline reached serving")
+
+    monkeypatch.setattr(repro.serve, "serve_forever", never_serve)
+    store_path = tmp_path / "runs.jsonl"
+    argv = ["serve", "--serial", "--port", "0", "--deadline", "-1",
+            "--store", str(store_path)]
+    assert main(argv) == 2
+    assert "'deadline_s'" in capsys.readouterr().err
+    assert not store_path.exists()
+
+
 def test_run_output_stores_result(tmp_path, capsys):
     from repro.results import ResultStore
 

@@ -135,7 +135,7 @@ def test_active_restores_even_on_error():
 
 
 def test_snapshot_install_round_trip():
-    faults.configure({"worker.hang": 0.25}, seed=9, hang_s=1.5, slow_s=0.01)
+    faults.configure({"worker.hang": 0.25}, seed=9, hang_s=1.5)
     snapshot = faults.state_snapshot()
     faults.clear()
     assert faults.state_snapshot() is None
@@ -149,12 +149,11 @@ def test_snapshot_install_round_trip():
 def test_env_arming(monkeypatch):
     monkeypatch.setenv(faults.ENV_SPEC, "worker.crash:1.0")
     monkeypatch.setenv(faults.ENV_SEED, "3")
-    monkeypatch.setenv(faults.ENV_HANG_S, "0.5")
     faults._load_env()
     snapshot = faults.state_snapshot()
     assert snapshot["probabilities"] == {"worker.crash": 1.0}
     assert snapshot["seed"] == 3
-    assert snapshot["hang_s"] == 0.5
+    assert snapshot["hang_s"] == faults.DEFAULT_HANG_S
 
 
 def test_env_arming_ignores_empty_spec(monkeypatch):
@@ -195,9 +194,10 @@ def test_payload_key_separates_override_free_payloads_of_two_presets():
                               fig7)
 
 
-def test_fired_injections_bump_the_counter():
+def test_fired_injections_bump_the_counter(monkeypatch):
     before = counter_value("repro_faults_injected_total", point="io.slow")
-    faults.configure({"io.slow": 1.0}, seed=0, slow_s=0.0)
+    monkeypatch.setattr(faults, "DEFAULT_SLOW_S", 0.0)
+    faults.configure({"io.slow": 1.0}, seed=0)
     assert faults.maybe_delay("k1")
     assert faults.maybe_delay("k2")
     after = counter_value("repro_faults_injected_total", point="io.slow")
