@@ -6,7 +6,9 @@ progress".  Two implementations exist:
 * :class:`MachineEngine` — the real mini-ISA interpreter.  Snapshots copy
   actual registers and memory; correctness across outages is checked by
   comparing program output against an uninterrupted run.  Used by the
-  waveform-level experiments (Figs. 6, 7).
+  waveform-level experiments (Figs. 6, 7).  Its ACTIVE stretches chunk
+  by running the interpreter ahead (``Machine.run(..., steps=n)``) and
+  settling it at the committed step count.
 * :class:`SyntheticEngine` — a cycle-counting workload with the same
   snapshot geometry but no interpretation.  Used by the large parameter
   sweeps (Eq. 5 crossover, ablations) where thousands of runs would make
@@ -70,24 +72,31 @@ class ComputeEngine:
 
     def active_plan(
         self, cycles_per_step: int, stop_at_ckpt: bool = False
-    ) -> Optional["tuple[float, int, Any]"]:
+    ) -> Optional["tuple[Any, Optional[int], Any]"]:
         """Fast-kernel descriptor of ACTIVE execution, or None.
 
-        Returning ``(energy_per_step, safe_steps, commit)`` asserts
-        that for up to ``safe_steps`` further engine steps of
-        ``cycles_per_step`` cycles each:
+        Returns ``(energy, safe_steps, commit)``, in one of two forms.
 
-        * every step consumes exactly ``cycles_per_step`` cycles and
-          ``energy_per_step`` joules of memory + peripheral energy
-          (the same float value :meth:`run_cycles` would report),
-        * no step halts, hits a snapshot-relevant checkpoint pause the
-          caller has to observe, or otherwise changes engine state
-          beyond pure forward progress,
+        * Constant: ``energy`` is a float, and for up to ``safe_steps``
+          further engine steps of ``cycles_per_step`` cycles each,
+          every step consumes exactly that many cycles and ``energy``
+          joules of memory + peripheral energy (the float
+          :meth:`run_cycles` would report), and no step halts, pauses
+          at a checkpoint the caller has to observe, or changes engine
+          state beyond pure forward progress.
+        * Run-ahead (data-dependent cycles and energy: the
+          interpreter): ``energy`` is a callable ``run_ahead(n)`` and
+          ``safe_steps`` None.  Called once the chunk length ``n`` is
+          final, it executes up to ``n`` steps exactly as
+          :meth:`run_cycles` would one per step, stopping before any
+          step that halts, pauses at a checkpoint (``stop_at_ckpt``),
+          reaches a port or faults, and returns their per-step memory
+          + peripheral joules.
 
-        and that ``commit(steps)`` applies ``steps`` such steps of
-        forward progress in bulk.  Engines whose per-step energy or
-        control flow is data-dependent (the real interpreter) return
-        None, keeping ACTIVE execution per-step.
+        ``commit(steps)`` applies the first ``steps`` steps (for a
+        run-ahead, settling the engine there, which may re-execute
+        them) and returns ``(cycles, memory_energy, reexecuted)`` for
+        them.  The base engine returns None: ACTIVE stays per-step.
         """
         return None
 
@@ -180,6 +189,36 @@ class MachineEngine(ComputeEngine):
             halted=raw.halted,
             hit_checkpoint=raw.hit_checkpoint,
         )
+
+    def active_plan(
+        self, cycles_per_step: int, stop_at_ckpt: bool = False
+    ) -> Optional["tuple[Any, Optional[int], Any]"]:
+        """Run-ahead descriptor (see :meth:`ComputeEngine.active_plan`).
+
+        Each step's memory energy is :meth:`McuPowerModel.slice_memory_energy`
+        of its counters, elementwise over the run-ahead's per-step
+        arrays (the same float operations in the same order).
+        """
+        machine = self.machine
+        if cycles_per_step <= 0 or machine.halted:
+            return None
+        ran = []  # the run-ahead's per-step cycles and joules
+
+        def run_ahead(n: int):
+            steps = machine.run(cycles_per_step, stop_at_ckpt, steps=n).per_step
+            energies = self.power_model.slice_memory_energy(
+                steps, sram=self.sram, fram=self.fram
+            )
+            ran[:] = steps.cycles, energies
+            return energies
+
+        def commit(steps: int) -> "tuple[int, float, int]":
+            cycles, energies = ran
+            reexecuted = machine.settle(steps)
+            return (int(cycles[:steps].sum()), float(energies[:steps].sum()),
+                    reexecuted)
+
+        return run_ahead, None, commit
 
     def capture(self, full: bool) -> Any:
         if full:
@@ -317,12 +356,13 @@ class SyntheticEngine(ComputeEngine):
         if safe <= 0:
             return None
 
-        def commit(steps: int) -> None:
-            self.executed += steps * cycles_per_step
+        energy = cycles_per_step * self.memory_energy_per_cycle
 
-        return (
-            cycles_per_step * self.memory_energy_per_cycle, safe, commit
-        )
+        def commit(steps: int) -> "tuple[int, float, int]":
+            self.executed += steps * cycles_per_step
+            return steps * cycles_per_step, steps * energy, 0
+
+        return energy, safe, commit
 
     def capture(self, full: bool) -> Any:
         return self.executed

@@ -22,20 +22,42 @@ which is what happens after an outage when no snapshot is restored.
 Data memory is one ``array('q')`` of words, so the compiled interpreter
 (``machine_run`` in :mod:`repro.sim._ckernel`) reads and writes it in
 place; snapshots carry it as a plain list.
+
+Run-ahead: ``Machine.run(budget, steps=n)`` executes up to ``n`` engine
+steps of ``budget`` cycles each, each on a fresh budget as the platform
+gives it one step at a time, and reports every completed step's
+counters.  It stops *before* any step that would halt, pause at a
+``ckpt`` (when ``stop_at_ckpt``), reach an ``in``/``out`` or fault;
+:meth:`Machine.settle` then keeps the first ``k`` steps, restoring the
+pre-run state and re-running exactly ``k`` steps when the machine went
+further.  The interpreter is deterministic, so a settled machine is the
+machine ``k`` single-step runs leave.
 """
 
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro import degrade
 from repro.errors import MachineError
-from repro.mcu.assembler import ProgramImage
+from repro.mcu.assembler import ProgramImage, assemble
 from repro.mcu.isa import NUM_REGISTERS, to_signed, to_word
 from repro.mcu.peripherals import OutputPort, Peripheral
 from repro.sim import _ckernel
+from repro.sim._ckernel import (
+    EXIT_BUDGET,
+    EXIT_CKPT,
+    EXIT_HALT,
+    EXIT_PC,
+    EXIT_PORT,
+    EXIT_READ,
+    EXIT_WRITE,
+)
 
 
 @dataclass(frozen=True)
@@ -134,6 +156,10 @@ class ExecutionSlice:
         peripheral_energy: joules consumed by peripheral accesses.
         halted: machine executed ``halt``.
         hit_checkpoint: stopped at a ``ckpt`` marker (stop_at_ckpt mode).
+        per_step: run-ahead slices only (``run(..., steps=n)``): each
+            completed step's counters, as int64 arrays (an access count
+            the memory placement never uses stays the int 0); the
+            totals above sum them.
     """
 
     cycles: int = 0
@@ -145,6 +171,7 @@ class ExecutionSlice:
     peripheral_energy: float = 0.0
     halted: bool = False
     hit_checkpoint: bool = False
+    per_step: Optional["ExecutionSlice"] = None
 
 
 @dataclass
@@ -171,36 +198,315 @@ class MachineState:
         return base
 
 
-#: ``Machine._loop`` before the first ``run`` picks the rung.
-_UNRESOLVED = object()
+class _Program(NamedTuple):
+    """An image prepared for one configuration: everything the machines
+    running it share, read-only."""
+
+    image: ProgramImage
+    config: MachineConfig
+    #: ``_decode``'s instruction tuples (the Python loop's code).
+    code: List[Tuple[int, ...]]
+    #: The same, flattened: the compiled loop's code buffer.
+    packed: array
+    #: Data memory as crt0 leaves it; ``cold_boot`` copies it.
+    boot: array
+
+
+def _prepare(image: ProgramImage, config: MachineConfig) -> _Program:
+    """Check, decode and pack ``image`` for ``config``."""
+    if image.data_size > config.data_space_words:
+        raise MachineError(
+            f"program claims {image.data_size} data words, machine has "
+            f"{config.data_space_words}"
+        )
+    code = _decode(image, config)
+    boot = array("q", bytes(8 * config.data_space_words))
+    for address, value in image.data_image.items():
+        boot[address] = value
+    packed = array("q", [field for ins in code for field in ins])
+    return _Program(image, config, code, packed, boot)
+
+
+@functools.lru_cache(maxsize=32)
+def _prepared(source: str, config: MachineConfig) -> _Program:
+    """:func:`_prepare` of ``assemble(source)``, memoised per process."""
+    return _prepare(assemble(source), config)
+
+
+def _python_run(
+    code: List[Tuple[int, ...]], regs: List[int], pc: int, cycles: int,
+    instructions: int, reads: int, writes: int, data: array,
+    max_cycles: int, stop_at_ckpt: bool,
+) -> Tuple[int, ...]:
+    """The Python rung of ``machine_run`` (one slice): the same exits,
+    counters and in-place register and data updates.
+
+    Keeps the PC and the counters in locals.  Inlined word
+    helpers: ``((x & 0xFFFF) ^ 0x8000) - 0x8000`` is ``to_signed(x)``,
+    and ``(x & 0xFFFF) ^ 0x8000`` orders words the way their signed
+    values do.
+    """
+    n_data = len(data)
+    if pc < 0 and cycles < max_cycles:
+        # Fetches index ``code`` directly, so only an index past the end
+        # raises; a negative PC must be caught before it wraps around.
+        return EXIT_PC, pc, cycles, instructions, reads, writes, 0
+    while cycles < max_cycles:
+        try:
+            op, a, b, c, cost = code[pc]
+        except IndexError:
+            return EXIT_PC, pc, cycles, instructions, reads, writes, 0
+        if op == 0:  # add
+            regs[a] = (regs[b] + regs[c]) & 0xFFFF
+            pc += 1
+        elif op == 1:  # ldi
+            regs[a] = c
+            pc += 1
+        elif op == 2:  # ld
+            address = ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 + c
+            if not 0 <= address < n_data:
+                return EXIT_READ, pc, cycles, instructions, reads, writes, address
+            reads += 1
+            if a:
+                regs[a] = data[address] & 0xFFFF
+            pc += 1
+        elif op == 3:  # st
+            address = ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 + c
+            if not 0 <= address < n_data:
+                return EXIT_WRITE, pc, cycles, instructions, reads, writes, address
+            writes += 1
+            data[address] = regs[a] & 0xFFFF
+            pc += 1
+        elif op == 4:  # mulq
+            regs[a] = (
+                (((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000)
+                * (((regs[c] & 0xFFFF) ^ 0x8000) - 0x8000)
+                >> 15
+            ) & 0xFFFF
+            pc += 1
+        elif op == 5:  # srai
+            regs[a] = ((((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000) >> c) & 0xFFFF
+            pc += 1
+        elif op == 6:  # sub
+            regs[a] = (regs[b] - regs[c]) & 0xFFFF
+            pc += 1
+        elif op == 7:  # addi
+            regs[a] = (regs[b] + c) & 0xFFFF
+            pc += 1
+        elif op == 8:  # subi
+            regs[a] = (regs[b] - c) & 0xFFFF
+            pc += 1
+        elif op == 9:  # bne
+            pc = c if regs[a] != regs[b] else pc + 1
+        elif op == 10:  # blt
+            pc = (
+                c
+                if ((regs[a] & 0xFFFF) ^ 0x8000) < ((regs[b] & 0xFFFF) ^ 0x8000)
+                else pc + 1
+            )
+        elif op == 11:  # shri
+            regs[a] = (regs[b] & 0xFFFF) >> c
+            pc += 1
+        elif op == 12:  # shli
+            regs[a] = (regs[b] << c) & 0xFFFF
+            pc += 1
+        elif op == 13:  # andi
+            regs[a] = regs[b] & c
+            pc += 1
+        elif op == 14:  # or
+            regs[a] = (regs[b] | regs[c]) & 0xFFFF
+            pc += 1
+        elif op == 15:  # mul
+            regs[a] = (regs[b] * regs[c]) & 0xFFFF
+            pc += 1
+        elif op == 16:  # bge
+            pc = (
+                c
+                if ((regs[a] & 0xFFFF) ^ 0x8000) >= ((regs[b] & 0xFFFF) ^ 0x8000)
+                else pc + 1
+            )
+        elif op == 17:  # beq
+            pc = c if regs[a] == regs[b] else pc + 1
+        elif op == 18:  # jmp
+            pc = a
+        elif op == 19:  # mov
+            regs[a] = regs[b] & 0xFFFF
+            pc += 1
+        elif op == 20:  # xor
+            regs[a] = (regs[b] ^ regs[c]) & 0xFFFF
+            pc += 1
+        elif op == 21:  # and
+            regs[a] = regs[b] & regs[c] & 0xFFFF
+            pc += 1
+        elif op == 22:  # ori
+            regs[a] = (regs[b] | c) & 0xFFFF
+            pc += 1
+        elif op == 23:  # xori
+            regs[a] = (regs[b] ^ c) & 0xFFFF
+            pc += 1
+        elif op == 24:  # shl
+            regs[a] = (regs[b] << (regs[c] & 15)) & 0xFFFF
+            pc += 1
+        elif op == 25:  # shr
+            regs[a] = (regs[b] & 0xFFFF) >> (regs[c] & 15)
+            pc += 1
+        elif op == 26:  # sra
+            regs[a] = (
+                (((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000) >> (regs[c] & 15)
+            ) & 0xFFFF
+            pc += 1
+        elif op == 27:  # slt
+            regs[a] = (
+                1
+                if ((regs[b] & 0xFFFF) ^ 0x8000) < ((regs[c] & 0xFFFF) ^ 0x8000)
+                else 0
+            )
+            pc += 1
+        elif op == 28:  # slti
+            regs[a] = 1 if ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 < c else 0
+            pc += 1
+        elif op == 29:  # ckpt
+            pc += 1
+            if stop_at_ckpt:
+                return (EXIT_CKPT, pc, cycles + cost, instructions + 1,
+                        reads, writes, 0)
+        elif op == 30:  # call
+            sp = (regs[15] - 1) & 0xFFFF
+            if sp >= n_data:
+                return EXIT_WRITE, pc, cycles, instructions, reads, writes, sp
+            writes += 1
+            data[sp] = (pc + 1) & 0xFFFF
+            regs[15] = sp
+            pc = a
+        elif op == 31:  # ret
+            sp = regs[15]
+            if not 0 <= sp < n_data:
+                return EXIT_READ, pc, cycles, instructions, reads, writes, sp
+            reads += 1
+            pc = data[sp]
+            regs[15] = (sp + 1) & 0xFFFF
+            if pc < 0:  # only a corrupted stack holds a non-word
+                cycles += cost
+                instructions += 1
+                reason = EXIT_PC if cycles < max_cycles else EXIT_BUDGET
+                return reason, pc, cycles, instructions, reads, writes, 0
+        elif op == 32:  # push
+            sp = (regs[15] - 1) & 0xFFFF
+            if sp >= n_data:
+                return EXIT_WRITE, pc, cycles, instructions, reads, writes, sp
+            writes += 1
+            data[sp] = regs[a] & 0xFFFF
+            regs[15] = sp
+            pc += 1
+        elif op == 33:  # pop
+            sp = regs[15]
+            if not 0 <= sp < n_data:
+                return EXIT_READ, pc, cycles, instructions, reads, writes, sp
+            reads += 1
+            if a:
+                regs[a] = data[sp] & 0xFFFF
+            regs[15] = (sp + 1) & 0xFFFF
+            pc += 1
+        elif op < 36:  # in, out: run by the caller
+            return EXIT_PORT, pc, cycles, instructions, reads, writes, 0
+        elif op == 36:  # nop
+            pc += 1
+        else:  # halt
+            return (EXIT_HALT, pc, cycles + cost, instructions + 1,
+                    reads, writes, 0)
+        cycles += cost
+        instructions += 1
+    return EXIT_BUDGET, pc, cycles, instructions, reads, writes, 0
+
+
+class PythonLoop:
+    """The Python rung: :class:`repro.sim._ckernel.MachineLoop`'s call
+    shape over the decoded code."""
+
+    __slots__ = ("_code",)
+
+    def __init__(self, code: List[Tuple[int, ...]]):
+        self._code = code
+
+    def run(
+        self, registers: List[int], pc: int, cycles: int, instructions: int,
+        reads: int, writes: int, data: array, max_cycles: int,
+        stop_at_ckpt: bool,
+    ) -> Tuple[int, ...]:
+        """See :meth:`repro.sim._ckernel.MachineLoop.run`."""
+        return _python_run(self._code, registers, pc, cycles, instructions,
+                           reads, writes, data, max_cycles, stop_at_ckpt)
+
+    def run_steps(
+        self, registers: List[int], pc: int, data: array, max_cycles: int,
+        stop_at_ckpt: bool, n: int,
+    ) -> Tuple[int, int, np.ndarray, int]:
+        """See :meth:`repro.sim._ckernel.MachineLoop.run_steps`."""
+        code = self._code
+        rows = []
+        reason, address = EXIT_BUDGET, 0
+        for _ in range(n):
+            reason, pc, cycles, instructions, reads, writes, address = (
+                _python_run(code, registers, pc, 0, 0, 0, 0, data,
+                            max_cycles, stop_at_ckpt)
+            )
+            if reason != EXIT_BUDGET:
+                break
+            rows.append((cycles, instructions, reads, writes))
+        return reason, pc, np.array(rows, dtype=np.int64).reshape(-1, 4), address
 
 
 class Machine:
     """Interpreter for the mini-ISA (see module docstring)."""
 
     def __init__(self, image: ProgramImage, config: Optional[MachineConfig] = None):
-        self.image = image
-        self.config = config or MachineConfig()
-        if image.data_size > self.config.data_space_words:
-            raise MachineError(
-                f"program claims {image.data_size} data words, machine has "
-                f"{self.config.data_space_words}"
-            )
+        self._setup(_prepare(image, config or MachineConfig()))
+
+    @classmethod
+    def from_source(
+        cls, source: str, config: Optional[MachineConfig] = None
+    ) -> "Machine":
+        """A fresh machine running ``source``.
+
+        The assembled image, its decoding, the packed code and the boot
+        data are memoised per ``(source, config)`` and shared read-only
+        by every machine built from them; registers, data memory and
+        peripherals are each machine's own.
+        """
+        machine = cls.__new__(cls)
+        machine._setup(_prepared(source, config or MachineConfig()))
+        return machine
+
+    def _setup(self, program: _Program) -> None:
+        self._program = program
+        self.image = program.image
+        self.config = program.config
+        self._code = program.code
         self.registers: List[int] = [0] * 16
         self.pc = 0
         self.halted = False
         self.total_cycles = 0
         self.ports: Dict[int, Peripheral] = {7: OutputPort()}
-        self.data = self._blank_data()  # cold_boot loads .data into it
-        self._code = _decode(image, self.config)
-        #: The compiled-loop runner, None on the Python rung; resolved
-        #: by the first ``run``.
-        self._loop: object = _UNRESOLVED
-        self.cold_boot()
+        #: The rung's loop runner (``_ckernel.MachineLoop`` or
+        #: :class:`PythonLoop`); the first ``run`` resolves it.
+        self._loop = None
+        #: The last run-ahead's starting state and budget, its completed
+        #: steps and whether the machine went past them; see ``settle``.
+        self._origin: Optional[tuple] = None
+        self._ahead: Tuple[int, bool] = (0, False)
+        self.cold_boot()  # sets self.data
 
     def _blank_data(self) -> array:
         """Zeroed data memory."""
         return array("q", bytes(8 * self.config.data_space_words))
+
+    def select_rung(self, machine_run) -> None:
+        """Run on the compiled ``machine_run`` (``_ckernel.load()``'s), or
+        on the Python loop when it is None."""
+        self._loop = (
+            PythonLoop(self._code) if machine_run is None
+            else _ckernel.MachineLoop(machine_run, self._program.packed)
+        )
 
     # ------------------------------------------------------------------
     # Boot / power management
@@ -212,9 +518,7 @@ class Machine:
         self.registers[15] = self.config.data_space_words  # stack pointer
         self.pc = 0
         self.halted = False
-        self.data = self._blank_data()
-        for address, value in self.image.data_image.items():
-            self.data[address] = value
+        self.data = self._program.boot[:]
 
     def power_fail(self) -> None:
         """Lose all volatile state (registers, PC; SRAM data too; volatile
@@ -287,245 +591,45 @@ class Machine:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, max_cycles: int, stop_at_ckpt: bool = False) -> ExecutionSlice:
+    def run(
+        self, max_cycles: int, stop_at_ckpt: bool = False, steps: int = 0
+    ) -> ExecutionSlice:
         """Execute until the cycle budget is spent, ``halt``, or a ``ckpt``.
 
         Runs on the compiled loop when the ``_ckernel`` library loads
         (the ``mcu.kernel`` rung of :mod:`repro.degrade`, reported once
-        per machine), else on the Python loop below; both give the same
-        slices, state and errors.  The loop keeps the PC, the counters
-        and the energy in locals and writes them back once, in
-        ``finally``: on a :class:`MachineError` ``pc`` still names the
-        faulting instruction and ``total_cycles`` counts only the
-        retired ones.  An instruction starts while cycles remain, so a
-        slice may overshoot ``max_cycles`` by one instruction.
+        per machine), else on the Python loop; both give the same
+        slices, state and errors.  The loop stops before each
+        ``in``/``out``, which runs here, and resumes.  On a
+        :class:`MachineError` ``pc`` still names the faulting
+        instruction and ``total_cycles`` counts only the retired ones.
+        An instruction starts while cycles remain, so a slice may
+        overshoot ``max_cycles`` by one instruction.
 
         Args:
             max_cycles: cycle budget for this slice (an int >= 0).
             stop_at_ckpt: when True, pause *after* executing a ``ckpt``
                 marker so a checkpointing supervisor can act.
+            steps: when positive, run ahead instead: up to ``steps``
+                slices of ``max_cycles`` each, each on a fresh budget,
+                stopping before any that would halt, pause at a
+                ``ckpt``, reach an ``in``/``out`` or fault (see the
+                module docstring); :meth:`settle` must follow.
 
         Returns:
-            An :class:`ExecutionSlice` with cycle/access accounting.
+            An :class:`ExecutionSlice` with cycle/access accounting; a
+            run-ahead's totals cover its completed steps, listed in
+            ``per_step``.
         """
+        loop = self._loop
+        if loop is None:
+            loop = self._resolve_loop()
+        if steps > 0:
+            return self._run_ahead(loop, max_cycles, stop_at_ckpt, steps)
         slice_ = ExecutionSlice()
         if self.halted:
             slice_.halted = True
             return slice_
-        pc = self.pc
-        # Fetches index ``code`` directly, so only an index past the end
-        # raises; a negative PC must be caught before it wraps around.
-        if pc < 0 < max_cycles:
-            raise MachineError(f"PC out of range: {pc}")
-        loop = self._loop
-        if loop is _UNRESOLVED:
-            loop = self._loop = self._resolve_loop()
-        if loop is not None:
-            self._run_compiled(loop, slice_, max_cycles, stop_at_ckpt)
-            return slice_
-        code = self._code
-        regs = self.registers
-        data = self.data
-        n_data = len(data)
-        cycles = instructions = reads = writes = 0
-        energy = 0.0
-        # Inlined word helpers: ``((x & 0xFFFF) ^ 0x8000) - 0x8000`` is
-        # ``to_signed(x)``, and ``(x & 0xFFFF) ^ 0x8000`` orders words the
-        # way their signed values do.
-        try:
-            while cycles < max_cycles:
-                try:
-                    op, a, b, c, cost = code[pc]
-                except IndexError:
-                    raise MachineError(f"PC out of range: {pc}") from None
-                if op == 0:  # add
-                    regs[a] = (regs[b] + regs[c]) & 0xFFFF
-                    pc += 1
-                elif op == 1:  # ldi
-                    regs[a] = c
-                    pc += 1
-                elif op == 2:  # ld
-                    address = ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 + c
-                    if not 0 <= address < n_data:
-                        raise MachineError(
-                            f"data read out of range: {address} (pc={pc})"
-                        )
-                    reads += 1
-                    if a:
-                        regs[a] = data[address] & 0xFFFF
-                    pc += 1
-                elif op == 3:  # st
-                    address = ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 + c
-                    if not 0 <= address < n_data:
-                        raise MachineError(
-                            f"data write out of range: {address} (pc={pc})"
-                        )
-                    writes += 1
-                    data[address] = regs[a] & 0xFFFF
-                    pc += 1
-                elif op == 4:  # mulq
-                    regs[a] = (
-                        (((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000)
-                        * (((regs[c] & 0xFFFF) ^ 0x8000) - 0x8000)
-                        >> 15
-                    ) & 0xFFFF
-                    pc += 1
-                elif op == 5:  # srai
-                    regs[a] = ((((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000) >> c) & 0xFFFF
-                    pc += 1
-                elif op == 6:  # sub
-                    regs[a] = (regs[b] - regs[c]) & 0xFFFF
-                    pc += 1
-                elif op == 7:  # addi
-                    regs[a] = (regs[b] + c) & 0xFFFF
-                    pc += 1
-                elif op == 8:  # subi
-                    regs[a] = (regs[b] - c) & 0xFFFF
-                    pc += 1
-                elif op == 9:  # bne
-                    pc = c if regs[a] != regs[b] else pc + 1
-                elif op == 10:  # blt
-                    pc = (
-                        c
-                        if ((regs[a] & 0xFFFF) ^ 0x8000) < ((regs[b] & 0xFFFF) ^ 0x8000)
-                        else pc + 1
-                    )
-                elif op == 11:  # shri
-                    regs[a] = (regs[b] & 0xFFFF) >> c
-                    pc += 1
-                elif op == 12:  # shli
-                    regs[a] = (regs[b] << c) & 0xFFFF
-                    pc += 1
-                elif op == 13:  # andi
-                    regs[a] = regs[b] & c
-                    pc += 1
-                elif op == 14:  # or
-                    regs[a] = (regs[b] | regs[c]) & 0xFFFF
-                    pc += 1
-                elif op == 15:  # mul
-                    regs[a] = (regs[b] * regs[c]) & 0xFFFF
-                    pc += 1
-                elif op == 16:  # bge
-                    pc = (
-                        c
-                        if ((regs[a] & 0xFFFF) ^ 0x8000) >= ((regs[b] & 0xFFFF) ^ 0x8000)
-                        else pc + 1
-                    )
-                elif op == 17:  # beq
-                    pc = c if regs[a] == regs[b] else pc + 1
-                elif op == 18:  # jmp
-                    pc = a
-                elif op == 19:  # mov
-                    regs[a] = regs[b] & 0xFFFF
-                    pc += 1
-                elif op == 20:  # xor
-                    regs[a] = (regs[b] ^ regs[c]) & 0xFFFF
-                    pc += 1
-                elif op == 21:  # and
-                    regs[a] = regs[b] & regs[c] & 0xFFFF
-                    pc += 1
-                elif op == 22:  # ori
-                    regs[a] = (regs[b] | c) & 0xFFFF
-                    pc += 1
-                elif op == 23:  # xori
-                    regs[a] = (regs[b] ^ c) & 0xFFFF
-                    pc += 1
-                elif op == 24:  # shl
-                    regs[a] = (regs[b] << (regs[c] & 15)) & 0xFFFF
-                    pc += 1
-                elif op == 25:  # shr
-                    regs[a] = (regs[b] & 0xFFFF) >> (regs[c] & 15)
-                    pc += 1
-                elif op == 26:  # sra
-                    regs[a] = (
-                        (((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000) >> (regs[c] & 15)
-                    ) & 0xFFFF
-                    pc += 1
-                elif op == 27:  # slt
-                    regs[a] = (
-                        1
-                        if ((regs[b] & 0xFFFF) ^ 0x8000) < ((regs[c] & 0xFFFF) ^ 0x8000)
-                        else 0
-                    )
-                    pc += 1
-                elif op == 28:  # slti
-                    regs[a] = 1 if ((regs[b] & 0xFFFF) ^ 0x8000) - 0x8000 < c else 0
-                    pc += 1
-                elif op == 29:  # ckpt
-                    pc += 1
-                    if stop_at_ckpt:
-                        cycles += cost
-                        instructions += 1
-                        slice_.hit_checkpoint = True
-                        break
-                elif op == 30:  # call
-                    sp = (regs[15] - 1) & 0xFFFF
-                    if sp >= n_data:
-                        raise MachineError(f"data write out of range: {sp} (pc={pc})")
-                    writes += 1
-                    data[sp] = (pc + 1) & 0xFFFF
-                    regs[15] = sp
-                    pc = a
-                elif op == 31:  # ret
-                    sp = regs[15]
-                    if not 0 <= sp < n_data:
-                        raise MachineError(f"data read out of range: {sp} (pc={pc})")
-                    reads += 1
-                    pc = data[sp]
-                    regs[15] = (sp + 1) & 0xFFFF
-                    if pc < 0:  # only a corrupted stack holds a non-word
-                        cycles += cost
-                        instructions += 1
-                        if cycles < max_cycles:
-                            raise MachineError(f"PC out of range: {pc}")
-                        break
-                elif op == 32:  # push
-                    sp = (regs[15] - 1) & 0xFFFF
-                    if sp >= n_data:
-                        raise MachineError(f"data write out of range: {sp} (pc={pc})")
-                    writes += 1
-                    data[sp] = regs[a] & 0xFFFF
-                    regs[15] = sp
-                    pc += 1
-                elif op == 33:  # pop
-                    sp = regs[15]
-                    if not 0 <= sp < n_data:
-                        raise MachineError(f"data read out of range: {sp} (pc={pc})")
-                    reads += 1
-                    if a:
-                        regs[a] = data[sp] & 0xFFFF
-                    regs[15] = (sp + 1) & 0xFFFF
-                    pc += 1
-                elif op < 36:  # in, out
-                    energy += self._port(op, a, b, regs)
-                    pc += 1
-                elif op == 36:  # nop
-                    pc += 1
-                else:  # halt
-                    cycles += cost
-                    instructions += 1
-                    self.halted = slice_.halted = True
-                    break
-                cycles += cost
-                instructions += 1
-        finally:
-            self._finish(slice_, pc, cycles, instructions, reads, writes, energy)
-        return slice_
-
-    def _resolve_loop(self) -> Optional[_ckernel.MachineLoop]:
-        """This machine's compiled-loop runner, reporting the rung."""
-        kernel = _ckernel.load()
-        degrade.report("mcu.kernel", "python" if kernel is None else "c")
-        if kernel is None:
-            return None
-        return _ckernel.MachineLoop(kernel.machine_run, self._code)
-
-    def _run_compiled(
-        self, loop: _ckernel.MachineLoop, slice_: ExecutionSlice,
-        max_cycles: int, stop_at_ckpt: bool,
-    ) -> None:
-        """``run`` on the compiled loop, which exits before each
-        ``in``/``out``: those run here, in order, and the loop resumes."""
         regs = self.registers
         pc = self.pc
         cycles = instructions = reads = writes = 0
@@ -536,25 +640,93 @@ class Machine:
                     loop.run(regs, pc, cycles, instructions, reads, writes,
                              self.data, max_cycles, stop_at_ckpt)
                 )
-                if reason != _ckernel.EXIT_PORT:
+                if reason != EXIT_PORT:
                     break
                 op, a, b, _, cost = self._code[pc]
                 energy += self._port(op, a, b, regs)
                 pc += 1
                 cycles += cost
                 instructions += 1
-            if reason == _ckernel.EXIT_HALT:
+            if reason == EXIT_HALT:
                 self.halted = slice_.halted = True
-            elif reason == _ckernel.EXIT_CKPT:
+            elif reason == EXIT_CKPT:
                 slice_.hit_checkpoint = True
-            elif reason == _ckernel.EXIT_PC:
+            elif reason == EXIT_PC:
                 raise MachineError(f"PC out of range: {pc}")
-            elif reason == _ckernel.EXIT_READ:
+            elif reason == EXIT_READ:
                 raise MachineError(f"data read out of range: {address} (pc={pc})")
-            elif reason == _ckernel.EXIT_WRITE:
+            elif reason == EXIT_WRITE:
                 raise MachineError(f"data write out of range: {address} (pc={pc})")
         finally:
-            self._finish(slice_, pc, cycles, instructions, reads, writes, energy)
+            self.pc = pc
+            self.total_cycles += cycles
+            self._tally(slice_, cycles, instructions, reads, writes)
+            slice_.peripheral_energy = energy
+        return slice_
+
+    def _run_ahead(
+        self, loop, max_cycles: int, stop_at_ckpt: bool, steps: int
+    ) -> ExecutionSlice:
+        """``run(max_cycles, stop_at_ckpt, steps)``: one loop call."""
+        self._origin = (self.registers[:], self.pc, self.data[:],
+                        self.total_cycles, max_cycles, stop_at_ckpt)
+        if self.halted:
+            counts, past = np.zeros((0, 4), dtype=np.int64), False
+        else:
+            reason, self.pc, counts, _ = loop.run_steps(
+                self.registers, self.pc, self.data, max_cycles,
+                stop_at_ckpt, steps,
+            )
+            past = reason != EXIT_BUDGET  # inside an unfinished step
+        self._ahead = (len(counts), past)
+        cycles, instructions, reads, writes = (
+            int(total) for total in counts.sum(axis=0)
+        )
+        self.total_cycles += cycles
+        slice_ = self._tally(ExecutionSlice(halted=self.halted), cycles,
+                             instructions, reads, writes)
+        slice_.per_step = self._tally(
+            ExecutionSlice(), counts[:, 0], counts[:, 1], counts[:, 2],
+            counts[:, 3],
+        )
+        return slice_
+
+    def settle(self, steps: int) -> int:
+        """Keep the first ``steps`` completed steps of the last run-ahead.
+
+        When the machine already stands there nothing happens;
+        otherwise (fewer steps kept, or the run stopped inside the step
+        after its last completed one) it restores the run's starting
+        registers, PC, data and ``total_cycles`` and re-runs exactly
+        ``steps`` steps, through :meth:`run`.  Returns the number of
+        steps re-executed.
+        """
+        registers, pc, data, total_cycles, max_cycles, stop_at_ckpt = (
+            self._origin
+        )
+        completed, past = self._ahead
+        self._origin = None
+        if not 0 <= steps <= completed:
+            raise MachineError(
+                f"cannot keep {steps} of {completed} run-ahead steps"
+            )
+        if steps == completed and not past:
+            return 0
+        self.registers = registers
+        self.pc = pc
+        self.data = data
+        self.total_cycles = total_cycles
+        if steps:
+            self.run(max_cycles, stop_at_ckpt, steps)
+            self._origin = None
+        return steps
+
+    def _resolve_loop(self):
+        """This machine's loop runner, reporting the rung."""
+        kernel = _ckernel.load()
+        degrade.report("mcu.kernel", "python" if kernel is None else "c")
+        self.select_rung(None if kernel is None else kernel.machine_run)
+        return self._loop
 
     def _port(self, op: int, a: int, b: int, regs: List[int]) -> float:
         """Execute ``in rd, port`` (op 34) or ``out port, rs`` (op 35);
@@ -571,16 +743,13 @@ class Machine:
             peripheral.write(regs[b])
         return peripheral.access_energy
 
-    def _finish(
-        self, slice_: ExecutionSlice, pc: int, cycles: int,
-        instructions: int, reads: int, writes: int, energy: float,
-    ) -> None:
-        """Write a slice's PC and counters back (also after a fault)."""
-        self.pc = pc
-        self.total_cycles += cycles
+    def _tally(
+        self, slice_: ExecutionSlice, cycles, instructions, reads, writes
+    ) -> ExecutionSlice:
+        """Fill ``slice_``'s counters, mapping the loop's data reads and
+        writes (and every fetch) onto the memory placement."""
         slice_.cycles = cycles
         slice_.instructions = instructions
-        slice_.peripheral_energy = energy
         if self.config.data_in_fram:
             slice_.fram_reads = instructions + reads
             slice_.fram_writes = writes
@@ -588,3 +757,4 @@ class Machine:
             slice_.fram_reads = instructions
             slice_.sram_reads = reads
             slice_.sram_writes = writes
+        return slice_

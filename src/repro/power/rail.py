@@ -237,7 +237,10 @@ class SupplyRail(Component):
     plan, :meth:`step_chunk` advances whole stretches of steps in a tight
     scalar loop with per-step arithmetic identical to :meth:`step`.  The
     chunk ends (and per-step execution resumes) at the first step whose
-    voltage crosses a load's declared event boundary.
+    voltage crosses a load's declared event boundary.  Run-ahead loads
+    (``LoadProfile.stretch``) execute once the chunk length is final and
+    settle in their commit; ``reexecuted_steps`` sums the steps they
+    re-ran to settle.
 
     One recurrence runs every chunk, on one of two rungs with one call
     shape: the compiled ``chunk_loop`` of :mod:`repro.sim._ckernel`
@@ -263,6 +266,7 @@ class SupplyRail(Component):
         #: chunk of a run, then a ChunkLoop, or None once the run is on
         #: the Python rung).
         self._compiled = False
+        self.reexecuted_steps = 0
 
     @property
     def voltage(self) -> float:
@@ -332,10 +336,12 @@ class SupplyRail(Component):
             return 0
         v = physics.read_voltage()
         profiles = []
+        run_ahead = False
         for load in self._loads:
             profile = load.load_profile(t0, dt, v)
             if profile is None:
                 return 0
+            run_ahead |= profile.stretch is not None
             # A time-based event boundary (snapshot completing, workload
             # finishing) bounds the whole chunk: the event step itself
             # must execute through the reference path.
@@ -350,6 +356,15 @@ class SupplyRail(Component):
             if plan is None:
                 return 0
             plans.append(plan)
+        # Run-ahead loads execute only now, with every load and injector
+        # agreed and ``n`` final, so a refused chunk never runs them.
+        # The chunk then covers at most the steps each vouches for (none
+        # at all still commits, which settles them).
+        if run_ahead:
+            for profile in profiles:
+                if profile.stretch is not None:
+                    profile.energies = profile.stretch(n)
+                    n = min(n, len(profile.energies))
         args = (physics, plans, profiles, v, physics.leak_factor(dt), dt, n,
                 self.stats)
         compiled = self._compiled
@@ -371,7 +386,7 @@ class SupplyRail(Component):
         taken, energies, self._chunk_vcc = result
         for profile, energy in zip(profiles, energies):
             if profile.commit is not None:
-                profile.commit(taken, dt, energy)
+                self.reexecuted_steps += profile.commit(taken, dt, energy) or 0
         return taken
 
     def reset(self) -> None:
@@ -384,6 +399,7 @@ class SupplyRail(Component):
         self.stats = RailStats(vcc_every=self.stats.vcc_every)
         self._chunk_vcc = []
         self._compiled = False
+        self.reexecuted_steps = 0
 
 
 def chunk_loop(
@@ -420,9 +436,12 @@ def chunk_loop(
     # Per-load demand terms, precombined where constant: e_const is
     # the voltage-independent joules per step (power*dt + energy, in
     # that order — matching the reference implementations' `power *
-    # dt` and `active + extra` arithmetic exactly).
+    # dt` and `active + extra` arithmetic exactly), or per step from a
+    # run-ahead load's energies.
     loads = [
         (profile.resistance, profile.power * dt + profile.energy,
+         None if profile.energies is None
+         else _ckernel.step_constants(profile, dt).tolist(),
          profile.current, profile.current_gain,
          profile.v_rising, profile.v_falling)
         for profile in profiles
@@ -478,10 +497,13 @@ def chunk_loop(
         st_t = starved
         event = False
         for j in load_range:
-            resistance, e_const, current, gain, v_rise, v_fall = loads[j]
+            (resistance, e_const, e_steps, current, gain, v_rise,
+             v_fall) = loads[j]
             if tv >= v_rise or tv < v_fall:
                 event = True
                 break
+            if e_steps is not None:
+                e_const = e_steps[i]
             if resistance is not None:
                 e_dem = tv * tv / resistance * dt + e_const
             elif current != 0.0:

@@ -53,8 +53,9 @@ from repro.sim.kernel import LoadProfile, PowerSourcePlan, VoltageSourcePlan
 
 #: ``chunk_loop`` frame layout, in 8-byte slots: the header below, then
 #: per source (address, kind, drop, r_total), per load (kind,
-#: resistance, e_const, current, current_gain, v_rising, v_falling),
-#: then per load its committed energy (out) and a scratch slot.  The
+#: resistance, e_const, current, current_gain, v_rising, v_falling,
+#: per-step e_const address or 0), then per load its committed energy
+#: (out) and a scratch slot.  The
 #: first eight header slots (the ``RailStats`` totals and V_cc
 #: envelope) are read and written back.
 _HEADER = (
@@ -63,15 +64,17 @@ _HEADER = (
     "dt", "vcc_every",
 )
 _SOURCE_SLOTS = 4
-_LOAD_SLOTS = 7
+_LOAD_SLOTS = 8
 #: Source and load kinds as the frame encodes them.
 _VOLTAGE, _POWER = 0.0, 1.0
 _CONSTANT, _RESISTIVE, _CURRENT = 0.0, 1.0, 2.0
 
 #: ``machine_run`` state layout, in int64 slots after r0..r15.  All but
-#: ``address`` (a data fault's address, out only) are read and written
-#: back.
-_MACHINE_STATE = ("pc", "cycles", "instructions", "reads", "writes", "address")
+#: ``address`` (a data fault's address) and ``steps`` (a run-ahead's
+#: completed steps), both out only, are read and written back.
+_MACHINE_STATE = (
+    "pc", "cycles", "instructions", "reads", "writes", "address", "steps",
+)
 #: ``machine_run`` exit reasons: the budget is spent, ``halt``, a
 #: ``ckpt`` pause, an ``in``/``out`` to run in Python (not executed),
 #: and the faults: PC out of range, data read or write out of range.
@@ -161,13 +164,15 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
         for (int64_t j = 0; j < n_loads; ++j) {
             const double *lp = ld + LOAD_SLOTS * j;
             if (tv >= lp[5] || tv < lp[6]) { event = 1; break; }
+            const double *e_steps = slot_pointer(lp + 7);
+            const double e_const = e_steps ? e_steps[i] : lp[2];
             double e_dem;
             if (lp[0] == %(resistive)r)
-                e_dem = tv * tv / lp[1] * dt + lp[2];
+                e_dem = tv * tv / lp[1] * dt + e_const;
             else if (lp[0] == %(current)r)
-                e_dem = ((lp[3] * tv) * lp[4]) * dt + lp[2];
+                e_dem = ((lp[3] * tv) * lp[4]) * dt + e_const;
             else
-                e_dem = lp[2];
+                e_dem = e_const;
             double demand = e_dem * overhead;
             double avail = half_c * tv * tv;
             double delivered;
@@ -207,23 +212,32 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
 #define SIGNED(x) ((WORD(x) ^ 0x8000) - 0x8000)
 #define ORDER(x) (WORD(x) ^ 0x8000)  /* orders words as their signed values */
 
-/* Exact transcription of Machine.run's dispatch loop over the
-   predecoded image: five int64 slots (op, a, b, c, cost) per
-   instruction, opcodes numbered as _MNEMONICS in machine.py numbers
-   them.  Word arithmetic runs in uint64 so wrap-around is defined and
-   the low 16 bits match Python's.  state holds r0..r15 then
-   _MACHINE_STATE (see _ckernel.py).  Returns the exit reason; on a
-   fault or a port instruction pc names that instruction and the
-   counters exclude it. */
+/* Exact transcription of the Python interpreter loop (_python_run in
+   machine.py) over the predecoded image: five int64 slots (op, a, b,
+   c, cost) per instruction, opcodes numbered as _MNEMONICS in
+   machine.py numbers them.  Word arithmetic runs in uint64 so
+   wrap-around is defined and the low 16 bits match Python's.  state
+   holds r0..r15 then _MACHINE_STATE (see _ckernel.py).  Returns the
+   exit reason; on a fault or a port instruction pc names that
+   instruction and the counters exclude it.
+
+   n_steps > 0 runs ahead: up to n_steps slices of max_cycles, each
+   from zero counters, writing each completed slice's (cycles,
+   instructions, reads, writes) to steps and their number to the
+   "steps" state slot; it stops at the first slice that exits any
+   other way than the budget, inside that slice. */
 int64_t machine_run(const int64_t *code, int64_t n_code, int64_t *data,
                     int64_t n_data, int64_t *state, int64_t max_cycles,
-                    int64_t stop_at_ckpt)
+                    int64_t stop_at_ckpt, int64_t n_steps, int64_t *steps)
 {
     int64_t r[16];
     memcpy(r, state, sizeof r);
     int64_t pc = state[16], cycles = state[17], instructions = state[18];
     int64_t reads = state[19], writes = state[20], address = 0;
-    int64_t reason = %(exit_budget)d;
+    int64_t reason, taken = 0;
+    if (n_steps > 0) cycles = instructions = reads = writes = 0;
+step:
+    reason = %(exit_budget)d;
     while (cycles < max_cycles) {
         /* Unsigned: a negative PC (a ret to a corrupted address) is out
            of range too. */
@@ -370,9 +384,19 @@ int64_t machine_run(const int64_t *code, int64_t n_code, int64_t *data,
         ++instructions;
     }
 out:
+    if (n_steps > 0 && reason == %(exit_budget)d) {
+        int64_t *row = steps + 4 * taken;
+        row[0] = cycles; row[1] = instructions; row[2] = reads;
+        row[3] = writes;
+        if (++taken < n_steps) {
+            cycles = instructions = reads = writes = 0;
+            goto step;
+        }
+    }
     memcpy(state, r, sizeof r);
     state[16] = pc; state[17] = cycles; state[18] = instructions;
     state[19] = reads; state[20] = writes; state[21] = address;
+    state[22] = taken;
     return reason;
 }
 """ % {
@@ -499,8 +523,22 @@ def _bind(so_path: str) -> Kernel:
         ctypes.c_void_p,  # state
         ctypes.c_int64,   # max_cycles
         ctypes.c_int64,   # stop_at_ckpt
+        ctypes.c_int64,   # n_steps
+        ctypes.c_void_p,  # steps
     ]
     return Kernel(chunk, machine)
+
+
+def step_constants(profile: LoadProfile, dt: float) -> np.ndarray:
+    """A per-step load's e_const (``power * dt + energies[i]``) as a
+    C-contiguous float64 array.
+
+    Both chunk loops read these: the same elementwise IEEE operations
+    as the scalar ``power * dt + energy``.
+    """
+    return np.ascontiguousarray(
+        profile.power * dt + np.asarray(profile.energies, dtype=float)
+    )
 
 
 class ChunkLoop:
@@ -523,7 +561,7 @@ class ChunkLoop:
             len(_HEADER) + _SOURCE_SLOTS * n_sources + _LOAD_SLOTS * n_loads
         )
         self._pack = struct.Struct(
-            "=%dd" % len(_HEADER) + "Q3d" * n_sources + "7d" * n_loads
+            "=%dd" % len(_HEADER) + "Q3d" * n_sources + "7dQ" * n_loads
         ).pack_into
         self._state = struct.Struct("=8d").unpack_from
         self._energies = struct.Struct("=%dd" % n_loads).unpack_from
@@ -544,7 +582,9 @@ class ChunkLoop:
         ``voltages`` a view of the rail's buffer, valid until the next
         chunk.  None (nothing touched) when a plan cannot be read in
         place: no known address, fewer than ``n`` values, or a converter
-        in front of a power source.
+        in front of a power source.  A load's per-step ``energies`` are
+        read through :func:`step_constants`, which keeps them alive for
+        the call.
         """
         fields = [
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
@@ -563,6 +603,7 @@ class ChunkLoop:
                 fields += (address, _POWER, 0.0, 1.0)
             else:
                 return None
+        steps = []
         for profile in profiles:
             resistance = profile.resistance
             if resistance is not None:
@@ -570,10 +611,17 @@ class ChunkLoop:
             else:
                 resistance = 0.0
                 kind = _CURRENT if profile.current != 0.0 else _CONSTANT
+            address = 0
+            if profile.energies is not None:
+                e_steps = step_constants(profile, dt)
+                if len(e_steps) < n:
+                    return None
+                steps.append(e_steps)
+                address = e_steps.ctypes.data
             fields += (
                 kind, resistance, profile.power * dt + profile.energy,
                 profile.current, profile.current_gain,
-                profile.v_rising, profile.v_falling,
+                profile.v_rising, profile.v_falling, address,
             )
         if n > len(self._vcc):
             self._vcc = np.empty(max(n, 2 * len(self._vcc)))
@@ -597,12 +645,13 @@ class ChunkLoop:
 class MachineLoop:
     """Runs the compiled ``machine_run`` for one machine.
 
-    Packs the predecoded image once into an int64 buffer.  A call packs
-    the registers, PC and counters into the state buffer with one
+    Reads the predecoded image from an int64 buffer (five fields per
+    instruction, shared read-only between machines).  A call packs the
+    registers, PC and counters into the state buffer with one
     ``struct``, runs the foreign loop on data memory in place and
     unpacks once.  Data memory is an ``array('q')`` whose address is
-    read per call: the machine rebuilds it on boot, power failure and
-    restore.
+    read per call: the machine rebuilds it on boot, power failure,
+    restore and rewind.
     """
 
     __slots__ = ("_fn", "_code", "_code_address", "_n_code",
@@ -610,11 +659,11 @@ class MachineLoop:
 
     _layout = struct.Struct("=%dq" % (16 + len(_MACHINE_STATE)))
 
-    def __init__(self, fn, code: Sequence[Tuple[int, ...]]):
+    def __init__(self, fn, code: array):
         self._fn = fn
-        self._code = array("q", [field for ins in code for field in ins])
-        self._code_address = self._code.buffer_info()[0]
-        self._n_code = len(code)
+        self._code = code
+        self._code_address = code.buffer_info()[0]
+        self._n_code = len(code) // 5
         self._state = array("q", bytes(self._layout.size))
         self._state_address = self._state.buffer_info()[0]
 
@@ -632,18 +681,44 @@ class MachineLoop:
         """
         state = self._state
         self._layout.pack_into(state, 0, *registers, pc, cycles,
-                               instructions, reads, writes, 0)
+                               instructions, reads, writes, 0, 0)
         data_address, n_data = data.buffer_info()
         reason = self._fn(
             self._code_address, self._n_code, data_address, n_data,
             self._state_address,
             # No run reaches 2**63 cycles; the cap keeps any int budget
             # a valid int64, as the Python loop accepts any int.
-            min(max_cycles, _INT64_MAX), stop_at_ckpt,
+            min(max_cycles, _INT64_MAX), stop_at_ckpt, 0, None,
         )
         values = self._layout.unpack_from(state)
         registers[:] = values[:16]
-        return (reason,) + values[16:]
+        return (reason,) + values[16:-1]
+
+    def run_steps(
+        self, registers: List[int], pc: int, data: array, max_cycles: int,
+        stop_at_ckpt: bool, n: int,
+    ) -> Tuple[int, int, np.ndarray, int]:
+        """Run ahead up to ``n >= 1`` slices of ``max_cycles``; returns
+        ``(reason, pc, counts, address)``.
+
+        ``counts`` holds one ``(cycles, instructions, reads, writes)``
+        row per completed slice.  ``reason`` is ``EXIT_BUDGET`` when all
+        ``n`` completed, else the exit of the slice after the last
+        completed one, which the loop stopped inside (registers, PC and
+        data then include its partial work).
+        """
+        state = self._state
+        self._layout.pack_into(state, 0, *registers, pc, 0, 0, 0, 0, 0, 0)
+        counts = np.empty((n, 4), dtype=np.int64)
+        data_address, n_data = data.buffer_info()
+        reason = self._fn(
+            self._code_address, self._n_code, data_address, n_data,
+            self._state_address, min(max_cycles, _INT64_MAX), stop_at_ckpt,
+            n, counts.ctypes.data,
+        )
+        values = self._layout.unpack_from(state)
+        registers[:] = values[:16]
+        return reason, values[16], counts[:values[22]], values[21]
 
 
 def _replay(compiled, rail, plans, profiles, n, envelope):
@@ -687,9 +762,12 @@ def _chunk_self_check(compiled) -> bool:
     event is the clamp voltage itself, and a source-less one.  The
     Fig. 7 quiescent shape (one rectified source, one constant load, an
     ideal capacitor) covers charging, the v_max clamp, a starved step,
-    a non-charging step and an event boundary before the horizon.  Each
-    case samples its V_cc envelope every step from empty, and again
-    every 17th step entered mid-period on a non-empty envelope.
+    a non-charging step and an event boundary before the horizon.  The
+    Fig. 7 ACTIVE shape (a current load whose per-step energies come
+    from a run-ahead) and a mix of per-step and constant loads with a
+    power term read per-step ``energies``.  Each case samples its V_cc
+    envelope every step from empty, and again every 17th step entered
+    mid-period on a non-empty envelope.
     """
     ripple = np.ascontiguousarray(
         np.maximum(1.2 * np.sin(np.arange(40, dtype=float) * 0.7), 0.0)
@@ -700,6 +778,8 @@ def _chunk_self_check(compiled) -> bool:
     power = np.ascontiguousarray(
         np.where(steps % 9 < 2, 0.5, np.where(steps % 9 < 5, 1e-3, 0.0))
     )
+    # Memory energies of interpreted steps: one more than a chunk reads.
+    per_step = 1e-9 * (1.0 + np.arange(41, dtype=float) % 7)
 
     def rectified(values, drop, r_total):
         return VoltageSourcePlan(values, drop, r_total, values.ctypes.data)
@@ -744,6 +824,13 @@ def _chunk_self_check(compiled) -> bool:
          [LoadProfile(energy=1e-9, v_rising=3.3)]),
         (n, (22e-6, 3.3, None, 1.02, 2.0, 5e-5), [],
          [LoadProfile(current=1e-3, current_gain=0.9, v_falling=1.5)]),
+        (40, (33e-6, 3.3, None, 1.0, 2.6, 5e-5), [charge],
+         [LoadProfile(current=1.7e-3, current_gain=1.35, energies=per_step,
+                      v_falling=2.3)]),
+        (40, (10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
+         [LoadProfile(power=1e-3, resistance=2000.0),
+          LoadProfile(power=5e-4, energies=per_step[::-1].copy()),
+          LoadProfile(energy=2e-9, current=2e-3, energies=2.0 * per_step)]),
     ]
     envelopes = [
         {}, dict(vcc_every=17, vcc_phase=5, vcc_min=0.4, vcc_max=0.6)
@@ -844,17 +931,23 @@ _MACHINE_FAULTS = (
 )
 
 
-def _machine_replay(machine_run, image, budgets, stop_at_ckpt):
-    """``image`` on a 16-word :class:`~repro.mcu.machine.Machine`, one
-    slice per budget, through the compiled ``machine_run`` or the Python
-    loop when it is None; every observable as plain values."""
-    from repro.errors import MachineError
+def _self_check_machine(machine_run, source):
+    """``source`` on a 16-word :class:`~repro.mcu.machine.Machine` (its
+    decoding memoised) running on ``machine_run``."""
     from repro.mcu.machine import Machine, MachineConfig
 
-    machine = Machine(image, MachineConfig(data_space_words=16))
-    machine._loop = (
-        None if machine_run is None else MachineLoop(machine_run, machine._code)
-    )
+    machine = Machine.from_source(source, MachineConfig(data_space_words=16))
+    machine.select_rung(machine_run)
+    return machine
+
+
+def _machine_replay(machine_run, source, budgets, stop_at_ckpt):
+    """``source`` on a self-check machine, one slice per budget, through
+    the compiled ``machine_run`` or the Python loop when it is None;
+    every observable as plain values."""
+    from repro.errors import MachineError
+
+    machine = _self_check_machine(machine_run, source)
     seen = []
     for budget in budgets:
         try:
@@ -867,24 +960,87 @@ def _machine_replay(machine_run, image, budgets, stop_at_ckpt):
     return seen
 
 
+def _machine_ahead_replay(machine_run, source, stretches, stop_at_ckpt):
+    """``source`` on a self-check machine driven by ``(budget, n, keep)``
+    stretches; every observable as plain values.
+
+    With ``machine_run`` each stretch runs ahead ``n`` steps on the
+    compiled loop and settles at ``keep`` (capped at the steps it
+    completed).  With None the Python loop runs the same steps one
+    ``run(budget)`` at a time, the cap taken from the Python run-ahead
+    loop on copies of the registers and data.  A stretch that stopped
+    short is followed by one plain ``run`` (its event step).
+    """
+    from repro.errors import MachineError
+    from repro.mcu.machine import PythonLoop
+
+    machine = _self_check_machine(machine_run, source)
+    names = ("cycles", "instructions", "fram_reads", "fram_writes",
+             "sram_reads", "sram_writes")
+    seen = []
+    for budget, n, keep in stretches:
+        if machine_run is None:
+            _, _, counts, _ = PythonLoop(machine._code).run_steps(
+                machine.registers[:], machine.pc, machine.data[:], budget,
+                stop_at_ckpt, n,
+            )
+            completed = 0 if machine.halted else len(counts)
+            keep = min(keep, completed)
+            rows = []
+            for _ in range(keep):
+                slice_ = vars(machine.run(budget, stop_at_ckpt))
+                rows.append(tuple(slice_[name] for name in names))
+        else:
+            steps = machine.run(budget, stop_at_ckpt, steps=n).per_step
+            completed = len(steps.cycles)
+            keep = min(keep, completed)
+            machine.settle(keep)
+            columns = [getattr(steps, name) for name in names]
+            rows = [
+                tuple(value if isinstance(value, int) else int(value[i])
+                      for value in columns)
+                for i in range(keep)
+            ]
+        seen.append((completed, rows, machine.registers[:], machine.pc,
+                     machine.total_cycles, machine.data.tolist()))
+        if keep == completed < n:
+            try:
+                seen.append(vars(machine.run(budget, stop_at_ckpt)))
+            except MachineError as error:
+                seen.append(str(error))
+    seen.append(machine.output_port.log)
+    return seen
+
+
 def _machine_self_check(machine_run) -> bool:
     """Run the self-check programs through the compiled ``machine_run``
     and demand every slice, register, data word, counter, output and
-    error identical to the Python interpreter's."""
-    from repro.mcu.assembler import assemble
-
-    program = assemble(_MACHINE_PROGRAM)
+    error identical to the Python interpreter's; and the same of
+    run-ahead stretches settled on the compiled loop against plain
+    step-by-step runs on the Python loop."""
+    program = _MACHINE_PROGRAM
     runs = [
         (program, (0, 1, 7, 40, 13, 90, 5000, 5000), True),
         (program, (333, 5000), False),
     ]
-    runs += [
-        (assemble(source), (0, 2, 100, 100), False)
-        for source in _MACHINE_FAULTS
+    runs += [(source, (0, 2, 100, 100), False) for source in _MACHINE_FAULTS]
+    # (budget, steps ahead, steps kept): kept in full, cut short (the
+    # second re-runs four steps), stopped short of ports, ckpt pauses
+    # and the halt.
+    stretches = [(7, 5, 5), (3, 12, 4), (13, 9, 2), (40, 30, 30), (90, 3, 1),
+                 (21, 64, 0), (5000, 2, 2)]
+    aheads = [(program, stretches, True), (program, stretches, False)]
+    aheads += [  # ld, st, ret, in
+        (source, [(1, 3, 3), (100, 3, 3)], False)
+        for source in _MACHINE_FAULTS[::3]
     ]
     return all(
         _machine_replay(machine_run, *run) == _machine_replay(None, *run)
         for run in runs
+    ) and all(
+        _machine_ahead_replay(machine_run, *run)
+        == _machine_ahead_replay(None, *run)
+        for run in aheads
     )
 
 

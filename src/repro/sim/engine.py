@@ -73,6 +73,11 @@ class Component:
     def reset(self) -> None:
         """Restore the component to its initial state (default: no-op)."""
 
+    #: Steps the component interpreted a second time to settle chunks
+    #: that stopped short of a run-ahead (cumulative; fast-kernel
+    #: diagnostics, see :class:`~repro.sim.kernel.LoadProfile`).
+    reexecuted_steps = 0
+
 
 StopCondition = Callable[[float], bool]
 
@@ -255,6 +260,7 @@ class Simulator:
         chunks0, chunked0, fallback0 = (
             stats.chunks, stats.chunked_steps, stats.fallback_steps,
         )
+        reexecuted0 = self._reexecuted_steps()
         reasons0 = dict(stats.fallbacks)
         t0 = time.monotonic()
         with obs.span("kernel.run", kernel=self.kernel) as kspan:
@@ -265,6 +271,8 @@ class Simulator:
                     t_stop, max_steps, steps_before
                 )
             kspan.annotate(steps=self.steps - steps_before)
+        reexecuted = self._reexecuted_steps() - reexecuted0
+        stats.reexecuted_steps += reexecuted
         if obs.obs_enabled():
             obs.counter("repro_kernel_runs_total", kernel=self.kernel).inc()
             obs.counter(
@@ -283,6 +291,9 @@ class Simulator:
                 obs.counter("repro_kernel_fallback_steps_total").inc(
                     stats.fallback_steps - fallback0
                 )
+                obs.counter("repro_kernel_reexecuted_steps_total").inc(
+                    reexecuted
+                )
                 for reason, count in stats.fallbacks.items():
                     obs.counter(
                         "repro_kernel_fallback_steps_by_reason_total",
@@ -293,6 +304,13 @@ class Simulator:
             steps=self.steps - steps_before,
             stopped_early=stopped_early,
             traces=self._recorder.traces(),
+        )
+
+    def _reexecuted_steps(self) -> int:
+        """The components' cumulative re-executed step counts."""
+        return sum(
+            getattr(component, "reexecuted_steps", 0)
+            for component in self._components
         )
 
     def _run_reference(
@@ -342,9 +360,9 @@ class Simulator:
         # pays for a full-length source plan.  A chunk that stops short
         # ended before a declared boundary, so the next step is the event
         # step and runs per-step without a chunk attempt.  Only a refused
-        # attempt backs off, exponentially, so unchunkable regimes
-        # (interpreted ACTIVE execution) don't re-probe the component
-        # every step.  Every per-step step is counted under its reason.
+        # attempt backs off, exponentially, so unchunkable regimes (a
+        # program doing port I/O every few steps) don't re-probe the
+        # component every step.  Every per-step step is counted under its reason.
         grow = _MIN_CHUNK
         skip = 0
         backoff = 0

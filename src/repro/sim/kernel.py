@@ -32,7 +32,9 @@ Three descriptor families exist:
   ``max_steps`` is the declared *time-based* event boundary (snapshot /
   restore completion, workload task boundaries): the chunk may advance
   at most that many steps, so the step on which the timed event fires
-  always executes through the reference path.
+  always executes through the reference path.  A load whose per-step
+  energy depends on what it executes (the interpreter) runs ahead
+  through ``stretch`` instead and publishes one energy per step.
 * :class:`VoltageSourcePlan` / :class:`PowerSourcePlan` — published by an
   injector (:meth:`~repro.power.rail.Injector.chunk_plan`): the source
   waveform for the chunk precomputed as a float64 array view plus the
@@ -144,7 +146,19 @@ class LoadProfile:
     chunk — ``energy`` being the total joules this load demanded over
     the committed steps — so the load can account bulk side effects
     (state-residency metrics, consumed-energy counters, operation
-    countdowns) for the steps it was advanced through.
+    countdowns) for the steps it was advanced through.  It may return
+    the number of steps it had to re-execute to get there (see
+    ``stretch``), which the rail counts.
+
+    A load whose per-step energy depends on what it executes (the
+    interpreter, see :meth:`~repro.mcu.engine.ComputeEngine.active_plan`)
+    publishes ``stretch``: the rail calls it once with the chunk's final
+    step count ``n``, after every load and injector agreed to chunk,
+    and it returns the per-step energies of the ``k <= n`` steps it ran
+    ahead and vouches for.  The rail stores them in ``energies``, which
+    the chunk loops read in place of ``energy``, one value per step,
+    and runs at most ``k`` steps.  ``commit`` then settles the load at
+    the committed count, which may be anything from 0 to ``k``.
     """
 
     power: float = 0.0
@@ -155,7 +169,9 @@ class LoadProfile:
     v_rising: float = math.inf
     v_falling: float = -math.inf
     max_steps: Optional[int] = None
-    commit: Optional[Callable[[int, float, float], None]] = None
+    commit: Optional[Callable[[int, float, float], Optional[int]]] = None
+    energies: Optional[Sequence[float]] = None
+    stretch: Optional[Callable[[int], Sequence[float]]] = None
 
 
 @dataclass
@@ -309,11 +325,16 @@ class ChunkStats:
     * ``unchunkable`` — the schedule cannot chunk at all (a probe or
       stop condition needs per-step observation, a component has no
       ``step_chunk``), or a single step remains before the horizon.
+
+    ``reexecuted_steps`` counts steps a run-ahead load (the
+    interpreter) executed a second time to settle a chunk that stopped
+    short of its run-ahead: interpretation paid twice.
     """
 
     chunks: int = 0
     chunked_steps: int = 0
     fallback_steps: int = 0
+    reexecuted_steps: int = 0
     fallbacks: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(FALLBACK_REASONS, 0)
     )

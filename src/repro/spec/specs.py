@@ -22,6 +22,7 @@ see ``python -m repro.cli components`` for the catalog.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field, replace
@@ -259,7 +260,6 @@ class PlatformSpec:
 
     def build(self, default_rail_capacitance: Optional[float] = None):
         """Construct the live :class:`TransientPlatform` this spec describes."""
-        from repro.mcu.assembler import assemble
         from repro.mcu.clock import ClockPlan, OperatingPoint
         from repro.mcu.engine import MachineEngine
         from repro.mcu.machine import Machine, MachineConfig
@@ -277,8 +277,12 @@ class PlatformSpec:
         if self.engine == "synthetic":
             engine = create("engine", "synthetic", self.engine_params)
         else:
-            source = create("program", self.program, self.program_params)
-            machine = Machine(assemble(source), MachineConfig(**self.machine_params))
+            source = _program_source(
+                self.program, json.dumps(self.program_params, sort_keys=True)
+            )
+            machine = Machine.from_source(
+                source, MachineConfig(**self.machine_params)
+            )
             engine = MachineEngine(
                 machine, power_model=power_model, **self.engine_params
             )
@@ -365,6 +369,14 @@ def _machine_config_fields() -> List[str]:
     from repro.mcu.machine import MachineConfig
 
     return [f.name for f in dataclasses.fields(MachineConfig)]
+
+
+@functools.lru_cache(maxsize=64)
+def _program_source(name: str, params: str) -> str:
+    """Program ``name``'s source for JSON-encoded ``params``, memoised
+    per process: program generators are pure functions of their
+    parameters."""
+    return create("program", name, json.loads(params))
 
 
 # ---------------------------------------------------------------------------

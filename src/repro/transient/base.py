@@ -453,13 +453,15 @@ class TransientPlatform(RailLoad):
         * **SLEEP** — constant ``sleep_power``; exits at the strategy's
           wake threshold or at brownout (``v < v_min``).
         * **ACTIVE** — core power proportional to the rail voltage plus
-          a constant per-step memory energy, as long as the compute
-          engine can vectorize its forward progress
+          the engine's per-step memory energy, as long as the compute
+          engine publishes a plan
           (:meth:`~repro.mcu.engine.ComputeEngine.active_plan`) and the
           strategy declares its trigger threshold
           (:meth:`Strategy.active_guard`); exits at the guard, at
-          brownout, or at the engine's time-based boundary (workload
-          halt / checkpoint site), which bounds ``max_steps``.
+          brownout, or before the step where the workload halts or
+          pauses at a checkpoint site: a constant plan bounds
+          ``max_steps``, a run-ahead plan (the interpreter) becomes the
+          profile's ``stretch``.
         * **SNAPSHOT / RESTORE** — constant operation power; exits at
           brownout or when the operation's remaining duration runs out
           (``max_steps``), so the completing step — commit, state
@@ -516,7 +518,7 @@ class TransientPlatform(RailLoad):
         plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
         if plan is None:
             return None
-        step_energy, safe_steps, commit_cycles = plan
+        energy, safe_steps, commit_steps = plan
         # The strategy acts when v <= guard; the chunk's falling boundary
         # is strict (v < v_falling), so nudge the guard up one ulp to
         # make `v < boundary` equivalent to `v <= guard`.  Brownout
@@ -526,25 +528,27 @@ class TransientPlatform(RailLoad):
             v_fall = max(v_fall, math.nextafter(guard, math.inf))
         metrics = self.metrics
 
-        def commit(steps: int, dt_: float, energy: float) -> None:
+        def commit(steps: int, dt_: float, energy_sum: float) -> int:
+            # Always: a run-ahead engine settles even when none commit.
+            cycles, memory, reexecuted = commit_steps(steps)
             if steps:
-                # `energy` is the summed per-step demand: voltage-
-                # proportional core energy plus the constant memory
-                # part, which is exactly steps * step_energy.
-                mem = steps * step_energy
+                # `energy_sum` is the summed per-step demand: voltage-
+                # proportional core energy plus the memory part.
                 metrics.time_in_state["active"] += steps * dt_
-                metrics.energy["active"] += energy - mem
-                metrics.energy["memory"] += mem
-                metrics.cycles_executed += steps * budget
-                commit_cycles(steps)
+                metrics.energy["active"] += energy_sum - memory
+                metrics.energy["memory"] += memory
+                metrics.cycles_executed += cycles
+            return reexecuted
 
+        run_ahead = callable(energy)
         return LoadProfile(
             current=model.active_current(frequency),
             current_gain=model.fram_execution_factor,
-            energy=step_energy,
+            energy=0.0 if run_ahead else energy,
             v_falling=v_fall,
             max_steps=safe_steps,
             commit=commit,
+            stretch=energy if run_ahead else None,
         )
 
     #: Bound on how far ahead an operation profile resolves its

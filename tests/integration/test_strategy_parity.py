@@ -32,6 +32,7 @@ change with::
     PYTHONPATH=src:. python tests/integration/test_strategy_parity.py --regen
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -341,3 +342,122 @@ if __name__ == "__main__":
         regenerate()
     else:
         print(__doc__)
+
+
+# -- interpreter-driven ACTIVE stretches -----------------------------------
+#
+# On the interpreter, ACTIVE execution chunks by running the machine
+# ahead and settling it at the committed step (``Machine.run(...,
+# steps=n)`` / ``Machine.settle``).  These scenarios drive that path
+# through halts, checkpoint pauses, port I/O and Hibernus' V_H crossing.
+
+
+def _sense_system(kernel: str):
+    """Hibernus running the sense program (sensor reads, radio sends) in
+    a loop from the Fig. 7 supply, on a clock slow enough (5 cycles a
+    step) that several steps pass between port accesses."""
+    from repro.core.system import EnergyDrivenSystem
+    from repro.harvest.synthetic import SignalGenerator
+    from repro.mcu.clock import ClockPlan, OperatingPoint
+    from repro.mcu.engine import MachineEngine
+    from repro.mcu.machine import Machine, MachineConfig
+    from repro.mcu.peripherals import Radio, SensorPeripheral
+    from repro.mcu.programs import sense_program
+    from repro.storage.capacitor import Capacitor
+    from repro.transient.base import TransientPlatform, TransientPlatformConfig
+    from repro.transient.hibernus import Hibernus
+
+    machine = Machine.from_source(
+        sense_program(32), MachineConfig(data_space_words=256)
+    )
+    machine.attach_peripheral(1, SensorPeripheral())
+    machine.attach_peripheral(2, Radio())
+    platform = TransientPlatform(
+        MachineEngine(machine, include_peripherals=True),
+        Hibernus(v_hibernate=2.4, v_restore=2.8),
+        clock=ClockPlan([OperatingPoint(1e5, 3.0)]),
+        config=TransientPlatformConfig(
+            rail_capacitance=22e-6, on_complete="restart"
+        ),
+    )
+    system = EnergyDrivenSystem(dt=5e-5, kernel=kernel)
+    system.set_storage(Capacitor(22e-6, v_max=3.3))
+    system.add_voltage_source(
+        SignalGenerator(amplitude=4.5, frequency=4.7, rectified=True,
+                        source_resistance=1500.0)
+    )
+    system.set_platform(platform)
+    return system
+
+
+def _mementos_fig7():
+    """Fig. 7 at FFT-64 under Mementos: checkpoint pauses at program
+    sites (``stop_at_checkpoints``) bound the run-ahead."""
+    spec = preset("fig7", fft_size=64)
+    return dataclasses.replace(
+        spec, platform=dataclasses.replace(spec.platform, strategy="mementos")
+    )
+
+
+def _device(peripheral):
+    """A peripheral's state as comparable values (RNG streams by their
+    generator state)."""
+    return {
+        name: value.bit_generator.state
+        if hasattr(value, "bit_generator") else value
+        for name, value in vars(peripheral).items()
+    }
+
+
+INTERPRETER_CASES = {
+    "fig7-fft64": lambda kernel: preset("fig7", fft_size=64)
+    .with_override("kernel", kernel).build(),
+    "quickstart": lambda kernel: preset("quickstart")
+    .with_override("kernel", kernel).build(),
+    "mementos-fft64": lambda kernel: _mementos_fig7()
+    .with_override("kernel", kernel).build(),
+    "sense-hibernus": _sense_system,
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERPRETER_CASES))
+def test_interpreter_stretches_match_reference(case):
+    runs = {}
+    for kernel in ("reference", "fast"):
+        system = INTERPRETER_CASES[case](kernel)
+        runs[kernel] = (system.run(1.0), system)
+    (ref, _), (fast, fast_system) = runs["reference"], runs["fast"]
+    assert ref.t_end == fast.t_end
+    assert len(ref.vcc()) == len(fast.vcc())
+    diff = float(np.max(np.abs(ref.vcc().values - fast.vcc().values)))
+    assert diff <= FAST_ATOL, (case, diff)
+    ref_m, fast_m = ref.platform.metrics, fast.platform.metrics
+    for counter in EVENT_COUNTERS:
+        assert getattr(ref_m, counter) == getattr(fast_m, counter), counter
+    assert ref_m.first_completion_time == fast_m.first_completion_time
+    for key, ref_e in ref_m.energy.items():
+        assert fast_m.energy[key] == pytest.approx(ref_e, rel=1e-9, abs=1e-15)
+    ref_machine = ref.platform.engine.machine
+    fast_machine = fast.platform.engine.machine
+    assert ref_machine.total_cycles == fast_machine.total_cycles
+    for port, peripheral in ref_machine.ports.items():
+        assert _device(fast_machine.ports[port]) == _device(peripheral), port
+    # The comparison is not vacuous: the run computes, and the fast
+    # kernel chunks it, settling run-aheads on the way.
+    assert ref_m.cycles_executed > 0
+    stats = fast_system.simulator.chunk_stats
+    assert stats.chunked_fraction() > 0.8, stats
+    assert stats.reexecuted_steps > 0, stats
+
+
+def test_fig7_active_stretches_chunk():
+    """Engagement guard: Fig. 7 ACTIVE execution runs through the chunk
+    loop, not one per-step step at a time.  Before run-ahead stretches
+    the fast kernel ran 69 of this scenario's steps as refused or
+    backed-off chunk attempts (6 + 63), every one of them ACTIVE."""
+    spec = preset("fig7", fft_size=64).with_override("kernel", "fast")
+    system = spec.build()
+    system.run(spec.duration, decimate=spec.decimate)
+    fallbacks = system.simulator.chunk_stats.fallbacks
+    assert fallbacks["backoff"] + fallbacks["refused"] < 10, fallbacks
+    assert system.platform.metrics.completions == 1

@@ -81,10 +81,12 @@ SLICE_FIELDS = (
 CASES = [f"{program}-{memory}" for program in PROGRAMS for memory in CONFIGS]
 
 
-def _run_case(case: str) -> dict:
+def _run_case(case: str, machine: Machine = None) -> dict:
+    """The ledger of ``case`` on ``machine`` (default: a fresh one)."""
     program, memory = case.rsplit("-", 1)
     source, peripherals = PROGRAMS[program]
-    machine = Machine(assemble(source), CONFIGS[memory])
+    if machine is None:
+        machine = Machine(assemble(source), CONFIGS[memory])
     for port, factory in peripherals.items():
         machine.attach_peripheral(port, factory())
     rng = random.Random(f"{SEED}:{case}")
@@ -126,6 +128,31 @@ def test_ledger_covers_every_registered_program():
 @pytest.mark.parametrize("case", CASES)
 def test_interpreter_matches_golden_ledger(case):
     assert _run_case(case) == _load()[case]
+
+
+@pytest.mark.parametrize("case", ["fft-sram", "sense-fram", "crc-sram"])
+def test_memoised_program_machines_share_nothing_mutable(case):
+    """Machines built from one memoised (source, config) share the
+    image and its decoding, never their state: both reproduce the
+    golden ledger, one after the other and interleaved."""
+    program, memory = case.rsplit("-", 1)
+    source = PROGRAMS[program][0]
+    first = Machine.from_source(source, CONFIGS[memory])
+    second = Machine.from_source(source, CONFIGS[memory])
+    assert first.image is second.image and first._code is second._code
+    assert first.data is not second.data
+    assert first.registers is not second.registers
+    assert first.ports is not second.ports
+    assert first.output_port is not second.output_port
+    golden = _load()[case]
+    assert _run_case(case, first) == golden
+    # The first machine ran to halt; the second still boots clean.
+    assert second.pc == 0 and not second.halted and second.total_cycles == 0
+    assert _run_case(case, second) == golden
+    first.cold_boot()
+    assert first.data.tolist() == Machine(
+        assemble(source), CONFIGS[memory]
+    ).data.tolist()
 
 
 def regenerate() -> None:

@@ -102,10 +102,7 @@ def drive(source, config, peripherals, seed, stop_at_ckpt, machine_run):
     machine = Machine(assemble(source), config)
     for port, factory in peripherals.items():
         machine.attach_peripheral(port, factory())
-    machine._loop = (
-        None if machine_run is None
-        else _ckernel.MachineLoop(machine_run, machine._code)
-    )
+    machine.select_rung(machine_run)
     rng = random.Random(seed)
     seen, tags = [], set()
     snapshot = None

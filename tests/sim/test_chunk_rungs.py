@@ -10,12 +10,15 @@ per-step reference execution with the event on the identical step.  Scenarios ar
 from a seeded generator over storage (ideal, leaky, supercap), sources
 (rectified voltage, power with and without a converter) and one to
 three loads mixing resistive, current and constant demand with voltage
-event boundaries, and the envelope's sampling period and phase.
+event boundaries, and the envelope's sampling period and phase.  Some
+loads publish per-step energies through a run-ahead ``stretch`` (the
+interpreter's ACTIVE shape), sometimes fewer than the chunk asks for.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro import degrade
@@ -51,10 +54,12 @@ class ProfileLoad(RailLoad):
     ``commit`` records the chunk's committed energy.
     """
 
-    def __init__(self, kind, power, energy, term, v_rising, v_falling):
+    def __init__(self, kind, power, energy, term, v_rising, v_falling,
+                 steps=None):
         self.kind = kind
         self.power = power
         self.energy = energy
+        self.steps = steps  # per-step energies from a run-ahead, or None
         self.term = term  # resistance, or (current, gain)
         self.v_rising = v_rising
         self.v_falling = v_falling
@@ -68,6 +73,8 @@ class ProfileLoad(RailLoad):
             extra["resistance"] = self.term
         elif self.kind == "current":
             extra["current"], extra["current_gain"] = self.term
+        if self.steps is not None:
+            extra["stretch"] = lambda n: np.array(self.steps[:n])
         return LoadProfile(
             power=self.power, energy=self.energy,
             v_rising=self.v_rising, v_falling=self.v_falling,
@@ -85,8 +92,11 @@ class ProfileLoad(RailLoad):
             self.crossings.append((self.step, "rising"))
         elif v_rail < self.v_falling:
             self.crossings.append((self.step, "falling"))
+        energy = self.energy
+        if self.steps is not None and self.step < len(self.steps):
+            energy = self.steps[self.step]
         self.step += 1
-        e_const = self.power * dt + self.energy
+        e_const = self.power * dt + energy
         if self.kind == "resistive":
             return v_rail * v_rail / self.term * dt + e_const
         if self.kind == "current":
@@ -163,6 +173,15 @@ def scenario(seed):
     # the last sample on entry.
     scn["every"] = rng.choice((1, 1, 2, 3, 7, 64))
     scn["phase"] = rng.randrange(scn["every"])
+    # Drawn after those: per-step energies for some loads, sometimes
+    # fewer than the chunk's ``n``.
+    for load in scn["loads"]:
+        load["steps"] = None
+        if load["kind"] != "resistor" and rng.random() < 0.3:
+            load["steps"] = [
+                rng.choice((0.0, 10 ** rng.uniform(-10, -7)))
+                for _ in range(rng.randrange(scn["n"] // 2, scn["n"] + 20))
+            ]
     return scn
 
 
@@ -216,7 +235,8 @@ def build(scn):
                 else (spec["current"], spec["gain"])
             )
             load = ProfileLoad(spec["kind"], spec["power"], spec["energy"],
-                               term, spec["v_rising"], spec["v_falling"])
+                               term, spec["v_rising"], spec["v_falling"],
+                               spec["steps"])
         loads.append(rail.attach_load(load))
     return rail, loads
 
@@ -306,7 +326,15 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
             pytest.skip("no C compiler available")
         for seed, result in zip(SEEDS, results):
             scn = scenario(seed)
-            taken, n = result["taken"], scn["n"]
+            taken = result["taken"]
+            # A run-ahead load that vouches for fewer steps bounds the
+            # chunk like the horizon does.
+            n = min([scn["n"]] + [len(load["steps"]) for load in scn["loads"]
+                                  if load["steps"] is not None])
+            if n < scn["n"]:
+                seen.add("run-ahead-short")
+            elif any(load["steps"] for load in scn["loads"]):
+                seen.add("run-ahead")
             voltages, totals, bounds, crossings = reference(scn, taken)
             assert len(result["voltages"]) == taken
             for got, want in zip(result["voltages"], voltages):
@@ -354,6 +382,7 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
         "event", "event-on-later-load", "event-at-clamp", "full-chunk",
         "starved", "leaked", "simple",
         "envelope-empty", "envelope-mid-period",
+        "run-ahead", "run-ahead-short",
         "trapezoid", "sine-full", "square", "converter",
         "resistor", "resistive", "current", "constant",
         "capacitor", "leaky", "supercap",

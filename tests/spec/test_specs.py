@@ -342,3 +342,14 @@ def test_strategy_kind_is_an_override_path():
     # The swap revalidates: an unknown strategy kind fails eagerly.
     with pytest.raises(SpecError):
         base.with_override("strategy", "no-such-strategy")
+
+
+def test_platform_builds_share_the_prepared_program_not_the_machine():
+    from repro.spec.presets import preset
+
+    spec = preset("fig7", fft_size=64)
+    first = spec.build().platform.engine.machine
+    second = spec.build().platform.engine.machine
+    assert first.image is second.image and first._code is second._code
+    assert first is not second
+    assert first.data is not second.data and first.ports is not second.ports
