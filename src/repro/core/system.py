@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError, SpecError
 from repro.harvest.base import PowerHarvester, VoltageHarvester
 from repro.power.converter import ConversionStage
@@ -23,6 +25,7 @@ from repro.power.rail import (
 )
 from repro.power.rectifier import HalfWaveRectifier
 from repro.sim.engine import Simulator
+from repro.sim.kernel import TABLE_STATES
 from repro.sim.probes import Trace
 from repro.storage.base import StorageElement
 from repro.transient.base import PlatformState, TransientPlatform
@@ -57,13 +60,12 @@ def check_trace_names(names: Sequence[str]) -> None:
         )
 
 
-#: Numeric encoding of platform states for the 'state' probe.
+#: Numeric encoding of platform states for the 'state' probe: their
+#: transition-table codes (OFF 0, SLEEP 1, RESTORE 2, SNAPSHOT 3,
+#: ACTIVE 4).
 STATE_CODES = {
-    PlatformState.OFF: 0.0,
-    PlatformState.SLEEP: 1.0,
-    PlatformState.RESTORE: 2.0,
-    PlatformState.SNAPSHOT: 3.0,
-    PlatformState.ACTIVE: 4.0,
+    PlatformState(name): float(code)
+    for code, name in enumerate(TABLE_STATES)
 }
 
 
@@ -145,9 +147,11 @@ class EnergyDrivenSystem:
         calling it before :meth:`run` records fewer, or none.
 
         All three are chunk-capable: vcc reads the rail's per-chunk
-        voltage record, and state/frequency are constant across a chunk
-        by construction (chunks never span a platform state transition),
-        so the fast kernel can bulk-sample them.
+        voltage record, and state/frequency its per-step state record
+        (chunks follow the platform across transitions, see
+        :class:`~repro.sim.kernel.TransitionTable`); a chunk that
+        followed no table kept the platform in one state, whose value
+        fills it.
         """
         check_trace_names(names)
         if self._probes_installed:
@@ -171,10 +175,22 @@ class EnergyDrivenSystem:
                     else 0.0
                 )
 
-            # Constant across a chunk: the 0-d form fills the chunk's
-            # samples with the one value.
-            probes["state"] = (state_code, lambda k: state_code())
-            probes["frequency"] = (frequency, lambda k: frequency())
+            def chunk_states(k: int):
+                codes = rail.last_chunk_states()
+                # No table: one state all chunk; the 0-d form fills it.
+                return state_code() if codes is None else codes
+
+            def chunk_frequencies(k: int):
+                codes = rail.last_chunk_states()
+                if codes is None:
+                    return frequency()
+                return np.where(
+                    codes == STATE_CODES[PlatformState.ACTIVE],
+                    platform.clock.frequency, 0.0,
+                )
+
+            probes["state"] = (state_code, chunk_states)
+            probes["frequency"] = (frequency, chunk_frequencies)
         for name in STANDARD_PROBES:
             if name in names and name in probes:
                 fn, chunk_fn = probes[name]

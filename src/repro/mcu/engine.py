@@ -77,17 +77,19 @@ class ComputeEngine:
 
         Returns ``(energy, safe_steps, commit)``, in one of two forms.
 
-        * Constant: ``energy`` is a float, and for up to ``safe_steps``
-          further engine steps of ``cycles_per_step`` cycles each,
-          every step consumes exactly that many cycles and ``energy``
-          joules of memory + peripheral energy (the float
-          :meth:`run_cycles` would report), and no step halts, pauses
-          at a checkpoint the caller has to observe, or changes engine
-          state beyond pure forward progress.
-        * Run-ahead (data-dependent cycles and energy: the
-          interpreter): ``energy`` is a callable ``run_ahead(n)`` and
-          ``safe_steps`` None.  Called once the chunk length ``n`` is
-          final, it executes up to ``n`` steps exactly as
+        * Constant, for an engine with a :meth:`progress_counter` (the
+          transition table follows its ACTIVE steps; the platform
+          commits each ACTIVE segment through this plan): ``energy`` is
+          a float, and for up to ``safe_steps`` further engine steps of
+          ``cycles_per_step`` cycles each, every step consumes exactly
+          that many cycles and ``energy`` joules of memory + peripheral
+          energy (the float :meth:`run_cycles` would report), and no
+          step halts, pauses at a checkpoint the caller has to observe,
+          or changes engine state beyond pure forward progress.
+        * Run-ahead, for one without (data-dependent cycles and energy:
+          the interpreter): ``energy`` is a callable ``run_ahead(n)``
+          and ``safe_steps`` None.  Called once the chunk length ``n``
+          is final, it executes up to ``n`` steps exactly as
           :meth:`run_cycles` would one per step, stopping before any
           step that halts, pauses at a checkpoint (``stop_at_ckpt``),
           reaches a port or faults, and returns their per-step memory
@@ -97,6 +99,27 @@ class ComputeEngine:
         run-ahead, settling the engine there, which may re-execute
         them) and returns ``(cycles, memory_energy, reexecuted)`` for
         them.  The base engine returns None: ACTIVE stays per-step.
+        """
+        return None
+
+    def progress_counter(
+        self, cycles_per_step: int
+    ) -> Optional["tuple[int, int, int, float]"]:
+        """Forward progress as data for the fast kernel's transition
+        table, or None.
+
+        ``(executed, total_cycles, checkpoint_interval, energy)``
+        asserts that progress is one cycle counter: every ACTIVE step
+        of ``cycles_per_step`` cycles that neither halts (reaching
+        ``total_cycles``) nor reaches a checkpoint site (a multiple of
+        ``checkpoint_interval``) adds that many cycles and ``energy``
+        joules of memory energy, :meth:`capture` returns the counter,
+        :meth:`restore` sets it, :meth:`power_fail` and
+        :meth:`cold_boot` zero it, and :meth:`active_plan` vouches for
+        such steps in its constant form.  The chunk loops then follow
+        the counter across restores and cold boots.  The base engine
+        (and the interpreter) returns None: entering ACTIVE returns to
+        Python.
         """
         return None
 
@@ -356,13 +379,24 @@ class SyntheticEngine(ComputeEngine):
         if safe <= 0:
             return None
 
-        energy = cycles_per_step * self.memory_energy_per_cycle
+        energy = self._step_energy(cycles_per_step)
 
         def commit(steps: int) -> "tuple[int, float, int]":
             self.executed += steps * cycles_per_step
             return steps * cycles_per_step, steps * energy, 0
 
         return energy, safe, commit
+
+    def progress_counter(
+        self, cycles_per_step: int
+    ) -> "tuple[int, int, int, float]":
+        return (self.executed, self.total_cycles, self.checkpoint_interval,
+                self._step_energy(cycles_per_step))
+
+    def _step_energy(self, cycles_per_step: int) -> float:
+        """Memory joules of one unsplit step: what :meth:`run_cycles`
+        reports for it."""
+        return cycles_per_step * self.memory_energy_per_cycle
 
     def capture(self, full: bool) -> Any:
         return self.executed

@@ -28,6 +28,23 @@ from repro.power.rectifier import HalfWaveRectifier
 from repro.sim import _ckernel
 from repro.sim.engine import Component
 from repro.sim.kernel import (
+    ACTIVE,
+    BOOT,
+    BROWNOUT,
+    CHECKPOINT_SITE,
+    COLD_START,
+    HALT,
+    LOG_CAPACITY,
+    OFF,
+    RESTORE,
+    RESTORE_BEGIN,
+    RESTORE_DONE,
+    SLEEP,
+    SNAPSHOT,
+    SNAPSHOT_BEGIN,
+    SNAPSHOT_DONE,
+    TABLE_STATES,
+    TRANSITIONS,
     CapacitorPhysics,
     LoadProfile,
     PowerSourcePlan,
@@ -237,10 +254,12 @@ class SupplyRail(Component):
     plan, :meth:`step_chunk` advances whole stretches of steps in a tight
     scalar loop with per-step arithmetic identical to :meth:`step`.  The
     chunk ends (and per-step execution resumes) at the first step whose
-    voltage crosses a load's declared event boundary.  Run-ahead loads
-    (``LoadProfile.stretch``) execute once the chunk length is final and
-    settle in their commit; ``reexecuted_steps`` sums the steps they
-    re-ran to settle.
+    voltage crosses a load's declared event boundary; a load's
+    transition table (the transient platform's) is followed across the
+    transitions it marks inline and ends the chunk before the others.
+    Run-ahead loads (``LoadProfile.stretch``) execute once the chunk
+    length is final and settle in their commit; ``reexecuted_steps``
+    sums the steps they re-ran to settle.
 
     One recurrence runs every chunk, on one of two rungs with one call
     shape: the compiled ``chunk_loop`` of :mod:`repro.sim._ckernel`
@@ -259,6 +278,7 @@ class SupplyRail(Component):
         self._loads: List[RailLoad] = []
         self.stats = RailStats()
         self._chunk_vcc: Sequence[float] = []
+        self._chunk_states: Optional[Sequence[float]] = None
         #: Cached CapacitorPhysics (False until first step_chunk attempt,
         #: then the descriptor or None for non-chunkable storage).
         self._physics = False
@@ -267,6 +287,8 @@ class SupplyRail(Component):
         #: the Python rung).
         self._compiled = False
         self.reexecuted_steps = 0
+        self.transitions = dict.fromkeys(TRANSITIONS, 0)
+        self.stop_transition: Optional[str] = None
 
     @property
     def voltage(self) -> float:
@@ -315,6 +337,15 @@ class SupplyRail(Component):
         """
         return np.asarray(self._chunk_vcc, dtype=float)
 
+    def last_chunk_states(self) -> Optional[np.ndarray]:
+        """Per-step end-of-step state codes of the most recent chunk's
+        tabled load (probe feed; see
+        :class:`~repro.sim.kernel.TransitionTable`), or None when that
+        chunk followed no table.  On the compiled rung a view, like
+        :meth:`last_chunk_voltages`."""
+        states = self._chunk_states
+        return None if states is None else np.asarray(states, dtype=float)
+
     def _compiled_loop(self) -> Optional[_ckernel.ChunkLoop]:
         """A compiled-loop runner for this rail, or None on the Python
         rung."""
@@ -326,7 +357,13 @@ class SupplyRail(Component):
         )
 
     def step_chunk(self, t0: float, dt: float, n: int) -> int:
-        """Advance up to ``n`` steps in bulk; 0 when the regime can't chunk."""
+        """Advance up to ``n`` steps in bulk; 0 when the regime can't chunk.
+
+        A chunk stops before any step its tabled load cannot follow;
+        ``stop_transition`` then names the transition (else None), and
+        ``transitions`` counts those it followed, cumulatively.
+        """
+        self.stop_transition = None
         # The physics descriptor is invariant per storage object: resolve
         # it once (False = not yet asked, None = storage can't chunk).
         physics = self._physics
@@ -337,12 +374,17 @@ class SupplyRail(Component):
         v = physics.read_voltage()
         profiles = []
         run_ahead = False
+        table = None
         for load in self._loads:
             profile = load.load_profile(t0, dt, v)
             if profile is None:
                 return 0
             run_ahead |= profile.stretch is not None
-            # A time-based event boundary (snapshot completing, workload
+            if profile.table is not None:
+                if table is not None:
+                    return 0  # the loops follow one table per rail
+                table = profile.table
+            # A time-based event boundary (a charge-and-fire task
             # finishing) bounds the whole chunk: the event step itself
             # must execute through the reference path.
             if profile.max_steps is not None:
@@ -384,6 +426,12 @@ class SupplyRail(Component):
                 "chunk.kernel", "python" if compiled is None else "c"
             )
         taken, energies, self._chunk_vcc = result
+        self._chunk_states = None if table is None else table.states
+        if table is not None:
+            if table.stop >= 0:
+                self.stop_transition = TRANSITIONS[table.stop]
+            for entry in table.log:
+                self.transitions[TRANSITIONS[entry[1]]] += 1
         for profile, energy in zip(profiles, energies):
             if profile.commit is not None:
                 self.reexecuted_steps += profile.commit(taken, dt, energy) or 0
@@ -398,8 +446,11 @@ class SupplyRail(Component):
         # The envelope's sampling period is a setting: it outlives reset.
         self.stats = RailStats(vcc_every=self.stats.vcc_every)
         self._chunk_vcc = []
+        self._chunk_states = None
         self._compiled = False
         self.reexecuted_steps = 0
+        self.transitions = dict.fromkeys(TRANSITIONS, 0)
+        self.stop_transition = None
 
 
 def chunk_loop(
@@ -412,10 +463,11 @@ def chunk_loop(
     Takes the arguments of :meth:`repro.sim._ckernel.ChunkLoop.run` and
     returns what it returns, ``(taken, per-load committed energies,
     voltages)``; writes the ``stats`` totals, the V_cc envelope and the
-    storage voltage back.  It is the compiled loop's exact reference and
-    the rung that serves every chunk the compiled loop cannot: no
-    compiler, and power sources behind a converter (a per-step Python
-    call).
+    storage voltage back, and a tabled load's results into its
+    :class:`~repro.sim.kernel.TransitionTable`.  It is the compiled
+    loop's exact reference and the rung that serves every chunk the
+    compiled loop cannot: no compiler, and power sources behind a
+    converter (a per-step Python call).
     """
     C = physics.capacitance
     half_c = 0.5 * C
@@ -443,11 +495,40 @@ def chunk_loop(
          None if profile.energies is None
          else _ckernel.step_constants(profile, dt).tolist(),
          profile.current, profile.current_gain,
-         profile.v_rising, profile.v_falling)
+         -math.inf if profile.table is not None else profile.v_rising,
+         profile.v_falling)
         for profile in profiles
     ]
     n_loads = len(loads)
     load_range = range(n_loads)
+    # The tabled load (index tj, or -1): its rows, and its running
+    # state as locals (see TransitionTable for the cascade).
+    tj = -1
+    for j, profile in enumerate(profiles):
+        if profile.table is not None:
+            tj = j
+            table = profile.table
+    if tj >= 0:
+        v_min, v_por, guard, wake = (
+            table.v_min, table.v_por, table.guard, table.wake)
+        boot_state = table.boot_state
+        rows = table.energies
+        t_current, t_gain = table.current, table.current_gain
+        snapshot_steps, restore_steps = (
+            table.snapshot_steps, table.restore_steps)
+        budget, total, site = table.budget, table.total, table.site_interval
+        single_slot, python = table.single_slot, table.python
+        s, ex, left, has, pend, pay = (
+            table.state, table.executed, table.left, table.has_snapshot,
+            table.pending, table.payload)
+        counts = [0] * 5
+        sums = [0.0] * 5
+        log = []
+        logged = 0
+        act = 0
+        codes: List[float] = []
+        record = codes.append
+    stop = -1
     # Committed per-load demand totals, plus a per-step scratch list:
     # a step that hits an event boundary is discarded wholesale, so
     # demands fold into the totals only when the full step commits.
@@ -500,16 +581,113 @@ def chunk_loop(
             (resistance, e_const, e_steps, current, gain, v_rise,
              v_fall) = loads[j]
             if tv >= v_rise or tv < v_fall:
-                event = True
-                break
-            if e_steps is not None:
-                e_const = e_steps[i]
-            if resistance is not None:
-                e_dem = tv * tv / resistance * dt + e_const
-            elif current != 0.0:
-                e_dem = ((current * tv) * gain) * dt + e_const
+                if j != tj:
+                    event = True
+                    break
+                # The tabled load (its v_rise is -inf): steps 1-5 of
+                # the cascade on tentative copies; any transition that
+                # needs Python discards the step.
+                ns, nex, nleft, nhas, npend, npay = s, ex, left, has, pend, pay
+                a = act
+                moved = False
+                if tv < v_min:
+                    if ns != OFF:
+                        if python >> BROWNOUT & 1:
+                            stop = BROWNOUT
+                            event = True
+                            break
+                        log.append((i, BROWNOUT, tv, a))
+                        a = 0
+                        moved = True
+                        if ns == SNAPSHOT and single_slot:
+                            nhas = False
+                        ns = OFF
+                        nex = 0
+                    phys = OFF
+                elif ns == OFF and tv < v_por:
+                    phys = OFF
+                else:
+                    if ns == OFF:
+                        if python >> BOOT & 1:
+                            stop = BOOT
+                            event = True
+                            break
+                        log.append((i, BOOT, tv, a))
+                        a = 0
+                        moved = True
+                        ns = boot_state
+                        if ns == ACTIVE:
+                            nex = 0
+                    if ns == ACTIVE:
+                        if tv < guard:
+                            if python >> SNAPSHOT_BEGIN & 1:
+                                stop = SNAPSHOT_BEGIN
+                                event = True
+                                break
+                            log.append((i, SNAPSHOT_BEGIN, tv, a))
+                            a = 0
+                            moved = True
+                            ns = SNAPSHOT
+                            nleft = snapshot_steps
+                            npend = nex
+                    elif ns == SLEEP:
+                        if tv >= wake:
+                            code = RESTORE_BEGIN if nhas else COLD_START
+                            if python >> code & 1:
+                                stop = code
+                                event = True
+                                break
+                            log.append((i, code, tv, a))
+                            a = 0
+                            moved = True
+                            if nhas:
+                                ns = RESTORE
+                                nleft = restore_steps
+                            else:
+                                ns = ACTIVE
+                                nex = 0
+                    phys = ns
+                if phys == ACTIVE:
+                    if nex + budget >= total:
+                        stop = HALT
+                        event = True
+                        break
+                    if site and nex + budget >= (nex // site + 1) * site:
+                        stop = CHECKPOINT_SITE
+                        event = True
+                        break
+                    nex += budget
+                    e_bucket = ((t_current * tv) * t_gain) * dt
+                    e_dem = e_bucket + rows[ACTIVE]
+                else:
+                    e_dem = e_bucket = rows[phys]
+                    if phys == SNAPSHOT or phys == RESTORE:
+                        nleft -= 1
+                        if nleft == 0:
+                            code = (SNAPSHOT_DONE if phys == SNAPSHOT
+                                    else RESTORE_DONE)
+                            if python >> code & 1:
+                                stop = code
+                                event = True
+                                break
+                            log.append((i, code, tv, a))
+                            moved = True
+                            if phys == SNAPSHOT:
+                                nhas = True
+                                npay = npend
+                                ns = SLEEP
+                            else:
+                                nex = npay
+                                ns = ACTIVE
             else:
-                e_dem = e_const
+                if e_steps is not None:
+                    e_const = e_steps[i]
+                if resistance is not None:
+                    e_dem = tv * tv / resistance * dt + e_const
+                elif current != 0.0:
+                    e_dem = ((current * tv) * gain) * dt + e_const
+                else:
+                    e_dem = e_const
             demand = e_dem * overhead
             avail = half_c * tv * tv
             if demand >= avail:
@@ -531,12 +709,31 @@ def chunk_loop(
         for j in load_range:
             esums[j] += edems[j]
         append(v)
+        if tj >= 0:
+            s, ex, left, has, pend, pay = ns, nex, nleft, nhas, npend, npay
+            counts[phys] += 1
+            sums[phys] += e_bucket
+            if moved:
+                logged = len(log)
+                act = 0
+            if phys == ACTIVE:
+                act += 1
+            record(_CODES[s])
+            if logged > LOG_CAPACITY - 3:
+                i += 1
+                break  # the log is full: end the chunk after this step
         i += 1
     physics.write_voltage(v)
     stats.harvested = harvested
     stats.leaked = leaked
     stats.consumed = consumed
     stats.starved = starved
+    if tj >= 0:
+        del log[logged:]
+        (table.state, table.executed, table.left, table.has_snapshot,
+         table.pending, table.payload) = s, ex, left, has, pend, pay
+        table.counts, table.sums, table.log = tuple(counts), tuple(sums), log
+        table.active_steps, table.states, table.stop = act, codes, stop
     # The envelope from the committed voltages, off the per-step path:
     # `first` is the first step the sampling period reaches.
     every = stats.vcc_every
@@ -549,6 +746,10 @@ def chunk_loop(
     else:
         stats.vcc_phase += i
     return i, esums, vcc
+
+
+#: State codes as the state record holds them.
+_CODES = tuple(float(code) for code in range(len(TABLE_STATES)))
 
 
 def _floats(values: Sequence[float]) -> Sequence[float]:

@@ -12,6 +12,7 @@ from repro.sim.kernel import (
     CapacitorPhysics,
     LoadProfile,
     PowerSourcePlan,
+    TransitionTable,
     VoltageSourcePlan,
 )
 from repro.sim.probes import Probe, Recorder, Trace
@@ -26,6 +27,7 @@ __all__ = [
     "CapacitorPhysics",
     "LoadProfile",
     "PowerSourcePlan",
+    "TransitionTable",
     "VoltageSourcePlan",
     "Probe",
     "Recorder",

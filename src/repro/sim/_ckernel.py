@@ -5,9 +5,10 @@ mini-ISA interpreter, in one library.
 :func:`~repro.power.rail.chunk_loop`, for one rail: any number of
 voltage sources, converter-less power sources with the ``e_cap``
 clamp, leakage, ESR draw overhead, and any number of loads with
-resistive / current / constant demand terms.  :class:`ChunkLoop` runs
-it with the Python loop's call shape, and every fast-kernel chunk it
-can read goes through it.
+resistive / current / constant demand terms, one of which may follow
+a :class:`~repro.sim.kernel.TransitionTable` across transitions.
+:class:`ChunkLoop` runs it with the Python loop's call shape, and every
+fast-kernel chunk it can read goes through it.
 
 ``machine_run`` is a literal transcription of the dispatch loop of
 :meth:`~repro.mcu.machine.Machine.run` over the predecoded image
@@ -20,10 +21,10 @@ the same order as the Python loops (CPython floats are C doubles) and
 the same 16-bit word arithmetic, and the build disables contraction
 (``-ffp-contract=off -fno-fast-math``) so no fused multiply-add can
 perturb a rounding.  A self-check at load time replays small chunks
-covering every branch, each under two V_cc envelope periods, against
-the Python chunk loop, and small programs covering every opcode and
-fault against the Python interpreter, and discards the library on any
-difference.
+covering every branch, each under two V_cc envelope periods, and
+transition-following chunks against the Python chunk loop, and small
+programs covering every opcode and fault against the Python
+interpreter, and discards the library on any difference.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
 self-check, or ``REPRO_BATCH_CKERNEL=0`` leave the Python loops in
@@ -36,7 +37,9 @@ digest of the source and flags, so each machine compiles once.
 
 from __future__ import annotations
 
+import copy
 import ctypes
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -49,7 +52,27 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import faults, obs
-from repro.sim.kernel import LoadProfile, PowerSourcePlan, VoltageSourcePlan
+from repro.sim.kernel import (
+    ACTIVE,
+    BOOT,
+    BROWNOUT,
+    CHECKPOINT_SITE,
+    COLD_START,
+    HALT,
+    LOG_CAPACITY,
+    OFF,
+    RESTORE,
+    RESTORE_BEGIN,
+    RESTORE_DONE,
+    SLEEP,
+    SNAPSHOT,
+    SNAPSHOT_BEGIN,
+    SNAPSHOT_DONE,
+    LoadProfile,
+    PowerSourcePlan,
+    TransitionTable,
+    VoltageSourcePlan,
+)
 
 #: ``chunk_loop`` frame layout, in 8-byte slots: the header below, then
 #: per source (address, kind, drop, r_total), per load (kind,
@@ -68,6 +91,29 @@ _LOAD_SLOTS = 8
 #: Source and load kinds as the frame encodes them.
 _VOLTAGE, _POWER = 0.0, 1.0
 _CONSTANT, _RESISTIVE, _CURRENT = 0.0, 1.0, 2.0
+
+#: The tabled load's frame (a ``TransitionTable``), in 8-byte slots:
+#: the inputs, the running state (read and written back), then the
+#: outputs.  Its per-step state codes and its log (four slots per
+#: followed transition) go to buffers of their own.
+_TABLE_IN = (
+    "load", "v_min", "v_por", "guard", "wake", "boot_state",
+    "e_off", "e_sleep", "e_restore", "e_snapshot", "e_active",
+    "current", "current_gain", "snapshot_steps", "restore_steps",
+    "budget", "total", "site_interval", "single_slot", "python",
+)
+_TABLE_STATE = (
+    "state", "executed", "left", "has_snapshot", "pending", "payload",
+)
+_TABLE_OUT = (
+    "count_off", "count_sleep", "count_restore", "count_snapshot",
+    "count_active", "sum_off", "sum_sleep", "sum_restore", "sum_snapshot",
+    "sum_active", "logged", "active_steps", "stop",
+)
+_TABLE = _TABLE_IN + _TABLE_STATE + _TABLE_OUT
+#: Byte offset of the running state (then the outputs) in the table
+#: frame.
+_TABLE_STATE_AT = 8 * len(_TABLE_IN)
 
 #: ``machine_run`` state layout, in int64 slots after r0..r15.  All but
 #: ``address`` (a data fault's address) and ``steps`` (a run-ahead's
@@ -92,6 +138,7 @@ _SOURCE = r"""
 #define HDR %(header)d
 #define SRC_SLOTS %(source_slots)d
 #define LOAD_SLOTS %(load_slots)d
+%(table_slots)s
 
 static const double *slot_pointer(const double *slot)
 {
@@ -103,9 +150,13 @@ static const double *slot_pointer(const double *slot)
 /* Exact transcription of repro.power.rail.chunk_loop for one rail.
    Frame layout: see _HEADER in _ckernel.py.  Returns the committed
    step count; vcc receives the committed voltages, and every
-   vcc_every-th step since reset widens the envelope. */
+   vcc_every-th step since reset widens the envelope.  table (NULL for
+   none) is the tabled load's frame (_TABLE in _ckernel.py); states
+   then receives each committed step's end-of-step state code and log
+   four slots per followed transition. */
 int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
-                   double *frame, double *vcc)
+                   double *frame, double *vcc, double *table,
+                   double *states, double *log)
 {
     const double *src = frame + HDR;
     const double *ld = src + SRC_SLOTS * n_src;
@@ -122,12 +173,41 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
     const int64_t every = (int64_t) frame[14];
     const double half_c = 0.5 * C;
     const double e_cap = half_c * v_max * v_max;
+    /* The tabled load's rows and running state (tj = -1: none). */
+    int64_t tj = -1, boot_state = 0, snapshot_steps = 0, restore_steps = 0;
+    int64_t budget = 0, total = 0, site = 0, single_slot = 0, python = 0;
+    double t_vmin = 0.0, t_vpor = 0.0, guard = 0.0, wake = 0.0;
+    double t_current = 0.0, t_gain = 0.0;
+    const double *rows = 0;
+    int64_t s = 0, ex = 0, left = 0, has = 0, pend = 0, pay = 0;
+    int64_t counts[5] = {0, 0, 0, 0, 0}, logged = 0, act = 0;
+    double sums[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
+    if (table) {
+        tj = (int64_t) table[T_LOAD];
+        t_vmin = table[T_V_MIN]; t_vpor = table[T_V_POR];
+        guard = table[T_GUARD]; wake = table[T_WAKE];
+        boot_state = (int64_t) table[T_BOOT_STATE];
+        rows = table + T_E_OFF;
+        t_current = table[T_CURRENT]; t_gain = table[T_CURRENT_GAIN];
+        snapshot_steps = (int64_t) table[T_SNAPSHOT_STEPS];
+        restore_steps = (int64_t) table[T_RESTORE_STEPS];
+        budget = (int64_t) table[T_BUDGET];
+        total = (int64_t) table[T_TOTAL];
+        site = (int64_t) table[T_SITE_INTERVAL];
+        single_slot = table[T_SINGLE_SLOT] != 0.0;
+        python = (int64_t) table[T_PYTHON];
+        s = (int64_t) table[T_STATE]; ex = (int64_t) table[T_EXECUTED];
+        left = (int64_t) table[T_LEFT];
+        has = table[T_HAS_SNAPSHOT] != 0.0;
+        pend = (int64_t) table[T_PENDING]; pay = (int64_t) table[T_PAYLOAD];
+    }
+    int64_t stop = -1;
     int64_t i = 0;
     for (int64_t j = 0; j < n_loads; ++j) esums[j] = 0.0;
     while (i < n) {
         double v0 = v, tv = v0, h_t = harvested;
-        for (int64_t s = 0; s < n_src; ++s) {
-            const double *sp = src + SRC_SLOTS * s;
+        for (int64_t s_ = 0; s_ < n_src; ++s_) {
+            const double *sp = src + SRC_SLOTS * s_;
             const double *values = slot_pointer(sp);
             if (sp[1] == %(voltage)r) {
                 double head = values[i] - v0 - sp[2];
@@ -161,18 +241,102 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
         }
         double co_t = consumed, st_t = starved;
         int event = 0;
+        /* The tabled load's tentative step (see TransitionTable). */
+        int64_t ns = s, nex = ex, nleft = left, nhas = has, npend = pend;
+        int64_t npay = pay, k = 0, phys = 0;
+        double e_bucket = 0.0;
         for (int64_t j = 0; j < n_loads; ++j) {
-            const double *lp = ld + LOAD_SLOTS * j;
-            if (tv >= lp[5] || tv < lp[6]) { event = 1; break; }
-            const double *e_steps = slot_pointer(lp + 7);
-            const double e_const = e_steps ? e_steps[i] : lp[2];
             double e_dem;
-            if (lp[0] == %(resistive)r)
-                e_dem = tv * tv / lp[1] * dt + e_const;
-            else if (lp[0] == %(current)r)
-                e_dem = ((lp[3] * tv) * lp[4]) * dt + e_const;
-            else
-                e_dem = e_const;
+            if (j == tj) {
+                int64_t a = act, code;
+#define LOG(c) do { double *e_ = log + 4 * (logged + k); \
+    e_[0] = (double) i; e_[1] = (double) (c); e_[2] = tv; \
+    e_[3] = (double) a; a = 0; ++k; } while (0)
+#define PYTHON(c) if (python >> (c) & 1) { stop = (c); break; }
+                if (tv < t_vmin) {
+                    if (ns != %(off)d) {
+                        PYTHON(%(brownout)d)
+                        LOG(%(brownout)d);
+                        if (ns == %(snapshot)d && single_slot) nhas = 0;
+                        ns = %(off)d;
+                        nex = 0;
+                    }
+                    phys = %(off)d;
+                } else if (ns == %(off)d && tv < t_vpor) {
+                    phys = %(off)d;
+                } else {
+                    if (ns == %(off)d) {
+                        PYTHON(%(boot)d)
+                        LOG(%(boot)d);
+                        ns = boot_state;
+                        if (ns == %(active)d) nex = 0;
+                    }
+                    if (ns == %(active)d) {
+                        if (tv < guard) {
+                            PYTHON(%(snapshot_begin)d)
+                            LOG(%(snapshot_begin)d);
+                            ns = %(snapshot)d;
+                            nleft = snapshot_steps;
+                            npend = nex;
+                        }
+                    } else if (ns == %(sleep)d) {
+                        if (tv >= wake) {
+                            code = nhas ? %(restore_begin)d : %(cold_start)d;
+                            PYTHON(code)
+                            LOG(code);
+                            if (nhas) {
+                                ns = %(restore)d;
+                                nleft = restore_steps;
+                            } else {
+                                ns = %(active)d;
+                                nex = 0;
+                            }
+                        }
+                    }
+                    phys = ns;
+                }
+                if (phys == %(active)d) {
+                    if (nex + budget >= total) { stop = %(halt)d; break; }
+                    if (site && nex + budget >= (nex / site + 1) * site) {
+                        stop = %(checkpoint_site)d;
+                        break;
+                    }
+                    nex += budget;
+                    e_bucket = ((t_current * tv) * t_gain) * dt;
+                    e_dem = e_bucket + rows[%(active)d];
+                } else {
+                    e_dem = e_bucket = rows[phys];
+                    if (phys == %(snapshot)d || phys == %(restore)d) {
+                        if (--nleft == 0) {
+                            code = phys == %(snapshot)d
+                                ? %(snapshot_done)d : %(restore_done)d;
+                            PYTHON(code)
+                            LOG(code);
+                            if (phys == %(snapshot)d) {
+                                nhas = 1;
+                                npay = npend;
+                                ns = %(sleep)d;
+                            } else {
+                                nex = npay;
+                                ns = %(active)d;
+                            }
+                        }
+                    }
+                }
+#undef LOG
+#undef PYTHON
+            } else {
+                const double *lp = ld + LOAD_SLOTS * j;
+                if (tv >= lp[5] || tv < lp[6]) { event = 1; break; }
+                const double *e_steps = slot_pointer(lp + 7);
+                const double e_const = e_steps ? e_steps[i] : lp[2];
+                if (lp[0] == %(resistive)r)
+                    e_dem = tv * tv / lp[1] * dt + e_const;
+                else if (lp[0] == %(current)r)
+                    e_dem = ((lp[3] * tv) * lp[4]) * dt + e_const;
+                else
+                    e_dem = e_const;
+            }
             double demand = e_dem * overhead;
             double avail = half_c * tv * tv;
             double delivered;
@@ -187,7 +351,7 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
             st_t += e_dem - delivered;
             edems[j] = e_dem;
         }
-        if (event) break;  /* discard the step: it reruns per step */
+        if (event || stop >= 0) break;  /* discard: it reruns per step */
         v = tv;
         harvested = h_t;
         leaked = le_t;
@@ -200,11 +364,39 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
             if (v < vcc_min) vcc_min = v;
             if (v > vcc_max) vcc_max = v;
         }
+        if (tj >= 0) {
+            s = ns; ex = nex; left = nleft; has = nhas; pend = npend;
+            pay = npay;
+            ++counts[phys];
+            sums[phys] += e_bucket;
+            if (k) {
+                logged += k;
+                act = 0;
+            }
+            if (phys == %(active)d) ++act;
+            states[i] = (double) s;
+            if (logged > %(log_capacity)d - 3) {
+                ++i;
+                break;  /* the log is full: end the chunk after this step */
+            }
+        }
         ++i;
     }
     frame[0] = v; frame[1] = harvested; frame[2] = leaked;
     frame[3] = consumed; frame[4] = starved;
     frame[5] = vcc_min; frame[6] = vcc_max; frame[7] = (double) phase;
+    if (table) {
+        table[T_STATE] = (double) s; table[T_EXECUTED] = (double) ex;
+        table[T_LEFT] = (double) left; table[T_HAS_SNAPSHOT] = (double) has;
+        table[T_PENDING] = (double) pend; table[T_PAYLOAD] = (double) pay;
+        for (int q = 0; q < 5; ++q) {
+            table[T_COUNT_OFF + q] = (double) counts[q];
+            table[T_SUM_OFF + q] = sums[q];
+        }
+        table[T_LOGGED] = (double) logged;
+        table[T_ACTIVE_STEPS] = (double) act;
+        table[T_STOP] = (double) stop;
+    }
     return i;
 }
 
@@ -403,9 +595,20 @@ out:
     "header": len(_HEADER),
     "source_slots": _SOURCE_SLOTS,
     "load_slots": _LOAD_SLOTS,
+    "table_slots": "\n".join(
+        "#define T_%s %d" % (name.upper(), index)
+        for index, name in enumerate(_TABLE)
+    ),
     "voltage": _VOLTAGE,
     "resistive": _RESISTIVE,
     "current": _CURRENT,
+    "off": OFF, "sleep": SLEEP, "restore": RESTORE, "snapshot": SNAPSHOT,
+    "active": ACTIVE,
+    "boot": BOOT, "brownout": BROWNOUT, "snapshot_begin": SNAPSHOT_BEGIN,
+    "snapshot_done": SNAPSHOT_DONE, "restore_begin": RESTORE_BEGIN,
+    "restore_done": RESTORE_DONE, "cold_start": COLD_START, "halt": HALT,
+    "checkpoint_site": CHECKPOINT_SITE,
+    "log_capacity": LOG_CAPACITY,
     "exit_budget": EXIT_BUDGET,
     "exit_halt": EXIT_HALT,
     "exit_ckpt": EXIT_CKPT,
@@ -512,6 +715,9 @@ def _bind(so_path: str) -> Kernel:
         ctypes.c_int64,   # n_loads
         ctypes.c_void_p,  # frame
         ctypes.c_void_p,  # vcc
+        ctypes.c_void_p,  # table (or NULL)
+        ctypes.c_void_p,  # states
+        ctypes.c_void_p,  # log
     ]
     machine = library.machine_run
     machine.restype = ctypes.c_int64
@@ -546,14 +752,20 @@ class ChunkLoop:
 
     Owns the rail's frame and voltage buffers with their addresses
     resolved once, so a chunk costs one ``struct`` pack, the foreign
-    call and two unpacks.  Source plans are read in place through their
-    ``address``.
+    call and two unpacks (plus one pack and unpack for a tabled load).
+    Source plans are read in place through their ``address``.
     """
 
     __slots__ = (
         "_fn", "_pack", "_state", "_energies", "_energies_at",
-        "_frame", "_frame_address", "_vcc", "_vcc_address",
+        "_frame", "_frame_address", "_vcc", "_vcc_address", "_states",
+        "_states_address", "_log", "_log_address", "_table",
+        "_table_address", "_packed",
     )
+
+    _table_in = struct.Struct("=%dd" % len(_TABLE_IN))
+    _table_state = struct.Struct("=%dd" % len(_TABLE_STATE))
+    _table_out = struct.Struct("=%dd" % (len(_TABLE_STATE) + len(_TABLE_OUT)))
 
     def __init__(self, fn, n_sources: int, n_loads: int):
         self._fn = fn
@@ -568,8 +780,15 @@ class ChunkLoop:
         self._energies_at = 8 * inputs
         self._frame = (ctypes.c_double * (inputs + 2 * n_loads))()
         self._frame_address = ctypes.addressof(self._frame)
-        self._vcc = np.empty(0)
-        self._vcc_address = 0
+        self._vcc = self._states = np.empty(0)
+        self._vcc_address = self._states_address = 0
+        self._log = np.empty(4 * LOG_CAPACITY)
+        self._log_address = self._log.ctypes.data
+        #: A tabled load's frame (made at its first chunk), and the
+        #: (load index, table) whose rows it holds.
+        self._table = None
+        self._table_address = 0
+        self._packed = None
 
     def run(
         self, physics, plans: Sequence, profiles: Sequence,
@@ -579,12 +798,12 @@ class ChunkLoop:
 
         Same arguments, results and write-back as that function:
         returns ``(taken, per-load committed energies, voltages)``, with
-        ``voltages`` a view of the rail's buffer, valid until the next
-        chunk.  None (nothing touched) when a plan cannot be read in
-        place: no known address, fewer than ``n`` values, or a converter
-        in front of a power source.  A load's per-step ``energies`` are
-        read through :func:`step_constants`, which keeps them alive for
-        the call.
+        ``voltages`` (and a tabled load's ``states``) a view of the
+        rail's buffer, valid until the next chunk.  None (nothing
+        touched) when a plan cannot be read in place: no known address,
+        fewer than ``n`` values, or a converter in front of a power
+        source.  A load's per-step ``energies`` are read through
+        :func:`step_constants`, which keeps them alive for the call.
         """
         fields = [
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
@@ -604,7 +823,24 @@ class ChunkLoop:
             else:
                 return None
         steps = []
-        for profile in profiles:
+        table = None
+        for index, profile in enumerate(profiles):
+            if profile.table is not None:
+                table = profile.table
+                if self._table is None:
+                    self._table = (ctypes.c_double * len(_TABLE))()
+                    self._table_address = ctypes.addressof(self._table)
+                if self._packed != (index, table):
+                    # A table's rows are constants: pack them once.
+                    self._packed = index, table
+                    self._table_in.pack_into(
+                        self._table, 0, index, *_table_rows(table)
+                    )
+                self._table_state.pack_into(
+                    self._table, _TABLE_STATE_AT, table.state,
+                    table.executed, table.left, table.has_snapshot,
+                    table.pending, table.payload,
+                )
             resistance = profile.resistance
             if resistance is not None:
                 kind = _RESISTIVE
@@ -626,11 +862,16 @@ class ChunkLoop:
         if n > len(self._vcc):
             self._vcc = np.empty(max(n, 2 * len(self._vcc)))
             self._vcc_address = self._vcc.ctypes.data
+        if table is not None and n > len(self._states):
+            self._states = np.empty(len(self._vcc))
+            self._states_address = self._states.ctypes.data
         frame = self._frame
         self._pack(frame, 0, *fields)
         taken = self._fn(
             n, len(plans), len(profiles),
             self._frame_address, self._vcc_address,
+            None if table is None else self._table_address,
+            self._states_address, self._log_address,
         )
         (
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
@@ -639,7 +880,47 @@ class ChunkLoop:
         stats.vcc_phase = int(phase)
         physics.write_voltage(v)
         energies = list(self._energies(frame, self._energies_at))
+        if table is not None:
+            self._read_table(table, taken)
         return taken, energies, self._vcc[:taken]
+
+    def _read_table(self, table: TransitionTable, taken: int) -> None:
+        """Write the tabled load's results back into ``table``: the
+        Python loop's values (the counts, executed cycles and payloads
+        as floats)."""
+        out = self._table_out.unpack_from(self._table, _TABLE_STATE_AT)
+        (state, table.executed, left, has, table.pending, table.payload,
+         ) = out[:6]
+        table.state = int(state)
+        table.left = int(left)
+        table.has_snapshot = has != 0.0
+        table.counts = out[6:11]
+        table.sums = out[11:16]
+        logged, active_steps, stop = out[16:]
+        table.active_steps = int(active_steps)
+        table.stop = int(stop)
+        logged = int(logged)
+        log = []
+        if logged:
+            flat = self._log[:4 * logged].tolist()
+            log = [
+                (int(flat[i]), int(flat[i + 1]), flat[i + 2],
+                 int(flat[i + 3]))
+                for i in range(0, 4 * logged, 4)
+            ]
+        table.log = log
+        table.states = self._states[:taken]
+
+
+def _table_rows(table: TransitionTable) -> tuple:
+    """A table's rows in ``_TABLE_IN`` order (after the tabled load's
+    index)."""
+    return (
+        table.v_min, table.v_por, table.guard, table.wake, table.boot_state,
+        *table.energies, table.current, table.current_gain,
+        table.snapshot_steps, table.restore_steps, table.budget,
+        table.total, table.site_interval, table.single_slot, table.python,
+    )
 
 
 class MachineLoop:
@@ -742,12 +1023,29 @@ def _replay(compiled, rail, plans, profiles, n, envelope):
     run = chunk_loop if compiled is None else ChunkLoop(
         compiled, len(plans), len(profiles)
     ).run
+    # A fresh table per run: the loops write their results into it.
+    profiles = [
+        profile if profile.table is None else _fresh_table(profile)
+        for profile in profiles
+    ]
     stats = RailStats(**envelope)
     taken, energies, voltages = run(
         physics, plans, profiles, v0, physics.leak_factor(dt), dt, n, stats
     )
+    tables = [
+        dict(vars(profile.table),
+             states=np.asarray(profile.table.states, dtype=float).tolist())
+        for profile in profiles if profile.table is not None
+    ]
     return (taken, cell[0], vars(stats), list(energies),
-            np.asarray(voltages, dtype=float).tolist())
+            np.asarray(voltages, dtype=float).tolist(), tables)
+
+
+def _fresh_table(profile: LoadProfile) -> LoadProfile:
+    """A copy of a tabled profile with a copy of its table."""
+    profile = copy.copy(profile)
+    profile.table = copy.copy(profile.table)
+    return profile
 
 
 def _chunk_self_check(compiled) -> bool:
@@ -767,7 +1065,12 @@ def _chunk_self_check(compiled) -> bool:
     from a run-ahead) and a mix of per-step and constant loads with a
     power term read per-step ``energies``.  Each case samples its V_cc
     envelope every step from empty, and again every 17th step entered
-    mid-period on a non-empty envelope.
+    mid-period on a non-empty envelope.  Transition tables, once each:
+    a supply burst boots, restores, runs, snapshots, sleeps and browns
+    out; with no snapshot it cold-starts and stops before a snapshot
+    commit it leaves to Python; a brownout mid-snapshot empties a
+    single-slot store before a boot, a cold start and the halt; and
+    ACTIVE stops at a checkpoint site.
     """
     ripple = np.ascontiguousarray(
         np.maximum(1.2 * np.sin(np.arange(40, dtype=float) * 0.7), 0.0)
@@ -835,12 +1138,49 @@ def _chunk_self_check(compiled) -> bool:
     envelopes = [
         {}, dict(vcc_every=17, vcc_phase=5, vcc_min=0.4, vcc_max=0.6)
     ]
+    ticks = np.arange(34)
+    burst = np.ascontiguousarray(np.where(ticks < 10, 4.0, 0.0))
+    late = np.ascontiguousarray(np.where(ticks < 3, 0.0, 4.0))
+    bleed = LoadProfile(resistance=400.0)
+
+    def tabled(**changes):
+        return LoadProfile(table=dataclasses.replace(_SELF_CHECK_TABLE,
+                                                     **changes))
+
+    rail = (22e-6, 3.3, None, 1.0, 1.5, 2e-4)
+    tables = [
+        (34, rail, [rectified(burst, 0.2, 60.0)], [tabled(), bleed]),
+        (20, rail, [rectified(burst, 0.2, 60.0)],
+         [bleed, tabled(has_snapshot=False, python=1 << SNAPSHOT_DONE)]),
+        (18, (22e-6, 3.3, None, 1.0, 1.85, 2e-4),
+         [rectified(late, 0.2, 60.0)],
+         [tabled(state=SNAPSHOT, left=500, single_slot=True, total=4000,
+                 executed=777), bleed]),
+        (8, (22e-6, 3.3, None, 1.0, 3.0, 2e-4), [],
+         [tabled(state=ACTIVE, guard=-float("inf"), site_interval=4000,
+                 executed=100)]),
+    ]
     return all(
         _replay(compiled, rail, plans, profiles, steps, envelope)
         == _replay(None, rail, plans, profiles, steps, envelope)
         for steps, rail, plans, profiles in cases
         for envelope in envelopes
+    ) and all(
+        _replay(compiled, rail, plans, profiles, steps, {})
+        == _replay(None, rail, plans, profiles, steps, {})
+        for steps, rail, plans, profiles in tables
     )
+
+
+#: The self-check's transition table: a Hibernus-like platform that
+#: starts OFF holding a snapshot.
+_SELF_CHECK_TABLE = TransitionTable(
+    v_min=1.8, v_por=2.0, guard=2.6, wake=2.9, boot_state=SLEEP,
+    energies=(1e-9, 2e-8, 4e-7, 5e-7, 1e-8), current=2e-3,
+    current_gain=1.1, snapshot_steps=4, restore_steps=3, budget=800,
+    total=10 ** 7, site_interval=0, single_slot=False, python=0,
+    state=OFF, has_snapshot=True, payload=12345,
+)
 
 
 #: The interpreter self-check program: every opcode, on words chosen for

@@ -13,11 +13,13 @@ Two kernels execute that schedule:
 * ``"fast"`` — advances in macro-chunks of up to ``_MAX_CHUNK`` steps
   through :meth:`Component.step_chunk` when the (single) component can
   vectorize its current regime, falling back to per-step execution at
-  every declared event boundary — voltage thresholds *and* timed events
-  (snapshot/restore completion, workload task boundaries), so the step
-  an event fires on always runs the unmodified reference path (see
-  :mod:`repro.sim.kernel`).  A chunk that stops short is followed by
-  that event step directly; only a refused chunk backs off.  Probes
+  every declared event boundary a chunk cannot follow — voltage
+  thresholds, timed events (workload task boundaries), and the platform
+  transitions its transition table leaves to Python (the workload's
+  halt, strategy adaptation) — so the step such an event fires on runs
+  the unmodified reference path (see :mod:`repro.sim.kernel`).  A chunk
+  that stops short is followed by that event step directly; only a
+  refused chunk backs off.  Probes
   must be chunk-capable (see :class:`~repro.sim.probes.Probe`) for
   chunking to engage; otherwise the fast kernel behaves exactly like the
   reference one.  A stop condition registered without ``chunk_safe=True``
@@ -77,6 +79,12 @@ class Component:
     #: that stopped short of a run-ahead (cumulative; fast-kernel
     #: diagnostics, see :class:`~repro.sim.kernel.LoadProfile`).
     reexecuted_steps = 0
+    #: The platform transition the last chunk stopped before to return
+    #: to Python, or None; a component that follows transitions also
+    #: counts those it followed, by name, in a cumulative
+    #: ``transitions`` dict (see
+    #: :class:`~repro.sim.kernel.TransitionTable`).
+    stop_transition: Optional[str] = None
 
 
 StopCondition = Callable[[float], bool]
@@ -188,10 +196,10 @@ class Simulator:
         ``chunk_safe=False`` disables chunking — it must be observed after
         every step, and a chunk only checks at its boundary.  Pass
         ``chunk_safe=True`` for conditions that can only become true
-        during per-step execution (e.g. workload completion: the platform
-        is never ACTIVE inside a chunk), which keeps chunking engaged
-        while still firing on exactly the same step as the reference
-        kernel.
+        during per-step execution (e.g. workload completion: a chunk
+        always stops before the step that halts the workload), which
+        keeps chunking engaged while still firing on exactly the same
+        step as the reference kernel.
         """
         self._stop_conditions.append(condition)
         if not chunk_safe:
@@ -261,7 +269,9 @@ class Simulator:
             stats.chunks, stats.chunked_steps, stats.fallback_steps,
         )
         reexecuted0 = self._reexecuted_steps()
+        transitions0 = self._transitions()
         reasons0 = dict(stats.fallbacks)
+        returns0 = dict(stats.fallback_transitions)
         t0 = time.monotonic()
         with obs.span("kernel.run", kernel=self.kernel) as kspan:
             if self.kernel == "fast":
@@ -273,6 +283,12 @@ class Simulator:
             kspan.annotate(steps=self.steps - steps_before)
         reexecuted = self._reexecuted_steps() - reexecuted0
         stats.reexecuted_steps += reexecuted
+        transitions = {
+            name: count - transitions0.get(name, 0)
+            for name, count in self._transitions().items()
+        }
+        for name, count in transitions.items():
+            stats.transitions[name] += count
         if obs.obs_enabled():
             obs.counter("repro_kernel_runs_total", kernel=self.kernel).inc()
             obs.counter(
@@ -299,6 +315,18 @@ class Simulator:
                         "repro_kernel_fallback_steps_by_reason_total",
                         reason=reason,
                     ).inc(count - reasons0[reason])
+                for name, count in transitions.items():
+                    if count:
+                        obs.counter(
+                            "repro_kernel_inline_transitions_total",
+                            transition=name,
+                        ).inc(count)
+                for name, count in stats.fallback_transitions.items():
+                    if count - returns0[name]:
+                        obs.counter(
+                            "repro_kernel_fallback_transitions_total",
+                            transition=name,
+                        ).inc(count - returns0[name])
         return SimulationResult(
             t_end=self.t,
             steps=self.steps - steps_before,
@@ -312,6 +340,14 @@ class Simulator:
             getattr(component, "reexecuted_steps", 0)
             for component in self._components
         )
+
+    def _transitions(self) -> Dict[str, int]:
+        """The components' cumulative inline transition counts."""
+        totals: Dict[str, int] = {}
+        for component in self._components:
+            for name, count in getattr(component, "transitions", {}).items():
+                totals[name] = totals.get(name, 0) + count
+        return totals
 
     def _run_reference(
         self,
@@ -390,9 +426,13 @@ class Simulator:
                 if not chunkable or n <= 1:
                     reason = "unchunkable"
                 else:
-                    taken = n if step_chunk is None else step_chunk(
-                        self.t, dt, n
-                    )
+                    if step_chunk is None:
+                        taken = n
+                    else:
+                        taken = step_chunk(self.t, dt, n)
+                        stop = component.stop_transition
+                        if stop is not None:
+                            stats.fallback_transitions[stop] += 1
                     if taken:
                         reason = None
                         backoff = 0

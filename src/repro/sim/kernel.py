@@ -9,10 +9,12 @@ discrete components — the MCU platform, checkpointing strategies,
 governors — cannot be vectorized; instead they *declare their event
 boundaries* (threshold crossings, state-machine transitions) through the
 descriptors in this module, and the chunk is split at the first step
-whose voltage crosses one of them.  The boundary step itself, and every
-step for which no descriptor is available, runs through the unmodified
-reference path, so chunking changes the execution schedule but not the
-physics.
+whose voltage crosses one of them — or, for the platform's state
+machine published as a :class:`TransitionTable`, follows it across the
+transitions it can and splits before those it leaves to Python.  The
+boundary step itself, and every step for which no descriptor is
+available, runs through the unmodified reference path, so chunking
+changes the execution schedule but not the physics.
 
 Three descriptor families exist:
 
@@ -29,12 +31,14 @@ Three descriptor families exist:
   ``v_falling`` are the declared voltage event boundaries (the chunk
   ends *before* the first step whose rail voltage, as seen by this
   load, satisfies ``v >= v_rising`` or ``v < v_falling``), and
-  ``max_steps`` is the declared *time-based* event boundary (snapshot /
-  restore completion, workload task boundaries): the chunk may advance
+  ``max_steps`` is the declared *time-based* event boundary (a
+  charge-and-fire task finishing): the chunk may advance
   at most that many steps, so the step on which the timed event fires
   always executes through the reference path.  A load whose per-step
   energy depends on what it executes (the interpreter) runs ahead
-  through ``stretch`` instead and publishes one energy per step.
+  through ``stretch`` instead and publishes one energy per step; a
+  load with a state machine (the transient platform) publishes its
+  :class:`TransitionTable` in ``table``.
 * :class:`VoltageSourcePlan` / :class:`PowerSourcePlan` — published by an
   injector (:meth:`~repro.power.rail.Injector.chunk_plan`): the source
   waveform for the chunk precomputed as a float64 array view plus the
@@ -137,10 +141,11 @@ class LoadProfile:
 
     ``v_rising`` / ``v_falling`` declare voltage event boundaries;
     ``max_steps`` declares a time-based event boundary (the profile is
-    only valid for that many further steps — an in-flight snapshot or
-    restore completing, a workload reaching its final cycles).  The
-    chunk stops short of every declared boundary; the boundary step
-    itself reruns through the reference path.
+    only valid for that many further steps — a charge-and-fire task
+    finishing).  The chunk stops short of every declared boundary; the
+    boundary step itself reruns through the reference path.  A load
+    with a state machine publishes it as ``table`` instead (see
+    :class:`TransitionTable`); its other fields are then unused.
 
     ``commit`` is called once with ``(steps, dt, energy)`` after the
     chunk — ``energy`` being the total joules this load demanded over
@@ -172,6 +177,117 @@ class LoadProfile:
     commit: Optional[Callable[[int, float, float], Optional[int]]] = None
     energies: Optional[Sequence[float]] = None
     stretch: Optional[Callable[[int], Sequence[float]]] = None
+    table: Optional["TransitionTable"] = None
+
+
+#: The transition table's states, in code order: the codes the state
+#: probe records (``repro.core.system.STATE_CODES``).
+TABLE_STATES = ("off", "sleep", "restore", "snapshot", "active")
+OFF, SLEEP, RESTORE, SNAPSHOT, ACTIVE = range(5)
+
+#: The transitions a table names, in code order.  The last two always
+#: return to Python: the step that halts the workload, and the step
+#: that reaches a checkpoint site.
+TRANSITIONS = (
+    "boot", "brownout", "snapshot", "snapshot-done", "restore",
+    "restore-done", "cold-start", "halt", "checkpoint-site",
+)
+(
+    BOOT, BROWNOUT, SNAPSHOT_BEGIN, SNAPSHOT_DONE, RESTORE_BEGIN,
+    RESTORE_DONE, COLD_START, HALT, CHECKPOINT_SITE,
+) = range(len(TRANSITIONS))
+#: Transitions one chunk logs at most.  A step logs three at most (a
+#: boot, a hook, a completion), so a chunk ends after the step that
+#: leaves less room than that: the buffers stay small.
+LOG_CAPACITY = 256
+
+
+@dataclass(eq=False)
+class TransitionTable:
+    """A transient platform's state machine as data, which both chunk
+    loops follow across transitions.
+
+    A load publishes one through ``LoadProfile.table`` (at most one per
+    rail); its other ``LoadProfile`` fields are then unused.  Each step,
+    with ``v`` the rail voltage the load sees, the loops run the
+    cascade of :meth:`~repro.transient.base.TransientPlatform.advance`:
+
+    1. brownout: ``v < v_min`` takes any state but OFF to OFF (an
+       in-flight snapshot aborts, which empties a single-slot store;
+       progress drops to 0), and the step drains ``energies[OFF]``;
+    2. boot: in OFF, ``v >= v_por`` enters ``boot_state`` (progress
+       drops to 0 when that is ACTIVE: a cold start); below it the
+       step drains ``energies[OFF]``;
+    3. one hook: ACTIVE with ``v < guard`` begins a snapshot of
+       ``snapshot_steps`` steps (capturing progress), or SLEEP with
+       ``v >= wake`` begins a restore of ``restore_steps`` steps when a
+       snapshot is held and cold-starts into ACTIVE otherwise;
+    4. the physics of the resulting state: ``energies[state]``, plus
+       ``((current * v) * current_gain) * dt`` in ACTIVE, where each
+       step also adds ``budget`` cycles of progress;
+    5. after the physics, an operation counts down one step and, at 0,
+       completes: a snapshot commits and sleeps, a restore reloads the
+       snapshot's progress and goes ACTIVE.
+
+    A transition whose bit is set in ``python`` is not followed: the
+    loop stops before its step, which then runs through ``advance``.
+    So does an ACTIVE step that would halt (progress reaching
+    ``total``) or reach a checkpoint site (every ``site_interval``
+    cycles; 0 for none).  ``stop`` names the code it stopped for
+    (-1: none).
+
+    The rows (the fields up to ``python``) are constants: a load that
+    needs other rows publishes another table.  The running fields
+    (``state`` ... ``payload``) are read at the chunk's start and
+    written back at its end.  The loops also write
+    per-state committed step ``counts`` and energy ``sums`` (ACTIVE's
+    without its constant part), ``states`` (each committed step's
+    end-of-step state code, a float), ``log`` (one ``(step, code, v,
+    active_steps)`` per followed transition, ``active_steps`` being the
+    ACTIVE steps since the previous one; :data:`LOG_CAPACITY` at most,
+    after which the chunk ends) and ``active_steps`` (those since the
+    last).  The platform replays the log in its commit.
+    """
+
+    v_min: float
+    v_por: float
+    guard: float
+    wake: float
+    boot_state: int
+    energies: Tuple[float, float, float, float, float]
+    current: float
+    current_gain: float
+    snapshot_steps: int
+    restore_steps: int
+    budget: int
+    total: int
+    site_interval: int
+    single_slot: bool
+    python: int
+    state: int = OFF
+    executed: int = 0
+    left: int = 0
+    has_snapshot: bool = False
+    pending: int = 0
+    payload: int = 0
+    counts: Sequence[float] = (0,) * 5
+    sums: Sequence[float] = (0.0,) * 5
+    states: Sequence[float] = ()
+    log: list = field(default_factory=list)
+    active_steps: int = 0
+    stop: int = -1
+
+
+def operation_steps(remaining: float, dt: float) -> int:
+    """Steps until an operation with ``remaining`` seconds completes:
+    the reference countdown's ``remaining -= dt`` until ``<= 0``,
+    float for float (at least 1)."""
+    steps = 1
+    remaining -= dt
+    while remaining > 0.0:
+        remaining -= dt
+        steps += 1
+    return steps
 
 
 @dataclass
@@ -329,6 +445,11 @@ class ChunkStats:
     ``reexecuted_steps`` counts steps a run-ahead load (the
     interpreter) executed a second time to settle a chunk that stopped
     short of its run-ahead: interpretation paid twice.
+
+    ``transitions`` counts the platform transitions chunks followed
+    inline (see :class:`TransitionTable`), and ``fallback_transitions``
+    the chunks that returned to Python before one, both by
+    :data:`TRANSITIONS` name.
     """
 
     chunks: int = 0
@@ -337,6 +458,12 @@ class ChunkStats:
     reexecuted_steps: int = 0
     fallbacks: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(FALLBACK_REASONS, 0)
+    )
+    transitions: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(TRANSITIONS, 0)
+    )
+    fallback_transitions: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(TRANSITIONS, 0)
     )
 
     def chunked_fraction(self) -> float:

@@ -21,6 +21,7 @@ model that owns the compute engine, power model, snapshot store and clock.
 """
 
 from repro.transient.base import (
+    InlineHooks,
     NullStrategy,
     PlatformState,
     SnapshotStore,
@@ -47,6 +48,7 @@ __all__ = [
     "PlatformState",
     "SnapshotStore",
     "Strategy",
+    "InlineHooks",
     "NullStrategy",
     "Hibernus",
     "hibernate_threshold",

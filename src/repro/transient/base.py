@@ -21,15 +21,29 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
-from repro.errors import ConfigurationError, SnapshotError
+from repro.errors import ConfigurationError, SimulationError, SnapshotError
 from repro.mcu.clock import ClockPlan
 from repro.mcu.engine import ComputeEngine
 from repro.mcu.power_model import FRAM_TECH, SRAM_TECH, McuPowerModel
 from repro.power.rail import RailLoad
 from repro.results.metrics import register_metric
-from repro.sim.kernel import LoadProfile
+from repro.sim import kernel
+from repro.sim.kernel import (
+    BOOT,
+    BROWNOUT,
+    COLD_START,
+    RESTORE_BEGIN,
+    RESTORE_DONE,
+    SNAPSHOT_BEGIN,
+    SNAPSHOT_DONE,
+    TRANSITIONS,
+    LoadProfile,
+    SourcePlanMemo,
+    TransitionTable,
+    operation_steps,
+)
 from repro.spec.registry import register
 
 
@@ -41,6 +55,22 @@ class PlatformState(enum.Enum):
     ACTIVE = "active"
     SNAPSHOT = "snapshot"
     RESTORE = "restore"
+
+
+#: Platform states by transition-table code (``kernel.TABLE_STATES``).
+_BY_CODE = tuple(PlatformState(name) for name in kernel.TABLE_STATES)
+_CODE = {state: code for code, state in enumerate(_BY_CODE)}
+_OPERATIONS = (PlatformState.SNAPSHOT, PlatformState.RESTORE)
+#: The state each followed transition leaves the platform in (a boot's
+#: is the table's ``boot_state``).
+_SUCCESSOR = {
+    BROWNOUT: kernel.OFF,
+    SNAPSHOT_BEGIN: kernel.SNAPSHOT,
+    SNAPSHOT_DONE: kernel.SLEEP,
+    RESTORE_BEGIN: kernel.RESTORE,
+    RESTORE_DONE: kernel.ACTIVE,
+    COLD_START: kernel.ACTIVE,
+}
 
 
 class SnapshotStore:
@@ -163,6 +193,36 @@ class TransientPlatformConfig:
             raise ConfigurationError("on_complete must be 'sleep' or 'restart'")
 
 
+class InlineHooks(NamedTuple):
+    """What a strategy's hooks do at its declared thresholds: its part
+    of the transition table the chunk loops follow (see
+    :meth:`TransientPlatform.load_profile`).
+
+    Each field vouches that a hook, at its threshold, always leaves the
+    state named and changes nothing else the table reads (thresholds,
+    snapshot geometry).  Other side effects are fine: the platform
+    replays the real hook, with the step's time and voltage, in order.
+    The defaults vouch for nothing, which keeps those transitions in
+    Python.  The platform reads them once per run (at its first chunk
+    after construction or :meth:`TransientPlatform.reset`); the
+    thresholds they act at, every chunk.
+
+    Attributes:
+        boot: the state :meth:`Strategy.on_boot` leaves a booting device
+            in: SLEEP, or ACTIVE through
+            :meth:`TransientPlatform.cold_start`.
+        wake: :meth:`Strategy.on_sleep`, at the wake threshold, begins a
+            restore when the store holds a snapshot and cold-starts
+            otherwise.
+        snapshot_words: :meth:`Strategy.on_active`, at the guard, begins
+            a snapshot of this many NVM words.
+    """
+
+    boot: Optional[PlatformState] = None
+    wake: bool = False
+    snapshot_words: Optional[int] = None
+
+
 class Strategy:
     """Checkpointing/adaptation policy driven by platform callbacks.
 
@@ -191,9 +251,10 @@ class Strategy:
     def sleep_wake_threshold(self, platform: "TransientPlatform") -> Optional[float]:
         """The rail voltage at which :meth:`on_sleep` leaves SLEEP, if any.
 
-        The fast kernel's declared event boundary for the sleeping state:
+        The SLEEP row's exit in the fast kernel's transition table:
         returning a float asserts that, while ``v`` stays strictly below
-        it, :meth:`on_sleep` is a pure no-op.  Strategies whose
+        it, :meth:`on_sleep` is a pure no-op (what it does at or above
+        it is :attr:`InlineHooks.wake`'s to declare).  Strategies whose
         ``on_sleep`` is the base no-op wake never (``math.inf``); a
         strategy with an overridden ``on_sleep`` and no declared
         threshold returns None, which keeps its sleep per-step.
@@ -205,21 +266,27 @@ class Strategy:
     def active_guard(self, platform: "TransientPlatform") -> Optional[float]:
         """The rail voltage at-or-below which :meth:`on_active` acts, if any.
 
-        The fast kernel's declared event boundary for the ACTIVE state:
+        The ACTIVE row's exit in the fast kernel's transition table (and
+        the falling boundary of an interpreter's run-ahead stretch):
         returning a float asserts that, while the rail voltage stays
         *strictly above* it, :meth:`on_active` is a pure no-op (no
-        snapshot trigger, no state transition, no mutation).  Strategies
-        whose ``on_active`` is the base no-op never act (``-math.inf``);
-        a strategy with an overridden ``on_active`` and no declared
-        guard returns None, which keeps its ACTIVE execution per-step.
-        (:meth:`on_checkpoint_site` needs no guard: checkpoint pauses
-        only ever happen during per-step execution — the engine's
-        :meth:`~repro.mcu.engine.ComputeEngine.active_plan` ends every
-        chunk strictly before a checkpoint site.)
+        snapshot trigger, no state transition, no mutation); what it
+        does at the guard is :attr:`InlineHooks.snapshot_words`'s to
+        declare.  Strategies whose ``on_active`` is the base no-op never
+        act (``-math.inf``); a strategy with an overridden ``on_active``
+        and no declared guard returns None, which keeps its ACTIVE
+        execution per-step.  (:meth:`on_checkpoint_site` needs no guard:
+        checkpoint pauses only ever happen during per-step execution —
+        chunks stop strictly before a checkpoint site.)
         """
         if type(self).on_active is Strategy.on_active:
             return -math.inf
         return None
+
+    def inline_hooks(self, platform: "TransientPlatform") -> InlineHooks:
+        """What the hooks do at the declared thresholds (see
+        :class:`InlineHooks`); the base vouches for nothing."""
+        return InlineHooks()
 
     def on_checkpoint_site(
         self, platform: "TransientPlatform", t: float, v: float
@@ -289,7 +356,12 @@ class _Operation:
     kind: str  # 'snapshot' | 'restore'
     remaining: float
     power: float
+    words: int
     payload: Any = None
+    #: ``(remaining, dt, steps)``: the countdown's steps left from that
+    #: ``remaining`` (so a long operation is counted down once, not once
+    #: per chunk).
+    countdown: tuple = ()
 
 
 class TransientPlatform(RailLoad):
@@ -320,6 +392,15 @@ class TransientPlatform(RailLoad):
         self.workload_done = False
         self._operation: Optional[_Operation] = None
         self._restored_since_boot = False
+        #: Operation costs by (kind, words), the fast kernel's table
+        #: profile with what its rows were built from, and the running
+        #: chunk's start (see _table_profile).
+        self._costs: Dict[tuple, tuple] = {}
+        self._table_key: Optional[tuple] = None
+        self._table: Optional[LoadProfile] = None
+        self._hooks: Optional[InlineHooks] = None
+        self._words: tuple = (None, None)
+        self._chunk: tuple = ()
         strategy.configure(self)
 
     # ------------------------------------------------------------------
@@ -350,15 +431,9 @@ class TransientPlatform(RailLoad):
                 if full
                 else self.engine.register_state_words
             )
-        duration, energy = self.power_model.snapshot_cost(
-            words, self.config.snapshot_frequency, voltage=3.0, fram=FRAM_TECH
-        )
+        duration, power = self._operation_cost("snapshot", words)
         self.store.begin_write(payload, words)
-        self._operation = _Operation(
-            kind="snapshot",
-            remaining=duration,
-            power=energy / duration if duration > 0 else 0.0,
-        )
+        self._operation = _Operation("snapshot", duration, power, words)
         self.state = PlatformState.SNAPSHOT
         self.metrics.snapshots_started += 1
 
@@ -370,16 +445,9 @@ class TransientPlatform(RailLoad):
         """
         payload = self.store.latest()
         words = self.store.latest_words()
-        duration, energy = self.power_model.restore_cost(
-            words, self.config.snapshot_frequency, voltage=3.0,
-            fram=FRAM_TECH, sram=SRAM_TECH,
-        )
-        self._operation = _Operation(
-            kind="restore",
-            remaining=duration,
-            power=energy / duration if duration > 0 else 0.0,
-            payload=payload,
-        )
+        duration, power = self._operation_cost("restore", words)
+        self._operation = _Operation("restore", duration, power, words,
+                                     payload)
         self.state = PlatformState.RESTORE
         self.metrics.restores_started += 1
 
@@ -388,6 +456,26 @@ class TransientPlatform(RailLoad):
         self.engine.cold_boot()
         self.metrics.cold_boots += 1
         self.go_active()
+
+    def _operation_cost(self, kind: str, words: int) -> "tuple[float, float]":
+        """``(duration, power)`` of a ``words``-word snapshot or restore
+        (memoised: a pure function of the power model and config)."""
+        cost = self._costs.get((kind, words))
+        if cost is None:
+            frequency = self.config.snapshot_frequency
+            if kind == "snapshot":
+                duration, energy = self.power_model.snapshot_cost(
+                    words, frequency, voltage=3.0, fram=FRAM_TECH
+                )
+            else:
+                duration, energy = self.power_model.restore_cost(
+                    words, frequency, voltage=3.0, fram=FRAM_TECH,
+                    sram=SRAM_TECH,
+                )
+            cost = self._costs[kind, words] = (
+                duration, energy / duration if duration > 0 else 0.0
+            )
+        return cost
 
     # ------------------------------------------------------------------
     # RailLoad interface
@@ -406,12 +494,7 @@ class TransientPlatform(RailLoad):
 
         if self.state is PlatformState.OFF:
             if v_rail >= self.config.v_por:
-                self.metrics.boots += 1
-                self._restored_since_boot = False
-                if self.workload_done:
-                    self.go_sleep()
-                else:
-                    self.strategy.on_boot(self, t, v_rail)
+                self._boot(t, v_rail)
             else:
                 self.metrics.time_in_state[PlatformState.OFF.value] += dt
                 energy = self.power_model.off_power * dt
@@ -442,88 +525,303 @@ class TransientPlatform(RailLoad):
     def load_profile(
         self, t: float, dt: float, v_rail: float
     ) -> Optional[LoadProfile]:
-        """Fast-kernel event schedule descriptor for the current state.
+        """Fast-kernel descriptor: the platform's transition table.
 
-        Every platform state is a piecewise-constant (or, for ACTIVE, a
-        voltage-proportional) drain between declared events, so chunking
-        survives the whole boot/active/sleep/snapshot cycle:
+        The chunk loops follow the table (:class:`~repro.sim.kernel.
+        TransitionTable`) across transitions, through the cascade of
+        :meth:`advance`: brownout, boot, one strategy hook, the
+        physics of the resulting state, then operation completion.  Its
+        rows come from the power model, the strategy's declared
+        thresholds (:meth:`Strategy.active_guard`,
+        :meth:`Strategy.sleep_wake_threshold`) and hooks
+        (:meth:`Strategy.inline_hooks`), and the engine's progress
+        counter (:meth:`~repro.mcu.engine.ComputeEngine.progress_counter`),
+        and are rebuilt only when one of those changes; the running state
+        is set every chunk.  Each row, in :meth:`advance`'s own
+        comparisons:
 
-        * **OFF** — constant ``off_power``; exits when the rail rises
-          through ``v_por`` (boot).
-        * **SLEEP** — constant ``sleep_power``; exits at the strategy's
-          wake threshold or at brownout (``v < v_min``).
+        * **OFF** — ``off_power``; boots at ``v >= v_por``.
+        * **SLEEP** — ``sleep_power``; wakes at ``v >= wake``.
         * **ACTIVE** — core power proportional to the rail voltage plus
-          the engine's per-step memory energy, as long as the compute
-          engine publishes a plan
-          (:meth:`~repro.mcu.engine.ComputeEngine.active_plan`) and the
-          strategy declares its trigger threshold
-          (:meth:`Strategy.active_guard`); exits at the guard, at
-          brownout, or before the step where the workload halts or
-          pauses at a checkpoint site: a constant plan bounds
-          ``max_steps``, a run-ahead plan (the interpreter) becomes the
-          profile's ``stretch``.
-        * **SNAPSHOT / RESTORE** — constant operation power; exits at
-          brownout or when the operation's remaining duration runs out
-          (``max_steps``), so the completing step — commit, state
-          transition, strategy callback — always runs per-step.
+          the engine's per-step memory energy and cycles; snapshots at
+          ``v <= guard``.
+        * **SNAPSHOT / RESTORE** — constant operation power for the
+          operation's step count (the reference's ``remaining -= dt``
+          countdown); then commits and sleeps, or reloads and goes
+          ACTIVE.
+        * every state but OFF browns out at ``v < v_min``.
 
-        The state-transition step itself always executes through the
-        unmodified :meth:`advance`, which is what keeps event timing
-        identical between kernels.
+        These return to Python (the chunk stops before the step, which
+        runs through :meth:`advance`): the step that halts the workload
+        or reaches a checkpoint site; a hook the strategy does not vouch
+        for; completion and power-fail hooks the strategy overrides
+        (Hibernus++'s adaptation, NVP, Mementos); and entering a state
+        the table cannot follow: ACTIVE on an engine without a progress
+        counter (the interpreter), or a state whose threshold the
+        strategy does not declare.  A chunk that starts ACTIVE on such
+        an engine runs the interpreter ahead instead (the profile's
+        ``stretch``, see
+        :meth:`~repro.mcu.engine.ComputeEngine.active_plan`).
+
+        The commit replays the loop's transition log through the
+        platform's own methods and hooks, in order, so the store, the
+        engine and the counters keep one implementation; a replay the
+        table disagrees with raises :class:`SimulationError`.
         """
         if type(self).advance is not TransientPlatform.advance:
             # A subclass with its own per-step physics must publish its
             # own profiles; the base declarations would skip them.
             return None
-        state = self.state
-        model = self.power_model
-        config = self.config
-        if state is PlatformState.OFF:
-            # Below v_min and between v_min and v_por both drain
-            # off_power; crossing v_por boots the device.
-            return LoadProfile(
-                power=model.off_power,
-                v_rising=config.v_por,
-                commit=self._chunk_commit("off"),
-            )
-        if v_rail < config.v_min:
-            return None  # brownout due: handle it per-step
-        if state is PlatformState.SLEEP:
-            commit = self._chunk_commit("sleep")
-            if self.workload_done:
-                return LoadProfile(
-                    power=model.sleep_power, v_falling=config.v_min,
-                    commit=commit,
-                )
-            wake = self.strategy.sleep_wake_threshold(self)
-            if wake is None:
-                return None
-            return LoadProfile(
-                power=model.sleep_power, v_rising=wake,
-                v_falling=config.v_min, commit=commit,
-            )
-        if state is PlatformState.ACTIVE:
-            return self._active_profile(dt, config, model)
-        if state in (PlatformState.SNAPSHOT, PlatformState.RESTORE):
-            return self._operation_profile(dt, config, state)
-        return None
+        frequency = self.clock.frequency
+        budget = max(0, int(frequency * dt))
+        counter = self.engine.progress_counter(budget) if budget else None
+        if self.state is PlatformState.ACTIVE and counter is None:
+            return self._active_profile(dt, frequency, budget)
+        return self._table_profile(t, dt, frequency, budget, counter)
 
-    def _active_profile(self, dt, config, model) -> Optional[LoadProfile]:
-        """The ACTIVE-state event schedule, or None to stay per-step."""
+    def _table_profile(self, t, dt, frequency, budget, counter
+                       ) -> Optional[LoadProfile]:
+        """This chunk's table profile (see :meth:`load_profile`), or
+        None when the present state has no row.  The rows are rebuilt
+        only when what they are built from changes; the running state
+        is set per chunk."""
+        strategy = self.strategy
+        store = self.store
+        hooks = self._hooks
+        if hooks is None:
+            hooks = self._hooks = strategy.inline_hooks(self)
+        guard = strategy.active_guard(self)
+        if self.workload_done:
+            wake, boot = math.inf, PlatformState.SLEEP
+        else:
+            wake, boot = strategy.sleep_wake_threshold(self), hooks.boot
+        state = self.state
+        operation = self._operation
+        if (
+            state is PlatformState.ACTIVE
+            and (guard is None or counter is None)
+            or state is PlatformState.SLEEP and wake is None
+            or state in _OPERATIONS and operation is None
+        ):
+            return None
+        # The words of the snapshot in flight or else of one the guard
+        # would begin, and of the one a restore would read.
+        writing = hooks.snapshot_words
+        if operation is not None and operation.kind == "snapshot":
+            writing = operation.words
+        held = store.has_snapshot()
+        reading = store.latest_words() if held else writing
+        if counter is None:
+            executed, total, site, energy = 0, 0, 0, 0.0
+        else:
+            executed, total, site, energy = counter
+            if not self.stop_at_checkpoints:
+                site = 0
+        key = (
+            dt, frequency, budget, counter is None, total, site, energy,
+            guard, wake, boot, hooks, writing, reading, store.slot_count,
+        )
+        if key != self._table_key:
+            self._table_key = key
+            self._table = self._build_table(key)
+        profile = self._table
+        table = profile.table
+        table.state = _CODE[state]
+        table.executed = table.pending = executed
+        table.left = 0
+        if operation is not None:
+            remaining = operation.remaining
+            if operation.countdown[:2] == (remaining, dt):
+                table.left = operation.countdown[2]
+            else:
+                table.left = operation_steps(remaining, dt)
+        table.has_snapshot = held
+        table.payload = store.latest() if held and counter is not None else 0
+        self._chunk = (t, table.left)
+        return profile
+
+    def _build_table(self, key: tuple) -> LoadProfile:
+        """A table profile's rows from what :meth:`_table_profile` read."""
+        (dt, frequency, budget, no_counter, total, site, energy, guard, wake,
+         boot, hooks, writing, reading, slots) = key
+        strategy = type(self.strategy)
+        active_row = guard is not None and not no_counter
+        # The transitions that return to Python, as TRANSITIONS bits.
+        python = 0
+        if (
+            boot is None
+            or boot is PlatformState.SLEEP and wake is None
+            or boot is PlatformState.ACTIVE and not active_row
+        ):
+            python |= 1 << BOOT
+        if strategy.on_power_fail is not Strategy.on_power_fail:
+            python |= 1 << BROWNOUT
+        if not hooks.wake:
+            python |= 1 << RESTORE_BEGIN | 1 << COLD_START
+        if not active_row:
+            python |= 1 << COLD_START | 1 << RESTORE_DONE
+        if strategy.on_restore_complete is not Strategy.on_restore_complete:
+            python |= 1 << RESTORE_DONE
+        if (
+            strategy.on_snapshot_complete is not Strategy.on_snapshot_complete
+            or wake is None
+        ):
+            python |= 1 << SNAPSHOT_DONE
+        # The snapshot row costs `writing` words: the snapshot in
+        # flight's, else the guard's.  A new snapshot of other words,
+        # and a commit that would change what restores read, stay in
+        # Python.
+        if hooks.snapshot_words is None or writing != hooks.snapshot_words:
+            python |= 1 << SNAPSHOT_BEGIN
+        if writing != reading:
+            python |= 1 << SNAPSHOT_DONE
+        self._words = writing, reading
+        snapshot_steps, snapshot_power = self._operation_row(
+            "snapshot", writing, dt)
+        restore_steps, restore_power = self._operation_row(
+            "restore", reading, dt)
+        if guard is None or guard == -math.inf:
+            guard_fall = -math.inf
+        else:
+            # `v <= guard` as the loops' strict `v < guard_fall`.
+            guard_fall = math.nextafter(guard, math.inf)
+        model = self.power_model
+        table = TransitionTable(
+            v_min=self.config.v_min,
+            v_por=self.config.v_por,
+            guard=guard_fall,
+            wake=math.inf if wake is None else wake,
+            boot_state=_CODE[boot] if boot is not None else kernel.SLEEP,
+            energies=(
+                model.off_power * dt, model.sleep_power * dt,
+                restore_power * dt, snapshot_power * dt, 0.0 * dt + energy,
+            ),
+            current=model.active_current(frequency),
+            current_gain=model.fram_execution_factor,
+            snapshot_steps=snapshot_steps,
+            restore_steps=restore_steps,
+            budget=budget,
+            total=total,
+            site_interval=site,
+            single_slot=slots == 1,
+            python=python,
+        )
+        return LoadProfile(table=table, commit=self._replay)
+
+    def _operation_row(self, kind: str, words: Optional[int], dt: float):
+        """``(steps, power)`` of a fresh ``words``-word operation
+        (``(0, 0.0)`` for none)."""
+        if words is None:
+            return 0, 0.0
+        duration, power = self._operation_cost(kind, words)
+        return operation_steps(duration, dt), power
+
+    def _replay(self, steps: int, dt: float, energy: float) -> None:
+        """Apply a chunk the loop followed through the table: its
+        transitions (:meth:`_replay_log`), the ACTIVE steps after the
+        last, then the bulk accounting."""
+        table = self._table.table
+        left = self._chunk[1]
+        if table.log:
+            left = self._replay_log(table, dt)
+        if table.active_steps:
+            self._commit_active(table.active_steps, table.budget)
+        metrics = self.metrics
+        for name, count, joules in zip(
+            kernel.TABLE_STATES, table.counts, table.sums
+        ):
+            if count:
+                metrics.time_in_state[name] += count * dt
+                metrics.energy[name] += joules
+        operation = self._operation
+        if operation is not None:
+            remaining = operation.remaining
+            for _ in range(left - table.left):
+                remaining -= dt
+            operation.remaining = remaining
+            operation.countdown = (remaining, dt, table.left)
+
+    def _replay_log(self, table: TransitionTable, dt: float) -> int:
+        """The chunk's transitions through the platform's own methods
+        and hooks, each after the ACTIVE steps before it, at its step's
+        time and voltage.  Returns the steps the operation in flight at
+        the end had when the chunk began or when it began."""
+        # The chunk's start and its in-flight operation's steps then;
+        # the words the table's operation rows cost.
+        t0, left = self._chunk
+        snapshot_words, restore_words = self._words
+        budget = table.budget
+        step0 = SourcePlanMemo.grid_step(t0, dt)
+        for step, code, v, active in table.log:
+            if active:
+                self._commit_active(active, budget)
+            t = (step0 + step) * dt if step0 is not None else t0 + step * dt
+            if code == BOOT:
+                self._boot(t, v)
+                successor = table.boot_state
+            elif code == BROWNOUT:
+                self._brownout(t)
+            elif code == SNAPSHOT_BEGIN:
+                self.strategy.on_active(self, t, v)
+                left = table.snapshot_steps
+                words = snapshot_words
+            elif code == RESTORE_BEGIN or code == COLD_START:
+                self.strategy.on_sleep(self, t, v)
+                left = table.restore_steps
+                words = restore_words
+            else:
+                self._complete_operation(t, v)
+            if code != BOOT:
+                successor = _SUCCESSOR[code]
+            if self.state is not _BY_CODE[successor] or (
+                successor in (kernel.SNAPSHOT, kernel.RESTORE)
+                and self._operation.words != words
+            ):
+                raise SimulationError(
+                    f"transition table disagrees with the platform: "
+                    f"{TRANSITIONS[code]} at t={t!r} left "
+                    f"{self.state.value}, the table "
+                    f"{kernel.TABLE_STATES[successor]}"
+                )
+        if (
+            self.state is not _BY_CODE[table.state]
+            or self.store.has_snapshot() is not table.has_snapshot
+        ):
+            raise SimulationError(
+                "transition table disagrees with the platform at the "
+                "end of a chunk"
+            )
+        return left
+
+    def _commit_active(self, steps: int, budget: int) -> None:
+        """Commit ``steps`` ACTIVE steps the table followed to the
+        engine, through its own plan."""
+        plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
+        if plan is None or plan[1] < steps:
+            raise SimulationError(
+                f"transition table ran {steps} ACTIVE steps the engine "
+                f"does not vouch for"
+            )
+        cycles, memory, _ = plan[2](steps)
+        self.metrics.cycles_executed += cycles
+        self.metrics.energy["memory"] += memory
+
+    def _active_profile(self, dt, frequency, budget
+                        ) -> Optional[LoadProfile]:
+        """The ACTIVE stretch of an engine without a progress counter
+        (the interpreter runs ahead), or None to stay per-step."""
         guard = self.strategy.active_guard(self)
         if guard is None:
             return None
-        frequency = self.clock.frequency
-        budget = max(0, int(frequency * dt))
         plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
         if plan is None:
             return None
-        energy, safe_steps, commit_steps = plan
+        run_ahead, _, commit_steps = plan
         # The strategy acts when v <= guard; the chunk's falling boundary
         # is strict (v < v_falling), so nudge the guard up one ulp to
         # make `v < boundary` equivalent to `v <= guard`.  Brownout
         # (v < v_min) folds into the same boundary.
-        v_fall = config.v_min
+        v_fall = self.config.v_min
         if guard > -math.inf:
             v_fall = max(v_fall, math.nextafter(guard, math.inf))
         metrics = self.metrics
@@ -540,70 +838,14 @@ class TransientPlatform(RailLoad):
                 metrics.cycles_executed += cycles
             return reexecuted
 
-        run_ahead = callable(energy)
+        model = self.power_model
         return LoadProfile(
             current=model.active_current(frequency),
             current_gain=model.fram_execution_factor,
-            energy=0.0 if run_ahead else energy,
             v_falling=v_fall,
-            max_steps=safe_steps,
             commit=commit,
-            stretch=energy if run_ahead else None,
+            stretch=run_ahead,
         )
-
-    #: Bound on how far ahead an operation profile resolves its
-    #: completion step.  Understating ``max_steps`` is always safe (it
-    #: only shortens chunks), and the engine never asks for chunks
-    #: anywhere near this long — so the cap also bounds the rescan cost
-    #: per chunk for a very long operation to O(cap), not O(operation).
-    _MAX_OPERATION_LOOKAHEAD = 1 << 13
-
-    def _operation_profile(self, dt, config, state) -> Optional[LoadProfile]:
-        """The SNAPSHOT/RESTORE event schedule, or None to stay per-step."""
-        operation = self._operation
-        if operation is None:
-            return None
-        # The reference path counts the operation down by repeated
-        # `remaining -= dt`; replicate that float-for-float to find how
-        # many steps stay strictly in-flight (the completing step runs
-        # per-step).
-        remaining = operation.remaining
-        safe = 0
-        while safe < self._MAX_OPERATION_LOOKAHEAD:
-            after = remaining - dt
-            if after <= 0.0:
-                break
-            remaining = after
-            safe += 1
-        if safe <= 0:
-            return None
-        metrics = self.metrics
-        kind = operation.kind
-        state_key = state.value
-
-        def commit(steps: int, dt_: float, energy: float) -> None:
-            if steps:
-                metrics.time_in_state[state_key] += steps * dt_
-                metrics.energy[kind] += energy
-                left = operation.remaining
-                for _ in range(steps):
-                    left -= dt_
-                operation.remaining = left
-
-        return LoadProfile(
-            power=operation.power,
-            v_falling=config.v_min,
-            max_steps=safe,
-            commit=commit,
-        )
-
-    def _chunk_commit(self, key: str):
-        """Bulk metrics accounting for ``steps`` chunked quiescent steps."""
-        def commit(steps: int, dt: float, energy: float) -> None:
-            if steps:
-                self.metrics.time_in_state[key] += steps * dt
-                self.metrics.energy[key] += energy
-        return commit
 
     def reset(self) -> None:
         self.engine.reset()
@@ -615,11 +857,22 @@ class TransientPlatform(RailLoad):
         self.workload_done = False
         self._operation = None
         self._restored_since_boot = False
+        self._hooks = None
         self.strategy.configure(self)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _boot(self, t: float, v: float) -> None:
+        """The rail crossed v_por from OFF: count the boot and let the
+        strategy choose (a completed workload parks in SLEEP)."""
+        self.metrics.boots += 1
+        self._restored_since_boot = False
+        if self.workload_done:
+            self.go_sleep()
+        else:
+            self.strategy.on_boot(self, t, v)
 
     def _step_active(self, t: float, dt: float, v: float) -> float:
         frequency = self.clock.frequency
@@ -668,19 +921,25 @@ class TransientPlatform(RailLoad):
         self.metrics.energy[operation.kind] += energy
         operation.remaining -= dt
         if operation.remaining <= 0.0:
-            self._operation = None
-            if operation.kind == "snapshot":
-                self.store.commit()
-                self.metrics.snapshots_completed += 1
-                self.go_sleep()
-                self.strategy.on_snapshot_complete(self, t, v)
-            else:
-                self.engine.restore(operation.payload)
-                self.metrics.restores_completed += 1
-                self._restored_since_boot = True
-                self.go_active()
-                self.strategy.on_restore_complete(self, t, v)
+            self._complete_operation(t, v)
         return energy
+
+    def _complete_operation(self, t: float, v: float) -> None:
+        """The in-flight snapshot commits and the device sleeps, or the
+        restore reloads the engine and the device goes active."""
+        operation = self._operation
+        self._operation = None
+        if operation.kind == "snapshot":
+            self.store.commit()
+            self.metrics.snapshots_completed += 1
+            self.go_sleep()
+            self.strategy.on_snapshot_complete(self, t, v)
+        else:
+            self.engine.restore(operation.payload)
+            self.metrics.restores_completed += 1
+            self._restored_since_boot = True
+            self.go_active()
+            self.strategy.on_restore_complete(self, t, v)
 
     def _brownout(self, t: float) -> None:
         if self._operation is not None:
@@ -708,6 +967,11 @@ class NullStrategy(Strategy):
 
     def on_boot(self, platform: TransientPlatform, t: float, v: float) -> None:
         platform.cold_start()
+
+    def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
+        if type(self).on_boot is not NullStrategy.on_boot:
+            return InlineHooks()
+        return InlineHooks(boot=PlatformState.ACTIVE)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ import math
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.transient.base import Strategy, TransientPlatform
+from repro.transient.base import (
+    InlineHooks,
+    PlatformState,
+    Strategy,
+    TransientPlatform,
+)
 from repro.spec.registry import register
 
 
@@ -161,3 +166,16 @@ class Hibernus(Strategy):
         if type(self).on_active is not Hibernus.on_active:
             return None
         return self.v_hibernate
+
+    def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
+        # Boot sleeps; V_R restores or cold-starts; V_H snapshots.  A
+        # subclass overriding a hook vouches for it itself.
+        kind = type(self)
+        return InlineHooks(
+            boot=(PlatformState.SLEEP if kind.on_boot is Hibernus.on_boot
+                  else None),
+            wake=kind.on_sleep is Hibernus.on_sleep,
+            snapshot_words=(self.snapshot_words(platform)
+                            if kind.on_active is Hibernus.on_active
+                            else None),
+        )

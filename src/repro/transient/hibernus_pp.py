@@ -28,7 +28,12 @@ paper describes.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.transient.base import Strategy, TransientPlatform
+from repro.transient.base import (
+    InlineHooks,
+    PlatformState,
+    Strategy,
+    TransientPlatform,
+)
 from repro.spec.registry import register
 
 
@@ -113,6 +118,21 @@ class HibernusPP(Strategy):
         if type(self).on_active is not HibernusPP.on_active:
             return None
         return self.v_hibernate
+
+    def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
+        # The trigger and wake hooks only record the snapshot's start
+        # voltage and the wake time, which the table does not read; the
+        # adaptation (snapshot/restore completion, power failure) moves
+        # the thresholds, so those transitions return to Python.
+        kind = type(self)
+        return InlineHooks(
+            boot=(PlatformState.SLEEP if kind.on_boot is HibernusPP.on_boot
+                  else None),
+            wake=kind.on_sleep is HibernusPP.on_sleep,
+            snapshot_words=(platform.engine.full_state_words
+                            if kind.on_active is HibernusPP.on_active
+                            else None),
+        )
 
     def on_snapshot_complete(
         self, platform: TransientPlatform, t: float, v: float

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.transient.base import Strategy, TransientPlatform
+from repro.transient.base import InlineHooks, Strategy, TransientPlatform
 from repro.spec.registry import register
 
 
@@ -70,6 +70,12 @@ class Mementos(Strategy):
         if type(self).on_sleep is not Mementos.on_sleep:
             return None  # subclass changed sleep behaviour; stay per-step
         return self.v_operate
+
+    def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
+        # Waking at V_operate restores or cold-starts.  The boot hook
+        # may do the same at once, which a table row cannot say, and
+        # snapshots start at checkpoint sites: both stay in Python.
+        return InlineHooks(wake=type(self).on_sleep is Mementos.on_sleep)
 
     def on_checkpoint_site(
         self, platform: TransientPlatform, t: float, v: float

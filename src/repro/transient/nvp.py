@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import math
 
-from repro.transient.base import Strategy, TransientPlatform
+from repro.transient.base import (
+    InlineHooks,
+    PlatformState,
+    Strategy,
+    TransientPlatform,
+)
 from repro.spec.registry import register
 from repro.transient.hibernus import hibernate_threshold
 
@@ -97,6 +102,18 @@ class NVProcessor(Strategy):
             # Already backed up: on_active is a no-op until brownout.
             return -math.inf
         return self.v_flush
+
+    def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
+        # The flush begins a BACKUP_WORDS snapshot; waking clears the
+        # flush latch, which moves the guard, so it stays in Python.
+        kind = type(self)
+        return InlineHooks(
+            boot=(PlatformState.SLEEP
+                  if kind.on_boot is NVProcessor.on_boot else None),
+            snapshot_words=(self.BACKUP_WORDS
+                            if kind.on_active is NVProcessor.on_active
+                            else None),
+        )
 
     def on_power_fail(self, platform: TransientPlatform, t: float) -> None:
         self._flushed_this_excursion = False

@@ -461,3 +461,41 @@ def test_fig7_active_stretches_chunk():
     fallbacks = system.simulator.chunk_stats.fallbacks
     assert fallbacks["backoff"] + fallbacks["refused"] < 10, fallbacks
     assert system.platform.metrics.completions == 1
+
+
+# -- per-step state record -------------------------------------------------
+
+
+TRACE_CASES = {
+    "crossover-hibernus-60hz": lambda: preset(
+        "crossover-hibernus", frequency=60.0
+    ),
+    "crossover-quickrecall-60hz": lambda: preset(
+        "crossover-quickrecall", frequency=60.0
+    ),
+    "fig7-fft64": lambda: preset("fig7", fft_size=64),
+}
+
+
+@pytest.mark.parametrize("decimate", [1, 7])
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_state_and_frequency_traces_match_reference(case, decimate):
+    """Chunks span platform transitions, so the state and frequency
+    probes read the loops' per-step state record: both traces match
+    per-step execution sample for sample, and V_cc within 1e-9."""
+    runs = {}
+    for kernel in ("reference", "fast"):
+        spec = TRACE_CASES[case]().with_override("kernel", kernel)
+        system = spec.build()
+        runs[kernel] = (system.run(spec.duration, decimate=decimate),
+                        system)
+    (ref, _), (fast, fast_system) = runs["reference"], runs["fast"]
+    for name in ("state", "frequency"):
+        ref_trace, fast_trace = ref.traces[name], fast.traces[name]
+        assert ref_trace.times.tolist() == fast_trace.times.tolist(), name
+        assert ref_trace.values.tolist() == fast_trace.values.tolist(), name
+    assert len(ref.vcc()) == len(fast.vcc())
+    assert np.max(np.abs(ref.vcc().values - fast.vcc().values)) <= FAST_ATOL
+    # Not vacuous: the run changes state inside chunks.
+    assert len(set(ref.traces["state"].values.tolist())) >= 3
+    assert sum(fast_system.simulator.chunk_stats.transitions.values()) > 0

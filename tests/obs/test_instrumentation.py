@@ -137,3 +137,63 @@ def test_fast_run_counts_reexecuted_steps_once_per_run():
     assert reexecuted > 0
     assert _counter_total("repro_kernel_reexecuted_steps_total") == reexecuted
     assert reexecuted == system.rail.reexecuted_steps
+
+
+def _by_transition(name):
+    return {
+        c["labels"]["transition"]: c["value"]
+        for c in obs.registry.snapshot()["counters"]
+        if c["name"] == name
+    }
+
+
+def test_fast_run_counts_inline_and_python_transitions_once_per_run():
+    """Transitions the chunk loops follow are counted once per run by
+    name; every return to Python is counted under the transition it
+    stopped before: here Hibernus++'s adaptation hooks."""
+    import dataclasses
+
+    from repro.spec.presets import preset
+
+    spec = preset("crossover-hibernus", frequency=40.0).with_override(
+        "kernel", "fast"
+    )
+    spec = dataclasses.replace(spec, platform=dataclasses.replace(
+        spec.platform, strategy="hibernus++",
+        strategy_params={"v_restore_initial": 3.0},
+    ))
+    system = spec.build()
+    system.run(spec.duration)
+    stats = system.simulator.chunk_stats
+    inline = _by_transition("repro_kernel_inline_transitions_total")
+    python = _by_transition("repro_kernel_fallback_transitions_total")
+    assert inline == {k: v for k, v in stats.transitions.items() if v}
+    assert python == {
+        k: v for k, v in stats.fallback_transitions.items() if v
+    }
+    assert {"boot", "snapshot", "restore"} <= set(inline)
+    assert {"snapshot-done", "restore-done", "brownout"} <= set(python)
+    assert inline == {
+        k: v for k, v in system.rail.transitions.items() if v
+    }
+
+
+def test_interpreter_and_checkpoint_returns_are_labelled():
+    """Entering ACTIVE on the interpreter, and Mementos' checkpoint
+    sites, show under their transition names."""
+    import dataclasses
+
+    from repro.spec.presets import preset
+
+    spec = preset("fig7", fft_size=64).with_override("kernel", "fast")
+    spec.build().run(spec.duration)
+    python = _by_transition("repro_kernel_fallback_transitions_total")
+    assert python.get("restore-done", 0) + python.get("cold-start", 0) > 0
+    obs.registry.reset()
+    spec = preset("crossover-hibernus").with_override("kernel", "fast")
+    spec = dataclasses.replace(spec, platform=dataclasses.replace(
+        spec.platform, strategy="mementos", strategy_params={},
+    ))
+    spec.build().run(0.2)
+    python = _by_transition("repro_kernel_fallback_transitions_total")
+    assert python.get("checkpoint-site", 0) > 0

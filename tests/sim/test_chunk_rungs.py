@@ -13,6 +13,11 @@ three loads mixing resistive, current and constant demand with voltage
 event boundaries, and the envelope's sampling period and phase.  Some
 loads publish per-step energies through a run-ahead ``stretch`` (the
 interpreter's ACTIVE shape), sometimes fewer than the chunk asks for.
+Some rails also carry a transient platform (a synthetic workload under
+Hibernus, Hibernus++ or no strategy, in any state) whose transition
+table the loops follow across boots, hooks, operations and brownouts:
+its counters, state, progress and store must match per-step execution
+exactly, and the chunk stops before a transition it leaves to Python.
 """
 
 import math
@@ -22,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro import degrade
+from repro.core.system import STATE_CODES
 from repro.harvest.synthetic import (
     HalfWaveRectifiedSinePower,
     SineVoltageHarvester,
@@ -37,10 +43,19 @@ from repro.power.rail import (
     SupplyRail,
 )
 from repro.power.rectifier import Diode, FullWaveRectifier, HalfWaveRectifier
+from repro.mcu.engine import SyntheticEngine
 from repro.sim import _ckernel
 from repro.sim.kernel import LoadProfile
 from repro.storage.capacitor import Capacitor
 from repro.storage.supercap import Supercapacitor
+from repro.transient.base import (
+    NullStrategy,
+    SnapshotStore,
+    TransientPlatform,
+    TransientPlatformConfig,
+)
+from repro.transient.hibernus import Hibernus
+from repro.transient.hibernus_pp import HibernusPP
 
 SEEDS = range(150)
 TOLERANCE = 1e-9
@@ -182,7 +197,68 @@ def scenario(seed):
                 rng.choice((0.0, 10 ** rng.uniform(-10, -7)))
                 for _ in range(rng.randrange(scn["n"] // 2, scn["n"] + 20))
             ]
+    # Drawn after those: a transient platform as one more load, with
+    # thresholds around the starting voltage.
+    scn["platform"] = None
+    if rng.random() < 0.35:
+        v_min = max(0.05, scn["v0"] - rng.uniform(0.0, 0.4))
+        v_hibernate = v_min + rng.uniform(0.0, 0.5)
+        scn["platform"] = {
+            "index": rng.randrange(len(scn["loads"]) + 1),
+            "strategy": rng.choice(("hibernus", "hibernus", "hibernus++",
+                                    "null")),
+            "v_min": v_min,
+            "v_por": v_min + rng.uniform(0.0, 0.3),
+            "v_hibernate": v_hibernate,
+            "v_restore": v_hibernate + rng.uniform(0.01, 0.5),
+            "state": rng.choice(("off", "sleep", "active", "snapshot",
+                                 "restore")),
+            "total": rng.randrange(20_000, 400_000),
+            "executed": rng.randrange(0, 20_000),
+            "words": rng.choice((17, rng.randrange(0, 3000))),
+            "slots": rng.choice((1, 2, 2)),
+            "held": rng.random() < 0.7,
+            "done": rng.random() < 0.1,
+        }
     return scn
+
+
+def build_platform(spec, capacitance):
+    """A synthetic-workload platform in the drawn state."""
+    strategy = {
+        "hibernus": lambda: Hibernus(v_hibernate=spec["v_hibernate"],
+                                     v_restore=spec["v_restore"]),
+        "hibernus++": lambda: HibernusPP(
+            v_hibernate_initial=spec["v_hibernate"],
+            v_restore_initial=spec["v_restore"],
+        ),
+        "null": NullStrategy,
+    }[spec["strategy"]]()
+    engine = SyntheticEngine(spec["total"], full_state_words=spec["words"])
+    platform = TransientPlatform(
+        engine, strategy,
+        config=TransientPlatformConfig(
+            v_min=spec["v_min"], v_por=spec["v_por"],
+            rail_capacitance=capacitance,
+        ),
+        store=SnapshotStore(spec["slots"]),
+    )
+    if spec["held"]:
+        platform.store.begin_write(spec["executed"] // 2, spec["words"])
+        platform.store.commit()
+    engine.executed = spec["executed"]
+    platform.workload_done = spec["done"]
+    state = spec["state"]
+    if state == "sleep":
+        platform.go_sleep()
+    elif state == "active":
+        platform.go_active()
+    elif state == "snapshot":
+        platform.go_active()
+        platform.begin_snapshot(full=True)
+    elif state == "restore" and platform.store.has_snapshot():
+        platform.begin_restore()
+    return platform
 
 
 def build(scn):
@@ -237,16 +313,47 @@ def build(scn):
             load = ProfileLoad(spec["kind"], spec["power"], spec["energy"],
                                term, spec["v_rising"], spec["v_falling"],
                                spec["steps"])
-        loads.append(rail.attach_load(load))
-    return rail, loads
+        loads.append(load)
+    platform = None
+    if scn["platform"] is not None:
+        platform = build_platform(scn["platform"], scn["capacitance"])
+        loads.insert(scn["platform"]["index"], platform)
+    for load in loads:
+        rail.attach_load(load)
+    return rail, loads, platform
+
+
+def platform_state(platform):
+    """Everything a platform's replay must get right, exactly, except
+    the bulk-accounted energies and state times."""
+    if platform is None:
+        return None
+    metrics = platform.metrics
+    operation = platform._operation
+    return (
+        platform.state, platform.engine.executed, platform.workload_done,
+        platform.store.has_snapshot(), platform.store.sequence,
+        platform.store.aborted_writes,
+        None if operation is None else (operation.kind, operation.remaining),
+        {name: value for name, value in vars(metrics).items()
+         if name not in ("energy", "time_in_state")},
+    )
+
+
+def platform_ledger(platform):
+    if platform is None:
+        return None
+    metrics = platform.metrics
+    return dict(metrics.energy), dict(metrics.time_in_state)
 
 
 def chunk(scn):
     """One ``step_chunk`` on a fresh rail; every observable result."""
-    rail, loads = build(scn)
+    rail, loads, platform = build(scn)
     dt = scn["dt"]
     taken = rail.step_chunk(scn["start"] * dt, dt, scn["n"])
     stats = rail.stats
+    states = rail.last_chunk_states()
     return {
         "taken": taken,
         "voltages": rail.last_chunk_voltages().tolist(),
@@ -255,6 +362,11 @@ def chunk(scn):
                   stats.starved),
         "envelope": envelope(stats),
         "commits": [getattr(load, "commits", None) for load in loads],
+        "platform": platform_state(platform),
+        "ledger": platform_ledger(platform),
+        "states": None if states is None else states.tolist(),
+        "transitions": {k: v for k, v in rail.transitions.items() if v},
+        "stop": rail.stop_transition,
     }
 
 
@@ -264,25 +376,35 @@ def envelope(stats):
 
 def reference(scn, steps):
     """Per-step execution of ``steps`` steps: the voltages, the stats
-    totals, the envelope, and each load's first boundary crossing over
-    one more step (the event step)."""
-    rail, loads = build(scn)
+    totals, the envelope, the platform's state, ledger and per-step
+    state codes, each load's first boundary crossing over one more step
+    (the event step), and the platform's state after it."""
+    rail, loads, platform = build(scn)
     dt = scn["dt"]
     voltages = []
+    codes = []
     for i in range(steps + 1):
         if i == steps:
             stats = rail.stats
             totals = (stats.harvested, stats.consumed, stats.leaked,
                       stats.starved)
             bounds = envelope(stats)
+            before = platform_state(platform)
+            ledger = platform_ledger(platform)
         rail.step((scn["start"] + i) * dt, dt)
         voltages.append(rail.voltage)
+        if platform is not None:
+            codes.append(float(STATE_CODES[platform.state]))
     crossings = [
         min(load.crossings, default=(None, None))
         if isinstance(load, ProfileLoad) else (None, None)
-        for load in loads
+        for load in loads if load is not platform
     ]
-    return voltages[:steps], totals, bounds, crossings
+    return {
+        "voltages": voltages[:steps], "totals": totals, "bounds": bounds,
+        "crossings": crossings, "platform": before, "ledger": ledger,
+        "states": codes[:steps], "after": platform_state(platform),
+    }
 
 
 def rung_results(monkeypatch, rung):
@@ -335,7 +457,10 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
                 seen.add("run-ahead-short")
             elif any(load["steps"] for load in scn["loads"]):
                 seen.add("run-ahead")
-            voltages, totals, bounds, crossings = reference(scn, taken)
+            ref = reference(scn, taken)
+            voltages, totals, bounds, crossings = (
+                ref["voltages"], ref["totals"], ref["bounds"],
+                ref["crossings"])
             assert len(result["voltages"]) == taken
             for got, want in zip(result["voltages"], voltages):
                 assert abs(got - want) <= TOLERANCE, (rung, seed)
@@ -350,9 +475,30 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
                 seen.add("envelope-empty")
             elif scn["every"] > 1 and scn["phase"] > 0:
                 seen.add("envelope-mid-period")
+            if scn["platform"] is not None:
+                seen.add("table")
+                # Counters, state, progress, store and operation exactly;
+                # bulk-accounted energies and times within tolerance.
+                assert result["platform"] == ref["platform"], (rung, seed)
+                for got, want in zip(result["ledger"], ref["ledger"]):
+                    for key, value in want.items():
+                        assert abs(got[key] - value) <= TOLERANCE * max(
+                            abs(value), 1e-6), (rung, seed, key)
+                assert result["states"] == ref["states"], (rung, seed)
+                if result["transitions"]:
+                    seen.add("table-transition")
+                seen.update(result["transitions"])
+            else:
+                assert result["states"] is None
             steps = [step for step, _ in crossings if step is not None]
             event = min(steps) if steps else None
-            if taken < n:
+            if result["stop"] is not None:
+                # The table stopped before a transition it leaves to
+                # Python: the reference takes it on the next step.
+                assert taken < n, (rung, seed)
+                assert ref["after"] != ref["platform"], (rung, seed)
+                seen.add("table-stop")
+            elif taken < n:
                 assert event == taken, (rung, seed, crossings, taken)
                 first_load = [step for step, _ in crossings].index(event)
                 seen.add("event" if first_load == 0
@@ -386,4 +532,7 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
         "trapezoid", "sine-full", "square", "converter",
         "resistor", "resistive", "current", "constant",
         "capacitor", "leaky", "supercap",
+        "table", "table-transition", "table-stop",
+        "boot", "brownout", "snapshot", "snapshot-done", "restore",
+        "restore-done", "cold-start",
     }, seen

@@ -3,19 +3,22 @@
 The integration-level guarantees live in
 ``tests/integration/test_strategy_parity.py``; these tests pin the
 descriptor-level arithmetic: the source-plan memo's exact-grid slicing,
-the synthetic engine's active-plan boundaries, the operation profile's
-float-exact countdown, and the rail's handling of time-based
-``max_steps`` boundaries.
+the synthetic engine's active-plan boundaries, the transition table's
+float-exact operation countdown and guard, the rail's handling of
+time-based ``max_steps`` boundaries, and a bound on how often a
+crossover point returns to Python.
 """
 
 import math
 
 from repro.mcu.engine import SyntheticEngine
 from repro.power.rail import SupplyRail
-from repro.sim.kernel import LoadProfile, SourcePlanMemo
+from repro.sim import kernel
+from repro.sim.kernel import LoadProfile, SourcePlanMemo, operation_steps
 from repro.storage.capacitor import Capacitor
 from repro.transient.base import (
     NullStrategy,
+    PlatformState,
     Strategy,
     TransientPlatform,
 )
@@ -220,11 +223,11 @@ def test_active_plan_matches_run_cycles_step_for_step():
     assert total_energy == sum([energy] * safe)
 
 
-# -- operation profiles ----------------------------------------------------
+# -- operation rows --------------------------------------------------------
 
 
 def test_operation_profile_countdown_matches_reference_subtraction():
-    """The snapshot profile's safe-step count replicates the reference
+    """The transition table's snapshot row replicates the reference
     path's repeated `remaining -= dt` float-for-float."""
     engine = SyntheticEngine(total_cycles=100_000)
     platform = TransientPlatform(engine, NullStrategy())
@@ -233,29 +236,45 @@ def test_operation_profile_countdown_matches_reference_subtraction():
     operation = platform._operation
     dt = 1e-4
     profile = platform.load_profile(0.0, dt, 3.0)
-    assert profile is not None
-    assert profile.power == operation.power
+    assert profile is not None and profile.table is not None
+    table = profile.table
+    assert table.state == kernel.SNAPSHOT
+    assert table.energies[kernel.SNAPSHOT] == operation.power * dt
     # Reference countdown: steps until remaining goes non-positive.
     remaining = operation.remaining
     steps_to_complete = 0
     while remaining > 0.0:
         remaining -= dt
         steps_to_complete += 1
-    assert profile.max_steps == steps_to_complete - 1
-
-    # Committing the safe steps leaves exactly one countdown step.
-    profile.commit(profile.max_steps, dt, 0.0)
-    assert operation.remaining > 0.0
-    assert operation.remaining - dt <= 0.0
+    assert table.left == steps_to_complete
+    assert operation_steps(operation.remaining, dt) == steps_to_complete
 
 
-def test_operation_profile_declines_at_the_completing_step():
-    engine = SyntheticEngine(total_cycles=100_000)
-    platform = TransientPlatform(engine, NullStrategy())
-    platform.go_active()
-    platform.begin_snapshot(full=True)
-    platform._operation.remaining = 1e-5  # completes on the next step
-    assert platform.load_profile(0.0, 1e-4, 3.0) is None
+def test_operation_table_follows_the_completing_step():
+    """An operation completing on the next step no longer ends the
+    chunk: the table counts down to it, commits the snapshot and
+    sleeps, exactly as per-step execution does."""
+    dt = 1e-4
+    platforms = []
+    for _ in range(2):
+        engine = SyntheticEngine(total_cycles=100_000)
+        platform = TransientPlatform(engine, NullStrategy())
+        platform.go_active()
+        platform.begin_snapshot(full=True)
+        platform._operation.remaining = 1e-5  # completes on the next step
+        platforms.append(platform)
+    tabled, stepped = platforms
+    assert tabled.load_profile(0.0, dt, 3.0).table.left == 1
+    rail = SupplyRail(Capacitor(100e-6, v_max=5.0, v_initial=3.0))
+    rail.attach_load(tabled)
+    assert rail.step_chunk(0.0, dt, 8) == 8
+    assert rail.transitions["snapshot-done"] == 1
+    for i in range(8):
+        stepped.advance(i * dt, dt, 3.0)
+    for platform in platforms:
+        assert platform.state is PlatformState.SLEEP
+        assert platform.metrics.snapshots_completed == 1
+        assert platform.store.has_snapshot()
 
 
 # -- strategy guards -------------------------------------------------------
@@ -288,12 +307,13 @@ def test_active_profile_event_boundary_is_inclusive():
     platform.go_active()
     profile = platform.load_profile(0.0, 1e-4, 3.1)
     assert profile is not None
-    assert profile.v_falling == math.nextafter(2.8, math.inf)
-    # `v < v_falling` is then exactly `v <= 2.8`: true at the guard
+    table = profile.table
+    assert table.guard == math.nextafter(2.8, math.inf)
+    # `v < guard` is then exactly `v <= 2.8`: true at the guard
     # itself, false one ulp above it.
-    assert 2.8 < profile.v_falling
-    assert not profile.v_falling < profile.v_falling
-    assert profile.current > 0.0 and profile.max_steps > 0
+    assert 2.8 < table.guard
+    assert not table.guard < table.guard
+    assert table.current > 0.0 and table.budget > 0
 
 
 # -- rail max_steps handling -----------------------------------------------
@@ -338,3 +358,73 @@ def test_rail_chunk_declines_when_boundary_is_immediate():
     rail = SupplyRail(Capacitor(100e-6, v_max=5.0, v_initial=3.0))
     rail.attach_load(_TimedLoad(power=1e-3, max_steps=0))
     assert rail.step_chunk(0.0, 1e-4, 4096) == 0
+
+
+# -- engagement guard ------------------------------------------------------
+
+
+def test_crossover_point_stays_inside_chunks():
+    """A 60 Hz Hibernus crossover point crosses hundreds of platform
+    transitions; the chunk loops follow them, so chunk calls plus
+    per-step steps stay far below the 448 + 390 = 838 a point took when
+    every transition cost a short chunk and a Python event step.  A
+    refactor that silently turned the table off would fail here."""
+    from repro.spec.presets import preset
+
+    spec = preset("crossover-hibernus").with_overrides(
+        {"kernel": "fast", "frequency": 60.0, "capacitance": 15e-6}
+    )
+    system = spec.build()
+    system.run(spec.duration)
+    stats = system.simulator.chunk_stats
+    assert system.platform.metrics.completions == 1
+    assert sum(stats.transitions.values()) > 300
+    assert stats.chunks + stats.fallback_steps < 838 // 10, stats
+
+
+def test_chunk_ends_when_its_transition_log_fills(monkeypatch):
+    """A chunk that follows more transitions than its log holds ends
+    after the step that nearly fills it, on both rungs alike, exactly
+    where per-step execution is after as many steps."""
+    from repro import degrade
+    from repro.sim import _ckernel
+    from repro.sim.kernel import LOG_CAPACITY
+    from repro.spec.presets import preset
+
+    spec = preset(
+        "crossover-quickrecall", frequency=99.0, total_cycles=40_000_000
+    ).with_overrides({"kernel": "fast", "dt": 2e-4})
+    outcomes = []
+    try:
+        for rung in ("python", "c"):
+            if rung == "python":
+                monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+            else:
+                monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+            _ckernel.reset_cache()
+            degrade.reset()
+            system = spec.build()
+            taken = system.rail.step_chunk(0.0, spec.dt, 4096)
+            followed = sum(system.rail.transitions.values())
+            assert system.rail.stop_transition is None
+            assert LOG_CAPACITY - 3 < followed <= LOG_CAPACITY
+            assert 0 < taken < 4096
+            metrics = system.platform.metrics
+            outcomes.append((taken, system.rail.voltage, metrics.boots,
+                             metrics.brownouts, metrics.snapshots_completed,
+                             metrics.restores_completed,
+                             metrics.cycles_executed))
+    finally:
+        _ckernel.reset_cache()
+        degrade.reset()
+    if _ckernel.load() is not None:
+        assert outcomes[0] == outcomes[1]
+    reference = spec.with_override("kernel", "reference").build()
+    for i in range(outcomes[0][0]):
+        reference.rail.step(i * spec.dt, spec.dt)
+    metrics = reference.platform.metrics
+    assert outcomes[0][2:] == (
+        metrics.boots, metrics.brownouts, metrics.snapshots_completed,
+        metrics.restores_completed, metrics.cycles_executed,
+    )
+    assert abs(outcomes[0][1] - reference.rail.voltage) <= 1e-9

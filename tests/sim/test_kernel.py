@@ -472,8 +472,10 @@ def test_crossover_schedule_is_event_exact(name):
     reasons = stats.fallbacks
     assert sum(reasons.values()) == stats.fallback_steps
     assert stats.chunked_steps + stats.fallback_steps == sim.steps
-    # Every supply interruption ends chunks at declared boundaries; the
-    # steps after them are event steps, and almost no attempt is refused
-    # (before event-exact scheduling each short chunk cost one refusal).
-    assert reasons["event"] > 50
-    assert reasons["refused"] < 0.1 * reasons["event"]
+    # Chunks follow every supply interruption's transitions inline;
+    # the one step left to Python is the one that completes the
+    # workload, after a chunk that stopped exactly before it.
+    assert sum(stats.transitions.values()) > 50
+    assert stats.fallback_transitions["halt"] == 1
+    assert reasons["event"] == 1
+    assert reasons["refused"] == reasons["backoff"] == 0

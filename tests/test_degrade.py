@@ -62,10 +62,12 @@ def test_transitions_count_changes_not_reports():
 
 
 def fast_run():
-    """A short fast-kernel run that advances in many chunks."""
+    """A short fast-kernel run that advances in many chunks (chunks
+    follow its transitions, so only its length sets their number)."""
     from repro.spec.presets import preset
 
-    spec = preset("crossover-hibernus", frequency=20.0, duration=0.3)
+    spec = preset("crossover-hibernus", frequency=20.0, duration=4.0,
+                  total_cycles=40_000_000)
     spec = spec.with_overrides({"kernel": "fast"})
     system = spec.build()
     system.run(spec.duration)
