@@ -403,6 +403,7 @@ class ExplorationDriver:
             resume=self.resume,
             executor=executor,
             policy=self.policy,
+            hashes=[hashes[i] for i in todo],
         )
         fresh = dict(zip(todo, results))
         for i, result in fresh.items():

@@ -4,8 +4,8 @@ A trace produced by ``--trace-out`` (or fetched from ``GET /v1/trace``)
 carries both the span events and a metrics snapshot under
 ``otherData.metrics``.  This module aggregates that into the terminal
 tables the ``repro obs`` subcommand prints: top spans by cumulative
-wall time, counter/gauge listings, and histogram summaries with
-bucket-boundary p50/p99 estimates.
+and self wall time, counter/gauge listings, and histogram summaries
+with bucket-boundary p50/p99 estimates.
 """
 
 from __future__ import annotations
@@ -33,21 +33,38 @@ def summarize_spans(
 ) -> List[Dict[str, Any]]:
     """Aggregate complete-span events by name, sorted by cumulative time.
 
-    Returns rows of ``{name, count, total_s, avg_s, max_s}``; instant
-    events get ``total_s = 0`` and are listed by count.
+    Returns rows of ``{name, count, total_s, self_s, avg_s, max_s}``;
+    ``self_s`` is exclusive time: ``X`` spans nest per pid/tid, and a
+    span's self time is its duration minus what the spans directly
+    inside it cover.  Instant events get ``total_s = 0`` and are listed
+    by count.
     """
     rows: Dict[str, Dict[str, Any]] = {}
+    by_thread: Dict[Any, List[Any]] = {}
     for event in trace_events:
         name = event.get("name", "?")
         phase = event.get("ph")
-        row = rows.setdefault(
-            name, {"name": name, "count": 0, "total_s": 0.0, "max_s": 0.0},
-        )
+        row = rows.setdefault(name, {"name": name, "count": 0, "total_s": 0.0,
+                                     "self_s": 0.0, "max_s": 0.0})
         row["count"] += 1
         if phase == "X":
             dur_s = float(event.get("dur", 0.0)) / 1e6
             row["total_s"] += dur_s
+            row["self_s"] += dur_s
             row["max_s"] = max(row["max_s"], dur_s)
+            start = float(event.get("ts", 0.0)) / 1e6
+            by_thread.setdefault((event.get("pid"), event.get("tid")), []) \
+                .append((start, start + dur_s, name))
+    for spans in by_thread.values():
+        spans.sort(key=lambda span: (span[0], -span[1]))
+        stack: List[Any] = []
+        for start, end, name in spans:
+            while stack and stack[-1][1] <= start:
+                stack.pop()
+            if stack:
+                parent_end, parent = stack[-1][1:]
+                rows[parent]["self_s"] -= min(end, parent_end) - start
+            stack.append((start, end, name))
     for row in rows.values():
         row["avg_s"] = row["total_s"] / row["count"] if row["count"] else 0.0
     return sorted(rows.values(), key=lambda r: (-r["total_s"], r["name"]))
@@ -101,11 +118,12 @@ def render_report(body: Mapping[str, Any], top: int = 20) -> str:
     if spans:
         lines.append("top spans by cumulative wall time")
         lines.append(f"  {'span':<32} {'count':>7} {'total':>10} "
-                     f"{'avg':>10} {'max':>10}")
+                     f"{'self':>10} {'avg':>10} {'max':>10}")
         for row in spans[:top]:
             lines.append(
                 f"  {row['name']:<32} {row['count']:>7} "
                 f"{_fmt_seconds(row['total_s']):>10} "
+                f"{_fmt_seconds(row['self_s']):>10} "
                 f"{_fmt_seconds(row['avg_s']):>10} "
                 f"{_fmt_seconds(row['max_s']):>10}"
             )

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.errors import SpecError
 from repro.results.metrics import ERROR_COLUMN, extract_metrics, result_columns
 
@@ -168,15 +169,18 @@ class RunResult:
         name: Optional[str] = None,
         key_payload: Optional[Mapping[str, Any]] = None,
         capture_traces: tuple = (),
+        key: Optional[str] = None,
     ) -> "RunResult":
         """Summarize a finished :class:`SystemRunResult` via the registry.
 
-        Spec-driven runs key on :func:`spec_hash`; imperatively wired
-        runs pass ``key_payload`` (any JSON-able description of the
-        conditions) and ``name`` instead.
+        Spec-driven runs key on :func:`spec_hash` (``key`` when the
+        caller already hashed ``spec``); imperatively wired runs pass
+        ``key_payload`` (any JSON-able description of the conditions)
+        and ``name`` instead.
         """
         if spec is not None:
-            key = spec_hash(spec)
+            if key is None:
+                key = spec_hash(spec)
             run_name = name if name is not None else spec.name
         elif key_payload is not None:
             key = content_hash(key_payload)
@@ -248,13 +252,17 @@ class RunResult:
         return record
 
     @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "RunResult":
+    def from_record(
+        cls, record: Mapping[str, Any], spec: Optional[Any] = None
+    ) -> "RunResult":
         """Rebuild from :meth:`to_record` output.
 
-        The embedded spec payload is revalidated through
-        ``ScenarioSpec.from_dict``; a payload the current code no longer
-        accepts degrades to ``spec=None`` rather than poisoning the load
-        — the metrics row is still queryable.
+        A caller holding the producing ``spec`` passes it, and the
+        record's spec payload is not parsed.  Otherwise the payload is
+        revalidated through ``ScenarioSpec.from_dict``; one the current
+        code no longer accepts degrades to ``spec=None`` (counted in
+        ``repro_store_spec_dropped_total``) rather than poisoning the
+        load — the metrics row is still queryable.
         """
         for key in ("spec_hash", "name", "metrics"):
             if key not in record:
@@ -265,14 +273,13 @@ class RunResult:
                 f"result record schema {schema!r} is not supported "
                 f"(expected {RECORD_SCHEMA})"
             )
-        spec = None
-        if "spec" in record:
+        if spec is None and "spec" in record:
             from repro.spec.specs import ScenarioSpec
 
             try:
                 spec = ScenarioSpec.from_dict(record["spec"])
             except SpecError:
-                spec = None
+                obs.counter("repro_store_spec_dropped_total").inc()
         return cls(
             spec_hash=record["spec_hash"],
             name=record["name"],

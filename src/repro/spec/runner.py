@@ -74,7 +74,7 @@ from repro.spec.specs import ScenarioSpec, expand_grid
 
 
 #: The base spec this process resolves task overrides against: parsed
-#: once per worker process (or per serial batch), not once per task.
+#: again only when another base is installed, never once per task.
 #: ``None`` until :func:`_install_shared_base` runs.
 _SHARED_BASE: Optional[ScenarioSpec] = None
 #: Its raw dict form (for failure keys), kept in lockstep.
@@ -82,12 +82,14 @@ _SHARED_BASE_DICT: Optional[Dict[str, Any]] = None
 
 
 def _install_shared_base(base_dict: Optional[Dict[str, Any]]) -> None:
-    """Parse ``base_dict`` as the base later tasks resolve against."""
+    """Make ``base_dict`` the base later tasks resolve against."""
     global _SHARED_BASE, _SHARED_BASE_DICT
+    if base_dict != _SHARED_BASE_DICT or _SHARED_BASE is None:
+        _SHARED_BASE = (
+            ScenarioSpec.from_dict(base_dict) if base_dict is not None
+            else None
+        )
     _SHARED_BASE_DICT = base_dict
-    _SHARED_BASE = (
-        ScenarioSpec.from_dict(base_dict) if base_dict is not None else None
-    )
 
 
 def _task_failure_key(
@@ -110,12 +112,14 @@ def run_spec(
     spec: ScenarioSpec,
     overrides: Dict[str, Any],
     capture_traces: Sequence[str] = (),
+    key: Optional[str] = None,
 ) -> RunResult:
     """Build and run one spec: the body of every point.
 
     Records only the traces named in ``capture_traces``, none by
-    default.  A spec that fails to build or run becomes an error row
-    keyed by its spec hash, so one bad point cannot kill the sweep.
+    default.  ``key`` is the spec's hash when the caller already has
+    it.  A spec that fails to build or run becomes an error row keyed
+    by its spec hash, so one bad point cannot kill the sweep.
     """
     try:
         system = spec.build()
@@ -126,11 +130,12 @@ def run_spec(
             spec,
             overrides=overrides,
             capture_traces=tuple(capture_traces),
+            key=key,
         )
     except Exception as error:  # one bad point must not kill the sweep
         return RunResult.failed(
             f"{type(error).__name__}: {error}",
-            spec_hash=spec_hash(spec),
+            spec_hash=key if key is not None else spec_hash(spec),
             name=spec.name,
             overrides=overrides,
             spec=spec,
@@ -144,7 +149,9 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     "traces": [probe names]}``: ``spec_overrides`` applied to the
     installed base spec give the point's spec (deterministically, so
     its hash — the results pipeline's cache key — equals the one the
-    submitting process computed), ``overrides`` label its row.  The
+    submitting process computed), ``overrides`` label its row.
+    :func:`evaluate` adds that ``spec_hash``, which the row carries, and
+    in-process the resolved ``spec``, which is then used as is.  The
     return value is a :meth:`RunResult.to_record` dict.
     """
     if faults.is_armed():
@@ -155,16 +162,19 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         faults.inject("worker.crash", fault_key, "injected worker crash")
         faults.maybe_hang(fault_key)
     overrides = dict(payload.get("overrides", {}))
-    try:
-        spec = _SHARED_BASE.with_overrides(payload["spec_overrides"])
-    except Exception as error:
-        return RunResult.failed(
-            f"{type(error).__name__}: {error}",
-            spec_hash=_task_failure_key(payload, _SHARED_BASE_DICT),
-            overrides=overrides,
-        ).to_record()
+    spec = payload.get("spec")
+    if spec is None:
+        try:
+            spec = _SHARED_BASE.with_overrides(payload["spec_overrides"])
+        except Exception as error:
+            return RunResult.failed(
+                f"{type(error).__name__}: {error}",
+                spec_hash=_task_failure_key(payload, _SHARED_BASE_DICT),
+                overrides=overrides,
+            ).to_record()
     return run_spec(
-        spec, overrides, capture_traces=tuple(payload.get("traces", ()))
+        spec, overrides, capture_traces=tuple(payload.get("traces", ())),
+        key=payload.get("spec_hash"),
     ).to_record()
 
 
@@ -337,10 +347,10 @@ def _run_payload_chunk(
 ) -> Any:
     """Pool-side chunk body: one IPC round-trip for many tasks.
 
-    ``base_dict`` is the base spec the chunk's tasks resolve against;
-    it is installed only when it differs from what the worker already
-    holds, so the first chunk a worker runs parses the base and a pool
-    serving one sweep parses it exactly once per worker, while a
+    ``base_dict`` is the base spec the chunk's tasks resolve against.
+    A worker parses it on the first chunk that brings it and keeps the
+    parse while later chunks bring an equal dict, so a pool serving
+    one sweep parses it exactly once per worker, while a
     *session-wide* pool (the ``repro serve`` job executor) can switch
     bases between jobs at the cost of one re-parse per worker per
     switch.
@@ -356,8 +366,7 @@ def _run_payload_chunk(
     its own registry/trace buffer so ``/metrics`` and ``--trace-out``
     reflect kernel activity wherever it physically ran.
     """
-    if base_dict != _SHARED_BASE_DICT:
-        _install_shared_base(base_dict)
+    _install_shared_base(base_dict)
     # The chunk carries the submitter's fault configuration: workers
     # spawned before the faults were armed programmatically (or after
     # they were cleared) sync to the parent on their next chunk.
@@ -527,35 +536,30 @@ def _run_in_process(
 ) -> List[Dict[str, Any]]:
     """One unsupervised attempt in this process, in payload order."""
     worker = sys.modules[__name__].run_point_payload
-    global _SHARED_BASE, _SHARED_BASE_DICT
-    saved = (_SHARED_BASE, _SHARED_BASE_DICT)
     _install_shared_base(base_spec)
     # In-process execution: kernel instrumentation lands directly in
     # this process's registry/trace buffer — no shipment envelope.
     obs.counter("repro_pool_tasks_total", mode="serial").inc(len(payloads))
-    try:
-        with obs.span("pool.serial", tasks=len(payloads)):
-            records = []
-            for payload in payloads:
-                # In-process a running payload cannot be reaped; the
-                # deadline bounds how much *further* work starts once
-                # the budget is spent.
-                if deadline is not None and time.monotonic() > deadline:
-                    records.append(_worker_failure(
-                        payload,
-                        TimeoutError("task deadline exceeded"),
-                        _SHARED_BASE_DICT,
-                    ))
-                    continue
-                try:
-                    records.append(worker(payload))
-                except Exception as error:
-                    records.append(
-                        _worker_failure(payload, error, _SHARED_BASE_DICT)
-                    )
-            return records
-    finally:
-        _SHARED_BASE, _SHARED_BASE_DICT = saved
+    with obs.span("pool.serial", tasks=len(payloads)):
+        records = []
+        for payload in payloads:
+            # In-process a running payload cannot be reaped; the
+            # deadline bounds how much *further* work starts once the
+            # budget is spent.
+            if deadline is not None and time.monotonic() > deadline:
+                records.append(_worker_failure(
+                    payload,
+                    TimeoutError("task deadline exceeded"),
+                    _SHARED_BASE_DICT,
+                ))
+                continue
+            try:
+                records.append(worker(payload))
+            except Exception as error:
+                records.append(
+                    _worker_failure(payload, error, _SHARED_BASE_DICT)
+                )
+        return records
 
 
 def _supervise(
@@ -836,9 +840,12 @@ class WarmPool:
                     len(payloads) / (self.max_workers * _CHUNKS_PER_WORKER)
                 ),
             )
+        # A resolved spec rides a payload in-process only.
+        shipped = [{k: v for k, v in p.items() if k != "spec"}
+                   for p in payloads]
         chunks = [
-            payloads[i : i + chunk_size]
-            for i in range(0, len(payloads), chunk_size)
+            shipped[i : i + chunk_size]
+            for i in range(0, len(shipped), chunk_size)
         ]
         # When instrumentation is on, workers wrap each chunk in an obs
         # envelope (see _run_payload_chunk); tracing in *this* process
@@ -951,23 +958,28 @@ def evaluate(
     executor: Executor = run_in_process,
     policy: Optional[SupervisionPolicy] = None,
     traces: Sequence[str] = (),
+    hashes: Optional[Sequence[str]] = None,
 ) -> Tuple[List[RunResult], EvaluationStats]:
     """Satisfy ``points`` against ``base``: the one evaluation core.
 
     Each point is ``(spec, task overrides, label overrides)``: the task
     overrides reproduce ``spec`` against ``base`` in a warm worker, the
-    label overrides tag its result row.  With ``resume``, a stored row
-    is reused unless it is a worker crash; a spec hash listed twice
-    computes once; the rest run on ``executor`` under ``policy``, one
-    payload per point, and are written back in one ``store.batch()``
-    — worker crashes excepted, so they stay recomputable.  Returns one
-    result per point, anchored to its position and spec, and the call's
-    :class:`EvaluationStats`.  Trace names outside the standard probes
-    raise :class:`SpecError` before any point runs or is stored.
+    label overrides tag its result row.  Each point is hashed once
+    (here, unless the caller passes its ``hashes``) and the hash rides
+    the payload onto the row.  With ``resume``, a stored row is reused
+    unless it is a worker crash; a spec hash listed twice computes
+    once; the rest run on ``executor`` under ``policy``, one payload
+    per point, and are written back in one ``store.batch()`` — worker
+    crashes excepted, so they stay recomputable.  Returns one result
+    per point, anchored to its position and spec (no record's spec is
+    parsed back), and the call's :class:`EvaluationStats`.  Trace names
+    outside the standard probes raise :class:`SpecError` before any
+    point runs or is stored.
     """
     check_trace_names(traces)
     base_dict = base.to_dict()
-    hashes = [spec_hash(spec) for spec, _, _ in points]
+    if hashes is None:
+        hashes = [spec_hash(spec) for spec, _, _ in points]
     outcome: Dict[str, Optional[RunResult]] = {}
     pending: List[int] = []
     for position, key in enumerate(hashes):
@@ -978,7 +990,8 @@ def evaluate(
             pending.append(position)
     payloads = [
         {"spec_overrides": points[position][1],
-         "overrides": points[position][2], "traces": list(traces)}
+         "overrides": points[position][2], "traces": list(traces),
+         "spec_hash": hashes[position], "spec": points[position][0]}
         for position in pending
     ]
     records = executor(payloads, base_spec=base_dict, policy=policy)
@@ -991,9 +1004,7 @@ def evaluate(
     # with a single fsync instead of one per point.
     with (store.batch() if store is not None else nullcontext()):
         for position, record in zip(pending, records):
-            result = RunResult.from_record(record).with_context(
-                index=position, spec=points[position][0]
-            )
+            result = RunResult.from_record(record, spec=points[position][0])
             outcome[hashes[position]] = result
             if store is not None and not is_worker_crash_error(result.error):
                 store.add(result, overwrite=True)
@@ -1091,7 +1102,7 @@ class SweepRunner:
         self.grid = dict(grid)
         self.max_workers = max_workers
         self.overrides = expand_grid(self.grid)
-        # Expand eagerly: a bad override key fails here, not mid-pool.
+        # Expand and hash once, eagerly: a bad key fails here, not mid-pool.
         self.specs = [base.with_overrides(point) for point in self.overrides]
         self.hashes = [spec_hash(spec) for spec in self.specs]
 
@@ -1174,6 +1185,7 @@ class SweepRunner:
                 executor=executor,
                 policy=policy,
                 traces=capture_traces,
+                hashes=self.hashes,
             )
             computed = len(stats.computed)
             # One shared progress stream: the event always flows through

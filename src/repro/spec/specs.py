@@ -25,8 +25,8 @@ import dataclasses
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SpecError
 from repro.spec.registry import accepted_parameters, create, validate_params
@@ -34,7 +34,9 @@ from repro.spec.registry import accepted_parameters, create, validate_params
 
 def _plain(value: Any) -> Any:
     """Deep-copy ``value`` into plain JSON-compatible containers."""
-    if isinstance(value, Mapping):
+    if value is None or isinstance(value, (str, int, float)):
+        return value  # the common leaf, without the abstract Mapping check
+    if isinstance(value, (dict, Mapping)):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -47,6 +49,32 @@ def _check_keys(payload: Mapping[str, Any], allowed: Sequence[str], what: str) -
         raise SpecError(
             f"unknown key(s) {unknown} in {what}; allowed keys: {sorted(allowed)}"
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _defaults(cls: Any) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, default)`` per dataclass field of ``cls``, in order;
+    ``dataclasses.MISSING`` for a field without one."""
+    return tuple(
+        (f.name, f.default if f.default_factory is dataclasses.MISSING
+         else f.default_factory())
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _fields_of(cls: Any, payload: Mapping[str, Any], what: str) -> Mapping:
+    """``payload``, checked to name only ``cls``'s dataclass fields."""
+    _check_keys(payload, [name for name, _ in _defaults(cls)], what)
+    return payload
+
+
+def _copy_params(payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """Constructor keywords, each ``*params``/``config`` dict copied."""
+    return {
+        name: dict(value) if name.endswith("params") or name == "config"
+        else value
+        for name, value in payload.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +102,19 @@ class HarvesterSpec:
     mppt_params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _plain(self.params))
-        object.__setattr__(self, "rectifier_params", _plain(self.rectifier_params))
-        object.__setattr__(self, "converter_params", _plain(self.converter_params))
-        object.__setattr__(self, "mppt_params", _plain(self.mppt_params))
+        for name in ("params", "rectifier_params", "converter_params",
+                     "mppt_params"):
+            object.__setattr__(self, name, _plain(getattr(self, name)))
         if self.rectifier is not None and (self.converter or self.mppt):
             raise SpecError(
                 f"harvester {self.kind!r}: a rectifier (voltage domain) cannot "
                 "be combined with a converter/mppt (power domain)"
             )
         validate_params("harvester", self.kind, self.params)
-        if self.rectifier is not None:
-            validate_params("rectifier", self.rectifier, self.rectifier_params)
-        if self.converter is not None:
-            validate_params("converter", self.converter, self.converter_params)
-        if self.mppt is not None:
-            validate_params("mppt", self.mppt, self.mppt_params)
+        for stage in ("rectifier", "converter", "mppt"):
+            if getattr(self, stage) is not None:
+                validate_params(stage, getattr(self, stage),
+                                getattr(self, f"{stage}_params"))
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"kind": self.kind}
@@ -106,36 +131,22 @@ class HarvesterSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "HarvesterSpec":
-        _check_keys(
-            payload,
-            ["kind", "params", "rectifier", "rectifier_params",
-             "converter", "converter_params", "mppt", "mppt_params"],
-            "harvester spec",
-        )
-        if "kind" not in payload:
+        if "kind" not in _fields_of(cls, payload, "harvester spec"):
             raise SpecError("harvester spec needs a 'kind'")
-        return cls(
-            kind=payload["kind"],
-            params=dict(payload.get("params", {})),
-            rectifier=payload.get("rectifier"),
-            rectifier_params=dict(payload.get("rectifier_params", {})),
-            converter=payload.get("converter"),
-            converter_params=dict(payload.get("converter_params", {})),
-            mppt=payload.get("mppt"),
-            mppt_params=dict(payload.get("mppt_params", {})),
-        )
+        return cls(**_copy_params(payload))
 
 
 @dataclass(frozen=True)
-class StorageSpec:
-    """The storage element the supply rail is built around."""
+class _KindSpec:
+    """A registry ``kind`` of :attr:`family` plus its factory's params."""
 
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
+    family: ClassVar[str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", _plain(self.params))
-        validate_params("storage", self.kind, self.params)
+        validate_params(self.family, self.kind, self.params)
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"kind": self.kind}
@@ -144,37 +155,26 @@ class StorageSpec:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "StorageSpec":
-        _check_keys(payload, ["kind", "params"], "storage spec")
-        if "kind" not in payload:
-            raise SpecError("storage spec needs a 'kind'")
-        return cls(kind=payload["kind"], params=dict(payload.get("params", {})))
+    def from_dict(cls, payload: Mapping[str, Any]) -> Any:
+        _fields_of(cls, payload, f"{cls.family} spec")
+        if "kind" not in payload and not hasattr(cls, "kind"):
+            raise SpecError(f"{cls.family} spec needs a 'kind'")
+        return cls(**_copy_params(payload))
 
 
 @dataclass(frozen=True)
-class LoadSpec:
+class StorageSpec(_KindSpec):
+    """The storage element the supply rail is built around."""
+
+    family: ClassVar[str] = "storage"
+
+
+@dataclass(frozen=True)
+class LoadSpec(_KindSpec):
     """An additional (non-platform) rail load, e.g. a bleed resistor."""
 
     kind: str = "resistive"
-    params: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _plain(self.params))
-        validate_params("load", self.kind, self.params)
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"kind": self.kind}
-        if self.params:
-            payload["params"] = _plain(self.params)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LoadSpec":
-        _check_keys(payload, ["kind", "params"], "load spec")
-        return cls(
-            kind=payload.get("kind", "resistive"),
-            params=dict(payload.get("params", {})),
-        )
+    family: ClassVar[str] = "load"
 
 
 @dataclass(frozen=True)
@@ -307,68 +307,32 @@ class PlatformSpec:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"strategy": self.strategy}
-        if self.strategy_params:
-            payload["strategy_params"] = _plain(self.strategy_params)
-        if self.engine != "machine":
-            payload["engine"] = self.engine
-        if self.engine_params:
-            payload["engine_params"] = _plain(self.engine_params)
-        if self.program is not None:
-            payload["program"] = self.program
-        if self.program_params:
-            payload["program_params"] = _plain(self.program_params)
-        if self.machine_params:
-            payload["machine_params"] = _plain(self.machine_params)
-        if self.power_model is not None:
-            payload["power_model"] = self.power_model
-        if self.clock_frequency is not None:
-            payload["clock_frequency"] = self.clock_frequency
-        if self.clock_voltage != 3.0:
-            payload["clock_voltage"] = self.clock_voltage
-        if self.store_slots != 2:
-            payload["store_slots"] = self.store_slots
-        if self.config:
-            payload["config"] = _plain(self.config)
-        return payload
+        # Every field that differs from its default, in field order.
+        return {
+            name: _plain(getattr(self, name))
+            for name, default in _defaults(type(self))
+            if default is dataclasses.MISSING or getattr(self, name) != default
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "PlatformSpec":
-        _check_keys(
-            payload,
-            ["strategy", "strategy_params", "engine", "engine_params",
-             "program", "program_params", "machine_params", "power_model",
-             "clock_frequency", "clock_voltage", "store_slots", "config"],
-            "platform spec",
-        )
-        if "strategy" not in payload:
+        if "strategy" not in _fields_of(cls, payload, "platform spec"):
             raise SpecError("platform spec needs a 'strategy'")
-        return cls(
-            strategy=payload["strategy"],
-            strategy_params=dict(payload.get("strategy_params", {})),
-            engine=payload.get("engine", "machine"),
-            engine_params=dict(payload.get("engine_params", {})),
-            program=payload.get("program"),
-            program_params=dict(payload.get("program_params", {})),
-            machine_params=dict(payload.get("machine_params", {})),
-            power_model=payload.get("power_model"),
-            clock_frequency=payload.get("clock_frequency"),
-            clock_voltage=payload.get("clock_voltage", 3.0),
-            store_slots=payload.get("store_slots", 2),
-            config=dict(payload.get("config", {})),
-        )
+        return cls(**_copy_params(payload))
 
 
-def _platform_config_fields() -> List[str]:
+@functools.lru_cache(maxsize=None)
+def _platform_config_fields() -> Tuple[str, ...]:
     from repro.transient.base import TransientPlatformConfig
 
-    return [f.name for f in dataclasses.fields(TransientPlatformConfig)]
+    return tuple(f.name for f in dataclasses.fields(TransientPlatformConfig))
 
 
-def _machine_config_fields() -> List[str]:
+@functools.lru_cache(maxsize=None)
+def _machine_config_fields() -> Tuple[str, ...]:
     from repro.mcu.machine import MachineConfig
 
-    return [f.name for f in dataclasses.fields(MachineConfig)]
+    return tuple(f.name for f in dataclasses.fields(MachineConfig))
 
 
 @functools.lru_cache(maxsize=64)
@@ -387,15 +351,30 @@ def _program_source(name: str, params: str) -> str:
 #: Top-level scalar fields that sweeps may override by bare name.
 _SWEEPABLE_SCALARS = ("dt", "duration", "decimate", "kernel", "seed")
 
+#: Platform scalars a sweep may override (``platform__<name>`` or bare).
+_PLATFORM_SCALARS = ("strategy", "clock_frequency", "clock_voltage",
+                     "store_slots", "power_model")
 
-@dataclass(frozen=True)
-class _OverrideTarget:
-    """One place a sweep override can land."""
+#: Keys that swap the strategy *kind*: later keys resolve against the new
+#: strategy's parameters, so compiled plans are keyed by their values too.
+_KIND_KEYS = ("strategy", "platform__strategy")
 
-    qualified: str
-    aliases: Tuple[str, ...]
-    param: str
-    apply: Callable[[Any], "ScenarioSpec"]
+#: Compiled plans a base spec keeps before it starts over.
+_PLAN_CACHE_SIZE = 64
+
+
+def _with_path(node: Any, path: Tuple[Any, ...], value: Any) -> Any:
+    """A copy of ``node`` with ``value`` at ``path``, copying only the
+    containers on the way (a section ``to_dict`` omits starts empty)."""
+    copy = list(node) if isinstance(node, list) else dict(node)
+    head = path[0]
+    if len(path) > 1:
+        value = _with_path(
+            copy[head] if isinstance(copy, list) else copy.get(head, {}),
+            path[1:], value,
+        )
+    copy[head] = value
+    return copy
 
 
 @dataclass(frozen=True)
@@ -553,34 +532,21 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        _check_keys(
-            payload,
-            ["name", "dt", "duration", "storage", "harvesters", "platform",
-             "loads", "decimate", "stop_on_completion", "kernel", "seed"],
-            "scenario spec",
-        )
-        if "storage" not in payload:
+        if "storage" not in _fields_of(cls, payload, "scenario spec"):
             raise SpecError("scenario spec needs a 'storage' section")
-        platform = payload.get("platform")
-        if platform is not None:
+        kwargs = dict(payload)
+        if payload.get("platform") is not None:
             # An explicitly present (even empty) platform section must
             # validate as one, not be silently dropped.
-            platform = PlatformSpec.from_dict(platform)
-        return cls(
-            name=payload.get("name", "scenario"),
-            dt=payload.get("dt", 50e-6),
-            duration=payload.get("duration", 1.0),
-            storage=StorageSpec.from_dict(payload["storage"]),
-            harvesters=tuple(
-                HarvesterSpec.from_dict(h) for h in payload.get("harvesters", [])
-            ),
-            platform=platform,
-            loads=tuple(LoadSpec.from_dict(l) for l in payload.get("loads", [])),
-            decimate=payload.get("decimate", 1),
-            stop_on_completion=payload.get("stop_on_completion", False),
-            kernel=payload.get("kernel", "reference"),
-            seed=payload.get("seed"),
+            kwargs["platform"] = PlatformSpec.from_dict(payload["platform"])
+        kwargs["storage"] = StorageSpec.from_dict(payload["storage"])
+        kwargs["harvesters"] = tuple(
+            HarvesterSpec.from_dict(h) for h in payload.get("harvesters", [])
         )
+        kwargs["loads"] = tuple(
+            LoadSpec.from_dict(l) for l in payload.get("loads", [])
+        )
+        return cls(**kwargs)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -606,101 +572,94 @@ class ScenarioSpec:
 
     # -- sweeps ----------------------------------------------------------
 
-    def _override_targets(self) -> List[_OverrideTarget]:
-        targets: List[_OverrideTarget] = []
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickle the fields only: compiled plans stay with their process.
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
-        for scalar in _SWEEPABLE_SCALARS:
-            targets.append(_OverrideTarget(
-                qualified=scalar, aliases=(), param=scalar,
-                apply=lambda v, _f=scalar: replace(self, **{_f: v}),
-            ))
-
-        def storage_setter(param: str):
-            def apply(value: Any) -> "ScenarioSpec":
-                params = dict(self.storage.params)
-                params[param] = value
-                return replace(self, storage=replace(self.storage, params=params))
-            return apply
-
-        for param in accepted_parameters("storage", self.storage.kind)[0]:
-            targets.append(_OverrideTarget(
-                qualified=f"storage__{param}", aliases=(), param=param,
-                apply=storage_setter(param),
-            ))
-
-        def harvester_setter(index: int, param: str):
-            def apply(value: Any) -> "ScenarioSpec":
-                harvesters = list(self.harvesters)
-                params = dict(harvesters[index].params)
-                params[param] = value
-                harvesters[index] = replace(harvesters[index], params=params)
-                return replace(self, harvesters=tuple(harvesters))
-            return apply
-
-        for index, harvester in enumerate(self.harvesters):
-            for param in accepted_parameters("harvester", harvester.kind)[0]:
-                aliases = (f"harvester__{param}",) if len(self.harvesters) == 1 else ()
-                targets.append(_OverrideTarget(
-                    qualified=f"harvester{index}__{param}", aliases=aliases,
-                    param=param, apply=harvester_setter(index, param),
-                ))
-
-        if self.platform is not None:
-            def platform_dict_setter(field_name: str, param: str):
-                def apply(value: Any) -> "ScenarioSpec":
-                    params = dict(getattr(self.platform, field_name))
-                    params[param] = value
-                    return replace(
-                        self, platform=replace(self.platform, **{field_name: params})
-                    )
-                return apply
-
-            sections = [
-                ("strategy",
-                 accepted_parameters("strategy", self.platform.strategy)[0],
-                 "strategy_params"),
-                ("config", _platform_config_fields(), "config"),
+    def _override_table(self, strategy: Optional[str]) -> List[Tuple]:
+        """Every place an override can land, as ``(qualified, aliases,
+        param, path in the canonical dict)``; ``strategy`` stands in
+        for the platform's own."""
+        sections = [("storage", accepted_parameters(
+            "storage", self.storage.kind)[0], ("storage", "params"))]
+        sections += [
+            (f"harvester{index}", accepted_parameters("harvester", h.kind)[0],
+             ("harvesters", index, "params"))
+            for index, h in enumerate(self.harvesters)
+        ]
+        platform = self.platform
+        if platform is not None:
+            sections += [
+                ("strategy", accepted_parameters("strategy", strategy)[0],
+                 ("platform", "strategy_params")),
+                ("config", _platform_config_fields(), ("platform", "config")),
+                # Bare keys resolve through the param-name match.
+                ("platform", _PLATFORM_SCALARS, ("platform",)),
             ]
-            if self.platform.engine == "synthetic":
-                sections.append(
-                    ("engine", accepted_parameters("engine", "synthetic")[0],
-                     "engine_params")
-                )
+            if platform.engine == "synthetic":
+                sections.append(("engine", accepted_parameters(
+                    "engine", "synthetic")[0], ("platform", "engine_params")))
             else:
-                sections.append(
-                    ("program",
-                     accepted_parameters("program", self.platform.program)[0],
-                     "program_params")
-                )
-                sections.append(("machine", _machine_config_fields(),
-                                 "machine_params"))
-            for prefix, names, field_name in sections:
-                for param in names:
-                    targets.append(_OverrideTarget(
-                        qualified=f"{prefix}__{param}", aliases=(), param=param,
-                        apply=platform_dict_setter(field_name, param),
-                    ))
+                sections += [
+                    ("program", accepted_parameters(
+                        "program", platform.program)[0],
+                     ("platform", "program_params")),
+                    ("machine", _machine_config_fields(),
+                     ("platform", "machine_params")),
+                ]
+        alias = len(self.harvesters) == 1
+        return [(name, (), name, (name,)) for name in _SWEEPABLE_SCALARS] + [
+            (f"{prefix}__{param}",
+             (f"harvester__{param}",) if alias and prefix == "harvester0"
+             else (), param, where + (param,))
+            for prefix, names, where in sections for param in names
+        ]
 
-            def platform_scalar_setter(field_name: str):
-                def apply(value: Any) -> "ScenarioSpec":
-                    return replace(
-                        self, platform=replace(self.platform, **{field_name: value})
-                    )
-                return apply
+    def _resolve(self, table: List[Tuple], key: str) -> Tuple[Any, ...]:
+        """The path ``key`` names in ``table``, or a :class:`SpecError`."""
+        if "__" in key or key in _SWEEPABLE_SCALARS:
+            matches = [t for t in table if key == t[0] or key in t[1]]
+        else:
+            matches = [t for t in table if key == t[2]]
+        if not matches:
+            known = sorted({t[2] for t in table})
+            raise SpecError(
+                f"override key {key!r} matches nothing in scenario "
+                f"{self.name!r}; bare sweepable parameters: {known}"
+            )
+        if len(matches) > 1:
+            choices = sorted(t[0] for t in matches)
+            raise SpecError(
+                f"override key {key!r} is ambiguous; qualify it as one of "
+                f"{choices}"
+            )
+        return matches[0][3]
 
-            for scalar in ("strategy", "clock_frequency", "clock_voltage",
-                           "store_slots", "power_model"):
-                # Bare keys resolve through the param-name branch; only the
-                # qualified form needs listing here.  'strategy' swaps the
-                # checkpointing strategy *kind* (strategy_params must suit
-                # every kind swept — PlatformSpec revalidates per point),
-                # which is what lets explorations search over strategies.
-                targets.append(_OverrideTarget(
-                    qualified=f"platform__{scalar}", aliases=(),
-                    param=scalar, apply=platform_scalar_setter(scalar),
-                ))
-
-        return targets
+    def _plan(self, overrides: Mapping[str, Any]) -> Tuple:
+        """Each key's path, in order; empty when two keys share a path
+        (only the key-by-key chain validates the replaced value).
+        Cached per key tuple and swapped strategy kind."""
+        swaps = tuple(overrides[key] for key in _KIND_KEYS if key in overrides)
+        plans = self.__dict__.setdefault("_plans", {})
+        cache_key = (tuple(overrides), swaps)
+        cacheable = all(isinstance(kind, str) for kind in swaps)
+        plan = plans.get(cache_key) if cacheable else None
+        if plan is not None:
+            return plan
+        table = self._override_table(
+            self.platform.strategy if self.platform is not None else None
+        )
+        paths = []
+        for key, value in overrides.items():
+            paths.append(self._resolve(table, key))
+            if key in _KIND_KEYS:
+                table = self._override_table(value)
+        plan = tuple(paths) if len(set(paths)) == len(paths) else ()
+        if cacheable:
+            if len(plans) >= _PLAN_CACHE_SIZE:
+                plans.clear()
+            plans[cache_key] = plan
+        return plan
 
     def with_override(self, key: str, value: Any) -> "ScenarioSpec":
         """A copy of this spec with one parameter replaced.
@@ -711,28 +670,31 @@ class ScenarioSpec:
         qualified ``section__param`` path (``"storage__capacitance"``,
         ``"harvester0__frequency"``, ``"config__v_min"``).
         """
-        targets = self._override_targets()
-        if "__" in key or key in _SWEEPABLE_SCALARS:
-            matches = [t for t in targets
-                       if key == t.qualified or key in t.aliases]
-        else:
-            matches = [t for t in targets if key == t.param]
-        if not matches:
-            known = sorted({t.param for t in targets})
-            raise SpecError(
-                f"override key {key!r} matches nothing in scenario "
-                f"{self.name!r}; bare sweepable parameters: {known}"
-            )
-        if len(matches) > 1:
-            choices = sorted(t.qualified for t in matches)
-            raise SpecError(
-                f"override key {key!r} is ambiguous; qualify it as one of "
-                f"{choices}"
-            )
-        return matches[0].apply(value)
+        return self.with_overrides({key: value})
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
-        """Apply several :meth:`with_override` replacements at once."""
+        """Apply several :meth:`with_override` replacements at once.
+
+        Means applying them one at a time, in order.  The keys compile
+        once per base into paths in :meth:`to_dict`'s form, and a point
+        is those paths set on a copy of it plus one :meth:`from_dict`.
+        Two keys on one path, or a point that fails, go key by key, so
+        an error is the one the first failing key raises alone.
+        """
+        if not overrides:
+            return self
+        try:
+            plan = self._plan(overrides)
+            if plan:
+                payload = self.__dict__.get("_canonical")
+                if payload is None:
+                    payload = self.__dict__["_canonical"] = self.to_dict()
+                for path, value in zip(plan, overrides.values()):
+                    payload = _with_path(payload, path, value)
+                return type(self).from_dict(payload)
+        except Exception:
+            if len(overrides) == 1:
+                raise
         spec = self
         for key, value in overrides.items():
             spec = spec.with_override(key, value)

@@ -91,6 +91,26 @@ def test_store_dedupe_hits_count_rejected_adds(tmp_path):
     assert _counter_total("repro_store_dedupe_hits_total") == 1
 
 
+def test_a_stored_spec_that_no_longer_validates_is_counted(tmp_path):
+    """A row whose stored spec the current code rejects still loads
+    (spec=None, metrics queryable), and the drop is counted, not silent."""
+    path = tmp_path / "points.jsonl"
+    base = fig7_spec(fft_size=64, duration=0.2)
+    SweepRunner(base, {"frequency": [4.7, 9.4]}).run(
+        parallel=False, store=str(path)
+    )
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["spec"]["storage"]["kind"] = "retired-capacitor"
+    path.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    obs.registry.reset()
+    rows = {row.spec_hash: row for row in ResultStore(str(path))}
+    assert rows[record["spec_hash"]].spec is None
+    assert rows[record["spec_hash"]].metrics == record["metrics"]
+    assert sum(row.spec is None for row in rows.values()) == 1
+    assert _counter_total("repro_store_spec_dropped_total") == 1
+
+
 def test_disabled_obs_records_nothing_during_a_run():
     previous = obs.set_obs_enabled(False)
     try:

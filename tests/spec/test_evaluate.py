@@ -141,3 +141,58 @@ def test_sweep_computes_a_repeated_grid_value_once():
     assert (sweep.computed, sweep.cached) == (1, 1)
     assert [p.index for p in sweep] == [0, 1]
     assert sweep.points[0].metrics == sweep.points[1].metrics
+
+
+def test_a_serial_point_costs_one_resolution_one_validation_one_hash(
+    monkeypatch, tmp_path
+):
+    """Engagement guard for the compiled spec layer: a serial N-point
+    sweep validates each point once and hashes it once (the hash rides
+    the payload onto the row), nothing parses a record's spec back, and
+    the process parses the base at most once across jobs."""
+    from repro.results import run_result as run_result_mod
+    from repro.spec import runner as runner_mod
+    from repro.spec.specs import ScenarioSpec
+
+    base = small_base()
+    points = 6
+    counts = {"hash": 0, "validate": 0}
+    parsed = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    real_hash = run_result_mod.spec_hash
+    real_from_dict = ScenarioSpec.from_dict.__func__
+
+    def from_dict(cls, payload):
+        parsed.append(payload)
+        return real_from_dict(cls, payload)
+
+    monkeypatch.setattr(runner_mod, "spec_hash", counting("hash", real_hash))
+    monkeypatch.setattr(run_result_mod, "spec_hash",
+                        counting("hash", real_hash))
+    monkeypatch.setattr(ScenarioSpec, "__post_init__",
+                        counting("validate", ScenarioSpec.__post_init__))
+    monkeypatch.setattr(ScenarioSpec, "from_dict", classmethod(from_dict))
+    store = ResultStore(str(tmp_path / "runs.jsonl"))
+    for job, frequency in enumerate(([4.7, 9.4], [5.5, 7.5])):
+        grid = {"capacitance": [22e-6, 33e-6, 47e-6], "frequency": frequency}
+        runner = SweepRunner(base, grid)
+        assert counts == {"hash": points, "validate": points}
+        assert len(parsed) == points
+        counts.update(hash=0, validate=0)
+        del parsed[:]
+        result = runner.run(parallel=False, store=store)
+        # Only the base may be parsed, and only by the first job.
+        assert parsed in ([base.to_dict()] if job == 0 else [], [])
+        assert counts["hash"] == 0
+        assert counts["validate"] == len(parsed)
+        assert [row.spec_hash for row in result] == runner.hashes
+        assert all(row.spec is spec
+                   for row, spec in zip(result, runner.specs))
+        counts.update(hash=0, validate=0)
+        del parsed[:]
