@@ -179,8 +179,7 @@ class RunResult:
         and ``name`` instead.
         """
         if spec is not None:
-            if key is None:
-                key = spec_hash(spec)
+            key = key if key is not None else spec_hash(spec)
             run_name = name if name is not None else spec.name
         elif key_payload is not None:
             key = content_hash(key_payload)

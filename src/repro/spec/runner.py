@@ -84,11 +84,10 @@ _SHARED_BASE_DICT: Optional[Dict[str, Any]] = None
 def _install_shared_base(base_dict: Optional[Dict[str, Any]]) -> None:
     """Make ``base_dict`` the base later tasks resolve against."""
     global _SHARED_BASE, _SHARED_BASE_DICT
-    if base_dict != _SHARED_BASE_DICT or _SHARED_BASE is None:
-        _SHARED_BASE = (
-            ScenarioSpec.from_dict(base_dict) if base_dict is not None
-            else None
-        )
+    if base_dict is None:
+        _SHARED_BASE = None
+    elif base_dict != _SHARED_BASE_DICT or _SHARED_BASE is None:
+        _SHARED_BASE = ScenarioSpec.from_dict(base_dict)
     _SHARED_BASE_DICT = base_dict
 
 

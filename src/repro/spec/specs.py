@@ -26,7 +26,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SpecError
 from repro.spec.registry import accepted_parameters, create, validate_params
@@ -307,7 +307,6 @@ class PlatformSpec:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        # Every field that differs from its default, in field order.
         return {
             name: _plain(getattr(self, name))
             for name, default in _defaults(type(self))
@@ -348,12 +347,18 @@ def _program_source(name: str, params: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: How a scenario dict's nested sections parse, in validation order.
+_SECTIONS: Dict[str, Callable[[Any], Any]] = {
+    # An explicitly present (even empty) platform section must validate
+    # as one, not be silently dropped.
+    "platform": lambda p: None if p is None else PlatformSpec.from_dict(p),
+    "storage": StorageSpec.from_dict,
+    "harvesters": lambda hs: tuple(HarvesterSpec.from_dict(h) for h in hs),
+    "loads": lambda loads: tuple(LoadSpec.from_dict(l) for l in loads),
+}
+
 #: Top-level scalar fields that sweeps may override by bare name.
 _SWEEPABLE_SCALARS = ("dt", "duration", "decimate", "kernel", "seed")
-
-#: Platform scalars a sweep may override (``platform__<name>`` or bare).
-_PLATFORM_SCALARS = ("strategy", "clock_frequency", "clock_voltage",
-                     "store_slots", "power_model")
 
 #: Keys that swap the strategy *kind*: later keys resolve against the new
 #: strategy's parameters, so compiled plans are keyed by their values too.
@@ -535,17 +540,9 @@ class ScenarioSpec:
         if "storage" not in _fields_of(cls, payload, "scenario spec"):
             raise SpecError("scenario spec needs a 'storage' section")
         kwargs = dict(payload)
-        if payload.get("platform") is not None:
-            # An explicitly present (even empty) platform section must
-            # validate as one, not be silently dropped.
-            kwargs["platform"] = PlatformSpec.from_dict(payload["platform"])
-        kwargs["storage"] = StorageSpec.from_dict(payload["storage"])
-        kwargs["harvesters"] = tuple(
-            HarvesterSpec.from_dict(h) for h in payload.get("harvesters", [])
-        )
-        kwargs["loads"] = tuple(
-            LoadSpec.from_dict(l) for l in payload.get("loads", [])
-        )
+        for name, parse in _SECTIONS.items():
+            if name in payload:
+                kwargs[name] = parse(payload[name])
         return cls(**kwargs)
 
     def to_json(self, indent: int = 2) -> str:
@@ -594,7 +591,8 @@ class ScenarioSpec:
                  ("platform", "strategy_params")),
                 ("config", _platform_config_fields(), ("platform", "config")),
                 # Bare keys resolve through the param-name match.
-                ("platform", _PLATFORM_SCALARS, ("platform",)),
+                ("platform", ("strategy", "clock_frequency", "clock_voltage",
+                              "store_slots", "power_model"), ("platform",)),
             ]
             if platform.engine == "synthetic":
                 sections.append(("engine", accepted_parameters(
@@ -676,10 +674,11 @@ class ScenarioSpec:
         """Apply several :meth:`with_override` replacements at once.
 
         Means applying them one at a time, in order.  The keys compile
-        once per base into paths in :meth:`to_dict`'s form, and a point
-        is those paths set on a copy of it plus one :meth:`from_dict`.
-        Two keys on one path, or a point that fails, go key by key, so
-        an error is the one the first failing key raises alone.
+        once per base into paths in :meth:`to_dict`'s form; a point sets
+        them on a copy of it, parses (validates) only the sections they
+        touch and shares the base's others.  Two keys on one path, or a
+        point that fails, go key by key, so an error is the one the
+        first failing key raises alone.
         """
         if not overrides:
             return self
@@ -691,7 +690,10 @@ class ScenarioSpec:
                     payload = self.__dict__["_canonical"] = self.to_dict()
                 for path, value in zip(plan, overrides.values()):
                     payload = _with_path(payload, path, value)
-                return type(self).from_dict(payload)
+                return dataclasses.replace(self, **{
+                    name: _SECTIONS.get(name, lambda v: v)(payload[name])
+                    for name in {path[0] for path in plan}
+                })
         except Exception:
             if len(overrides) == 1:
                 raise

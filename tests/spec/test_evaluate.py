@@ -183,7 +183,6 @@ def test_a_serial_point_costs_one_resolution_one_validation_one_hash(
         grid = {"capacitance": [22e-6, 33e-6, 47e-6], "frequency": frequency}
         runner = SweepRunner(base, grid)
         assert counts == {"hash": points, "validate": points}
-        assert len(parsed) == points
         counts.update(hash=0, validate=0)
         del parsed[:]
         result = runner.run(parallel=False, store=store)

@@ -289,3 +289,16 @@ def test_the_base_is_never_mutated():
     assert point.storage.params["capacitance"] == {"nested": [1, 2]}
     assert base.with_overrides({"n": 128}).platform.program_params == {
         "n": 128}
+
+
+def test_a_point_shares_the_sections_its_keys_do_not_touch():
+    """Only touched sections are parsed; a grid of points holds one
+    copy of the base's untouched sections, not one per point."""
+    base = preset("fig7")
+    overrides = {"capacitance": 33e-6, "frequency": 5.0}
+    point = base.with_overrides(overrides)
+    assert point.platform is base.platform
+    assert point.storage is not base.storage
+    assert point.harvesters[0] is not base.harvesters[0]
+    assert point == chain(base, overrides)
+    assert base.with_overrides({"dt": 1e-4}).storage is base.storage
