@@ -53,8 +53,8 @@ def summarize_spans(
             row["self_s"] += dur_s
             row["max_s"] = max(row["max_s"], dur_s)
             start = float(event.get("ts", 0.0)) / 1e6
-            by_thread.setdefault((event.get("pid"), event.get("tid")), []) \
-                .append((start, start + dur_s, name))
+            thread = (event.get("pid"), event.get("tid"))
+            by_thread.setdefault(thread, []).append((start, start + dur_s, name))
     for spans in by_thread.values():
         spans.sort(key=lambda span: (span[0], -span[1]))
         stack: List[Any] = []
