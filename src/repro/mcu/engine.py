@@ -6,9 +6,9 @@ progress".  Two implementations exist:
 * :class:`MachineEngine` — the real mini-ISA interpreter.  Snapshots copy
   actual registers and memory; correctness across outages is checked by
   comparing program output against an uninterrupted run.  Used by the
-  waveform-level experiments (Figs. 6, 7).  Its ACTIVE stretches chunk
-  by running the interpreter ahead (``Machine.run(..., steps=n)``) and
-  settling it at the committed step count.
+  waveform-level experiments (Figs. 6, 7).  Under the fast kernel the
+  chunk loops step its interpreter through ACTIVE themselves
+  (:class:`~repro.sim.kernel.MachineSteps`).
 * :class:`SyntheticEngine` — a cycle-counting workload with the same
   snapshot geometry but no interpretation.  Used by the large parameter
   sweeps (Eq. 5 crossover, ablations) where thousands of runs would make
@@ -86,19 +86,15 @@ class ComputeEngine:
           energy (the float :meth:`run_cycles` would report), and no
           step halts, pauses at a checkpoint the caller has to observe,
           or changes engine state beyond pure forward progress.
-        * Run-ahead, for one without (data-dependent cycles and energy:
-          the interpreter): ``energy`` is a callable ``run_ahead(n)``
-          and ``safe_steps`` None.  Called once the chunk length ``n``
-          is final, it executes up to ``n`` steps exactly as
-          :meth:`run_cycles` would one per step, stopping before any
-          step that halts, pauses at a checkpoint (``stop_at_ckpt``),
-          reaches a port or faults, and returns their per-step memory
-          + peripheral joules.
+        * Stepped, for one without (data-dependent cycles and energy:
+          the interpreter): ``energy`` is a
+          :class:`~repro.sim.kernel.MachineSteps`, which the chunk loops
+          step as :meth:`run_cycles` would, and ``safe_steps`` None.
 
         ``commit(steps)`` applies the first ``steps`` steps (for a
-        run-ahead, settling the engine there, which may re-execute
-        them) and returns ``(cycles, memory_energy, reexecuted)`` for
-        them.  The base engine returns None: ACTIVE stays per-step.
+        stepped plan, the steps the loop committed) and returns
+        ``(cycles, memory_energy)`` for them.  The base engine returns
+        None: ACTIVE stays per-step.
         """
         return None
 
@@ -216,32 +212,28 @@ class MachineEngine(ComputeEngine):
     def active_plan(
         self, cycles_per_step: int, stop_at_ckpt: bool = False
     ) -> Optional["tuple[Any, Optional[int], Any]"]:
-        """Run-ahead descriptor (see :meth:`ComputeEngine.active_plan`).
-
-        Each step's memory energy is :meth:`McuPowerModel.slice_memory_energy`
-        of its counters, elementwise over the run-ahead's per-step
-        arrays (the same float operations in the same order).
-        """
+        """Stepped descriptor (see :meth:`ComputeEngine.active_plan`),
+        priced at this engine's SRAM and FRAM technologies."""
         machine = self.machine
         if cycles_per_step <= 0 or machine.halted:
             return None
-        ran = []  # the run-ahead's per-step cycles and joules
+        if (
+            type(self.power_model).slice_memory_energy
+            is not McuPowerModel.slice_memory_energy
+        ):
+            return None  # the loops price accesses as the base model does
+        sram, fram = self.sram, self.fram
+        steps = machine.active_steps(
+            cycles_per_step, stop_at_ckpt,
+            (sram.read_energy, sram.write_energy, fram.read_energy,
+             fram.write_energy),
+        )
 
-        def run_ahead(n: int):
-            steps = machine.run(cycles_per_step, stop_at_ckpt, steps=n).per_step
-            energies = self.power_model.slice_memory_energy(
-                steps, sram=self.sram, fram=self.fram
-            )
-            ran[:] = steps.cycles, energies
-            return energies
+        def commit(count: int) -> "tuple[int, float]":
+            machine.total_cycles += steps.cycles
+            return steps.cycles, steps.memory
 
-        def commit(steps: int) -> "tuple[int, float, int]":
-            cycles, energies = ran
-            reexecuted = machine.settle(steps)
-            return (int(cycles[:steps].sum()), float(energies[:steps].sum()),
-                    reexecuted)
-
-        return run_ahead, None, commit
+        return steps, None, commit
 
     def capture(self, full: bool) -> Any:
         if full:
@@ -381,9 +373,9 @@ class SyntheticEngine(ComputeEngine):
 
         energy = self._step_energy(cycles_per_step)
 
-        def commit(steps: int) -> "tuple[int, float, int]":
+        def commit(steps: int) -> "tuple[int, float]":
             self.executed += steps * cycles_per_step
-            return steps * cycles_per_step, steps * energy, 0
+            return steps * cycles_per_step, steps * energy
 
         return energy, safe, commit
 

@@ -23,15 +23,10 @@ Data memory is one ``array('q')`` of words, so the compiled interpreter
 (``machine_run`` in :mod:`repro.sim._ckernel`) reads and writes it in
 place; snapshots carry it as a plain list.
 
-Run-ahead: ``Machine.run(budget, steps=n)`` executes up to ``n`` engine
-steps of ``budget`` cycles each, each on a fresh budget as the platform
-gives it one step at a time, and reports every completed step's
-counters.  It stops *before* any step that would halt, pause at a
-``ckpt`` (when ``stop_at_ckpt``), reach an ``in``/``out`` or fault;
-:meth:`Machine.settle` then keeps the first ``k`` steps, restoring the
-pre-run state and re-running exactly ``k`` steps when the machine went
-further.  The interpreter is deterministic, so a settled machine is the
-machine ``k`` single-step runs leave.
+Inside a fast-kernel chunk the chunk loops step the machine one engine
+step per step (:meth:`Machine.active_steps`) with its data writes
+logged, and undo the step the chunk does not commit, which then runs
+through :meth:`Machine.run`.
 """
 
 from __future__ import annotations
@@ -41,14 +36,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from repro import degrade
 from repro.errors import MachineError
 from repro.mcu.assembler import ProgramImage, assemble
 from repro.mcu.isa import NUM_REGISTERS, to_signed, to_word
 from repro.mcu.peripherals import OutputPort, Peripheral
 from repro.sim import _ckernel
+from repro.sim.kernel import MachineSteps
 from repro.sim._ckernel import (
     EXIT_BUDGET,
     EXIT_CKPT,
@@ -156,10 +150,6 @@ class ExecutionSlice:
         peripheral_energy: joules consumed by peripheral accesses.
         halted: machine executed ``halt``.
         hit_checkpoint: stopped at a ``ckpt`` marker (stop_at_ckpt mode).
-        per_step: run-ahead slices only (``run(..., steps=n)``): each
-            completed step's counters, as int64 arrays (an access count
-            the memory placement never uses stays the int 0); the
-            totals above sum them.
     """
 
     cycles: int = 0
@@ -171,7 +161,6 @@ class ExecutionSlice:
     peripheral_energy: float = 0.0
     halted: bool = False
     hit_checkpoint: bool = False
-    per_step: Optional["ExecutionSlice"] = None
 
 
 @dataclass
@@ -236,10 +225,12 @@ def _prepared(source: str, config: MachineConfig) -> _Program:
 def _python_run(
     code: List[Tuple[int, ...]], regs: List[int], pc: int, cycles: int,
     instructions: int, reads: int, writes: int, data: array,
-    max_cycles: int, stop_at_ckpt: bool,
+    max_cycles: int, stop_at_ckpt: bool, undo: Optional[list] = None,
 ) -> Tuple[int, ...]:
     """The Python rung of ``machine_run`` (one slice): the same exits,
-    counters and in-place register and data updates.
+    counters and in-place register and data updates.  With ``undo``
+    every data write first appends ``(address, overwritten word)``
+    there, as the compiled chunk loop logs them.
 
     Keeps the PC and the counters in locals.  Inlined word
     helpers: ``((x & 0xFFFF) ^ 0x8000) - 0x8000`` is ``to_signed(x)``,
@@ -275,6 +266,8 @@ def _python_run(
             if not 0 <= address < n_data:
                 return EXIT_WRITE, pc, cycles, instructions, reads, writes, address
             writes += 1
+            if undo is not None:
+                undo.append((address, data[address]))
             data[address] = regs[a] & 0xFFFF
             pc += 1
         elif op == 4:  # mulq
@@ -375,6 +368,8 @@ def _python_run(
             if sp >= n_data:
                 return EXIT_WRITE, pc, cycles, instructions, reads, writes, sp
             writes += 1
+            if undo is not None:
+                undo.append((sp, data[sp]))
             data[sp] = (pc + 1) & 0xFFFF
             regs[15] = sp
             pc = a
@@ -395,6 +390,8 @@ def _python_run(
             if sp >= n_data:
                 return EXIT_WRITE, pc, cycles, instructions, reads, writes, sp
             writes += 1
+            if undo is not None:
+                undo.append((sp, data[sp]))
             data[sp] = regs[a] & 0xFFFF
             regs[15] = sp
             pc += 1
@@ -431,29 +428,13 @@ class PythonLoop:
     def run(
         self, registers: List[int], pc: int, cycles: int, instructions: int,
         reads: int, writes: int, data: array, max_cycles: int,
-        stop_at_ckpt: bool,
+        stop_at_ckpt: bool, undo: Optional[list] = None,
     ) -> Tuple[int, ...]:
-        """See :meth:`repro.sim._ckernel.MachineLoop.run`."""
+        """See :meth:`repro.sim._ckernel.MachineLoop.run`; ``undo`` as
+        for :func:`_python_run`."""
         return _python_run(self._code, registers, pc, cycles, instructions,
-                           reads, writes, data, max_cycles, stop_at_ckpt)
-
-    def run_steps(
-        self, registers: List[int], pc: int, data: array, max_cycles: int,
-        stop_at_ckpt: bool, n: int,
-    ) -> Tuple[int, int, np.ndarray, int]:
-        """See :meth:`repro.sim._ckernel.MachineLoop.run_steps`."""
-        code = self._code
-        rows = []
-        reason, address = EXIT_BUDGET, 0
-        for _ in range(n):
-            reason, pc, cycles, instructions, reads, writes, address = (
-                _python_run(code, registers, pc, 0, 0, 0, 0, data,
-                            max_cycles, stop_at_ckpt)
-            )
-            if reason != EXIT_BUDGET:
-                break
-            rows.append((cycles, instructions, reads, writes))
-        return reason, pc, np.array(rows, dtype=np.int64).reshape(-1, 4), address
+                           reads, writes, data, max_cycles, stop_at_ckpt,
+                           undo)
 
 
 class Machine:
@@ -490,10 +471,6 @@ class Machine:
         #: The rung's loop runner (``_ckernel.MachineLoop`` or
         #: :class:`PythonLoop`); the first ``run`` resolves it.
         self._loop = None
-        #: The last run-ahead's starting state and budget, its completed
-        #: steps and whether the machine went past them; see ``settle``.
-        self._origin: Optional[tuple] = None
-        self._ahead: Tuple[int, bool] = (0, False)
         self.cold_boot()  # sets self.data
 
     def _blank_data(self) -> array:
@@ -592,7 +569,7 @@ class Machine:
     # ------------------------------------------------------------------
 
     def run(
-        self, max_cycles: int, stop_at_ckpt: bool = False, steps: int = 0
+        self, max_cycles: int, stop_at_ckpt: bool = False
     ) -> ExecutionSlice:
         """Execute until the cycle budget is spent, ``halt``, or a ``ckpt``.
 
@@ -610,22 +587,13 @@ class Machine:
             max_cycles: cycle budget for this slice (an int >= 0).
             stop_at_ckpt: when True, pause *after* executing a ``ckpt``
                 marker so a checkpointing supervisor can act.
-            steps: when positive, run ahead instead: up to ``steps``
-                slices of ``max_cycles`` each, each on a fresh budget,
-                stopping before any that would halt, pause at a
-                ``ckpt``, reach an ``in``/``out`` or fault (see the
-                module docstring); :meth:`settle` must follow.
 
         Returns:
-            An :class:`ExecutionSlice` with cycle/access accounting; a
-            run-ahead's totals cover its completed steps, listed in
-            ``per_step``.
+            An :class:`ExecutionSlice` with cycle/access accounting.
         """
         loop = self._loop
         if loop is None:
             loop = self._resolve_loop()
-        if steps > 0:
-            return self._run_ahead(loop, max_cycles, stop_at_ckpt, steps)
         slice_ = ExecutionSlice()
         if self.halted:
             slice_.halted = True
@@ -664,62 +632,16 @@ class Machine:
             slice_.peripheral_energy = energy
         return slice_
 
-    def _run_ahead(
-        self, loop, max_cycles: int, stop_at_ckpt: bool, steps: int
-    ) -> ExecutionSlice:
-        """``run(max_cycles, stop_at_ckpt, steps)``: one loop call."""
-        self._origin = (self.registers[:], self.pc, self.data[:],
-                        self.total_cycles, max_cycles, stop_at_ckpt)
-        if self.halted:
-            counts, past = np.zeros((0, 4), dtype=np.int64), False
-        else:
-            reason, self.pc, counts, _ = loop.run_steps(
-                self.registers, self.pc, self.data, max_cycles,
-                stop_at_ckpt, steps,
-            )
-            past = reason != EXIT_BUDGET  # inside an unfinished step
-        self._ahead = (len(counts), past)
-        cycles, instructions, reads, writes = (
-            int(total) for total in counts.sum(axis=0)
+    def active_steps(
+        self, budget: int, stop_at_ckpt: bool,
+        access: Tuple[float, float, float, float],
+    ) -> MachineSteps:
+        """This machine's steps of ``budget`` cycles for the chunk loops
+        (see :class:`~repro.sim.kernel.MachineSteps`)."""
+        return MachineSteps(
+            self, PythonLoop(self._code).run, self._program.packed, budget,
+            stop_at_ckpt, self.config.data_in_fram, access,
         )
-        self.total_cycles += cycles
-        slice_ = self._tally(ExecutionSlice(halted=self.halted), cycles,
-                             instructions, reads, writes)
-        slice_.per_step = self._tally(
-            ExecutionSlice(), counts[:, 0], counts[:, 1], counts[:, 2],
-            counts[:, 3],
-        )
-        return slice_
-
-    def settle(self, steps: int) -> int:
-        """Keep the first ``steps`` completed steps of the last run-ahead.
-
-        When the machine already stands there nothing happens;
-        otherwise (fewer steps kept, or the run stopped inside the step
-        after its last completed one) it restores the run's starting
-        registers, PC, data and ``total_cycles`` and re-runs exactly
-        ``steps`` steps, through :meth:`run`.  Returns the number of
-        steps re-executed.
-        """
-        registers, pc, data, total_cycles, max_cycles, stop_at_ckpt = (
-            self._origin
-        )
-        completed, past = self._ahead
-        self._origin = None
-        if not 0 <= steps <= completed:
-            raise MachineError(
-                f"cannot keep {steps} of {completed} run-ahead steps"
-            )
-        if steps == completed and not past:
-            return 0
-        self.registers = registers
-        self.pc = pc
-        self.data = data
-        self.total_cycles = total_cycles
-        if steps:
-            self.run(max_cycles, stop_at_ckpt, steps)
-            self._origin = None
-        return steps
 
     def _resolve_loop(self):
         """This machine's loop runner, reporting the rung."""

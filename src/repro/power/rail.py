@@ -256,10 +256,9 @@ class SupplyRail(Component):
     chunk ends (and per-step execution resumes) at the first step whose
     voltage crosses a load's declared event boundary; a load's
     transition table (the transient platform's) is followed across the
-    transitions it marks inline and ends the chunk before the others.
-    Run-ahead loads (``LoadProfile.stretch``) execute once the chunk
-    length is final and settle in their commit; ``reexecuted_steps``
-    sums the steps they re-ran to settle.
+    transitions it marks inline and ends the chunk before the others;
+    a machine load's interpreter runs one engine step per step inside
+    the loop, and the step the chunk does not commit is undone.
 
     One recurrence runs every chunk, on one of two rungs with one call
     shape: the compiled ``chunk_loop`` of :mod:`repro.sim._ckernel`
@@ -286,7 +285,6 @@ class SupplyRail(Component):
         #: chunk of a run, then a ChunkLoop, or None once the run is on
         #: the Python rung).
         self._compiled = False
-        self.reexecuted_steps = 0
         self.transitions = dict.fromkeys(TRANSITIONS, 0)
         self.stop_transition: Optional[str] = None
 
@@ -373,17 +371,19 @@ class SupplyRail(Component):
             return 0
         v = physics.read_voltage()
         profiles = []
-        run_ahead = False
-        table = None
+        table = machine = None
         for load in self._loads:
             profile = load.load_profile(t0, dt, v)
             if profile is None:
                 return 0
-            run_ahead |= profile.stretch is not None
             if profile.table is not None:
                 if table is not None:
                     return 0  # the loops follow one table per rail
                 table = profile.table
+            if profile.machine is not None:
+                if machine is not None:
+                    return 0  # and step one machine per rail
+                machine = profile.machine
             # A time-based event boundary (a charge-and-fire task
             # finishing) bounds the whole chunk: the event step itself
             # must execute through the reference path.
@@ -398,15 +398,6 @@ class SupplyRail(Component):
             if plan is None:
                 return 0
             plans.append(plan)
-        # Run-ahead loads execute only now, with every load and injector
-        # agreed and ``n`` final, so a refused chunk never runs them.
-        # The chunk then covers at most the steps each vouches for (none
-        # at all still commits, which settles them).
-        if run_ahead:
-            for profile in profiles:
-                if profile.stretch is not None:
-                    profile.energies = profile.stretch(n)
-                    n = min(n, len(profile.energies))
         args = (physics, plans, profiles, v, physics.leak_factor(dt), dt, n,
                 self.stats)
         compiled = self._compiled
@@ -434,7 +425,7 @@ class SupplyRail(Component):
                 self.transitions[TRANSITIONS[entry[1]]] += 1
         for profile, energy in zip(profiles, energies):
             if profile.commit is not None:
-                self.reexecuted_steps += profile.commit(taken, dt, energy) or 0
+                profile.commit(taken, dt, energy)
         return taken
 
     def reset(self) -> None:
@@ -448,7 +439,6 @@ class SupplyRail(Component):
         self._chunk_vcc = []
         self._chunk_states = None
         self._compiled = False
-        self.reexecuted_steps = 0
         self.transitions = dict.fromkeys(TRANSITIONS, 0)
         self.stop_transition = None
 
@@ -488,12 +478,10 @@ def chunk_loop(
     # Per-load demand terms, precombined where constant: e_const is
     # the voltage-independent joules per step (power*dt + energy, in
     # that order — matching the reference implementations' `power *
-    # dt` and `active + extra` arithmetic exactly), or per step from a
-    # run-ahead load's energies.
+    # dt` and `active + extra` arithmetic exactly), to which a machine
+    # load adds its step's memory energy.
     loads = [
         (profile.resistance, profile.power * dt + profile.energy,
-         None if profile.energies is None
-         else _ckernel.step_constants(profile, dt).tolist(),
          profile.current, profile.current_gain,
          -math.inf if profile.table is not None else profile.v_rising,
          profile.v_falling)
@@ -501,14 +489,27 @@ def chunk_loop(
     ]
     n_loads = len(loads)
     load_range = range(n_loads)
-    # The tabled load (index tj, or -1): its rows, and its running
-    # state as locals (see TransitionTable for the cascade).
-    tj = -1
+    # The tabled load (index tj, or -1) and the machine load (mj).
+    tj = mj = -1
     for j, profile in enumerate(profiles):
         if profile.table is not None:
             tj = j
             table = profile.table
+        if profile.machine is not None:
+            mj = j
+            msteps = profile.machine
+    if mj >= 0:
+        # Its interpreter, state and prices (see MachineSteps); `undo`
+        # logs one step's data writes.
+        machine, m_run, m_budget, m_stop, m_fram = (
+            msteps.machine, msteps.run, msteps.budget, msteps.stop_at_ckpt,
+            msteps.fram)
+        regs, data, pc = machine.registers, machine.data, machine.pc
+        p_sr, p_sw, p_fr, p_fw = msteps.access
+        m_cycles, m_memory, undo = 0, 0.0, []
     if tj >= 0:
+        # The table's rows, and its running state as locals (see
+        # TransitionTable for the cascade).
         v_min, v_por, guard, wake = (
             table.v_min, table.v_por, table.guard, table.wake)
         boot_state = table.boot_state
@@ -576,10 +577,9 @@ def chunk_loop(
             le_t += before - half_c * tv * tv
         co_t = consumed
         st_t = starved
-        event = False
+        event = stepped = False
         for j in load_range:
-            (resistance, e_const, e_steps, current, gain, v_rise,
-             v_fall) = loads[j]
+            resistance, e_const, current, gain, v_rise, v_fall = loads[j]
             if tv >= v_rise or tv < v_fall:
                 if j != tj:
                     event = True
@@ -680,8 +680,23 @@ def chunk_loop(
                                 nex = npay
                                 ns = ACTIVE
             else:
-                if e_steps is not None:
-                    e_const = e_steps[i]
+                if j == mj:
+                    # One engine step of the machine; its memory energy
+                    # as McuPowerModel.slice_memory_energy sums it.
+                    saved, pc0 = regs[:], pc
+                    undo.clear()
+                    stepped = True
+                    reason, pc, m_step, instructions, reads, writes, _ = (
+                        m_run(regs, pc, 0, 0, 0, 0, data, m_budget, m_stop,
+                              undo))
+                    if reason != _ckernel.EXIT_BUDGET:
+                        event = True
+                        break
+                    sr, sw, fr, fw = ((0, 0, instructions + reads, writes)
+                                      if m_fram else
+                                      (reads, writes, instructions, 0))
+                    e_mem = sr * p_sr + sw * p_sw + fr * p_fr + fw * p_fw
+                    e_const += e_mem
                 if resistance is not None:
                     e_dem = tv * tv / resistance * dt + e_const
                 elif current != 0.0:
@@ -700,6 +715,12 @@ def chunk_loop(
             st_t += e_dem - delivered
             edems[j] = e_dem
         if event:
+            if stepped:
+                # Undo the machine's step: registers, PC, its writes.
+                regs[:] = saved
+                pc = pc0
+                for address, word in reversed(undo):
+                    data[address] = word
             break  # discard this step; it reruns via the reference path
         v = tv
         harvested = h_t
@@ -708,6 +729,9 @@ def chunk_loop(
         starved = st_t
         for j in load_range:
             esums[j] += edems[j]
+        if stepped:
+            m_cycles += m_step
+            m_memory += e_mem
         append(v)
         if tj >= 0:
             s, ex, left, has, pend, pay = ns, nex, nleft, nhas, npend, npay
@@ -734,6 +758,9 @@ def chunk_loop(
          table.pending, table.payload) = s, ex, left, has, pend, pay
         table.counts, table.sums, table.log = tuple(counts), tuple(sums), log
         table.active_steps, table.states, table.stop = act, codes, stop
+    if mj >= 0:
+        machine.pc = pc
+        msteps.cycles, msteps.memory = m_cycles, m_memory
     # The envelope from the committed voltages, off the per-step path:
     # `first` is the first step the sampling period reaches.
     every = stats.vcc_every

@@ -6,7 +6,8 @@ mini-ISA interpreter, in one library.
 voltage sources, converter-less power sources with the ``e_cap``
 clamp, leakage, ESR draw overhead, and any number of loads with
 resistive / current / constant demand terms, one of which may follow
-a :class:`~repro.sim.kernel.TransitionTable` across transitions.
+a :class:`~repro.sim.kernel.TransitionTable` across transitions and
+one step an interpreter (a :class:`~repro.sim.kernel.MachineSteps`).
 :class:`ChunkLoop` runs it with the Python loop's call shape, and every
 fast-kernel chunk it can read goes through it.
 
@@ -14,7 +15,8 @@ fast-kernel chunk it can read goes through it.
 :meth:`~repro.mcu.machine.Machine.run` over the predecoded image
 (:class:`MachineLoop`).  It stops with an exit reason at ``halt``, a
 ``ckpt`` pause, a fault or the end of the budget, and before every
-``in``/``out``: port handlers and all float work stay in Python.
+``in``/``out``: port handlers stay in Python.  The chunk loop calls it
+with its data writes logged, to undo the step a chunk does not commit.
 
 Exactness: the C bodies perform the same IEEE-754 double operations in
 the same order as the Python loops (CPython floats are C doubles) and
@@ -22,9 +24,10 @@ the same 16-bit word arithmetic, and the build disables contraction
 (``-ffp-contract=off -fno-fast-math``) so no fused multiply-add can
 perturb a rounding.  A self-check at load time replays small chunks
 covering every branch, each under two V_cc envelope periods, and
-transition-following chunks against the Python chunk loop, and small
-programs covering every opcode and fault against the Python
-interpreter, and discards the library on any difference.
+transition-following chunks and machines stepped inside chunks through
+every undo cause against the Python chunk loop, and small programs
+covering every opcode and fault against the Python interpreter, and
+discards the library on any difference.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
 self-check, or ``REPRO_BATCH_CKERNEL=0`` leave the Python loops in
@@ -69,6 +72,7 @@ from repro.sim.kernel import (
     SNAPSHOT_BEGIN,
     SNAPSHOT_DONE,
     LoadProfile,
+    MachineSteps,
     PowerSourcePlan,
     TransitionTable,
     VoltageSourcePlan,
@@ -76,9 +80,8 @@ from repro.sim.kernel import (
 
 #: ``chunk_loop`` frame layout, in 8-byte slots: the header below, then
 #: per source (address, kind, drop, r_total), per load (kind,
-#: resistance, e_const, current, current_gain, v_rising, v_falling,
-#: per-step e_const address or 0), then per load its committed energy
-#: (out) and a scratch slot.  The
+#: resistance, e_const, current, current_gain, v_rising, v_falling),
+#: then per load its committed energy (out) and a scratch slot.  The
 #: first eight header slots (the ``RailStats`` totals and V_cc
 #: envelope) are read and written back.
 _HEADER = (
@@ -87,7 +90,7 @@ _HEADER = (
     "dt", "vcc_every",
 )
 _SOURCE_SLOTS = 4
-_LOAD_SLOTS = 8
+_LOAD_SLOTS = 7
 #: Source and load kinds as the frame encodes them.
 _VOLTAGE, _POWER = 0.0, 1.0
 _CONSTANT, _RESISTIVE, _CURRENT = 0.0, 1.0, 2.0
@@ -115,12 +118,19 @@ _TABLE = _TABLE_IN + _TABLE_STATE + _TABLE_OUT
 #: frame.
 _TABLE_STATE_AT = 8 * len(_TABLE_IN)
 
-#: ``machine_run`` state layout, in int64 slots after r0..r15.  All but
-#: ``address`` (a data fault's address) and ``steps`` (a run-ahead's
-#: completed steps), both out only, are read and written back.
-_MACHINE_STATE = (
-    "pc", "cycles", "instructions", "reads", "writes", "address", "steps",
+#: The machine load's frame (a ``MachineSteps``), in 8-byte slots: the
+#: inputs (the addresses of its code, data, ``machine_run`` state and
+#: undo log as raw ``Q`` bits), then the committed steps' totals (out).
+_MACHINE = (
+    "load", "code", "n_code", "data", "n_data", "state", "undo", "budget",
+    "stop_at_ckpt", "fram", "sram_read", "sram_write", "fram_read",
+    "fram_write", "cycles", "memory",
 )
+
+#: ``machine_run`` state layout, in int64 slots after r0..r15.  All but
+#: ``address`` (a data fault's address, out only) are read and written
+#: back.
+_MACHINE_STATE = ("pc", "cycles", "instructions", "reads", "writes", "address")
 #: ``machine_run`` exit reasons: the budget is spent, ``halt``, a
 #: ``ckpt`` pause, an ``in``/``out`` to run in Python (not executed),
 #: and the faults: PC out of range, data read or write out of range.
@@ -138,7 +148,7 @@ _SOURCE = r"""
 #define HDR %(header)d
 #define SRC_SLOTS %(source_slots)d
 #define LOAD_SLOTS %(load_slots)d
-%(table_slots)s
+%(frame_slots)s
 
 static const double *slot_pointer(const double *slot)
 {
@@ -147,16 +157,23 @@ static const double *slot_pointer(const double *slot)
     return (const double *) (uintptr_t) address;
 }
 
+int64_t machine_run(const int64_t *code, int64_t n_code, int64_t *data,
+                    int64_t n_data, int64_t *state, int64_t max_cycles,
+                    int64_t stop_at_ckpt, int64_t *undo);
+
 /* Exact transcription of repro.power.rail.chunk_loop for one rail.
    Frame layout: see _HEADER in _ckernel.py.  Returns the committed
    step count; vcc receives the committed voltages, and every
    vcc_every-th step since reset widens the envelope.  table (NULL for
    none) is the tabled load's frame (_TABLE in _ckernel.py); states
    then receives each committed step's end-of-step state code and log
-   four slots per followed transition. */
+   four slots per followed transition.  machine (NULL for none) is the
+   machine load's frame (_MACHINE in _ckernel.py): its interpreter runs
+   one engine step per step, and a step the chunk does not commit is
+   undone. */
 int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
                    double *frame, double *vcc, double *table,
-                   double *states, double *log)
+                   double *states, double *log, double *machine)
 {
     const double *src = frame + HDR;
     const double *ld = src + SRC_SLOTS * n_src;
@@ -201,6 +218,18 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
         has = table[T_HAS_SNAPSHOT] != 0.0;
         pend = (int64_t) table[T_PENDING]; pay = (int64_t) table[T_PAYLOAD];
     }
+    /* The machine load (mj = -1: none): its data, machine_run state
+       (registers and PC read and written back) and undo log, and the
+       committed steps' totals. */
+    int64_t mj = -1, m_cycles = 0, m_saved[17], *m_data = 0, *ms = 0;
+    int64_t *undo = 0;
+    double m_memory = 0.0;
+    if (machine) {
+        mj = (int64_t) machine[M_LOAD];
+        m_data = (int64_t *) slot_pointer(machine + M_DATA);
+        ms = (int64_t *) slot_pointer(machine + M_STATE);
+        undo = (int64_t *) slot_pointer(machine + M_UNDO);
+    }
     int64_t stop = -1;
     int64_t i = 0;
     for (int64_t j = 0; j < n_loads; ++j) esums[j] = 0.0;
@@ -240,11 +269,11 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
             le_t += before - half_c * tv * tv;
         }
         double co_t = consumed, st_t = starved;
-        int event = 0;
+        int event = 0, stepped = 0;
         /* The tabled load's tentative step (see TransitionTable). */
         int64_t ns = s, nex = ex, nleft = left, nhas = has, npend = pend;
         int64_t npay = pay, k = 0, phys = 0;
-        double e_bucket = 0.0;
+        double e_bucket = 0.0, e_mem = 0.0;
         for (int64_t j = 0; j < n_loads; ++j) {
             double e_dem;
             if (j == tj) {
@@ -328,8 +357,34 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
             } else {
                 const double *lp = ld + LOAD_SLOTS * j;
                 if (tv >= lp[5] || tv < lp[6]) { event = 1; break; }
-                const double *e_steps = slot_pointer(lp + 7);
-                const double e_const = e_steps ? e_steps[i] : lp[2];
+                double e_const = lp[2];
+                if (j == mj) {
+                    /* One engine step of the machine from zero
+                       counters; its memory energy as
+                       McuPowerModel.slice_memory_energy sums the
+                       counters Machine._tally maps. */
+                    const int64_t *c = ms + 17;  /* cycles, instructions,
+                                                    reads, writes */
+                    const double *price = machine + M_SRAM_READ;
+                    const int fram = machine[M_FRAM] != 0.0;
+                    memcpy(m_saved, ms, sizeof m_saved);
+                    ms[17] = ms[18] = ms[19] = ms[20] = undo[0] = 0;
+                    stepped = 1;
+                    if (machine_run((int64_t *) slot_pointer(machine + M_CODE),
+                                    (int64_t) machine[M_N_CODE], m_data,
+                                    (int64_t) machine[M_N_DATA], ms,
+                                    (int64_t) machine[M_BUDGET],
+                                    (int64_t) machine[M_STOP_AT_CKPT], undo)
+                        != %(exit_budget)d) {
+                        event = 1;
+                        break;
+                    }
+                    e_mem = (fram ? 0 : c[2]) * price[0]
+                        + (fram ? 0 : c[3]) * price[1]
+                        + (fram ? c[1] + c[2] : c[1]) * price[2]
+                        + (fram ? c[3] : 0) * price[3];
+                    e_const += e_mem;
+                }
                 if (lp[0] == %(resistive)r)
                     e_dem = tv * tv / lp[1] * dt + e_const;
                 else if (lp[0] == %(current)r)
@@ -351,13 +406,25 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
             st_t += e_dem - delivered;
             edems[j] = e_dem;
         }
-        if (event || stop >= 0) break;  /* discard: it reruns per step */
+        if (event || stop >= 0) {
+            if (stepped) {
+                /* Undo the machine's step: registers, PC, its writes. */
+                memcpy(ms, m_saved, sizeof m_saved);
+                for (int64_t q = undo[0]; q-- > 0;)
+                    m_data[undo[1 + 2 * q]] = undo[2 + 2 * q];
+            }
+            break;  /* discard: it reruns per step */
+        }
         v = tv;
         harvested = h_t;
         leaked = le_t;
         consumed = co_t;
         starved = st_t;
         for (int64_t j = 0; j < n_loads; ++j) esums[j] += edems[j];
+        if (stepped) {
+            m_cycles += ms[17];
+            m_memory += e_mem;
+        }
         vcc[i] = v;
         if (++phase >= every) {
             phase = 0;
@@ -397,12 +464,25 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
         table[T_ACTIVE_STEPS] = (double) act;
         table[T_STOP] = (double) stop;
     }
+    if (machine) {
+        machine[M_CYCLES] = (double) m_cycles;
+        machine[M_MEMORY] = m_memory;
+    }
     return i;
 }
 
 #define WORD(x) ((int64_t) ((uint64_t) (x) & 0xFFFF))
 #define SIGNED(x) ((WORD(x) ^ 0x8000) - 0x8000)
 #define ORDER(x) (WORD(x) ^ 0x8000)  /* orders words as their signed values */
+/* A data write; with an undo log, its address and the word it
+   overwrites go there first (undo[0] counts the pairs). */
+#define STORE(at, value) do { \
+    if (undo) { \
+        int64_t *u_ = undo + 1 + 2 * undo[0]++; \
+        u_[0] = (at); u_[1] = data[at]; \
+    } \
+    data[at] = (value); \
+} while (0)
 
 /* Exact transcription of the Python interpreter loop (_python_run in
    machine.py) over the predecoded image: five int64 slots (op, a, b,
@@ -411,25 +491,17 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
    wrap-around is defined and the low 16 bits match Python's.  state
    holds r0..r15 then _MACHINE_STATE (see _ckernel.py).  Returns the
    exit reason; on a fault or a port instruction pc names that
-   instruction and the counters exclude it.
-
-   n_steps > 0 runs ahead: up to n_steps slices of max_cycles, each
-   from zero counters, writing each completed slice's (cycles,
-   instructions, reads, writes) to steps and their number to the
-   "steps" state slot; it stops at the first slice that exits any
-   other way than the budget, inside that slice. */
+   instruction and the counters exclude it.  undo (NULL for none) logs
+   every data write (STORE). */
 int64_t machine_run(const int64_t *code, int64_t n_code, int64_t *data,
                     int64_t n_data, int64_t *state, int64_t max_cycles,
-                    int64_t stop_at_ckpt, int64_t n_steps, int64_t *steps)
+                    int64_t stop_at_ckpt, int64_t *undo)
 {
     int64_t r[16];
     memcpy(r, state, sizeof r);
     int64_t pc = state[16], cycles = state[17], instructions = state[18];
     int64_t reads = state[19], writes = state[20], address = 0;
-    int64_t reason, taken = 0;
-    if (n_steps > 0) cycles = instructions = reads = writes = 0;
-step:
-    reason = %(exit_budget)d;
+    int64_t reason = %(exit_budget)d;
     while (cycles < max_cycles) {
         /* Unsigned: a negative PC (a ret to a corrupted address) is out
            of range too. */
@@ -460,7 +532,7 @@ step:
                 goto out;
             }
             ++writes;
-            data[address] = WORD(r[a]);
+            STORE(address, WORD(r[a]));
             ++pc; break;
         case 4:  /* mulq */
             r[a] = WORD((SIGNED(r[b]) * SIGNED(r[c])) >> 15); ++pc; break;
@@ -528,7 +600,7 @@ step:
                 goto out;
             }
             ++writes;
-            data[address] = WORD(pc + 1);
+            STORE(address, WORD(pc + 1));
             r[15] = address;
             pc = a; break;
         case 31:  /* ret */
@@ -547,7 +619,7 @@ step:
                 goto out;
             }
             ++writes;
-            data[address] = WORD(r[a]);
+            STORE(address, WORD(r[a]));
             r[15] = address;
             ++pc; break;
         case 33:  /* pop */
@@ -576,28 +648,19 @@ step:
         ++instructions;
     }
 out:
-    if (n_steps > 0 && reason == %(exit_budget)d) {
-        int64_t *row = steps + 4 * taken;
-        row[0] = cycles; row[1] = instructions; row[2] = reads;
-        row[3] = writes;
-        if (++taken < n_steps) {
-            cycles = instructions = reads = writes = 0;
-            goto step;
-        }
-    }
     memcpy(state, r, sizeof r);
     state[16] = pc; state[17] = cycles; state[18] = instructions;
     state[19] = reads; state[20] = writes; state[21] = address;
-    state[22] = taken;
     return reason;
 }
 """ % {
     "header": len(_HEADER),
     "source_slots": _SOURCE_SLOTS,
     "load_slots": _LOAD_SLOTS,
-    "table_slots": "\n".join(
-        "#define T_%s %d" % (name.upper(), index)
-        for index, name in enumerate(_TABLE)
+    "frame_slots": "\n".join(
+        "#define %s_%s %d" % (prefix, name.upper(), index)
+        for prefix, frame in (("T", _TABLE), ("M", _MACHINE))
+        for index, name in enumerate(frame)
     ),
     "voltage": _VOLTAGE,
     "resistive": _RESISTIVE,
@@ -718,6 +781,7 @@ def _bind(so_path: str) -> Kernel:
         ctypes.c_void_p,  # table (or NULL)
         ctypes.c_void_p,  # states
         ctypes.c_void_p,  # log
+        ctypes.c_void_p,  # machine (or NULL)
     ]
     machine = library.machine_run
     machine.restype = ctypes.c_int64
@@ -729,22 +793,9 @@ def _bind(so_path: str) -> Kernel:
         ctypes.c_void_p,  # state
         ctypes.c_int64,   # max_cycles
         ctypes.c_int64,   # stop_at_ckpt
-        ctypes.c_int64,   # n_steps
-        ctypes.c_void_p,  # steps
+        ctypes.c_void_p,  # undo (or NULL)
     ]
     return Kernel(chunk, machine)
-
-
-def step_constants(profile: LoadProfile, dt: float) -> np.ndarray:
-    """A per-step load's e_const (``power * dt + energies[i]``) as a
-    C-contiguous float64 array.
-
-    Both chunk loops read these: the same elementwise IEEE operations
-    as the scalar ``power * dt + energy``.
-    """
-    return np.ascontiguousarray(
-        profile.power * dt + np.asarray(profile.energies, dtype=float)
-    )
 
 
 class ChunkLoop:
@@ -752,20 +803,22 @@ class ChunkLoop:
 
     Owns the rail's frame and voltage buffers with their addresses
     resolved once, so a chunk costs one ``struct`` pack, the foreign
-    call and two unpacks (plus one pack and unpack for a tabled load).
-    Source plans are read in place through their ``address``.
+    call and two unpacks (plus one pack and unpack for a tabled or a
+    machine load).  Source plans and machines are read in place.
     """
 
     __slots__ = (
         "_fn", "_pack", "_state", "_energies", "_energies_at",
         "_frame", "_frame_address", "_vcc", "_vcc_address", "_states",
         "_states_address", "_log", "_log_address", "_table",
-        "_table_address", "_packed",
+        "_table_address", "_packed", "_machine", "_machine_state",
+        "_undo",
     )
 
     _table_in = struct.Struct("=%dd" % len(_TABLE_IN))
     _table_state = struct.Struct("=%dd" % len(_TABLE_STATE))
     _table_out = struct.Struct("=%dd" % (len(_TABLE_STATE) + len(_TABLE_OUT)))
+    _machine_in = struct.Struct("=dQdQdQQ7d")
 
     def __init__(self, fn, n_sources: int, n_loads: int):
         self._fn = fn
@@ -773,13 +826,13 @@ class ChunkLoop:
             len(_HEADER) + _SOURCE_SLOTS * n_sources + _LOAD_SLOTS * n_loads
         )
         self._pack = struct.Struct(
-            "=%dd" % len(_HEADER) + "Q3d" * n_sources + "7dQ" * n_loads
+            "=%dd" % len(_HEADER) + "Q3d" * n_sources + "7d" * n_loads
         ).pack_into
         self._state = struct.Struct("=8d").unpack_from
         self._energies = struct.Struct("=%dd" % n_loads).unpack_from
         self._energies_at = 8 * inputs
-        self._frame = (ctypes.c_double * (inputs + 2 * n_loads))()
-        self._frame_address = ctypes.addressof(self._frame)
+        self._frame = _doubles(inputs + 2 * n_loads)
+        self._frame_address = self._frame.buffer_info()[0]
         self._vcc = self._states = np.empty(0)
         self._vcc_address = self._states_address = 0
         self._log = np.empty(4 * LOG_CAPACITY)
@@ -789,6 +842,11 @@ class ChunkLoop:
         self._table = None
         self._table_address = 0
         self._packed = None
+        #: A machine load's frame, ``machine_run`` state and undo log
+        #: (which grows with the step budget).
+        self._machine = _doubles(len(_MACHINE))
+        self._machine_state = array("q", bytes(MachineLoop._layout.size))
+        self._undo = array("q")
 
     def run(
         self, physics, plans: Sequence, profiles: Sequence,
@@ -802,8 +860,7 @@ class ChunkLoop:
         rail's buffer, valid until the next chunk.  None (nothing
         touched) when a plan cannot be read in place: no known address,
         fewer than ``n`` values, or a converter in front of a power
-        source.  A load's per-step ``energies`` are read through
-        :func:`step_constants`, which keeps them alive for the call.
+        source.
         """
         fields = [
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
@@ -822,14 +879,13 @@ class ChunkLoop:
                 fields += (address, _POWER, 0.0, 1.0)
             else:
                 return None
-        steps = []
-        table = None
+        table = steps = None
         for index, profile in enumerate(profiles):
             if profile.table is not None:
                 table = profile.table
                 if self._table is None:
-                    self._table = (ctypes.c_double * len(_TABLE))()
-                    self._table_address = ctypes.addressof(self._table)
+                    self._table = _doubles(len(_TABLE))
+                    self._table_address = self._table.buffer_info()[0]
                 if self._packed != (index, table):
                     # A table's rows are constants: pack them once.
                     self._packed = index, table
@@ -841,23 +897,19 @@ class ChunkLoop:
                     table.executed, table.left, table.has_snapshot,
                     table.pending, table.payload,
                 )
+            if profile.machine is not None:
+                steps = profile.machine
+                self._pack_machine(index, steps)
             resistance = profile.resistance
             if resistance is not None:
                 kind = _RESISTIVE
             else:
                 resistance = 0.0
                 kind = _CURRENT if profile.current != 0.0 else _CONSTANT
-            address = 0
-            if profile.energies is not None:
-                e_steps = step_constants(profile, dt)
-                if len(e_steps) < n:
-                    return None
-                steps.append(e_steps)
-                address = e_steps.ctypes.data
             fields += (
                 kind, resistance, profile.power * dt + profile.energy,
                 profile.current, profile.current_gain,
-                profile.v_rising, profile.v_falling, address,
+                profile.v_rising, profile.v_falling,
             )
         if n > len(self._vcc):
             self._vcc = np.empty(max(n, 2 * len(self._vcc)))
@@ -872,6 +924,7 @@ class ChunkLoop:
             self._frame_address, self._vcc_address,
             None if table is None else self._table_address,
             self._states_address, self._log_address,
+            None if steps is None else self._machine.buffer_info()[0],
         )
         (
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
@@ -882,7 +935,30 @@ class ChunkLoop:
         energies = list(self._energies(frame, self._energies_at))
         if table is not None:
             self._read_table(table, taken)
+        if steps is not None:
+            values = MachineLoop._layout.unpack_from(self._machine_state)
+            steps.machine.registers[:] = values[:16]
+            steps.machine.pc = values[16]
+            steps.cycles = int(self._machine[-2])
+            steps.memory = self._machine[-1]
         return taken, energies, self._vcc[:taken]
+
+    def _pack_machine(self, index: int, steps: MachineSteps) -> None:
+        """The machine load's frame; its undo log holds one step's
+        writes (at most one per cycle of budget)."""
+        machine = steps.machine
+        MachineLoop._layout.pack_into(self._machine_state, 0,
+                                      *machine.registers, machine.pc,
+                                      0, 0, 0, 0, 0)
+        if len(self._undo) < 1 + 2 * steps.budget:
+            self._undo = array("q", bytes(8 * (1 + 2 * steps.budget)))
+        code, n_code = steps.code.buffer_info()
+        data, n_data = machine.data.buffer_info()
+        self._machine_in.pack_into(
+            self._machine, 0, index, code, n_code // 5, data, n_data,
+            self._machine_state.buffer_info()[0], self._undo.buffer_info()[0],
+            steps.budget, steps.stop_at_ckpt, steps.fram, *steps.access,
+        )
 
     def _read_table(self, table: TransitionTable, taken: int) -> None:
         """Write the tabled load's results back into ``table``: the
@@ -912,6 +988,12 @@ class ChunkLoop:
         table.states = self._states[:taken]
 
 
+def _doubles(n: int) -> array:
+    """A zeroed frame of ``n`` slots (not a ctypes array: each ctypes
+    array type is a cycle, left to the garbage collector)."""
+    return array("d", bytes(8 * n))
+
+
 def _table_rows(table: TransitionTable) -> tuple:
     """A table's rows in ``_TABLE_IN`` order (after the tabled load's
     index)."""
@@ -931,8 +1013,8 @@ class MachineLoop:
     registers, PC and counters into the state buffer with one
     ``struct``, runs the foreign loop on data memory in place and
     unpacks once.  Data memory is an ``array('q')`` whose address is
-    read per call: the machine rebuilds it on boot, power failure,
-    restore and rewind.
+    read per call: the machine rebuilds it on boot, power failure and
+    restore.
     """
 
     __slots__ = ("_fn", "_code", "_code_address", "_n_code",
@@ -962,44 +1044,18 @@ class MachineLoop:
         """
         state = self._state
         self._layout.pack_into(state, 0, *registers, pc, cycles,
-                               instructions, reads, writes, 0, 0)
+                               instructions, reads, writes, 0)
         data_address, n_data = data.buffer_info()
         reason = self._fn(
             self._code_address, self._n_code, data_address, n_data,
             self._state_address,
             # No run reaches 2**63 cycles; the cap keeps any int budget
             # a valid int64, as the Python loop accepts any int.
-            min(max_cycles, _INT64_MAX), stop_at_ckpt, 0, None,
+            min(max_cycles, _INT64_MAX), stop_at_ckpt, None,
         )
         values = self._layout.unpack_from(state)
         registers[:] = values[:16]
-        return (reason,) + values[16:-1]
-
-    def run_steps(
-        self, registers: List[int], pc: int, data: array, max_cycles: int,
-        stop_at_ckpt: bool, n: int,
-    ) -> Tuple[int, int, np.ndarray, int]:
-        """Run ahead up to ``n >= 1`` slices of ``max_cycles``; returns
-        ``(reason, pc, counts, address)``.
-
-        ``counts`` holds one ``(cycles, instructions, reads, writes)``
-        row per completed slice.  ``reason`` is ``EXIT_BUDGET`` when all
-        ``n`` completed, else the exit of the slice after the last
-        completed one, which the loop stopped inside (registers, PC and
-        data then include its partial work).
-        """
-        state = self._state
-        self._layout.pack_into(state, 0, *registers, pc, 0, 0, 0, 0, 0, 0)
-        counts = np.empty((n, 4), dtype=np.int64)
-        data_address, n_data = data.buffer_info()
-        reason = self._fn(
-            self._code_address, self._n_code, data_address, n_data,
-            self._state_address, min(max_cycles, _INT64_MAX), stop_at_ckpt,
-            n, counts.ctypes.data,
-        )
-        values = self._layout.unpack_from(state)
-        registers[:] = values[:16]
-        return reason, values[16], counts[:values[22]], values[21]
+        return (reason,) + values[16:]
 
 
 def _replay(compiled, rail, plans, profiles, n, envelope):
@@ -1060,10 +1116,9 @@ def _chunk_self_check(compiled) -> bool:
     event is the clamp voltage itself, and a source-less one.  The
     Fig. 7 quiescent shape (one rectified source, one constant load, an
     ideal capacitor) covers charging, the v_max clamp, a starved step,
-    a non-charging step and an event boundary before the horizon.  The
-    Fig. 7 ACTIVE shape (a current load whose per-step energies come
-    from a run-ahead) and a mix of per-step and constant loads with a
-    power term read per-step ``energies``.  Each case samples its V_cc
+    a non-charging step and an event boundary before the horizon.  (The
+    Fig. 7 ACTIVE shape, a current load stepping a machine, is
+    :func:`_fused_replay`'s.)  Each case samples its V_cc
     envelope every step from empty, and again every 17th step entered
     mid-period on a non-empty envelope.  Transition tables, once each:
     a supply burst boots, restores, runs, snapshots, sleeps and browns
@@ -1081,9 +1136,6 @@ def _chunk_self_check(compiled) -> bool:
     power = np.ascontiguousarray(
         np.where(steps % 9 < 2, 0.5, np.where(steps % 9 < 5, 1e-3, 0.0))
     )
-    # Memory energies of interpreted steps: one more than a chunk reads.
-    per_step = 1e-9 * (1.0 + np.arange(41, dtype=float) % 7)
-
     def rectified(values, drop, r_total):
         return VoltageSourcePlan(values, drop, r_total, values.ctypes.data)
 
@@ -1127,13 +1179,6 @@ def _chunk_self_check(compiled) -> bool:
          [LoadProfile(energy=1e-9, v_rising=3.3)]),
         (n, (22e-6, 3.3, None, 1.02, 2.0, 5e-5), [],
          [LoadProfile(current=1e-3, current_gain=0.9, v_falling=1.5)]),
-        (40, (33e-6, 3.3, None, 1.0, 2.6, 5e-5), [charge],
-         [LoadProfile(current=1.7e-3, current_gain=1.35, energies=per_step,
-                      v_falling=2.3)]),
-        (40, (10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
-         [LoadProfile(power=1e-3, resistance=2000.0),
-          LoadProfile(power=5e-4, energies=per_step[::-1].copy()),
-          LoadProfile(energy=2e-9, current=2e-3, energies=2.0 * per_step)]),
     ]
     envelopes = [
         {}, dict(vcc_every=17, vcc_phase=5, vcc_min=0.4, vcc_max=0.6)
@@ -1300,94 +1345,97 @@ def _machine_replay(machine_run, source, budgets, stop_at_ckpt):
     return seen
 
 
-def _machine_ahead_replay(machine_run, source, stretches, stop_at_ckpt):
-    """``source`` on a self-check machine driven by ``(budget, n, keep)``
-    stretches; every observable as plain values.
+def _fused_replay(compiled, source, budget, stop_at_ckpt):
+    """``source`` on a self-check machine stepped inside chunks by the
+    compiled ``chunk_loop``, or the Python loop when ``compiled`` is
+    None; every observable as plain values, and the exits of the steps
+    chunks undid (``EXIT_BUDGET``: a later load's boundary).
 
-    With ``machine_run`` each stretch runs ahead ``n`` steps on the
-    compiled loop and settles at ``keep`` (capped at the steps it
-    completed).  With None the Python loop runs the same steps one
-    ``run(budget)`` at a time, the cap taken from the Python run-ahead
-    loop on copies of the registers and data.  A stretch that stopped
-    short is followed by one plain ``run`` (its event step).
+    The machine's load comes first on a rail a rectified wave
+    recharges; a resistive second load's falling boundary discards
+    steps the machine ran.  An undone step then runs through
+    ``Machine.run`` (on the Python loop either way).
     """
     from repro.errors import MachineError
-    from repro.mcu.machine import PythonLoop
 
-    machine = _self_check_machine(machine_run, source)
-    names = ("cycles", "instructions", "fram_reads", "fram_writes",
-             "sram_reads", "sram_writes")
-    seen = []
-    for budget, n, keep in stretches:
-        if machine_run is None:
-            _, _, counts, _ = PythonLoop(machine._code).run_steps(
-                machine.registers[:], machine.pc, machine.data[:], budget,
-                stop_at_ckpt, n,
-            )
-            completed = 0 if machine.halted else len(counts)
-            keep = min(keep, completed)
-            rows = []
-            for _ in range(keep):
-                slice_ = vars(machine.run(budget, stop_at_ckpt))
-                rows.append(tuple(slice_[name] for name in names))
-        else:
-            steps = machine.run(budget, stop_at_ckpt, steps=n).per_step
-            completed = len(steps.cycles)
-            keep = min(keep, completed)
-            machine.settle(keep)
-            columns = [getattr(steps, name) for name in names]
-            rows = [
-                tuple(value if isinstance(value, int) else int(value[i])
-                      for value in columns)
-                for i in range(keep)
-            ]
-        seen.append((completed, rows, machine.registers[:], machine.pc,
-                     machine.total_cycles, machine.data.tolist()))
-        if keep == completed < n:
-            try:
-                seen.append(vars(machine.run(budget, stop_at_ckpt)))
-            except MachineError as error:
-                seen.append(str(error))
+    machine = _self_check_machine(None, source)
+    access = (1e-11, 1.2e-11, 5e-11, 1.5e-10)
+    seen, causes = [], set()
+    v, start = 2.0, 0
+    for _ in range(40):
+        if machine.halted:
+            break
+        steps = machine.active_steps(budget, stop_at_ckpt, access)
+        values = _FUSED_WAVE[start:]
+        taken, v, *results = _replay(
+            compiled, (22e-6, 3.3, None, 1.02, v, 5e-5),
+            [VoltageSourcePlan(values, 0.2, 80.0, values.ctypes.data)],
+            [LoadProfile(current=2e-3, current_gain=1.1, v_falling=0.3,
+                         machine=steps),
+             LoadProfile(resistance=300.0, v_falling=1.4)],
+            48, {},
+        )
+        seen.append((taken, v, results, machine.registers[:], machine.pc,
+                     machine.data.tolist(), steps.cycles, steps.memory))
+        start += taken + 1
+        if taken == 48:
+            continue
+        causes.add(steps.run(machine.registers[:], machine.pc, 0, 0, 0, 0,
+                             machine.data[:], budget, stop_at_ckpt)[0])
+        try:
+            seen.append(vars(machine.run(budget, stop_at_ckpt)))
+        except MachineError as error:
+            seen.append(str(error))
+            break
     seen.append(machine.output_port.log)
-    return seen
+    return seen, causes
+
+
+#: The fused replays' supply.
+_FUSED_WAVE = np.ascontiguousarray(
+    np.maximum(3.6 * np.sin(np.arange(2100, dtype=float) * 0.25), 0.0)
+)
+#: ``(source, budget, stop_at_ckpt)``: the self-check program pausing
+#: at ckpts and running through them, a step that writes one word twice
+#: before a port (its log must be undone in reverse), and the faults
+#: reached from a step's middle.
+_FUSED_CASES = (
+    (_MACHINE_PROGRAM, 7, True),
+    (_MACHINE_PROGRAM, 17, False),
+    ("ldi r1, 5\nst r1, r0, 1\nst r0, r0, 1\npush r1\nin r2, 3\n", 50,
+     False),
+) + tuple((source, 2, False) for source in _MACHINE_FAULTS[::3])
 
 
 def _machine_self_check(machine_run) -> bool:
     """Run the self-check programs through the compiled ``machine_run``
     and demand every slice, register, data word, counter, output and
-    error identical to the Python interpreter's; and the same of
-    run-ahead stretches settled on the compiled loop against plain
-    step-by-step runs on the Python loop."""
+    error identical to the Python interpreter's."""
     program = _MACHINE_PROGRAM
     runs = [
         (program, (0, 1, 7, 40, 13, 90, 5000, 5000), True),
         (program, (333, 5000), False),
     ]
     runs += [(source, (0, 2, 100, 100), False) for source in _MACHINE_FAULTS]
-    # (budget, steps ahead, steps kept): kept in full, cut short (the
-    # second re-runs four steps), stopped short of ports, ckpt pauses
-    # and the halt.
-    stretches = [(7, 5, 5), (3, 12, 4), (13, 9, 2), (40, 30, 30), (90, 3, 1),
-                 (21, 64, 0), (5000, 2, 2)]
-    aheads = [(program, stretches, True), (program, stretches, False)]
-    aheads += [  # ld, st, ret, in
-        (source, [(1, 3, 3), (100, 3, 3)], False)
-        for source in _MACHINE_FAULTS[::3]
-    ]
     return all(
         _machine_replay(machine_run, *run) == _machine_replay(None, *run)
         for run in runs
-    ) and all(
-        _machine_ahead_replay(machine_run, *run)
-        == _machine_ahead_replay(None, *run)
-        for run in aheads
     )
 
 
 def _self_check(kernel: Kernel) -> bool:
-    """Both functions of a freshly loaded library against Python."""
-    return (_chunk_self_check(kernel.chunk_loop)
-            and _machine_self_check(kernel.machine_run))
+    """Both functions of a freshly loaded library against Python: the
+    chunk loop, the interpreter, and machines stepped inside chunks
+    through every undo cause."""
+    return (
+        _chunk_self_check(kernel.chunk_loop)
+        and _machine_self_check(kernel.machine_run)
+        and all(
+            _fused_replay(kernel.chunk_loop, *case)
+            == _fused_replay(None, *case)
+            for case in _FUSED_CASES
+        )
+    )
 
 
 def _note_load_failure(reason: str, **attrs) -> None:

@@ -75,10 +75,6 @@ class Component:
     def reset(self) -> None:
         """Restore the component to its initial state (default: no-op)."""
 
-    #: Steps the component interpreted a second time to settle chunks
-    #: that stopped short of a run-ahead (cumulative; fast-kernel
-    #: diagnostics, see :class:`~repro.sim.kernel.LoadProfile`).
-    reexecuted_steps = 0
     #: The platform transition the last chunk stopped before to return
     #: to Python, or None; a component that follows transitions also
     #: counts those it followed, by name, in a cumulative
@@ -268,7 +264,6 @@ class Simulator:
         chunks0, chunked0, fallback0 = (
             stats.chunks, stats.chunked_steps, stats.fallback_steps,
         )
-        reexecuted0 = self._reexecuted_steps()
         transitions0 = self._transitions()
         reasons0 = dict(stats.fallbacks)
         returns0 = dict(stats.fallback_transitions)
@@ -281,8 +276,6 @@ class Simulator:
                     t_stop, max_steps, steps_before
                 )
             kspan.annotate(steps=self.steps - steps_before)
-        reexecuted = self._reexecuted_steps() - reexecuted0
-        stats.reexecuted_steps += reexecuted
         transitions = {
             name: count - transitions0.get(name, 0)
             for name, count in self._transitions().items()
@@ -307,9 +300,6 @@ class Simulator:
                 obs.counter("repro_kernel_fallback_steps_total").inc(
                     stats.fallback_steps - fallback0
                 )
-                obs.counter("repro_kernel_reexecuted_steps_total").inc(
-                    reexecuted
-                )
                 for reason, count in stats.fallbacks.items():
                     obs.counter(
                         "repro_kernel_fallback_steps_by_reason_total",
@@ -332,13 +322,6 @@ class Simulator:
             steps=self.steps - steps_before,
             stopped_early=stopped_early,
             traces=self._recorder.traces(),
-        )
-
-    def _reexecuted_steps(self) -> int:
-        """The components' cumulative re-executed step counts."""
-        return sum(
-            getattr(component, "reexecuted_steps", 0)
-            for component in self._components
         )
 
     def _transitions(self) -> Dict[str, int]:

@@ -35,10 +35,10 @@ Three descriptor families exist:
   charge-and-fire task finishing): the chunk may advance
   at most that many steps, so the step on which the timed event fires
   always executes through the reference path.  A load whose per-step
-  energy depends on what it executes (the interpreter) runs ahead
-  through ``stretch`` instead and publishes one energy per step; a
-  load with a state machine (the transient platform) publishes its
-  :class:`TransitionTable` in ``table``.
+  energy depends on what it executes (the interpreter) publishes its
+  :class:`MachineSteps` in ``machine``, which the loops step inside the
+  chunk; a load with a state machine (the transient platform)
+  publishes its :class:`TransitionTable` in ``table``.
 * :class:`VoltageSourcePlan` / :class:`PowerSourcePlan` — published by an
   injector (:meth:`~repro.power.rail.Injector.chunk_plan`): the source
   waveform for the chunk precomputed as a float64 array view plus the
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,25 +145,15 @@ class LoadProfile:
     finishing).  The chunk stops short of every declared boundary; the
     boundary step itself reruns through the reference path.  A load
     with a state machine publishes it as ``table`` instead (see
-    :class:`TransitionTable`); its other fields are then unused.
+    :class:`TransitionTable`); its other fields are then unused.  An
+    interpreter publishes its steps as ``machine`` (see
+    :class:`MachineSteps`).
 
     ``commit`` is called once with ``(steps, dt, energy)`` after the
     chunk — ``energy`` being the total joules this load demanded over
     the committed steps — so the load can account bulk side effects
     (state-residency metrics, consumed-energy counters, operation
-    countdowns) for the steps it was advanced through.  It may return
-    the number of steps it had to re-execute to get there (see
-    ``stretch``), which the rail counts.
-
-    A load whose per-step energy depends on what it executes (the
-    interpreter, see :meth:`~repro.mcu.engine.ComputeEngine.active_plan`)
-    publishes ``stretch``: the rail calls it once with the chunk's final
-    step count ``n``, after every load and injector agreed to chunk,
-    and it returns the per-step energies of the ``k <= n`` steps it ran
-    ahead and vouches for.  The rail stores them in ``energies``, which
-    the chunk loops read in place of ``energy``, one value per step,
-    and runs at most ``k`` steps.  ``commit`` then settles the load at
-    the committed count, which may be anything from 0 to ``k``.
+    countdowns) for the steps it was advanced through.
     """
 
     power: float = 0.0
@@ -174,10 +164,37 @@ class LoadProfile:
     v_rising: float = math.inf
     v_falling: float = -math.inf
     max_steps: Optional[int] = None
-    commit: Optional[Callable[[int, float, float], Optional[int]]] = None
-    energies: Optional[Sequence[float]] = None
-    stretch: Optional[Callable[[int], Sequence[float]]] = None
+    commit: Optional[Callable[[int, float, float], None]] = None
+    machine: Optional["MachineSteps"] = None
     table: Optional["TransitionTable"] = None
+
+
+@dataclass(eq=False)
+class MachineSteps:
+    """An interpreter's ACTIVE execution, which both chunk loops step
+    one engine step per step (at most one per rail).
+
+    Each step the loops run ``machine`` as ``Machine.run(budget,
+    stop_at_ckpt)`` would, through ``run`` (a ``PythonLoop``'s) or the
+    packed ``code``, and add the slice's memory energy, priced at
+    ``access`` per SRAM read, SRAM write, FRAM read and FRAM write as
+    ``McuPowerModel.slice_memory_energy`` prices it (``fram``: data in
+    FRAM), to the load's ``power * dt + energy``.  A step the chunk
+    does not commit (a halt, ``ckpt`` pause, port or fault, or a later
+    load's boundary) is undone: registers, PC and its logged writes.
+    The loops update the machine in place and write the committed
+    steps' total ``cycles`` and ``memory`` (in step order).
+    """
+
+    machine: Any
+    run: Callable
+    code: Any
+    budget: int
+    stop_at_ckpt: bool
+    fram: bool
+    access: Tuple[float, float, float, float]
+    cycles: int = 0
+    memory: float = 0.0
 
 
 #: The transition table's states, in code order: the codes the state
@@ -442,10 +459,6 @@ class ChunkStats:
       stop condition needs per-step observation, a component has no
       ``step_chunk``), or a single step remains before the horizon.
 
-    ``reexecuted_steps`` counts steps a run-ahead load (the
-    interpreter) executed a second time to settle a chunk that stopped
-    short of its run-ahead: interpretation paid twice.
-
     ``transitions`` counts the platform transitions chunks followed
     inline (see :class:`TransitionTable`), and ``fallback_transitions``
     the chunks that returned to Python before one, both by
@@ -455,7 +468,6 @@ class ChunkStats:
     chunks: int = 0
     chunked_steps: int = 0
     fallback_steps: int = 0
-    reexecuted_steps: int = 0
     fallbacks: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(FALLBACK_REASONS, 0)
     )

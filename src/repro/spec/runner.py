@@ -44,7 +44,7 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -151,7 +151,8 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     submitting process computed), ``overrides`` label its row.
     :func:`evaluate` adds that ``spec_hash``, which the row carries, and
     in-process the resolved ``spec``, which is then used as is.  The
-    return value is a :meth:`RunResult.to_record` dict.
+    return value is a :meth:`RunResult.to_record` dict without the
+    spec: :func:`evaluate` anchors every record to its point's spec.
     """
     if faults.is_armed():
         # Chaos harness: an injected crash raises out of the worker (the
@@ -171,10 +172,11 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                 spec_hash=_task_failure_key(payload, _SHARED_BASE_DICT),
                 overrides=overrides,
             ).to_record()
-    return run_spec(
+    result = run_spec(
         spec, overrides, capture_traces=tuple(payload.get("traces", ())),
         key=payload.get("spec_hash"),
-    ).to_record()
+    )
+    return replace(result, spec=None).to_record()
 
 
 @dataclass(frozen=True)
@@ -976,7 +978,7 @@ def evaluate(
     point runs or is stored.
     """
     check_trace_names(traces)
-    base_dict = base.to_dict()
+    base_dict = base.canonical_dict()
     if hashes is None:
         hashes = [spec_hash(spec) for spec, _, _ in points]
     outcome: Dict[str, Optional[RunResult]] = {}

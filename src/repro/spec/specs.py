@@ -535,6 +535,14 @@ class ScenarioSpec:
             payload["seed"] = self.seed
         return payload
 
+    def canonical_dict(self) -> Dict[str, Any]:
+        """:meth:`to_dict`, computed once per instance and shared: read
+        it, never mutate it."""
+        payload = self.__dict__.get("_canonical")
+        if payload is None:
+            payload = self.__dict__["_canonical"] = self.to_dict()
+        return payload
+
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
         if "storage" not in _fields_of(cls, payload, "scenario spec"):
@@ -685,9 +693,7 @@ class ScenarioSpec:
         try:
             plan = self._plan(overrides)
             if plan:
-                payload = self.__dict__.get("_canonical")
-                if payload is None:
-                    payload = self.__dict__["_canonical"] = self.to_dict()
+                payload = self.canonical_dict()
                 for path, value in zip(plan, overrides.values()):
                     payload = _with_path(payload, path, value)
                 return dataclasses.replace(self, **{

@@ -267,7 +267,7 @@ class Strategy:
         """The rail voltage at-or-below which :meth:`on_active` acts, if any.
 
         The ACTIVE row's exit in the fast kernel's transition table (and
-        the falling boundary of an interpreter's run-ahead stretch):
+        the falling boundary of an interpreter's ACTIVE chunk):
         returning a float asserts that, while the rail voltage stays
         *strictly above* it, :meth:`on_active` is a pure no-op (no
         snapshot trigger, no state transition, no mutation); what it
@@ -397,7 +397,7 @@ class TransientPlatform(RailLoad):
         #: chunk's start (see _table_profile).
         self._costs: Dict[tuple, tuple] = {}
         self._table_key: Optional[tuple] = None
-        self._table: Optional[LoadProfile] = None
+        self._table: Optional[TransitionTable] = None
         self._hooks: Optional[InlineHooks] = None
         self._words: tuple = (None, None)
         self._chunk: tuple = ()
@@ -559,8 +559,8 @@ class TransientPlatform(RailLoad):
         the table cannot follow: ACTIVE on an engine without a progress
         counter (the interpreter), or a state whose threshold the
         strategy does not declare.  A chunk that starts ACTIVE on such
-        an engine runs the interpreter ahead instead (the profile's
-        ``stretch``, see
+        an engine steps the interpreter inside the chunk instead (the
+        profile's ``machine``, see
         :meth:`~repro.mcu.engine.ComputeEngine.active_plan`).
 
         The commit replays the loop's transition log through the
@@ -624,8 +624,7 @@ class TransientPlatform(RailLoad):
         if key != self._table_key:
             self._table_key = key
             self._table = self._build_table(key)
-        profile = self._table
-        table = profile.table
+        table = self._table
         table.state = _CODE[state]
         table.executed = table.pending = executed
         table.left = 0
@@ -638,10 +637,12 @@ class TransientPlatform(RailLoad):
         table.has_snapshot = held
         table.payload = store.latest() if held and counter is not None else 0
         self._chunk = (t, table.left)
-        return profile
+        # A profile per chunk: a cached one would hold the platform
+        # through its commit, a cycle only the garbage collector frees.
+        return LoadProfile(table=table, commit=self._replay)
 
-    def _build_table(self, key: tuple) -> LoadProfile:
-        """A table profile's rows from what :meth:`_table_profile` read."""
+    def _build_table(self, key: tuple) -> TransitionTable:
+        """A table's rows from what :meth:`_table_profile` read."""
         (dt, frequency, budget, no_counter, total, site, energy, guard, wake,
          boot, hooks, writing, reading, slots) = key
         strategy = type(self.strategy)
@@ -706,7 +707,7 @@ class TransientPlatform(RailLoad):
             single_slot=slots == 1,
             python=python,
         )
-        return LoadProfile(table=table, commit=self._replay)
+        return table
 
     def _operation_row(self, kind: str, words: Optional[int], dt: float):
         """``(steps, power)`` of a fresh ``words``-word operation
@@ -720,7 +721,7 @@ class TransientPlatform(RailLoad):
         """Apply a chunk the loop followed through the table: its
         transitions (:meth:`_replay_log`), the ACTIVE steps after the
         last, then the bulk accounting."""
-        table = self._table.table
+        table = self._table
         left = self._chunk[1]
         if table.log:
             left = self._replay_log(table, dt)
@@ -802,21 +803,21 @@ class TransientPlatform(RailLoad):
                 f"transition table ran {steps} ACTIVE steps the engine "
                 f"does not vouch for"
             )
-        cycles, memory, _ = plan[2](steps)
+        cycles, memory = plan[2](steps)
         self.metrics.cycles_executed += cycles
         self.metrics.energy["memory"] += memory
 
     def _active_profile(self, dt, frequency, budget
                         ) -> Optional[LoadProfile]:
-        """The ACTIVE stretch of an engine without a progress counter
-        (the interpreter runs ahead), or None to stay per-step."""
+        """The ACTIVE steps of an engine without a progress counter (the
+        chunk loops step the interpreter), or None to stay per-step."""
         guard = self.strategy.active_guard(self)
         if guard is None:
             return None
         plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
         if plan is None:
             return None
-        run_ahead, _, commit_steps = plan
+        steps, _, commit_steps = plan
         # The strategy acts when v <= guard; the chunk's falling boundary
         # is strict (v < v_falling), so nudge the guard up one ulp to
         # make `v < boundary` equivalent to `v <= guard`.  Brownout
@@ -826,17 +827,15 @@ class TransientPlatform(RailLoad):
             v_fall = max(v_fall, math.nextafter(guard, math.inf))
         metrics = self.metrics
 
-        def commit(steps: int, dt_: float, energy_sum: float) -> int:
-            # Always: a run-ahead engine settles even when none commit.
-            cycles, memory, reexecuted = commit_steps(steps)
-            if steps:
+        def commit(count: int, dt_: float, energy_sum: float) -> None:
+            if count:
+                cycles, memory = commit_steps(count)
                 # `energy_sum` is the summed per-step demand: voltage-
                 # proportional core energy plus the memory part.
-                metrics.time_in_state["active"] += steps * dt_
+                metrics.time_in_state["active"] += count * dt_
                 metrics.energy["active"] += energy_sum - memory
                 metrics.energy["memory"] += memory
                 metrics.cycles_executed += cycles
-            return reexecuted
 
         model = self.power_model
         return LoadProfile(
@@ -844,7 +843,7 @@ class TransientPlatform(RailLoad):
             current_gain=model.fram_execution_factor,
             v_falling=v_fall,
             commit=commit,
-            stretch=run_ahead,
+            machine=steps,
         )
 
     def reset(self) -> None:

@@ -94,3 +94,30 @@ def test_reset_allows_second_run():
     system.reset()
     second = system.run(0.1)
     assert abs(len(first.vcc()) - len(second.vcc())) <= 1
+
+
+@pytest.mark.parametrize("kernel", ["reference", "fast"])
+def test_a_finished_fig7_run_is_freed_by_reference_counting(kernel):
+    """A built and run Fig. 7 system holds no reference cycle: dropping
+    it frees its machine at once, with the cyclic collector off, and
+    leaves the collector nothing."""
+    import gc
+    import weakref
+
+    from repro.spec.presets import preset
+
+    spec = preset("fig7", fft_size=64).with_override("kernel", kernel)
+    spec.build().run(0.2)  # library and program caches warm
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        system = spec.build()
+        system.run(spec.duration)
+        machine = weakref.ref(system.platform.engine.machine)
+        del system
+        assert machine() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -346,10 +346,10 @@ if __name__ == "__main__":
 
 # -- interpreter-driven ACTIVE stretches -----------------------------------
 #
-# On the interpreter, ACTIVE execution chunks by running the machine
-# ahead and settling it at the committed step (``Machine.run(...,
-# steps=n)`` / ``Machine.settle``).  These scenarios drive that path
-# through halts, checkpoint pauses, port I/O and Hibernus' V_H crossing.
+# On the interpreter, ACTIVE execution chunks by stepping the machine
+# inside the chunk loop and undoing the one step a chunk does not
+# commit (``MachineSteps``).  These scenarios drive that path through
+# halts, checkpoint pauses, port I/O and Hibernus' V_H crossing.
 
 
 def _sense_system(kernel: str):
@@ -420,8 +420,43 @@ INTERPRETER_CASES = {
 }
 
 
+def _interpreted(case, monkeypatch):
+    """Per kernel, ``case``'s interpreter slices (``_python_run`` calls)
+    and chunk-loop calls over 1 s on the Python rung."""
+    import repro.mcu.machine as machine_module
+    import repro.power.rail as rail_module
+    from repro import degrade
+    from repro.sim import _ckernel
+
+    counts = {}
+
+    def counted(function, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(machine_module, "_python_run",
+                        counted(machine_module._python_run, "slices"))
+    monkeypatch.setattr(rail_module, "chunk_loop",
+                        counted(rail_module.chunk_loop, "chunks"))
+    monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+    _ckernel.reset_cache()
+    runs = {}
+    try:
+        for kernel in ("reference", "fast"):
+            counts.update(slices=0, chunks=0)
+            INTERPRETER_CASES[case](kernel).run(1.0)
+            runs[kernel] = dict(counts)
+    finally:
+        monkeypatch.delenv("REPRO_BATCH_CKERNEL")
+        _ckernel.reset_cache()
+        degrade.reset()
+    return runs
+
+
 @pytest.mark.parametrize("case", sorted(INTERPRETER_CASES))
-def test_interpreter_stretches_match_reference(case):
+def test_interpreter_stretches_match_reference(case, monkeypatch):
     runs = {}
     for kernel in ("reference", "fast"):
         system = INTERPRETER_CASES[case](kernel)
@@ -443,17 +478,25 @@ def test_interpreter_stretches_match_reference(case):
     for port, peripheral in ref_machine.ports.items():
         assert _device(fast_machine.ports[port]) == _device(peripheral), port
     # The comparison is not vacuous: the run computes, and the fast
-    # kernel chunks it, settling run-aheads on the way.
+    # kernel chunks it.
     assert ref_m.cycles_executed > 0
     stats = fast_system.simulator.chunk_stats
     assert stats.chunked_fraction() > 0.8, stats
-    assert stats.reexecuted_steps > 0, stats
+    # Each ACTIVE step is interpreted once, but for the one step a
+    # chunk undoes: the fast kernel's surplus of slices over the
+    # reference's is at most its chunk calls.
+    runs = _interpreted(case, monkeypatch)
+    ref_slices, fast_slices = runs["reference"]["slices"], runs["fast"][
+        "slices"]
+    chunks = runs["fast"]["chunks"]
+    assert chunks > 0 and ref_slices > 0, runs
+    assert ref_slices <= fast_slices <= ref_slices + chunks, runs
 
 
 def test_fig7_active_stretches_chunk():
     """Engagement guard: Fig. 7 ACTIVE execution runs through the chunk
-    loop, not one per-step step at a time.  Before run-ahead stretches
-    the fast kernel ran 69 of this scenario's steps as refused or
+    loop, not one per-step step at a time.  Before the interpreter
+    chunked the fast kernel ran 69 of this scenario's steps as refused or
     backed-off chunk attempts (6 + 63), every one of them ACTIVE."""
     spec = preset("fig7", fft_size=64).with_override("kernel", "fast")
     system = spec.build()

@@ -1,33 +1,44 @@
-"""Run-ahead stretches against step-by-step execution, on both rungs.
+"""The interpreter stepped inside chunks against step-by-step execution,
+on both rungs.
 
-``Machine.run(budget, steps=n)`` runs up to ``n`` engine steps ahead in
-one loop call and ``Machine.settle(k)`` keeps the first ``k`` of them,
-rewinding and re-running when the machine went further.  Driven
-through seeded stretch lengths and seeded early ``k`` (which force a
-rewind), every program of the golden ledger and generated programs of
-the rung test must match a second machine that runs the same steps one
-``run(budget)`` at a time:
+Under the fast kernel both chunk loops step a machine load's
+interpreter themselves, one engine step per step
+(:class:`~repro.sim.kernel.MachineSteps`), and undo the one step a
+chunk does not commit.  Driven through seeded chunk lengths, seeded
+rails and a second load with seeded voltage boundaries, every program
+of the golden ledger and generated programs of the rung test must
+match a second machine that runs the same steps one ``run(budget)`` at
+a time:
 
-* each kept step's cycles, accesses and memory energy;
-* the registers, PC, data memory, ``total_cycles`` and ``halted``
-  after every settle;
-* a stretch that stops short of ``n`` stops right before an event step:
-  on the step-by-step machine that step halts, pauses at a ``ckpt``,
-  does port I/O or faults.
+* each committed step's cycles and memory energy (a one-step chunk
+  shows a step's energy alone; longer ones its sum in step order), and
+  the load's committed demand;
+* the registers, PC, data memory, ``total_cycles`` and ``halted`` after
+  every chunk;
+* a chunk that stops short stops right before an event step, whose
+  undo it met: on the step-by-step machine that step halts, pauses at
+  a ``ckpt``, does port I/O or faults, or it runs its budget and the
+  second load's boundary discarded it.
 
-The compiled and Python rungs must observe exactly the same sequence.
+The compiled and Python chunk loops must observe exactly the same
+sequence.
 """
 
 import hashlib
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import MachineError
 from repro.mcu.assembler import assemble
+from repro.mcu.engine import MachineEngine
 from repro.mcu.machine import Machine
 from repro.mcu.power_model import McuPowerModel
+from repro.power.rail import RailStats, chunk_loop
 from repro.sim import _ckernel
+from repro.sim.kernel import CapacitorPhysics, LoadProfile, VoltageSourcePlan
 
 from tests.mcu.test_interpreter_ledger import CONFIGS, PROGRAMS
 from tests.mcu.test_machine_rungs import (
@@ -37,16 +48,16 @@ from tests.mcu.test_machine_rungs import (
 
 STOP_MODES = {"stop": True, "run-through": False}
 GENERATED = 60
-MAX_STRETCH = 40
+MAX_CHUNK = 40
 MAX_BUDGET = 300
-COUNTERS = ("cycles", "instructions", "fram_reads", "fram_writes",
-            "sram_reads", "sram_writes")
+DT = 5e-5
 MODEL = McuPowerModel()
 
-#: What a stretch that stopped short stopped before, per stop mode.
+#: What a chunk that stopped short undid, per stop mode ("full": a
+#: chunk ran all its steps).
 REQUIRED_TAGS = {
-    True: {"halt", "ckpt", "port", "fault", "rewind", "kept"},
-    False: {"halt", "port", "fault", "rewind", "kept"},
+    True: {"halt", "ckpt", "port", "fault", "boundary", "full"},
+    False: {"halt", "port", "fault", "boundary", "full"},
 }
 
 
@@ -73,70 +84,97 @@ def event_tag(machine, budget, stop_at_ckpt):
     return None, vars(slice_)
 
 
-def column(per_step, name, i):
-    """Step ``i``'s counter ``name`` (an access the memory placement
-    never makes is the int 0 for every step)."""
-    values = getattr(per_step, name)
-    return values if isinstance(values, int) else int(values[i])
+def run_chunk(compiled, v0, values, profiles, n):
+    """One chunk on a fresh ideal 22 uF rail fed by ``values`` through a
+    rectifier, on the compiled loop or the Python loop (None)."""
+    cell = [v0]
+    physics = CapacitorPhysics(
+        22e-6, 3.3, None, 1.0, read_voltage=lambda: cell[0],
+        write_voltage=lambda v: cell.__setitem__(0, v),
+    )
+    plans = [VoltageSourcePlan(values, 0.2, 80.0, values.ctypes.data)]
+    run = chunk_loop if compiled is None else _ckernel.ChunkLoop(
+        compiled, len(plans), len(profiles)
+    ).run
+    taken, energies, voltages = run(
+        physics, plans, profiles, v0, None, DT, n, RailStats()
+    )
+    return taken, list(energies), np.asarray(voltages, dtype=float).tolist()
 
 
-def drive(source, config, peripherals, seed, stop_at_ckpt, machine_run,
+def drive(source, config, peripherals, seed, stop_at_ckpt, compiled,
           max_steps):
-    """Run-ahead ``source`` against step-by-step execution for up to
-    ``max_steps`` steps; returns the observation log (for the rung
+    """Fused chunks of ``source`` against step-by-step execution for up
+    to ``max_steps`` steps; returns the observation log (for the rung
     comparison) and the tags reached."""
     image = assemble(source)
-    ahead, stepped = Machine(image, config), Machine(image, config)
-    for machine in (ahead, stepped):
+    fused, stepped = Machine(image, config), Machine(image, config)
+    for machine in (fused, stepped):
         for port, factory in peripherals.items():
             machine.attach_peripheral(port, factory())
-    ahead.select_rung(machine_run)
     stepped.select_rung(None)  # the plain Python loop, one step a call
+    engine = MachineEngine(fused, MODEL)
     rng = random.Random(seed)
     log, tags = [], set()
     steps = 0
-    while steps < max_steps:
+    while steps < max_steps and not fused.halted:
         budget = rng.randint(1, MAX_BUDGET)
-        n = rng.randint(1, MAX_STRETCH)
-        slice_ = ahead.run(budget, stop_at_ckpt, steps=n)
-        per_step = slice_.per_step
-        completed = len(per_step.cycles)
-        energies = MODEL.slice_memory_energy(per_step)
-        assert len(energies) == completed
-        keep = completed if rng.random() < 0.5 else rng.randint(0, completed)
-        reexecuted = ahead.settle(keep)
-        tags.add("rewind" if reexecuted else "kept")
-        assert reexecuted in (0, keep)
-        for i in range(keep):
+        n = rng.choice((1, 1, 2, rng.randint(1, MAX_CHUNK)))
+        v0 = rng.uniform(0.8, 3.2)
+        values = np.ascontiguousarray(np.maximum(
+            rng.uniform(0.0, 4.0)
+            * np.sin(rng.uniform(0.0, 6.3) + 0.3 * np.arange(n)), 0.0,
+        ))
+        energy = rng.choice((0.0, 1e-9))
+        bound = rng.random()
+        boundary = LoadProfile(
+            resistance=rng.uniform(20.0, 2000.0),
+            v_falling=v0 - rng.uniform(0.0, 0.2) if bound < 0.4
+            else -math.inf,
+            v_rising=v0 + rng.uniform(0.0, 0.2) if bound > 0.8
+            else math.inf,
+        )
+        plan, _, commit = engine.active_plan(budget, stop_at_ckpt)
+        profiles = [LoadProfile(energy=energy, machine=plan), boundary]
+        taken, energies, voltages = run_chunk(
+            compiled, v0, values, profiles, n
+        )
+        cycles, memory = commit(taken)
+        demand = memory_sum = 0.0
+        stepped_cycles = 0
+        for _ in range(taken):
             step = stepped.run(budget, stop_at_ckpt)
             assert not (step.halted or step.hit_checkpoint)
             assert step.peripheral_energy == 0.0
-            for name in COUNTERS:
-                assert getattr(step, name) == column(per_step, name, i), name
-            assert MODEL.slice_memory_energy(step) == energies[i]
-        assert slice_.cycles == sum(per_step.cycles.tolist())
-        steps += keep
-        log.append((budget, n, per_step.cycles.tolist(), energies.tolist(),
-                    keep, reexecuted))
-        assert state(ahead) == state(stepped)
-        if keep < completed or completed == n:
+            joules = MODEL.slice_memory_energy(step)
+            memory_sum += joules
+            demand += energy + joules
+            stepped_cycles += step.cycles
+        assert (cycles, memory) == (stepped_cycles, memory_sum)
+        assert energies[0] == demand
+        steps += taken
+        log.append((budget, n, taken, cycles, memory, energies, voltages))
+        assert state(fused) == state(stepped)
+        if taken == n:
+            tags.add("full")
             continue
-        # Stopped short: the next step is an event on both machines.
+        # Stopped short: the next step is an event on both machines, or
+        # the boundary load discarded it.
         tag, seen = event_tag(stepped, budget, stop_at_ckpt)
-        assert tag is not None, (source, seen)
-        assert event_tag(ahead, budget, stop_at_ckpt) == (tag, seen)
-        assert state(ahead) == state(stepped)
+        assert event_tag(fused, budget, stop_at_ckpt) == (tag, seen)
+        assert state(fused) == state(stepped)
+        tag = tag or "boundary"
         tags.add(tag)
         log.append((tag, seen))
         steps += 1
-        if tag in ("fault", "halt"):
+        if tag == "fault":
             break
     return log, tags
 
 
 def rungs():
     kernel = _ckernel.load()
-    return [None] + ([] if kernel is None else [kernel.machine_run])
+    return [None] + ([] if kernel is None else [kernel.chunk_loop])
 
 
 @pytest.mark.parametrize("stop", sorted(STOP_MODES))
@@ -145,11 +183,11 @@ def test_ledger_programs_run_ahead_like_single_steps(config, stop):
     stop_at_ckpt = STOP_MODES[stop]
     tags = set()
     for name, (source, factories) in sorted(PROGRAMS.items()):
-        seed = f"ahead:{name}:{config}:{stop}"
+        seed = f"fused:{name}:{config}:{stop}"
         logs = []
-        for machine_run in rungs():
+        for compiled in rungs():
             log, reached = drive(source, CONFIGS[config], factories, seed,
-                                 stop_at_ckpt, machine_run, 100_000)
+                                 stop_at_ckpt, compiled, 100_000)
             logs.append(log)
             tags |= reached
         assert all(log == logs[0] for log in logs), name
@@ -160,34 +198,43 @@ def test_ledger_programs_run_ahead_like_single_steps(config, stop):
 @pytest.mark.parametrize("config", sorted(SMALL_CONFIGS))
 def test_generated_programs_run_ahead_like_single_steps(config, stop):
     stop_at_ckpt = STOP_MODES[stop]
-    rng = random.Random(f"ahead-generated:{config}:{stop}")
+    rng = random.Random(f"fused-generated:{config}:{stop}")
     tags = set()
     for index in range(GENERATED):
         source, factories = random_program(rng)
         seed = f"{config}:{stop}:{index}"
         logs = []
-        for machine_run in rungs():
+        for compiled in rungs():
             log, reached = drive(source, SMALL_CONFIGS[config], factories,
-                                 seed, stop_at_ckpt, machine_run, 200)
+                                 seed, stop_at_ckpt, compiled, 200)
             logs.append(log)
             tags |= reached
         assert all(log == logs[0] for log in logs), source
     assert tags >= REQUIRED_TAGS[stop_at_ckpt], tags
 
 
-def test_settle_rejects_steps_the_run_ahead_did_not_complete():
-    machine = Machine(assemble("loop:\nnop\njmp loop\n"))
-    slice_ = machine.run(10, steps=3)
-    assert len(slice_.per_step.cycles) == 3
-    with pytest.raises(MachineError, match="cannot keep 4 of 3"):
-        machine.settle(4)
+@pytest.mark.parametrize("compiled", rungs(), ids=lambda c: "python"
+                         if c is None else "c")
+def test_an_undone_step_restores_every_word_it_wrote(compiled):
+    """A step that writes one word twice, pushes, then reaches a port is
+    undone whole, the twice-written word back to its first value."""
+    source = (".data d: 7, 8\nldi r1, 5\nst r1, r0, 1\nldi r2, 6\n"
+              "st r2, r0, 1\npush r2\nin r3, 3\nhalt\n")
+    machine = Machine(assemble(source))
+    fresh = state(machine)
+    steps = machine.active_steps(100, False, (1e-11, 1e-11, 1e-11, 1e-11))
+    values = np.ascontiguousarray(np.zeros(4))
+    taken, energies, _ = run_chunk(
+        compiled, 3.0, values, [LoadProfile(machine=steps)], 4
+    )
+    assert (taken, energies, steps.cycles, steps.memory) == (0, [0.0], 0,
+                                                            0.0)
+    assert state(machine) == fresh
 
 
 def test_a_halted_machine_runs_no_steps_ahead():
     machine = Machine(assemble("halt\n"))
     machine.run(10)
     assert machine.halted
-    slice_ = machine.run(10, steps=5)
-    assert slice_.halted and len(slice_.per_step.cycles) == 0
-    assert machine.settle(0) == 0
+    assert MachineEngine(machine).active_plan(10) is None
     assert machine.halted

@@ -147,18 +147,6 @@ def test_fast_run_counts_fallback_steps_by_reason():
     )
 
 
-def test_fast_run_counts_reexecuted_steps_once_per_run():
-    from repro.spec.presets import preset
-
-    spec = preset("fig7", fft_size=64).with_override("kernel", "fast")
-    system = spec.build()
-    system.run(spec.duration)
-    reexecuted = system.simulator.chunk_stats.reexecuted_steps
-    assert reexecuted > 0
-    assert _counter_total("repro_kernel_reexecuted_steps_total") == reexecuted
-    assert reexecuted == system.rail.reexecuted_steps
-
-
 def _by_transition(name):
     return {
         c["labels"]["transition"]: c["value"]

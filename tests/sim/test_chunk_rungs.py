@@ -10,9 +10,10 @@ per-step reference execution with the event on the identical step.  Scenarios ar
 from a seeded generator over storage (ideal, leaky, supercap), sources
 (rectified voltage, power with and without a converter) and one to
 three loads mixing resistive, current and constant demand with voltage
-event boundaries, and the envelope's sampling period and phase.  Some
-loads publish per-step energies through a run-ahead ``stretch`` (the
-interpreter's ACTIVE shape), sometimes fewer than the chunk asks for.
+event boundaries, and the envelope's sampling period and phase.  One
+load may step a machine inside the chunk (the interpreter's ACTIVE
+shape, a ``MachineSteps``), which sometimes halts before the chunk's
+end: the loops undo the halting step and stop before it.
 Some rails also carry a transient platform (a synthetic workload under
 Hibernus, Hibernus++ or no strategy, in any state) whose transition
 table the loops follow across boots, hooks, operations and brownouts:
@@ -23,7 +24,6 @@ exactly, and the chunk stops before a transition it leaves to Python.
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro import degrade
@@ -44,6 +44,8 @@ from repro.power.rail import (
 )
 from repro.power.rectifier import Diode, FullWaveRectifier, HalfWaveRectifier
 from repro.mcu.engine import SyntheticEngine
+from repro.mcu.machine import Machine, MachineConfig
+from repro.mcu.power_model import McuPowerModel, MemoryTechnology
 from repro.sim import _ckernel
 from repro.sim.kernel import LoadProfile
 from repro.storage.capacitor import Capacitor
@@ -59,22 +61,49 @@ from repro.transient.hibernus_pp import HibernusPP
 
 SEEDS = range(150)
 TOLERANCE = 1e-9
+#: A machine load's memory prices, and its program: ``{k}`` passes of a
+#: load, add and store, then ``halt``.
+MODEL = McuPowerModel()
+SRAM = MemoryTechnology("sram", 1e-11, 1.2e-11, 1, 1, 0.0)
+FRAM = MemoryTechnology("fram", 5e-11, 1.5e-10, 1, 1, 0.0)
+ACCESS = (SRAM.read_energy, SRAM.write_energy, FRAM.read_energy,
+          FRAM.write_energy)
+COUNTDOWN = """
+.data d: 0
+  ldi r1, {k}
+loop:
+  ld r2, r0, 0
+  addi r2, r2, 3
+  st r2, r0, 0
+  subi r1, r1, 1
+  bne r1, r0, loop
+  halt
+"""
 
 
 class ProfileLoad(RailLoad):
     """A stateless load whose per-step demand is its published profile.
 
     ``advance`` computes the demand with the chunk loop's arithmetic and
-    records the steps on which the voltage it sees crosses a boundary;
-    ``commit`` records the chunk's committed energy.
+    records the steps on which the voltage it sees crosses a boundary
+    (or its machine halts); ``commit`` records the chunk's committed
+    energy, and a machine's committed cycles and memory energy.
     """
 
     def __init__(self, kind, power, energy, term, v_rising, v_falling,
-                 steps=None):
+                 machine=None):
         self.kind = kind
         self.power = power
         self.energy = energy
-        self.steps = steps  # per-step energies from a run-ahead, or None
+        # A machine stepped one budget a step, or None, and the cycles
+        # and memory joules of its committed steps.
+        self.machine = self.budget = None
+        self.cycles, self.memory = 0, 0.0
+        if machine is not None:
+            source, self.budget = machine
+            self.machine = Machine.from_source(
+                source, MachineConfig(data_space_words=16)
+            )
         self.term = term  # resistance, or (current, gain)
         self.v_rising = v_rising
         self.v_falling = v_falling
@@ -88,15 +117,24 @@ class ProfileLoad(RailLoad):
             extra["resistance"] = self.term
         elif self.kind == "current":
             extra["current"], extra["current_gain"] = self.term
-        if self.steps is not None:
-            extra["stretch"] = lambda n: np.array(self.steps[:n])
+        if self.machine is None:
+            def commit(steps, dt, energy):
+                self.commits.append((steps, energy))
+        else:
+            if self.machine.halted:
+                return None
+            plan = extra["machine"] = self.machine.active_steps(
+                self.budget, False, ACCESS
+            )
+
+            def commit(steps, dt, energy):
+                self.machine.total_cycles += plan.cycles
+                self.cycles, self.memory = plan.cycles, plan.memory
+                self.commits.append((steps, energy))
         return LoadProfile(
             power=self.power, energy=self.energy,
             v_rising=self.v_rising, v_falling=self.v_falling,
-            commit=lambda steps, dt, energy: self.commits.append(
-                (steps, energy)
-            ),
-            **extra,
+            commit=commit, **extra,
         )
 
     def load_profile(self, t, dt, v_rail):
@@ -107,11 +145,17 @@ class ProfileLoad(RailLoad):
             self.crossings.append((self.step, "rising"))
         elif v_rail < self.v_falling:
             self.crossings.append((self.step, "falling"))
-        energy = self.energy
-        if self.steps is not None and self.step < len(self.steps):
-            energy = self.steps[self.step]
+        e_const = self.power * dt + self.energy
+        if self.machine is not None:
+            slice_ = self.machine.run(self.budget)
+            if slice_.halted:
+                self.crossings.append((self.step, "halt"))
+            else:
+                memory = MODEL.slice_memory_energy(slice_, SRAM, FRAM)
+                e_const += memory
+                self.cycles += slice_.cycles
+                self.memory += memory
         self.step += 1
-        e_const = self.power * dt + energy
         if self.kind == "resistive":
             return v_rail * v_rail / self.term * dt + e_const
         if self.kind == "current":
@@ -188,15 +232,18 @@ def scenario(seed):
     # the last sample on entry.
     scn["every"] = rng.choice((1, 1, 2, 3, 7, 64))
     scn["phase"] = rng.randrange(scn["every"])
-    # Drawn after those: per-step energies for some loads, sometimes
-    # fewer than the chunk's ``n``.
+    # Drawn after those: a machine on the first load that is not a
+    # plain resistor, some of the time, with a step budget and a
+    # countdown that sometimes halts it before the chunk's ``n``.
+    machine = False
     for load in scn["loads"]:
-        load["steps"] = None
-        if load["kind"] != "resistor" and rng.random() < 0.3:
-            load["steps"] = [
-                rng.choice((0.0, 10 ** rng.uniform(-10, -7)))
-                for _ in range(rng.randrange(scn["n"] // 2, scn["n"] + 20))
-            ]
+        load["machine"] = None
+        if load["kind"] != "resistor" and not machine:
+            machine = True
+            if rng.random() < 0.35:
+                budget = rng.randint(1, 60)
+                passes = rng.randint(1, scn["n"] * budget // 5)
+                load["machine"] = (COUNTDOWN.format(k=passes), budget)
     # Drawn after those: a transient platform as one more load, with
     # thresholds around the starting voltage.
     scn["platform"] = None
@@ -312,7 +359,7 @@ def build(scn):
             )
             load = ProfileLoad(spec["kind"], spec["power"], spec["energy"],
                                term, spec["v_rising"], spec["v_falling"],
-                               spec["steps"])
+                               spec["machine"])
         loads.append(load)
     platform = None
     if scn["platform"] is not None:
@@ -340,6 +387,16 @@ def platform_state(platform):
     )
 
 
+def machine_state(loads):
+    """Each machine load's machine and committed totals."""
+    return [
+        (load.machine.registers[:], load.machine.pc,
+         load.machine.data.tolist(), load.machine.total_cycles,
+         load.machine.halted, load.cycles, load.memory)
+        for load in loads if getattr(load, "machine", None) is not None
+    ]
+
+
 def platform_ledger(platform):
     if platform is None:
         return None
@@ -364,6 +421,7 @@ def chunk(scn):
         "commits": [getattr(load, "commits", None) for load in loads],
         "platform": platform_state(platform),
         "ledger": platform_ledger(platform),
+        "machines": machine_state(loads),
         "states": None if states is None else states.tolist(),
         "transitions": {k: v for k, v in rail.transitions.items() if v},
         "stop": rail.stop_transition,
@@ -391,6 +449,7 @@ def reference(scn, steps):
             bounds = envelope(stats)
             before = platform_state(platform)
             ledger = platform_ledger(platform)
+            machines = machine_state(loads)
         rail.step((scn["start"] + i) * dt, dt)
         voltages.append(rail.voltage)
         if platform is not None:
@@ -403,6 +462,7 @@ def reference(scn, steps):
     return {
         "voltages": voltages[:steps], "totals": totals, "bounds": bounds,
         "crossings": crossings, "platform": before, "ledger": ledger,
+        "machines": machines,
         "states": codes[:steps], "after": platform_state(platform),
     }
 
@@ -449,15 +509,13 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
         for seed, result in zip(SEEDS, results):
             scn = scenario(seed)
             taken = result["taken"]
-            # A run-ahead load that vouches for fewer steps bounds the
-            # chunk like the horizon does.
-            n = min([scn["n"]] + [len(load["steps"]) for load in scn["loads"]
-                                  if load["steps"] is not None])
-            if n < scn["n"]:
-                seen.add("run-ahead-short")
-            elif any(load["steps"] for load in scn["loads"]):
-                seen.add("run-ahead")
+            n = scn["n"]
             ref = reference(scn, taken)
+            # A machine's registers, PC, data and committed totals
+            # exactly: the loops step it as `advance` does.
+            assert result["machines"] == ref["machines"], (rung, seed)
+            if result["machines"]:
+                seen.add("machine")
             voltages, totals, bounds, crossings = (
                 ref["voltages"], ref["totals"], ref["bounds"],
                 ref["crossings"])
@@ -503,6 +561,13 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
                 first_load = [step for step, _ in crossings].index(event)
                 seen.add("event" if first_load == 0
                          else "event-on-later-load")
+                machine = [index for index, load in enumerate(scn["loads"])
+                           if load["machine"] is not None]
+                if crossings[first_load][1] == "halt":
+                    seen.add("machine-halt")
+                elif machine and machine[0] < first_load:
+                    # The machine had stepped: the loops undid it.
+                    seen.add("machine-undone")
                 if (
                     crossings[first_load][1] == "rising"
                     and scn["loads"][first_load]["v_rising"] == scn["v_max"]
@@ -528,7 +593,7 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
         "event", "event-on-later-load", "event-at-clamp", "full-chunk",
         "starved", "leaked", "simple",
         "envelope-empty", "envelope-mid-period",
-        "run-ahead", "run-ahead-short",
+        "machine", "machine-halt", "machine-undone",
         "trapezoid", "sine-full", "square", "converter",
         "resistor", "resistive", "current", "constant",
         "capacitor", "leaky", "supercap",

@@ -93,3 +93,19 @@ def test_ckernel_self_check_guards_loading():
     if chunk_loop is None:
         pytest.skip("no C compiler available")
     assert _ckernel._self_check(chunk_loop)
+
+
+def test_self_check_fused_replays_undo_every_kind_of_step():
+    """The self-check's machines stepped inside chunks undo a step for
+    each cause a chunk can undo one: a later load's boundary (a step
+    that ran its budget), a port, a ckpt pause, the halt and a fault;
+    so a miscompiled undo of any of them discards the library."""
+    exits = set()
+    for case in _ckernel._FUSED_CASES:
+        exits |= _ckernel._fused_replay(None, *case)[1]
+    assert exits >= {
+        _ckernel.EXIT_BUDGET, _ckernel.EXIT_PORT, _ckernel.EXIT_CKPT,
+        _ckernel.EXIT_HALT,
+    }, exits
+    assert exits & {_ckernel.EXIT_PC, _ckernel.EXIT_READ,
+                    _ckernel.EXIT_WRITE}, exits

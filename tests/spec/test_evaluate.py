@@ -149,14 +149,16 @@ def test_a_serial_point_costs_one_resolution_one_validation_one_hash(
     """Engagement guard for the compiled spec layer: a serial N-point
     sweep validates each point once and hashes it once (the hash rides
     the payload onto the row), nothing parses a record's spec back, and
-    the process parses the base at most once across jobs."""
+    the process parses the base at most once across jobs.  A point's
+    spec is serialized twice, for its hash and for its store append;
+    the base once per instance."""
     from repro.results import run_result as run_result_mod
     from repro.spec import runner as runner_mod
     from repro.spec.specs import ScenarioSpec
 
     base = small_base()
     points = 6
-    counts = {"hash": 0, "validate": 0}
+    counts = {"hash": 0, "validate": 0, "to_dict": 0}
     parsed = []
 
     def counting(name, real):
@@ -178,14 +180,18 @@ def test_a_serial_point_costs_one_resolution_one_validation_one_hash(
     monkeypatch.setattr(ScenarioSpec, "__post_init__",
                         counting("validate", ScenarioSpec.__post_init__))
     monkeypatch.setattr(ScenarioSpec, "from_dict", classmethod(from_dict))
+    monkeypatch.setattr(ScenarioSpec, "to_dict",
+                        counting("to_dict", ScenarioSpec.to_dict))
     store = ResultStore(str(tmp_path / "runs.jsonl"))
     for job, frequency in enumerate(([4.7, 9.4], [5.5, 7.5])):
         grid = {"capacitance": [22e-6, 33e-6, 47e-6], "frequency": frequency}
         runner = SweepRunner(base, grid)
-        assert counts == {"hash": points, "validate": points}
-        counts.update(hash=0, validate=0)
+        assert counts == {"hash": points, "validate": points,
+                          "to_dict": points + (job == 0)}
+        counts.update(hash=0, validate=0, to_dict=0)
         del parsed[:]
         result = runner.run(parallel=False, store=store)
+        assert counts["to_dict"] == points  # the store appends
         # Only the base may be parsed, and only by the first job.
         assert parsed in ([base.to_dict()] if job == 0 else [], [])
         assert counts["hash"] == 0
@@ -193,5 +199,5 @@ def test_a_serial_point_costs_one_resolution_one_validation_one_hash(
         assert [row.spec_hash for row in result] == runner.hashes
         assert all(row.spec is spec
                    for row, spec in zip(result, runner.specs))
-        counts.update(hash=0, validate=0)
+        counts.update(hash=0, validate=0, to_dict=0)
         del parsed[:]
