@@ -153,11 +153,12 @@ class HarvesterInjector(Injector):
             return None  # the tracker's convergence lag is per-step state
         if not self.harvester.chunk_safe():
             return None  # stateful sampling: discarded chunks would desync it
-        values, address = self._memo.window(
+        values, address, index = self._memo.window(
             t0, dt, n, self.harvester.power_array
         )
         return PowerSourcePlan(
-            values=values, converter=self.converter, address=address
+            values=values, converter=self.converter, address=address,
+            memo=self._memo, index=index,
         )
 
     def reset(self) -> None:
@@ -210,13 +211,14 @@ class RectifiedInjector(Injector):
         if params is None:
             return None
         drop, r_total, take_abs = params
-        values, address = self._memo.window(
+        values, address, index = self._memo.window(
             t0, dt, n,
             self.rectified_voc_array if take_abs
             else self.harvester.open_circuit_voltage_array,
         )
         return VoltageSourcePlan(
-            values=values, drop=drop, r_total=r_total, address=address
+            values=values, drop=drop, r_total=r_total, address=address,
+            memo=self._memo, index=index,
         )
 
     def rectified_voc_array(self, times: np.ndarray) -> np.ndarray:
@@ -360,8 +362,12 @@ class SupplyRail(Component):
         A chunk stops before any step its tabled load cannot follow;
         ``stop_transition`` then names the transition (else None), and
         ``transitions`` counts those it followed, cumulatively.
+        A 0 sets ``at_event`` when the first step is a declared
+        boundary, and leaves it False for a refusal (no physics,
+        profile or plan).
         """
         self.stop_transition = None
+        self.at_event = False
         # The physics descriptor is invariant per storage object: resolve
         # it once (False = not yet asked, None = storage can't chunk).
         physics = self._physics
@@ -389,6 +395,7 @@ class SupplyRail(Component):
             # must execute through the reference path.
             if profile.max_steps is not None:
                 if profile.max_steps <= 0:
+                    self.at_event = True
                     return 0
                 n = min(n, profile.max_steps)
             profiles.append(profile)
@@ -417,6 +424,7 @@ class SupplyRail(Component):
                 "chunk.kernel", "python" if compiled is None else "c"
             )
         taken, energies, self._chunk_vcc = result
+        self.at_event = not taken
         self._chunk_states = None if table is None else table.states
         if table is not None:
             if table.stop >= 0:
@@ -441,6 +449,7 @@ class SupplyRail(Component):
         self._compiled = False
         self.transitions = dict.fromkeys(TRANSITIONS, 0)
         self.stop_transition = None
+        self.at_event = False
 
 
 def chunk_loop(
@@ -468,7 +477,7 @@ def chunk_loop(
     sources = [
         (
             isinstance(plan, VoltageSourcePlan),
-            _floats(plan.values),
+            *_floats(plan),
             getattr(plan, "drop", 0.0),
             getattr(plan, "r_total", 1.0),
             getattr(plan, "converter", None),
@@ -548,16 +557,16 @@ def chunk_loop(
         h_t = harvested
         # Injection: every injector sees the start-of-step voltage,
         # charge lands on the running (clamped) voltage — as step().
-        for is_voltage, values, drop, r_total, converter in sources:
+        for is_voltage, values, at, drop, r_total, converter in sources:
             if is_voltage:
-                head = values[i] - v0 - drop
+                head = values[at + i] - v0 - drop
                 if head > 0.0:
                     before = half_c * tv * tv
                     vn = tv + (head / r_total * dt) / C
                     tv = v_max if vn > v_max else vn
                     h_t += half_c * tv * tv - before
             else:
-                p = values[i]
+                p = values[at + i]
                 if converter is not None:
                     p = converter.output_power(p, v0 if v0 > 0 else 1.0)
                 if p > 0.0:
@@ -779,9 +788,15 @@ def chunk_loop(
 _CODES = tuple(float(code) for code in range(len(TABLE_STATES)))
 
 
-def _floats(values: Sequence[float]) -> Sequence[float]:
-    """Plan values as the Python loop reads them fastest: Python floats."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
+def _floats(plan) -> Tuple[Sequence[float], int]:
+    """A plan's values as the Python loop reads them fastest, Python
+    floats, and the index of the chunk's first step in them: the memo's
+    list mirror when a memo holds them (converted once per value, not
+    once per chunk)."""
+    if plan.index is not None:
+        return plan.memo.floats(), plan.index
+    values = plan.values
+    return (values.tolist() if isinstance(values, np.ndarray) else values), 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ the rail before loads are sampled.
 Two kernels execute that schedule:
 
 * ``"reference"`` — the plain per-step loop; the semantic baseline.
-* ``"fast"`` — advances in macro-chunks of up to ``_MAX_CHUNK`` steps
+* ``"fast"`` — advances in macro-chunks, each attempt asking for
+  ``_MAX_CHUNK`` steps (fewer only at the horizon or the step cap),
   through :meth:`Component.step_chunk` when the (single) component can
   vectorize its current regime, falling back to per-step execution at
   every declared event boundary a chunk cannot follow — voltage
@@ -18,15 +19,16 @@ Two kernels execute that schedule:
   transitions its transition table leaves to Python (the workload's
   halt, strategy adaptation) — so the step such an event fires on runs
   the unmodified reference path (see :mod:`repro.sim.kernel`).  A chunk
-  that stops short is followed by that event step directly; only a
-  refused chunk backs off.  Probes
-  must be chunk-capable (see :class:`~repro.sim.probes.Probe`) for
-  chunking to engage; otherwise the fast kernel behaves exactly like the
-  reference one.  A stop condition registered without ``chunk_safe=True``
-  also disables chunking — it must be observed after every step; a
-  ``chunk_safe`` condition (one that can only turn true during per-step
-  execution, e.g. workload completion) keeps chunking engaged and still
-  fires on the same step under both kernels.
+  that stops short, or before its first step (``at_event``), is
+  followed by that event step directly; only a refused chunk backs
+  off.  Probes must be chunk-capable (see
+  :class:`~repro.sim.probes.Probe`) for chunking to engage; otherwise
+  the fast kernel behaves exactly like the reference one.  A stop
+  condition registered without ``chunk_safe=True`` also disables
+  chunking — it must be observed after every step; a ``chunk_safe``
+  condition (one that can only turn true during per-step execution,
+  e.g. workload completion) keeps chunking engaged and still fires on
+  the same step under both kernels.
 
 Time is derived, not accumulated: ``t == steps * dt`` always, so a
 10-million-step run lands on exactly ``10e6 * dt`` seconds instead of
@@ -68,7 +70,10 @@ class Component:
         component advanced exactly k full steps with per-step semantics
         identical to k :meth:`step` calls; ``k < n`` means it stopped
         before a declared event boundary, so the engine runs the next
-        step, the event step, through :meth:`step` without asking.
+        step, the event step, through :meth:`step` without asking.  A
+        component that returns 0 because its first step is such a
+        boundary sets :attr:`at_event`, and that step runs the same way,
+        without the back-off.
         """
         return 0
 
@@ -82,12 +87,16 @@ class Component:
     #: :class:`~repro.sim.kernel.TransitionTable`).
     stop_transition: Optional[str] = None
 
+    #: True when the last :meth:`step_chunk` returned 0 because its
+    #: first step is a declared event boundary, not because the present
+    #: regime cannot chunk.
+    at_event: bool = False
+
 
 StopCondition = Callable[[float], bool]
 
-#: Initial (and post-event) macro-chunk length for the fast kernel.
-_MIN_CHUNK = 64
-#: Longest macro-chunk the fast kernel asks for.
+#: Macro-chunk length the fast kernel asks for (less only at the
+#: horizon or the step cap).
 _MAX_CHUNK = 4096
 #: Cap on the failed-chunk-attempt backoff (reference steps skipped).
 _MAX_BACKOFF = 64
@@ -373,16 +382,16 @@ class Simulator:
         )
         conditions = self._stop_conditions
         s_max = self._last_startable_step(t_stop) if t_stop is not None else None
-        # Scheduling heuristics (semantics-neutral: steps not chunked just
-        # run per-step): chunks start short and double while fully
-        # consumed, so a chunk ending at a nearby event boundary never
-        # pays for a full-length source plan.  A chunk that stops short
-        # ended before a declared boundary, so the next step is the event
-        # step and runs per-step without a chunk attempt.  Only a refused
-        # attempt backs off, exponentially, so unchunkable regimes (a
-        # program doing port I/O every few steps) don't re-probe the
-        # component every step.  Every per-step step is counted under its reason.
-        grow = _MIN_CHUNK
+        # Scheduling (semantics-neutral: steps not chunked just run
+        # per-step): every attempt asks for the full length, since a
+        # chunk stops exactly at its first declared boundary and
+        # discards nothing.  A chunk that stops short, or one whose very
+        # first step is a declared boundary (``at_event``), is followed
+        # by that event step per-step without a chunk attempt.  Only a
+        # refused attempt (no load profile, no source plan) backs off,
+        # exponentially, so a regime that cannot chunk does not re-probe
+        # the component every step.  Every per-step step is counted
+        # under its reason.
         skip = 0
         backoff = 0
         event = False
@@ -401,7 +410,7 @@ class Simulator:
                 skip -= 1
                 reason = "backoff"
             else:
-                n = min(grow, _MAX_CHUNK)
+                n = _MAX_CHUNK
                 if s_max is not None:
                     n = min(n, s_max - self.steps + 1)
                 if max_steps is not None:
@@ -419,17 +428,16 @@ class Simulator:
                     if taken:
                         reason = None
                         backoff = 0
-                        if taken == n:
-                            grow = min(2 * n, _MAX_CHUNK)
-                        else:
-                            grow = _MIN_CHUNK
-                            event = True
+                        event = taken < n
                         stats.chunks += 1
                         stats.chunked_steps += taken
                         first = self.steps + 1
                         self.steps += taken
                         self.t = self.steps * dt
                         self._recorder.sample_chunk(first, taken, dt)
+                    elif component.at_event:
+                        reason = "event"
+                        backoff = 0
                     else:
                         reason = "refused"
                         backoff = (

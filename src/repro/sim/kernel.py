@@ -47,8 +47,8 @@ Three descriptor families exist:
 Source windows are float64 array views into a :class:`SourcePlanMemo`,
 carrying the raw address of their first element: the compiled chunk
 loop (:mod:`repro.sim._ckernel`) reads them in place, and the Python
-chunk loop (:func:`repro.power.rail.chunk_loop`) converts them to lists
-itself.
+chunk loop (:func:`repro.power.rail.chunk_loop`) reads the memo's list
+mirror at the window's index.
 Every other descriptor field is a plain Python float.
 """
 
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -316,13 +316,17 @@ class VoltageSourcePlan:
     rectifier equation with the per-chunk constants folded in.
     ``address`` is the raw address of ``values[0]`` in a C-contiguous
     float64 array (see :meth:`SourcePlanMemo.window`), or 0 when the
-    values are not known to be laid out that way.
+    values are not known to be laid out that way.  ``index`` is the
+    position of ``values[0]`` in ``memo``'s held values, or None when
+    no memo holds them.
     """
 
     values: Sequence[float]
     drop: float
     r_total: float
     address: int = 0
+    memo: Optional["SourcePlanMemo"] = None
+    index: Optional[int] = None
 
 
 @dataclass
@@ -332,16 +336,19 @@ class PowerSourcePlan:
     ``values[i]`` is the available power at step ``i``; when ``converter``
     is set it is passed through ``converter.output_power`` against the
     live rail voltage each step (the converter is a pure function of
-    ``(p_in, v_in)``).  ``address`` as for :class:`VoltageSourcePlan`.
+    ``(p_in, v_in)``).  ``address``, ``memo`` and ``index`` as for
+    :class:`VoltageSourcePlan`.
     """
 
     values: Sequence[float]
     converter: Optional[object] = None
     address: int = 0
+    memo: Optional["SourcePlanMemo"] = None
+    index: Optional[int] = None
 
 
-#: Largest look-ahead a :class:`SourcePlanMemo` miss evaluates (steps).
-LOOKAHEAD_CAP = 4096
+#: Steps a :class:`SourcePlanMemo` miss evaluates past the request.
+LOOKAHEAD = 1024
 
 
 class SourcePlanMemo:
@@ -355,28 +362,32 @@ class SourcePlanMemo:
     inside a previously computed one is served as a slice — identical to
     recomputing it.
 
-    :meth:`window` is the one entry point the injectors use.  On a miss
-    it evaluates ``max(n, min(2 * held, LOOKAHEAD_CAP))`` steps from the
-    requested step, ``held`` being the length of the window it replaces,
-    so a run advancing chunk by chunk costs O(log) waveform evaluations
-    until the look-ahead reaches its cap, then one per
-    :data:`LOOKAHEAD_CAP` steps.  Each injector owns its memo; nothing
-    is shared across runs.
+    :meth:`window` is the one entry point the injectors use.  The held
+    window extends forward: a miss whose first step lies inside it or
+    at its end keeps the held values from that step on and evaluates
+    only the steps past the held end, through :data:`LOOKAHEAD` steps
+    beyond the request; any other miss evaluates the request and the
+    look-ahead afresh.  A run advancing chunk by chunk thus evaluates
+    each step once, and an event-dense one (a chunk every few steps)
+    makes one waveform call per :data:`LOOKAHEAD` steps, not one per
+    chunk.  Each injector owns its memo; nothing is shared across runs.
 
     The memo holds one C-contiguous float64 array and serves windows as
     views into it, with the raw address of the first element: the
-    compiled chunk loop reads them in place.  Only on-grid requests
-    (``t0 == step0 * dt``, the only kind the engine produces) are
-    memoised.
+    compiled chunk loop reads them in place.  The Python chunk loop
+    reads :meth:`floats`, a list mirror of the held array made on first
+    demand and extended with it, so each value is converted at most
+    once.  ``evaluated`` and ``converted`` count the values evaluated
+    and converted since construction or :meth:`clear`.  Only on-grid
+    requests (``t0 == step0 * dt``, the only kind the engine produces)
+    are memoised.
     """
 
-    __slots__ = ("_step0", "_dt", "_values", "_address")
+    __slots__ = ("_step0", "_dt", "_values", "_address", "_floats",
+                 "evaluated", "converted")
 
     def __init__(self) -> None:
-        self._step0 = 0
-        self._dt = 0.0
-        self._values: Optional[np.ndarray] = None
-        self._address = 0
+        self.clear()
 
     @staticmethod
     def grid_step(t0: float, dt: float) -> Optional[int]:
@@ -405,6 +416,7 @@ class SourcePlanMemo:
         self._dt = dt
         self._values = np.ascontiguousarray(values, dtype=float)
         self._address = self._values.ctypes.data
+        self._floats = []
 
     def window(
         self,
@@ -412,30 +424,56 @@ class SourcePlanMemo:
         dt: float,
         n: int,
         evaluate: Callable[[np.ndarray], np.ndarray],
-    ) -> Tuple[np.ndarray, int]:
-        """The values of the ``n`` steps from ``t0`` and their address.
+    ) -> Tuple[np.ndarray, int, Optional[int]]:
+        """The values of the ``n`` steps from ``t0``, their address and
+        their index in the held values (None: not held).
 
         ``evaluate`` maps an array of step times to the waveform values;
-        it runs only on a miss, over the look-ahead window.
+        it runs only on a miss, over the steps the memo does not hold.
         """
         step0 = self.grid_step(t0, dt)
         if step0 is None:
             values = np.ascontiguousarray(
                 evaluate(chunk_times(t0, dt, n)), dtype=float
             )
-            return values, values.ctypes.data
-        values = self.get(step0, dt, n)
-        if values is None:
-            held = 0 if self._values is None else len(self._values)
-            count = max(n, min(2 * held, LOOKAHEAD_CAP))
-            self.put(step0, dt, evaluate(np.arange(step0, step0 + count) * dt))
-            values = self._values[:n]
-        return values, self._address + 8 * (step0 - self._step0)
+            self.evaluated += n
+            return values, values.ctypes.data, None
+        held = self._values
+        lo = step0 - self._step0
+        start, kept, mirror = step0, None, []
+        if held is not None and dt == self._dt and 0 <= lo <= len(held):
+            if lo + n <= len(held):
+                return held[lo:lo + n], self._address + 8 * lo, lo
+            # Extend forward: keep the held tail (and its mirror).
+            start = self._step0 + len(held)
+            kept, mirror = held[lo:], self._floats[lo:]
+        fresh = evaluate(np.arange(start, step0 + n + LOOKAHEAD) * dt)
+        self.evaluated += len(fresh)
+        self.put(step0, dt, fresh if kept is None
+                 else np.concatenate((kept, fresh)))
+        self._floats = mirror
+        return self._values[:n], self._address, 0
+
+    def floats(self) -> List[float]:
+        """The held values as a list of Python floats, indexed as the
+        held array (a window's ``index`` applies to it)."""
+        floats = self._floats
+        missing = len(self._values) - len(floats)
+        if missing:
+            floats += self._values[len(floats):].tolist()
+            self.converted += missing
+        return floats
 
     def clear(self) -> None:
-        """Drop the cache (component reset / waveform state change)."""
+        """Drop the cache and reset the counters (component reset /
+        waveform state change)."""
+        self._step0 = 0
+        self._dt = 0.0
         self._values = None
         self._address = 0
+        self._floats = []
+        self.evaluated = 0
+        self.converted = 0
 
 
 #: Why a fast-kernel step ran per-step (see :class:`ChunkStats`).
@@ -449,10 +487,11 @@ class ChunkStats:
     ``fallback_steps`` counts every step run per-step; ``fallbacks``
     splits it by reason and always sums to it:
 
-    * ``event`` — the step after a chunk that stopped short of a
-      declared boundary: the event step itself;
-    * ``refused`` — a chunk attempt returned 0 (brownout due, no load
-      profile for the present state);
+    * ``event`` — the step a chunk stopped before, short of a declared
+      boundary or at its first step (``Component.at_event``): the event
+      step itself;
+    * ``refused`` — a chunk attempt returned 0 without ``at_event`` (no
+      load profile or source plan for the present regime);
     * ``backoff`` — skipped without an attempt while backing off after a
       refusal;
     * ``unchunkable`` — the schedule cannot chunk at all (a probe or

@@ -493,6 +493,21 @@ def test_interpreter_stretches_match_reference(case, monkeypatch):
     assert ref_slices <= fast_slices <= ref_slices + chunks, runs
 
 
+def test_sense_port_steps_are_events_not_refusals():
+    """A chunk whose first machine step reaches a port, ``ckpt`` or
+    halt (undone at once) stopped before a declared event: the engine
+    runs that step as an ``event`` and backs off nowhere.  Classifying
+    it as a refusal cost this run 158 refused and 189 backed-off
+    steps."""
+    system = _sense_system("fast")
+    system.run(1.0)
+    stats = system.simulator.chunk_stats
+    fallbacks = stats.fallbacks
+    assert fallbacks["refused"] == fallbacks["backoff"] == 0, fallbacks
+    assert fallbacks["unchunkable"] == 0, fallbacks
+    assert fallbacks["event"] == stats.fallback_steps > 2000, fallbacks
+
+
 def test_fig7_active_stretches_chunk():
     """Engagement guard: Fig. 7 ACTIVE execution runs through the chunk
     loop, not one per-step step at a time.  Before the interpreter

@@ -2,14 +2,18 @@
 
 The integration-level guarantees live in
 ``tests/integration/test_strategy_parity.py``; these tests pin the
-descriptor-level arithmetic: the source-plan memo's exact-grid slicing,
-the synthetic engine's active-plan boundaries, the transition table's
-float-exact operation countdown and guard, the rail's handling of
-time-based ``max_steps`` boundaries, and a bound on how often a
-crossover point returns to Python.
+descriptor-level arithmetic: the source-plan memo's exact-grid slicing
+and forward extension, the synthetic engine's active-plan boundaries,
+the transition table's float-exact operation countdown and guard, the
+rail's handling of time-based ``max_steps`` boundaries, and counts that
+bound the schedule's cost: how often a crossover point returns to
+Python, chunks per Eq. (5) point, waveform samples per Fig. 7 point
+and source values the Python loop converts per chunk.
 """
 
 import math
+
+import pytest
 
 from repro.mcu.engine import SyntheticEngine
 from repro.power.rail import SupplyRail
@@ -52,45 +56,140 @@ def test_plan_memo_grid_step_rejects_off_grid_times():
     assert SourcePlanMemo.grid_step(0.05 + 3e-11, 1e-4) is None
 
 
-def test_plan_memo_window_looks_ahead_geometrically():
-    """A miss evaluates ``max(n, min(2 * held, LOOKAHEAD_CAP))`` steps
-    from the requested step; hits are views into the held array whose
-    address is the view's own data pointer."""
+def _waveform(calls):
+    """A waveform evaluator that records each call's window length."""
     import numpy as np
-
-    from repro.sim.kernel import LOOKAHEAD_CAP
-
-    calls = []
 
     def evaluate(times):
         calls.append(len(times))
         return np.sin(times * 3.0)
 
+    return evaluate
+
+
+def test_plan_memo_window_extends_forward():
+    """A miss inside the held window or at its end keeps the held tail
+    and evaluates only the steps past the held end, through
+    ``LOOKAHEAD`` steps beyond the request; any other miss starts
+    afresh.  Hits are views into the held array whose address is the
+    view's own data pointer, and every window is bit-identical to
+    evaluating its own steps."""
+    import numpy as np
+
+    from repro.sim.kernel import LOOKAHEAD
+
+    calls = []
+    evaluate = _waveform(calls)
     memo = SourcePlanMemo()
     dt = 1e-4
-    step = 0
-    while step < 20000:
-        values, address = memo.window(step * dt, dt, 40, evaluate)
+
+    def check(step, n):
+        values, address, index = memo.window(step * dt, dt, n, evaluate)
         assert address == values.ctypes.data
-        assert values.tolist() == np.sin(
-            (np.arange(step, step + 40) * dt) * 3.0
-        ).tolist()
-        step += 40
-    expected = [40]
-    while expected[-1] < LOOKAHEAD_CAP:
-        expected.append(min(2 * expected[-1], LOOKAHEAD_CAP))
-    assert calls[:len(expected)] == expected
-    assert set(calls[len(expected):]) == {LOOKAHEAD_CAP}
-    # Off-grid requests are evaluated exactly and never memoised.
-    values, address = memo.window(0.5 * dt, dt, 8, evaluate)
-    assert len(values) == 8 and calls[-1] == 8
+        assert values.tobytes() == np.sin(
+            (np.arange(step, step + n) * dt) * 3.0
+        ).tobytes()
+        return index
+
+    assert check(0, 4096) == 0
+    assert calls == [4096 + LOOKAHEAD]
+    assert check(700, 4096) == 700  # inside the look-ahead: a hit
+    assert calls == [4096 + LOOKAHEAD]
+    assert check(4096, 4096) == 0  # past it: only the new steps
+    assert calls == [4096 + LOOKAHEAD, 4096]
+    held_end = 4096 + 4096 + LOOKAHEAD
+    assert check(held_end, 8) == 0  # at the held end: forward, nothing kept
+    assert calls[-1] == 8 + LOOKAHEAD
+    check(100, 8)  # behind the held window: afresh
+    assert calls[-1] == 8 + LOOKAHEAD
+    assert memo.evaluated == sum(calls)
+    # Off-grid requests are evaluated exactly and never held.
+    values, address, index = memo.window(0.5 * dt, dt, 8, evaluate)
+    assert len(values) == 8 and calls[-1] == 8 and index is None
     assert address == values.ctypes.data
+    assert memo.get(100, dt, 8) is not None
+
+
+def test_plan_memo_evaluates_each_step_once():
+    """A walk of full-length requests, each consumed to a seeded
+    length, evaluates every step it reaches exactly once: one surplus
+    look-ahead at most, never an overlap."""
+    import random
+
+    import numpy as np
+
+    from repro.sim.kernel import LOOKAHEAD
+
+    evaluated = []
+
+    def evaluate(times):
+        evaluated.extend(np.rint(times / dt).astype(int).tolist())
+        return np.cos(times * 7.0)
+
+    memo = SourcePlanMemo()
+    dt = 5e-5
+    rng = random.Random(11)
+    step = 0
+    while step < 60_000:
+        n = 4096
+        values, _, _ = memo.window(step * dt, dt, n, evaluate)
+        assert values.tobytes() == np.cos(
+            (np.arange(step, step + n) * dt) * 7.0
+        ).tobytes()
+        step += rng.choice((1, 3, 40, 900, 2500, 4096))
+    assert len(set(evaluated)) == len(evaluated)  # no step twice
+    assert len(evaluated) <= step + 4096 + LOOKAHEAD
+    assert memo.evaluated == len(evaluated)
+
+
+def test_plan_memo_event_dense_walk_evaluates_once_per_lookahead():
+    """A chunk every few steps (an event-dense run) costs one waveform
+    call per ``LOOKAHEAD`` steps, not one per chunk."""
+    from repro.sim.kernel import LOOKAHEAD
+
+    calls = []
+    evaluate = _waveform(calls)
+    memo = SourcePlanMemo()
+    dt = 1e-4
+    steps = 50_000
+    for step in range(0, steps, 7):
+        memo.window(step * dt, dt, 4096, evaluate)
+    assert len(calls) <= steps // LOOKAHEAD + 1
+    assert sum(calls) <= steps + 4096 + LOOKAHEAD
+
+
+def test_plan_memo_floats_mirror_converts_each_value_once():
+    """The list mirror the Python loop reads equals the held values at
+    every window's index, survives a forward extension (only the new
+    values are converted) and restarts with a fresh window."""
+    from repro.sim.kernel import LOOKAHEAD
+
+    memo = SourcePlanMemo()
+    evaluate = _waveform([])
+    dt = 1e-4
+    values, _, index = memo.window(0.0, dt, 64, evaluate)
+    floats = memo.floats()
+    assert floats[index:index + 64] == values.tolist()
+    assert memo.converted == 64 + LOOKAHEAD
+    values, _, index = memo.window(30 * dt, dt, 64, evaluate)  # a hit
+    assert memo.floats()[index:index + 64] == values.tolist()
+    assert memo.converted == 64 + LOOKAHEAD
+    values, _, index = memo.window(1000 * dt, dt, 200, evaluate)  # forward
+    assert memo.floats()[index:index + 200] == values.tolist()
+    assert memo.converted == 1200 + LOOKAHEAD
+    memo.window(10 * dt, dt, 4, evaluate)  # behind: afresh
+    assert memo.floats()[:4] == memo.get(10, dt, 4).tolist()
+    assert memo.converted == 1200 + LOOKAHEAD + 4 + LOOKAHEAD
+    memo.clear()
+    assert memo.converted == memo.evaluated == 0
 
 
 def test_rectified_injector_memoises_across_chunks():
-    """A second overlapping chunk request reuses the evaluated waveform."""
+    """An overlapping chunk request reuses the evaluated waveform; one
+    past it evaluates only the steps past the held end."""
     from repro.harvest.synthetic import SignalGenerator
     from repro.power.rail import RectifiedInjector
+    from repro.sim.kernel import LOOKAHEAD
 
     calls = []
 
@@ -105,30 +204,33 @@ def test_rectified_injector_memoises_across_chunks():
     )
     dt = 1e-4
     first = injector.chunk_plan(0.0, dt, 256)
-    assert first is not None and calls == [256]
-    # A shorter window further in: served from the memo, no re-eval.
-    second = injector.chunk_plan(64 * dt, dt, 64)
-    assert second is not None and calls == [256]
-    assert second.values.tolist() == first.values[64:128].tolist()
+    assert first is not None and calls == [256 + LOOKAHEAD]
+    assert first.memo is injector._memo and first.index == 0
+    # A window further in: served from the memo, no re-eval.
+    second = injector.chunk_plan(64 * dt, dt, 1024)
+    assert second is not None and calls == [256 + LOOKAHEAD]
+    assert second.values.tolist() == first.values[64:].tolist() + (
+        injector._memo.get(256, dt, 832).tolist())
     assert second.address == first.address + 64 * 8
-    # Past the cached window: recomputed with twice the held look-ahead.
-    injector.chunk_plan(300 * dt, dt, 64)
-    assert calls == [256, 512]
+    assert second.index == 64
+    # Past the held window: only the steps past its end.
+    injector.chunk_plan(300 * dt, dt, 1024)
+    assert calls == [256 + LOOKAHEAD, 300 + 1024 + LOOKAHEAD - 1280]
     injector.reset()
     injector.chunk_plan(0.0, dt, 8)
-    assert calls == [256, 512, 8]
+    assert calls[-1] == 8 + LOOKAHEAD
 
 
 def test_seeded_plan_memo_serves_windows_without_reevaluating():
-    """A memo seeded with a full-horizon plan (as a batch seeds every
-    lane's injectors) serves each window bit-identical to evaluating it
-    on the chunk's own time grid, never touching the waveform; a window
-    past the seeded horizon recomputes, and clear() drops the seed."""
+    """A memo seeded with a full-horizon plan serves each window
+    bit-identical to evaluating it on the chunk's own time grid, never
+    touching the waveform; a window past the seeded horizon evaluates
+    only the steps past it, and clear() drops the seed."""
     import numpy as np
 
     from repro.harvest.synthetic import TrapezoidSupply
     from repro.power.rail import RectifiedInjector
-    from repro.sim.kernel import chunk_times
+    from repro.sim.kernel import LOOKAHEAD, chunk_times
 
     calls = []
 
@@ -151,12 +253,15 @@ def test_seeded_plan_memo_serves_windows_without_reevaluating():
         ).tolist()
         assert window.values.tolist() == expected
     assert calls == []
-    injector.chunk_plan((horizon - 8) * dt, dt, 16)  # past the horizon
-    assert calls == [4096]  # look-ahead: min(2 * held, LOOKAHEAD_CAP)
+    window = injector.chunk_plan((horizon - 8) * dt, dt, 16)  # past it
+    assert calls == [8 + LOOKAHEAD]  # the seed's last 8 steps are kept
+    assert window.values.tobytes() == fresh.open_circuit_voltage_array(
+        chunk_times((horizon - 8) * dt, dt, 16)
+    ).tobytes()
     injector._memo.put(0, dt, plan)
     injector.reset()  # clears the memo
     injector.chunk_plan(0.0, dt, 16)
-    assert calls == [4096, 16]
+    assert calls == [8 + LOOKAHEAD, 16 + LOOKAHEAD]
     memo = SourcePlanMemo()
     memo.put(0, dt, plan)
     assert memo.get(100, dt, 4).tolist() == plan[100:104].tolist()
@@ -380,6 +485,100 @@ def test_crossover_point_stays_inside_chunks():
     assert system.platform.metrics.completions == 1
     assert sum(stats.transitions.values()) > 300
     assert stats.chunks + stats.fallback_steps < 838 // 10, stats
+
+
+@pytest.mark.parametrize("strategy,frequency,capacitance", [
+    ("hibernus", 10.0, 20e-6),
+    ("hibernus", 60.0, 15e-6),
+    ("quickrecall", 3.0, 27e-6),
+    ("quickrecall", 45.0, 12e-6),
+])
+def test_an_eq5_point_asks_for_full_length_chunks(strategy, frequency,
+                                                  capacitance):
+    """Every chunk attempt asks for the full length: a fast Eq. (5)
+    point makes at most ceil(steps / 4096) chunks, plus one per return
+    to Python, plus one.  A ramp from 64 steps doubling to 4096 cost
+    the same points ~7 chunks."""
+    from repro.sim.engine import _MAX_CHUNK
+    from repro.spec.presets import preset
+
+    spec = preset(f"crossover-{strategy}", frequency=frequency)
+    spec = spec.with_overrides({"kernel": "fast", "capacitance": capacitance})
+    system = spec.build()
+    system.run(spec.duration)
+    stats = system.simulator.chunk_stats
+    steps = system.simulator.steps
+    assert system.platform.metrics.completions == 1
+    assert stats.chunks <= math.ceil(steps / _MAX_CHUNK) + (
+        stats.fallback_steps) + 1, (steps, stats)
+
+
+def test_a_fig7_point_evaluates_each_source_step_once(monkeypatch):
+    """A Fig. 7 point (FFT-512, 27 uF, 2.2 kOhm, 7 Hz) evaluates its
+    waveform at most once per step plus one look-ahead, where
+    re-evaluating every overlap cost ~33k samples for its 24k steps."""
+    from repro.harvest.synthetic import SignalGenerator
+    from repro.sim.kernel import LOOKAHEAD
+    from repro.spec.presets import preset
+
+    samples = []
+    real = SignalGenerator.open_circuit_voltage_array
+
+    def counting(self, times):
+        samples.append(len(times))
+        return real(self, times)
+
+    monkeypatch.setattr(SignalGenerator, "open_circuit_voltage_array",
+                        counting)
+    spec = preset("fig7").with_overrides({
+        "kernel": "fast", "capacitance": 27e-6,
+        "source_resistance": 2200.0, "frequency": 7.0,
+    })
+    system = spec.build()
+    system.run(spec.duration, decimate=spec.decimate)
+    steps = system.simulator.steps
+    assert system.platform.metrics.completions >= 1
+    assert steps <= sum(samples) <= steps + LOOKAHEAD, (steps, samples)
+    (injector,) = system.rail._injectors
+    assert injector._memo.evaluated == sum(samples)
+
+
+def test_python_rung_converts_each_source_value_once(monkeypatch):
+    """The Python chunk loop reads a chunk's source values from the
+    memo's list mirror at an offset: over the event-dense sense case (a
+    chunk every ~10 steps) it converts each value once, about ten per
+    chunk, where converting each chunk's whole window cost 4,096 a
+    chunk.  The compiled loop converts none."""
+    from repro import degrade
+    from repro.sim import _ckernel
+    from repro.sim.kernel import LOOKAHEAD
+    from tests.integration.test_strategy_parity import _sense_system
+
+    converted = {}
+    try:
+        for rung in ("python", "c"):
+            if rung == "python":
+                monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+            else:
+                monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+            _ckernel.reset_cache()
+            if rung == "c" and _ckernel.load() is None:
+                continue
+            system = _sense_system("fast")
+            system.run(1.0)
+            (injector,) = system.rail._injectors
+            stats = system.simulator.chunk_stats
+            converted[rung] = (injector._memo.converted, stats.chunks,
+                               stats.chunked_steps, system.simulator.steps)
+    finally:
+        _ckernel.reset_cache()
+        degrade.reset()
+    count, chunks, chunked, steps = converted["python"]
+    assert chunks > 1000, converted
+    assert chunked <= count <= steps + LOOKAHEAD, converted
+    assert count / chunks < 16, converted
+    if "c" in converted:
+        assert converted["c"][0] == 0, converted
 
 
 def test_chunk_ends_when_its_transition_log_fills(monkeypatch):

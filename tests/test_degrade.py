@@ -66,7 +66,7 @@ def fast_run():
     follow its transitions, so only its length sets their number)."""
     from repro.spec.presets import preset
 
-    spec = preset("crossover-hibernus", frequency=20.0, duration=4.0,
+    spec = preset("crossover-hibernus", frequency=20.0, duration=8.0,
                   total_cycles=40_000_000)
     spec = spec.with_overrides({"kernel": "fast"})
     system = spec.build()
