@@ -11,13 +11,16 @@ observable.
 Each **domain** is one independent ladder of modes, best first::
 
     chunk.kernel   c -> python       (fast-kernel chunks)
+    chunk.waveform inline -> memo    (closed-form sources in C chunks)
     mcu.kernel     c -> python       (the mini-ISA interpreter)
     executor       pool -> serial    (payload execution)
 
 ``chunk.kernel`` is reported at a run's first chunk, and once more if
 the compiled loop declines a chunk (the Python loop then serves the
 rest of the run), never per chunk; ``mcu.kernel`` once per machine (at
-its first ``Machine.run``), never per ``run`` call.
+its first ``Machine.run``), never per ``run`` call; ``chunk.waveform``
+once per process, when the compiled library loads (``memo`` when its
+self-check found the compiled waveforms differing from numpy's).
 
 Components report the mode they actually used via :func:`report`;
 the module keeps the current rung per domain, exports it as the
@@ -42,6 +45,7 @@ from repro import obs
 #: Ladder definition: domain -> modes ordered best (level 0) to worst.
 LADDERS: Dict[str, tuple] = {
     "chunk.kernel": ("c", "python"),
+    "chunk.waveform": ("inline", "memo"),
     "mcu.kernel": ("c", "python"),
     "executor": ("pool", "serial"),
 }

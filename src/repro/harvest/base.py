@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -11,11 +11,15 @@ from repro.spec.registry import register
 
 
 class Harvester:
-    """Common base: reproducible randomness + reset semantics."""
+    """Common base: reproducible randomness + reset semantics.
+
+    The random generator is made on first use (closed-form sources
+    never draw), from ``seed``; :meth:`reset` restarts it.
+    """
 
     def __init__(self, seed: Optional[int] = None):
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
+        self._generator: Optional[np.random.Generator] = None
 
     def chunk_safe(self) -> bool:
         """True when output sampling is pure (idempotent per time point).
@@ -31,7 +35,14 @@ class Harvester:
 
     def reset(self) -> None:
         """Restore the harvester to its initial (identically seeded) state."""
-        self._rng = np.random.default_rng(self._seed)
+        self._generator = None
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = np.random.default_rng(self._seed)
+        return generator
 
     @property
     def rng(self) -> np.random.Generator:
@@ -100,6 +111,17 @@ class VoltageHarvester(Harvester):
         return np.array(
             [self.open_circuit_voltage(float(t)) for t in times], dtype=float
         )
+
+    def chunk_waveform(self) -> Optional[Tuple[Any, ...]]:
+        """The closed-form waveform descriptor the compiled chunk loop
+        evaluates per step (a code from :data:`repro.sim.kernel.TRAPEZOID_WAVE`
+        on, then its parameters), or None: the fast kernel then reads
+        :meth:`open_circuit_voltage_array` through a memo.
+
+        Only the exact classes whose waveform the loop transcribes
+        publish one; a subclass may override the waveform.
+        """
+        return None
 
 
 @register("constant-power", kind="harvester")

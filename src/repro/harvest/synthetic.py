@@ -10,12 +10,13 @@ exactly that supply.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.harvest.base import PowerHarvester, VoltageHarvester
+from repro.sim.kernel import SINE_WAVE, TRAPEZOID_WAVE
 from repro.spec.registry import register
 
 
@@ -94,6 +95,13 @@ class SignalGenerator(VoltageHarvester):
         if self.rectified:
             return np.maximum(0.0, raw)
         return raw
+
+    def chunk_waveform(self) -> Optional[Tuple[Any, ...]]:
+        if type(self) is not SignalGenerator:
+            return None
+        return (SINE_WAVE, 2.0 * math.pi * self.frequency, self.amplitude,
+                1.0 if self.rectified else 0.0,
+                1.0 if self.frequency == 0.0 else 0.0)
 
     def chunk_safe(self) -> bool:
         return True
@@ -248,6 +256,14 @@ class TrapezoidSupply(VoltageHarvester):
         return np.where(
             phase < t_down, self.v_high - self.ramp_down * phase, values
         )
+
+    def chunk_waveform(self) -> Optional[Tuple[Any, ...]]:
+        if type(self) is not TrapezoidSupply:
+            return None
+        swing = self.v_high - self.v_low
+        return (TRAPEZOID_WAVE, 1.0 / self.frequency, self.v_high,
+                self.v_low, self.ramp_down, self.ramp_up, self.dwell_low,
+                swing / self.ramp_down, swing / self.ramp_up)
 
     def chunk_safe(self) -> bool:
         return True

@@ -271,22 +271,35 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: Dict[Tuple[str, LabelItems], _Instrument] = {}
+        #: The same instruments keyed by ``(name, *labels as passed)``
+        #: when every label value is a string, so a repeated lookup
+        #: neither sorts nor stringifies its labels.  (Other values stay
+        #: on the sorted key: ``1 == 1.0 == True`` stringify apart.)
+        self._passed: Dict[tuple, _Instrument] = {}
 
     # -- instrument access -----------------------------------------------
 
     def _get(self, cls, name: str, labels: Mapping[str, Any], **kwargs):
-        key = (name, _label_items(labels))
-        with self._lock:
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = cls(name, key[1], self._lock, **kwargs)
-                self._instruments[key] = instrument
-            elif not isinstance(instrument, cls):
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{instrument.kind}, not {cls.kind}"
-                )
-            return instrument
+        passed = (name, *labels.items())
+        try:
+            instrument = self._passed.get(passed)
+        except TypeError:  # an unhashable label value
+            instrument = None
+        if instrument is None:
+            key = (name, _label_items(labels))
+            with self._lock:
+                instrument = self._instruments.get(key)
+                if instrument is None:
+                    instrument = cls(name, key[1], self._lock, **kwargs)
+                    self._instruments[key] = instrument
+                if all(type(value) is str for value in labels.values()):
+                    self._passed[passed] = instrument
+        if not isinstance(instrument, cls):
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{instrument.kind}, not {cls.kind}"
+            )
+        return instrument
 
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get(Counter, name, labels)
@@ -313,6 +326,7 @@ class MetricsRegistry:
         """Drop every instrument (tests)."""
         with self._lock:
             self._instruments.clear()
+            self._passed.clear()
 
     # -- snapshots ---------------------------------------------------------
 

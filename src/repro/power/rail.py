@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -185,6 +186,9 @@ class RectifiedInjector(Injector):
         self.harvester = harvester
         self.rectifier = rectifier or HalfWaveRectifier()
         self._memo = SourcePlanMemo()
+        # The harvester's waveform descriptor, resolved at the first
+        # chunk of a run (False: not yet asked).
+        self._waveform = False
 
     def inject(self, t: float, dt: float, v_rail: float, storage: StorageElement) -> float:
         v_oc = self.harvester.open_circuit_voltage(t)
@@ -211,14 +215,25 @@ class RectifiedInjector(Injector):
         if params is None:
             return None
         drop, r_total, take_abs = params
-        values, address, index = self._memo.window(
-            t0, dt, n,
+        window = partial(
+            self._memo.window, t0, dt, n,
             self.rectified_voc_array if take_abs
             else self.harvester.open_circuit_voltage_array,
         )
+        waveform = self._waveform
+        if waveform is False:
+            waveform = self._waveform = self.harvester.chunk_waveform()
+        step0 = None if waveform is None else SourcePlanMemo.grid_step(t0, dt)
+        if step0 is not None:
+            # The compiled loop evaluates the waveform itself; the memo
+            # window is resolved only if the Python loop runs the chunk.
+            return VoltageSourcePlan(
+                None, drop, r_total, memo=self._memo, waveform=waveform,
+                take_abs=take_abs, step0=step0, window=window,
+            )
+        values, address, index = window()
         return VoltageSourcePlan(
-            values=values, drop=drop, r_total=r_total, address=address,
-            memo=self._memo, index=index,
+            values, drop, r_total, address, memo=self._memo, index=index,
         )
 
     def rectified_voc_array(self, times: np.ndarray) -> np.ndarray:
@@ -228,6 +243,7 @@ class RectifiedInjector(Injector):
     def reset(self) -> None:
         self.harvester.reset()
         self._memo.clear()
+        self._waveform = False
 
 
 @dataclass
@@ -353,7 +369,8 @@ class SupplyRail(Component):
         if kernel is None:
             return None
         return _ckernel.ChunkLoop(
-            kernel.chunk_loop, len(self._injectors), len(self._loads)
+            kernel.chunk_loop, len(self._injectors), len(self._loads),
+            kernel.waveforms,
         )
 
     def step_chunk(self, t0: float, dt: float, n: int) -> int:

@@ -54,7 +54,7 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import faults, obs
+from repro import degrade, faults, obs
 from repro.sim.kernel import (
     ACTIVE,
     BOOT,
@@ -67,10 +67,13 @@ from repro.sim.kernel import (
     RESTORE,
     RESTORE_BEGIN,
     RESTORE_DONE,
+    SINE_WAVE,
     SLEEP,
     SNAPSHOT,
     SNAPSHOT_BEGIN,
     SNAPSHOT_DONE,
+    TRAPEZOID_WAVE,
+    WAVE_PARAMS,
     LoadProfile,
     MachineSteps,
     PowerSourcePlan,
@@ -79,20 +82,28 @@ from repro.sim.kernel import (
 )
 
 #: ``chunk_loop`` frame layout, in 8-byte slots: the header below, then
-#: per source (address, kind, drop, r_total), per load (kind,
-#: resistance, e_const, current, current_gain, v_rising, v_falling),
-#: then per load its committed energy (out) and a scratch slot.  The
-#: first eight header slots (the ``RailStats`` totals and V_cc
-#: envelope) are read and written back.
+#: per source (address, kind, drop, r_total, step0, take_abs and
+#: ``WAVE_PARAMS`` waveform parameters), per load (kind, resistance,
+#: e_const, current, current_gain, v_rising, v_falling), then per load
+#: its committed energy (out) and a scratch slot.  The first eight
+#: header slots (the ``RailStats`` totals and V_cc envelope) are read
+#: and written back.  A closed-form source (see
+#: :class:`~repro.sim.kernel.VoltageSourcePlan`) has no address: the
+#: loop evaluates it at ``(step0 + i) * dt``.
 _HEADER = (
     "v", "harvested", "leaked", "consumed", "starved", "vcc_min", "vcc_max",
     "vcc_phase", "capacitance", "v_max", "draw_overhead", "leak", "has_leak",
     "dt", "vcc_every",
 )
-_SOURCE_SLOTS = 4
+_SOURCE_SLOTS = 6 + WAVE_PARAMS
 _LOAD_SLOTS = 7
-#: Source and load kinds as the frame encodes them.
+#: Source and load kinds as the frame encodes them: closed-form
+#: voltage sources by waveform code (``_WAVES[code]``).
 _VOLTAGE, _POWER = 0.0, 1.0
+_WAVES = {TRAPEZOID_WAVE: 2.0, SINE_WAVE: 3.0}
+#: A source's frame slots after (address, kind, drop, r_total) when it
+#: is read from memory.
+_NO_WAVE = (0.0,) * (_SOURCE_SLOTS - 4)
 _CONSTANT, _RESISTIVE, _CURRENT = 0.0, 1.0, 2.0
 
 #: The tabled load's frame (a ``TransitionTable``), in 8-byte slots:
@@ -160,6 +171,46 @@ static const double *slot_pointer(const double *slot)
 int64_t machine_run(const int64_t *code, int64_t n_code, int64_t *data,
                     int64_t n_data, int64_t *state, int64_t max_cycles,
                     int64_t stop_at_ckpt, int64_t *undo);
+
+/* A closed-form source's value at time t: the operations, in order, of
+   TrapezoidSupply / SignalGenerator.open_circuit_voltage_array (the
+   numpy maximum keeping raw when equal, so a -0.0 stays -0.0), then
+   RectifiedInjector.rectified_voc_array's fabs when take_abs is set.
+   sp is the source's frame slots (_SOURCE_SLOTS in _ckernel.py). */
+static double closed_form(const double *sp, double t)
+{
+    const double *w = sp + 6;
+    double value;
+    if (sp[1] == %(trapezoid)r) {
+        /* period, v_high, v_low, ramp_down, ramp_up, dwell_low,
+           t_down, t_up */
+        double phase = fmod(t, w[0]);
+        if (phase < 0.0) phase = phase + w[0];
+        const double after_down = phase - w[6];
+        const double after_dwell = after_down - w[5];
+        if (phase < w[6]) value = w[1] - w[3] * phase;
+        else if (after_down < w[5]) value = w[2];
+        else if (after_dwell < w[7]) value = w[2] + w[4] * after_dwell;
+        else value = w[1];
+    } else if (w[3] != 0.0) {
+        /* omega, amplitude, rectified, dc: frequency 0 is DC */
+        value = w[1];
+    } else {
+        const double raw = w[1] * sin(w[0] * t);
+        value = w[2] != 0.0 && 0.0 > raw ? 0.0 : raw;
+    }
+    return sp[5] != 0.0 ? fabs(value) : value;
+}
+
+/* closed_form over the n steps from the source's step0: the values
+   chunk_loop reads inline (the load-time self-check and the tests
+   compare them with numpy's). */
+void closed_form_values(const double *sp, int64_t n, double dt, double *out)
+{
+    const int64_t step0 = (int64_t) sp[4];
+    for (int64_t i = 0; i < n; ++i)
+        out[i] = closed_form(sp, (double) (step0 + i) * dt);
+}
 
 /* Exact transcription of repro.power.rail.chunk_loop for one rail.
    Frame layout: see _HEADER in _ckernel.py.  Returns the committed
@@ -237,9 +288,11 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
         double v0 = v, tv = v0, h_t = harvested;
         for (int64_t s_ = 0; s_ < n_src; ++s_) {
             const double *sp = src + SRC_SLOTS * s_;
-            const double *values = slot_pointer(sp);
-            if (sp[1] == %(voltage)r) {
-                double head = values[i] - v0 - sp[2];
+            const double value = sp[1] > %(power)r
+                ? closed_form(sp, (double) ((int64_t) sp[4] + i) * dt)
+                : slot_pointer(sp)[i];
+            if (sp[1] != %(power)r) {
+                double head = value - v0 - sp[2];
                 if (head > 0.0) {
                     double before = half_c * tv * tv;
                     double vn = tv + (head / sp[3] * dt) / C;
@@ -247,7 +300,7 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
                     h_t += half_c * tv * tv - before;
                 }
             } else {
-                double p = values[i];
+                double p = value;
                 if (p > 0.0) {
                     double e = half_c * tv * tv;
                     double e_new = e + p * dt;
@@ -662,7 +715,8 @@ out:
         for prefix, frame in (("T", _TABLE), ("M", _MACHINE))
         for index, name in enumerate(frame)
     ),
-    "voltage": _VOLTAGE,
+    "power": _POWER,
+    "trapezoid": _WAVES[TRAPEZOID_WAVE],
     "resistive": _RESISTIVE,
     "current": _CURRENT,
     "off": OFF, "sleep": SLEEP, "restore": RESTORE, "snapshot": SNAPSHOT,
@@ -759,14 +813,19 @@ def _compile() -> Optional[str]:
 
 
 class Kernel(NamedTuple):
-    """The library's functions as ctypes functions."""
+    """The library's functions as ctypes functions, and whether the
+    chunk loop evaluates closed-form sources itself (False when only
+    the waveform self-check failed: plans then carry memo values)."""
 
     chunk_loop: Any
     machine_run: Any
+    closed_form_values: Any
+    waveforms: bool = True
 
 
 def _bind(so_path: str) -> Kernel:
-    """The library's ``chunk_loop`` and ``machine_run``."""
+    """The library's ``chunk_loop``, ``machine_run`` and
+    ``closed_form_values``."""
     library = ctypes.CDLL(so_path)
     chunk = library.chunk_loop
     chunk.restype = ctypes.c_int64
@@ -795,7 +854,15 @@ def _bind(so_path: str) -> Kernel:
         ctypes.c_int64,   # stop_at_ckpt
         ctypes.c_void_p,  # undo (or NULL)
     ]
-    return Kernel(chunk, machine)
+    values = library.closed_form_values
+    values.restype = None
+    values.argtypes = [
+        ctypes.c_void_p,  # a source's frame slots
+        ctypes.c_int64,   # n
+        ctypes.c_double,  # dt
+        ctypes.c_void_p,  # out
+    ]
+    return Kernel(chunk, machine, values)
 
 
 class ChunkLoop:
@@ -804,11 +871,13 @@ class ChunkLoop:
     Owns the rail's frame and voltage buffers with their addresses
     resolved once, so a chunk costs one ``struct`` pack, the foreign
     call and two unpacks (plus one pack and unpack for a tabled or a
-    machine load).  Source plans and machines are read in place.
+    machine load).  Source plans and machines are read in place, and
+    closed-form sources evaluated in the loop unless ``waveforms`` is
+    False.
     """
 
     __slots__ = (
-        "_fn", "_pack", "_state", "_energies", "_energies_at",
+        "_fn", "_waveforms", "_pack", "_state", "_energies", "_energies_at",
         "_frame", "_frame_address", "_vcc", "_vcc_address", "_states",
         "_states_address", "_log", "_log_address", "_table",
         "_table_address", "_packed", "_machine", "_machine_state",
@@ -820,13 +889,16 @@ class ChunkLoop:
     _table_out = struct.Struct("=%dd" % (len(_TABLE_STATE) + len(_TABLE_OUT)))
     _machine_in = struct.Struct("=dQdQdQQ7d")
 
-    def __init__(self, fn, n_sources: int, n_loads: int):
+    def __init__(self, fn, n_sources: int, n_loads: int,
+                 waveforms: bool = True):
         self._fn = fn
+        self._waveforms = waveforms
         inputs = (
             len(_HEADER) + _SOURCE_SLOTS * n_sources + _LOAD_SLOTS * n_loads
         )
         self._pack = struct.Struct(
-            "=%dd" % len(_HEADER) + "Q3d" * n_sources + "7d" * n_loads
+            "=%dd" % len(_HEADER) + "Q%dd" % (_SOURCE_SLOTS - 1) * n_sources
+            + "7d" * n_loads
         ).pack_into
         self._state = struct.Struct("=8d").unpack_from
         self._energies = struct.Struct("=%dd" % n_loads).unpack_from
@@ -860,7 +932,7 @@ class ChunkLoop:
         rail's buffer, valid until the next chunk.  None (nothing
         touched) when a plan cannot be read in place: no known address,
         fewer than ``n`` values, or a converter in front of a power
-        source.
+        source.  A closed-form plan's values are never read here.
         """
         fields = [
             v, stats.harvested, stats.leaked, stats.consumed, stats.starved,
@@ -870,15 +942,20 @@ class ChunkLoop:
             stats.vcc_every,
         ]
         for plan in plans:
+            voltage = isinstance(plan, VoltageSourcePlan)
+            if voltage and plan.waveform is not None and self._waveforms:
+                fields += _waveform_slots(plan)
+                continue
             address = plan.address
             if not address or len(plan.values) < n:
                 return None
-            if isinstance(plan, VoltageSourcePlan):
+            if voltage:
                 fields += (address, _VOLTAGE, plan.drop, plan.r_total)
             elif plan.converter is None:
                 fields += (address, _POWER, 0.0, 1.0)
             else:
                 return None
+            fields += _NO_WAVE
         table = steps = None
         for index, profile in enumerate(profiles):
             if profile.table is not None:
@@ -986,6 +1063,23 @@ class ChunkLoop:
             ]
         table.log = log
         table.states = self._states[:taken]
+
+
+def _waveform_slots(plan: VoltageSourcePlan) -> tuple:
+    """A closed-form plan's frame slots (``_SOURCE_SLOTS``)."""
+    code, *params = plan.waveform
+    return (0, _WAVES[code], plan.drop, plan.r_total, plan.step0,
+            plan.take_abs, *params, *_NO_WAVE[2 + len(params):])
+
+
+def closed_form_values(kernel: Kernel, plan: VoltageSourcePlan, n: int,
+                       dt: float) -> np.ndarray:
+    """The ``n`` values the compiled chunk loop evaluates for a
+    closed-form ``plan`` from its ``step0``."""
+    slots = np.array(_waveform_slots(plan), dtype=float)
+    out = np.empty(n)
+    kernel.closed_form_values(slots.ctypes.data, n, dt, out.ctypes.data)
+    return out
 
 
 def _doubles(n: int) -> array:
@@ -1423,6 +1517,64 @@ def _machine_self_check(machine_run) -> bool:
     )
 
 
+def _waveform_self_check(kernel: Kernel) -> bool:
+    """The closed-form sources the chunk loop evaluates itself, against
+    numpy: each waveform (a trapezoid through every segment, one with
+    no dwell, a rectified and a plain sine, a zero-amplitude rectified
+    sine and DC) behind a half-wave and a bridge rectifier, from step 0
+    and from a late step, must give values bit-identical to
+    ``open_circuit_voltage_array``; and chunks fed by them, one mixing
+    them with a source read from memory, must equal the Python loop
+    reading the memo's values."""
+    from repro.harvest.synthetic import SignalGenerator, TrapezoidSupply
+    from repro.power.rail import RectifiedInjector
+    from repro.power.rectifier import (
+        Diode, FullWaveRectifier, HalfWaveRectifier,
+    )
+
+    supplies = (
+        lambda: TrapezoidSupply(frequency=50.0),
+        lambda: TrapezoidSupply(frequency=7.3, v_low=0.0, ramp_down=900.0,
+                                ramp_up=300.0, dwell_low=0.0,
+                                source_resistance=40.0),
+        lambda: SignalGenerator(3.6, 60.0, rectified=True,
+                                source_resistance=30.0),
+        lambda: SignalGenerator(2.0, 45.0, source_resistance=20.0),
+        lambda: SignalGenerator(0.0, 17.0, rectified=True),
+        lambda: SignalGenerator(1.5, 0.0),
+    )
+    diode = Diode(0.2, 2.0)
+    dt, n = 1e-4, 400
+    plans = []
+    for make in supplies:
+        for rectifier in (HalfWaveRectifier(diode), FullWaveRectifier(diode)):
+            for step0 in (0, 299_917):
+                injector = RectifiedInjector(make(), rectifier)
+                plan = injector.chunk_plan(step0 * dt, dt, n)
+                if plan.waveform is None or (
+                    closed_form_values(kernel, plan, n, dt).tobytes()
+                    != np.asarray(plan.values).tobytes()
+                ):
+                    return False
+                plans.append(plan)
+    # A rail charging on every step the source is above it.
+    rail = (1e-3, 3.3, None, 1.0, 0.1, dt)
+    drain = [LoadProfile(resistance=20.0)]
+    ripple = np.ascontiguousarray(np.abs(np.sin(np.arange(n) * 0.05)))
+    # Every supply and rectifier from the late step; then the first
+    # trapezoid and the rectified sine around a source read from memory.
+    late = plans[1::2]
+    cases = [[plan] for plan in late] + [[
+        late[0], VoltageSourcePlan(ripple, 0.1, 30.0, ripple.ctypes.data),
+        late[5],
+    ]]
+    return all(
+        _replay(kernel.chunk_loop, rail, case, drain, n, {})
+        == _replay(None, rail, case, drain, n, {})
+        for case in cases
+    )
+
+
 def _self_check(kernel: Kernel) -> bool:
     """Both functions of a freshly loaded library against Python: the
     chunk loop, the interpreter, and machines stepped inside chunks
@@ -1461,7 +1613,12 @@ def load() -> Optional[Kernel]:
             if so_path is not None:
                 candidate = _bind(so_path)
                 if _self_check(candidate):
-                    kernel = candidate
+                    # A waveform mismatch (a libm sin other than numpy's)
+                    # switches off only the inline waveforms.
+                    kernel = candidate._replace(
+                        waveforms=_waveform_self_check(candidate))
+                    degrade.report("chunk.waveform", "inline"
+                                   if kernel.waveforms else "memo")
                 else:
                     _note_load_failure("selfcheck")
         except Exception as error:

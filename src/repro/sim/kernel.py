@@ -42,13 +42,17 @@ Three descriptor families exist:
 * :class:`VoltageSourcePlan` / :class:`PowerSourcePlan` — published by an
   injector (:meth:`~repro.power.rail.Injector.chunk_plan`): the source
   waveform for the chunk precomputed as a float64 array view plus the
-  scalar parameters needed to turn it into charge/energy per step.
+  scalar parameters needed to turn it into charge/energy per step.  A
+  closed-form voltage source (``trapezoid-supply``,
+  ``signal-generator``) on the engine grid publishes its waveform
+  descriptor instead, which the compiled chunk loop evaluates per step.
 
 Source windows are float64 array views into a :class:`SourcePlanMemo`,
 carrying the raw address of their first element: the compiled chunk
 loop (:mod:`repro.sim._ckernel`) reads them in place, and the Python
 chunk loop (:func:`repro.power.rail.chunk_loop`) reads the memo's list
-mirror at the window's index.
+mirror at the window's index.  A closed-form plan resolves its window
+only when read, so a chunk the compiled loop runs evaluates none.
 Every other descriptor field is a plain Python float.
 """
 
@@ -307,9 +311,21 @@ def operation_steps(remaining: float, dt: float) -> int:
     return steps
 
 
-@dataclass
+#: Closed-form waveform codes: the first item of a harvester's
+#: :meth:`~repro.harvest.base.VoltageHarvester.chunk_waveform`
+#: descriptor, followed by its parameters:
+#:
+#: * ``TRAPEZOID_WAVE``: period, v_high, v_low, ramp_down, ramp_up,
+#:   dwell_low, t_down, t_up (``TrapezoidSupply``);
+#: * ``SINE_WAVE``: omega, amplitude, rectified, dc (``SignalGenerator``;
+#:   the flags as 0.0/1.0, dc for ``frequency == 0``).
+TRAPEZOID_WAVE, SINE_WAVE = 0, 1
+#: The most parameters a waveform descriptor carries.
+WAVE_PARAMS = 8
+
+
 class VoltageSourcePlan:
-    """A rectified voltage source precomputed over one chunk.
+    """A rectified voltage source over one chunk.
 
     Per step ``i`` the charging current is
     ``max(0, values[i] - v_rail - drop) / r_total`` — exactly the
@@ -319,14 +335,63 @@ class VoltageSourcePlan:
     values are not known to be laid out that way.  ``index`` is the
     position of ``values[0]`` in ``memo``'s held values, or None when
     no memo holds them.
+
+    A closed-form source on the engine grid also carries its
+    ``waveform`` descriptor (see :data:`TRAPEZOID_WAVE`), ``take_abs``
+    (a bridge rectifier reads ``|V_oc|``) and ``step0``, the grid index
+    of the chunk's first step: the compiled chunk loop evaluates such a
+    source itself at ``(step0 + i) * dt``.  Its ``values``, ``address``
+    and ``index`` are then resolved by ``window`` (a
+    :meth:`SourcePlanMemo.window` call) on first access, so a chunk the
+    compiled loop runs never evaluates them.
     """
 
-    values: Sequence[float]
-    drop: float
-    r_total: float
-    address: int = 0
-    memo: Optional["SourcePlanMemo"] = None
-    index: Optional[int] = None
+    __slots__ = ("drop", "r_total", "memo", "waveform", "take_abs",
+                 "step0", "_window", "_values", "_address", "_index")
+
+    def __init__(
+        self,
+        values: Optional[Sequence[float]],
+        drop: float,
+        r_total: float,
+        address: int = 0,
+        memo: Optional["SourcePlanMemo"] = None,
+        index: Optional[int] = None,
+        waveform: Optional[Tuple[Any, ...]] = None,
+        take_abs: bool = False,
+        step0: int = 0,
+        window: Optional[Callable[[], Tuple[Any, int, Optional[int]]]] = None,
+    ):
+        self.drop = drop
+        self.r_total = r_total
+        self.memo = memo
+        self.waveform = waveform
+        self.take_abs = take_abs
+        self.step0 = step0
+        self._window = window
+        self._values = values
+        self._address = address
+        self._index = index
+
+    def _resolve(self) -> None:
+        if self._window is not None:
+            self._values, self._address, self._index = self._window()
+            self._window = None
+
+    @property
+    def values(self) -> Sequence[float]:
+        self._resolve()
+        return self._values
+
+    @property
+    def address(self) -> int:
+        self._resolve()
+        return self._address
+
+    @property
+    def index(self) -> Optional[int]:
+        self._resolve()
+        return self._index
 
 
 @dataclass

@@ -48,6 +48,65 @@ def test_instruments_are_get_or_create_per_label_set():
     assert b.value == 1.0 and c.value == 0.0
 
 
+def test_label_order_and_value_types_resolve_one_instrument():
+    """A lookup by labels as passed finds the instrument the sorted,
+    stringified labels name: any keyword order, ``1`` and ``"1"`` alike,
+    ``1.0`` and ``True`` apart, unhashable values too."""
+    registry = MetricsRegistry()
+    a = registry.counter("repro_test_total", domain="chunk", mode="c")
+    for _ in range(2):  # the second round hits the passed-labels keys
+        assert registry.counter("repro_test_total", mode="c",
+                                domain="chunk") is a
+        assert registry.counter("repro_test_total", domain="chunk",
+                                mode="c") is a
+    one = registry.counter("repro_test_total", n=1)
+    assert registry.counter("repro_test_total", n="1") is one
+    assert registry.counter("repro_test_total", n=1) is one
+    assert registry.counter("repro_test_total", n=1.0) is not one
+    assert registry.counter("repro_test_total", n=True) is not one
+    listed = registry.counter("repro_test_total", n=[1])
+    assert registry.counter("repro_test_total", n="[1]") is listed
+    with pytest.raises(ValueError, match="already registered"):
+        registry.gauge("repro_test_total", mode="c", domain="chunk")
+    registry.reset()
+    assert registry.counter("repro_test_total", domain="chunk",
+                            mode="c") is not a
+
+
+def test_prometheus_text_is_independent_of_label_order():
+    """The exposition text (what ``GET /metrics?format=prometheus``
+    serves) of instruments looked up in mixed label orders and value
+    types, pinned as the sorted-key registry rendered it."""
+    registry = MetricsRegistry()
+    for domain, mode in (("chunk.kernel", "c"), ("executor", "pool")):
+        registry.counter("repro_t_total", domain=domain, mode=mode).inc()
+        registry.counter("repro_t_total", mode=mode, domain=domain).inc(2)
+    registry.counter("repro_t_total", mode=1, domain="x").inc()
+    registry.counter("repro_t_total", domain="x", mode="1").inc()
+    registry.counter("repro_t_total", domain="x", mode=1.0).inc(5)
+    registry.gauge("repro_t_level", domain="chunk.kernel").set(1)
+    registry.gauge("repro_t_level", domain="chunk.kernel").inc()
+    hist = registry.histogram("repro_t_seconds", buckets=(0.1, 1.0),
+                              path="b", kind="a")
+    hist.observe(0.5)
+    registry.histogram("repro_t_seconds", kind="a", path="b").observe(2.0)
+    assert registry.render_prometheus() == (
+        '# TYPE repro_t_level gauge\n'
+        'repro_t_level{domain="chunk.kernel"} 2\n'
+        '# TYPE repro_t_seconds histogram\n'
+        'repro_t_seconds_bucket{kind="a",path="b",le="0.1"} 0\n'
+        'repro_t_seconds_bucket{kind="a",path="b",le="1"} 1\n'
+        'repro_t_seconds_bucket{kind="a",path="b",le="+Inf"} 2\n'
+        'repro_t_seconds_sum{kind="a",path="b"} 2.5\n'
+        'repro_t_seconds_count{kind="a",path="b"} 2\n'
+        '# TYPE repro_t_total counter\n'
+        'repro_t_total{domain="chunk.kernel",mode="c"} 3\n'
+        'repro_t_total{domain="executor",mode="pool"} 3\n'
+        'repro_t_total{domain="x",mode="1"} 2\n'
+        'repro_t_total{domain="x",mode="1.0"} 5\n'
+    )
+
+
 def test_kind_collisions_are_an_error():
     obs.counter("repro_test_total")
     with pytest.raises(ValueError, match="already registered"):

@@ -19,17 +19,26 @@ Hibernus, Hibernus++ or no strategy, in any state) whose transition
 table the loops follow across boots, hooks, operations and brownouts:
 its counters, state, progress and store must match per-step execution
 exactly, and the chunk stops before a transition it leaves to Python.
+Some carry the closed-form supplies the compiled loop evaluates itself
+(``trapezoid-supply`` and ``signal-generator``, rectified or not, DC,
+behind a half-wave or a bridge rectifier) with parameters drawn from
+their factories' validated ranges, from a step up to 3e5: the compiled
+loop's inline values must give the Python loop's chunk on the memo's
+values, and equal ``open_circuit_voltage_array`` and the scalar
+``open_circuit_voltage``.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro import degrade
 from repro.core.system import STATE_CODES
 from repro.harvest.synthetic import (
     HalfWaveRectifiedSinePower,
+    SignalGenerator,
     SineVoltageHarvester,
     SquareWavePowerHarvester,
     TrapezoidSupply,
@@ -60,6 +69,8 @@ from repro.transient.hibernus import Hibernus
 from repro.transient.hibernus_pp import HibernusPP
 
 SEEDS = range(150)
+#: Seeds of the rails fed only by closed-form supplies (after SEEDS).
+WAVE_SEEDS = range(150, 200)
 TOLERANCE = 1e-9
 #: A machine load's memory prices, and its program: ``{k}`` passes of a
 #: load, add and store, then ``halt``.
@@ -267,7 +278,107 @@ def scenario(seed):
             "held": rng.random() < 0.7,
             "done": rng.random() < 0.1,
         }
+    # Drawn after those: closed-form supplies, and sometimes a start
+    # step up to 3e5.
+    if rng.random() < 0.3:
+        scn["start"] = rng.randrange(0, 300_001)
+    scn["waves"] = [closed_form(rng, v_max)
+                    for _ in range(rng.choice((0, 0, 1, 1, 2)))]
     return scn
+
+
+def closed_form(rng, v_max):
+    """A ``trapezoid-supply`` or ``signal-generator`` drawn from its
+    factory's validated ranges, behind a half-wave or a bridge
+    rectifier (plain data; :func:`wave_injector` makes it)."""
+    wave = {
+        "rectifier": rng.choice(("half-wave", "full-wave")),
+        "forward_drop": rng.choice((0.0, rng.uniform(0.0, 0.5))),
+        "on_resistance": 10 ** rng.uniform(-1, 1),
+        "source_resistance": 10 ** rng.uniform(0, 3.5),
+    }
+    if rng.random() < 0.5:
+        # Ramps and dwell take fractions of the period summing below 1.
+        period = 1.0 / 10 ** rng.uniform(-0.5, 2.5)
+        v_high = rng.uniform(0.2, 1.3) * v_max
+        v_low = rng.choice((0.0, rng.uniform(0.0, 0.95) * v_high))
+        down, up = rng.uniform(0.01, 0.45), rng.uniform(0.001, 0.45)
+        dwell = rng.choice((0.0, rng.uniform(0.0, 0.09)))
+        wave.update(kind="trapezoid", frequency=1.0 / period,
+                    v_high=v_high, v_low=v_low,
+                    ramp_down=(v_high - v_low) / (down * period),
+                    ramp_up=(v_high - v_low) / (up * period),
+                    dwell_low=dwell * period)
+    else:
+        wave.update(kind="signal-generator",
+                    amplitude=(0.0 if rng.random() < 0.15
+                               else rng.uniform(0.0, 1.5 * v_max)),
+                    frequency=(0.0 if rng.random() < 0.15
+                               else 10 ** rng.uniform(-0.5, 2.5)),
+                    rectified=rng.random() < 0.5)
+    return wave
+
+
+def wave_scenario(seed):
+    """A rail fed only by one or two closed-form supplies, charging an
+    ideal capacitor from low under a constant load with no boundary: a
+    full chunk in which every value above the rail shows."""
+    rng = random.Random(seed)
+    v_max = rng.uniform(3.0, 5.0)
+    return {
+        "dt": rng.choice((1e-4, 5e-5, 2e-5)),
+        "start": rng.randrange(0, 300_001),
+        "n": rng.randrange(200, 600),
+        "storage": "capacitor",
+        "capacitance": 10 ** rng.uniform(-4.5, -3.0),
+        "v_max": v_max,
+        "v0": rng.uniform(0.0, 0.3) * v_max,
+        "leakage": None,
+        "sources": [],
+        "loads": [{
+            "kind": "constant", "power": 10 ** rng.uniform(-5, -3),
+            "energy": 0.0, "current": 0.0, "gain": 1.0,
+            "v_rising": math.inf, "v_falling": -math.inf, "machine": None,
+        }],
+        "every": 1,
+        "phase": 0,
+        "platform": None,
+        "waves": [closed_form(rng, v_max)
+                  for _ in range(rng.choice((1, 1, 2)))],
+    }
+
+
+def scenarios():
+    """Every generated rail: SEEDS' mixed rails, then WAVE_SEEDS'."""
+    return ([scenario(seed) for seed in SEEDS]
+            + [wave_scenario(seed) for seed in WAVE_SEEDS])
+
+
+def wave_injector(wave):
+    params = {key: value for key, value in wave.items()
+              if key not in ("kind", "rectifier", "forward_drop",
+                             "on_resistance")}
+    harvester = (TrapezoidSupply if wave["kind"] == "trapezoid"
+                 else SignalGenerator)(**params)
+    diode = Diode(wave["forward_drop"], wave["on_resistance"])
+    rectifier = (HalfWaveRectifier(diode) if wave["rectifier"] == "half-wave"
+                 else FullWaveRectifier(diode))
+    return RectifiedInjector(harvester, rectifier)
+
+
+def wave_tags(wave):
+    """What a drawn supply covers, as ``seen`` tags."""
+    tags = {wave["kind"], wave["rectifier"]}
+    if wave["kind"] == "signal-generator":
+        if wave["frequency"] == 0.0:
+            tags.add("dc")
+        elif wave["rectified"]:
+            tags.add("rectified")
+        if wave["amplitude"] == 0.0:
+            tags.add("zero-amplitude")
+    elif wave["dwell_low"] == 0.0:
+        tags.add("no-dwell")
+    return tags
 
 
 def build_platform(spec, capacitance):
@@ -348,6 +459,8 @@ def build(scn):
                 HalfWaveRectifiedSinePower(10 ** (-4 + 2 * a), 10 + 50 * b),
                 converter=LinearRegulator(v_out=1.8 + b),
             ))
+    for wave in scn["waves"]:
+        rail.attach_injector(wave_injector(wave))
     loads = []
     for spec in scn["loads"]:
         if spec["kind"] == "resistor":
@@ -474,7 +587,7 @@ def rung_results(monkeypatch, rung):
         monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
     _ckernel.reset_cache()
     degrade.reset()
-    results = [chunk(scenario(seed)) for seed in SEEDS]
+    results = [chunk(scn) for scn in scenarios()]
     assert degrade.current("chunk.kernel") == rung
     return results
 
@@ -494,8 +607,8 @@ def test_compiled_and_python_rungs_agree_bit_for_bit(monkeypatch,
     if _ckernel.load() is None:
         pytest.skip("no C compiler available")
     compiled = rung_results(monkeypatch, "c")
-    for seed, py, c in zip(SEEDS, python, compiled):
-        assert c == py, (seed, scenario(seed))
+    for scn, py, c in zip(scenarios(), python, compiled):
+        assert c == py, scn
 
 
 def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
@@ -506,8 +619,7 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
         results = rung_results(monkeypatch, rung)
         if rung == "c" and _ckernel.load() is None:
             pytest.skip("no C compiler available")
-        for seed, result in zip(SEEDS, results):
-            scn = scenario(seed)
+        for seed, (scn, result) in enumerate(zip(scenarios(), results)):
             taken = result["taken"]
             n = scn["n"]
             ref = reference(scn, taken)
@@ -583,8 +695,13 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
                 seen.add("starved")
             if result["stats"][2] > 0.0:
                 seen.add("leaked")
+            for wave in scn["waves"]:
+                seen.update(wave_tags(wave))
+            if scn["waves"] and scn["start"] > 20_000:
+                seen.add("late-start")
             if (
                 scn["storage"] == "capacitor"
+                and not scn["waves"]
                 and [kind for kind, _, _ in scn["sources"]] == ["trapezoid"]
                 and [load["kind"] for load in scn["loads"]] == ["constant"]
             ):
@@ -600,4 +717,48 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
         "table", "table-transition", "table-stop",
         "boot", "brownout", "snapshot", "snapshot-done", "restore",
         "restore-done", "cold-start",
+        "signal-generator", "half-wave", "full-wave", "dc", "rectified",
+        "zero-amplitude", "no-dwell", "late-start",
     }, seen
+
+
+def test_compiled_waveforms_equal_numpy_and_the_scalar_method(
+        restore_kernel):
+    """Seeded supplies from the generated rails' draw, from a start step
+    up to 3e5: the values the compiled loop evaluates inline equal
+    ``open_circuit_voltage_array`` bit for bit (``|.|`` of it behind a
+    bridge), and the scalar ``open_circuit_voltage`` value for value.
+    (The scalar's ``max(0.0, raw)`` keeps +0.0 where numpy's maximum
+    keeps -0.0, a zero-amplitude rectified sine, which no charging step
+    can tell apart; every other value is bit-identical.)"""
+    kernel = _ckernel.load()
+    if kernel is None:
+        pytest.skip("no C compiler available")
+    assert kernel.waveforms
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(f"waves/{seed}")
+        wave = closed_form(rng, rng.uniform(3.0, 5.0))
+        dt = rng.choice((1e-4, 5e-5, 2e-5))
+        start, n = rng.randrange(0, 300_001), rng.randrange(1, 600)
+        injector = wave_injector(wave)
+        plan = injector.chunk_plan(start * dt, dt, n)
+        assert plan.waveform is not None and plan.step0 == start
+        inline = _ckernel.closed_form_values(kernel, plan, n, dt)
+        harvester = injector.harvester
+        times = np.arange(start, start + n) * dt
+        array = harvester.open_circuit_voltage_array(times)
+        scalar = [harvester.open_circuit_voltage(t) for t in times.tolist()]
+        if plan.take_abs:
+            array = np.abs(array)
+            scalar = [abs(value) for value in scalar]
+        assert inline.tobytes() == array.tobytes(), (seed, wave)
+        assert inline.tobytes() == np.asarray(plan.values).tobytes(), seed
+        assert inline.tolist() == scalar, (seed, wave)
+        nonzero = inline != 0.0
+        assert (inline[nonzero].tobytes()
+                == np.asarray(scalar)[nonzero].tobytes()), (seed, wave)
+        seen.update(wave_tags(wave))
+    assert seen >= {"trapezoid", "signal-generator", "half-wave",
+                    "full-wave", "dc", "rectified", "zero-amplitude",
+                    "no-dwell"}, seen

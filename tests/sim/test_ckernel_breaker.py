@@ -88,11 +88,60 @@ def test_load_exception_is_counted_not_silent(monkeypatch):
 
 def test_ckernel_self_check_guards_loading():
     """The load-time self-check passes for a healthy build (the module
-    would otherwise silently fall back to the Python loops)."""
-    chunk_loop = _ckernel.load()
-    if chunk_loop is None:
+    would otherwise silently fall back to the Python loops), its
+    waveform cases too."""
+    kernel = _ckernel.load()
+    if kernel is None:
         pytest.skip("no C compiler available")
-    assert _ckernel._self_check(chunk_loop)
+    assert _ckernel._self_check(kernel)
+    assert _ckernel._waveform_self_check(kernel) and kernel.waveforms
+
+
+def degrade_transitions(domain, mode):
+    for row in obs.registry.snapshot()["counters"]:
+        if row["name"] == "repro_degrade_transitions_total" \
+                and dict(row["labels"]) == {"domain": domain, "mode": mode}:
+            return row["value"]
+    return 0
+
+
+def test_a_waveform_mismatch_switches_off_only_the_waveforms(monkeypatch):
+    """A host whose numpy ``sin`` differs from libm's (here: numpy's
+    values moved one ulp) fails only the waveform self-check: the
+    library still loads, the chunk loop reads closed-form sources from
+    the memo as the Python loop does, the switch is a labelled degrade
+    event, and rows do not change."""
+    import numpy as np
+
+    from repro.harvest.synthetic import SignalGenerator
+
+    if _ckernel._compile() is None:
+        pytest.skip("no C compiler available")
+    spec = preset("fig7").with_overrides({"kernel": "fast", "duration": 0.6})
+    healthy = run_spec(spec, {}).to_record()
+    real = SignalGenerator.open_circuit_voltage_array
+    monkeypatch.setattr(
+        SignalGenerator, "open_circuit_voltage_array",
+        lambda self, times: np.nextafter(real(self, times), np.inf),
+    )
+    before = load_failures("selfcheck")
+    switched = degrade_transitions("chunk.waveform", "memo")
+    _ckernel.reset_cache()
+    degrade.reset()
+    kernel = _ckernel.load()
+    assert kernel is not None and not kernel.waveforms
+    assert load_failures("selfcheck") == before
+    assert degrade.current("chunk.waveform") == "memo"
+    assert degrade.snapshot()["chunk.waveform"] == {"mode": "memo",
+                                                    "level": 1}
+    assert degrade_transitions("chunk.waveform", "memo") == switched + 1
+    monkeypatch.setattr(SignalGenerator, "open_circuit_voltage_array", real)
+    system = spec.build()
+    system.run(spec.duration)
+    (injector,) = system.rail._injectors
+    assert degrade.current("chunk.kernel") == "c"
+    assert injector._memo.evaluated >= system.simulator.steps
+    assert run_spec(spec, {}).to_record() == healthy
 
 
 def test_self_check_fused_replays_undo_every_kind_of_step():

@@ -513,13 +513,45 @@ def test_an_eq5_point_asks_for_full_length_chunks(strategy, frequency,
         stats.fallback_steps) + 1, (steps, stats)
 
 
-def test_a_fig7_point_evaluates_each_source_step_once(monkeypatch):
-    """A Fig. 7 point (FFT-512, 27 uF, 2.2 kOhm, 7 Hz) evaluates its
-    waveform at most once per step plus one look-ahead, where
-    re-evaluating every overlap cost ~33k samples for its 24k steps."""
+def fig7_point():
+    """A Fig. 7 point: FFT-512, 27 uF, 2.2 kOhm, 7 Hz."""
+    from repro.spec.presets import preset
+
+    return preset("fig7").with_overrides({
+        "kernel": "fast", "capacitance": 27e-6,
+        "source_resistance": 2200.0, "frequency": 7.0,
+    })
+
+
+@pytest.fixture
+def kernel_rung(monkeypatch):
+    """Select the chunk loops' rung for a test: ``rung("python")`` or
+    ``rung("c")`` (False when no compiled loop loads)."""
+    from repro import degrade
+    from repro.sim import _ckernel
+
+    def select(rung):
+        if rung == "python":
+            monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+        else:
+            monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+        _ckernel.reset_cache()
+        return rung == "python" or _ckernel.load() is not None
+
+    yield select
+    monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+    _ckernel.reset_cache()
+    degrade.reset()
+
+
+def test_a_fig7_point_evaluates_each_source_step_once(monkeypatch,
+                                                      kernel_rung):
+    """On the Python rung, where the memo serves the chunk loop, a
+    Fig. 7 point evaluates its waveform at most once per step plus one
+    look-ahead, where re-evaluating every overlap cost ~33k samples for
+    its 24k steps."""
     from repro.harvest.synthetic import SignalGenerator
     from repro.sim.kernel import LOOKAHEAD
-    from repro.spec.presets import preset
 
     samples = []
     real = SignalGenerator.open_circuit_voltage_array
@@ -530,10 +562,8 @@ def test_a_fig7_point_evaluates_each_source_step_once(monkeypatch):
 
     monkeypatch.setattr(SignalGenerator, "open_circuit_voltage_array",
                         counting)
-    spec = preset("fig7").with_overrides({
-        "kernel": "fast", "capacitance": 27e-6,
-        "source_resistance": 2200.0, "frequency": 7.0,
-    })
+    kernel_rung("python")
+    spec = fig7_point()
     system = spec.build()
     system.run(spec.duration, decimate=spec.decimate)
     steps = system.simulator.steps
@@ -541,6 +571,27 @@ def test_a_fig7_point_evaluates_each_source_step_once(monkeypatch):
     assert steps <= sum(samples) <= steps + LOOKAHEAD, (steps, samples)
     (injector,) = system.rail._injectors
     assert injector._memo.evaluated == sum(samples)
+
+
+@pytest.mark.parametrize("point", ["eq5", "fig7"])
+def test_the_compiled_loop_evaluates_no_memo_samples(kernel_rung, point):
+    """On the C rung the chunk loop evaluates the closed-form supplies
+    itself: an Eq. (5) point (``crossover-hibernus`` at 10 Hz, a
+    trapezoid) and the Fig. 7 point (a rectified sine) evaluate no
+    memo sample, where the memo evaluated ~10k and ~24k."""
+    from repro.spec.presets import preset
+
+    if not kernel_rung("c"):
+        pytest.skip("no C compiler available")
+    spec = (fig7_point() if point == "fig7" else preset(
+        "crossover-hibernus", frequency=10.0
+    ).with_override("kernel", "fast"))
+    system = spec.build()
+    system.run(spec.duration, decimate=spec.decimate)
+    (injector,) = system.rail._injectors
+    assert system.platform.metrics.completions >= 1
+    assert system.simulator.chunk_stats.chunked_steps > 5000
+    assert injector._memo.evaluated == injector._memo.converted == 0
 
 
 def test_python_rung_converts_each_source_value_once(monkeypatch):
