@@ -285,87 +285,6 @@ def _print_run_summary(spec: ScenarioSpec, result) -> None:
             print(" ", line)
 
 
-def _component_label(filename: str) -> str:
-    """Map a profiled code path onto a framework component name.
-
-    Frames inside the ``repro`` package report as ``repro.<subpackage>``
-    (``repro.power``, ``repro.transient``, ...); everything else —
-    numpy, the standard library, the interpreter loop's built-ins —
-    folds into ``(other)`` so the table stays about *this* codebase.
-    """
-    normalized = filename.replace(os.sep, "/")
-    marker = "/repro/"
-    if marker in normalized:
-        inside = normalized.split(marker, 1)[1]
-        if "/" in inside:
-            return "repro." + inside.split("/", 1)[0]
-        return "repro." + inside.removesuffix(".py")
-    return "(other)"
-
-
-def _profiled_run(spec: ScenarioSpec, top: int = 12):
-    """Run ``spec`` under cProfile; returns (result, report_text).
-
-    The report has two sections: cumulative time per framework
-    component (where did the run's wall time go, layer by layer) and
-    the top-N individual functions by cumulative time — enough to find
-    a hot path without re-running under an external profiler.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = spec.run()
-    finally:
-        profiler.disable()
-    stats = pstats.Stats(profiler)
-    total = stats.total_tt or 1e-12
-
-    by_component: dict = {}
-    for (filename, _lineno, _name), row in stats.stats.items():
-        _cc, ncalls, tottime, _cumtime, _callers = row
-        label = _component_label(filename)
-        calls, own = by_component.get(label, (0, 0.0))
-        by_component[label] = (calls + ncalls, own + tottime)
-    component_rows = [
-        [label, str(calls), f"{own:.3f}", f"{100.0 * own / total:.1f}%"]
-        for label, (calls, own) in sorted(
-            by_component.items(), key=lambda kv: kv[1][1], reverse=True
-        )
-        if own >= 0.0005 * total
-    ]
-
-    function_rows = []
-    entries = sorted(
-        stats.stats.items(), key=lambda kv: kv[1][3], reverse=True
-    )
-    for (filename, lineno, name), row in entries:
-        if len(function_rows) >= top:
-            break
-        _cc, ncalls, tottime, cumtime, _callers = row
-        location = f"{_component_label(filename)}:{name}"
-        if filename.startswith("~"):  # built-ins
-            location = name
-        function_rows.append(
-            [location, str(ncalls), f"{tottime:.3f}", f"{cumtime:.3f}"]
-        )
-
-    report = "\n".join([
-        f"profile: {total:.3f} s total in-run",
-        "",
-        "cumulative time by component:",
-        format_table(["component", "calls", "own s", "share"],
-                     component_rows),
-        "",
-        f"top {top} functions by cumulative time:",
-        format_table(["function", "calls", "own s", "cum s"],
-                     function_rows),
-    ])
-    return result, report
-
-
 def cmd_spec(args: argparse.Namespace) -> int:
     """Dump a preset scenario spec as JSON (edit it, then ``run`` it)."""
     if args.name is None:
@@ -383,14 +302,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.duration is not None:
         spec = spec.with_override("duration", args.duration)
     with _maybe_tracing(args.trace_out):
-        if getattr(args, "profile", False):
-            result, profile_report = _profiled_run(spec)
-            _print_run_summary(spec, result)
-            print()
-            print(profile_report)
-        else:
-            result = spec.run()
-            _print_run_summary(spec, result)
+        result = spec.run()
+        _print_run_summary(spec, result)
         if args.output is not None:
             store = ResultStore(args.output)
             store.add(
@@ -878,10 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="append the run (with its vcc trace) to a "
                           "result store (JSONL file or *.colstore "
                           "directory)")
-    run.add_argument("--profile", action="store_true",
-                     help="profile the run with cProfile and print a "
-                          "per-component cumulative-time breakdown plus "
-                          "the hottest functions")
     add_kernel_flag(run)
     add_trace_flag(run)
     run.set_defaults(fn=cmd_run)

@@ -25,7 +25,7 @@ from repro.power.rail import (
 )
 from repro.power.rectifier import HalfWaveRectifier
 from repro.sim.engine import Simulator
-from repro.sim.kernel import TABLE_STATES
+from repro.sim.kernel import TABLE_STATES, ChunkStats
 from repro.sim.probes import Trace
 from repro.storage.base import StorageElement
 from repro.transient.base import PlatformState, TransientPlatform
@@ -33,12 +33,14 @@ from repro.transient.base import PlatformState, TransientPlatform
 
 @dataclass
 class SystemRunResult:
-    """Traces plus component references from one run."""
+    """Traces plus component references from one run, and the run's
+    kernel record."""
 
     t_end: float
     traces: Dict[str, Trace]
     rail: SupplyRail
     platform: Optional[TransientPlatform]
+    chunk_stats: Optional[ChunkStats] = None
 
     def vcc(self) -> Trace:
         """The rail voltage trace (the oscilloscope's V_cc channel)."""
@@ -234,6 +236,7 @@ class EnergyDrivenSystem:
             traces=result.traces,
             rail=self._require_rail(),
             platform=self.platform,
+            chunk_stats=result.chunk_stats,
         )
 
     def reset(self) -> None:

@@ -84,7 +84,7 @@ class SignalGenerator(VoltageHarvester):
             return self.amplitude
         raw = self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
         if self.rectified:
-            return max(0.0, raw)
+            return max(raw, 0.0)  # keeps -0.0, as numpy's maximum
         return raw
 
     def open_circuit_voltage_array(self, times: np.ndarray) -> np.ndarray:

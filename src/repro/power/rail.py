@@ -47,6 +47,7 @@ from repro.sim.kernel import (
     TABLE_STATES,
     TRANSITIONS,
     CapacitorPhysics,
+    ChunkStats,
     LoadProfile,
     PowerSourcePlan,
     SourcePlanMemo,
@@ -303,8 +304,6 @@ class SupplyRail(Component):
         #: chunk of a run, then a ChunkLoop, or None once the run is on
         #: the Python rung).
         self._compiled = False
-        self.transitions = dict.fromkeys(TRANSITIONS, 0)
-        self.stop_transition: Optional[str] = None
 
     @property
     def voltage(self) -> float:
@@ -373,57 +372,24 @@ class SupplyRail(Component):
             kernel.waveforms,
         )
 
-    def step_chunk(self, t0: float, dt: float, n: int) -> int:
+    def step_chunk(
+        self, t0: float, dt: float, n: int, record: ChunkStats
+    ) -> int:
         """Advance up to ``n`` steps in bulk; 0 when the regime can't chunk.
 
-        A chunk stops before any step its tabled load cannot follow;
-        ``stop_transition`` then names the transition (else None), and
-        ``transitions`` counts those it followed, cumulatively.
-        A 0 sets ``at_event`` when the first step is a declared
-        boundary, and leaves it False for a refusal (no physics,
-        profile or plan).
+        A chunk stops before any step its tabled load cannot follow.
+        Into ``record`` go the transitions the chunk followed and the
+        one it stopped before, ``at_event`` (a 0 because the first step
+        is a declared boundary, not a refusal: no physics, profile or
+        plan), and the attempt's ``prepare`` and ``loop`` times; its
+        commit runs on until the engine's next boundary.
         """
-        self.stop_transition = None
-        self.at_event = False
-        # The physics descriptor is invariant per storage object: resolve
-        # it once (False = not yet asked, None = storage can't chunk).
-        physics = self._physics
-        if physics is False:
-            physics = self._physics = self.storage.chunk_physics()
-        if physics is None:
+        record.at_event = False
+        prepared = self._prepare(t0, dt, n, record)
+        record.lap("prepare")
+        if prepared is None:
             return 0
-        v = physics.read_voltage()
-        profiles = []
-        table = machine = None
-        for load in self._loads:
-            profile = load.load_profile(t0, dt, v)
-            if profile is None:
-                return 0
-            if profile.table is not None:
-                if table is not None:
-                    return 0  # the loops follow one table per rail
-                table = profile.table
-            if profile.machine is not None:
-                if machine is not None:
-                    return 0  # and step one machine per rail
-                machine = profile.machine
-            # A time-based event boundary (a charge-and-fire task
-            # finishing) bounds the whole chunk: the event step itself
-            # must execute through the reference path.
-            if profile.max_steps is not None:
-                if profile.max_steps <= 0:
-                    self.at_event = True
-                    return 0
-                n = min(n, profile.max_steps)
-            profiles.append(profile)
-        plans = []
-        for injector in self._injectors:
-            plan = injector.chunk_plan(t0, dt, n)
-            if plan is None:
-                return 0
-            plans.append(plan)
-        args = (physics, plans, profiles, v, physics.leak_factor(dt), dt, n,
-                self.stats)
+        args, table = prepared
         compiled = self._compiled
         if compiled is False:
             compiled = self._compiled_loop()
@@ -440,18 +406,66 @@ class SupplyRail(Component):
             degrade.report(
                 "chunk.kernel", "python" if compiled is None else "c"
             )
+        record.lap("loop")
         taken, energies, self._chunk_vcc = result
-        self.at_event = not taken
+        record.at_event = not taken
         self._chunk_states = None if table is None else table.states
         if table is not None:
             if table.stop >= 0:
-                self.stop_transition = TRANSITIONS[table.stop]
+                record.fallback_transitions[TRANSITIONS[table.stop]] += 1
+            transitions = record.transitions
             for entry in table.log:
-                self.transitions[TRANSITIONS[entry[1]]] += 1
-        for profile, energy in zip(profiles, energies):
+                transitions[TRANSITIONS[entry[1]]] += 1
+        for profile, energy in zip(args[2], energies):
             if profile.commit is not None:
                 profile.commit(taken, dt, energy)
         return taken
+
+    def _prepare(self, t0: float, dt: float, n: int, record: ChunkStats):
+        """The chunk loops' arguments for up to ``n`` steps and the
+        tabled load's table, or None when the regime cannot chunk
+        (``record.at_event`` set when a load's timed boundary is the
+        first step)."""
+        # The physics descriptor is invariant per storage object: resolve
+        # it once (False = not yet asked, None = storage can't chunk).
+        physics = self._physics
+        if physics is False:
+            physics = self._physics = self.storage.chunk_physics()
+        if physics is None:
+            return None
+        v = physics.read_voltage()
+        profiles = []
+        table = machine = None
+        for load in self._loads:
+            profile = load.load_profile(t0, dt, v)
+            if profile is None:
+                return None
+            if profile.table is not None:
+                if table is not None:
+                    return None  # the loops follow one table per rail
+                table = profile.table
+            if profile.machine is not None:
+                if machine is not None:
+                    return None  # and step one machine per rail
+                machine = profile.machine
+            # A time-based event boundary (a charge-and-fire task
+            # finishing) bounds the whole chunk: the event step itself
+            # must execute through the reference path.
+            if profile.max_steps is not None:
+                if profile.max_steps <= 0:
+                    record.at_event = True
+                    return None
+                n = min(n, profile.max_steps)
+            profiles.append(profile)
+        plans = []
+        for injector in self._injectors:
+            plan = injector.chunk_plan(t0, dt, n)
+            if plan is None:
+                return None
+            plans.append(plan)
+        args = (physics, plans, profiles, v, physics.leak_factor(dt), dt, n,
+                self.stats)
+        return args, table
 
     def reset(self) -> None:
         self.storage.reset()
@@ -464,9 +478,6 @@ class SupplyRail(Component):
         self._chunk_vcc = []
         self._chunk_states = None
         self._compiled = False
-        self.transitions = dict.fromkeys(TRANSITIONS, 0)
-        self.stop_transition = None
-        self.at_event = False
 
 
 def chunk_loop(

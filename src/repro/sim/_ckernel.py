@@ -1602,10 +1602,19 @@ def load() -> Optional[Kernel]:
     build that fails, raises while loading, or fails the self-check is
     discarded and counted in
     ``repro_ckernel_load_failures_total{reason=compile|exception|selfcheck}``.
+    The build, load and self-check are one ``ckernel.load`` span.
     """
     global _cached
     if _cached is not _UNSET:
         return _cached
+    with obs.span("ckernel.load") as span:
+        _cached = _load()
+        span.annotate(loaded=_cached is not None)
+    return _cached
+
+
+def _load() -> Optional[Kernel]:
+    """Build, bind and self-check the library (see :func:`load`)."""
     kernel = None
     if os.environ.get("REPRO_BATCH_CKERNEL", "1") != "0":
         try:
@@ -1627,7 +1636,6 @@ def load() -> Optional[Kernel]:
             _note_load_failure(
                 "exception", error=f"{type(error).__name__}: {error}"
             )
-    _cached = kernel
     return kernel
 
 

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.kernel import ChunkStats, validate_kernel
+from repro.sim.kernel import PARTS, ChunkStats, validate_kernel
 from repro.sim.probes import Recorder, Trace
 
 
@@ -60,7 +60,9 @@ class Component:
         """Advance the component from ``t`` to ``t + dt``."""
         raise NotImplementedError
 
-    def step_chunk(self, t0: float, dt: float, n: int) -> int:
+    def step_chunk(
+        self, t0: float, dt: float, n: int, record: ChunkStats
+    ) -> int:
         """Advance up to ``n`` steps starting at ``t0``; return steps taken.
 
         Returning 0 means the component cannot chunk its present regime
@@ -72,25 +74,19 @@ class Component:
         before a declared event boundary, so the engine runs the next
         step, the event step, through :meth:`step` without asking.  A
         component that returns 0 because its first step is such a
-        boundary sets :attr:`at_event`, and that step runs the same way,
-        without the back-off.
+        boundary sets ``record.at_event``, and that step runs the same
+        way, without the back-off.
+
+        ``record`` is the run's :class:`~repro.sim.kernel.ChunkStats`:
+        a component that follows platform transitions counts there
+        those it followed and the one it stopped before, and a
+        component may split the attempt's wall time with
+        ``record.lap("prepare")`` and ``record.lap("loop")``.
         """
         return 0
 
     def reset(self) -> None:
         """Restore the component to its initial state (default: no-op)."""
-
-    #: The platform transition the last chunk stopped before to return
-    #: to Python, or None; a component that follows transitions also
-    #: counts those it followed, by name, in a cumulative
-    #: ``transitions`` dict (see
-    #: :class:`~repro.sim.kernel.TransitionTable`).
-    stop_transition: Optional[str] = None
-
-    #: True when the last :meth:`step_chunk` returned 0 because its
-    #: first step is a declared event boundary, not because the present
-    #: regime cannot chunk.
-    at_event: bool = False
 
 
 StopCondition = Callable[[float], bool]
@@ -100,6 +96,8 @@ StopCondition = Callable[[float], bool]
 _MAX_CHUNK = 4096
 #: Cap on the failed-chunk-attempt backoff (reference steps skipped).
 _MAX_BACKOFF = 64
+#: ``kernel.run`` span attributes: each part's seconds.
+_PART_KEYS = tuple(f"{part}_s" for part in PARTS)
 
 
 @dataclass
@@ -111,12 +109,15 @@ class SimulationResult:
         steps: number of timesteps executed.
         stopped_early: True when a stop condition fired before ``duration``.
         traces: recorded signal traces keyed by probe name.
+        chunk_stats: the run's own kernel record (see
+            :class:`~repro.sim.kernel.ChunkStats`).
     """
 
     t_end: float
     steps: int
     stopped_early: bool
     traces: Dict[str, Trace] = field(default_factory=dict)
+    chunk_stats: ChunkStats = field(default_factory=ChunkStats)
 
     def trace(self, name: str) -> Trace:
         """Return the trace recorded under ``name``.
@@ -158,7 +159,8 @@ class Simulator:
         self.dt = dt
         self.t = 0.0
         self.steps = 0
-        #: Fast-kernel diagnostics: how much of the run actually chunked.
+        #: The sum of every run's kernel record since construction or
+        #: reset: how much chunked, and where the time went.
         self.chunk_stats = ChunkStats()
         self._components: List[Component] = list(components or [])
         self._recorder = Recorder()
@@ -267,79 +269,74 @@ class Simulator:
             raise ConfigurationError("run() needs duration and/or max_steps")
         t_stop = self.t + duration if duration is not None else None
         steps_before = self.steps
-        # Instrumentation is per *run*, never per step: one span, a few
-        # counter bumps from the cumulative ChunkStats delta.
-        stats = self.chunk_stats
-        chunks0, chunked0, fallback0 = (
-            stats.chunks, stats.chunked_steps, stats.fallback_steps,
-        )
-        transitions0 = self._transitions()
-        reasons0 = dict(stats.fallbacks)
-        returns0 = dict(stats.fallback_transitions)
-        t0 = time.monotonic()
+        # Instrumentation is per *run*, never per step: the kernel
+        # writes one fresh record, exported once below.
+        record = ChunkStats()
+        t0 = record.mark = time.perf_counter()
         with obs.span("kernel.run", kernel=self.kernel) as kspan:
             if self.kernel == "fast":
-                stopped_early = self._run_fast(t_stop, max_steps, steps_before)
+                stopped_early = self._run_fast(
+                    t_stop, max_steps, steps_before, record
+                )
             else:
                 stopped_early = self._run_reference(
                     t_stop, max_steps, steps_before
                 )
-            kspan.annotate(steps=self.steps - steps_before)
-        transitions = {
-            name: count - transitions0.get(name, 0)
-            for name, count in self._transitions().items()
-        }
-        for name, count in transitions.items():
-            stats.transitions[name] += count
+            record.lap("step")
+            kspan.annotate(steps=self.steps - steps_before, **{
+                key: seconds
+                for key, seconds in zip(_PART_KEYS, record.parts.values())
+                if seconds
+            })
+        elapsed = time.perf_counter() - t0
+        self.chunk_stats.merge(record)
         if obs.obs_enabled():
-            obs.counter("repro_kernel_runs_total", kernel=self.kernel).inc()
-            obs.counter(
-                "repro_kernel_steps_total", kernel=self.kernel
-            ).inc(self.steps - steps_before)
-            obs.histogram(
-                "repro_kernel_run_seconds", kernel=self.kernel
-            ).observe(time.monotonic() - t0)
-            if self.kernel == "fast":
-                obs.counter("repro_kernel_chunks_total").inc(
-                    stats.chunks - chunks0
-                )
-                obs.counter("repro_kernel_chunked_steps_total").inc(
-                    stats.chunked_steps - chunked0
-                )
-                obs.counter("repro_kernel_fallback_steps_total").inc(
-                    stats.fallback_steps - fallback0
-                )
-                for reason, count in stats.fallbacks.items():
-                    obs.counter(
-                        "repro_kernel_fallback_steps_by_reason_total",
-                        reason=reason,
-                    ).inc(count - reasons0[reason])
-                for name, count in transitions.items():
-                    if count:
-                        obs.counter(
-                            "repro_kernel_inline_transitions_total",
-                            transition=name,
-                        ).inc(count)
-                for name, count in stats.fallback_transitions.items():
-                    if count - returns0[name]:
-                        obs.counter(
-                            "repro_kernel_fallback_transitions_total",
-                            transition=name,
-                        ).inc(count - returns0[name])
+            self._export(record, self.steps - steps_before, elapsed)
         return SimulationResult(
             t_end=self.t,
             steps=self.steps - steps_before,
             stopped_early=stopped_early,
             traces=self._recorder.traces(),
+            chunk_stats=record,
         )
 
-    def _transitions(self) -> Dict[str, int]:
-        """The components' cumulative inline transition counts."""
-        totals: Dict[str, int] = {}
-        for component in self._components:
-            for name, count in getattr(component, "transitions", {}).items():
-                totals[name] = totals.get(name, 0) + count
-        return totals
+    def _export(self, record: ChunkStats, steps: int, elapsed: float) -> None:
+        """One run's counters, from its record."""
+        kernel = self.kernel
+        obs.counter("repro_kernel_runs_total", kernel=kernel).inc()
+        obs.counter("repro_kernel_steps_total", kernel=kernel).inc(steps)
+        obs.histogram("repro_kernel_run_seconds", kernel=kernel).observe(
+            elapsed
+        )
+        for part, seconds in record.parts.items():
+            if seconds:
+                obs.counter(
+                    "repro_kernel_part_seconds_total", part=part
+                ).inc(seconds)
+        if kernel != "fast":
+            return
+        obs.counter("repro_kernel_chunks_total").inc(record.chunks)
+        obs.counter("repro_kernel_chunked_steps_total").inc(
+            record.chunked_steps
+        )
+        obs.counter("repro_kernel_fallback_steps_total").inc(
+            record.fallback_steps
+        )
+        for reason, count in record.fallbacks.items():
+            obs.counter(
+                "repro_kernel_fallback_steps_by_reason_total", reason=reason,
+            ).inc(count)
+        for name, count in record.transitions.items():
+            if count:
+                obs.counter(
+                    "repro_kernel_inline_transitions_total", transition=name,
+                ).inc(count)
+        for name, count in record.fallback_transitions.items():
+            if count:
+                obs.counter(
+                    "repro_kernel_fallback_transitions_total",
+                    transition=name,
+                ).inc(count)
 
     def _run_reference(
         self,
@@ -361,6 +358,7 @@ class Simulator:
         t_stop: Optional[float],
         max_steps: Optional[int],
         steps_before: int,
+        record: ChunkStats,
     ) -> bool:
         dt = self.dt
         component = self._components[0] if len(self._components) == 1 else None
@@ -391,12 +389,14 @@ class Simulator:
         # refused attempt (no load profile, no source plan) backs off,
         # exponentially, so a regime that cannot chunk does not re-probe
         # the component every step.  Every per-step step is counted
-        # under its reason.
+        # under its reason, and each chunk attempt's bounds are part
+        # boundaries of the record: the time since the previous attempt
+        # was per-step execution, and the attempt ends with the probes'
+        # chunk sampling.
         skip = 0
         backoff = 0
         event = False
-        stats = self.chunk_stats
-        fallbacks = stats.fallbacks
+        fallbacks = record.fallbacks
         step_chunk = component.step_chunk if component is not None else None
         while True:
             if s_max is not None and self.steps > s_max:
@@ -418,24 +418,22 @@ class Simulator:
                 if not chunkable or n <= 1:
                     reason = "unchunkable"
                 else:
-                    if step_chunk is None:
-                        taken = n
-                    else:
-                        taken = step_chunk(self.t, dt, n)
-                        stop = component.stop_transition
-                        if stop is not None:
-                            stats.fallback_transitions[stop] += 1
+                    record.lap("step")
+                    taken = (
+                        n if step_chunk is None
+                        else step_chunk(self.t, dt, n, record)
+                    )
                     if taken:
                         reason = None
                         backoff = 0
                         event = taken < n
-                        stats.chunks += 1
-                        stats.chunked_steps += taken
+                        record.chunks += 1
+                        record.chunked_steps += taken
                         first = self.steps + 1
                         self.steps += taken
                         self.t = self.steps * dt
                         self._recorder.sample_chunk(first, taken, dt)
-                    elif component.at_event:
+                    elif record.at_event:
                         reason = "event"
                         backoff = 0
                     else:
@@ -444,9 +442,10 @@ class Simulator:
                             min(2 * backoff, _MAX_BACKOFF) if backoff else 1
                         )
                         skip = backoff
+                    record.lap("commit")
             if reason is not None:
                 fallbacks[reason] += 1
-                stats.fallback_steps += 1
+                record.fallback_steps += 1
                 self.step()
             if conditions and any(cond(self.t) for cond in conditions):
                 return True

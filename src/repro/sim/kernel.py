@@ -59,6 +59,7 @@ Every other descriptor field is a plain Python float.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -543,18 +544,21 @@ class SourcePlanMemo:
 
 #: Why a fast-kernel step ran per-step (see :class:`ChunkStats`).
 FALLBACK_REASONS = ("event", "refused", "backoff", "unchunkable")
+#: The parts a run's wall time splits into (see :class:`ChunkStats`).
+PARTS = ("prepare", "loop", "commit", "step")
 
 
 @dataclass
 class ChunkStats:
-    """Diagnostic counters a fast-kernel simulator accumulates.
+    """The kernel record of one :meth:`~repro.sim.engine.Simulator.run`,
+    or a simulator's running sum of them (:meth:`merge`).
 
     ``fallback_steps`` counts every step run per-step; ``fallbacks``
     splits it by reason and always sums to it:
 
     * ``event`` — the step a chunk stopped before, short of a declared
-      boundary or at its first step (``Component.at_event``): the event
-      step itself;
+      boundary or at its first step (``at_event``): the event step
+      itself;
     * ``refused`` — a chunk attempt returned 0 without ``at_event`` (no
       load profile or source plan for the present regime);
     * ``backoff`` — skipped without an attempt while backing off after a
@@ -566,7 +570,22 @@ class ChunkStats:
     ``transitions`` counts the platform transitions chunks followed
     inline (see :class:`TransitionTable`), and ``fallback_transitions``
     the chunks that returned to Python before one, both by
-    :data:`TRANSITIONS` name.
+    :data:`TRANSITIONS` name; the chunked component writes them, and
+    ``at_event`` (whether its last attempt's first step is a declared
+    boundary), into the record it is handed.
+
+    ``parts`` splits the run's wall time, in seconds, by :data:`PARTS`:
+
+    * ``prepare`` — a chunk attempt's storage physics, load profiles
+      and source plans (all of a refused attempt);
+    * ``loop`` — the compiled or Python chunk-loop call;
+    * ``commit`` — the loads' commits (the transient platform's
+      table-log replay among them) and the probes' chunk sampling;
+    * ``step`` — the rest: steps run one at a time between chunk
+      attempts, and the whole run on the reference kernel.
+
+    The clock is read at those boundaries only (:meth:`lap`), never per
+    step.
     """
 
     chunks: int = 0
@@ -581,6 +600,32 @@ class ChunkStats:
     fallback_transitions: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(TRANSITIONS, 0)
     )
+    parts: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PARTS, 0.0)
+    )
+    at_event: bool = field(default=False, repr=False, compare=False)
+    #: The clock reading that ended the last part.
+    mark: float = field(default=0.0, repr=False, compare=False)
+
+    def lap(self, part: str) -> None:
+        """Credit the wall time since the last boundary to ``part``."""
+        now = time.perf_counter()
+        self.parts[part] += now - self.mark
+        self.mark = now
+
+    def merge(self, other: "ChunkStats") -> None:
+        """Add ``other``'s counts and part times to this record's."""
+        self.chunks += other.chunks
+        self.chunked_steps += other.chunked_steps
+        self.fallback_steps += other.fallback_steps
+        for mine, theirs in (
+            (self.fallbacks, other.fallbacks),
+            (self.transitions, other.transitions),
+            (self.fallback_transitions, other.fallback_transitions),
+            (self.parts, other.parts),
+        ):
+            for key, value in theirs.items():
+                mine[key] += value
 
     def chunked_fraction(self) -> float:
         """Fraction of all steps executed through the chunk path."""

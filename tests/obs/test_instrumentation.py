@@ -8,6 +8,8 @@ counters merged back into the parent registry.
 
 import json
 
+import pytest
+
 from repro import obs
 from repro.results import ResultStore
 from repro.spec.presets import fig7_spec
@@ -171,7 +173,7 @@ def test_fast_run_counts_inline_and_python_transitions_once_per_run():
         strategy_params={"v_restore_initial": 3.0},
     ))
     system = spec.build()
-    system.run(spec.duration)
+    run = system.run(spec.duration)
     stats = system.simulator.chunk_stats
     inline = _by_transition("repro_kernel_inline_transitions_total")
     python = _by_transition("repro_kernel_fallback_transitions_total")
@@ -182,7 +184,7 @@ def test_fast_run_counts_inline_and_python_transitions_once_per_run():
     assert {"boot", "snapshot", "restore"} <= set(inline)
     assert {"snapshot-done", "restore-done", "brownout"} <= set(python)
     assert inline == {
-        k: v for k, v in system.rail.transitions.items() if v
+        k: v for k, v in run.chunk_stats.transitions.items() if v
     }
 
 
@@ -205,3 +207,181 @@ def test_interpreter_and_checkpoint_returns_are_labelled():
     spec.build().run(0.2)
     python = _by_transition("repro_kernel_fallback_transitions_total")
     assert python.get("checkpoint-site", 0) > 0
+
+
+def _kernel_counters():
+    """Every ``repro_kernel_*`` counter by (name, labels), plus the
+    run-seconds histogram's sum."""
+    snapshot = obs.registry.snapshot()
+    values = {
+        (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
+        for c in snapshot["counters"] if c["name"].startswith("repro_kernel_")
+    }
+    for h in snapshot["histograms"]:
+        if h["name"] == "repro_kernel_run_seconds":
+            values["run_seconds"] = h["sum"]
+    return values
+
+
+def _expected(record, kernel, steps):
+    """The counters one run of ``steps`` steps exports from its record,
+    zeros dropped."""
+    want = {
+        ("repro_kernel_runs_total", (("kernel", kernel),)): 1,
+        ("repro_kernel_steps_total", (("kernel", kernel),)): steps,
+    }
+    if kernel == "fast":
+        want["repro_kernel_chunks_total", ()] = record.chunks
+        want["repro_kernel_chunked_steps_total", ()] = record.chunked_steps
+        want["repro_kernel_fallback_steps_total", ()] = record.fallback_steps
+        for reason, count in record.fallbacks.items():
+            want["repro_kernel_fallback_steps_by_reason_total",
+                 (("reason", reason),)] = count
+        for name, count in record.transitions.items():
+            want["repro_kernel_inline_transitions_total",
+                 (("transition", name),)] = count
+        for name, count in record.fallback_transitions.items():
+            want["repro_kernel_fallback_transitions_total",
+                 (("transition", name),)] = count
+    for part, seconds in record.parts.items():
+        want["repro_kernel_part_seconds_total", (("part", part),)] = seconds
+    return {
+        key: pytest.approx(value, rel=1e-9, abs=1e-12)
+        if isinstance(value, float) else value
+        for key, value in want.items() if value
+    }
+
+
+def _run_delta(system, duration):
+    """One run's record, its steps and its counter deltas (zero deltas
+    dropped, run seconds apart)."""
+    before = _kernel_counters()
+    steps = system.simulator.steps
+    record = system.run(duration).chunk_stats
+    steps = system.simulator.steps - steps
+    after = _kernel_counters()
+    delta = {key: value - before.get(key, 0) for key, value in after.items()}
+    seconds = delta.pop("run_seconds")
+    return record, steps, {k: v for k, v in delta.items() if v}, seconds
+
+
+def _assert_parts_cover(record, seconds):
+    parts = record.parts
+    assert set(parts) == {"prepare", "loop", "commit", "step"}
+    assert all(value >= 0.0 for value in parts.values()), parts
+    assert sum(parts.values()) == pytest.approx(seconds, rel=0.05), (
+        parts, seconds)
+
+
+@pytest.fixture(params=["python", "c"])
+def rung(request, monkeypatch):
+    from repro import degrade
+    from repro.sim import _ckernel
+
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+    else:
+        monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+    _ckernel.reset_cache()
+    degrade.reset()
+    if request.param == "c" and _ckernel.load() is None:
+        pytest.skip("the compiled library does not load here")
+    obs.registry.reset()
+    yield request.param
+    monkeypatch.undo()
+    _ckernel.reset_cache()
+    degrade.reset()
+
+
+def _hibernus_pp_system():
+    import dataclasses
+
+    from repro.spec.presets import preset
+
+    spec = preset("crossover-hibernus", frequency=40.0).with_override(
+        "kernel", "fast"
+    )
+    spec = dataclasses.replace(spec, platform=dataclasses.replace(
+        spec.platform, strategy="hibernus++",
+        strategy_params={"v_restore_initial": 3.0},
+    ))
+    return spec.build()
+
+
+def test_each_run_exports_its_own_record(rung):
+    """Two runs of one system: each run's counter deltas are its own
+    record, the simulator's statistics are their sum, and the four
+    parts partition each run's wall time."""
+    system = _hibernus_pp_system()
+    records = []
+    for duration in (0.5, 0.5):
+        record, steps, delta, seconds = _run_delta(system, duration)
+        assert steps == record.chunked_steps + record.fallback_steps
+        assert delta == _expected(record, "fast", steps)
+        _assert_parts_cover(record, seconds)
+        assert all(record.parts.values()), record.parts
+        records.append(record)
+    first, second = records
+    assert first.chunks and second.chunks
+    assert sum(second.fallback_transitions.values()) > 0
+    assert sum(second.transitions.values()) > 0
+    stats = system.simulator.chunk_stats
+    for name in ("chunks", "chunked_steps", "fallback_steps"):
+        assert getattr(stats, name) == (
+            getattr(first, name) + getattr(second, name)), name
+    for name in ("fallbacks", "transitions", "fallback_transitions",
+                 "parts"):
+        assert getattr(stats, name) == {
+            key: getattr(first, name)[key] + getattr(second, name)[key]
+            for key in getattr(first, name)
+        }, name
+
+
+def test_a_reference_run_reports_only_its_step_part():
+    from repro.spec.presets import preset
+
+    spec = preset("crossover-hibernus")
+    system = spec.build()
+    record, steps, delta, seconds = _run_delta(system, 0.2)
+    assert delta == _expected(record, "reference", steps)
+    parts = {
+        dict(labels)["part"]: value for (name, labels), value in delta.items()
+        if name == "repro_kernel_part_seconds_total"
+    }
+    assert list(parts) == ["step"]
+    _assert_parts_cover(record, seconds)
+
+
+#: Hibernus++ on the 40 Hz Eq. (5) supply over its 30 s horizon: every
+#: ``repro_kernel_*`` count, as the engine counted them when it still
+#: diffed the rail's published attributes (identical on both rungs).
+HIBERNUS_PP_40HZ = {
+    ("repro_kernel_runs_total", (("kernel", "fast"),)): 1,
+    ("repro_kernel_steps_total", (("kernel", "fast"),)): 300_000,
+    ("repro_kernel_chunks_total", ()): 1204,
+    ("repro_kernel_chunked_steps_total", ()): 298_797,
+    ("repro_kernel_fallback_steps_total", ()): 1203,
+    ("repro_kernel_fallback_steps_by_reason_total",
+     (("reason", "event"),)): 1203,
+    ("repro_kernel_fallback_transitions_total",
+     (("transition", "brownout"),)): 1200,
+    ("repro_kernel_fallback_transitions_total",
+     (("transition", "restore-done"),)): 1,
+    ("repro_kernel_fallback_transitions_total",
+     (("transition", "snapshot-done"),)): 2,
+    ("repro_kernel_inline_transitions_total", (("transition", "boot"),)): 1201,
+    ("repro_kernel_inline_transitions_total",
+     (("transition", "cold-start"),)): 1,
+    ("repro_kernel_inline_transitions_total",
+     (("transition", "restore"),)): 1,
+    ("repro_kernel_inline_transitions_total",
+     (("transition", "snapshot"),)): 2,
+}
+
+
+def test_hibernus_pp_counts_are_pinned(rung):
+    system = _hibernus_pp_system()
+    _, _, delta, _ = _run_delta(system, 30.0)
+    counts = {key: value for key, value in delta.items()
+              if key[0] != "repro_kernel_part_seconds_total"}
+    assert counts == HIBERNUS_PP_40HZ

@@ -56,7 +56,7 @@ from repro.mcu.engine import SyntheticEngine
 from repro.mcu.machine import Machine, MachineConfig
 from repro.mcu.power_model import McuPowerModel, MemoryTechnology
 from repro.sim import _ckernel
-from repro.sim.kernel import LoadProfile
+from repro.sim.kernel import ChunkStats, LoadProfile
 from repro.storage.capacitor import Capacitor
 from repro.storage.supercap import Supercapacitor
 from repro.transient.base import (
@@ -521,7 +521,8 @@ def chunk(scn):
     """One ``step_chunk`` on a fresh rail; every observable result."""
     rail, loads, platform = build(scn)
     dt = scn["dt"]
-    taken = rail.step_chunk(scn["start"] * dt, dt, scn["n"])
+    record = ChunkStats()
+    taken = rail.step_chunk(scn["start"] * dt, dt, scn["n"], record)
     stats = rail.stats
     states = rail.last_chunk_states()
     return {
@@ -536,8 +537,9 @@ def chunk(scn):
         "ledger": platform_ledger(platform),
         "machines": machine_state(loads),
         "states": None if states is None else states.tolist(),
-        "transitions": {k: v for k, v in rail.transitions.items() if v},
-        "stop": rail.stop_transition,
+        "transitions": {k: v for k, v in record.transitions.items() if v},
+        "stop": next((k for k, v in record.fallback_transitions.items()
+                      if v), None),
     }
 
 
@@ -726,11 +728,9 @@ def test_compiled_waveforms_equal_numpy_and_the_scalar_method(
         restore_kernel):
     """Seeded supplies from the generated rails' draw, from a start step
     up to 3e5: the values the compiled loop evaluates inline equal
-    ``open_circuit_voltage_array`` bit for bit (``|.|`` of it behind a
-    bridge), and the scalar ``open_circuit_voltage`` value for value.
-    (The scalar's ``max(0.0, raw)`` keeps +0.0 where numpy's maximum
-    keeps -0.0, a zero-amplitude rectified sine, which no charging step
-    can tell apart; every other value is bit-identical.)"""
+    ``open_circuit_voltage_array`` and the scalar
+    ``open_circuit_voltage`` bit for bit, signed zeros included (``|.|``
+    of them behind a bridge)."""
     kernel = _ckernel.load()
     if kernel is None:
         pytest.skip("no C compiler available")
@@ -755,9 +755,7 @@ def test_compiled_waveforms_equal_numpy_and_the_scalar_method(
         assert inline.tobytes() == array.tobytes(), (seed, wave)
         assert inline.tobytes() == np.asarray(plan.values).tobytes(), seed
         assert inline.tolist() == scalar, (seed, wave)
-        nonzero = inline != 0.0
-        assert (inline[nonzero].tobytes()
-                == np.asarray(scalar)[nonzero].tobytes()), (seed, wave)
+        assert inline.tobytes() == np.asarray(scalar).tobytes(), (seed, wave)
         seen.update(wave_tags(wave))
     assert seen >= {"trapezoid", "signal-generator", "half-wave",
                     "full-wave", "dc", "rectified", "zero-amplitude",

@@ -18,7 +18,9 @@ import pytest
 from repro.mcu.engine import SyntheticEngine
 from repro.power.rail import SupplyRail
 from repro.sim import kernel
-from repro.sim.kernel import LoadProfile, SourcePlanMemo, operation_steps
+from repro.sim.kernel import (
+    ChunkStats, LoadProfile, SourcePlanMemo, operation_steps,
+)
 from repro.storage.capacitor import Capacitor
 from repro.transient.base import (
     NullStrategy,
@@ -372,8 +374,9 @@ def test_operation_table_follows_the_completing_step():
     assert tabled.load_profile(0.0, dt, 3.0).table.left == 1
     rail = SupplyRail(Capacitor(100e-6, v_max=5.0, v_initial=3.0))
     rail.attach_load(tabled)
-    assert rail.step_chunk(0.0, dt, 8) == 8
-    assert rail.transitions["snapshot-done"] == 1
+    record = ChunkStats()
+    assert rail.step_chunk(0.0, dt, 8, record) == 8
+    assert record.transitions["snapshot-done"] == 1
     for i in range(8):
         stepped.advance(i * dt, dt, 3.0)
     for platform in platforms:
@@ -452,7 +455,7 @@ def test_rail_chunk_respects_time_based_boundaries():
     rail = SupplyRail(Capacitor(100e-6, v_max=5.0, v_initial=3.0))
     load = _TimedLoad(power=1e-3, max_steps=7)
     rail.attach_load(load)
-    taken = rail.step_chunk(0.0, 1e-4, 4096)
+    taken = rail.step_chunk(0.0, 1e-4, 4096, ChunkStats())
     assert taken == 7  # the chunk may not cross the declared boundary
     steps, energy = load.committed[0]
     assert steps == 7
@@ -462,7 +465,9 @@ def test_rail_chunk_respects_time_based_boundaries():
 def test_rail_chunk_declines_when_boundary_is_immediate():
     rail = SupplyRail(Capacitor(100e-6, v_max=5.0, v_initial=3.0))
     rail.attach_load(_TimedLoad(power=1e-3, max_steps=0))
-    assert rail.step_chunk(0.0, 1e-4, 4096) == 0
+    record = ChunkStats()
+    assert rail.step_chunk(0.0, 1e-4, 4096, record) == 0
+    assert record.at_event  # the event step, not a refusal
 
 
 # -- engagement guard ------------------------------------------------------
@@ -654,9 +659,10 @@ def test_chunk_ends_when_its_transition_log_fills(monkeypatch):
             _ckernel.reset_cache()
             degrade.reset()
             system = spec.build()
-            taken = system.rail.step_chunk(0.0, spec.dt, 4096)
-            followed = sum(system.rail.transitions.values())
-            assert system.rail.stop_transition is None
+            record = ChunkStats()
+            taken = system.rail.step_chunk(0.0, spec.dt, 4096, record)
+            followed = sum(record.transitions.values())
+            assert not any(record.fallback_transitions.values())
             assert LOG_CAPACITY - 3 < followed <= LOG_CAPACITY
             assert 0 < taken < 4096
             metrics = system.platform.metrics

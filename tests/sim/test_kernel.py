@@ -410,13 +410,13 @@ class _ShortChunks(Component):
     def step(self, t, dt):
         self.calls.append("step")
 
-    def step_chunk(self, t0, dt, n):
+    def step_chunk(self, t0, dt, n, record):
         self.calls.append("chunk")
         return min(n, 10)
 
 
 class _Refuses(_ShortChunks):
-    def step_chunk(self, t0, dt, n):
+    def step_chunk(self, t0, dt, n, record):
         self.calls.append("chunk")
         return 0
 

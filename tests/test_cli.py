@@ -89,19 +89,64 @@ def test_spec_dump_then_run_round_trip(tmp_path, capsys):
     assert "V_cc" in out
 
 
-def test_run_profile_prints_component_breakdown(tmp_path, capsys):
+def _crossover_spec_file(tmp_path, duration):
     from repro.spec.presets import preset
 
     path = tmp_path / "spec.json"
     path.write_text(
-        preset("crossover-hibernus").with_override("duration", 0.3).to_json()
+        preset("crossover-hibernus").with_override("duration", duration)
+        .to_json()
     )
-    assert main(["run", str(path), "--profile"]) in (0, 1)
+    return path
+
+
+def test_obs_shows_where_a_traced_run_spent_its_time(tmp_path, capsys):
+    import re
+
+    path = _crossover_spec_file(tmp_path, 0.3)
+    trace = tmp_path / "trace.json"
+    assert main(["run", str(path), "--kernel", "fast",
+                 "--trace-out", str(trace)]) in (0, 1)
+    capsys.readouterr()
+    assert main(["obs", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "cumulative time by component" in out
-    # The breakdown names framework layers, not raw file paths.
-    assert "repro.power" in out and "repro.sim" in out
-    assert "functions by cumulative time" in out
+    for part in ("prepare", "loop", "commit", "step"):
+        match = re.search(
+            r"repro_kernel_part_seconds_total\{part=%s\} +(\S+)" % part, out
+        )
+        assert match is not None, (part, out)
+        assert float(match.group(1)) > 0.0, (part, out)
+
+
+def test_run_profile_is_gone(tmp_path):
+    path = _crossover_spec_file(tmp_path, 0.3)
+    with pytest.raises(SystemExit) as exited:
+        main(["run", str(path), "--profile"])
+    assert exited.value.code == 2
+
+
+def test_traced_runs_add_one_kernel_event_each(tmp_path, capsys):
+    """N runs record N ``kernel.run`` spans and no other kernel event
+    but the compiled library's one ``ckernel.load``."""
+    import json
+
+    from repro.sim import _ckernel
+
+    _ckernel.reset_cache()
+    trace = tmp_path / "trace.json"
+    assert main([
+        "sweep", "--preset", "crossover-hibernus", "--serial",
+        "--kernel", "fast", "--duration", "0.3",
+        "--set", "frequency=10,20,40", "--trace-out", str(trace),
+    ]) == 0
+    capsys.readouterr()
+    names = [event["name"] for event in
+             json.loads(trace.read_text())["traceEvents"]]
+    kernel = [name for name in names
+              if name.split(".", 1)[0] in ("kernel", "ckernel")]
+    assert kernel.count("kernel.run") == 3, names
+    assert kernel.count("ckernel.load") == 1, names
+    assert len(kernel) == 4, names
 
 
 def test_sweep_command_grid_rows(capsys):
