@@ -10,7 +10,10 @@ a shared x column and interpolates the crossing, which is how the CLI's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+import math
+from bisect import bisect_right
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -61,19 +64,64 @@ def series_from_store(
     Rows are selected by column-equality ``filters`` (e.g.
     ``name="crossover-hibernus"``); rows missing either column — failed
     points — are dropped, so an infeasible corner shortens the series
-    instead of poisoning the interpolation.
+    instead of poisoning the interpolation.  Rows of equal x keep their
+    insertion order (a stable sort).
     """
-    rows = [
-        result
-        for result in store.select(**filters)
-        if result.get(x) is not None and result.get(y) is not None
-    ]
-    rows.sort(key=lambda result: float(result[x]))
-    return (
-        [float(result[x]) for result in rows],
-        [float(result[y]) for result in rows],
-        rows,
+    return store.view(
+        ("series", x, y, tuple(sorted(filters.items()))),
+        lambda: _Series(x, y, filters),
     )
+
+
+class _Series:
+    """The :func:`series_from_store` view: matching rows kept x-sorted.
+
+    A few new rows are inserted after their equal-x peers, which is
+    where a stable sort puts them.  A large batch (more than a quarter
+    of the view), or any NaN x, which has no place in a sorted order,
+    re-sorts every matching row in insertion order instead.
+    """
+
+    def __init__(self, x: str, y: str, filters: Dict[str, Any]):
+        self.x, self.y, self.filters = x, y, filters
+        self.arrivals: List[Tuple[float, float, "RunResult"]] = []
+        self.xs: List[float] = []
+        self.ys: List[float] = []
+        self.rows: List["RunResult"] = []
+        self.nan = False
+
+    def extend(self, rows: Sequence["RunResult"]) -> None:
+        from repro.results.store import matches
+
+        x, y = self.x, self.y
+        picked = [
+            result for result in rows
+            if matches(result, self.filters)
+            and result.get(x) is not None and result.get(y) is not None
+        ]
+        if not picked:
+            return
+        fresh = list(zip(
+            [float(result[x]) for result in picked],
+            [float(result[y]) for result in picked],
+            picked,
+        ))
+        self.arrivals.extend(fresh)
+        self.nan = self.nan or any(math.isnan(fx) for fx, _, _ in fresh)
+        if self.nan or 4 * len(fresh) > len(self.rows):
+            ordered = sorted(self.arrivals, key=itemgetter(0))
+            self.xs = [fx for fx, _, _ in ordered]
+            self.ys = [fy for _, fy, _ in ordered]
+            self.rows = [result for _, _, result in ordered]
+            return
+        for fx, fy, result in fresh:
+            at = bisect_right(self.xs, fx)
+            self.xs.insert(at, fx)
+            self.ys.insert(at, fy)
+            self.rows.insert(at, result)
+
+    def answer(self) -> Tuple[List[float], List[float], List["RunResult"]]:
+        return list(self.xs), list(self.ys), list(self.rows)
 
 
 def crossover_from_store(

@@ -13,6 +13,7 @@ keep the full metric row (and spec hash) of every frontier design.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -103,25 +104,62 @@ def pareto_from_store(
     benefit axis (minimise both), e.g. energy vs completion time.
     Dominance matches :func:`pareto_points` exactly.
     """
-    from repro.results.store import rankable_results
+    from repro.results.store import warn_skipped
 
-    candidates = rankable_results(
-        store, (cost, benefit),
-        describe=f"pareto_from_store({cost!r}, {benefit!r})",
+    frontier, skipped = store.view(
+        ("pareto", cost, benefit, maximize_benefit),
+        lambda: _Frontier(cost, benefit, maximize_benefit),
     )
-    if not candidates:
+    warn_skipped(
+        skipped, f"pareto_from_store({cost!r}, {benefit!r})", stacklevel=2
+    )
+    if not frontier:
         raise ConfigurationError(
             f"no stored result records both {cost!r} and {benefit!r}"
         )
-    sign = 1.0 if maximize_benefit else -1.0
-    ordered = sorted(
-        candidates, key=lambda r: (float(r[cost]), -sign * float(r[benefit]))
-    )
-    frontier: List["RunResult"] = []
-    best = float("-inf")
-    for result in ordered:
-        value = sign * float(result[benefit])
-        if value > best:
-            frontier.append(result)
-            best = value
     return frontier
+
+
+class _Frontier:
+    """The :func:`pareto_from_store` view: the frontier kept as rows land.
+
+    Equal to sorting the rankable rows stably by ``(cost, -benefit)``
+    and keeping each that beats the best benefit so far: a new row
+    sorts after every frontier row with a key up to its own (it came
+    later), joins the frontier when its benefit beats the one before
+    that position, and then evicts the following rows it now beats.
+    """
+
+    def __init__(self, cost: str, benefit: str, maximize_benefit: bool):
+        self.columns = (cost, benefit)
+        self.sign = 1.0 if maximize_benefit else -1.0
+        #: Sort keys of the frontier rows; ``key[1]`` is minus the
+        #: (oriented) benefit, so it falls along the frontier.
+        self.keys: List[Tuple[float, float]] = []
+        self.rows: List["RunResult"] = []
+        self.skipped = 0
+
+    def extend(self, rows: Sequence["RunResult"]) -> None:
+        from repro.results.store import rank_status
+
+        cost, benefit = self.columns
+        keys = self.keys
+        for result in rows:
+            status = rank_status(result, self.columns)
+            if status is None:
+                continue
+            if not status:
+                self.skipped += 1
+                continue
+            key = (float(result[cost]), -self.sign * float(result[benefit]))
+            at = bisect_right(keys, key)
+            if at and keys[at - 1][1] <= key[1]:
+                continue
+            end = at
+            while end < len(keys) and keys[end][1] >= key[1]:
+                end += 1
+            keys[at:end] = [key]
+            self.rows[at:end] = [result]
+
+    def answer(self) -> "Tuple[List[RunResult], int]":
+        return list(self.rows), self.skipped

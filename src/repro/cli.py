@@ -543,9 +543,9 @@ def cmd_results(args: argparse.Namespace) -> int:
     if len(store) == 0:
         print("store is empty")
         return 0
-    failed = [r for r in store if not r.ok]
     print_section(
-        f"results: {args.store} ({len(store)} rows, {len(failed)} failed)",
+        f"results: {args.store} ({len(store)} rows, "
+        f"{store.count_failed()} failed)",
         store.table(),
     )
     if args.best is not None:

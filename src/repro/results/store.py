@@ -18,16 +18,32 @@ misreport a sweep as complete.  Every load, append and rewrite holds an
 advisory file lock, and compaction re-reads the file under that lock,
 so concurrent writers (a live ``repro serve`` plus a CLI merge) never
 lose durable rows.
+
+Query index: ``best``, ``columns`` and the analysis queries built on
+:meth:`ResultStore.view` (``pareto_from_store``, ``series_from_store``)
+read per-query views that each fold in only the rows appended since
+they were last read.  Any change other than an append (an overwrite, a
+compaction that folds in another writer's rows, a bulk shard merge)
+drops every view, and the next read of each rebuilds it from scratch
+(counted in ``repro_store_query_view_rebuilds_total{reason}``).  One
+re-entrant lock, :attr:`ResultStore.lock`, guards the rows and the
+views, so a store shared by a writer thread and query threads (``repro
+serve``) answers every query from one consistent prefix of its rows.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 import warnings
+from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
+    Sequence, Union,
+)
 
 from repro import obs
 from repro.errors import ResultStoreError
@@ -38,6 +54,11 @@ from repro.results.run_result import RunResult, is_worker_crash_error
 __all__ = ["ResultStore", "rankable_results"]
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+#: Most query views one store keeps; reading one more evicts the least
+#: recently read.  HTTP clients choose the column names views are keyed
+#: on, so the index must not grow with the queries it is asked.
+MAX_QUERY_VIEWS = 64
 
 
 class ResultStore:
@@ -57,10 +78,20 @@ class ResultStore:
     def __init__(self, path: Optional[PathLike] = None):
         self._backend: StoreBackend = make_backend(path)
         self.path = self._backend.path
+        #: Guards the rows, the batch buffer and the query views: hold
+        #: it to read several answers from one state while another
+        #: thread adds rows.
+        self.lock = threading.RLock()
         #: Lazily-loaded row index (hash -> RunResult); None until the
         #: first access so pure block-move operations (columnar shard
         #: merges) never materialize a million Python objects.
         self._rows: Optional[Dict[str, RunResult]] = None
+        #: The same rows in insertion order; query views remember how
+        #: far into it they have read.
+        self._order: List[RunResult] = []
+        #: Query key -> ``[view, rows read]``, least recently read
+        #: first; a dropped view leaves the reason it was dropped.
+        self._views: "OrderedDict[Hashable, Any]" = OrderedDict()
         #: Buffered rows while a :meth:`batch` is open, else None.
         self._pending: Optional[List[RunResult]] = None
         #: True when an overwrite happened mid-batch: compaction is
@@ -78,35 +109,51 @@ class ResultStore:
     def _results(self) -> Dict[str, RunResult]:
         """The row index, loading from the backend on first access."""
         if self._rows is None:
-            t0 = time.monotonic()
-            stale_crashes = 0
-            with obs.span("store.load", backend=self.backend) as lspan:
-                rows: Dict[str, RunResult] = {}
-                for result in self._backend.load():
-                    if is_worker_crash_error(result.error):
-                        # Transient worker-crash rows (left behind by
-                        # older stores; the runner no longer persists
-                        # them) would be skipped on every resume but
-                        # grow the file forever — drop them here and
-                        # compact below.
-                        stale_crashes += 1
-                        continue
-                    rows.setdefault(result.spec_hash, result)
-                self._rows = rows
-                lspan.annotate(rows=len(rows))
-            obs.histogram(
-                "repro_store_load_seconds", backend=self.backend
-            ).observe(time.monotonic() - t0)
-            obs.counter(
-                "repro_store_rows_loaded_total", backend=self.backend
-            ).inc(len(rows))
-            if stale_crashes:
-                obs.counter(
-                    "repro_store_crash_rows_dropped_total",
-                    backend=self.backend,
-                ).inc(stale_crashes)
-                self._rewrite()
+            with self.lock:
+                if self._rows is None:
+                    self._load()
         return self._rows
+
+    @property
+    def _ordered(self) -> List[RunResult]:
+        """The rows in insertion order (loading like :attr:`_results`)."""
+        self._results
+        return self._order
+
+    def _load(self) -> None:
+        t0 = time.monotonic()
+        stale_crashes = 0
+        with obs.span("store.load", backend=self.backend) as lspan:
+            rows: Dict[str, RunResult] = {}
+            for result in self._backend.load():
+                if is_worker_crash_error(result.error):
+                    # Transient worker-crash rows (left behind by
+                    # older stores; the runner no longer persists
+                    # them) would be skipped on every resume but
+                    # grow the file forever — drop them here and
+                    # compact below.
+                    stale_crashes += 1
+                    continue
+                rows.setdefault(result.spec_hash, result)
+            self._rows = rows
+            self._order = list(rows.values())
+            lspan.annotate(rows=len(rows))
+        obs.histogram(
+            "repro_store_load_seconds", backend=self.backend
+        ).observe(time.monotonic() - t0)
+        obs.counter(
+            "repro_store_rows_loaded_total", backend=self.backend
+        ).inc(len(rows))
+        if stale_crashes:
+            obs.counter(
+                "repro_store_crash_rows_dropped_total",
+                backend=self.backend,
+            ).inc(stale_crashes)
+            self._rewrite()
+
+    def _drop_views(self, reason: str) -> None:
+        """Forget every view after a change that is not an append."""
+        self._views = OrderedDict.fromkeys(self._views, reason)
 
     # -- persistence -----------------------------------------------------
 
@@ -118,16 +165,21 @@ class ResultStore:
         strangers fold back into the in-memory index so they are not
         recomputed later.  Stranger worker-crash rows are not folded
         back (they are transient; the next load of this store drops
-        and compacts them).
+        and compacts them).  Callers hold :attr:`lock`.
         """
         t0 = time.monotonic()
-        with obs.span(
-            "store.compact", backend=self.backend, rows=len(self._results)
-        ):
-            for result in self._backend.rewrite(list(self._results.values())):
-                if is_worker_crash_error(result.error):
+        rows = self._results
+        folded = False
+        with obs.span("store.compact", backend=self.backend, rows=len(rows)):
+            for result in self._backend.rewrite(list(self._order)):
+                if is_worker_crash_error(result.error) \
+                        or result.spec_hash in rows:
                     continue
-                self._results.setdefault(result.spec_hash, result)
+                rows[result.spec_hash] = result
+                self._order.append(result)
+                folded = True
+        if folded:
+            self._drop_views("compaction")
         obs.counter(
             "repro_store_compactions_total", backend=self.backend
         ).inc()
@@ -159,32 +211,39 @@ class ResultStore:
         sweep/exploration workers, whose per-point fsync used to
         dominate small-grid throughput.
         """
-        if self._backend.ephemeral or self._pending is not None:
+        with self.lock:
+            joined = self._backend.ephemeral or self._pending is not None
+            if not joined:
+                self._pending = []
+                self._dirty = False
+        if joined:
             yield self
             return
-        self._pending = []
-        self._dirty = False
         try:
             yield self
         finally:
-            pending, self._pending = self._pending, None
-            dirty, self._dirty = self._dirty, False
-            if dirty:
-                self._rewrite()
-            elif pending:
-                # The append (and its fsync) is the batch's one durable
-                # write; the histogram therefore measures flush+fsync.
-                t0 = time.monotonic()
-                with obs.span(
-                    "store.append", backend=self.backend, rows=len(pending)
-                ):
-                    self._backend.append_many(pending)
-                obs.histogram(
-                    "repro_store_append_seconds", backend=self.backend
-                ).observe(time.monotonic() - t0)
-                obs.counter(
-                    "repro_store_rows_appended_total", backend=self.backend
-                ).inc(len(pending))
+            with self.lock:
+                self._flush_batch()
+
+    def _flush_batch(self) -> None:
+        pending, self._pending = self._pending, None
+        dirty, self._dirty = self._dirty, False
+        if dirty:
+            self._rewrite()
+        elif pending:
+            # The append (and its fsync) is the batch's one durable
+            # write; the histogram therefore measures flush+fsync.
+            t0 = time.monotonic()
+            with obs.span(
+                "store.append", backend=self.backend, rows=len(pending)
+            ):
+                self._backend.append_many(pending)
+            obs.histogram(
+                "repro_store_append_seconds", backend=self.backend
+            ).observe(time.monotonic() - t0)
+            obs.counter(
+                "repro_store_rows_appended_total", backend=self.backend
+            ).inc(len(pending))
 
     # -- mutation --------------------------------------------------------
 
@@ -197,30 +256,36 @@ class ResultStore:
         Re-adding a record identical to the stored one is a no-op —
         deterministic re-runs over a populated store cost no I/O.
         """
-        known = self._results.get(result.spec_hash)
-        if known is not None:
-            if not overwrite or known.to_record() == result.to_record():
-                obs.counter(
-                    "repro_store_dedupe_hits_total", backend=self.backend
-                ).inc()
-                return False
-            self._results[result.spec_hash] = result
-            if self._backend.ephemeral:
-                return True
-            if self._pending is not None:
-                self._dirty = True
+        with self.lock:
+            rows = self._results
+            known = rows.get(result.spec_hash)
+            if known is not None:
+                if not overwrite or known.to_record() == result.to_record():
+                    obs.counter(
+                        "repro_store_dedupe_hits_total", backend=self.backend
+                    ).inc()
+                    return False
+                rows[result.spec_hash] = result
+                self._order = list(rows.values())
+                self._drop_views("overwrite")
+                if self._backend.ephemeral:
+                    return True
+                if self._pending is not None:
+                    self._dirty = True
+                else:
+                    self._rewrite()
             else:
-                self._rewrite()
-        else:
-            self._results[result.spec_hash] = result
-            if self._pending is not None:
-                self._pending.append(result)
-            else:
-                self._backend.append(result)
-                obs.counter(
-                    "repro_store_rows_appended_total", backend=self.backend
-                ).inc()
-        return True
+                rows[result.spec_hash] = result
+                self._order.append(result)
+                if self._pending is not None:
+                    self._pending.append(result)
+                else:
+                    self._backend.append(result)
+                    obs.counter(
+                        "repro_store_rows_appended_total",
+                        backend=self.backend,
+                    ).inc()
+            return True
 
     def merge(self, other: Union["ResultStore", PathLike]) -> int:
         """Fold another store (or shard path) in; returns rows absorbed.
@@ -280,7 +345,9 @@ class ResultStore:
                 store._backend.bulk_merge(shard_paths)
             # The blocks moved without materializing; drop any loaded
             # index so the next query reads the merged state.
-            store._rows = None
+            with store.lock:
+                store._rows = None
+                store._drop_views("merge")
         else:
             for shard in shard_paths:
                 store.merge(shard)
@@ -292,7 +359,7 @@ class ResultStore:
         return len(self._results)
 
     def __iter__(self) -> Iterator[RunResult]:
-        return iter(self._results.values())
+        return iter(self.results())
 
     def __contains__(self, spec_hash: str) -> bool:
         return spec_hash in self._results
@@ -303,9 +370,46 @@ class ResultStore:
 
     def results(self) -> List[RunResult]:
         """Every stored result, in insertion order."""
-        return list(self._results.values())
+        with self.lock:
+            return list(self._ordered)
 
     # -- queries ---------------------------------------------------------
+
+    def view(self, key: Hashable, make: Callable[[], Any]) -> Any:
+        """The answer of the query view ``key``, brought up to date.
+
+        ``make()`` builds an empty view: an object with ``extend(rows)``,
+        which folds rows in (in insertion order), and ``answer()``,
+        which returns a snapshot the caller may keep.  The store keeps
+        up to :data:`MAX_QUERY_VIEWS` views and extends each only over
+        the rows appended since it was last read; an unhashable key
+        gets a view built for this one answer.  A view whose
+        ``extend`` raises is discarded, so the next read rebuilds it
+        and raises again, as a full scan would.
+        """
+        with self.lock:
+            rows = self._ordered
+            try:
+                entry = self._views.pop(key, None)
+            except TypeError:
+                view = make()
+                view.extend(rows)
+                return view.answer()
+            if not isinstance(entry, list):
+                obs.counter(
+                    "repro_store_query_view_rebuilds_total",
+                    reason=entry or "new",
+                ).inc()
+                entry = [make(), 0]
+            view, seen = entry
+            if seen < len(rows):
+                # Popped above: a view whose extend raises is not kept.
+                view.extend(rows[seen:])
+                entry[1] = len(rows)
+            self._views[key] = entry
+            if len(self._views) > MAX_QUERY_VIEWS:
+                self._views.popitem(last=False)
+            return view.answer()
 
     def select(
         self,
@@ -317,14 +421,10 @@ class ResultStore:
         ``store.select(name="crossover-hibernus")`` or
         ``store.select(lambda r: r.ok and r["completed"])``.
         """
-        selected = []
-        for result in self:
-            if where is not None and not where(result):
-                continue
-            if any(result.get(k, _MISSING) != v for k, v in equals.items()):
-                continue
-            selected.append(result)
-        return selected
+        return [
+            result for result in self
+            if (where is None or where(result)) and matches(result, equals)
+        ]
 
     def ok(self) -> List[RunResult]:
         """Rows that ran without a pipeline error."""
@@ -347,21 +447,24 @@ class ResultStore:
         of everything (see :func:`rankable_results`).  Filter with
         :meth:`select` to rank such rows deliberately.
         """
-        candidates = rankable_results(self, (metric,), describe=f"best({metric!r})")
-        if not candidates:
+        lowest, highest, skipped = self.view(
+            ("best", metric), lambda: _Extremes(metric)
+        )
+        warn_skipped(skipped, f"best({metric!r})", "row", stacklevel=2)
+        best = lowest if minimize else highest
+        if best is None:
             raise ResultStoreError(f"no stored result recorded {metric!r}")
-        return (min if minimize else max)(candidates, key=lambda r: r[metric])
+        return best
+
+    def count_failed(self) -> int:
+        """How many rows recorded a pipeline error."""
+        return self.view(("summary",), _Summary)[1]
 
     # -- tabular views ---------------------------------------------------
 
     def override_keys(self) -> List[str]:
         """Override columns in first-seen order across the store."""
-        keys: List[str] = []
-        for result in self:
-            for key in result.overrides:
-                if key not in keys:
-                    keys.append(key)
-        return keys
+        return self.view(("summary",), _Summary)[0]
 
     def columns(self) -> List[str]:
         """Table layout: override columns then the registry columns."""
@@ -369,8 +472,10 @@ class ResultStore:
 
     def rows(self) -> List[List[Any]]:
         """One row per result, matching :meth:`columns`."""
-        columns = self.columns()
-        return [[result.get(column) for column in columns] for result in self]
+        with self.lock:
+            columns, results = self.columns(), self.results()
+        return [[result.get(column) for column in columns]
+                for result in results]
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         """Each result as one flat record (overrides merged with metrics)."""
@@ -380,10 +485,68 @@ class ResultStore:
         """The store as an aligned text table (see ``repro results``)."""
         from repro.analysis.report import format_cell, format_table
 
+        with self.lock:
+            columns, rows = self.columns(), self.rows()
         return format_table(
-            self.columns(),
-            [[format_cell(cell) for cell in row] for row in self.rows()],
+            columns, [[format_cell(cell) for cell in row] for row in rows]
         )
+
+
+class _Extremes:
+    """The ``best(metric)`` view: the first row with the lowest and the
+    first with the highest value (as ``min``/``max`` over the rankable
+    rows pick them), plus how many rows were skipped."""
+
+    def __init__(self, metric: str):
+        self.columns = (metric,)
+        self.lowest: Optional[RunResult] = None
+        self.highest: Optional[RunResult] = None
+        self.low = self.high = 0.0
+        self.skipped = 0
+
+    def extend(self, rows: Sequence[RunResult]) -> None:
+        metric = self.columns[0]
+        for result in rows:
+            status = rank_status(result, self.columns)
+            if status is None:
+                continue
+            if not status:
+                self.skipped += 1
+                continue
+            value = result[metric]
+            if self.lowest is None:
+                self.lowest = self.highest = result
+                self.low = self.high = value
+            elif value < self.low:
+                self.lowest, self.low = result, value
+            elif value > self.high:
+                self.highest, self.high = result, value
+
+    def answer(self) -> "tuple[Optional[RunResult], Optional[RunResult], int]":
+        return self.lowest, self.highest, self.skipped
+
+
+class _Summary:
+    """The override columns in first-seen order, and the failed count."""
+
+    def __init__(self) -> None:
+        self.keys: Dict[str, None] = {}
+        self.failed = 0
+
+    def extend(self, rows: Sequence[RunResult]) -> None:
+        for result in rows:
+            self.failed += not result.ok
+            for key in result.overrides:
+                self.keys.setdefault(key)
+
+    def answer(self) -> "tuple[List[str], int]":
+        return list(self.keys), self.failed
+
+
+def matches(result: RunResult, equals: Dict[str, Any]) -> bool:
+    """True when every ``column=value`` filter of :meth:`ResultStore.select`
+    holds for ``result`` (a row lacking a column never matches)."""
+    return not any(result.get(k, _MISSING) != v for k, v in equals.items())
 
 
 def _is_screening_row(result: RunResult) -> bool:
@@ -423,31 +586,48 @@ def rankable_results(
     unrelated failures.  ``describe`` labels the warning with the
     originating query.
     """
-    def rankable(value: Any) -> bool:
-        return isinstance(value, (int, float)) and math.isfinite(float(value))
-
     candidates: List[RunResult] = []
     skipped = 0
     for result in results:
-        values = [result.get(column) for column in columns]
-        if not result.ok:
-            if any(value is not None for value in values):
-                skipped += 1
-        elif any(value is None for value in values):
-            continue
-        elif _is_screening_row(result):
-            skipped += 1
-        elif all(rankable(value) for value in values):
+        status = rank_status(result, columns)
+        if status:
             candidates.append(result)
-        else:
+        elif status is not None:
             skipped += 1
+    warn_skipped(skipped, describe, noun, stacklevel=3)
+    return candidates
+
+
+def rank_status(
+    result: RunResult, columns: "tuple[str, ...]"
+) -> Optional[bool]:
+    """The per-row rule of :func:`rankable_results` and the ranking
+    views: True when ``result`` ranks on ``columns``, False when it is
+    skipped with a warning, None when it silently lacks a column."""
+    values = [result.get(column) for column in columns]
+    if not result.ok:
+        return False if any(value is not None for value in values) else None
+    if any(value is None for value in values):
+        return None
+    if _is_screening_row(result):
+        return False
+    return all(
+        isinstance(value, (int, float)) and math.isfinite(float(value))
+        for value in values
+    )
+
+
+def warn_skipped(
+    skipped: int, describe: str, noun: str = "row", stacklevel: int = 2
+) -> None:
+    """The ranking queries' warning about ``skipped`` unusable rows
+    (none when zero); ``stacklevel`` counts from the caller."""
     if skipped:
         warnings.warn(
             f"{describe}: skipped {skipped} {noun}(s) with errors, "
             "sub-full fidelity, or non-finite values",
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
-    return candidates
 
 
 class _Missing:

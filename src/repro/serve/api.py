@@ -97,6 +97,10 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in separate sends; with Nagle on, a client
+    # holding its connection open waits out a delayed ACK (~40 ms) on
+    # every request.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
 
@@ -110,7 +114,11 @@ class ServeHandler(BaseHTTPRequestHandler):
         pass
 
     def _send_json(self, status: int, body: Dict[str, Any]) -> None:
-        payload = (json.dumps(body, indent=2) + "\n").encode("utf-8")
+        # Without indent, json encodes on its C encoder; the compact
+        # separators also shrink the body.
+        payload = (
+            json.dumps(body, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))

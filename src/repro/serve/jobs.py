@@ -139,7 +139,10 @@ class JobStore:
     """Append-only JSONL persistence for job snapshots, last-wins.
 
     Thread-safe (submissions land from HTTP handler threads while the
-    executor thread updates progress).  Follows the result store's
+    executor thread updates progress).  ``_lock`` guards only the
+    in-memory map, so lookups never wait on the disk; ``_write_lock``
+    orders file writes, so snapshots land (each fsynced) in the order
+    their saves updated the map.  Follows the result store's
     recovery contract: a torn final line is dropped and the file
     compacted; corruption anywhere earlier raises, because silently
     skipping snapshots would misreport job history.
@@ -148,6 +151,7 @@ class JobStore:
     def __init__(self, path: Optional[str] = None):
         self.path = os.fspath(path) if path is not None else None
         self._lock = threading.Lock()
+        self._write_lock = threading.Lock()
         self._records: Dict[str, JobRecord] = {}
         if self.path is not None and os.path.exists(self.path):
             self._load()
@@ -175,16 +179,19 @@ class JobStore:
             self._rewrite_locked()
 
     def _rewrite_locked(self) -> None:
+        """Replace the file with the map's snapshots (callers hold
+        ``_write_lock``)."""
+        lines = [json.dumps(r.to_record()) + "\n" for r in self.records()]
         tmp_path = f"{self.path}.tmp"
         with open(tmp_path, "w", encoding="utf-8") as stream:
-            for record in self._records.values():
-                stream.write(json.dumps(record.to_record()) + "\n")
+            stream.writelines(lines)
         os.replace(tmp_path, self.path)
 
     def save(self, record: JobRecord) -> None:
         """Persist one snapshot (and update the in-memory last-wins map)."""
-        with self._lock:
-            self._records[record.job_id] = record
+        with self._write_lock:
+            with self._lock:
+                self._records[record.job_id] = record
             if self.path is None:
                 return
             with open(self.path, "a", encoding="utf-8") as stream:
@@ -194,7 +201,7 @@ class JobStore:
 
     def compact(self) -> None:
         """Rewrite the file to one (latest) snapshot per job."""
-        with self._lock:
+        with self._write_lock:
             if self.path is not None:
                 self._rewrite_locked()
 

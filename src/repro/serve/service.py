@@ -482,49 +482,53 @@ class SimulationService:
 
     # -- queries (served on HTTP handler threads) ------------------------
 
-    def _store_view(self) -> ResultStore:
-        """A consistent point-in-time snapshot of the shared store.
-
-        ``ResultStore.results()`` materialises the row list atomically
-        (single C-level dict-view copy under the GIL), so reads never
-        race the executor thread's inserts; queries then run against a
-        detached in-memory view.
-        """
-        view = ResultStore()
-        for result in self.store.results():
-            view._results[result.spec_hash] = result
-        return view
-
     def results_query(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """The ``GET /v1/results`` body for one query-parameter set.
 
         Supported parameters: ``best=<metric>`` (+``maximize``),
         ``pareto=<cost>,<benefit>``, ``series=<x>,<y>`` (+``name``
         filter), ``limit=<n>`` raw rows.  Defaults to a store summary.
+        Every answer reads the live store's query index under its lock,
+        so one body describes one prefix of the rows even while the
+        executor thread adds more.
         """
-        view = self._store_view()
-        body: Dict[str, Any] = {
-            "rows": len(view),
-            "failed": sum(1 for r in view if not r.ok),
-            "columns": view.columns(),
-        }
         name = params.get("name")
-        if params.get("best"):
-            metric = params["best"]
-            best = view.best(
-                metric, minimize=not _truthy(params.get("maximize"))
-            )
+        maximize = _truthy(params.get("maximize"))
+        metric = params.get("best")
+        best = frontier = series = rows = limit = None
+        store = self.store
+        with store.lock:
+            body: Dict[str, Any] = {
+                "rows": len(store),
+                "failed": store.count_failed(),
+                "columns": store.columns(),
+            }
+            if metric:
+                best = store.best(metric, minimize=not maximize)
+            if params.get("pareto"):
+                pareto = _pair(params["pareto"], "pareto")
+                frontier = pareto_from_store(store, *pareto)
+            if params.get("series"):
+                series = _pair(params["series"], "series")
+                filters = {"name": name} if name else {}
+                xs, ys, _rows = series_from_store(store, *series, **filters)
+            if params.get("limit"):
+                try:
+                    limit = int(params["limit"])
+                except (TypeError, ValueError):
+                    raise SpecError("'limit' must be an integer")
+                rows = store.results()
+        if best is not None:
             body["best"] = {
                 "metric": metric,
-                "maximize": _truthy(params.get("maximize")),
+                "maximize": maximize,
                 "name": best.name,
                 "overrides": dict(best.overrides),
                 "value": best[metric],
                 "spec_hash": best.spec_hash,
             }
-        if params.get("pareto"):
-            cost, benefit = _pair(params["pareto"], "pareto")
-            frontier = pareto_from_store(view, cost, benefit)
+        if frontier is not None:
+            cost, benefit = pareto
             body["pareto"] = [
                 {
                     "name": r.name,
@@ -534,17 +538,10 @@ class SimulationService:
                 }
                 for r in frontier
             ]
-        if params.get("series"):
-            x, y = _pair(params["series"], "series")
-            filters = {"name": name} if name else {}
-            xs, ys, _rows = series_from_store(view, x, y, **filters)
-            body["series"] = {"x": x, "y": y, "xs": xs, "ys": ys}
-        if params.get("limit"):
-            try:
-                limit = int(params["limit"])
-            except (TypeError, ValueError):
-                raise SpecError("'limit' must be an integer")
-            rows = view.results()
+        if series is not None:
+            body["series"] = {"x": series[0], "y": series[1],
+                              "xs": xs, "ys": ys}
+        if rows is not None:
             if name:
                 rows = [r for r in rows if r.name == name]
             body["results"] = [

@@ -154,3 +154,25 @@ def test_results_series_and_pareto_over_http(client):
     assert series["xs"] == [4.7, 9.4]
     pareto = client.results(pareto="energy_total,availability")["pareto"]
     assert len(pareto) >= 1
+
+
+def test_persistent_connection_requests_do_not_stall(serve_server):
+    """Headers and body leave in separate sends; with Nagle on, each
+    request on a kept-alive connection waits out a delayed ACK."""
+    import http.client
+    import statistics
+    import time
+
+    host, port = serve_server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        elapsed = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert json.loads(response.read())["status"] == "ok"
+            elapsed.append(time.perf_counter() - t0)
+    finally:
+        connection.close()
+    assert statistics.median(elapsed) < 0.020, elapsed

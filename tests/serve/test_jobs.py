@@ -124,3 +124,46 @@ def test_pathless_store_is_in_memory_only(tmp_path):
     store.save(JobRecord(job_id="job-abc", kind="run"))
     assert "job-abc" in store and len(store) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lookups_do_not_wait_for_a_save_blocked_on_fsync(tmp_path, monkeypatch):
+    """``get`` answers from memory while another thread's snapshot is
+    still being flushed to disk."""
+    import os
+    import threading
+
+    store = JobStore(str(tmp_path / "service.jsonl.jobs"))
+    store.save(JobRecord(job_id="job-a", kind="run"))
+    in_fsync, release = threading.Event(), threading.Event()
+    real_fsync = os.fsync
+
+    def blocking_fsync(fd):
+        in_fsync.set()
+        release.wait(timeout=10)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", blocking_fsync)
+    saver = threading.Thread(
+        target=store.save, args=(JobRecord(job_id="job-b", kind="run"),)
+    )
+    saver.start()
+    try:
+        assert in_fsync.wait(timeout=10)
+        answers = []
+        lookup = threading.Thread(target=lambda: answers.append(
+            (store.get("job-a"), store.get("job-b"), "job-a" in store,
+             len(store.records()))
+        ))
+        lookup.start()
+        lookup.join(timeout=2)
+        assert not lookup.is_alive(), "get waited for the fsync"
+        first, second, contained, count = answers[0]
+        assert first.job_id == "job-a" and second.job_id == "job-b"
+        assert contained and count == 2
+    finally:
+        release.set()
+        saver.join(timeout=10)
+    assert not saver.is_alive()
+    lines = (tmp_path / "service.jsonl.jobs").read_text().splitlines()
+    assert [json.loads(line)["job_id"] for line in lines] == \
+        ["job-a", "job-b"]
