@@ -13,6 +13,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError, SpecError
 from repro.harvest.base import PowerHarvester, VoltageHarvester
 from repro.power.converter import ConversionStage
@@ -225,12 +226,20 @@ class EnergyDrivenSystem:
 
         ``decimate`` is the probes' sampling period and that of the
         rail's V_cc envelope (:class:`~repro.power.rail.RailStats`).
+        An interpreter's instructions retired over the run are exported
+        once, as ``repro_mcu_instructions_total``.
         """
         if decimate < 1:
             raise ConfigurationError(f"decimate must be >= 1, got {decimate}")
         self.install_probes(decimate=decimate)
         self._require_rail().stats.vcc_every = decimate
+        machine = getattr(self.platform and self.platform.engine, "machine",
+                          None)
+        retired = machine and machine.total_instructions
         result = self.simulator.run(duration)
+        if machine is not None and obs.obs_enabled():
+            obs.counter("repro_mcu_instructions_total").inc(
+                machine.total_instructions - retired)
         return SystemRunResult(
             t_end=result.t_end,
             traces=result.traces,

@@ -7,8 +7,8 @@ progress".  Two implementations exist:
   actual registers and memory; correctness across outages is checked by
   comparing program output against an uninterrupted run.  Used by the
   waveform-level experiments (Figs. 6, 7).  Under the fast kernel the
-  chunk loops step its interpreter through ACTIVE themselves
-  (:class:`~repro.sim.kernel.MachineSteps`).
+  chunk loops step its interpreter in the transition table's ACTIVE
+  row (:class:`~repro.sim.kernel.MachineSteps`).
 * :class:`SyntheticEngine` — a cycle-counting workload with the same
   snapshot geometry but no interpretation.  Used by the large parameter
   sweeps (Eq. 5 crossover, ablations) where thousands of runs would make
@@ -88,13 +88,15 @@ class ComputeEngine:
           or changes engine state beyond pure forward progress.
         * Stepped, for one without (data-dependent cycles and energy:
           the interpreter): ``energy`` is a
-          :class:`~repro.sim.kernel.MachineSteps`, which the chunk loops
-          step as :meth:`run_cycles` would, and ``safe_steps`` None.
+          :class:`~repro.sim.kernel.MachineSteps`, which the transition
+          table carries and the chunk loops step in its ACTIVE row as
+          :meth:`run_cycles` would, and ``safe_steps`` None.
 
-        ``commit(steps)`` applies the first ``steps`` steps (for a
-        stepped plan, the steps the loop committed) and returns
-        ``(cycles, memory_energy)`` for them.  The base engine returns
-        None: ACTIVE stays per-step.
+        ``commit(steps)`` applies the first ``steps`` steps and returns
+        ``(cycles, memory_energy)`` for them.  A stepped plan's commit
+        ignores ``steps``: it applies every step the loop committed, so
+        it is called once, after the chunk; a fresh plan starts from no
+        steps.  The base engine returns None: ACTIVE stays per-step.
         """
         return None
 
@@ -231,6 +233,7 @@ class MachineEngine(ComputeEngine):
 
         def commit(count: int) -> "tuple[int, float]":
             machine.total_cycles += steps.cycles
+            machine.total_instructions += steps.instructions
             return steps.cycles, steps.memory
 
         return steps, None, commit
@@ -264,7 +267,7 @@ class MachineEngine(ComputeEngine):
 
     def reset(self) -> None:
         self.machine.cold_boot()
-        self.machine.total_cycles = 0
+        self.machine.total_cycles = self.machine.total_instructions = 0
         for peripheral in self.machine.ports.values():
             peripheral.reset()
 

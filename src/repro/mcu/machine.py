@@ -24,9 +24,9 @@ Data memory is one ``array('q')`` of words, so the compiled interpreter
 place; snapshots carry it as a plain list.
 
 Inside a fast-kernel chunk the chunk loops step the machine one engine
-step per step (:meth:`Machine.active_steps`) with its data writes
-logged, and undo the step the chunk does not commit, which then runs
-through :meth:`Machine.run`.
+step per ACTIVE step of a transition table (:meth:`Machine.active_steps`)
+with its data writes logged, and undo the step the chunk does not
+commit, which then runs through :meth:`Machine.run`.
 """
 
 from __future__ import annotations
@@ -466,7 +466,11 @@ class Machine:
         self.registers: List[int] = [0] * 16
         self.pc = 0
         self.halted = False
+        #: Cycles and instructions retired since construction (or an
+        #: engine reset); a chunk's committed steps count through
+        #: ``MachineEngine.active_plan``'s commit.
         self.total_cycles = 0
+        self.total_instructions = 0
         self.ports: Dict[int, Peripheral] = {7: OutputPort()}
         #: The rung's loop runner (``_ckernel.MachineLoop`` or
         #: :class:`PythonLoop`); the first ``run`` resolves it.
@@ -628,6 +632,7 @@ class Machine:
         finally:
             self.pc = pc
             self.total_cycles += cycles
+            self.total_instructions += instructions
             self._tally(slice_, cycles, instructions, reads, writes)
             slice_.peripheral_energy = energy
         return slice_

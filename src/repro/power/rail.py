@@ -37,6 +37,7 @@ from repro.sim.kernel import (
     HALT,
     LOG_CAPACITY,
     OFF,
+    PORT_OR_FAULT,
     RESTORE,
     RESTORE_BEGIN,
     RESTORE_DONE,
@@ -275,9 +276,10 @@ class SupplyRail(Component):
     chunk ends (and per-step execution resumes) at the first step whose
     voltage crosses a load's declared event boundary; a load's
     transition table (the transient platform's) is followed across the
-    transitions it marks inline and ends the chunk before the others;
-    a machine load's interpreter runs one engine step per step inside
-    the loop, and the step the chunk does not commit is undone.
+    transitions it marks inline and ends the chunk before the others.
+    On an interpreter the table's ACTIVE row runs one engine step per
+    step inside the loop, and the step the chunk does not commit is
+    undone.
 
     One recurrence runs every chunk, on one of two rungs with one call
     shape: the compiled ``chunk_loop`` of :mod:`repro.sim._ckernel`
@@ -435,7 +437,7 @@ class SupplyRail(Component):
             return None
         v = physics.read_voltage()
         profiles = []
-        table = machine = None
+        table = None
         for load in self._loads:
             profile = load.load_profile(t0, dt, v)
             if profile is None:
@@ -444,10 +446,6 @@ class SupplyRail(Component):
                 if table is not None:
                     return None  # the loops follow one table per rail
                 table = profile.table
-            if profile.machine is not None:
-                if machine is not None:
-                    return None  # and step one machine per rail
-                machine = profile.machine
             # A time-based event boundary (a charge-and-fire task
             # finishing) bounds the whole chunk: the event step itself
             # must execute through the reference path.
@@ -491,7 +489,9 @@ def chunk_loop(
     returns what it returns, ``(taken, per-load committed energies,
     voltages)``; writes the ``stats`` totals, the V_cc envelope and the
     storage voltage back, and a tabled load's results into its
-    :class:`~repro.sim.kernel.TransitionTable`.  It is the compiled
+    :class:`~repro.sim.kernel.TransitionTable`, stepping the table's
+    machine in place (its committed totals into its
+    :class:`~repro.sim.kernel.MachineSteps`).  It is the compiled
     loop's exact reference and the rung that serves every chunk the
     compiled loop cannot: no compiler, and power sources behind a
     converter (a per-step Python call).
@@ -512,30 +512,26 @@ def chunk_loop(
         )
         for plan in plans
     ]
-    # Per-load demand terms, precombined where constant: e_const is
-    # the voltage-independent joules per step (power*dt + energy, in
-    # that order — matching the reference implementations' `power *
-    # dt` and `active + extra` arithmetic exactly), to which a machine
-    # load adds its step's memory energy.
+    # Per-load demand terms: e_const is the voltage-independent joules
+    # per step (`power * dt`, as the reference implementations compute
+    # it).
     loads = [
-        (profile.resistance, profile.power * dt + profile.energy,
-         profile.current, profile.current_gain,
+        (profile.resistance, profile.power * dt,
          -math.inf if profile.table is not None else profile.v_rising,
          profile.v_falling)
         for profile in profiles
     ]
     n_loads = len(loads)
     load_range = range(n_loads)
-    # The tabled load (index tj, or -1) and the machine load (mj).
-    tj = mj = -1
+    # The tabled load (index tj, or -1) and its machine (or None).
+    tj = -1
+    msteps = None
     for j, profile in enumerate(profiles):
         if profile.table is not None:
             tj = j
             table = profile.table
-        if profile.machine is not None:
-            mj = j
-            msteps = profile.machine
-    if mj >= 0:
+            msteps = table.machine
+    if msteps is not None:
         # Its interpreter, state and prices (see MachineSteps); `undo`
         # logs one step's data writes.
         machine, m_run, m_budget, m_stop, m_fram = (
@@ -543,7 +539,7 @@ def chunk_loop(
             msteps.fram)
         regs, data, pc = machine.registers, machine.data, machine.pc
         p_sr, p_sw, p_fr, p_fw = msteps.access
-        m_cycles, m_memory, undo = 0, 0.0, []
+        m_cycles, m_instructions, m_memory, undo = 0, 0, 0.0, []
     if tj >= 0:
         # The table's rows, and its running state as locals (see
         # TransitionTable for the cascade).
@@ -616,7 +612,7 @@ def chunk_loop(
         st_t = starved
         event = stepped = False
         for j in load_range:
-            resistance, e_const, current, gain, v_rise, v_fall = loads[j]
+            resistance, e_const, v_rise, v_fall = loads[j]
             if tv >= v_rise or tv < v_fall:
                 if j != tj:
                     event = True
@@ -685,17 +681,41 @@ def chunk_loop(
                                 nex = 0
                     phys = ns
                 if phys == ACTIVE:
-                    if nex + budget >= total:
-                        stop = HALT
-                        event = True
-                        break
-                    if site and nex + budget >= (nex // site + 1) * site:
-                        stop = CHECKPOINT_SITE
-                        event = True
-                        break
-                    nex += budget
+                    if msteps is not None:
+                        # One engine step of the machine; its memory
+                        # energy as McuPowerModel.slice_memory_energy
+                        # sums it.
+                        saved, pc0 = regs[:], pc
+                        undo.clear()
+                        stepped = True
+                        reason, pc, m_step, m_count, reads, writes, _ = (
+                            m_run(regs, pc, 0, 0, 0, 0, data, m_budget,
+                                  m_stop, undo))
+                        if reason != _ckernel.EXIT_BUDGET:
+                            stop = (HALT if reason == _ckernel.EXIT_HALT
+                                    else CHECKPOINT_SITE
+                                    if reason == _ckernel.EXIT_CKPT
+                                    else PORT_OR_FAULT)
+                            event = True
+                            break
+                        sr, sw, fr, fw = (
+                            (0, 0, m_count + reads, writes) if m_fram
+                            else (reads, writes, m_count, 0))
+                        e_mem = sr * p_sr + sw * p_sw + fr * p_fr + fw * p_fw
+                        e_active = rows[ACTIVE] + e_mem
+                    else:
+                        if nex + budget >= total:
+                            stop = HALT
+                            event = True
+                            break
+                        if site and nex + budget >= (nex // site + 1) * site:
+                            stop = CHECKPOINT_SITE
+                            event = True
+                            break
+                        nex += budget
+                        e_active = rows[ACTIVE]
                     e_bucket = ((t_current * tv) * t_gain) * dt
-                    e_dem = e_bucket + rows[ACTIVE]
+                    e_dem = e_bucket + e_active
                 else:
                     e_dem = e_bucket = rows[phys]
                     if phys == SNAPSHOT or phys == RESTORE:
@@ -716,30 +736,10 @@ def chunk_loop(
                             else:
                                 nex = npay
                                 ns = ACTIVE
+            elif resistance is not None:
+                e_dem = tv * tv / resistance * dt + e_const
             else:
-                if j == mj:
-                    # One engine step of the machine; its memory energy
-                    # as McuPowerModel.slice_memory_energy sums it.
-                    saved, pc0 = regs[:], pc
-                    undo.clear()
-                    stepped = True
-                    reason, pc, m_step, instructions, reads, writes, _ = (
-                        m_run(regs, pc, 0, 0, 0, 0, data, m_budget, m_stop,
-                              undo))
-                    if reason != _ckernel.EXIT_BUDGET:
-                        event = True
-                        break
-                    sr, sw, fr, fw = ((0, 0, instructions + reads, writes)
-                                      if m_fram else
-                                      (reads, writes, instructions, 0))
-                    e_mem = sr * p_sr + sw * p_sw + fr * p_fr + fw * p_fw
-                    e_const += e_mem
-                if resistance is not None:
-                    e_dem = tv * tv / resistance * dt + e_const
-                elif current != 0.0:
-                    e_dem = ((current * tv) * gain) * dt + e_const
-                else:
-                    e_dem = e_const
+                e_dem = e_const
             demand = e_dem * overhead
             avail = half_c * tv * tv
             if demand >= avail:
@@ -768,6 +768,7 @@ def chunk_loop(
             esums[j] += edems[j]
         if stepped:
             m_cycles += m_step
+            m_instructions += m_count
             m_memory += e_mem
         append(v)
         if tj >= 0:
@@ -795,9 +796,10 @@ def chunk_loop(
          table.pending, table.payload) = s, ex, left, has, pend, pay
         table.counts, table.sums, table.log = tuple(counts), tuple(sums), log
         table.active_steps, table.states, table.stop = act, codes, stop
-    if mj >= 0:
+    if msteps is not None:
         machine.pc = pc
-        msteps.cycles, msteps.memory = m_cycles, m_memory
+        msteps.cycles, msteps.instructions, msteps.memory = (
+            m_cycles, m_instructions, m_memory)
     # The envelope from the committed voltages, off the per-step path:
     # `first` is the first step the sampling period reaches.
     every = stats.vcc_every

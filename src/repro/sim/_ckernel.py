@@ -5,9 +5,10 @@ mini-ISA interpreter, in one library.
 :func:`~repro.power.rail.chunk_loop`, for one rail: any number of
 voltage sources, converter-less power sources with the ``e_cap``
 clamp, leakage, ESR draw overhead, and any number of loads with
-resistive / current / constant demand terms, one of which may follow
-a :class:`~repro.sim.kernel.TransitionTable` across transitions and
-one step an interpreter (a :class:`~repro.sim.kernel.MachineSteps`).
+resistive / constant demand terms, one of which may follow a
+:class:`~repro.sim.kernel.TransitionTable` across transitions, whose
+ACTIVE row may step an interpreter (a
+:class:`~repro.sim.kernel.MachineSteps`).
 :class:`ChunkLoop` runs it with the Python loop's call shape, and every
 fast-kernel chunk it can read goes through it.
 
@@ -24,8 +25,8 @@ the same 16-bit word arithmetic, and the build disables contraction
 (``-ffp-contract=off -fno-fast-math``) so no fused multiply-add can
 perturb a rounding.  A self-check at load time replays small chunks
 covering every branch, each under two V_cc envelope periods, and
-transition-following chunks and machines stepped inside chunks through
-every undo cause against the Python chunk loop, and small programs
+transition-following chunks and machines stepped inside tabled chunks
+through every undo cause against the Python chunk loop, and small programs
 covering every opcode and fault against the Python interpreter, and
 discards the library on any difference.
 
@@ -64,6 +65,7 @@ from repro.sim.kernel import (
     HALT,
     LOG_CAPACITY,
     OFF,
+    PORT_OR_FAULT,
     RESTORE,
     RESTORE_BEGIN,
     RESTORE_DONE,
@@ -84,7 +86,7 @@ from repro.sim.kernel import (
 #: ``chunk_loop`` frame layout, in 8-byte slots: the header below, then
 #: per source (address, kind, drop, r_total, step0, take_abs and
 #: ``WAVE_PARAMS`` waveform parameters), per load (kind, resistance,
-#: e_const, current, current_gain, v_rising, v_falling), then per load
+#: e_const, v_rising, v_falling), then per load
 #: its committed energy (out) and a scratch slot.  The first eight
 #: header slots (the ``RailStats`` totals and V_cc envelope) are read
 #: and written back.  A closed-form source (see
@@ -96,7 +98,7 @@ _HEADER = (
     "dt", "vcc_every",
 )
 _SOURCE_SLOTS = 6 + WAVE_PARAMS
-_LOAD_SLOTS = 7
+_LOAD_SLOTS = 5
 #: Source and load kinds as the frame encodes them: closed-form
 #: voltage sources by waveform code (``_WAVES[code]``).
 _VOLTAGE, _POWER = 0.0, 1.0
@@ -104,7 +106,7 @@ _WAVES = {TRAPEZOID_WAVE: 2.0, SINE_WAVE: 3.0}
 #: A source's frame slots after (address, kind, drop, r_total) when it
 #: is read from memory.
 _NO_WAVE = (0.0,) * (_SOURCE_SLOTS - 4)
-_CONSTANT, _RESISTIVE, _CURRENT = 0.0, 1.0, 2.0
+_CONSTANT, _RESISTIVE = 0.0, 1.0
 
 #: The tabled load's frame (a ``TransitionTable``), in 8-byte slots:
 #: the inputs, the running state (read and written back), then the
@@ -129,13 +131,13 @@ _TABLE = _TABLE_IN + _TABLE_STATE + _TABLE_OUT
 #: frame.
 _TABLE_STATE_AT = 8 * len(_TABLE_IN)
 
-#: The machine load's frame (a ``MachineSteps``), in 8-byte slots: the
+#: The table's machine frame (a ``MachineSteps``), in 8-byte slots: the
 #: inputs (the addresses of its code, data, ``machine_run`` state and
 #: undo log as raw ``Q`` bits), then the committed steps' totals (out).
 _MACHINE = (
-    "load", "code", "n_code", "data", "n_data", "state", "undo", "budget",
+    "code", "n_code", "data", "n_data", "state", "undo", "budget",
     "stop_at_ckpt", "fram", "sram_read", "sram_write", "fram_read",
-    "fram_write", "cycles", "memory",
+    "fram_write", "cycles", "instructions", "memory",
 )
 
 #: ``machine_run`` state layout, in int64 slots after r0..r15.  All but
@@ -219,9 +221,9 @@ void closed_form_values(const double *sp, int64_t n, double dt, double *out)
    none) is the tabled load's frame (_TABLE in _ckernel.py); states
    then receives each committed step's end-of-step state code and log
    four slots per followed transition.  machine (NULL for none) is the
-   machine load's frame (_MACHINE in _ckernel.py): its interpreter runs
-   one engine step per step, and a step the chunk does not commit is
-   undone. */
+   table's machine frame (_MACHINE in _ckernel.py): its interpreter
+   runs one engine step per ACTIVE step, and a step the chunk does not
+   commit is undone. */
 int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
                    double *frame, double *vcc, double *table,
                    double *states, double *log, double *machine)
@@ -269,14 +271,13 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
         has = table[T_HAS_SNAPSHOT] != 0.0;
         pend = (int64_t) table[T_PENDING]; pay = (int64_t) table[T_PAYLOAD];
     }
-    /* The machine load (mj = -1: none): its data, machine_run state
+    /* The table's machine (NULL: none): its data, machine_run state
        (registers and PC read and written back) and undo log, and the
        committed steps' totals. */
-    int64_t mj = -1, m_cycles = 0, m_saved[17], *m_data = 0, *ms = 0;
-    int64_t *undo = 0;
+    int64_t m_cycles = 0, m_instructions = 0, m_saved[17], *m_data = 0;
+    int64_t *ms = 0, *undo = 0;
     double m_memory = 0.0;
     if (machine) {
-        mj = (int64_t) machine[M_LOAD];
         m_data = (int64_t *) slot_pointer(machine + M_DATA);
         ms = (int64_t *) slot_pointer(machine + M_STATE);
         undo = (int64_t *) slot_pointer(machine + M_UNDO);
@@ -378,14 +379,44 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
                     phys = ns;
                 }
                 if (phys == %(active)d) {
-                    if (nex + budget >= total) { stop = %(halt)d; break; }
-                    if (site && nex + budget >= (nex / site + 1) * site) {
-                        stop = %(checkpoint_site)d;
-                        break;
+                    double e_active = rows[%(active)d];
+                    if (machine) {
+                        /* One engine step of the machine from zero
+                           counters (c: cycles, instructions, reads,
+                           writes); its memory energy as
+                           McuPowerModel.slice_memory_energy sums the
+                           counters Machine._tally maps. */
+                        const int64_t *c = ms + 17;
+                        const double *price = machine + M_SRAM_READ;
+                        const int fram = machine[M_FRAM] != 0.0;
+                        memcpy(m_saved, ms, sizeof m_saved);
+                        ms[17] = ms[18] = ms[19] = ms[20] = undo[0] = 0;
+                        stepped = 1;
+                        code = machine_run(
+                            (int64_t *) slot_pointer(machine + M_CODE),
+                            (int64_t) machine[M_N_CODE], m_data,
+                            (int64_t) machine[M_N_DATA], ms,
+                            (int64_t) machine[M_BUDGET],
+                            (int64_t) machine[M_STOP_AT_CKPT], undo);
+                        if (code != %(exit_budget)d) {
+                            stop = code == %(exit_halt)d ? %(halt)d
+                                : code == %(exit_ckpt)d ? %(checkpoint_site)d
+                                : %(port_or_fault)d;
+                            break;
+                        }
+                        e_mem = (fram ? 0 : c[2]) * price[0]
+                            + (fram ? 0 : c[3]) * price[1]
+                            + (fram ? c[1] + c[2] : c[1]) * price[2]
+                            + (fram ? c[3] : 0) * price[3];
+                        e_active = rows[%(active)d] + e_mem;
+                    } else {
+                        if (nex + budget >= total) { stop = %(halt)d; break; }
+                        if (site && nex + budget >= (nex / site + 1) * site)
+                            { stop = %(checkpoint_site)d; break; }
+                        nex += budget;
                     }
-                    nex += budget;
                     e_bucket = ((t_current * tv) * t_gain) * dt;
-                    e_dem = e_bucket + rows[%(active)d];
+                    e_dem = e_bucket + e_active;
                 } else {
                     e_dem = e_bucket = rows[phys];
                     if (phys == %(snapshot)d || phys == %(restore)d) {
@@ -409,41 +440,11 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
 #undef PYTHON
             } else {
                 const double *lp = ld + LOAD_SLOTS * j;
-                if (tv >= lp[5] || tv < lp[6]) { event = 1; break; }
-                double e_const = lp[2];
-                if (j == mj) {
-                    /* One engine step of the machine from zero
-                       counters; its memory energy as
-                       McuPowerModel.slice_memory_energy sums the
-                       counters Machine._tally maps. */
-                    const int64_t *c = ms + 17;  /* cycles, instructions,
-                                                    reads, writes */
-                    const double *price = machine + M_SRAM_READ;
-                    const int fram = machine[M_FRAM] != 0.0;
-                    memcpy(m_saved, ms, sizeof m_saved);
-                    ms[17] = ms[18] = ms[19] = ms[20] = undo[0] = 0;
-                    stepped = 1;
-                    if (machine_run((int64_t *) slot_pointer(machine + M_CODE),
-                                    (int64_t) machine[M_N_CODE], m_data,
-                                    (int64_t) machine[M_N_DATA], ms,
-                                    (int64_t) machine[M_BUDGET],
-                                    (int64_t) machine[M_STOP_AT_CKPT], undo)
-                        != %(exit_budget)d) {
-                        event = 1;
-                        break;
-                    }
-                    e_mem = (fram ? 0 : c[2]) * price[0]
-                        + (fram ? 0 : c[3]) * price[1]
-                        + (fram ? c[1] + c[2] : c[1]) * price[2]
-                        + (fram ? c[3] : 0) * price[3];
-                    e_const += e_mem;
-                }
+                if (tv >= lp[3] || tv < lp[4]) { event = 1; break; }
                 if (lp[0] == %(resistive)r)
-                    e_dem = tv * tv / lp[1] * dt + e_const;
-                else if (lp[0] == %(current)r)
-                    e_dem = ((lp[3] * tv) * lp[4]) * dt + e_const;
+                    e_dem = tv * tv / lp[1] * dt + lp[2];
                 else
-                    e_dem = e_const;
+                    e_dem = lp[2];
             }
             double demand = e_dem * overhead;
             double avail = half_c * tv * tv;
@@ -476,6 +477,7 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
         for (int64_t j = 0; j < n_loads; ++j) esums[j] += edems[j];
         if (stepped) {
             m_cycles += ms[17];
+            m_instructions += ms[18];
             m_memory += e_mem;
         }
         vcc[i] = v;
@@ -519,6 +521,7 @@ int64_t chunk_loop(int64_t n, int64_t n_src, int64_t n_loads,
     }
     if (machine) {
         machine[M_CYCLES] = (double) m_cycles;
+        machine[M_INSTRUCTIONS] = (double) m_instructions;
         machine[M_MEMORY] = m_memory;
     }
     return i;
@@ -718,13 +721,13 @@ out:
     "power": _POWER,
     "trapezoid": _WAVES[TRAPEZOID_WAVE],
     "resistive": _RESISTIVE,
-    "current": _CURRENT,
     "off": OFF, "sleep": SLEEP, "restore": RESTORE, "snapshot": SNAPSHOT,
     "active": ACTIVE,
     "boot": BOOT, "brownout": BROWNOUT, "snapshot_begin": SNAPSHOT_BEGIN,
     "snapshot_done": SNAPSHOT_DONE, "restore_begin": RESTORE_BEGIN,
     "restore_done": RESTORE_DONE, "cold_start": COLD_START, "halt": HALT,
     "checkpoint_site": CHECKPOINT_SITE,
+    "port_or_fault": PORT_OR_FAULT,
     "log_capacity": LOG_CAPACITY,
     "exit_budget": EXIT_BUDGET,
     "exit_halt": EXIT_HALT,
@@ -870,10 +873,10 @@ class ChunkLoop:
 
     Owns the rail's frame and voltage buffers with their addresses
     resolved once, so a chunk costs one ``struct`` pack, the foreign
-    call and two unpacks (plus one pack and unpack for a tabled or a
-    machine load).  Source plans and machines are read in place, and
-    closed-form sources evaluated in the loop unless ``waveforms`` is
-    False.
+    call and two unpacks (plus one pack and unpack for a tabled load,
+    and one more for its machine).  Source plans and machines are read
+    in place, and closed-form sources evaluated in the loop unless
+    ``waveforms`` is False.
     """
 
     __slots__ = (
@@ -887,7 +890,7 @@ class ChunkLoop:
     _table_in = struct.Struct("=%dd" % len(_TABLE_IN))
     _table_state = struct.Struct("=%dd" % len(_TABLE_STATE))
     _table_out = struct.Struct("=%dd" % (len(_TABLE_STATE) + len(_TABLE_OUT)))
-    _machine_in = struct.Struct("=dQdQdQQ7d")
+    _machine_in = struct.Struct("=QdQdQQ7d")
 
     def __init__(self, fn, n_sources: int, n_loads: int,
                  waveforms: bool = True):
@@ -898,7 +901,7 @@ class ChunkLoop:
         )
         self._pack = struct.Struct(
             "=%dd" % len(_HEADER) + "Q%dd" % (_SOURCE_SLOTS - 1) * n_sources
-            + "7d" * n_loads
+            + "%dd" % _LOAD_SLOTS * n_loads
         ).pack_into
         self._state = struct.Struct("=8d").unpack_from
         self._energies = struct.Struct("=%dd" % n_loads).unpack_from
@@ -914,7 +917,7 @@ class ChunkLoop:
         self._table = None
         self._table_address = 0
         self._packed = None
-        #: A machine load's frame, ``machine_run`` state and undo log
+        #: A table's machine frame, ``machine_run`` state and undo log
         #: (which grows with the step budget).
         self._machine = _doubles(len(_MACHINE))
         self._machine_state = array("q", bytes(MachineLoop._layout.size))
@@ -974,18 +977,13 @@ class ChunkLoop:
                     table.executed, table.left, table.has_snapshot,
                     table.pending, table.payload,
                 )
-            if profile.machine is not None:
-                steps = profile.machine
-                self._pack_machine(index, steps)
+                steps = table.machine
+                if steps is not None:
+                    self._pack_machine(steps)
             resistance = profile.resistance
-            if resistance is not None:
-                kind = _RESISTIVE
-            else:
-                resistance = 0.0
-                kind = _CURRENT if profile.current != 0.0 else _CONSTANT
             fields += (
-                kind, resistance, profile.power * dt + profile.energy,
-                profile.current, profile.current_gain,
+                _CONSTANT if resistance is None else _RESISTIVE,
+                resistance or 0.0, profile.power * dt,
                 profile.v_rising, profile.v_falling,
             )
         if n > len(self._vcc):
@@ -1016,12 +1014,13 @@ class ChunkLoop:
             values = MachineLoop._layout.unpack_from(self._machine_state)
             steps.machine.registers[:] = values[:16]
             steps.machine.pc = values[16]
-            steps.cycles = int(self._machine[-2])
+            steps.cycles = int(self._machine[-3])
+            steps.instructions = int(self._machine[-2])
             steps.memory = self._machine[-1]
         return taken, energies, self._vcc[:taken]
 
-    def _pack_machine(self, index: int, steps: MachineSteps) -> None:
-        """The machine load's frame; its undo log holds one step's
+    def _pack_machine(self, steps: MachineSteps) -> None:
+        """The table's machine frame; its undo log holds one step's
         writes (at most one per cycle of budget)."""
         machine = steps.machine
         MachineLoop._layout.pack_into(self._machine_state, 0,
@@ -1032,7 +1031,7 @@ class ChunkLoop:
         code, n_code = steps.code.buffer_info()
         data, n_data = machine.data.buffer_info()
         self._machine_in.pack_into(
-            self._machine, 0, index, code, n_code // 5, data, n_data,
+            self._machine, 0, code, n_code // 5, data, n_data,
             self._machine_state.buffer_info()[0], self._undo.buffer_info()[0],
             steps.budget, steps.stop_at_ckpt, steps.fram, *steps.access,
         )
@@ -1183,7 +1182,7 @@ def _replay(compiled, rail, plans, profiles, n, envelope):
         physics, plans, profiles, v0, physics.leak_factor(dt), dt, n, stats
     )
     tables = [
-        dict(vars(profile.table),
+        dict(vars(profile.table), machine=None,
              states=np.asarray(profile.table.states, dtype=float).tolist())
         for profile in profiles if profile.table is not None
     ]
@@ -1203,15 +1202,15 @@ def _chunk_self_check(compiled) -> bool:
     results bit-identical to the Python loop.
 
     The cases run voltage and power sources with the ``e_cap`` clamp,
-    leakage, ESR overhead, resistive, current and constant loads to
-    their horizon, and again with an event on the third load, a
-    starving one (leakage skipped at zero volts), a charging and
+    leakage, ESR overhead, resistive and constant loads and an ACTIVE
+    table to their horizon, and again with an event on the third load,
+    a starving one (leakage skipped at zero volts), a charging and
     starving one, one starving through the ESR overhead, one whose
     event is the clamp voltage itself, and a source-less one.  The
     Fig. 7 quiescent shape (one rectified source, one constant load, an
     ideal capacitor) covers charging, the v_max clamp, a starved step,
     a non-charging step and an event boundary before the horizon.  (The
-    Fig. 7 ACTIVE shape, a current load stepping a machine, is
+    Fig. 7 ACTIVE shape, a table stepping a machine, is
     :func:`_fused_replay`'s.)  Each case samples its V_cc
     envelope every step from empty, and again every 17th step entered
     mid-period on a non-empty envelope.  Transition tables, once each:
@@ -1219,7 +1218,9 @@ def _chunk_self_check(compiled) -> bool:
     out; with no snapshot it cold-starts and stops before a snapshot
     commit it leaves to Python; a brownout mid-snapshot empties a
     single-slot store before a boot, a cold start and the halt; and
-    ACTIVE stops at a checkpoint site.
+    ACTIVE stops at a checkpoint site.  An ACTIVE table also drains a
+    source-less rail to a guard it leaves to Python, under both
+    envelopes.
     """
     ripple = np.ascontiguousarray(
         np.maximum(1.2 * np.sin(np.arange(40, dtype=float) * 0.7), 0.0)
@@ -1233,46 +1234,52 @@ def _chunk_self_check(compiled) -> bool:
     def rectified(values, drop, r_total):
         return VoltageSourcePlan(values, drop, r_total, values.ctypes.data)
 
+    def tabled(**changes):
+        return LoadProfile(table=dataclasses.replace(_SELF_CHECK_TABLE,
+                                                     **changes))
+
     charge = rectified(wave, 0.2, 150.0)
     mixed = [charge, PowerSourcePlan(power, None, power.ctypes.data)]
+    # An ACTIVE platform that browns out only near 0 V.
+    running = tabled(state=ACTIVE, v_min=0.05, v_por=0.1,
+                     guard=-float("inf"))
     # (steps, (C, v_max, leak_tau, draw_overhead, v0, dt), plans, loads)
     cases = [
         (40, (47e-6, 3.3, None, 1.0, 0.30, 50e-6),
          [rectified(ripple, 0.2, 150.0)],
-         [LoadProfile(energy=5e-11, v_rising=2.9)]),
+         [LoadProfile(power=1e-6, v_rising=2.9)]),
         (40, (10e-6, 1.0, None, 1.0, 0.90, 50e-6),
          [rectified(ripple, 0.2, 50.0)],
-         [LoadProfile(energy=1e-9, v_rising=1.0)]),
+         [LoadProfile(power=2e-5, v_rising=1.0)]),
         (40, (10e-6, 1.0, None, 1.0, 0.99, 50e-6),
-         [rectified(ripple, 0.0, 5.0)], [LoadProfile(energy=1e-9)]),
+         [rectified(ripple, 0.0, 5.0)], [LoadProfile(power=2e-5)]),
         (40, (22e-6, 3.3, None, 1.0, 0.05, 50e-6),
          [rectified(ripple, 0.2, 500.0)],
-         [LoadProfile(energy=2e-7, v_rising=2.9, v_falling=0.01)]),
+         [LoadProfile(power=4e-3, v_rising=2.9, v_falling=0.01)]),
         (n, (10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
-         [LoadProfile(power=1e-3, resistance=2000.0),
-          LoadProfile(current=2e-3, current_gain=1.1, energy=1e-9),
-          LoadProfile(power=5e-4, energy=2e-9)]),
+         [LoadProfile(power=1e-3, resistance=2000.0), running,
+          LoadProfile(power=5.4e-4)]),
         (n, (10e-6, 3.3, 2e-3, 1.02, 1.0, 5e-5), mixed,
-         [LoadProfile(power=1e-3, resistance=2000.0),
-          LoadProfile(current=2e-3, current_gain=1.1, energy=1e-9),
-          LoadProfile(power=5e-4, energy=2e-9, v_rising=3.19)]),
+         [LoadProfile(power=1e-3, resistance=2000.0), running,
+          LoadProfile(power=5.4e-4, v_rising=3.19)]),
         (n, (4.7e-6, 3.3, 5e-3, 1.02, 0.4, 5e-5),
          [rectified(wave, 0.2, 5000.0)],
-         [LoadProfile(resistance=50.0), LoadProfile(energy=1e-6)]),
+         [LoadProfile(resistance=50.0), LoadProfile(power=2e-2)]),
         (n, (33e-6, 3.3, 5e-2, 1.05, 0.3, 1e-4),
          [rectified(wave, 0.1, 77.7)],
-         [LoadProfile(resistance=5000.0), LoadProfile(energy=3e-6)]),
+         [LoadProfile(resistance=5000.0), LoadProfile(power=3e-2)]),
         (n, (10e-6, 3.3, None, 1.02, 3.1, 5e-5), [charge],
-         [LoadProfile(energy=1e-3)]),
+         [LoadProfile(power=20.0)]),
         (n, (10e-6, 3.3, None, 1.0, 1.0, 5e-5),
          [PowerSourcePlan(power, None, power.ctypes.data)],
          [LoadProfile(power=1e-4, v_rising=3.3)]),
         (n, (22e-6, 3.3, None, 1.0, 0.5, 5e-5), [charge],
          [LoadProfile(power=1e-4, v_rising=0.9, v_falling=0.1)]),
         (n, (10e-6, 3.3, None, 1.0, 3.1, 5e-5), [rectified(wave, 0.2, 5.0)],
-         [LoadProfile(energy=1e-9, v_rising=3.3)]),
+         [LoadProfile(power=2e-5, v_rising=3.3)]),
         (n, (22e-6, 3.3, None, 1.02, 2.0, 5e-5), [],
-         [LoadProfile(current=1e-3, current_gain=0.9, v_falling=1.5)]),
+         [tabled(state=ACTIVE, guard=1.5, current=1e-3, current_gain=0.9,
+                 python=1 << SNAPSHOT_BEGIN)]),
     ]
     envelopes = [
         {}, dict(vcc_every=17, vcc_phase=5, vcc_min=0.4, vcc_max=0.6)
@@ -1281,10 +1288,6 @@ def _chunk_self_check(compiled) -> bool:
     burst = np.ascontiguousarray(np.where(ticks < 10, 4.0, 0.0))
     late = np.ascontiguousarray(np.where(ticks < 3, 0.0, 4.0))
     bleed = LoadProfile(resistance=400.0)
-
-    def tabled(**changes):
-        return LoadProfile(table=dataclasses.replace(_SELF_CHECK_TABLE,
-                                                     **changes))
 
     rail = (22e-6, 3.3, None, 1.0, 1.5, 2e-4)
     tables = [
@@ -1445,10 +1448,10 @@ def _fused_replay(compiled, source, budget, stop_at_ckpt):
     None; every observable as plain values, and the exits of the steps
     chunks undid (``EXIT_BUDGET``: a later load's boundary).
 
-    The machine's load comes first on a rail a rectified wave
-    recharges; a resistive second load's falling boundary discards
-    steps the machine ran.  An undone step then runs through
-    ``Machine.run`` (on the Python loop either way).
+    The machine runs in the ACTIVE row of a table (the first load) on
+    a rail a rectified wave recharges; a resistive second load's
+    falling boundary discards steps the machine ran.  An undone step
+    then runs through ``Machine.run`` (on the Python loop either way).
     """
     from repro.errors import MachineError
 
@@ -1464,13 +1467,16 @@ def _fused_replay(compiled, source, budget, stop_at_ckpt):
         taken, v, *results = _replay(
             compiled, (22e-6, 3.3, None, 1.02, v, 5e-5),
             [VoltageSourcePlan(values, 0.2, 80.0, values.ctypes.data)],
-            [LoadProfile(current=2e-3, current_gain=1.1, v_falling=0.3,
-                         machine=steps),
+            # An ACTIVE interpreter that stops before browning out.
+            [LoadProfile(table=dataclasses.replace(
+                _SELF_CHECK_TABLE, state=ACTIVE, v_min=0.3, guard=-np.inf,
+                python=1 << BROWNOUT, machine=steps)),
              LoadProfile(resistance=300.0, v_falling=1.4)],
             48, {},
         )
         seen.append((taken, v, results, machine.registers[:], machine.pc,
-                     machine.data.tolist(), steps.cycles, steps.memory))
+                     machine.data.tolist(), steps.cycles, steps.instructions,
+                     steps.memory))
         start += taken + 1
         if taken == 48:
             continue

@@ -26,19 +26,17 @@ Three descriptor families exist:
 * :class:`LoadProfile` — published by a rail load
   (:meth:`~repro.power.rail.RailLoad.load_profile`): the load's *event
   schedule descriptor* for its present regime.  The demand may mix a
-  constant power, a constant per-step energy, a current-like
-  voltage-proportional term and a resistive term; ``v_rising`` /
+  constant power and a resistive term; ``v_rising`` /
   ``v_falling`` are the declared voltage event boundaries (the chunk
   ends *before* the first step whose rail voltage, as seen by this
   load, satisfies ``v >= v_rising`` or ``v < v_falling``), and
   ``max_steps`` is the declared *time-based* event boundary (a
   charge-and-fire task finishing): the chunk may advance
   at most that many steps, so the step on which the timed event fires
-  always executes through the reference path.  A load whose per-step
-  energy depends on what it executes (the interpreter) publishes its
-  :class:`MachineSteps` in ``machine``, which the loops step inside the
-  chunk; a load with a state machine (the transient platform)
-  publishes its :class:`TransitionTable` in ``table``.
+  always executes through the reference path.  A load with a state
+  machine (the transient platform) publishes its
+  :class:`TransitionTable` in ``table``; an interpreter's ACTIVE steps
+  ride in the table, as its :class:`MachineSteps`.
 * :class:`VoltageSourcePlan` / :class:`PowerSourcePlan` — published by an
   injector (:meth:`~repro.power.rail.Injector.chunk_plan`): the source
   waveform for the chunk precomputed as a float64 array view plus the
@@ -135,14 +133,8 @@ class LoadProfile:
     :meth:`~repro.power.rail.RailLoad.advance` implementations compute
     it::
 
-        ((current * v) * current_gain) * dt    (when current != 0)
-        + power * dt                           (when power != 0)
-        + v * v / resistance * dt              (when resistance set)
-        + energy                               (constant joules per step)
-
-    The association order of the ``current`` term mirrors the MCU active
-    power model (``(i_leak + i_per_hz*f) * V * factor``) so chunked
-    execution reproduces the reference arithmetic bit-for-bit.
+        v * v / resistance * dt + power * dt    (when resistance set)
+        power * dt                              (otherwise)
 
     ``v_rising`` / ``v_falling`` declare voltage event boundaries;
     ``max_steps`` declares a time-based event boundary (the profile is
@@ -150,9 +142,8 @@ class LoadProfile:
     finishing).  The chunk stops short of every declared boundary; the
     boundary step itself reruns through the reference path.  A load
     with a state machine publishes it as ``table`` instead (see
-    :class:`TransitionTable`); its other fields are then unused.  An
-    interpreter publishes its steps as ``machine`` (see
-    :class:`MachineSteps`).
+    :class:`TransitionTable`); its other fields but ``commit`` are then
+    unused.
 
     ``commit`` is called once with ``(steps, dt, energy)`` after the
     chunk — ``energy`` being the total joules this load demanded over
@@ -163,32 +154,29 @@ class LoadProfile:
 
     power: float = 0.0
     resistance: Optional[float] = None
-    current: float = 0.0
-    current_gain: float = 1.0
-    energy: float = 0.0
     v_rising: float = math.inf
     v_falling: float = -math.inf
     max_steps: Optional[int] = None
     commit: Optional[Callable[[int, float, float], None]] = None
-    machine: Optional["MachineSteps"] = None
     table: Optional["TransitionTable"] = None
 
 
 @dataclass(eq=False)
 class MachineSteps:
-    """An interpreter's ACTIVE execution, which both chunk loops step
-    one engine step per step (at most one per rail).
+    """An interpreter's ACTIVE execution: a :class:`TransitionTable`'s
+    ACTIVE row on an engine without a progress counter, which both
+    chunk loops step one engine step per ACTIVE step.
 
-    Each step the loops run ``machine`` as ``Machine.run(budget,
+    Each ACTIVE step the loops run ``machine`` as ``Machine.run(budget,
     stop_at_ckpt)`` would, through ``run`` (a ``PythonLoop``'s) or the
     packed ``code``, and add the slice's memory energy, priced at
     ``access`` per SRAM read, SRAM write, FRAM read and FRAM write as
     ``McuPowerModel.slice_memory_energy`` prices it (``fram``: data in
-    FRAM), to the load's ``power * dt + energy``.  A step the chunk
-    does not commit (a halt, ``ckpt`` pause, port or fault, or a later
-    load's boundary) is undone: registers, PC and its logged writes.
-    The loops update the machine in place and write the committed
-    steps' total ``cycles`` and ``memory`` (in step order).
+    FRAM), to the row's energy.  A step the chunk does not commit (a
+    halt, ``ckpt`` pause, port or fault, or a later load's boundary) is
+    undone: registers, PC and its logged writes.  The loops update the
+    machine in place and write the committed steps' total ``cycles``,
+    retired ``instructions`` and ``memory`` (in step order).
     """
 
     machine: Any
@@ -199,6 +187,7 @@ class MachineSteps:
     fram: bool
     access: Tuple[float, float, float, float]
     cycles: int = 0
+    instructions: int = 0
     memory: float = 0.0
 
 
@@ -207,16 +196,18 @@ class MachineSteps:
 TABLE_STATES = ("off", "sleep", "restore", "snapshot", "active")
 OFF, SLEEP, RESTORE, SNAPSHOT, ACTIVE = range(5)
 
-#: The transitions a table names, in code order.  The last two always
-#: return to Python: the step that halts the workload, and the step
-#: that reaches a checkpoint site.
+#: The transitions a table names, in code order.  The last three
+#: always return to Python: the step that halts the workload, the step
+#: that reaches a checkpoint site, and an interpreter step that does
+#: port I/O or faults.
 TRANSITIONS = (
     "boot", "brownout", "snapshot", "snapshot-done", "restore",
     "restore-done", "cold-start", "halt", "checkpoint-site",
+    "port-or-fault",
 )
 (
     BOOT, BROWNOUT, SNAPSHOT_BEGIN, SNAPSHOT_DONE, RESTORE_BEGIN,
-    RESTORE_DONE, COLD_START, HALT, CHECKPOINT_SITE,
+    RESTORE_DONE, COLD_START, HALT, CHECKPOINT_SITE, PORT_OR_FAULT,
 ) = range(len(TRANSITIONS))
 #: Transitions one chunk logs at most.  A step logs three at most (a
 #: boot, a hook, a completion), so a chunk ends after the step that
@@ -230,9 +221,9 @@ class TransitionTable:
     loops follow across transitions.
 
     A load publishes one through ``LoadProfile.table`` (at most one per
-    rail); its other ``LoadProfile`` fields are then unused.  Each step,
-    with ``v`` the rail voltage the load sees, the loops run the
-    cascade of :meth:`~repro.transient.base.TransientPlatform.advance`:
+    rail).  Each step, with ``v`` the rail voltage the load sees, the
+    loops run the cascade of
+    :meth:`~repro.transient.base.TransientPlatform.advance`:
 
     1. brownout: ``v < v_min`` takes any state but OFF to OFF (an
        in-flight snapshot aborts, which empties a single-slot store;
@@ -246,7 +237,10 @@ class TransitionTable:
        snapshot is held and cold-starts into ACTIVE otherwise;
     4. the physics of the resulting state: ``energies[state]``, plus
        ``((current * v) * current_gain) * dt`` in ACTIVE, where each
-       step also adds ``budget`` cycles of progress;
+       step also adds ``budget`` cycles of progress or, with a
+       ``machine`` (an engine without a progress counter: the
+       interpreter), runs one engine step of it and adds the step's
+       memory energy to ``energies[ACTIVE]`` (see :class:`MachineSteps`);
     5. after the physics, an operation counts down one step and, at 0,
        completes: a snapshot commits and sleeps, a restore reloads the
        snapshot's progress and goes ACTIVE.
@@ -254,13 +248,15 @@ class TransitionTable:
     A transition whose bit is set in ``python`` is not followed: the
     loop stops before its step, which then runs through ``advance``.
     So does an ACTIVE step that would halt (progress reaching
-    ``total``) or reach a checkpoint site (every ``site_interval``
-    cycles; 0 for none).  ``stop`` names the code it stopped for
-    (-1: none).
+    ``total``, or the machine's ``halt``), reach a checkpoint site
+    (every ``site_interval`` cycles, 0 for none, or the machine's
+    ``ckpt`` pause), or make the machine do port I/O or fault.  A
+    machine step the chunk does not commit is undone.  ``stop`` names
+    the code it stopped for (-1: none).
 
     The rows (the fields up to ``python``) are constants: a load that
     needs other rows publishes another table.  The running fields
-    (``state`` ... ``payload``) are read at the chunk's start and
+    (``state`` ... ``machine``) are read at the chunk's start and
     written back at its end.  The loops also write
     per-state committed step ``counts`` and energy ``sums`` (ACTIVE's
     without its constant part), ``states`` (each committed step's
@@ -292,6 +288,7 @@ class TransitionTable:
     has_snapshot: bool = False
     pending: int = 0
     payload: int = 0
+    machine: Optional[MachineSteps] = None
     counts: Sequence[float] = (0,) * 5
     sums: Sequence[float] = (0.0,) * 5
     states: Sequence[float] = ()

@@ -266,8 +266,7 @@ class Strategy:
     def active_guard(self, platform: "TransientPlatform") -> Optional[float]:
         """The rail voltage at-or-below which :meth:`on_active` acts, if any.
 
-        The ACTIVE row's exit in the fast kernel's transition table (and
-        the falling boundary of an interpreter's ACTIVE chunk):
+        The ACTIVE row's exit in the fast kernel's transition table:
         returning a float asserts that, while the rail voltage stays
         *strictly above* it, :meth:`on_active` is a pure no-op (no
         snapshot trigger, no state transition, no mutation); what it
@@ -393,14 +392,16 @@ class TransientPlatform(RailLoad):
         self._operation: Optional[_Operation] = None
         self._restored_since_boot = False
         #: Operation costs by (kind, words), the fast kernel's table
-        #: profile with what its rows were built from, and the running
-        #: chunk's start (see _table_profile).
+        #: profile with what its rows were built from, the running
+        #: chunk's start and the machine plan its table runs, until
+        #: committed (see _table_profile).
         self._costs: Dict[tuple, tuple] = {}
         self._table_key: Optional[tuple] = None
         self._table: Optional[TransitionTable] = None
         self._hooks: Optional[InlineHooks] = None
         self._words: tuple = (None, None)
         self._chunk: tuple = ()
+        self._plan: Optional[tuple] = None
         strategy.configure(self)
 
     # ------------------------------------------------------------------
@@ -543,8 +544,13 @@ class TransientPlatform(RailLoad):
         * **OFF** — ``off_power``; boots at ``v >= v_por``.
         * **SLEEP** — ``sleep_power``; wakes at ``v >= wake``.
         * **ACTIVE** — core power proportional to the rail voltage plus
-          the engine's per-step memory energy and cycles; snapshots at
-          ``v <= guard``.
+          the engine's per-step memory energy and cycles, from its
+          progress counter
+          (:meth:`~repro.mcu.engine.ComputeEngine.progress_counter`) or,
+          on an engine without one (the interpreter), from one engine
+          step of its stepped plan
+          (:meth:`~repro.mcu.engine.ComputeEngine.active_plan`) per
+          step; snapshots at ``v <= guard``.
         * **SNAPSHOT / RESTORE** — constant operation power for the
           operation's step count (the reference's ``remaining -= dt``
           countdown); then commits and sleeps, or reloads and goes
@@ -553,15 +559,15 @@ class TransientPlatform(RailLoad):
 
         These return to Python (the chunk stops before the step, which
         runs through :meth:`advance`): the step that halts the workload
-        or reaches a checkpoint site; a hook the strategy does not vouch
-        for; completion and power-fail hooks the strategy overrides
+        or reaches a checkpoint site, and an interpreter step that does
+        port I/O or faults; a hook the strategy does not vouch for;
+        completion and power-fail hooks the strategy overrides
         (Hibernus++'s adaptation, NVP, Mementos); and entering a state
         the table cannot follow: ACTIVE on an engine without a progress
-        counter (the interpreter), or a state whose threshold the
-        strategy does not declare.  A chunk that starts ACTIVE on such
-        an engine steps the interpreter inside the chunk instead (the
-        profile's ``machine``, see
-        :meth:`~repro.mcu.engine.ComputeEngine.active_plan`).
+        counter (a cold start or a restore changes the interpreter's
+        state in Python), or a state whose threshold the strategy does
+        not declare.  A chunk starts ACTIVE on such an engine only with
+        its stepped plan.
 
         The commit replays the loop's transition log through the
         platform's own methods and hooks, in order, so the store, the
@@ -575,16 +581,14 @@ class TransientPlatform(RailLoad):
         frequency = self.clock.frequency
         budget = max(0, int(frequency * dt))
         counter = self.engine.progress_counter(budget) if budget else None
-        if self.state is PlatformState.ACTIVE and counter is None:
-            return self._active_profile(dt, frequency, budget)
         return self._table_profile(t, dt, frequency, budget, counter)
 
     def _table_profile(self, t, dt, frequency, budget, counter
                        ) -> Optional[LoadProfile]:
         """This chunk's table profile (see :meth:`load_profile`), or
         None when the present state has no row.  The rows are rebuilt
-        only when what they are built from changes; the running state
-        is set per chunk."""
+        only when what they are built from changes; the running state,
+        and an ACTIVE chunk's machine plan, are set per chunk."""
         strategy = self.strategy
         store = self.store
         hooks = self._hooks
@@ -597,9 +601,12 @@ class TransientPlatform(RailLoad):
             wake, boot = strategy.sleep_wake_threshold(self), hooks.boot
         state = self.state
         operation = self._operation
+        plan = None
+        if state is PlatformState.ACTIVE and counter is None:
+            plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
         if (
             state is PlatformState.ACTIVE
-            and (guard is None or counter is None)
+            and (guard is None or counter is None and plan is None)
             or state is PlatformState.SLEEP and wake is None
             or state in _OPERATIONS and operation is None
         ):
@@ -636,6 +643,8 @@ class TransientPlatform(RailLoad):
                 table.left = operation_steps(remaining, dt)
         table.has_snapshot = held
         table.payload = store.latest() if held and counter is not None else 0
+        table.machine = None if plan is None else plan[0]
+        self._plan = plan
         self._chunk = (t, table.left)
         # A profile per chunk: a cached one would hold the platform
         # through its commit, a cycle only the garbage collector frees.
@@ -796,55 +805,22 @@ class TransientPlatform(RailLoad):
 
     def _commit_active(self, steps: int, budget: int) -> None:
         """Commit ``steps`` ACTIVE steps the table followed to the
-        engine, through its own plan."""
-        plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
-        if plan is None or plan[1] < steps:
-            raise SimulationError(
-                f"transition table ran {steps} ACTIVE steps the engine "
-                f"does not vouch for"
-            )
+        engine, through its own plan: the machine plan the table ran
+        (whose commit applies every step the chunk committed, so once
+        a chunk), or else a constant one."""
+        plan = self._plan
+        if plan is not None:
+            self._plan = None
+        else:
+            plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
+            if plan is None or plan[1] < steps:
+                raise SimulationError(
+                    f"transition table ran {steps} ACTIVE steps the engine "
+                    f"does not vouch for"
+                )
         cycles, memory = plan[2](steps)
         self.metrics.cycles_executed += cycles
         self.metrics.energy["memory"] += memory
-
-    def _active_profile(self, dt, frequency, budget
-                        ) -> Optional[LoadProfile]:
-        """The ACTIVE steps of an engine without a progress counter (the
-        chunk loops step the interpreter), or None to stay per-step."""
-        guard = self.strategy.active_guard(self)
-        if guard is None:
-            return None
-        plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
-        if plan is None:
-            return None
-        steps, _, commit_steps = plan
-        # The strategy acts when v <= guard; the chunk's falling boundary
-        # is strict (v < v_falling), so nudge the guard up one ulp to
-        # make `v < boundary` equivalent to `v <= guard`.  Brownout
-        # (v < v_min) folds into the same boundary.
-        v_fall = self.config.v_min
-        if guard > -math.inf:
-            v_fall = max(v_fall, math.nextafter(guard, math.inf))
-        metrics = self.metrics
-
-        def commit(count: int, dt_: float, energy_sum: float) -> None:
-            if count:
-                cycles, memory = commit_steps(count)
-                # `energy_sum` is the summed per-step demand: voltage-
-                # proportional core energy plus the memory part.
-                metrics.time_in_state["active"] += count * dt_
-                metrics.energy["active"] += energy_sum - memory
-                metrics.energy["memory"] += memory
-                metrics.cycles_executed += cycles
-
-        model = self.power_model
-        return LoadProfile(
-            current=model.active_current(frequency),
-            current_gain=model.fram_execution_factor,
-            v_falling=v_fall,
-            commit=commit,
-            machine=steps,
-        )
 
     def reset(self) -> None:
         self.engine.reset()

@@ -475,6 +475,7 @@ def test_interpreter_stretches_match_reference(case, monkeypatch):
     ref_machine = ref.platform.engine.machine
     fast_machine = fast.platform.engine.machine
     assert ref_machine.total_cycles == fast_machine.total_cycles
+    assert ref_machine.total_instructions == fast_machine.total_instructions
     for port, peripheral in ref_machine.ports.items():
         assert _device(fast_machine.ports[port]) == _device(peripheral), port
     # The comparison is not vacuous: the run computes, and the fast
@@ -506,6 +507,66 @@ def test_sense_port_steps_are_events_not_refusals():
     assert fallbacks["refused"] == fallbacks["backoff"] == 0, fallbacks
     assert fallbacks["unchunkable"] == 0, fallbacks
     assert fallbacks["event"] == stats.fallback_steps > 2000, fallbacks
+
+
+def _event_record(case):
+    """The fast kernel's record of ``case``'s run: the fig7 preset
+    point, or 1 s of the sense case."""
+    if case == "sense-hibernus":
+        return _sense_system("fast").run(1.0).chunk_stats
+    spec = preset("fig7").with_override("kernel", "fast")
+    return spec.build().run(spec.duration, decimate=spec.decimate).chunk_stats
+
+
+@pytest.mark.parametrize("case", ["fig7", "sense-hibernus"])
+def test_every_event_step_is_named(case):
+    """Each step a chunk stopped before names the transition or machine
+    exit (halt, ckpt pause, port I/O or fault) it stopped for; fig7's
+    V_H crossings are snapshots followed inside chunks, which leaves it
+    fewer than 10 chunks and 6 event steps."""
+    record = _event_record(case)
+    events = record.fallbacks["event"]
+    assert events > 0
+    assert sum(record.fallback_transitions.values()) == events, record
+    if case == "fig7":
+        assert record.transitions["snapshot"] == 2, record
+        assert record.chunks < 10 and events < 6, record
+    else:
+        assert record.fallback_transitions["port-or-fault"] > 2000, record
+
+
+def test_fig7_instruction_count_matches_reference_on_both_rungs(
+        monkeypatch):
+    """``repro_mcu_instructions_total``, exported once per run, counts
+    the instructions a fig7 point retires: the reference kernel's count
+    on both chunk rungs (a step a chunk undoes retires nothing)."""
+    from repro import degrade, obs
+    from repro.sim import _ckernel
+
+    counter = obs.registry.counter("repro_mcu_instructions_total")
+    previous = obs.set_obs_enabled(True)
+
+    def retired(kernel):
+        spec = preset("fig7").with_override("kernel", kernel)
+        before = counter.value
+        system = spec.build()
+        system.run(spec.duration, decimate=spec.decimate)
+        count = counter.value - before
+        assert count == system.platform.engine.machine.total_instructions
+        return count
+
+    try:
+        reference = retired("reference")
+        assert reference > 0
+        assert retired("fast") == reference
+        monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+        _ckernel.reset_cache()
+        assert retired("fast") == reference
+    finally:
+        obs.set_obs_enabled(previous)
+        monkeypatch.delenv("REPRO_BATCH_CKERNEL", raising=False)
+        _ckernel.reset_cache()
+        degrade.reset()
 
 
 def test_fig7_active_stretches_chunk():

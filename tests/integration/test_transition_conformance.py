@@ -9,13 +9,20 @@ draws Eq. (5) crossover scenarios over strategy (Hibernus, QuickRecall,
 Hibernus++, none), interruption frequency (1-99 Hz, log scale),
 capacitance (10-47 uF), workload length (2e5-4e6 cycles), bleed
 resistance (300-2000 ohm) and each strategy's thresholds inside the
-range its factory accepts; a draw the factory rejects is redrawn.
-Every scenario must give:
+range its factory accepts; a draw the factory rejects is redrawn.  A
+second seeded generator draws the same scenarios on the interpreter
+(``engine="machine"``): every registered program that needs no
+peripheral, at small sizes, on a slow clock (2-20 cycles a step) so
+that its run spans supply interruptions; the table then steps the
+machine in its ACTIVE row.  Every scenario must give:
 
 * the same row on the compiled and the Python rung, bit for bit;
 * fast rows within 1e-9 of reference rows on every metric;
 * exactly equal boots, brownouts, snapshots (completed and aborted),
   restores, executed cycles and completion.
+
+The interpreter scenarios must follow snapshots, their completion,
+restores and brownouts inside chunks.
 
 Named cases force the transitions a random draw seldom reaches: a
 brownout mid-snapshot, a brownout mid-restore, and boots after the
@@ -42,6 +49,19 @@ from repro.spec.specs import (
 
 SEED = 2026
 COUNT = 120
+#: The interpreter scenarios' generator.
+MACHINE_SEED = 3035
+MACHINE_COUNT = 60
+#: Small sizes of the registered programs a spec can run without a
+#: peripheral (``fir`` reads port 0, ``sense`` ports 1 and 2).
+PROGRAM_SIZES = {
+    "fft": ("n", (16, 32, 64)),
+    "crc": ("length", (32, 64, 128)),
+    "matmul": ("n", (4, 6, 8)),
+    "sieve": ("limit", (120, 200, 400)),
+    "sort": ("length", (16, 32, 64)),
+    "counter": ("target", (300, 1000, 3000)),
+}
 TOLERANCE = 1e-9
 #: Simulated seconds per scenario: runs stop on completion before.
 DURATION = 1.0
@@ -148,6 +168,37 @@ def generated_specs():
     return specs
 
 
+def generated_machine_specs():
+    """``MACHINE_COUNT`` valid interpreter scenarios from their own
+    seeded generator (the synthetic draws above stay as they are)."""
+    rng = random.Random(MACHINE_SEED)
+    specs = []
+    while len(specs) < MACHINE_COUNT:
+        strategy, params, model = _strategy(rng)
+        program = rng.choice(sorted(PROGRAM_SIZES))
+        name, sizes = PROGRAM_SIZES[program]
+        spec = scenario(
+            strategy, params, model,
+            frequency=_log_uniform(rng, 1.0, 99.0),
+            capacitance=_log_uniform(rng, 10e-6, 47e-6),
+            cycles=0,
+            bleed=rng.uniform(300.0, 2000.0),
+        )
+        spec = dataclasses.replace(spec, platform=dataclasses.replace(
+            spec.platform, engine="machine", engine_params={},
+            program=program, program_params={name: rng.choice(sizes)},
+            machine_params={"data_space_words": 512,
+                            "data_in_fram": model == "msp430-fram"},
+            clock_frequency=_log_uniform(rng, 2e4, 2e5),
+        ))
+        try:
+            spec.build()
+        except (ConfigurationError, SpecError):
+            continue  # outside the factory's range: draw again
+        specs.append(spec)
+    return specs
+
+
 def _oversized_snapshot(system):
     """Commit a 20k-word snapshot before the run: restoring it takes
     10 ms, longer than a 99 Hz supply stays up."""
@@ -215,6 +266,8 @@ def outcome(results, name, kernel):
 
 CASES = [(f"seed-{i}", spec, None) for i, spec in
          enumerate(generated_specs())] + [
+    (f"machine-{i}", spec, None) for i, spec in
+    enumerate(generated_machine_specs())] + [
     (name, spec, prepare) for name, (spec, prepare, _) in NAMED.items()
 ]
 
@@ -289,18 +342,35 @@ def test_named_case_reaches_its_transition(results, name):
 def test_generator_covers_every_strategy_and_transition(results):
     """The draws reach every strategy and, across them, every
     transition the table follows, plus Python returns for Hibernus++
-    adaptation."""
-    strategies = {spec.platform.strategy for _, spec, _ in CASES}
-    assert strategies == {"hibernus", "quickrecall", "hibernus++", "null"}
+    adaptation; on the interpreter too, whose table follows snapshots,
+    their completion, restores and brownouts and returns to Python at
+    its halt."""
+    for engine in ("synthetic", "machine"):
+        strategies = {spec.platform.strategy for _, spec, _ in CASES
+                      if spec.platform.engine == engine}
+        assert strategies == {"hibernus", "quickrecall", "hibernus++",
+                              "null"}, engine
+    programs = {spec.platform.program for _, spec, _ in CASES}
+    assert programs == set(PROGRAM_SIZES) | {None}, programs
     followed = set()
     returned = set()
+    machine_followed = set()
+    machine_returned = set()
     completed = 0
-    for name, _, _ in CASES:
+    for name, spec, _ in CASES:
         row, _, stats = outcome(results, name, "python")
         followed.update(k for k, v in stats.transitions.items() if v)
         returned.update(k for k, v in stats.fallback_transitions.items()
                         if v)
+        if spec.platform.engine == "machine":
+            machine_followed.update(
+                k for k, v in stats.transitions.items() if v)
+            machine_returned.update(
+                k for k, v in stats.fallback_transitions.items() if v)
         completed += bool(row["completed"])
+    assert {"snapshot", "snapshot-done", "restore",
+            "brownout"} <= machine_followed, machine_followed
+    assert "halt" in machine_returned, machine_returned
     assert followed == {
         "boot", "brownout", "snapshot", "snapshot-done", "restore",
         "restore-done", "cold-start",

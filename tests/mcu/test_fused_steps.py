@@ -1,8 +1,8 @@
 """The interpreter stepped inside chunks against step-by-step execution,
 on both rungs.
 
-Under the fast kernel both chunk loops step a machine load's
-interpreter themselves, one engine step per step
+Under the fast kernel both chunk loops step the interpreter in a
+transition table's ACTIVE row, one engine step per step
 (:class:`~repro.sim.kernel.MachineSteps`), and undo the one step a
 chunk does not commit.  Driven through seeded chunk lengths, seeded
 rails and a second load with seeded voltage boundaries, every program
@@ -17,8 +17,9 @@ a time:
   every chunk;
 * a chunk that stops short stops right before an event step, whose
   undo it met: on the step-by-step machine that step halts, pauses at
-  a ``ckpt``, does port I/O or faults, or it runs its budget and the
-  second load's boundary discarded it.
+  a ``ckpt``, does port I/O or faults, each named by the table's stop
+  code (its first exit), or it runs its budget and the second load's
+  boundary discarded it.
 
 The compiled and Python chunk loops must observe exactly the same
 sequence.
@@ -38,7 +39,14 @@ from repro.mcu.machine import Machine
 from repro.mcu.power_model import McuPowerModel
 from repro.power.rail import RailStats, chunk_loop
 from repro.sim import _ckernel
-from repro.sim.kernel import CapacitorPhysics, LoadProfile, VoltageSourcePlan
+from repro.sim.kernel import (
+    ACTIVE,
+    TRANSITIONS,
+    CapacitorPhysics,
+    LoadProfile,
+    TransitionTable,
+    VoltageSourcePlan,
+)
 
 from tests.mcu.test_interpreter_ledger import CONFIGS, PROGRAMS
 from tests.mcu.test_machine_rungs import (
@@ -59,6 +67,22 @@ REQUIRED_TAGS = {
     True: {"halt", "ckpt", "port", "fault", "boundary", "full"},
     False: {"halt", "port", "fault", "boundary", "full"},
 }
+#: The table's stop code, by name, for each kind of undone step.
+STOPS = {"halt": "halt", "ckpt": "checkpoint-site", "port": "port-or-fault",
+         "fault": "port-or-fault", "boundary": None}
+
+
+def active_table(steps, energy):
+    """A table that stays ACTIVE, stepping ``steps`` and drawing
+    ``energy`` joules a step beside its memory energy (no core
+    current)."""
+    return TransitionTable(
+        v_min=0.0, v_por=0.0, guard=-math.inf, wake=math.inf,
+        boot_state=ACTIVE, energies=(0.0, 0.0, 0.0, 0.0, energy),
+        current=0.0, current_gain=1.0, snapshot_steps=0, restore_steps=0,
+        budget=steps.budget, total=0, site_interval=0, single_slot=False,
+        python=0, state=ACTIVE, machine=steps,
+    )
 
 
 def state(machine):
@@ -135,9 +159,9 @@ def drive(source, config, peripherals, seed, stop_at_ckpt, compiled,
             else math.inf,
         )
         plan, _, commit = engine.active_plan(budget, stop_at_ckpt)
-        profiles = [LoadProfile(energy=energy, machine=plan), boundary]
+        table = active_table(plan, energy)
         taken, energies, voltages = run_chunk(
-            compiled, v0, values, profiles, n
+            compiled, v0, values, [LoadProfile(table=table), boundary], n
         )
         cycles, memory = commit(taken)
         demand = memory_sum = 0.0
@@ -164,6 +188,12 @@ def drive(source, config, peripherals, seed, stop_at_ckpt, compiled,
         assert event_tag(fused, budget, stop_at_ckpt) == (tag, seen)
         assert state(fused) == state(stepped)
         tag = tag or "boundary"
+        # The loop names the step's first exit: a port before the
+        # step's halt or fault.
+        stop = None if table.stop < 0 else TRANSITIONS[table.stop]
+        ported = isinstance(seen, dict) and seen["peripheral_energy"] > 0.0
+        assert stop == ("port-or-fault" if ported else STOPS[tag]), (
+            tag, stop)
         tags.add(tag)
         log.append((tag, seen))
         steps += 1
@@ -224,11 +254,13 @@ def test_an_undone_step_restores_every_word_it_wrote(compiled):
     fresh = state(machine)
     steps = machine.active_steps(100, False, (1e-11, 1e-11, 1e-11, 1e-11))
     values = np.ascontiguousarray(np.zeros(4))
+    table = active_table(steps, 0.0)
     taken, energies, _ = run_chunk(
-        compiled, 3.0, values, [LoadProfile(machine=steps)], 4
+        compiled, 3.0, values, [LoadProfile(table=table)], 4
     )
-    assert (taken, energies, steps.cycles, steps.memory) == (0, [0.0], 0,
-                                                            0.0)
+    assert (taken, energies, steps.cycles, steps.instructions,
+            steps.memory) == (0, [0.0], 0, 0, 0.0)
+    assert TRANSITIONS[table.stop] == "port-or-fault"
     assert state(machine) == fresh
 
 

@@ -9,16 +9,17 @@ and each load's committed energy — and both must stay within 1e-9 of
 per-step reference execution with the event on the identical step.  Scenarios are drawn
 from a seeded generator over storage (ideal, leaky, supercap), sources
 (rectified voltage, power with and without a converter) and one to
-three loads mixing resistive, current and constant demand with voltage
-event boundaries, and the envelope's sampling period and phase.  One
-load may step a machine inside the chunk (the interpreter's ACTIVE
-shape, a ``MachineSteps``), which sometimes halts before the chunk's
-end: the loops undo the halting step and stop before it.
-Some rails also carry a transient platform (a synthetic workload under
-Hibernus, Hibernus++ or no strategy, in any state) whose transition
-table the loops follow across boots, hooks, operations and brownouts:
-its counters, state, progress and store must match per-step execution
-exactly, and the chunk stops before a transition it leaves to Python.
+three loads mixing resistive and constant demand with voltage event
+boundaries, and the envelope's sampling period and phase.
+Some rails also carry a transient platform (a synthetic workload or an
+interpreter under Hibernus, Hibernus++ or no strategy, in any state)
+whose transition table the loops follow across boots, hooks,
+operations and brownouts: its counters, state, progress, machine and
+store must match per-step execution exactly, and the chunk stops
+before a transition it leaves to Python.  An interpreter's ACTIVE
+steps run inside the chunk (a ``MachineSteps`` in the table), which
+sometimes halts before the chunk's end, or has a step a later load's
+boundary discards: the loops undo that step and stop before it.
 Some carry the closed-form supplies the compiled loop evaluates itself
 (``trapezoid-supply`` and ``signal-generator``, rectified or not, DC,
 behind a half-wave or a bridge rectifier) with parameters drawn from
@@ -52,15 +53,17 @@ from repro.power.rail import (
     SupplyRail,
 )
 from repro.power.rectifier import Diode, FullWaveRectifier, HalfWaveRectifier
-from repro.mcu.engine import SyntheticEngine
+from repro.mcu.clock import ClockPlan, OperatingPoint
+from repro.mcu.engine import MachineEngine, SyntheticEngine
 from repro.mcu.machine import Machine, MachineConfig
-from repro.mcu.power_model import McuPowerModel, MemoryTechnology
+from repro.mcu.power_model import MemoryTechnology
 from repro.sim import _ckernel
 from repro.sim.kernel import ChunkStats, LoadProfile
 from repro.storage.capacitor import Capacitor
 from repro.storage.supercap import Supercapacitor
 from repro.transient.base import (
     NullStrategy,
+    PlatformState,
     SnapshotStore,
     TransientPlatform,
     TransientPlatformConfig,
@@ -72,13 +75,10 @@ SEEDS = range(150)
 #: Seeds of the rails fed only by closed-form supplies (after SEEDS).
 WAVE_SEEDS = range(150, 200)
 TOLERANCE = 1e-9
-#: A machine load's memory prices, and its program: ``{k}`` passes of a
-#: load, add and store, then ``halt``.
-MODEL = McuPowerModel()
+#: An interpreter platform's memory prices, and its program: ``{k}``
+#: passes of a load, add and store, then ``halt``.
 SRAM = MemoryTechnology("sram", 1e-11, 1.2e-11, 1, 1, 0.0)
 FRAM = MemoryTechnology("fram", 5e-11, 1.5e-10, 1, 1, 0.0)
-ACCESS = (SRAM.read_energy, SRAM.write_energy, FRAM.read_energy,
-          FRAM.write_energy)
 COUNTDOWN = """
 .data d: 0
   ldi r1, {k}
@@ -96,83 +96,38 @@ class ProfileLoad(RailLoad):
     """A stateless load whose per-step demand is its published profile.
 
     ``advance`` computes the demand with the chunk loop's arithmetic and
-    records the steps on which the voltage it sees crosses a boundary
-    (or its machine halts); ``commit`` records the chunk's committed
-    energy, and a machine's committed cycles and memory energy.
+    records the steps on which the voltage it sees crosses a boundary;
+    ``commit`` records the chunk's committed energy.
     """
 
-    def __init__(self, kind, power, energy, term, v_rising, v_falling,
-                 machine=None):
+    def __init__(self, kind, power, resistance, v_rising, v_falling):
         self.kind = kind
         self.power = power
-        self.energy = energy
-        # A machine stepped one budget a step, or None, and the cycles
-        # and memory joules of its committed steps.
-        self.machine = self.budget = None
-        self.cycles, self.memory = 0, 0.0
-        if machine is not None:
-            source, self.budget = machine
-            self.machine = Machine.from_source(
-                source, MachineConfig(data_space_words=16)
-            )
-        self.term = term  # resistance, or (current, gain)
+        self.resistance = resistance if kind == "resistive" else None
         self.v_rising = v_rising
         self.v_falling = v_falling
         self.commits = []
         self.crossings = []
         self.step = 0
 
-    def profile(self):
-        extra = {}
-        if self.kind == "resistive":
-            extra["resistance"] = self.term
-        elif self.kind == "current":
-            extra["current"], extra["current_gain"] = self.term
-        if self.machine is None:
-            def commit(steps, dt, energy):
-                self.commits.append((steps, energy))
-        else:
-            if self.machine.halted:
-                return None
-            plan = extra["machine"] = self.machine.active_steps(
-                self.budget, False, ACCESS
-            )
-
-            def commit(steps, dt, energy):
-                self.machine.total_cycles += plan.cycles
-                self.cycles, self.memory = plan.cycles, plan.memory
-                self.commits.append((steps, energy))
-        return LoadProfile(
-            power=self.power, energy=self.energy,
-            v_rising=self.v_rising, v_falling=self.v_falling,
-            commit=commit, **extra,
-        )
-
     def load_profile(self, t, dt, v_rail):
-        return self.profile()
+        def commit(steps, dt, energy):
+            self.commits.append((steps, energy))
+
+        return LoadProfile(
+            power=self.power, resistance=self.resistance,
+            v_rising=self.v_rising, v_falling=self.v_falling, commit=commit,
+        )
 
     def advance(self, t, dt, v_rail):
         if v_rail >= self.v_rising:
             self.crossings.append((self.step, "rising"))
         elif v_rail < self.v_falling:
             self.crossings.append((self.step, "falling"))
-        e_const = self.power * dt + self.energy
-        if self.machine is not None:
-            slice_ = self.machine.run(self.budget)
-            if slice_.halted:
-                self.crossings.append((self.step, "halt"))
-            else:
-                memory = MODEL.slice_memory_energy(slice_, SRAM, FRAM)
-                e_const += memory
-                self.cycles += slice_.cycles
-                self.memory += memory
         self.step += 1
-        if self.kind == "resistive":
-            return v_rail * v_rail / self.term * dt + e_const
-        if self.kind == "current":
-            current, gain = self.term
-            return ((current * v_rail) * gain) * dt + e_const
-        return e_const
+        if self.resistance is not None:
+            return v_rail * v_rail / self.resistance * dt + self.power * dt
+        return self.power * dt
 
 
 def scenario(seed):
@@ -214,7 +169,7 @@ def scenario(seed):
         scn["sources"].append((kind, rng.uniform(0.0, 1.0), rng.random()))
     for _ in range(1 if simple or starving else rng.randrange(1, 4)):
         kind = "constant" if simple or starving else rng.choice(
-            ("resistor", "resistive", "current", "constant")
+            ("resistor", "resistive", "constant")
         )
         bounded = rng.random() < 0.6
         # The clamp voltage itself as a rising boundary: a clamped step
@@ -222,14 +177,11 @@ def scenario(seed):
         at_clamp = rng.random() < 0.25 or (clamped and not scn["loads"])
         scn["loads"].append({
             "kind": kind,
-            "power": rng.choice((0.0, 10 ** rng.uniform(-5, -2.5))),
-            "energy": (
-                1e-3 if starving
-                else rng.choice((0.0, 10 ** rng.uniform(-10, -7)))
+            "power": (
+                1e-3 / scn["dt"] if starving
+                else rng.choice((0.0, 10 ** rng.uniform(-5, -2.5)))
             ),
             "resistance": 10 ** rng.uniform(1.5, 4),
-            "current": 10 ** rng.uniform(-4, -2),
-            "gain": rng.uniform(0.5, 1.5),
             "v_rising": (
                 v_max if at_clamp
                 else scn["v0"] + rng.uniform(0.01, 0.6) if bounded
@@ -243,22 +195,18 @@ def scenario(seed):
     # the last sample on entry.
     scn["every"] = rng.choice((1, 1, 2, 3, 7, 64))
     scn["phase"] = rng.randrange(scn["every"])
-    # Drawn after those: a machine on the first load that is not a
-    # plain resistor, some of the time, with a step budget and a
-    # countdown that sometimes halts it before the chunk's ``n``.
-    machine = False
-    for load in scn["loads"]:
-        load["machine"] = None
-        if load["kind"] != "resistor" and not machine:
-            machine = True
-            if rng.random() < 0.35:
-                budget = rng.randint(1, 60)
-                passes = rng.randint(1, scn["n"] * budget // 5)
-                load["machine"] = (COUNTDOWN.format(k=passes), budget)
-    # Drawn after those: a transient platform as one more load, with
-    # thresholds around the starting voltage.
+    # Drawn after those: an interpreter some of the time, with a step
+    # budget and a countdown that sometimes halts it before the chunk's
+    # ``n``; then a transient platform as one more load, with
+    # thresholds around the starting voltage, always when it runs the
+    # interpreter (mostly ACTIVE, so the machine steps).
+    machine = None
+    if rng.random() < 0.25:
+        budget = rng.randint(1, 60)
+        passes = rng.randint(1, scn["n"] * budget // 5)
+        machine = (COUNTDOWN.format(k=passes), budget)
     scn["platform"] = None
-    if rng.random() < 0.35:
+    if rng.random() < 0.35 or machine:
         v_min = max(0.05, scn["v0"] - rng.uniform(0.0, 0.4))
         v_hibernate = v_min + rng.uniform(0.0, 0.5)
         scn["platform"] = {
@@ -269,14 +217,18 @@ def scenario(seed):
             "v_por": v_min + rng.uniform(0.0, 0.3),
             "v_hibernate": v_hibernate,
             "v_restore": v_hibernate + rng.uniform(0.01, 0.5),
-            "state": rng.choice(("off", "sleep", "active", "snapshot",
-                                 "restore")),
+            "state": (
+                "active" if machine and rng.random() < 0.7
+                else rng.choice(("off", "sleep", "active", "snapshot",
+                                 "restore"))
+            ),
             "total": rng.randrange(20_000, 400_000),
             "executed": rng.randrange(0, 20_000),
             "words": rng.choice((17, rng.randrange(0, 3000))),
             "slots": rng.choice((1, 2, 2)),
             "held": rng.random() < 0.7,
             "done": rng.random() < 0.1,
+            "machine": machine,
         }
     # Drawn after those: closed-form supplies, and sometimes a start
     # step up to 3e5.
@@ -337,8 +289,7 @@ def wave_scenario(seed):
         "sources": [],
         "loads": [{
             "kind": "constant", "power": 10 ** rng.uniform(-5, -3),
-            "energy": 0.0, "current": 0.0, "gain": 1.0,
-            "v_rising": math.inf, "v_falling": -math.inf, "machine": None,
+            "resistance": None, "v_rising": math.inf, "v_falling": -math.inf,
         }],
         "every": 1,
         "phase": 0,
@@ -381,8 +332,9 @@ def wave_tags(wave):
     return tags
 
 
-def build_platform(spec, capacitance):
-    """A synthetic-workload platform in the drawn state."""
+def build_platform(spec, capacitance, dt):
+    """A synthetic-workload or interpreter platform in the drawn
+    state."""
     strategy = {
         "hibernus": lambda: Hibernus(v_hibernate=spec["v_hibernate"],
                                      v_restore=spec["v_restore"]),
@@ -392,9 +344,24 @@ def build_platform(spec, capacitance):
         ),
         "null": NullStrategy,
     }[spec["strategy"]]()
-    engine = SyntheticEngine(spec["total"], full_state_words=spec["words"])
+    clock = None
+    if spec["machine"] is None:
+        engine = SyntheticEngine(spec["total"],
+                                 full_state_words=spec["words"])
+        engine.executed = spec["executed"]
+        payload, words = spec["executed"] // 2, spec["words"]
+    else:
+        source, budget = spec["machine"]
+        engine = MachineEngine(
+            Machine.from_source(source, MachineConfig(data_space_words=16)),
+            sram=SRAM, fram=FRAM,
+        )
+        # A clock buying `budget` cycles a step.
+        clock = ClockPlan([OperatingPoint((budget + 0.5) / dt, 3.0)])
+        payload = engine.capture(full=True)
+        words = engine.full_state_words
     platform = TransientPlatform(
-        engine, strategy,
+        engine, strategy, clock=clock,
         config=TransientPlatformConfig(
             v_min=spec["v_min"], v_por=spec["v_por"],
             rail_capacitance=capacitance,
@@ -402,9 +369,8 @@ def build_platform(spec, capacitance):
         store=SnapshotStore(spec["slots"]),
     )
     if spec["held"]:
-        platform.store.begin_write(spec["executed"] // 2, spec["words"])
+        platform.store.begin_write(payload, words)
         platform.store.commit()
-    engine.executed = spec["executed"]
     platform.workload_done = spec["done"]
     state = spec["state"]
     if state == "sleep":
@@ -466,17 +432,14 @@ def build(scn):
         if spec["kind"] == "resistor":
             load = ResistiveLoad(spec["resistance"])
         else:
-            term = (
-                spec["resistance"] if spec["kind"] == "resistive"
-                else (spec["current"], spec["gain"])
-            )
-            load = ProfileLoad(spec["kind"], spec["power"], spec["energy"],
-                               term, spec["v_rising"], spec["v_falling"],
-                               spec["machine"])
+            load = ProfileLoad(spec["kind"], spec["power"],
+                               spec["resistance"], spec["v_rising"],
+                               spec["v_falling"])
         loads.append(load)
     platform = None
     if scn["platform"] is not None:
-        platform = build_platform(scn["platform"], scn["capacitance"])
+        platform = build_platform(scn["platform"], scn["capacitance"],
+                                  scn["dt"])
         loads.insert(scn["platform"]["index"], platform)
     for load in loads:
         rail.attach_load(load)
@@ -491,7 +454,8 @@ def platform_state(platform):
     metrics = platform.metrics
     operation = platform._operation
     return (
-        platform.state, platform.engine.executed, platform.workload_done,
+        platform.state, getattr(platform.engine, "executed", None),
+        platform.workload_done,
         platform.store.has_snapshot(), platform.store.sequence,
         platform.store.aborted_writes,
         None if operation is None else (operation.kind, operation.remaining),
@@ -500,14 +464,14 @@ def platform_state(platform):
     )
 
 
-def machine_state(loads):
-    """Each machine load's machine and committed totals."""
-    return [
-        (load.machine.registers[:], load.machine.pc,
-         load.machine.data.tolist(), load.machine.total_cycles,
-         load.machine.halted, load.cycles, load.memory)
-        for load in loads if getattr(load, "machine", None) is not None
-    ]
+def machine_state(platform):
+    """An interpreter platform's machine, or None."""
+    machine = getattr(getattr(platform, "engine", None), "machine", None)
+    if machine is None:
+        return None
+    return (machine.registers[:], machine.pc, machine.data.tolist(),
+            machine.total_cycles, machine.total_instructions,
+            machine.halted)
 
 
 def platform_ledger(platform):
@@ -535,7 +499,7 @@ def chunk(scn):
         "commits": [getattr(load, "commits", None) for load in loads],
         "platform": platform_state(platform),
         "ledger": platform_ledger(platform),
-        "machines": machine_state(loads),
+        "machine": machine_state(platform),
         "states": None if states is None else states.tolist(),
         "transitions": {k: v for k, v in record.transitions.items() if v},
         "stop": next((k for k, v in record.fallback_transitions.items()
@@ -564,7 +528,7 @@ def reference(scn, steps):
             bounds = envelope(stats)
             before = platform_state(platform)
             ledger = platform_ledger(platform)
-            machines = machine_state(loads)
+            machine = machine_state(platform)
         rail.step((scn["start"] + i) * dt, dt)
         voltages.append(rail.voltage)
         if platform is not None:
@@ -577,7 +541,7 @@ def reference(scn, steps):
     return {
         "voltages": voltages[:steps], "totals": totals, "bounds": bounds,
         "crossings": crossings, "platform": before, "ledger": ledger,
-        "machines": machines,
+        "machine": machine,
         "states": codes[:steps], "after": platform_state(platform),
     }
 
@@ -625,10 +589,10 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
             taken = result["taken"]
             n = scn["n"]
             ref = reference(scn, taken)
-            # A machine's registers, PC, data and committed totals
+            # A machine's registers, PC, data and retired totals
             # exactly: the loops step it as `advance` does.
-            assert result["machines"] == ref["machines"], (rung, seed)
-            if result["machines"]:
+            assert result["machine"] == ref["machine"], (rung, seed)
+            if result["machine"] and result["machine"][3]:
                 seen.add("machine")
             voltages, totals, bounds, crossings = (
                 ref["voltages"], ref["totals"], ref["bounds"],
@@ -670,16 +634,18 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
                 assert taken < n, (rung, seed)
                 assert ref["after"] != ref["platform"], (rung, seed)
                 seen.add("table-stop")
+                if result["machine"] and result["stop"] == "halt":
+                    seen.add("machine-halt")
             elif taken < n:
                 assert event == taken, (rung, seed, crossings, taken)
                 first_load = [step for step, _ in crossings].index(event)
                 seen.add("event" if first_load == 0
                          else "event-on-later-load")
-                machine = [index for index, load in enumerate(scn["loads"])
-                           if load["machine"] is not None]
-                if crossings[first_load][1] == "halt":
-                    seen.add("machine-halt")
-                elif machine and machine[0] < first_load:
+                if (
+                    result["machine"]
+                    and scn["platform"]["index"] <= first_load
+                    and ref["platform"][0] is PlatformState.ACTIVE
+                ):
                     # The machine had stepped: the loops undid it.
                     seen.add("machine-undone")
                 if (
@@ -714,7 +680,7 @@ def test_chunks_match_reference_execution(monkeypatch, restore_kernel):
         "envelope-empty", "envelope-mid-period",
         "machine", "machine-halt", "machine-undone",
         "trapezoid", "sine-full", "square", "converter",
-        "resistor", "resistive", "current", "constant",
+        "resistor", "resistive", "constant",
         "capacitor", "leaky", "supercap",
         "table", "table-transition", "table-stop",
         "boot", "brownout", "snapshot", "snapshot-done", "restore",

@@ -403,25 +403,36 @@ def test_base_strategy_guard_reflects_on_active_override():
     assert Acting().active_guard(platform) is None
 
 
-def test_active_profile_event_boundary_is_inclusive():
-    """The strategy acts at v <= guard; the profile's strict v_falling
-    boundary must therefore sit one ulp above the guard."""
+def test_table_guard_is_inclusive():
+    """The strategy acts at v <= guard; the table's strict ``v < guard``
+    must therefore sit one ulp above it, for a progress counter and for
+    the interpreter, whose ACTIVE row carries the machine's steps."""
+    from repro.mcu.engine import MachineEngine
+    from repro.mcu.machine import Machine
+    from repro.mcu.programs import fft_program
     from repro.transient.hibernus import Hibernus
 
-    engine = SyntheticEngine(total_cycles=10_000_000)
-    platform = TransientPlatform(
-        engine, Hibernus(v_hibernate=2.8, v_restore=3.0)
-    )
-    platform.go_active()
-    profile = platform.load_profile(0.0, 1e-4, 3.1)
-    assert profile is not None
-    table = profile.table
-    assert table.guard == math.nextafter(2.8, math.inf)
-    # `v < guard` is then exactly `v <= 2.8`: true at the guard
-    # itself, false one ulp above it.
-    assert 2.8 < table.guard
-    assert not table.guard < table.guard
-    assert table.current > 0.0 and table.budget > 0
+    engines = (SyntheticEngine(total_cycles=10_000_000),
+               MachineEngine(Machine.from_source(fft_program(16))))
+    for engine in engines:
+        platform = TransientPlatform(
+            engine, Hibernus(v_hibernate=2.8, v_restore=3.0)
+        )
+        platform.go_active()
+        profile = platform.load_profile(0.0, 1e-4, 3.1)
+        assert profile is not None
+        table = profile.table
+        assert table.guard == math.nextafter(2.8, math.inf)
+        # `v < guard` is then exactly `v <= 2.8`: true at the guard
+        # itself, false one ulp above it.
+        assert 2.8 < table.guard
+        assert not table.guard < table.guard
+        assert table.current > 0.0 and table.budget > 0
+        machine = getattr(engine, "machine", None)
+        assert (table.machine is None) is (machine is None)
+        if machine is not None:
+            assert table.machine.machine is machine
+            assert table.machine.budget == table.budget
 
 
 # -- rail max_steps handling -----------------------------------------------
