@@ -5,65 +5,83 @@
 2. Capacitance: how added storage moves a Hibernus system through the
    Fig. 2 storage axis (fewer, later snapshots as C grows).
 3. Restore threshold V_R: active time against snapshot churn.
+
+Every row is one point against a single spec (:data:`BASE`), run through
+:func:`~repro.spec.runner.evaluate` on both kernels: a strategy point
+overrides ``strategy`` and ``power_model``, the others ``capacitance`` or
+``v_restore``.
 """
 
-from repro.analysis.report import format_table, print_section
-from repro.core.metrics import RunReport
-from repro.core.system import EnergyDrivenSystem
-from repro.harvest.synthetic import SquareWavePowerHarvester
-from repro.mcu.clock import ClockPlan, OperatingPoint
-from repro.mcu.engine import SyntheticEngine
-from repro.mcu.power_model import MSP430_FRAM_MODEL, MSP430_SRAM_MODEL
-from repro.power.rail import ResistiveLoad
-from repro.storage.capacitor import Capacitor
-from repro.transient.base import NullStrategy, TransientPlatform, TransientPlatformConfig
-from repro.transient.hibernus import Hibernus
-from repro.transient.hibernus_pp import HibernusPP
-from repro.transient.mementos import Mementos
-from repro.transient.nvp import NVProcessor
-from repro.transient.quickrecall import QuickRecall
+from types import SimpleNamespace
 
-from conftest import once
+import pytest
+
+from repro.analysis.report import format_table, print_section
+from repro.spec import (
+    HarvesterSpec,
+    LoadSpec,
+    PlatformSpec,
+    ScenarioSpec,
+    StorageSpec,
+)
+from repro.spec.runner import evaluate
+
+from conftest import KERNELS, once
 
 WORKLOAD = 600_000  # cycles at 1 MHz: 0.6 s of compute
 DURATION = 6.0
 
+#: Hibernus on a 20 mW, 30 %-duty square-wave supply.  The bleed is
+#: sized so the off-phases genuinely brown the rail out on
+#: decoupling-scale capacitance: the supply is truly intermittent.
+BASE = ScenarioSpec(
+    name="ablation",
+    dt=1e-4,
+    duration=DURATION,
+    storage=StorageSpec("capacitor", {"capacitance": 22e-6, "v_max": 3.3}),
+    harvesters=(
+        HarvesterSpec(
+            "square-wave-power",
+            {"on_power": 20e-3, "period": 0.1, "duty": 0.3},
+        ),
+    ),
+    loads=(LoadSpec("resistive", {"resistance": 10000.0}),),
+    platform=PlatformSpec(
+        strategy="hibernus",
+        engine="synthetic",
+        engine_params={"total_cycles": WORKLOAD, "checkpoint_interval": 2000},
+        power_model="msp430-sram",
+        clock_frequency=1e6,
+    ),
+)
 
-def run_strategy(strategy, power_model=MSP430_SRAM_MODEL, capacitance=22e-6):
-    engine = SyntheticEngine(total_cycles=WORKLOAD, checkpoint_interval=2000)
-    platform = TransientPlatform(
-        engine,
-        strategy,
-        power_model=power_model,
-        clock=ClockPlan([OperatingPoint(1e6, 3.0)]),
-        config=TransientPlatformConfig(rail_capacitance=capacitance),
-    )
-    system = EnergyDrivenSystem(dt=1e-4)
-    system.set_storage(Capacitor(capacitance, v_max=3.3))
-    system.add_power_source(SquareWavePowerHarvester(20e-3, period=0.1, duty=0.3))
-    system.set_platform(platform)
-    # Bleed sized so the off-phases genuinely brown the rail out on
-    # decoupling-scale capacitance: the supply is truly intermittent.
-    system.add_load(ResistiveLoad(10000.0))
-    result = system.run(DURATION)
-    return RunReport.from_run(platform, result.t_end), platform
+
+def run_points(kernel, points):
+    """One report per override dict, each a row's metrics by attribute."""
+    base = BASE.with_override("kernel", kernel)
+    rows, _ = evaluate(base, [(base.with_overrides(p), p, p) for p in points])
+    for row in rows:
+        assert row.ok, row.error
+    return [SimpleNamespace(**row.metrics) for row in rows]
 
 
-def test_ablation_snapshot_trigger(benchmark):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_ablation_snapshot_trigger(benchmark, kernel):
     strategies = [
-        ("null", NullStrategy(), MSP430_SRAM_MODEL, False),
-        ("mementos", Mementos(), MSP430_SRAM_MODEL, False),
-        ("hibernus", Hibernus(), MSP430_SRAM_MODEL, False),
-        ("hibernus++", HibernusPP(), MSP430_SRAM_MODEL, False),
-        ("quickrecall", QuickRecall(), MSP430_FRAM_MODEL, False),
-        ("nvp", NVProcessor(), MSP430_SRAM_MODEL, False),
+        ("null", "msp430-sram"),
+        ("mementos", "msp430-sram"),
+        ("hibernus", "msp430-sram"),
+        ("hibernus++", "msp430-sram"),
+        ("quickrecall", "msp430-fram"),
+        ("nvp", "msp430-sram"),
     ]
 
     def run_all():
-        return {
-            name: run_strategy(strategy, model)[0]
-            for name, strategy, model, _ in strategies
-        }
+        reports = run_points(kernel, [
+            {"strategy": name, "power_model": model}
+            for name, model in strategies
+        ])
+        return {name: r for (name, _), r in zip(strategies, reports)}
 
     reports = once(benchmark, run_all)
     print_section(
@@ -103,15 +121,17 @@ def test_ablation_snapshot_trigger(benchmark):
     assert reports["hibernus"].completion_time <= reports["hibernus++"].completion_time * 1.1
 
 
-def test_ablation_capacitance_sweep(benchmark):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_ablation_capacitance_sweep(benchmark, kernel):
     capacitances = [15e-6, 22e-6, 47e-6, 100e-6, 220e-6]
 
     def run_all():
-        rows = []
-        for c in capacitances:
-            report, platform = run_strategy(Hibernus(), capacitance=c)
-            rows.append((c, report, platform.strategy.v_hibernate))
-        return rows
+        reports = run_points(kernel, [{"capacitance": c} for c in capacitances])
+        return [
+            (c, r, BASE.with_override("capacitance", c).build()
+             .platform.strategy.v_hibernate)
+            for c, r in zip(capacitances, reports)
+        ]
 
     rows = once(benchmark, run_all)
     print_section(
@@ -133,16 +153,16 @@ def test_ablation_capacitance_sweep(benchmark):
     assert rows[-1][1].snapshots <= rows[0][1].snapshots
 
 
-def test_ablation_restore_threshold(benchmark):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_ablation_restore_threshold(benchmark, kernel):
     """V_R is the source-characterisation knob (§III item 2): too low and
     the system restores into a still-weak supply (churn); higher V_R means
     fewer, later restores."""
     v_restores = [2.5, 2.8, 3.1]
 
     def run_all():
-        return [
-            (vr, run_strategy(Hibernus(v_restore=vr))[0]) for vr in v_restores
-        ]
+        reports = run_points(kernel, [{"v_restore": vr} for vr in v_restores])
+        return list(zip(v_restores, reports))
 
     rows = once(benchmark, run_all)
     print_section(

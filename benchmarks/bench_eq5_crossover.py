@@ -9,99 +9,58 @@ with a programmable-supply profile (as the ENSsys'15 evaluation did),
 measure the energy each system needs to finish the same workload, and
 compare the measured crossover with the analytic prediction.
 
-The supply is voltage-driven (a bench supply, not a harvester): each
-interruption ramps V_cc down through the thresholds slowly enough for a
-full snapshot, holds below V_min, then snaps back.
+The rows are the ``crossover-hibernus`` and ``crossover-quickrecall``
+presets (:func:`~repro.spec.presets.crossover_spec`) run through
+:func:`~repro.spec.runner.evaluate` — the same rows ``repro crossover``
+and the service produce — on both kernels.  The supply is the preset's
+trapezoid bench waveform between 3.2 V and 1.6 V, feeding the rail
+through an ideal-diode rectifier, with a bleed resistor so the rail
+follows each down-ramp through the thresholds.
 """
+
+import pytest
 
 from repro.analysis.crossover import find_crossover
 from repro.analysis.report import format_table, print_section, relative_error
 from repro.core.design import crossover_frequency
 from repro.mcu.engine import SyntheticEngine
 from repro.mcu.power_model import MSP430_FRAM_MODEL, MSP430_SRAM_MODEL
-from repro.transient.base import TransientPlatform, TransientPlatformConfig
-from repro.transient.hibernus import Hibernus
-from repro.transient.quickrecall import QuickRecall
+from repro.spec.presets import crossover_spec
+from repro.spec.runner import evaluate
 
-from conftest import once
+from conftest import KERNELS, once
 
-WORKLOAD_CYCLES = 4_000_000  # 0.5 s of compute at 8 MHz
-V_HIGH = 3.2
-V_LOW = 1.6
-RAMP_DOWN = 230.0  # V/s: slow enough for a full snapshot below V_H
-RAMP_UP = 4000.0
-DT = 1e-4
 FREQUENCIES = [2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0]
 
 
-def supply_profile(frequency: float):
-    """V(t) for a supply interrupted ``frequency`` times per second."""
-    period = 1.0 / frequency
-    t_down = (V_HIGH - V_LOW) / RAMP_DOWN
-    t_up = (V_HIGH - V_LOW) / RAMP_UP
-    t_hold = min(2e-3, max(0.0, period - t_down - t_up) * 0.1)
-
-    def v_of_t(t: float) -> float:
-        phase = t % period
-        if phase < t_down:
-            return V_HIGH - RAMP_DOWN * phase
-        if phase < t_down + t_hold:
-            return V_LOW
-        if phase < t_down + t_hold + t_up:
-            return V_LOW + RAMP_UP * (phase - t_down - t_hold)
-        return V_HIGH
-
-    return v_of_t
-
-
-def run_strategy(strategy, power_model, frequency: float):
-    """Energy consumed to finish the workload under interruptions."""
-    engine = SyntheticEngine(total_cycles=WORKLOAD_CYCLES)
-    platform = TransientPlatform(
-        engine,
-        strategy,
-        power_model=power_model,
-        config=TransientPlatformConfig(rail_capacitance=22e-6),
-    )
-    v_of_t = supply_profile(frequency)
-    t = 0.0
-    while platform.metrics.first_completion_time is None and t < 30.0:
-        platform.advance(t, DT, v_of_t(t))
-        t += DT
-    assert platform.metrics.first_completion_time is not None, (
-        f"{strategy.name} never finished at {frequency} Hz"
-    )
-    return platform.metrics
-
-
-def run_sweep():
-    rows = []
-    for frequency in FREQUENCIES:
-        hib = run_strategy(
-            Hibernus(v_hibernate=2.8, v_restore=3.0), MSP430_SRAM_MODEL, frequency
-        )
-        qr = run_strategy(
-            QuickRecall(v_hibernate=2.1, v_restore=3.0), MSP430_FRAM_MODEL, frequency
-        )
-        rows.append(
-            (
-                frequency,
-                hib.total_energy(),
-                qr.total_energy(),
-                hib.snapshots_completed,
-                qr.snapshots_completed,
+def run_sweep(kernel: str):
+    """``(f, E hibernus, E quickrecall, hib snaps, qr snaps)`` per
+    frequency: each strategy's energy to finish the workload."""
+    series = {}
+    for strategy in ("hibernus", "quickrecall"):
+        base = crossover_spec(strategy).with_override("kernel", kernel)
+        series[strategy], _ = evaluate(base, [
+            (base.with_override("frequency", f), {"frequency": f},
+             {"frequency": f})
+            for f in FREQUENCIES
+        ])
+        for row in series[strategy]:
+            assert row["completed"], (
+                f"{strategy} never finished at {row['frequency']} Hz"
+                f" ({row.error})"
             )
+    return [
+        (f, hib["energy_total"], qr["energy_total"], hib["snapshots"],
+         qr["snapshots"])
+        for f, hib, qr in zip(
+            FREQUENCIES, series["hibernus"], series["quickrecall"]
         )
-    return rows
+    ]
 
 
 def analytic_crossover():
     """Eq. (5) computed from the platforms' own cost models."""
     sram_engine = SyntheticEngine(total_cycles=1)
-    platform = TransientPlatform(
-        sram_engine, Hibernus(v_hibernate=2.8, v_restore=3.0),
-        power_model=MSP430_SRAM_MODEL,
-    )
     p_sram = MSP430_SRAM_MODEL.active_power(8e6, 3.0)
     p_fram = MSP430_FRAM_MODEL.active_power(8e6, 3.0)
     # Per-interruption NVM cost difference: snapshot + restore, full vs regs.
@@ -115,8 +74,9 @@ def analytic_crossover():
     return crossover_frequency(p_fram, p_sram, e_hib + e_hib_r, e_qr + e_qr_r)
 
 
-def test_eq5_crossover(benchmark):
-    rows = once(benchmark, run_sweep)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_eq5_crossover(benchmark, kernel):
+    rows = once(benchmark, lambda: run_sweep(kernel))
     frequencies = [r[0] for r in rows]
     e_hib = [r[1] for r in rows]
     e_qr = [r[2] for r in rows]

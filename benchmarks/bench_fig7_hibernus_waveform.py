@@ -6,7 +6,9 @@ V_H (snapshot + hibernate), then recovers through V_R (restore).  "During
 the third cycle, an FFT that began at the beginning of execution is
 completed."
 
-The bench reproduces the full waveform and checks:
+The bench runs the ``fig7`` preset (:func:`~repro.spec.presets.fig7_spec`,
+the scenario ``repro fig7`` and the service run) on both kernels,
+reproduces the full waveform and checks:
 
 * exactly one snapshot per supply dip (no redundant snapshots),
 * restores happen on upward V_R crossings,
@@ -14,45 +16,46 @@ The bench reproduces the full waveform and checks:
 * the result is bit-identical to an uninterrupted run.
 """
 
-from repro.analysis.report import format_table, print_section
-from repro.core.system import EnergyDrivenSystem
-from repro.harvest.synthetic import SignalGenerator
-from repro.mcu.assembler import assemble
-from repro.mcu.engine import MachineEngine
-from repro.mcu.machine import Machine, MachineConfig
-from repro.mcu.programs import fft_golden, fft_program
-from repro.sim import waveform
-from repro.storage.capacitor import Capacitor
-from repro.transient.base import TransientPlatform, TransientPlatformConfig
-from repro.transient.hibernus import Hibernus
+import dataclasses
 
-from conftest import once
+import pytest
+
+from repro.analysis.report import format_table, print_section
+from repro.mcu.programs import fft_golden
+from repro.sim import waveform
+from repro.spec import HarvesterSpec
+from repro.spec.presets import fig7_spec
+
+from conftest import KERNELS, once
 
 SUPPLY_HZ = 4.7
 FFT_SIZE = 512
 
 
-def run_fig7():
-    machine = Machine(
-        assemble(fft_program(FFT_SIZE)), MachineConfig(data_space_words=2048)
-    )
-    engine = MachineEngine(machine)
-    strategy = Hibernus()
-    platform = TransientPlatform(
-        engine, strategy, config=TransientPlatformConfig(rail_capacitance=22e-6)
-    )
-    system = EnergyDrivenSystem(dt=50e-6)
-    system.set_storage(Capacitor(22e-6, v_max=3.3))
-    system.add_voltage_source(
-        SignalGenerator(4.5, SUPPLY_HZ, rectified=True, source_resistance=1500.0)
-    )
-    system.set_platform(platform)
-    result = system.run(1.2)
-    return platform, strategy, result
+def run_fig7(kernel: str):
+    spec = fig7_spec(fft_size=FFT_SIZE, supply_hz=SUPPLY_HZ)
+    result = spec.with_override("kernel", kernel).run()
+    return result.platform, result.platform.strategy, result
 
 
-def test_fig7_hibernus_fft_waveform(benchmark):
-    platform, strategy, result = once(benchmark, run_fig7)
+def dc_control_spec():
+    """The Fig. 7 scenario on a bench DC supply instead of the rectified
+    sine."""
+    return dataclasses.replace(
+        fig7_spec(fft_size=FFT_SIZE, duration=0.5),
+        name=f"fig7-fft{FFT_SIZE}-dc",
+        harvesters=(
+            HarvesterSpec(
+                "signal-generator",
+                {"amplitude": 3.3, "frequency": 0.0, "source_resistance": 50.0},
+            ),
+        ),
+    )
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_fig7_hibernus_fft_waveform(benchmark, kernel):
+    platform, strategy, result = once(benchmark, lambda: run_fig7(kernel))
     metrics = platform.metrics
     vcc = result.vcc()
 
@@ -103,27 +106,13 @@ def test_fig7_hibernus_fft_waveform(benchmark):
     assert platform.engine.machine.output_port.last == fft_golden(FFT_SIZE)[2]
 
 
-def test_fig7_uninterrupted_reference(benchmark):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_fig7_uninterrupted_reference(benchmark, kernel):
     """Control: the same FFT with a solid supply completes in the first
     cycle with no snapshots — the overhead is intermittency-driven."""
 
     def run():
-        machine = Machine(
-            assemble(fft_program(FFT_SIZE)), MachineConfig(data_space_words=2048)
-        )
-        platform = TransientPlatform(
-            MachineEngine(machine),
-            Hibernus(),
-            config=TransientPlatformConfig(rail_capacitance=22e-6),
-        )
-        system = EnergyDrivenSystem(dt=50e-6)
-        system.set_storage(Capacitor(22e-6, v_max=3.3))
-        system.add_voltage_source(
-            SignalGenerator(3.3, 0.0, source_resistance=50.0)  # bench DC supply
-        )
-        system.set_platform(platform)
-        system.run(0.5)
-        return platform
+        return dc_control_spec().with_override("kernel", kernel).run().platform
 
     platform = once(benchmark, run)
     assert platform.metrics.first_completion_time is not None

@@ -9,6 +9,9 @@ crossovers and thresholds fall.
 
 from __future__ import annotations
 
+#: The execution kernels every ported bench runs its rows on.
+KERNELS = ("reference", "fast")
+
 
 def once(benchmark, fn):
     """Run an expensive experiment exactly once under pytest-benchmark."""

@@ -24,20 +24,9 @@ from repro.harvest.environment import (
     required_storage,
 )
 from repro.harvest.solar import PhotovoltaicHarvester
-from repro.harvest.synthetic import SquareWavePowerHarvester
-from repro.mcu.engine import SyntheticEngine
-from repro.mcu.power_model import MSP430_FRAM_MODEL, MSP430_SRAM_MODEL
 from repro.results import ResultStore
-from repro.transient.base import NullStrategy
-from repro.transient.comparison import (
-    COMPARISON_HEADERS,
-    ComparisonScenario,
-    compare_strategies,
-    winner_by,
-)
-from repro.transient.hibernus import Hibernus
-from repro.transient.nvp import NVProcessor
-from repro.transient.quickrecall import QuickRecall
+from repro.spec import HarvesterSpec, PlatformSpec, ScenarioSpec, StorageSpec
+from repro.spec.runner import evaluate
 from repro.units import days
 
 LOAD_POWER = 5e-3  # the application's average draw if run continuously
@@ -67,54 +56,8 @@ def main() -> None:
           f"(~{storage / 3600:.2f} Wh of battery)")
 
     # ---- 3. the energy-driven (battery-free) option -------------------
-    scenario = ComparisonScenario(
-        harvester_factory=lambda: SquareWavePowerHarvester(
-            20e-3, period=0.1, duty=0.3
-        ),
-        duration=4.0,
-    )
-
-    def engine():
-        return SyntheticEngine(total_cycles=600_000, checkpoint_interval=2000)
-
-    def engine_fram():
-        return SyntheticEngine(
-            total_cycles=600_000, checkpoint_interval=2000,
-            full_state_words=17, register_state_words=17,
-        )
-
-    # Every run lands in a ResultStore — the same typed rows a sweep
-    # produces, so the comparison persists/merges like any other study.
-    store = ResultStore()
-    results = compare_strategies(
-        scenario,
-        [
-            ("null", NullStrategy, engine, MSP430_SRAM_MODEL),
-            ("hibernus", Hibernus, engine, MSP430_SRAM_MODEL),
-            ("quickrecall", QuickRecall, engine_fram, MSP430_FRAM_MODEL),
-            ("nvp", NVProcessor, engine, MSP430_SRAM_MODEL),
-        ],
-        store=store,
-    )
-    print("\n3. Battery-free option (Fig. 4 architecture), 22 uF only:")
-    print(format_table(COMPARISON_HEADERS, [r.row() for r in results.values()]))
-    print(f"   fastest completion: {winner_by(results, 'completion_time')}; "
-          f"least overhead: {winner_by(results, 'energy_overhead')}")
-    completed = store.select(lambda r: r.ok and r["completed"])
-    cheapest = min(completed, key=lambda r: r["energy_overhead"])
-    print(f"   (store query agrees: {cheapest['strategy']} spends "
-          f"{cheapest['energy_overhead'] * 1e6:.1f} uJ on checkpointing)")
-
-    # ---- 4. explore the design space, not just compare points ---------
-    # The comparison above fixed the capacitor at 22 uF.  The *design*
-    # question is the trade-off: how small can storage go, and what does
-    # shrinking it cost in completion time?  That is a multi-objective
-    # exploration — the Pareto-aware evolutionary optimizer grows the
-    # frontier directly instead of sweeping a grid.
-    from repro.spec import (
-        HarvesterSpec, PlatformSpec, ScenarioSpec, StorageSpec,
-    )
-
+    # One spec describes the battery-free node: 22 uF on a 30 %-duty
+    # 20 mW square-wave harvester, a 600 k-cycle workload, Hibernus.
     node = ScenarioSpec(
         name="battery-free-node",
         duration=4.0,
@@ -135,6 +78,48 @@ def main() -> None:
             power_model="msp430-sram",
         ),
     )
+    # Each strategy is one point against it.  QuickRecall runs from
+    # unified FRAM, so its full state is its registers.
+    strategies = [
+        {"strategy": "null"},
+        {"strategy": "hibernus"},
+        {"strategy": "quickrecall", "power_model": "msp430-fram",
+         "full_state_words": 17, "register_state_words": 17},
+        {"strategy": "nvp"},
+    ]
+    # Every run lands in a ResultStore — the same typed rows a sweep
+    # produces, so the comparison persists/merges like any other study.
+    store = ResultStore()
+    rows, _ = evaluate(
+        node, [(node.with_overrides(p), p, p) for p in strategies],
+        store=store,
+    )
+    print("\n3. Battery-free option (Fig. 4 architecture), 22 uF only:")
+    print(format_table(
+        ["strategy", "completed", "t_complete (s)", "snapshots",
+         "restores", "overhead (uJ)", "energy (mJ)"],
+        [
+            [r["strategy"], r["completed"],
+             f"{r['completion_time']:.3f}" if r["completed"] else "-",
+             r["snapshots"], r["restores"],
+             f"{r['energy_overhead'] * 1e6:.1f}",
+             f"{r['energy_total'] * 1e3:.3f}"]
+            for r in rows
+        ],
+    ))
+    completed = store.select(lambda r: r.ok and r["completed"])
+    fastest = min(completed, key=lambda r: r["completion_time"])
+    cheapest = min(completed, key=lambda r: r["energy_overhead"])
+    print(f"   fastest completion: {fastest['strategy']}; least overhead: "
+          f"{cheapest['strategy']} "
+          f"({cheapest['energy_overhead'] * 1e6:.1f} uJ on checkpointing)")
+
+    # ---- 4. explore the design space, not just compare points ---------
+    # The comparison above fixed the capacitor at 22 uF.  The *design*
+    # question is the trade-off: how small can storage go, and what does
+    # shrinking it cost in completion time?  That is a multi-objective
+    # exploration — the Pareto-aware evolutionary optimizer grows the
+    # frontier directly instead of sweeping a grid.
     space = SearchSpace.of(Axis.log("capacitance", 5e-6, 100e-6))
     driver = ExplorationDriver(
         node,

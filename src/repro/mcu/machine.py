@@ -72,6 +72,9 @@ class MachineConfig:
     fram_data_wait: int = 1
 
 
+#: The port of the :class:`OutputPort` every machine boots with.
+OUTPUT_PORT = 7
+
 #: Predecoded opcode numbers: the index of each mnemonic here.  The run
 #: loop compares ``op`` against these numbers as literals, in this order,
 #: so the most frequent instructions (the FFT's dynamic mix) come first.
@@ -471,7 +474,7 @@ class Machine:
         #: ``MachineEngine.active_plan``'s commit.
         self.total_cycles = 0
         self.total_instructions = 0
-        self.ports: Dict[int, Peripheral] = {7: OutputPort()}
+        self.ports: Dict[int, Peripheral] = {OUTPUT_PORT: OutputPort()}
         #: The rung's loop runner (``_ckernel.MachineLoop`` or
         #: :class:`PythonLoop`); the first ``run`` resolves it.
         self._loop = None
@@ -518,8 +521,8 @@ class Machine:
 
     @property
     def output_port(self) -> OutputPort:
-        """The default console/telemetry port at port 7."""
-        return self.ports[7]
+        """The default console/telemetry port at :data:`OUTPUT_PORT`."""
+        return self.ports[OUTPUT_PORT]
 
     # ------------------------------------------------------------------
     # Snapshots

@@ -9,23 +9,21 @@ clock and the oscilloscope channel — live here.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.errors import SimulationError
 from repro.results.metrics import register_metric
 
 
 @register_metric("trace", columns=("t_end", "vcc_min", "vcc_max"), order=0)
-def _trace_metrics(run: Any, spec: Optional[Any]) -> Dict[str, Any]:
+def _trace_metrics(run: Any, spec: Any) -> Dict[str, Any]:
     """Run length and the rail's V_cc envelope
     (:class:`~repro.power.rail.RailStats`)."""
     stats = run.rail.stats
     if stats.vcc_min > stats.vcc_max:
-        length = (f"duration={spec.duration!r} s at dt={spec.dt!r} s"
-                  if spec is not None else f"t_end={run.t_end!r} s")
         raise SimulationError(
-            f"no V_cc sample: {length} runs fewer than "
-            f"decimate={stats.vcc_every} steps"
+            f"no V_cc sample: duration={spec.duration!r} s at dt="
+            f"{spec.dt!r} s runs fewer than decimate={stats.vcc_every} steps"
         )
     return {
         "t_end": run.t_end,

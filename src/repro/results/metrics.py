@@ -14,8 +14,7 @@ its declared columns to values; undeclared keys are rejected, missing
 declared keys come back as ``None`` (the "not applicable" marker — e.g.
 platform columns on a platform-less scenario).  ``run`` is the
 :class:`~repro.core.system.SystemRunResult`; ``spec`` is the
-:class:`~repro.spec.specs.ScenarioSpec` that produced it, or None for
-imperatively wired systems (e.g. the strategy-comparison harness).
+:class:`~repro.spec.specs.ScenarioSpec` that produced it.
 
 Column order is deterministic by construction — extractors sort by their
 registered ``order`` (then name), never by import order — so every
@@ -30,7 +29,7 @@ contributing modules on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import SpecError
 
@@ -141,7 +140,7 @@ def empty_metrics() -> Dict[str, Any]:
     return metrics
 
 
-def extract_metrics(run: Any, spec: Optional[Any] = None) -> Dict[str, Any]:
+def extract_metrics(run: Any, spec: Any) -> Dict[str, Any]:
     """Run every registered extractor over a finished run.
 
     Returns one mapping covering :func:`result_columns`: columns an

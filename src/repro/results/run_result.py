@@ -95,9 +95,9 @@ class RunResult:
     """One scenario run, summarized: the pipeline's unit of exchange.
 
     Attributes:
-        spec_hash: canonical hash of the producing spec (or of an
-            explicit key payload for imperatively wired runs) — the
-            dedupe/resume key.
+        spec_hash: canonical hash of the producing spec (or, for a
+            point that never resolved to a spec, of its base and
+            overrides) — the dedupe/resume key.
         name: scenario name, for grouping store queries.
         overrides: the sweep-grid overrides this point applied.
         metrics: every registry column (missing ones None) plus
@@ -162,30 +162,14 @@ class RunResult:
     def from_system_run(
         cls,
         run: Any,
-        spec: Optional[Any] = None,
+        spec: Any,
         *,
         overrides: Optional[Mapping[str, Any]] = None,
         index: int = -1,
-        name: Optional[str] = None,
-        key_payload: Optional[Mapping[str, Any]] = None,
         capture_traces: tuple = (),
         key: Optional[str] = None,
     ) -> "RunResult":
-        """Summarize a finished :class:`SystemRunResult` via the registry.
-
-        Spec-driven runs key on :func:`spec_hash` (``key`` when the
-        caller already hashed ``spec``); imperatively wired runs pass
-        ``key_payload`` (any JSON-able description of the conditions)
-        and ``name`` instead.
-        """
-        if spec is not None:
-            key = key if key is not None else spec_hash(spec)
-            run_name = name if name is not None else spec.name
-        elif key_payload is not None:
-            key = content_hash(key_payload)
-            run_name = name if name is not None else "run"
-        else:
-            raise SpecError("RunResult needs a spec or a key_payload")
+        """Summarize ``run`` of ``spec``, keyed on ``key`` or its hash."""
         traces = None
         if capture_traces:
             traces = {}
@@ -199,8 +183,8 @@ class RunResult:
                     run.traces[trace_name], MAX_TRACE_SAMPLES
                 )
         return cls(
-            spec_hash=key,
-            name=run_name,
+            spec_hash=key if key is not None else spec_hash(spec),
+            name=spec.name,
             overrides=dict(overrides or {}),
             metrics=extract_metrics(run, spec),
             traces=traces,

@@ -74,8 +74,7 @@ def crossover_spec(
     and 1.6 V at the given interruption ``frequency`` — feeding the rail
     through an ideal-diode rectifier; a bleed resistor makes the rail
     genuinely follow the down-ramp.  ``stop_on_completion`` ends each run
-    as soon as the workload finishes, exactly like the imperative loop
-    this replaces.
+    as soon as the workload finishes.
     """
     if strategy == "hibernus":
         strategy_params = {"v_hibernate": 2.8, "v_restore": 3.0}

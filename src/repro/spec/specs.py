@@ -226,6 +226,8 @@ class PlatformSpec:
             if self.program is None:
                 raise SpecError("a 'machine' engine needs a 'program'")
             validate_params("program", self.program, self.program_params)
+            _check_ports(self.program, json.dumps(self.program_params,
+                                                  sort_keys=True))
             _check_keys(self.machine_params, _machine_config_fields(),
                         "machine_params")
             # build() supplies machine and power_model itself; the rest of
@@ -340,6 +342,24 @@ def _program_source(name: str, params: str) -> str:
     per process: program generators are pure functions of their
     parameters."""
     return create("program", name, json.loads(params))
+
+
+@functools.lru_cache(maxsize=64)
+def _check_ports(name: str, params: str) -> None:
+    """Refuse a program naming a port that ``build()`` never attaches."""
+    from repro.mcu.assembler import assemble
+    from repro.mcu.machine import OUTPUT_PORT
+
+    try:
+        image = assemble(_program_source(name, params))
+    except Exception:  # a rejected parameter fails that point's build()
+        return
+    for ins in image.instructions:
+        if "p" in ins.spec.signature:
+            port = ins.operands[ins.spec.signature.index("p")]
+            if port != OUTPUT_PORT:
+                raise SpecError(f"program {name!r} uses port {port}, "
+                                "where build() attaches no peripheral")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Store-backed analysis: pareto/crossover/comparison on ResultStore.
+"""Store-backed analysis: pareto and crossover on ResultStore.
 
 Includes the refactor-equivalence checks: the store-backed entry points
 must produce exactly the numbers the bare-sequence cores produce.
@@ -113,88 +113,3 @@ def test_crossover_from_store_excludes_unshared_points():
     assert crossover_from_store(
         store, "frequency", "energy_total", "name", "a", "missing"
     ) is None
-
-
-def test_comparison_rows_match_runreport_numbers():
-    """Refactor equivalence: StrategyResult rows rendered from RunResult
-    metrics equal the RunReport-derived values they replaced."""
-    from repro.harvest.synthetic import SquareWavePowerHarvester
-    from repro.mcu.engine import SyntheticEngine
-    from repro.mcu.power_model import MSP430_SRAM_MODEL
-    from repro.transient.comparison import (
-        ComparisonScenario,
-        compare_strategies,
-        comparison_store,
-    )
-    from repro.transient.hibernus import Hibernus
-
-    scenario = ComparisonScenario(
-        harvester_factory=lambda: SquareWavePowerHarvester(
-            20e-3, period=0.1, duty=0.3
-        ),
-        duration=2.0,
-    )
-    store = ResultStore()
-    results = compare_strategies(
-        scenario,
-        [("hibernus", Hibernus,
-          lambda: SyntheticEngine(total_cycles=300_000,
-                                  checkpoint_interval=2000),
-          MSP430_SRAM_MODEL)],
-        store=store,
-    )
-    outcome = results["hibernus"]
-    report = outcome.report
-    metrics = outcome.result.metrics
-    assert metrics["completed"] == report.completed
-    assert metrics["completion_time"] == report.completion_time
-    assert metrics["snapshots"] == report.snapshots
-    assert metrics["snapshots_aborted"] == report.snapshots_aborted
-    assert metrics["restores"] == report.restores
-    assert metrics["energy_total"] == report.energy_total
-    assert metrics["energy_overhead"] == report.energy_overhead
-    assert metrics["availability"] == pytest.approx(report.availability)
-    # The persisted row and the in-memory comparison view agree.
-    assert store.get(outcome.result.spec_hash).metrics == metrics
-    assert comparison_store(results).get(outcome.result.spec_hash) is not None
-
-
-def test_comparison_resumes_from_store():
-    """A comparison pointed at a populated store skips re-simulation and
-    reproduces identical rows (platform=None marks the resumed entries)."""
-    from repro.harvest.synthetic import SquareWavePowerHarvester
-    from repro.mcu.engine import SyntheticEngine
-    from repro.mcu.power_model import MSP430_SRAM_MODEL
-    from repro.transient.comparison import (
-        ComparisonScenario,
-        compare_strategies,
-    )
-    from repro.transient.hibernus import Hibernus
-
-    scenario = ComparisonScenario(
-        harvester_factory=lambda: SquareWavePowerHarvester(
-            20e-3, period=0.1, duty=0.3
-        ),
-        duration=2.0,
-        label="resume-test",
-    )
-    entries = [("hibernus", Hibernus,
-                lambda: SyntheticEngine(total_cycles=300_000,
-                                        checkpoint_interval=2000),
-                MSP430_SRAM_MODEL)]
-    store = ResultStore()
-    fresh = compare_strategies(scenario, entries, store=store)
-    assert fresh["hibernus"].platform is not None
-    resumed = compare_strategies(scenario, entries, store=store)
-    assert resumed["hibernus"].platform is None  # not re-simulated
-    assert resumed["hibernus"].row() == fresh["hibernus"].row()
-    assert resumed["hibernus"].report == fresh["hibernus"].report
-    assert resumed["hibernus"].result.metrics == fresh["hibernus"].result.metrics
-    # A different label is a different identity: no false cache hit.
-    relabeled = ComparisonScenario(
-        harvester_factory=scenario.harvester_factory,
-        duration=2.0,
-        label="other",
-    )
-    assert compare_strategies(relabeled, entries,
-                              store=store)["hibernus"].platform is not None

@@ -108,13 +108,10 @@ def test_from_record_validates_schema_and_keys():
         )
 
 
-def test_needs_spec_or_key_payload():
+def test_needs_a_spec():
     spec = small_spec()
     run = spec.run()
-    with pytest.raises(SpecError, match="spec or a key_payload"):
+    with pytest.raises(TypeError):
         RunResult.from_system_run(run)
-    keyed = RunResult.from_system_run(
-        run, key_payload={"experiment": "adhoc"}, name="adhoc"
-    )
-    assert keyed.spec_hash == content_hash({"experiment": "adhoc"})
-    assert keyed.name == "adhoc"
+    with pytest.raises(SpecError, match="ScenarioSpec or mapping"):
+        RunResult.from_system_run(run, None)

@@ -5,13 +5,16 @@ Every name in the component registry must (a) construct through
 ``ScenarioSpec`` JSON round-trip when it has a spec slot, and (c) run
 100 simulation steps without raising.  This is the safety net that keeps
 ``python -m repro.cli components`` honest: nothing can sit in the
-catalog that the spec layer cannot actually build and run.
+catalog that the spec layer cannot actually build and run, unless the
+spec layer refuses it by name (a program reading a peripheral that a
+spec-built machine never attaches).
 """
 
 import dataclasses
 
 import pytest
 
+from repro.errors import SpecError
 from repro.spec import ScenarioSpec, available, kinds
 from repro.spec.registry import create
 from repro.spec.specs import (
@@ -41,6 +44,10 @@ REQUIRED_PARAMS = {
     ("converter", "linear-regulator"): {"v_out": 3.0},
     ("engine", "synthetic"): {"total_cycles": 10_000},
 }
+
+#: Programs that read a port no spec-built machine attaches, and that
+#: port: their specs are refused at validation.
+UNATTACHED_PORT_PROGRAMS = {"fir": 0, "sense": 1}
 
 #: Kinds that are constructed indirectly (exercised via platform specs).
 INDIRECT_KINDS = {"engine", "governor"}
@@ -140,6 +147,11 @@ def scenario_for(kind, name):
 def test_catalog_scenarios_roundtrip_and_run_100_steps(kind, name):
     if kind in INDIRECT_KINDS:
         pytest.skip(f"{kind} components are exercised through platforms")
+    if kind == "program" and name in UNATTACHED_PORT_PROGRAMS:
+        port = UNATTACHED_PORT_PROGRAMS[name]
+        with pytest.raises(SpecError, match=f"port {port}"):
+            scenario_for(kind, name)
+        return
     scenario = scenario_for(kind, name)
     if scenario is None:
         pytest.skip(f"{kind} {name!r} is not spec-addressable")

@@ -92,6 +92,16 @@ def test_machine_engine_params_validated_eagerly():
                  engine_params={"include_peripherals": True})
 
 
+@pytest.mark.parametrize("program, port", [("fir", 0), ("sense", 1)])
+def test_a_program_reading_an_unattached_port_is_refused(program, port):
+    # build() attaches only the output port, so every run would fail at
+    # the first `in` with "no peripheral at port N", into a stored row.
+    payload = fig7_spec().to_dict()
+    payload["platform"].update(program=program, program_params={})
+    with pytest.raises(SpecError, match=f"port {port}"):
+        ScenarioSpec.from_dict(payload)
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(SpecError) as excinfo:
         PlatformSpec(strategy="null", engine="synthetic",
