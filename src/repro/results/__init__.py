@@ -14,6 +14,9 @@ Three pieces (see DESIGN.md, "Results pipeline"):
 * :mod:`repro.results.backends` — the :class:`StoreBackend` protocol and
   its implementations: append-only JSONL (portable default) and the
   sharded columnar ``.colstore`` format (fleet-scale analytics).
+* :mod:`repro.results.durable` — the fsynced append, replace and
+  truncate, and the JSONL torn-tail reader, that the backends and the
+  service's job journal write and read through.
 
 Only the registry loads eagerly — the rest follows the lazy-init pattern
 of :mod:`repro.spec` so component modules can register extractors at

@@ -10,12 +10,14 @@ implements the :class:`StoreBackend` contract:
   rows would misreport a sweep as complete.
 * ``append(row)`` / ``append_many(rows)`` — durable appends (one fsync
   per call), never touching rows already on disk.
-* ``rewrite(rows)`` — atomically compact the file(s) to exactly
-  ``rows`` *plus* any durable rows written by another process since our
-  load; the preserved strangers are returned so the caller can fold
-  them into its in-memory index.  This read-reconcile-replace under the
-  file lock is what makes a live ``repro serve`` appending while a CLI
-  ``repro results --merge`` compacts lose nothing.
+* ``rewrite(rows)`` — compact the file(s) to exactly ``rows`` *plus*
+  any durable rows written by another process since our load; the
+  preserved strangers are returned so the caller can fold them into its
+  in-memory index.  This read-reconcile-replace under the file lock
+  (one rule over each backend's own read and replace) is what makes a
+  live ``repro serve`` appending while a CLI ``repro results --merge``
+  compacts lose nothing.  Every write goes through
+  :mod:`repro.results.durable`.
 
 Every mutating operation (and every load) holds an advisory
 ``fcntl.flock`` on a ``.lock`` sidecar, so concurrent processes
@@ -49,18 +51,22 @@ import json
 import os
 import struct
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro import faults
+from repro.results import durable
 
 try:  # advisory locking is POSIX-only; elsewhere operations are unlocked
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.errors import ReproError, ResultStoreError
+from repro.errors import ResultStoreError
 from repro.results.run_result import RunResult, is_worker_crash_error
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -156,13 +162,35 @@ class StoreBackend:
         raise NotImplementedError
 
     def append(self, result: RunResult) -> None:
-        raise NotImplementedError
+        self.append_many([result])
 
     def append_many(self, results: Sequence[RunResult]) -> None:
         raise NotImplementedError
 
     def rewrite(self, results: Sequence[RunResult]) -> List[RunResult]:
-        """Compact to ``results`` + concurrent strangers; return the latter."""
+        """Compact to ``results`` + concurrent strangers; return the latter.
+
+        The strangers are the first durable row of each hash ``results``
+        lacks, re-read under the lock; a worker-crash row is never one
+        (compaction would resurrect what the load-time cleanup drops).
+        """
+        with self._lock:
+            known = {r.spec_hash for r in results}
+            strangers: List[RunResult] = []
+            for row in self._read_rows():
+                if row.spec_hash not in known \
+                        and not is_worker_crash_error(row.error):
+                    known.add(row.spec_hash)
+                    strangers.append(row)
+            self._replace(list(results) + strangers)
+        return strangers
+
+    def _read_rows(self) -> List[RunResult]:
+        """Every durable row (none when nothing is stored yet)."""
+        raise NotImplementedError
+
+    def _replace(self, results: Sequence[RunResult]) -> None:
+        """Make ``results`` the whole durable content."""
         raise NotImplementedError
 
 
@@ -177,9 +205,6 @@ class MemoryBackend(StoreBackend):
 
     def load(self) -> List[RunResult]:
         return []
-
-    def append(self, result: RunResult) -> None:
-        pass
 
     def append_many(self, results: Sequence[RunResult]) -> None:
         pass
@@ -197,59 +222,31 @@ class JsonlBackend(StoreBackend):
         super().__init__(path)
         self._lock = _FileLock(f"{path}.lock")
 
-    # -- reading ---------------------------------------------------------
+    def _read(self) -> Tuple[List[RunResult], Optional[int]]:
+        """Every intact row, and where a torn final line starts (if any)."""
+        return durable.read_jsonl(
+            self.path, RunResult.from_record, "result record"
+        )
 
-    def _read(self) -> Tuple[List[RunResult], bool]:
-        """Parse every line; returns (rows, had_torn_tail)."""
-        with open(self.path, "r", encoding="utf-8") as stream:
-            lines = stream.readlines()
-        records: List[RunResult] = []
-        bad_tail = False
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                result = RunResult.from_record(payload)
-            except (json.JSONDecodeError, ReproError) as error:
-                if lineno == len(lines):
-                    # A torn final line: the writer died mid-append.
-                    # Recoverable by construction — drop it and compact.
-                    bad_tail = True
-                    break
-                raise ResultStoreError(
-                    f"{self.path}:{lineno}: corrupt result record: {error}"
-                ) from error
-            records.append(result)
-        return records, bad_tail
+    def _read_rows(self) -> List[RunResult]:
+        return self._read()[0] if os.path.exists(self.path) else []
+
+    def _replace(self, results: Sequence[RunResult]) -> None:
+        durable.replace(self.path, durable.jsonl(r.to_record() for r in results))
 
     def load(self) -> List[RunResult]:
         if not os.path.exists(self.path):
             return []
         with self._lock:
-            records, bad_tail = self._read()
-            if bad_tail:
-                self._replace_with(records)
+            records, torn_at = self._read()
+            if torn_at is not None:
+                self._replace(records)
         return records
-
-    # -- writing ---------------------------------------------------------
-
-    def _replace_with(self, results: Sequence[RunResult]) -> None:
-        tmp_path = f"{self.path}.tmp"
-        with open(tmp_path, "w", encoding="utf-8") as stream:
-            for result in results:
-                stream.write(json.dumps(result.to_record()) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp_path, self.path)
-
-    def append(self, result: RunResult) -> None:
-        self.append_many([result])
 
     def append_many(self, results: Sequence[RunResult]) -> None:
         if not results:
             return
-        lines = [json.dumps(r.to_record()) + "\n" for r in results]
+        payload = durable.jsonl(r.to_record() for r in results)
         fault_key = f"{results[0].spec_hash}|{len(results)}"
         faults.maybe_delay(fault_key)
         faults.inject(
@@ -257,40 +254,18 @@ class JsonlBackend(StoreBackend):
             f"injected append failure on {self.path}",
         )
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as stream:
-                if faults.fire("store.torn_write", fault_key):
-                    # Simulate death mid-append: a prefix of the encoded
-                    # bytes reaches disk (whole leading records plus a
-                    # torn final line), then the "process" dies.  load()
-                    # recovers by dropping the torn tail and compacting.
-                    payload = "".join(lines)
-                    stream.write(payload[: max(1, len(payload) // 2)])
-                    stream.flush()
-                    os.fsync(stream.fileno())
-                    raise faults.FaultInjected(
-                        f"injected torn write on {self.path}"
-                    )
-                stream.writelines(lines)
-                stream.flush()
-                os.fsync(stream.fileno())
-
-    def rewrite(self, results: Sequence[RunResult]) -> List[RunResult]:
-        with self._lock:
-            preserved: List[RunResult] = []
-            if os.path.exists(self.path):
-                known = {r.spec_hash for r in results}
-                disk, _bad_tail = self._read()
-                # Transient worker-crash rows are never worth
-                # preserving: carrying them through a compaction would
-                # resurrect exactly the rows the load-time cleanup
-                # exists to drop.
-                preserved = [
-                    r for r in disk
-                    if r.spec_hash not in known
-                    and not is_worker_crash_error(r.error)
-                ]
-            self._replace_with(list(results) + preserved)
-        return preserved
+            if faults.fire("store.torn_write", fault_key):
+                # Simulate death mid-append: a prefix of the encoded
+                # bytes reaches disk (whole leading records plus a torn
+                # final line), then the "process" dies.  load() recovers
+                # by dropping the torn tail and compacting.
+                durable.append(
+                    self.path, payload[: max(1, len(payload) // 2)]
+                )
+                raise faults.FaultInjected(
+                    f"injected torn write on {self.path}"
+                )
+            durable.append(self.path, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +314,29 @@ def _category(value: Any) -> Optional[int]:
     return None
 
 
+def _frame(n: int, columns: List[str], encoded: Dict[str, Tuple]) -> bytes:
+    """One record batch of ``n`` rows; ``encoded`` maps a column to its
+    (code, kind, values, present, notnone), and lacks absent columns."""
+    codes = np.zeros(len(columns), np.uint8)
+    kinds = np.zeros(len(columns), np.uint8)
+    blocks: List[bytes] = []
+    for i, name in enumerate(columns):
+        code, kind, data, present, notnone = encoded.get(
+            name, (_ABSENT_COL, _KIND_F8, None, None, None)
+        )
+        codes[i] = code
+        kinds[i] = kind
+        if code == _MIXED_COL:
+            blocks.append(np.packbits(present).tobytes())
+            blocks.append(np.packbits(notnone).tobytes())
+        if code in (_DENSE_COL, _MIXED_COL):
+            blocks.append(
+                np.ascontiguousarray(data, dtype=_KIND_DTYPES[kind]).tobytes()
+            )
+    header = _BATCH_HEADER.pack(_BATCH_MAGIC, n, len(columns))
+    return b"".join([header, codes.tobytes(), kinds.tobytes()] + blocks)
+
+
 class ColumnarBackend(StoreBackend):
     """Sharded append-only columnar storage under a ``.colstore`` dir.
 
@@ -375,39 +373,24 @@ class ColumnarBackend(StoreBackend):
 
     def _read_sidecar(
         self, sidecar: str, *, compact_tail: bool
-    ) -> Tuple[List[str], List[str], int]:
-        """Returns (columns, table, durable_size); drops a torn tail."""
+    ) -> Tuple[List[str], List[str]]:
+        """Returns (columns, table); drops a torn tail."""
         if not os.path.exists(sidecar):
             raise ResultStoreError(
                 f"{sidecar}: missing string-table sidecar for its data file"
             )
-        with open(sidecar, "rb") as stream:
-            raw = stream.read()
-        lines = raw.split(b"\n")
-        torn = lines.pop() if lines and lines[-1] != b"" else None
-        if torn is None and lines:
-            lines.pop()  # the empty piece after the final newline
-        entries: List[Any] = []
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                entries.append(json.loads(line))
-            except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                raise ResultStoreError(
-                    f"{sidecar}:{lineno}: corrupt string-table entry: {error}"
-                ) from error
+        entries, torn_at = durable.read_jsonl(
+            sidecar, lambda entry: entry, "string-table entry"
+        )
         if not entries or not isinstance(entries[0], dict) \
                 or "columns" not in entries[0]:
             raise ResultStoreError(f"{sidecar}: missing shard schema header")
         table = entries[1:]
         if any(not isinstance(s, str) for s in table):
             raise ResultStoreError(f"{sidecar}: non-string table entry")
-        durable = len(raw) - (len(torn) if torn is not None else 0)
-        if torn is not None and compact_tail:
-            with open(sidecar, "r+b") as stream:
-                stream.truncate(durable)
-                stream.flush()
-                os.fsync(stream.fileno())
-        return list(entries[0]["columns"]), table, durable
+        if torn_at is not None and compact_tail:
+            durable.truncate(sidecar, torn_at)
+        return list(entries[0]["columns"]), table
 
     def _create_shard(self, columns: List[str]) -> _Shard:
         os.makedirs(self.path, exist_ok=True)
@@ -421,15 +404,10 @@ class ColumnarBackend(StoreBackend):
         stem = f"shard-{index:06d}"
         dat = os.path.join(self.path, f"{stem}.dat")
         sidecar = os.path.join(self.path, f"{stem}.strings.jsonl")
-        header = json.dumps({"format": "repro-colstore", "version": 1,
-                             "columns": columns}) + "\n"
-        with open(sidecar, "w", encoding="utf-8") as stream:
-            stream.write(header)
-            stream.flush()
-            os.fsync(stream.fileno())
-        with open(dat, "wb") as stream:
-            stream.flush()
-            os.fsync(stream.fileno())
+        header = durable.jsonl([{"format": "repro-colstore", "version": 1,
+                                 "columns": columns}])
+        durable.replace(sidecar, header)
+        durable.append(dat, b"")
         shard = _Shard(dat, sidecar, columns)
         shard.sidecar_size = len(header.encode("utf-8"))
         return shard
@@ -445,13 +423,11 @@ class ColumnarBackend(StoreBackend):
         shard = self._active
         size = os.path.getsize(sidecar) if os.path.exists(sidecar) else -1
         if shard is None or shard.dat != dat or shard.sidecar_size != size:
-            columns, table, durable = self._read_sidecar(
-                sidecar, compact_tail=True
-            )
+            columns, table = self._read_sidecar(sidecar, compact_tail=True)
             shard = _Shard(dat, sidecar, columns)
             shard.table = table
             shard.intern = {s: i for i, s in enumerate(table)}
-            shard.sidecar_size = durable
+            shard.sidecar_size = os.path.getsize(sidecar)
             self._active = shard
         return shard
 
@@ -666,28 +642,9 @@ class ColumnarBackend(StoreBackend):
         encoded["#traces"] = _payload_ids(traces)
         encoded["#overflow"] = _payload_ids(overflow)
 
-        codes = np.zeros(len(columns), np.uint8)
-        kinds = np.zeros(len(columns), np.uint8)
-        blocks: List[bytes] = []
-        for i, name in enumerate(columns):
-            code, kind, data, present, notnone = encoded.get(
-                name, (_ABSENT_COL, _KIND_F8, None, None, None)
-            )
-            codes[i] = code
-            kinds[i] = kind
-            if code == _MIXED_COL:
-                blocks.append(np.packbits(present).tobytes())
-                blocks.append(np.packbits(notnone).tobytes())
-            if code in (_DENSE_COL, _MIXED_COL):
-                blocks.append(
-                    np.ascontiguousarray(
-                        data, dtype=_KIND_DTYPES[kind]
-                    ).tobytes()
-                )
-        header = _BATCH_HEADER.pack(_BATCH_MAGIC, n, len(columns))
-        return b"".join([header, codes.tobytes(), kinds.tobytes()] + blocks)
+        return _frame(n, columns, encoded)
 
-    def _flush(self, results: Sequence[RunResult]) -> None:
+    def append_many(self, results: Sequence[RunResult]) -> None:
         """Append one record batch durably (sidecar first, then data)."""
         if not results:
             return
@@ -698,39 +655,55 @@ class ColumnarBackend(StoreBackend):
             f"injected append failure on {self.path}",
         )
         with self._lock:
-            needed = self._batch_columns(results)
-            shard = self._sync_active()
-            if shard is None or any(c not in shard.columns for c in needed):
-                merged = list(shard.columns) if shard is not None else []
-                merged += [c for c in needed if c not in merged]
-                shard = self._create_shard(merged)
-                self._active = shard
-            fresh: List[str] = []
-            frame = self._encode_batch(shard, results, fresh)
-            if fresh:
-                payload = "".join(json.dumps(s) + "\n" for s in fresh)
-                with open(shard.sidecar, "a", encoding="utf-8") as stream:
-                    stream.write(payload)
-                    stream.flush()
-                    os.fsync(stream.fileno())
-                shard.sidecar_size += len(payload.encode("utf-8"))
-            with open(shard.dat, "ab") as stream:
-                if faults.fire("store.torn_write", fault_key):
-                    # Simulate death between the sidecar fsync (already
-                    # durable above) and the data append: only a prefix
-                    # of the frame lands, which decode recognises as a
-                    # torn final batch and compacts away on reopen.
-                    stream.write(frame[: max(1, len(frame) // 2)])
-                    stream.flush()
-                    os.fsync(stream.fileno())
-                    raise faults.FaultInjected(
-                        f"injected torn write on {shard.dat}"
-                    )
-                stream.write(frame)
-                stream.flush()
-                os.fsync(stream.fileno())
+            self._append_frame(
+                self._batch_columns(results),
+                lambda shard, fresh: self._encode_batch(shard, results, fresh),
+                fault_key,
+            )
+
+    def _append_frame(
+        self,
+        columns: List[str],
+        encode: Callable[[_Shard, List[str]], bytes],
+        fault_key: Optional[str] = None,
+    ) -> None:
+        """Append one record batch to the newest shard, or a new one
+        when it lacks some of ``columns``.  ``encode(shard, fresh)``
+        builds the frame, listing the strings it interned in ``fresh``;
+        those land (fsynced) before the frame does.
+        """
+        shard = self._sync_active()
+        if shard is None or any(c not in shard.columns for c in columns):
+            merged = list(shard.columns) if shard is not None else []
+            merged += [c for c in columns if c not in merged]
+            shard = self._active = self._create_shard(merged)
+        fresh: List[str] = []
+        frame = encode(shard, fresh)
+        if fresh:
+            payload = durable.jsonl(fresh)
+            durable.append(shard.sidecar, payload)
+            shard.sidecar_size += len(payload.encode("utf-8"))
+        if fault_key is not None and faults.fire("store.torn_write", fault_key):
+            # Only a prefix of the frame lands, which decode recognises
+            # as a torn final batch and compacts away on reopen.
+            durable.append(shard.dat, frame[: max(1, len(frame) // 2)])
+            raise faults.FaultInjected(f"injected torn write on {shard.dat}")
+        durable.append(shard.dat, frame)
 
     # -- decoding --------------------------------------------------------
+
+    def _batches(
+        self, *, compact_tail: bool
+    ) -> Iterator[Tuple[List[str], List[str], _DecodedBatch]]:
+        """Every intact record batch, with its shard's columns and table."""
+        for dat, sidecar in self._shard_paths():
+            columns, table = self._read_sidecar(
+                sidecar, compact_tail=compact_tail
+            )
+            for batch in self._decode_batches(
+                dat, columns, table, compact_tail=compact_tail
+            ):
+                yield columns, table, batch
 
     def _decode_batches(
         self, dat: str, columns: List[str], table: List[str],
@@ -817,10 +790,7 @@ class ColumnarBackend(StoreBackend):
                                 for k, v in batch.values.items()}
             del raw, buf
             if compact_tail:
-                with open(dat, "r+b") as stream:
-                    stream.truncate(good)
-                    stream.flush()
-                    os.fsync(stream.fileno())
+                durable.truncate(dat, good)
         return batches
 
     def _materialize(
@@ -918,45 +888,19 @@ class ColumnarBackend(StoreBackend):
             return []
         results: List[RunResult] = []
         with self._lock:
-            for dat, sidecar in self._shard_paths():
-                columns, table, _size = self._read_sidecar(
-                    sidecar, compact_tail=True
-                )
-                for batch in self._decode_batches(
-                    dat, columns, table, compact_tail=True
-                ):
-                    results.extend(self._materialize(columns, table, batch))
+            for columns, table, batch in self._batches(compact_tail=True):
+                results.extend(self._materialize(columns, table, batch))
         return results
 
-    def append(self, result: RunResult) -> None:
-        self._flush([result])
+    def _read_rows(self) -> List[RunResult]:
+        return self.load()
 
-    def append_many(self, results: Sequence[RunResult]) -> None:
-        self._flush(results)
-
-    def rewrite(self, results: Sequence[RunResult]) -> List[RunResult]:
-        with self._lock:
-            preserved: List[RunResult] = []
-            if os.path.isdir(self.path):
-                known = {r.spec_hash for r in results}
-                seen: Set[str] = set()
-                for row in self.load():
-                    # As in the JSONL backend: compaction never
-                    # preserves transient worker-crash rows.
-                    if row.spec_hash not in known \
-                            and row.spec_hash not in seen \
-                            and not is_worker_crash_error(row.error):
-                        seen.add(row.spec_hash)
-                        preserved.append(row)
-                for dat, sidecar in self._shard_paths():
-                    os.unlink(dat)
-                    os.unlink(sidecar)
-            self._active = None
-            rows = list(results) + preserved
-            if rows or os.path.isdir(self.path):
-                os.makedirs(self.path, exist_ok=True)
-                self._flush(rows)
-        return preserved
+    def _replace(self, results: Sequence[RunResult]) -> None:
+        for dat, sidecar in self._shard_paths():
+            os.unlink(dat)
+            os.unlink(sidecar)
+        self._active = None
+        self.append_many(results)
 
     # -- vectorized shard-merge ingest -----------------------------------
 
@@ -983,42 +927,36 @@ class ColumnarBackend(StoreBackend):
             seen: set = set()
             # Seed dedupe from our own hash columns — and compact any
             # torn tail first, because new frames append at file end.
-            for dat, sidecar in self._shard_paths():
-                columns, table, _size = self._read_sidecar(
-                    sidecar, compact_tail=True
-                )
-                for batch in self._decode_batches(
-                    dat, columns, table, compact_tail=True
-                ):
-                    seen.update(batch.values["#hash"].tolist())
+            for _columns, _table, batch in self._batches(compact_tail=True):
+                seen.update(batch.values["#hash"].tolist())
             for shard_path in shards:
                 other = ColumnarBackend(os.fspath(shard_path))
                 with other._lock:
-                    for dat, sidecar in other._shard_paths():
-                        columns, table, _size = other._read_sidecar(
-                            sidecar, compact_tail=False
-                        )
-                        batches = other._decode_batches(
-                            dat, columns, table, compact_tail=False
-                        )
-                        for batch in batches:
-                            hashes = batch.values["#hash"].tolist()
-                            bmask = np.empty(batch.n, dtype=bool)
-                            add = seen.add
-                            for i, h in enumerate(hashes):
-                                if h in seen:
-                                    bmask[i] = False
-                                else:
-                                    bmask[i] = True
-                                    add(h)
-                            if not bmask.any():
-                                continue
-                            if bmask.all():
-                                kept = batch
+                    for columns, table, batch in other._batches(
+                        compact_tail=False
+                    ):
+                        hashes = batch.values["#hash"].tolist()
+                        bmask = np.empty(batch.n, dtype=bool)
+                        add = seen.add
+                        for i, h in enumerate(hashes):
+                            if h in seen:
+                                bmask[i] = False
                             else:
-                                kept = self._compress_batch(batch, bmask)
-                            self._append_decoded(columns, table, kept)
-                            absorbed += kept.n
+                                bmask[i] = True
+                                add(h)
+                        if not bmask.any():
+                            continue
+                        if bmask.all():
+                            kept = batch
+                        else:
+                            kept = self._compress_batch(batch, bmask)
+                        self._append_frame(
+                            columns,
+                            lambda shard, fresh: self._remap_frame(
+                                shard, fresh, columns, table, kept
+                            ),
+                        )
+                        absorbed += kept.n
         return absorbed
 
     @staticmethod
@@ -1035,18 +973,12 @@ class ColumnarBackend(StoreBackend):
                         for k, v in batch.notnone.items()}
         return kept
 
-    def _append_decoded(
-        self, columns: List[str], table: List[str], batch: _DecodedBatch
-    ) -> None:
-        """Write an already-decoded batch into this store; remaps string
-        ids from the source shard's table into ours."""
-        shard = self._sync_active()
-        if shard is None or any(c not in shard.columns for c in columns):
-            merged = list(shard.columns) if shard is not None else []
-            merged += [c for c in columns if c not in merged]
-            shard = self._create_shard(merged)
-            self._active = shard
-        fresh: List[str] = []
+    def _remap_frame(
+        self, shard: _Shard, fresh: List[str], columns: List[str],
+        table: List[str], batch: _DecodedBatch,
+    ) -> bytes:
+        """The frame of an already-decoded batch in ``shard``'s layout;
+        remaps string ids from the source shard's table into ours."""
         remap: Optional[np.ndarray] = None
         used = set()
         for name in columns:
@@ -1059,40 +991,17 @@ class ColumnarBackend(StoreBackend):
             for i in sorted(used):
                 remap[i] = self._intern(shard, table[i], fresh)
 
-        codes = np.zeros(len(shard.columns), np.uint8)
-        kinds = np.zeros(len(shard.columns), np.uint8)
-        blocks: List[bytes] = []
-        for i, name in enumerate(shard.columns):
-            code = batch.codes.get(name, _ABSENT_COL)
-            kind = batch.kinds.get(name, _KIND_F8)
-            codes[i] = code
-            kinds[i] = kind
-            if code == _MIXED_COL:
-                blocks.append(np.packbits(batch.present[name]).tobytes())
-                blocks.append(np.packbits(batch.notnone[name]).tobytes())
-            if code in (_DENSE_COL, _MIXED_COL):
-                data = batch.values[name]
-                if kind == _KIND_STR and remap is not None:
-                    data = np.where(
-                        data >= 0, remap[np.maximum(data, 0)],
-                        np.int32(-1),
-                    ).astype(np.int32)
-                blocks.append(np.ascontiguousarray(
-                    data, dtype=_KIND_DTYPES[kind]
-                ).tobytes())
-        header = _BATCH_HEADER.pack(_BATCH_MAGIC, batch.n, len(shard.columns))
-        frame = b"".join([header, codes.tobytes(), kinds.tobytes()] + blocks)
-        if fresh:
-            payload = "".join(json.dumps(s) + "\n" for s in fresh)
-            with open(shard.sidecar, "a", encoding="utf-8") as stream:
-                stream.write(payload)
-                stream.flush()
-                os.fsync(stream.fileno())
-            shard.sidecar_size += len(payload.encode("utf-8"))
-        with open(shard.dat, "ab") as stream:
-            stream.write(frame)
-            stream.flush()
-            os.fsync(stream.fileno())
+        encoded: Dict[str, Tuple] = {}
+        for name, code in batch.codes.items():
+            kind = batch.kinds[name]
+            data = batch.values.get(name)
+            if kind == _KIND_STR and remap is not None and data is not None:
+                data = np.where(
+                    data >= 0, remap[np.maximum(data, 0)], np.int32(-1),
+                ).astype(np.int32)
+            encoded[name] = (code, kind, data, batch.present.get(name),
+                             batch.notnone.get(name))
+        return _frame(batch.n, shard.columns, encoded)
 
 
 class _Torn(Exception):

@@ -161,24 +161,19 @@ class ResultStore:
         """Compact the backing store to the in-memory records.
 
         The backend re-reads the file under its lock and preserves any
-        durable rows another process appended since our load; those
+        durable rows another process appended since our load (one per
+        hash this store lacks, never a worker-crash row); those
         strangers fold back into the in-memory index so they are not
-        recomputed later.  Stranger worker-crash rows are not folded
-        back (they are transient; the next load of this store drops
-        and compacts them).  Callers hold :attr:`lock`.
+        recomputed later.  Callers hold :attr:`lock`.
         """
         t0 = time.monotonic()
         rows = self._results
-        folded = False
         with obs.span("store.compact", backend=self.backend, rows=len(rows)):
-            for result in self._backend.rewrite(list(self._order)):
-                if is_worker_crash_error(result.error) \
-                        or result.spec_hash in rows:
-                    continue
-                rows[result.spec_hash] = result
-                self._order.append(result)
-                folded = True
-        if folded:
+            strangers = self._backend.rewrite(list(self._order))
+        for result in strangers:
+            rows[result.spec_hash] = result
+        self._order.extend(strangers)
+        if strangers:
             self._drop_views("compaction")
         obs.counter(
             "repro_store_compactions_total", backend=self.backend

@@ -7,10 +7,12 @@ resubmitting the identical request addresses the identical job (the
 service turns that into idempotent submission, the HTTP analogue of the
 result store's hash dedupe).
 
-Persistence mirrors the result store's durability model but is
-event-sourced: every status transition appends one JSONL snapshot line,
-the loader keeps the *last* snapshot per job, and a torn final line
-(process killed mid-append) is dropped and compacted away.  A service
+Persistence shares the result store's durable writes and torn-tail
+reader (:mod:`repro.results.durable`) but is event-sourced: every
+status transition appends one fsynced JSONL snapshot line, the loader
+keeps the *last* snapshot per job, and a torn final line (process
+killed mid-append) is dropped and compacted away; compaction writes a
+temp file, fsyncs it and renames it over the journal.  A service
 restarting over an existing job file therefore sees exactly the jobs
 the previous process accepted — and marks any still ``queued`` or
 ``running`` as ``interrupted``, because their executor died with the
@@ -20,7 +22,6 @@ resubmission recomputes only the gap).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -28,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ResultStoreError
+from repro.results import durable
 from repro.results.run_result import content_hash
 
 #: The job lifecycle.  ``queued -> running -> done|failed``;
@@ -157,35 +159,19 @@ class JobStore:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as stream:
-            lines = stream.readlines()
-        loaded: Dict[str, JobRecord] = {}
-        bad_tail = False
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = JobRecord.from_record(json.loads(line))
-            except (json.JSONDecodeError, ResultStoreError, TypeError) as error:
-                if lineno == len(lines):
-                    bad_tail = True
-                    break
-                raise ResultStoreError(
-                    f"{self.path}:{lineno}: corrupt job record: {error}"
-                ) from error
-            loaded[record.job_id] = record
-        self._records = loaded
-        if bad_tail:
+        records, torn_at = durable.read_jsonl(
+            self.path, JobRecord.from_record, "job record"
+        )
+        self._records = {record.job_id: record for record in records}
+        if torn_at is not None:
             self._rewrite_locked()
 
     def _rewrite_locked(self) -> None:
         """Replace the file with the map's snapshots (callers hold
         ``_write_lock``)."""
-        lines = [json.dumps(r.to_record()) + "\n" for r in self.records()]
-        tmp_path = f"{self.path}.tmp"
-        with open(tmp_path, "w", encoding="utf-8") as stream:
-            stream.writelines(lines)
-        os.replace(tmp_path, self.path)
+        durable.replace(
+            self.path, durable.jsonl(r.to_record() for r in self.records())
+        )
 
     def save(self, record: JobRecord) -> None:
         """Persist one snapshot (and update the in-memory last-wins map)."""
@@ -194,10 +180,7 @@ class JobStore:
                 self._records[record.job_id] = record
             if self.path is None:
                 return
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(record.to_record()) + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
+            durable.append(self.path, durable.jsonl([record.to_record()]))
 
     def compact(self) -> None:
         """Rewrite the file to one (latest) snapshot per job."""

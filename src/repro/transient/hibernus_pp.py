@@ -71,8 +71,6 @@ class HibernusPP(Strategy):
         self.v_hibernate = 0.0
         self.v_restore = v_restore_initial
         self._snapshot_start_v = 0.0
-        self._restore_time = None
-        self._last_measured_drop = None
 
     def configure(self, platform: TransientPlatform) -> None:
         v_min = platform.config.v_min
@@ -97,7 +95,6 @@ class HibernusPP(Strategy):
     def on_sleep(self, platform: TransientPlatform, t: float, v: float) -> None:
         if v < self.v_restore:
             return
-        self._restore_time = t
         if platform.store.has_snapshot():
             platform.begin_restore()
         else:
@@ -120,9 +117,9 @@ class HibernusPP(Strategy):
         return self.v_hibernate
 
     def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
-        # The trigger and wake hooks only record the snapshot's start
-        # voltage and the wake time, which the table does not read; the
-        # adaptation (snapshot/restore completion, power failure) moves
+        # The trigger hook only records the snapshot's start voltage,
+        # which the table does not read, and the wake hook records
+        # nothing; the adaptation (snapshot/restore completion, power failure) moves
         # the thresholds, so those transitions return to Python.
         kind = type(self)
         return InlineHooks(
@@ -140,7 +137,6 @@ class HibernusPP(Strategy):
         # Runtime platform characterisation: the observed voltage cost of a
         # snapshot replaces the design-time Eq. (4) calculation.
         drop = max(0.0, self._snapshot_start_v - v)
-        self._last_measured_drop = drop
         v_min = platform.config.v_min
         target = v_min + self.guard + drop * self.margin
         # Move most of the way to the measured target each time (snapshot
@@ -169,8 +165,6 @@ class HibernusPP(Strategy):
     def reset(self) -> None:
         self.v_restore = self._v_restore_initial
         self._snapshot_start_v = 0.0
-        self._restore_time = None
-        self._last_measured_drop = None
 
     # -- internals --------------------------------------------------------
 
