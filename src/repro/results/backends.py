@@ -373,8 +373,9 @@ class ColumnarBackend(StoreBackend):
 
     def _read_sidecar(
         self, sidecar: str, *, compact_tail: bool
-    ) -> Tuple[List[str], List[str]]:
-        """Returns (columns, table); drops a torn tail."""
+    ) -> Tuple[List[str], List[str], bool]:
+        """Returns (columns, table, base); drops a torn tail.  ``base``
+        marks a compaction's shard, which supersedes every older one."""
         if not os.path.exists(sidecar):
             raise ResultStoreError(
                 f"{sidecar}: missing string-table sidecar for its data file"
@@ -390,9 +391,11 @@ class ColumnarBackend(StoreBackend):
             raise ResultStoreError(f"{sidecar}: non-string table entry")
         if torn_at is not None and compact_tail:
             durable.truncate(sidecar, torn_at)
-        return list(entries[0]["columns"]), table
+        header = entries[0]
+        return list(header["columns"]), table, bool(header.get("base"))
 
-    def _create_shard(self, columns: List[str]) -> _Shard:
+    def _next_shard(self, columns: List[str]) -> _Shard:
+        """An unwritten shard numbered after every existing one."""
         os.makedirs(self.path, exist_ok=True)
         index = 0
         for dat, _sidecar in self._shard_paths():
@@ -402,13 +405,25 @@ class ColumnarBackend(StoreBackend):
             except ValueError:
                 pass
         stem = f"shard-{index:06d}"
-        dat = os.path.join(self.path, f"{stem}.dat")
-        sidecar = os.path.join(self.path, f"{stem}.strings.jsonl")
-        header = durable.jsonl([{"format": "repro-colstore", "version": 1,
-                                 "columns": columns}])
-        durable.replace(sidecar, header)
-        durable.append(dat, b"")
-        shard = _Shard(dat, sidecar, columns)
+        return _Shard(
+            os.path.join(self.path, f"{stem}.dat"),
+            os.path.join(self.path, f"{stem}.strings.jsonl"),
+            columns,
+        )
+
+    @staticmethod
+    def _shard_header(columns: List[str], base: bool = False) -> str:
+        header: Dict[str, Any] = {"format": "repro-colstore", "version": 1,
+                                  "columns": columns}
+        if base:
+            header["base"] = True
+        return durable.jsonl([header])
+
+    def _create_shard(self, columns: List[str]) -> _Shard:
+        shard = self._next_shard(columns)
+        header = self._shard_header(columns)
+        durable.replace(shard.sidecar, header)
+        durable.append(shard.dat, b"")
         shard.sidecar_size = len(header.encode("utf-8"))
         return shard
 
@@ -423,7 +438,9 @@ class ColumnarBackend(StoreBackend):
         shard = self._active
         size = os.path.getsize(sidecar) if os.path.exists(sidecar) else -1
         if shard is None or shard.dat != dat or shard.sidecar_size != size:
-            columns, table = self._read_sidecar(sidecar, compact_tail=True)
+            columns, table, _base = self._read_sidecar(
+                sidecar, compact_tail=True
+            )
             shard = _Shard(dat, sidecar, columns)
             shard.table = table
             shard.intern = {s: i for i, s in enumerate(table)}
@@ -648,18 +665,24 @@ class ColumnarBackend(StoreBackend):
         """Append one record batch durably (sidecar first, then data)."""
         if not results:
             return
-        fault_key = f"{results[0].spec_hash}|{len(results)}"
-        faults.maybe_delay(fault_key)
-        faults.inject(
-            "store.append_fail", fault_key,
-            f"injected append failure on {self.path}",
-        )
+        fault_key = self._fault_gate(results)
         with self._lock:
             self._append_frame(
                 self._batch_columns(results),
                 lambda shard, fresh: self._encode_batch(shard, results, fresh),
                 fault_key,
             )
+
+    def _fault_gate(self, results: Sequence[RunResult]) -> str:
+        """Fire ``io.slow`` and ``store.append_fail`` for a write of
+        ``results``, before any byte lands; returns the fault key."""
+        fault_key = f"{results[0].spec_hash}|{len(results)}"
+        faults.maybe_delay(fault_key)
+        faults.inject(
+            "store.append_fail", fault_key,
+            f"injected append failure on {self.path}",
+        )
+        return fault_key
 
     def _append_frame(
         self,
@@ -695,11 +718,26 @@ class ColumnarBackend(StoreBackend):
     def _batches(
         self, *, compact_tail: bool
     ) -> Iterator[Tuple[List[str], List[str], _DecodedBatch]]:
-        """Every intact record batch, with its shard's columns and table."""
-        for dat, sidecar in self._shard_paths():
-            columns, table = self._read_sidecar(
-                sidecar, compact_tail=compact_tail
-            )
+        """Every intact record batch, with its shard's columns and table.
+
+        Reads from the newest base shard on: a compaction that crashed
+        after publishing its shard but before unlinking the old ones
+        left those behind, and ``compact_tail`` unlinks them now.
+        """
+        shards = self._shard_paths()
+        sidecars = [
+            self._read_sidecar(sidecar, compact_tail=compact_tail)
+            for _dat, sidecar in shards
+        ]
+        start = max(
+            (i for i, (_c, _t, base) in enumerate(sidecars) if base),
+            default=0,
+        )
+        if compact_tail:
+            self._unlink(shards[:start])
+        for (dat, _sidecar), (columns, table, _base) in zip(
+            shards[start:], sidecars[start:]
+        ):
             for batch in self._decode_batches(
                 dat, columns, table, compact_tail=compact_tail
             ):
@@ -896,11 +934,36 @@ class ColumnarBackend(StoreBackend):
         return self.load()
 
     def _replace(self, results: Sequence[RunResult]) -> None:
-        for dat, sidecar in self._shard_paths():
+        """Write ``results`` as one new base shard, then unlink the old
+        shards.
+
+        The base shard's sidecar lands first; its data file is renamed
+        into place whole, which is when the shard becomes visible, so a
+        failure before that leaves the old shards as they were.  A crash
+        between the rename and the unlinks leaves both, and load reads
+        from the newest base shard on.
+        """
+        stale = self._shard_paths()
+        if results:
+            self._fault_gate(results)
+        shard = self._next_shard(self._batch_columns(results))
+        fresh: List[str] = []
+        frame = self._encode_batch(shard, results, fresh) if results else b""
+        durable.replace(
+            shard.sidecar,
+            self._shard_header(shard.columns, base=True)
+            + durable.jsonl(fresh),
+        )
+        durable.replace(shard.dat, frame)
+        self._active = None
+        self._unlink(stale)
+
+    @staticmethod
+    def _unlink(shards: Sequence[Tuple[str, str]]) -> None:
+        # Data file first: a sidecar without one is ignored.
+        for dat, sidecar in shards:
             os.unlink(dat)
             os.unlink(sidecar)
-        self._active = None
-        self.append_many(results)
 
     # -- vectorized shard-merge ingest -----------------------------------
 

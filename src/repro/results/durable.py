@@ -21,14 +21,20 @@ def jsonl(values: Iterable[Any]) -> str:
     return "".join(json.dumps(value) + "\n" for value in values)
 
 
-def append(path: str, data: Union[str, bytes]) -> None:
-    """Append ``data`` (str is UTF-8 encoded), flush and fsync it."""
+def append(path: str, data: Union[str, bytes], sync: bool = True) -> None:
+    """Append ``data`` (str is UTF-8 encoded), flush and fsync it.
+
+    ``sync=False`` skips the fsync, for bytes whose loss in a crash the
+    reader already tolerates; the next synced append to the file makes
+    them durable too.
+    """
     if isinstance(data, str):
         data = data.encode("utf-8")
     with open(path, "ab") as stream:
         stream.write(data)
         stream.flush()
-        os.fsync(stream.fileno())
+        if sync:
+            os.fsync(stream.fileno())
 
 
 def replace(path: str, data: Union[str, bytes]) -> None:

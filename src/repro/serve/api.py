@@ -113,38 +113,67 @@ class ServeHandler(BaseHTTPRequestHandler):
         # surface.  Subclass to re-enable stdlib request logging.
         pass
 
+    def setup(self) -> None:
+        super().setup()
+        # One handler instance serves one connection, so this counts
+        # connections; with repro_http_requests_total it shows how many
+        # requests each kept-alive connection carried.
+        obs.counter("repro_http_connections_total").inc()
+
+    def _send(self, status: int, payload: bytes, content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+
     def _send_json(self, status: int, body: Dict[str, Any]) -> None:
         # Without indent, json encodes on its C encoder; the compact
         # separators also shrink the body.
-        payload = (
-            json.dumps(body, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        payload = json.dumps(body, separators=(",", ":")) + "\n"
+        self._send(status, payload.encode("utf-8"), "application/json")
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        payload = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        self._send(status, text.encode("utf-8"), content_type)
+
+    def _body_length(self) -> int:
+        """The request body's declared byte count.
+
+        A body this handler will not read in full — over the limit,
+        chunked, or of malformed length — marks the connection to close
+        after the reply, so its bytes are never parsed as the next
+        request on a kept-alive connection.
+        """
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES \
+                or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+        return length
+
+    def _discard_body(self) -> None:
+        """Read and drop a body no route uses (or close, see
+        :meth:`_body_length`)."""
+        length = self._body_length()
+        if length > 0 and not self.close_connection:
+            self.rfile.read(length)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise SpecError("request needs a JSON body")
+        length = self._body_length()
         if length > MAX_BODY_BYTES:
             raise SpecError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
+        if length <= 0:
+            raise SpecError("request needs a JSON body")
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
@@ -198,6 +227,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 )
                 self._send_json(202, record.to_record())
                 return
+            self._discard_body()
             self._send_error_json(404, f"no such endpoint: POST {path}")
         except ReproError as error:
             # The CLI's one-line exit-2 contract, over HTTP: client
@@ -212,6 +242,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _handle_get(self) -> None:
         path, params = self._route()
         self.service.requests_served += 1
+        self._discard_body()
         try:
             if path == "/healthz":
                 self._send_json(200, self.service.healthz())

@@ -1,8 +1,8 @@
 """A pure-stdlib client for the simulation service.
 
-Thin ``urllib`` wrapper used by the example client, the load-test
-benchmark and the test suite — and copy-paste-able into any environment
-that has Python and no dependencies::
+A small :mod:`http.client` wrapper used by the example client, the
+load-test benchmark and the test suite — and copy-paste-able into any
+environment that has Python and no dependencies::
 
     from repro.serve.client import ServiceClient
 
@@ -22,15 +22,21 @@ would have printed locally.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
+import weakref
 from typing import Any, Dict, Iterator, List, Mapping, Optional
-from urllib.error import HTTPError, URLError
-from urllib.parse import urlencode
-from urllib.request import Request, urlopen
+from urllib.parse import urlencode, urlsplit
 
 from repro.errors import ReproError
+
+#: Failures that mean a kept-alive connection went stale (the server
+#: closed it while idle): ``RemoteDisconnected`` is a
+#: ``ConnectionResetError``.
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
 
 
 class ServiceError(ReproError):
@@ -48,12 +54,21 @@ class ServiceError(ReproError):
 class ServiceClient:
     """Talk to a ``repro serve`` instance over HTTP.
 
-    Connection failures (``URLError``: refused, reset, DNS) retry with
-    capped exponential backoff + jitter before surfacing as
+    Each calling thread keeps one persistent HTTP/1.1 connection to the
+    server, so a request pays no TCP setup and the server starts no
+    thread for it.  A request that fails on a *reused* connection with
+    a reset, ``RemoteDisconnected`` or a broken pipe (the server closed
+    the idle connection) reconnects once, at once, before that counts
+    as a retry.
+
+    Connection errors (refused, reset, DNS) retry with capped
+    exponential backoff + jitter before surfacing as
     :class:`ServiceError` — safe for every method here, because GETs
     are idempotent and submissions are content-hash idempotent (a
-    retried POST re-addresses the same job).  HTTP *responses* (4xx,
-    5xx) never retry: the server spoke, the answer stands.
+    retried POST re-addresses the same job).  A timeout does not retry:
+    it has already spent the request's time.  HTTP *responses* (4xx,
+    5xx) never retry: the server spoke, the answer stands; their body
+    is read in full, so the connection stays usable.
 
     Args:
         base_url: e.g. ``http://127.0.0.1:8000`` (trailing slash ok).
@@ -79,8 +94,49 @@ class ServiceClient:
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ServiceError(
+                f"base URL must look like http://host:port, "
+                f"not {base_url!r}"
+            )
+        self._url = url
+        self._local = threading.local()
+        #: Every connection a thread of this client still holds.
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = \
+            weakref.WeakSet()
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the connection of every thread that used this client
+        (call it with no request in flight); a later request
+        reconnects."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
 
     # -- transport -------------------------------------------------------
+
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new, not yet connected, connection to the server."""
+        connection_class = (
+            http.client.HTTPSConnection if self._url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        return connection_class(
+            self._url.hostname, self._url.port, timeout=self.timeout
+        )
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection.  A closed one reopens on its next
+        request, so the object is made once per thread."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
 
     def _request(
         self,
@@ -89,40 +145,73 @@ class ServiceClient:
         body: Optional[Mapping[str, Any]] = None,
         params: Optional[Mapping[str, Any]] = None,
         timeout: Optional[float] = None,
-    ):
-        url = self.base_url + path
+    ) -> http.client.HTTPResponse:
+        """Send one request on this thread's connection; return the
+        response, its body unread, once its status is below 400."""
+        target = self._url.path + path
         if params:
-            url += "?" + urlencode(params)
+            target += "?" + urlencode(params)
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
             data = json.dumps(dict(body)).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        for attempt in range(self.retries + 1):
-            request = Request(url, data=data, headers=headers, method=method)
+        timeout = timeout or self.timeout
+        attempt = 0
+        reconnected = False
+        while True:
+            connection = self._connection()
+            reused = connection.sock is not None
             try:
-                return urlopen(request, timeout=timeout or self.timeout)
-            except HTTPError as error:
-                detail = error.read().decode("utf-8", "replace")
-                try:
-                    detail = json.loads(detail).get("error", detail)
-                except json.JSONDecodeError:
-                    pass
-                raise ServiceError(detail.strip() or f"HTTP {error.code}",
-                                   status=error.code) from None
-            except URLError as error:
+                connection.timeout = timeout
+                if reused:
+                    connection.sock.settimeout(timeout)
+                connection.request(method, target, body=data,
+                                   headers=headers)
+                response = connection.getresponse()
+            except OSError as error:
+                connection.close()
+                if isinstance(error, TimeoutError):
+                    raise
+                if reused and not reconnected \
+                        and isinstance(error, _STALE_ERRORS):
+                    reconnected = True
+                    continue
                 if attempt >= self.retries:
                     raise ServiceError(
-                        f"cannot reach {self.base_url}: {error.reason}"
+                        f"cannot reach {self.base_url}: {error}"
                         + (f" (after {attempt + 1} attempts)"
                            if attempt else "")
                     ) from None
                 delay = min(self.backoff_cap_s, self.backoff_s * 2 ** attempt)
                 time.sleep(delay * (1.0 + 0.25 * random.random()))
+                attempt += 1
+                continue
+            except BaseException:
+                connection.close()
+                raise
+            if response.status < 400:
+                return response
+            detail = self._read(response).decode("utf-8", "replace")
+            try:
+                detail = json.loads(detail).get("error", detail)
+            except (json.JSONDecodeError, AttributeError):
+                pass
+            raise ServiceError(detail.strip() or f"HTTP {response.status}",
+                               status=response.status)
+
+    def _read(self, response: http.client.HTTPResponse) -> bytes:
+        """The whole body of a response on this thread's connection;
+        a read that fails closes the connection, whose stream is then
+        out of step."""
+        try:
+            return response.read()
+        except BaseException:
+            self._connection().close()
+            raise
 
     def _json(self, *args: Any, **kwargs: Any) -> Dict[str, Any]:
-        with self._request(*args, **kwargs) as response:
-            return json.loads(response.read())
+        return json.loads(self._read(self._request(*args, **kwargs)))
 
     # -- submission ------------------------------------------------------
 
@@ -179,14 +268,27 @@ class ServiceClient:
         each yielded value is one complete event line.
         """
         params = {"since": since, "follow": int(follow), "timeout": timeout}
-        with self._request(
+        response = self._request(
             "GET", f"/v1/jobs/{job_id}/events", params=params,
             timeout=timeout + 10.0,
-        ) as response:
+        )
+        # The stream holds this thread's connection until its last
+        # chunk, so a request made while iterating opens another.
+        connection = self._local.connection
+        self._local.connection = None
+        try:
             for raw in response:
                 line = raw.decode("utf-8").rstrip("\n")
                 if line:
                     yield line
+        finally:
+            if response.isclosed() \
+                    and getattr(self._local, "connection", None) is None:
+                self._local.connection = connection
+            else:
+                # Abandoned mid-stream: the unread chunks would be
+                # parsed as the next response.
+                connection.close()
 
     def results(self, **params: Any) -> Dict[str, Any]:
         """GET /v1/results with the given query parameters.

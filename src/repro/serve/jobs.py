@@ -9,15 +9,21 @@ result store's hash dedupe).
 
 Persistence shares the result store's durable writes and torn-tail
 reader (:mod:`repro.results.durable`) but is event-sourced: every
-status transition appends one fsynced JSONL snapshot line, the loader
-keeps the *last* snapshot per job, and a torn final line (process
-killed mid-append) is dropped and compacted away; compaction writes a
-temp file, fsyncs it and renames it over the journal.  A service
-restarting over an existing job file therefore sees exactly the jobs
-the previous process accepted — and marks any still ``queued`` or
-``running`` as ``interrupted``, because their executor died with the
-process (their *computed points* are safe in the result store; a
-resubmission recomputes only the gap).
+status transition and progress update appends one JSONL snapshot line,
+the loader keeps the *last* snapshot per job, and a torn final line
+(process killed mid-append) is dropped and compacted away; compaction
+writes a temp file, fsyncs it and renames it over the journal.
+
+Only the snapshots a restart reads are fsynced: a ``queued`` one (the
+submission, which backs the 202 the client got, or a retry's requeue)
+and a terminal one.  ``running`` and progress snapshots are appended
+without an fsync.  A service restarting over an existing job file
+therefore sees exactly the jobs the previous process accepted — and
+marks any still ``queued`` or ``running`` as ``interrupted``, because
+their executor died with the process (their *computed points* are safe
+in the result store; a resubmission recomputes only the gap).  Losing
+an unsynced snapshot in a crash recovers that same ``interrupted``
+state; only its progress counters may be older.
 """
 
 from __future__ import annotations
@@ -143,8 +149,8 @@ class JobStore:
     Thread-safe (submissions land from HTTP handler threads while the
     executor thread updates progress).  ``_lock`` guards only the
     in-memory map, so lookups never wait on the disk; ``_write_lock``
-    orders file writes, so snapshots land (each fsynced) in the order
-    their saves updated the map.  Follows the result store's
+    orders file writes, so snapshots land in the order their saves
+    updated the map.  Follows the result store's
     recovery contract: a torn final line is dropped and the file
     compacted; corruption anywhere earlier raises, because silently
     skipping snapshots would misreport job history.
@@ -174,13 +180,22 @@ class JobStore:
         )
 
     def save(self, record: JobRecord) -> None:
-        """Persist one snapshot (and update the in-memory last-wins map)."""
+        """Persist one snapshot (and update the in-memory last-wins map).
+
+        Only a ``running`` snapshot skips the fsync: restart recovery
+        turns a job last seen ``queued`` or ``running`` into
+        ``interrupted`` alike, so losing one in a crash costs at most
+        the freshness of the job's progress counters.
+        """
         with self._write_lock:
             with self._lock:
                 self._records[record.job_id] = record
             if self.path is None:
                 return
-            durable.append(self.path, durable.jsonl([record.to_record()]))
+            durable.append(
+                self.path, durable.jsonl([record.to_record()]),
+                sync=record.status != "running",
+            )
 
     def compact(self) -> None:
         """Rewrite the file to one (latest) snapshot per job."""

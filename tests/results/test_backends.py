@@ -321,6 +321,57 @@ def test_columnar_schema_growth_starts_a_new_shard(tmp_path):
     assert reopened.get("n1").overrides["novel_knob"] == "a"
 
 
+def three_row_colstore(tmp_path):
+    path = tmp_path / "compact.colstore"
+    store = ResultStore(path)
+    for i in range(3):
+        store.add(make_result(i, energy_total=float(i)))
+    return path, store
+
+
+def test_columnar_failed_compaction_keeps_every_row(tmp_path):
+    from repro import faults
+
+    path, store = three_row_colstore(tmp_path)
+    with faults.active({"store.append_fail": 1.0}):
+        with pytest.raises(OSError):
+            store.add(make_result(1, energy_total=9.0), overwrite=True)
+    reopened = ResultStore(path)
+    assert sorted(r.spec_hash for r in reopened) == ["h0", "h1", "h2"]
+    assert reopened.get("h1").metrics["energy_total"] == 1.0
+
+
+def test_columnar_load_finishes_a_compaction_cut_before_its_unlinks(
+    tmp_path, monkeypatch
+):
+    """Killed after the compacted shard was published and before the
+    old shards were unlinked: both exist, load reads only the compacted
+    one and unlinks the rest."""
+    path, store = three_row_colstore(tmp_path)
+    store.add(RunResult(spec_hash="n1", name="sweep",
+                        overrides={"x": 1.0, "novel_knob": "a"},
+                        metrics=empty_metrics()))  # a second shard
+
+    def killed(target):
+        raise KeyboardInterrupt("killed before unlinking old shards")
+
+    monkeypatch.setattr(os, "unlink", killed)
+    with pytest.raises(KeyboardInterrupt):
+        store.add(make_result(1, energy_total=9.0), overwrite=True)
+    monkeypatch.undo()
+    shards = sorted(f for f in os.listdir(path) if f.endswith(".dat"))
+    assert shards == ["shard-000000.dat", "shard-000001.dat",
+                      "shard-000002.dat"]
+    reopened = ResultStore(path)
+    assert sorted(r.spec_hash for r in reopened) == ["h0", "h1", "h2", "n1"]
+    assert reopened.get("h1").metrics["energy_total"] == 9.0
+    assert sorted(os.listdir(path)) == [
+        ".lock", "shard-000002.dat", "shard-000002.strings.jsonl",
+    ]
+    reopened.add(make_result(7))
+    assert len(ResultStore(path)) == 5
+
+
 def test_columnar_out_of_model_values_round_trip(tmp_path):
     """Huge ints and mixed-type columns take the overflow escape hatch
     but still round-trip exactly."""

@@ -34,7 +34,9 @@ def serve_server(tmp_path):
 @pytest.fixture
 def client(serve_server):
     host, port = serve_server.server_address[:2]
-    return ServiceClient(f"http://{host}:{port}")
+    client = ServiceClient(f"http://{host}:{port}")
+    yield client
+    client.close()
 
 
 def small_sweep_request(**extra):

@@ -176,3 +176,112 @@ def test_persistent_connection_requests_do_not_stall(serve_server):
     finally:
         connection.close()
     assert statistics.median(elapsed) < 0.020, elapsed
+
+
+# -- kept-alive connections ------------------------------------------------
+
+
+def connections_total():
+    from repro import obs
+
+    return obs.counter("repro_http_connections_total").value
+
+
+def test_an_unread_request_body_does_not_poison_the_connection(serve_server):
+    """A POST answered without reading its body (a 404, an over-limit
+    refusal) must not leave those bytes to be parsed as the next
+    request on the same connection."""
+    import http.client
+
+    from repro.serve.api import MAX_BODY_BYTES
+
+    host, port = serve_server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+
+    def healthz():
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+
+    try:
+        connection.request("POST", "/v1/nope", body=b"{" + b" " * 2046 + b"}",
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        assert response.status == 404
+        response.read()
+        healthz()
+
+        connection.putrequest("POST", "/v1/sweeps")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        connection.endheaders()
+        connection.send(b"x" * 2048)  # the refusal must not wait for more
+        response = connection.getresponse()
+        assert response.status == 400
+        assert "exceeds" in json.loads(response.read())["error"]
+        healthz()
+    finally:
+        connection.close()
+
+
+def test_one_thread_keeps_one_connection(client):
+    before = connections_total()
+    for _ in range(20):
+        assert client.healthz()["status"] == "ok"
+    assert connections_total() - before == 1
+
+
+def test_each_thread_sharing_a_client_gets_its_own_connection(client):
+    import threading
+
+    before = connections_total()
+    errors = []
+
+    def drive():
+        try:
+            for _ in range(10):
+                client.healthz()
+        except Exception as error:  # surfaced below
+            errors.append(error)
+
+    threads = [threading.Thread(target=drive) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    assert connections_total() - before == 2
+
+
+def test_an_http_error_leaves_the_connection_reusable(client):
+    before = connections_total()
+    with pytest.raises(ServiceError) as excinfo:
+        client._json("GET", "/v1/nope")
+    assert excinfo.value.status == 404
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit_run({"preset": "nope"})
+    assert excinfo.value.status == 400
+    assert client.healthz()["status"] == "ok"
+    assert connections_total() - before == 1
+
+
+def test_a_finished_event_stream_returns_its_connection(client):
+    job = client.submit_sweep(small_sweep_request())
+    before = connections_total()
+    lines = list(client.events(job["job_id"]))
+    assert "done:" in lines[-1]
+    assert client.job(job["job_id"])["status"] == "done"
+    assert connections_total() - before == 0
+
+
+def test_an_abandoned_event_stream_drops_its_connection(client):
+    job = client.submit_sweep(small_sweep_request())
+    before = connections_total()
+    stream = client.events(job["job_id"], timeout=60)
+    assert "queued" in next(stream)
+    # A request while the stream is open rides a connection of its own.
+    assert client.healthz()["status"] == "ok"
+    stream.close()  # abandoned before the terminating chunk
+    assert client.wait(job["job_id"])["status"] == "done"
+    assert connections_total() - before == 1

@@ -1,5 +1,7 @@
 """The in-process SimulationService: validation, execution, queries."""
 
+import json
+import os
 import time
 
 import pytest
@@ -233,6 +235,86 @@ def test_restart_marks_stale_jobs_interrupted_and_resume_fills_gap(tmp_path):
     done = wait_terminal(second, redo.job_id)
     assert done.result["computed"] == 0 and done.result["cached"] == 2
     second.close()
+
+
+def serve_one_sweep_counting_fsyncs(tmp_path, monkeypatch):
+    """Serve one sweep job to completion, recording every fsync.
+
+    Returns the service (executor stopped, not closed), the job id, the
+    journal's size at each of its fsyncs, and the number of fsyncs of
+    the result store file and of any file.
+    """
+    store_path = str(tmp_path / "s.jsonl")
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        stat = os.fstat(fd)
+        synced.append((stat.st_ino, stat.st_size))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    service = SimulationService(store_path=store_path, parallel=False)
+    service.start()
+    record = service.submit("sweep", small_sweep_request())
+    assert wait_terminal(service, record.job_id).status == "done"
+    service.queue.stop()  # joins the executor: the terminal save landed
+    monkeypatch.setattr(os, "fsync", real_fsync)
+    journal_ino = os.stat(service.queue.store.path).st_ino
+    store_ino = os.stat(store_path).st_ino
+    journal_sizes = [size for ino, size in synced if ino == journal_ino]
+    store_syncs = sum(ino == store_ino for ino, _size in synced)
+    return service, record.job_id, journal_sizes, store_syncs, len(synced)
+
+
+def test_a_served_job_fsyncs_only_what_restart_reads(tmp_path, monkeypatch):
+    """Two journal fsyncs (the submission and the terminal snapshot)
+    and one for the rows; running and progress snapshots are appended
+    unsynced."""
+    service, _job_id, journal_sizes, store_syncs, total = \
+        serve_one_sweep_counting_fsyncs(tmp_path, monkeypatch)
+    with open(service.queue.store.path, "rb") as stream:
+        snapshots = stream.read().splitlines()
+    service.close()
+    assert len(journal_sizes) == 2 and store_syncs == 1 and total == 3
+    statuses = [json.loads(line)["status"] for line in snapshots]
+    assert statuses[0] == "queued" and statuses[-1] == "done"
+    assert "running" in statuses and len(statuses) > 3  # progress too
+
+
+@pytest.mark.parametrize("cut", ["at-last-fsync", "inside-unsynced"])
+def test_losing_unsynced_snapshots_recovers_interrupted(
+    tmp_path, monkeypatch, cut
+):
+    """A crash after the unsynced running/progress snapshots and before
+    the terminal one leaves the journal at its last fsynced length, or
+    part-way into the unsynced lines: restart reads the job as
+    interrupted, as it would had the running snapshot survived."""
+    service, job_id, journal_sizes, _store, _total = \
+        serve_one_sweep_counting_fsyncs(tmp_path, monkeypatch)
+    if service.pool is not None:
+        service.pool.close()
+    journal = service.queue.store.path
+    with open(journal, "rb") as stream:
+        data = stream.read()
+    last_synced, terminal_synced = journal_sizes
+    assert terminal_synced == len(data)
+    before_terminal = data.rstrip(b"\n").rfind(b"\n") + 1
+    assert last_synced < before_terminal  # unsynced snapshots between
+    size = last_synced if cut == "at-last-fsync" \
+        else (last_synced + before_terminal) // 2
+    with open(journal, "r+b") as stream:
+        stream.truncate(size)
+
+    restarted = SimulationService(
+        store_path=str(tmp_path / "s.jsonl"), parallel=False
+    )
+    try:
+        recovered = restarted.queue.get(job_id)
+        assert recovered.status == "interrupted"
+        assert "resubmit" in recovered.error
+    finally:
+        restarted.close()
 
 
 def test_close_is_idempotent(service):

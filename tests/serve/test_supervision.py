@@ -6,10 +6,10 @@ carries a total wall budget (``deadline_s``) and a retry budget
 re-enqueue) and task-level worker crashes (the derived
 :class:`SupervisionPolicy`)."""
 
-import io
 import json
+import socket
+import threading
 import time
-from urllib.error import HTTPError, URLError
 
 import pytest
 
@@ -235,67 +235,141 @@ def test_readyz_http_surface(client):
 
 
 class _FakeResponse:
-    def __init__(self, payload: bytes):
+    def __init__(self, status: int, payload: bytes):
+        self.status = status
         self._payload = payload
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
 
     def read(self) -> bytes:
         return self._payload
 
 
+class _FakeConnection:
+    """Stands in for the ``http.client`` connection behind
+    ``ServiceClient._connect``; ``respond(n)`` answers the n-th request
+    or raises the transport error it should meet."""
+
+    def __init__(self, respond):
+        self.respond = respond
+        self.calls = 0
+        self.sock = None
+        self.timeout = None
+
+    def request(self, method, target, body=None, headers=None):
+        self.calls += 1
+        self._response = self.respond(self.calls)
+
+    def getresponse(self):
+        return self._response
+
+    def close(self):
+        self.sock = None
+
+
+def fake_transport(monkeypatch, respond):
+    connection = _FakeConnection(respond)
+    monkeypatch.setattr(ServiceClient, "_connect", lambda self: connection)
+    return connection
+
+
 def test_client_retries_connection_errors(monkeypatch):
-    from repro.serve import client as client_mod
+    def flaky(n):
+        if n < 3:
+            raise ConnectionRefusedError(111, "refused")
+        return _FakeResponse(200, b'{"status": "ok"}')
 
-    calls = {"n": 0}
-
-    def flaky_urlopen(request, timeout=None):
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise URLError(ConnectionRefusedError(111, "refused"))
-        return _FakeResponse(b'{"status": "ok"}')
-
-    monkeypatch.setattr(client_mod, "urlopen", flaky_urlopen)
+    connection = fake_transport(monkeypatch, flaky)
     api = ServiceClient("http://127.0.0.1:9", retries=3, backoff_s=0.0)
     assert api.healthz() == {"status": "ok"}
-    assert calls["n"] == 3
+    assert connection.calls == 3
 
 
 def test_client_retry_budget_exhausts_with_attempt_count(monkeypatch):
-    from repro.serve import client as client_mod
+    def dead(n):
+        raise ConnectionRefusedError(111, "refused")
 
-    calls = {"n": 0}
-
-    def dead_urlopen(request, timeout=None):
-        calls["n"] += 1
-        raise URLError(ConnectionRefusedError(111, "refused"))
-
-    monkeypatch.setattr(client_mod, "urlopen", dead_urlopen)
+    connection = fake_transport(monkeypatch, dead)
     api = ServiceClient("http://127.0.0.1:9", retries=2, backoff_s=0.0)
     with pytest.raises(ServiceError, match=r"after 3 attempts"):
         api.healthz()
-    assert calls["n"] == 3
+    assert connection.calls == 3
 
 
 def test_client_never_retries_http_errors(monkeypatch):
-    from repro.serve import client as client_mod
+    def rejecting(n):
+        return _FakeResponse(400, b'{"error": "bad spec"}')
 
-    calls = {"n": 0}
-
-    def rejecting_urlopen(request, timeout=None):
-        calls["n"] += 1
-        raise HTTPError(
-            request.full_url, 400, "Bad Request", {},
-            io.BytesIO(b'{"error": "bad spec"}'),
-        )
-
-    monkeypatch.setattr(client_mod, "urlopen", rejecting_urlopen)
+    connection = fake_transport(monkeypatch, rejecting)
     api = ServiceClient("http://127.0.0.1:9", retries=3, backoff_s=0.0)
     with pytest.raises(ServiceError, match="bad spec") as excinfo:
         api.healthz()
     assert excinfo.value.status == 400
-    assert calls["n"] == 1  # the server spoke; the answer stands
+    assert connection.calls == 1  # the server spoke; the answer stands
+
+
+class _OneShotServer:
+    """A raw HTTP/1.1 server that answers ``answers`` requests on each
+    connection it accepts, then closes it without a ``Connection:
+    close`` — what a server timing out an idle kept-alive connection
+    does."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            with conn, conn.makefile("rb") as stream:
+                for _ in range(self.answers):
+                    while stream.readline() not in (b"\r\n", b""):
+                        pass
+                    body = b'{"status": "ok"}'
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
+                        b"\r\nContent-Length: %d\r\n\r\n%s"
+                        % (len(body), body)
+                    )
+
+    def close(self):
+        self.listener.close()
+
+
+def test_client_reconnects_once_when_the_server_closed_an_idle_connection(
+    monkeypatch,
+):
+    from repro.serve import client as client_mod
+
+    def no_backoff(seconds):
+        raise AssertionError("a stale connection must not cost a retry")
+
+    monkeypatch.setattr(client_mod.time, "sleep", no_backoff)
+    server = _OneShotServer(answers=1)
+    try:
+        api = ServiceClient(server.url, retries=0)
+        for _ in range(3):
+            assert api.healthz() == {"status": "ok"}
+        assert server.accepted == 3
+    finally:
+        server.close()
+
+
+def test_client_reconnects_only_once_per_request():
+    """A fresh connection that fails too is a real connection error."""
+    server = _OneShotServer(answers=1)
+    try:
+        api = ServiceClient(server.url, retries=0)
+        assert api.healthz() == {"status": "ok"}
+        server.answers = 0  # every later connection closes unanswered
+        with pytest.raises(ServiceError, match="cannot reach"):
+            api.healthz()
+        assert server.accepted == 2
+    finally:
+        server.close()
