@@ -1,6 +1,6 @@
 """Fail CI when the perf harnesses regress against committed baselines.
 
-Three independently gated sections, each reported even when an earlier
+Six independently gated sections, each reported even when an earlier
 one fails (so one regression does not mask another):
 
 * **kernel** — runs the kernel benchmarks fresh and compares *speedup
@@ -27,12 +27,6 @@ one fails (so one regression does not mask another):
   once (dedupe ratio 1.0), every concurrent job completes, a union-grid
   resubmission computes zero points over HTTP, and cached result
   queries sustain the documented requests/sec floor.
-* **store** — the result-store backend harness (``perf_store.py``):
-  fleet shard-merge ingest plus best/pareto/series queries on both
-  backends; the columnar backend must ingest >= 10x faster than JSONL
-  and both must return identical query answers.  CI runs a reduced row
-  count (``--store-rows``); the gated number is a same-machine ratio,
-  so it transfers to the committed 1M-row ``BENCH_store.json``.
 * **obs** — the instrumentation-overhead harness (``perf_obs.py``):
   runs with the default-on metrics layer enabled must stay within 3%
   of the same runs with observability disabled (``REPRO_OBS=0``),
@@ -89,10 +83,6 @@ from perf_obs import (
 from perf_serve import (
     format_summary as format_serve_summary,
     run_benchmarks as run_serve_benchmarks,
-)
-from perf_store import (
-    format_summary as format_store_summary,
-    run_benchmarks as run_store_benchmarks,
 )
 from perf_sweep import (
     CACHED_SPEEDUP_FLOOR,
@@ -234,8 +224,8 @@ def append_history(path: Path, sections: dict, kernel_fresh,
 
 def write_github_summary(sections: dict, baseline: dict, fresh: dict,
                          sweep_fresh, explore_fresh,
-                         serve_fresh=None, store_fresh=None,
-                         obs_fresh=None, faults_fresh=None) -> None:
+                         serve_fresh=None, obs_fresh=None,
+                         faults_fresh=None) -> None:
     """Append the before/after table to the Actions job summary, if any."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not path:
@@ -283,9 +273,6 @@ def write_github_summary(sections: dict, baseline: dict, fresh: dict,
     if serve_fresh is not None:
         lines += ["", "### Service load", "",
                   "```", format_serve_summary(serve_fresh), "```"]
-    if store_fresh is not None:
-        lines += ["", "### Store backends", "",
-                  "```", format_store_summary(store_fresh), "```"]
     if obs_fresh is not None:
         lines += ["", "### Instrumentation overhead", "",
                   "```", format_obs_summary(obs_fresh), "```"]
@@ -328,11 +315,6 @@ def main(argv=None) -> int:
                              "path")
     parser.add_argument("--skip-serve", action="store_true",
                         help="skip the service-load benchmarks")
-    parser.add_argument("--store-output", type=Path, default=None,
-                        help="write the fresh store-backend results to this "
-                             "path")
-    parser.add_argument("--skip-store", action="store_true",
-                        help="skip the store-backend benchmarks")
     parser.add_argument("--obs-output", type=Path, default=None,
                         help="write the fresh obs-overhead results to this "
                              "path")
@@ -350,12 +332,6 @@ def main(argv=None) -> int:
                              "per run to this JSONL file")
     parser.add_argument("--no-history", action="store_true",
                         help="do not append to the gate history file")
-    parser.add_argument("--store-rows", type=int, default=200_000,
-                        help="row count for the store-backend section "
-                             "(the committed BENCH_store.json baseline "
-                             "is a full 1M-row run; the gated speedup "
-                             "is a same-machine ratio, so CI runs fewer "
-                             "rows)")
     args = parser.parse_args(argv)
     baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
     sections = {}
@@ -478,25 +454,6 @@ def main(argv=None) -> int:
             print("service perf OK: dedupe/fairness/query gates hold")
             print(format_serve_summary(serve_fresh))
 
-    # -- store gate (backend ingest ratio + identical query answers) -----
-    store_fresh = None
-    if not args.skip_store:
-        try:
-            store_fresh = run_store_benchmarks(rows=args.store_rows)
-            sections["store"] = []
-        except AssertionError as error:
-            sections["store"] = [str(error)]
-            print(f"store perf regression detected:\n  - {error}")
-        if store_fresh is not None:
-            if args.store_output is not None:
-                args.store_output.write_text(
-                    json.dumps(store_fresh, indent=2) + "\n",
-                    encoding="utf-8",
-                )
-            print("store perf OK: columnar ingest floor holds, query "
-                  "answers identical")
-            print(format_store_summary(store_fresh))
-
     # -- obs gate (instrumentation overhead ceiling) ---------------------
     obs_fresh = None
     if not args.skip_obs:
@@ -536,8 +493,7 @@ def main(argv=None) -> int:
 
     write_github_summary(
         sections, baseline, fresh or {"cases": {}}, sweep_fresh,
-        explore_fresh, serve_fresh, store_fresh, obs_fresh,
-        faults_fresh,
+        explore_fresh, serve_fresh, obs_fresh, faults_fresh,
     )
     if not args.no_history:
         append_history(

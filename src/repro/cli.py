@@ -772,9 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     crossover.add_argument("--serial", action="store_true",
                            help="run points in-process instead of a pool")
     crossover.add_argument("--output", default=None, metavar="STORE",
-                           help="persist points to a result store — JSONL "
-                                "file or *.colstore directory (re-runs "
-                                "reuse stored points)")
+                           help="persist points to a JSONL result store "
+                                "(re-runs reuse stored points)")
     add_kernel_flag(crossover)
     crossover.set_defaults(fn=cmd_crossover)
 
@@ -789,8 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the spec's duration")
     run.add_argument("--output", default=None, metavar="STORE",
                      help="append the run (with its vcc trace) to a "
-                          "result store (JSONL file or *.colstore "
-                          "directory)")
+                          "JSONL result store")
     add_kernel_flag(run)
     add_trace_flag(run)
     run.set_defaults(fn=cmd_run)
@@ -808,8 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run points in-process instead of a pool")
     sweep.add_argument("--workers", type=int, default=None)
     sweep.add_argument("--output", default=None, metavar="STORE",
-                       help="persist every point to a result store "
-                            "(JSONL file or *.colstore directory)")
+                       help="persist every point to a JSONL result store")
     sweep.add_argument("--resume", action="store_true",
                        help="skip points --output already holds; only the "
                             "missing points are computed")
@@ -861,8 +858,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run evaluations in-process instead of a pool")
     explore.add_argument("--workers", type=int, default=None)
     explore.add_argument("--output", default=None, metavar="STORE",
-                         help="persist every evaluation to a result store "
-                              "(JSONL file or *.colstore directory)")
+                         help="persist every evaluation to a JSONL result "
+                              "store")
     explore.add_argument("--resume", action="store_true",
                          help="reuse evaluations --output already holds; a "
                               "re-run with the same seed recomputes nothing")
@@ -876,13 +873,11 @@ def build_parser() -> argparse.ArgumentParser:
     results = sub.add_parser(
         "results", help="query a persisted result store"
     )
-    results.add_argument("store", help="path to a result store (JSONL "
-                                       "file or columnar directory)")
+    results.add_argument("store", help="path to a JSONL result store")
     results.add_argument("--merge", nargs="+", default=None,
                          metavar="SHARD",
                          help="fold shard stores into STORE before querying "
-                              "(dedupes by spec hash; all-columnar merges "
-                              "move whole column blocks)")
+                              "(dedupes by spec hash)")
     results.add_argument("--best", default=None, metavar="METRIC",
                          help="report the row optimising METRIC")
     results.add_argument("--maximize", action="store_true",
@@ -901,10 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8000,
                        help="bind port (default 8000; 0 = ephemeral)")
     serve.add_argument("--store", default=None, metavar="STORE",
-                       help="shared result store (the cross-client "
-                            "compute cache) — JSONL file or *.colstore "
-                            "directory; job status persists beside it "
-                            "as STORE.jobs")
+                       help="shared JSONL result store (the "
+                            "cross-client compute cache); job status "
+                            "persists beside it as STORE.jobs")
     serve.add_argument("--workers", type=int, default=None,
                        help="warm-pool width (default: CPU count)")
     serve.add_argument("--serial", action="store_true",

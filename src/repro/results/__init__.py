@@ -8,15 +8,15 @@ Three pieces (see DESIGN.md, "Results pipeline"):
 * :mod:`repro.results.run_result` — the frozen, typed :class:`RunResult`
   (spec hash + overrides + metrics + optional decimated traces) every
   analysis tool consumes, and the canonical :func:`spec_hash`.
-* :mod:`repro.results.store` — :class:`ResultStore`: hash-keyed columnar
+* :mod:`repro.results.store` — :class:`ResultStore`: hash-keyed
   queries with pluggable persistence, partial-write recovery and shard
   merging; the substrate of resumable sweeps.
 * :mod:`repro.results.backends` — the :class:`StoreBackend` protocol and
-  its implementations: append-only JSONL (portable default) and the
-  sharded columnar ``.colstore`` format (fleet-scale analytics).
-* :mod:`repro.results.durable` — the fsynced append, replace and
-  truncate, and the JSONL torn-tail reader, that the backends and the
-  service's job journal write and read through.
+  its implementations: append-only JSONL (the one durable format) and
+  in-memory.
+* :mod:`repro.results.durable` — the fsynced append and replace, and
+  the JSONL torn-tail reader, that the JSONL backend and the service's
+  job journal write and read through.
 
 Only the registry loads eagerly — the rest follows the lazy-init pattern
 of :mod:`repro.spec` so component modules can register extractors at
@@ -43,10 +43,8 @@ _LAZY = {
     "rankable_results": "repro.results.store",
     "StoreBackend": "repro.results.backends",
     "JsonlBackend": "repro.results.backends",
-    "ColumnarBackend": "repro.results.backends",
     "MemoryBackend": "repro.results.backends",
     "make_backend": "repro.results.backends",
-    "COLUMNAR_SUFFIX": "repro.results.backends",
 }
 
 __all__ = [

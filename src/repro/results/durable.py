@@ -1,10 +1,9 @@
 """Durable file writes and the JSONL torn-tail reader.
 
-Result stores (JSONL files, columnar shards and their sidecars) and the
-service's job journal write every byte they must find intact after a
-crash through these functions, so the recovery contract has one
-implementation.  ``os.fsync`` is looked up per call, so tests can patch
-it.
+JSONL result stores and the service's job journal write every byte
+they must find intact after a crash through these functions, so the
+recovery contract has one implementation.  ``os.fsync`` is looked up
+per call, so tests can patch it.
 """
 
 from __future__ import annotations
@@ -48,14 +47,6 @@ def replace(path: str, data: Union[str, bytes]) -> None:
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(tmp_path, path)
-
-
-def truncate(path: str, size: int) -> None:
-    """Cut ``path`` to ``size`` bytes and fsync the cut."""
-    with open(path, "r+b") as stream:
-        stream.truncate(size)
-        stream.flush()
-        os.fsync(stream.fileno())
 
 
 def read_jsonl(

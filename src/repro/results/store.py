@@ -1,13 +1,11 @@
 """Persistent, mergeable storage for :class:`RunResult` rows.
 
 A :class:`ResultStore` is the query surface of the results pipeline:
-spec-hash keyed in memory, persisted through a pluggable
+spec-hash keyed in memory, persisted through a
 :class:`~repro.results.backends.StoreBackend` so results survive process
-exit and interrupted sweeps resume instead of recomputing.  Two durable
-backends ship (see :mod:`repro.results.backends`): append-only JSONL
-(one record per line — the portable default) and a sharded columnar
-format (``.colstore`` directories of numpy column blocks — the
-fleet-scale analytics store).  Shards written by separate processes or
+exit and interrupted sweeps resume instead of recomputing.  The durable
+format is append-only JSONL, one record per line (see
+:mod:`repro.results.backends`).  Shards written by separate processes or
 machines merge by hash — the sweep grid is the unit of distribution.
 
 Durability model: records are flushed per append (or once per
@@ -23,9 +21,9 @@ Query index: ``best``, ``columns`` and the analysis queries built on
 :meth:`ResultStore.view` (``pareto_from_store``, ``series_from_store``)
 read per-query views that each fold in only the rows appended since
 they were last read.  Any change other than an append (an overwrite, a
-compaction that folds in another writer's rows, a bulk shard merge)
-drops every view, and the next read of each rebuilds it from scratch
-(counted in ``repro_store_query_view_rebuilds_total{reason}``).  One
+compaction that folds in another writer's rows) drops every view, and
+the next read of each rebuilds it from scratch (counted in
+``repro_store_query_view_rebuilds_total{reason}``).  One
 re-entrant lock, :attr:`ResultStore.lock`, guards the rows and the
 views, so a store shared by a writer thread and query threads (``repro
 serve``) answers every query from one consistent prefix of its rows.
@@ -47,7 +45,7 @@ from typing import (
 
 from repro import obs
 from repro.errors import ResultStoreError
-from repro.results.backends import ColumnarBackend, StoreBackend, make_backend
+from repro.results.backends import StoreBackend, make_backend
 from repro.results.metrics import result_columns
 from repro.results.run_result import RunResult, is_worker_crash_error
 
@@ -62,11 +60,10 @@ MAX_QUERY_VIEWS = 64
 
 
 class ResultStore:
-    """Columnar queries over run results, with pluggable persistence.
+    """Queries over run results, with pluggable persistence.
 
     Args:
-        path: the backing file (JSONL) or directory (columnar) to load
-            from and append to; the path alone picks the format (see
+        path: the backing JSONL file to load from and append to (see
             :func:`~repro.results.backends.make_backend`).  None keeps
             the store purely in memory (the default for one-shot
             sweeps).
@@ -82,10 +79,8 @@ class ResultStore:
         #: it to read several answers from one state while another
         #: thread adds rows.
         self.lock = threading.RLock()
-        #: Lazily-loaded row index (hash -> RunResult); None until the
-        #: first access so pure block-move operations (columnar shard
-        #: merges) never materialize a million Python objects.
-        self._rows: Optional[Dict[str, RunResult]] = None
+        #: The row index: spec hash -> RunResult.
+        self._rows: Dict[str, RunResult] = {}
         #: The same rows in insertion order; query views remember how
         #: far into it they have read.
         self._order: List[RunResult] = []
@@ -97,28 +92,13 @@ class ResultStore:
         #: True when an overwrite happened mid-batch: compaction is
         #: deferred to batch exit (one rewrite, not one per overwrite).
         self._dirty = False
-        if self._backend.ephemeral:
-            self._rows = {}
+        if not self._backend.ephemeral:
+            self._load()
 
     @property
     def backend(self) -> str:
-        """The persistence backend name: memory, jsonl or columnar."""
+        """The persistence backend name: memory or jsonl."""
         return self._backend.name
-
-    @property
-    def _results(self) -> Dict[str, RunResult]:
-        """The row index, loading from the backend on first access."""
-        if self._rows is None:
-            with self.lock:
-                if self._rows is None:
-                    self._load()
-        return self._rows
-
-    @property
-    def _ordered(self) -> List[RunResult]:
-        """The rows in insertion order (loading like :attr:`_results`)."""
-        self._results
-        return self._order
 
     def _load(self) -> None:
         t0 = time.monotonic()
@@ -167,7 +147,7 @@ class ResultStore:
         recomputed later.  Callers hold :attr:`lock`.
         """
         t0 = time.monotonic()
-        rows = self._results
+        rows = self._rows
         with obs.span("store.compact", backend=self.backend, rows=len(rows)):
             strangers = self._backend.rewrite(list(self._order))
         for result in strangers:
@@ -199,10 +179,9 @@ class ResultStore:
         inside a batch defer their compaction to batch exit too — one
         rewrite covers the lot, instead of a full-file rewrite per
         overwritten row (O(n²) on overwrite-heavy batches).  A crash
-        mid-flush tears at most the final line (JSONL) or final record
-        batch (columnar), which the loader's torn-tail recovery drops —
-        earlier rows stay durable.  Nesting is flattening: inner
-        batches join the outermost one.  The workhorse of
+        mid-flush tears at most the final line, which the loader's
+        torn-tail recovery drops — earlier rows stay durable.  Nesting is
+        flattening: inner batches join the outermost one.  The workhorse of
         sweep/exploration workers, whose per-point fsync used to
         dominate small-grid throughput.
         """
@@ -252,7 +231,7 @@ class ResultStore:
         deterministic re-runs over a populated store cost no I/O.
         """
         with self.lock:
-            rows = self._results
+            rows = self._rows
             known = rows.get(result.spec_hash)
             if known is not None:
                 if not overwrite or known.to_record() == result.to_record():
@@ -316,57 +295,37 @@ class ResultStore:
     ) -> "ResultStore":
         """Combine shard stores (one per worker/machine) into one store.
 
-        This is the fleet ingest path.  When the output store and every
-        shard are columnar, rows move as whole column blocks with
-        vectorized hash dedupe (``np.isin``) — no per-row Python work —
-        which is an order of magnitude faster than row-wise merging at
-        million-row scale (see ``benchmarks/perf/perf_store.py``).
-        Mixed or JSONL shards fall back to row-wise merge with one
-        batched flush per shard.
+        Rows merge one shard at a time, first writer wins on a hash,
+        with one batched flush per shard.
         """
         shard_paths = [os.fspath(shard) for shard in shards]
         for shard in shard_paths:
             if not os.path.exists(shard):
                 raise ResultStoreError(f"shard {shard!r} not found")
         store = cls(output)
-        if (
-            isinstance(store._backend, ColumnarBackend)
-            and store._backend.can_bulk_merge(shard_paths)
-        ):
-            with obs.span(
-                "store.merge", backend=store.backend, bulk=True,
-                shards=len(shard_paths),
-            ):
-                store._backend.bulk_merge(shard_paths)
-            # The blocks moved without materializing; drop any loaded
-            # index so the next query reads the merged state.
-            with store.lock:
-                store._rows = None
-                store._drop_views("merge")
-        else:
-            for shard in shard_paths:
-                store.merge(shard)
+        for shard in shard_paths:
+            store.merge(shard)
         return store
 
     # -- lookup ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._results)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[RunResult]:
         return iter(self.results())
 
     def __contains__(self, spec_hash: str) -> bool:
-        return spec_hash in self._results
+        return spec_hash in self._rows
 
     def get(self, spec_hash: str) -> Optional[RunResult]:
         """The stored result for a spec hash, or None."""
-        return self._results.get(spec_hash)
+        return self._rows.get(spec_hash)
 
     def results(self) -> List[RunResult]:
         """Every stored result, in insertion order."""
         with self.lock:
-            return list(self._ordered)
+            return list(self._order)
 
     # -- queries ---------------------------------------------------------
 
@@ -383,7 +342,7 @@ class ResultStore:
         and raises again, as a full scan would.
         """
         with self.lock:
-            rows = self._ordered
+            rows = self._order
             try:
                 entry = self._views.pop(key, None)
             except TypeError:

@@ -58,6 +58,11 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: often so dead sockets surface as broken pipes, not parked threads.
 _STREAM_HEARTBEAT_S = 15.0
 
+#: Seconds a connection may sit idle (no request arriving, or a reader
+#: taking no bytes) before the server closes it; without this, every
+#: idle kept-alive client pins a handler thread until the process exits.
+_IDLE_TIMEOUT_S = 30.0
+
 #: POST collection -> job kind.
 _COLLECTIONS = {
     "runs": "run",
@@ -101,6 +106,8 @@ class ServeHandler(BaseHTTPRequestHandler):
     # holding its connection open waits out a delayed ACK (~40 ms) on
     # every request.
     disable_nagle_algorithm = True
+    # The socket timeout of every read and write on the connection.
+    timeout = _IDLE_TIMEOUT_S
 
     # -- plumbing --------------------------------------------------------
 
@@ -315,17 +322,19 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             # Heartbeat lines double as liveness probes: writing one to
-            # a vanished client raises BrokenPipeError here, freeing the
-            # thread instead of parking it until `timeout`.
+            # a vanished client raises BrokenPipeError here, and one to a
+            # client that stopped reading times out, freeing the thread
+            # instead of parking it until `timeout`.
             for line in self.service.queue.events(
                 job_id, since=since, follow=follow, timeout=timeout,
                 heartbeat=heartbeat,
             ):
                 self._write_chunk(line + "\n")
             self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-stream; nothing to clean up — the
-            # job keeps running and the event log keeps accumulating.
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
+            # The client hung up or stopped reading mid-stream; nothing
+            # to clean up — the job keeps running and the event log
+            # keeps accumulating.
             self.close_connection = True
 
     def _write_chunk(self, text: str) -> None:

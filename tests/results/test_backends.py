@@ -1,10 +1,8 @@
-"""The StoreBackend contract, enforced identically on JSONL and columnar.
+"""The StoreBackend contract on the durable (JSONL) backend.
 
-Every durable backend must provide the same store semantics — hash
-dedupe, resume, torn-tail recovery, interior-corruption detection,
-shard merging, error rows, type fidelity — so the whole suite is
-parametrized over both.  Backend-specific mechanics (shard layout,
-string interning, overflow rows) get targeted tests at the end.
+Hash dedupe, resume, torn-tail recovery, interior-corruption detection,
+shard merging, error rows, type fidelity; and the paths that named the
+removed columnar format, which are refused.
 """
 
 import os
@@ -18,9 +16,9 @@ from repro.errors import ResultStoreError
 from repro.results import ResultStore, RunResult
 from repro.results.metrics import empty_metrics
 
-BACKENDS = ("jsonl", "columnar")
+BACKENDS = ("jsonl",)
 
-SUFFIXES = {"jsonl": ".jsonl", "columnar": ".colstore"}
+SUFFIXES = {"jsonl": ".jsonl"}
 
 
 def make_result(i, name="sweep", **metrics):
@@ -41,11 +39,8 @@ def store_path(request, tmp_path):
 
 
 def data_file(path):
-    """The file whose tail a crashed writer can tear, per backend."""
-    path = os.fspath(path)
-    if path.endswith(".colstore"):
-        return os.path.join(path, "shard-000000.dat")
-    return path
+    """The file whose tail a crashed writer can tear."""
+    return os.fspath(path)
 
 
 # -- the shared contract -------------------------------------------------
@@ -53,28 +48,36 @@ def data_file(path):
 
 def test_backend_selected_by_suffix(store_path):
     store = ResultStore(store_path)
-    expected = "columnar" if str(store_path).endswith(".colstore") else "jsonl"
-    assert store.backend == expected
+    assert store.backend == "jsonl"
 
 
 def test_existing_store_reopens_by_kind_not_by_name(tmp_path):
-    """An existing directory is columnar and an existing file JSONL,
-    whatever they are called: a columnar store at a suffix-free path and
-    a JSONL file named ``*.colstore`` both reopen with identical rows."""
+    """An existing file is JSONL whatever it is called: a JSONL file
+    renamed ``*.colstore`` reopens with identical rows."""
     rows = [make_result(i, energy_total=0.5 * i) for i in range(3)]
-    (tmp_path / "cs").mkdir()
-    for written, moved, backend in (
-        ("a.colstore", os.path.join("cs", "runs"), "columnar"),
-        ("b.jsonl", "b.colstore", "jsonl"),
-    ):
-        store = ResultStore(tmp_path / written)
-        for row in rows:
-            store.add(row)
-        os.rename(tmp_path / written, tmp_path / moved)
-        reopened = ResultStore(tmp_path / moved)
-        assert reopened.backend == backend
-        assert [r.to_record() for r in reopened] == \
-            [r.to_record() for r in rows]
+    store = ResultStore(tmp_path / "b.jsonl")
+    for row in rows:
+        store.add(row)
+    os.rename(tmp_path / "b.jsonl", tmp_path / "b.colstore")
+    reopened = ResultStore(tmp_path / "b.colstore")
+    assert reopened.backend == "jsonl"
+    assert [r.to_record() for r in reopened] == \
+        [r.to_record() for r in rows]
+
+
+def test_directory_and_new_colstore_paths_are_refused(tmp_path):
+    """The paths that named the removed columnar format raise, naming
+    the path and the conversion, instead of being misread as JSONL."""
+    directory = tmp_path / "runs"
+    directory.mkdir()
+    for path in (directory, tmp_path / "x.colstore"):
+        with pytest.raises(ResultStoreError) as excinfo:
+            ResultStore(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "removed" in message
+        assert f"repro results out.jsonl --merge {path}" in message
+    assert not (tmp_path / "x.colstore").exists()
 
 
 def test_round_trip_preserves_types_and_order(store_path):
@@ -163,8 +166,7 @@ def test_interior_corruption_raises(store_path):
 
 
 def test_merge_shards_dedupes_and_persists(tmp_path, store_path):
-    suffix = SUFFIXES["columnar" if str(store_path).endswith(".colstore")
-                      else "jsonl"]
+    suffix = SUFFIXES["jsonl"]
     shard_a = tmp_path / f"a{suffix}"
     shard_b = tmp_path / f"b{suffix}"
     a = ResultStore(shard_a)
@@ -183,8 +185,7 @@ def test_merge_shards_dedupes_and_persists(tmp_path, store_path):
 
 
 def test_merge_into_existing_store_keeps_existing_rows(tmp_path, store_path):
-    suffix = SUFFIXES["columnar" if str(store_path).endswith(".colstore")
-                      else "jsonl"]
+    suffix = SUFFIXES["jsonl"]
     existing = ResultStore(store_path)
     existing.add(make_result(1, energy_total=1.0))
     shard = tmp_path / f"s{suffix}"
@@ -302,152 +303,3 @@ def test_two_process_append_compaction_race(store_path):
     assert not missing, f"compaction dropped durable rows: {missing}"
     assert all(final.get(f"h{i}") is not None for i in range(5))
     assert flips > 0
-
-
-# -- columnar-backend specifics ------------------------------------------
-
-
-def test_columnar_schema_growth_starts_a_new_shard(tmp_path):
-    path = tmp_path / "grow.colstore"
-    store = ResultStore(path)
-    store.add(make_result(1))
-    store.add(RunResult(spec_hash="n1", name="sweep",
-                        overrides={"x": 1.0, "novel_knob": "a"},
-                        metrics=empty_metrics()))
-    shards = sorted(f for f in os.listdir(path) if f.endswith(".dat"))
-    assert shards == ["shard-000000.dat", "shard-000001.dat"]
-    reopened = ResultStore(path)
-    assert len(reopened) == 2
-    assert reopened.get("n1").overrides["novel_knob"] == "a"
-
-
-def three_row_colstore(tmp_path):
-    path = tmp_path / "compact.colstore"
-    store = ResultStore(path)
-    for i in range(3):
-        store.add(make_result(i, energy_total=float(i)))
-    return path, store
-
-
-def test_columnar_failed_compaction_keeps_every_row(tmp_path):
-    from repro import faults
-
-    path, store = three_row_colstore(tmp_path)
-    with faults.active({"store.append_fail": 1.0}):
-        with pytest.raises(OSError):
-            store.add(make_result(1, energy_total=9.0), overwrite=True)
-    reopened = ResultStore(path)
-    assert sorted(r.spec_hash for r in reopened) == ["h0", "h1", "h2"]
-    assert reopened.get("h1").metrics["energy_total"] == 1.0
-
-
-def test_columnar_load_finishes_a_compaction_cut_before_its_unlinks(
-    tmp_path, monkeypatch
-):
-    """Killed after the compacted shard was published and before the
-    old shards were unlinked: both exist, load reads only the compacted
-    one and unlinks the rest."""
-    path, store = three_row_colstore(tmp_path)
-    store.add(RunResult(spec_hash="n1", name="sweep",
-                        overrides={"x": 1.0, "novel_knob": "a"},
-                        metrics=empty_metrics()))  # a second shard
-
-    def killed(target):
-        raise KeyboardInterrupt("killed before unlinking old shards")
-
-    monkeypatch.setattr(os, "unlink", killed)
-    with pytest.raises(KeyboardInterrupt):
-        store.add(make_result(1, energy_total=9.0), overwrite=True)
-    monkeypatch.undo()
-    shards = sorted(f for f in os.listdir(path) if f.endswith(".dat"))
-    assert shards == ["shard-000000.dat", "shard-000001.dat",
-                      "shard-000002.dat"]
-    reopened = ResultStore(path)
-    assert sorted(r.spec_hash for r in reopened) == ["h0", "h1", "h2", "n1"]
-    assert reopened.get("h1").metrics["energy_total"] == 9.0
-    assert sorted(os.listdir(path)) == [
-        ".lock", "shard-000002.dat", "shard-000002.strings.jsonl",
-    ]
-    reopened.add(make_result(7))
-    assert len(ResultStore(path)) == 5
-
-
-def test_columnar_out_of_model_values_round_trip(tmp_path):
-    """Huge ints and mixed-type columns take the overflow escape hatch
-    but still round-trip exactly."""
-    path = tmp_path / "odd.colstore"
-    store = ResultStore(path)
-    store.add(make_result(1, cycles_executed=2**70))
-    store.add(RunResult(spec_hash="m1", name="sweep",
-                        overrides={"x": "not-a-float"},
-                        metrics=empty_metrics()))
-    store.add(make_result(2, cycles_executed=7))
-    reopened = ResultStore(path)
-    assert reopened.get("h1").metrics["cycles_executed"] == 2**70
-    assert reopened.get("m1").overrides["x"] == "not-a-float"
-    assert reopened.get("h2").metrics["cycles_executed"] == 7
-
-
-def test_columnar_rejects_oversized_hashes(tmp_path):
-    store = ResultStore(tmp_path / "h.colstore")
-    oversized = RunResult(spec_hash="x" * 80, name="sweep",
-                          overrides={}, metrics=empty_metrics())
-    with pytest.raises(ResultStoreError, match="hash"):
-        store.add(oversized)
-
-
-def test_backends_agree_at_fifty_thousand_rows(tmp_path):
-    """The parity property at scale: one 50k-row synthetic sweep (with
-    error rows mixed in) ingested into both backends must agree on
-    every count and ranking query."""
-    import random
-
-    from repro.analysis.pareto import pareto_from_store
-
-    rng = random.Random(11)
-    rows = []
-    for i in range(50_000):
-        metrics = empty_metrics()
-        if rng.random() < 0.02:
-            metrics["error"] = "SimulationError: brownout storm"
-        else:
-            metrics["completed"] = True
-            metrics["energy_total"] = rng.uniform(0.0, 1.0)
-            metrics["progress"] = rng.uniform(0.0, 1.0)
-        rows.append(RunResult(
-            spec_hash=f"{i:08x}", name=f"node-{i % 4}",
-            overrides={"capacitance": float(i % 97)}, metrics=metrics,
-        ))
-    answers = {}
-    for suffix in SUFFIXES.values():
-        store = ResultStore(tmp_path / f"big{suffix}")
-        with store.batch():
-            for row in rows:
-                store.add(row)
-        reopened = ResultStore(tmp_path / f"big{suffix}")
-        frontier = pareto_from_store(reopened, "energy_total", "progress")
-        answers[suffix] = (
-            len(reopened),
-            reopened.best("energy_total").spec_hash,
-            [r.spec_hash for r in frontier],
-            reopened.values(
-                "energy_total", where=lambda r: r.name == "node-1"
-            )[:100],
-        )
-    assert answers[".jsonl"] == answers[".colstore"]
-
-
-def test_columnar_sidecar_sync_across_handles(tmp_path):
-    """A second handle appending new interned strings is visible to the
-    first handle's next flush (the sidecar re-sync path)."""
-    path = tmp_path / "sync.colstore"
-    first = ResultStore(path)
-    first.add(make_result(1))
-    second = ResultStore(path)
-    second.add(RunResult(spec_hash="s2", name="other-scenario",
-                         overrides={"x": 2.0}, metrics=empty_metrics()))
-    first.add(RunResult(spec_hash="s3", name="third-scenario",
-                        overrides={"x": 3.0}, metrics=empty_metrics()))
-    names = {r.spec_hash: r.name for r in ResultStore(path)}
-    assert names == {"h1": "sweep", "s2": "other-scenario",
-                     "s3": "third-scenario"}

@@ -1,4 +1,4 @@
-"""Restart recovery under injected store faults, on both backends.
+"""Restart recovery under injected store faults on the JSONL backend.
 
 The torn-write contract: a ``store.torn_write`` injection writes a
 *partial* append (complete leading records plus a torn tail) and then
@@ -17,8 +17,8 @@ from repro.results import ResultStore, RunResult
 from repro.results.metrics import empty_metrics
 from repro.results.run_result import WORKER_FAILURE_PREFIX
 
-BACKENDS = ("jsonl", "columnar")
-SUFFIXES = {"jsonl": ".jsonl", "columnar": ".colstore"}
+BACKENDS = ("jsonl",)
+SUFFIXES = {"jsonl": ".jsonl"}
 
 
 @pytest.fixture(autouse=True)
@@ -71,9 +71,9 @@ def test_torn_write_loses_only_the_torn_append(store_path):
 
 def test_kill_mid_batch_keeps_durable_prefix(store_path):
     """Death inside ``store.batch()``'s single flush: the batch loses a
-    *suffix* (JSONL may land complete leading lines of the torn append;
-    columnar drops the whole torn record batch), rows durable before
-    the batch survive, and a clean re-run completes the batch."""
+    *suffix* (it may land complete leading lines of the torn append),
+    rows durable before the batch survive, and a clean re-run completes
+    the batch."""
     store = ResultStore(store_path)
     store.add(make_result(1))
     with faults.active({"store.torn_write": 1.0}):

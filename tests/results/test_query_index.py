@@ -24,7 +24,7 @@ from repro.results import ResultStore, RunResult
 from repro.results.metrics import empty_metrics, result_columns
 from repro.results.store import MAX_QUERY_VIEWS, rankable_results
 
-BACKENDS = {"memory": None, "jsonl": ".jsonl", "columnar": ".colstore"}
+BACKENDS = {"memory": None, "jsonl": ".jsonl"}
 
 #: Small value pools, so rows tie on x and metric values.
 XS = (1.0, 2.0, 2.0, 3.0, 4.0, float("nan"))

@@ -285,3 +285,53 @@ def test_an_abandoned_event_stream_drops_its_connection(client):
     stream.close()  # abandoned before the terminating chunk
     assert client.wait(job["job_id"])["status"] == "done"
     assert connections_total() - before == 1
+
+
+# -- idle connections --------------------------------------------------------
+
+
+def shorten_idle_timeout(monkeypatch):
+    """Check the handler ships a finite idle timeout; cut it to 0.2 s."""
+    from repro.serve.api import ServeHandler
+
+    assert ServeHandler.timeout is not None and ServeHandler.timeout > 0
+    monkeypatch.setattr(ServeHandler, "timeout", 0.2)
+
+
+def test_the_server_closes_an_idle_connection(serve_server, monkeypatch):
+    """An idle kept-alive connection is closed after the handler's
+    timeout, and the thread that served it exits."""
+    import http.client
+    import threading
+
+    shorten_idle_timeout(monkeypatch)
+    before = set(threading.enumerate())
+    host, port = serve_server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        response.read()
+        # The connection's handler thread is the one new thread.
+        ours = [t for t in threading.enumerate() if t not in before]
+        assert len(ours) == 1
+        # The server hangs up: the idle socket reads end-of-file
+        # instead of blocking until the client's own 5 s timeout.
+        assert connection.sock.recv(1) == b""
+        ours[0].join(timeout=5)
+        assert not ours[0].is_alive()
+    finally:
+        connection.close()
+
+
+def test_a_client_idle_past_the_timeout_reconnects_once(client,
+                                                        monkeypatch):
+    import time
+
+    shorten_idle_timeout(monkeypatch)
+    before = connections_total()
+    assert client.healthz()["status"] == "ok"
+    time.sleep(0.6)  # the server closes the idle connection meanwhile
+    assert client.healthz()["status"] == "ok"
+    assert connections_total() - before == 2

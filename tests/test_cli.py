@@ -281,43 +281,31 @@ def test_results_command_merges_shards(tmp_path, capsys):
     assert "2 unique results" in out
 
 
-def test_colstore_sweep_resume_query_and_merge(tmp_path, capsys):
-    """The columnar paths of the CLI: a sweep into a ``.colstore``, its
-    resume, a query, and its merge into a JSONL store."""
-    from repro.results import ResultStore
-
-    store_path = str(tmp_path / "pts.colstore")
-    argv = ["sweep", "--serial", "--duration", "0.4",
-            "--set", "capacitance=22e-6,47e-6", "--output", store_path]
-    assert main(argv) == 0
-    assert "2 computed, 0 reused" in capsys.readouterr().out
-    assert main(argv + ["--resume"]) == 0
-    assert "0 computed, 2 reused" in capsys.readouterr().out
-    assert main(["results", store_path, "--best", "energy_total"]) == 0
-    out = capsys.readouterr().out
-    assert "2 rows" in out
-    assert "best (min energy_total)" in out
-    merged = str(tmp_path / "merged.jsonl")
-    assert main(["results", merged, "--merge", store_path]) == 0
-    assert "2 unique results" in capsys.readouterr().out
-    assert ResultStore(merged).backend == "jsonl"
-    assert len(ResultStore(merged)) == len(ResultStore(store_path)) == 2
-
-
-def test_results_command_reads_a_columnar_store_without_suffix(
-    tmp_path, capsys
-):
+def test_results_command_refuses_removed_store_paths(tmp_path, capsys):
+    """A directory (read or merged) and a new ``.colstore`` output each
+    fail with one line naming the path, not a misread JSONL store."""
     import os
 
-    written = str(tmp_path / "runs.colstore")
+    directory = str(tmp_path / "runs")
+    (tmp_path / "runs").mkdir()
+    shard = str(tmp_path / "a.jsonl")
     assert main(["sweep", "--serial", "--duration", "0.4",
-                 "--set", "capacitance=22e-6", "--output", written]) == 0
+                 "--set", "capacitance=22e-6", "--output", shard]) == 0
     capsys.readouterr()
-    (tmp_path / "cs").mkdir()
-    moved = str(tmp_path / "cs" / "runs")
-    os.rename(written, moved)
-    assert main(["results", moved]) == 0
-    assert "1 rows" in capsys.readouterr().out
+    new_path = str(tmp_path / "x.colstore")
+    for argv, path in (
+        (["results", directory], directory),
+        (["results", str(tmp_path / "out.jsonl"), "--merge", directory],
+         directory),
+        (["results", new_path, "--merge", shard], new_path),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert path in lines[0] and "removed" in lines[0]
+    assert not os.path.exists(new_path)
 
 
 def test_results_command_missing_store(capsys):
