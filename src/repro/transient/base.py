@@ -194,33 +194,42 @@ class TransientPlatformConfig:
 
 
 class InlineHooks(NamedTuple):
-    """What a strategy's hooks do at its declared thresholds: its part
-    of the transition table the chunk loops follow (see
-    :meth:`TransientPlatform.load_profile`).
+    """A strategy's part of the transition table the chunk loops follow
+    (see :meth:`TransientPlatform.load_profile`): where its hooks act
+    and what they do there.
 
-    Each field vouches that a hook, at its threshold, always leaves the
-    state named and changes nothing else the table reads (thresholds,
-    snapshot geometry).  Other side effects are fine: the platform
-    replays the real hook, with the step's time and voltage, in order.
-    The defaults vouch for nothing, which keeps those transitions in
-    Python.  The platform reads them once per run (at its first chunk
-    after construction or :meth:`TransientPlatform.reset`); the
-    thresholds they act at, every chunk.
+    The thresholds vouch that a hook is a pure no-op on the near side
+    of them; each hook field vouches that the hook, at its threshold,
+    always leaves the state named and changes nothing else the table
+    reads (thresholds, snapshot geometry).  Other side effects are
+    fine: the platform replays the real hook, with the step's time and
+    voltage, in order.  A None threshold and the other defaults vouch
+    for nothing, which keeps those transitions in Python.  The platform
+    reads the record once per chunk, so a strategy whose thresholds
+    move (Hibernus++) publishes the present ones.
 
     Attributes:
         boot: the state :meth:`Strategy.on_boot` leaves a booting device
             in: SLEEP, or ACTIVE through
             :meth:`TransientPlatform.cold_start`.
-        wake: :meth:`Strategy.on_sleep`, at the wake threshold, begins a
-            restore when the store holds a snapshot and cold-starts
-            otherwise.
-        snapshot_words: :meth:`Strategy.on_active`, at the guard, begins
+        wake: :meth:`Strategy.on_sleep`, at ``wake_at``, calls
+            :meth:`TransientPlatform.wake`.
+        snapshot_words: :meth:`Strategy.on_active`, at ``guard``, begins
             a snapshot of this many NVM words.
+        wake_at: the SLEEP row's exit: while ``v`` stays strictly below
+            it, :meth:`Strategy.on_sleep` is a pure no-op.
+        guard: the ACTIVE row's exit: while ``v`` stays strictly above
+            it, :meth:`Strategy.on_active` is a pure no-op (no snapshot
+            trigger, no state transition, no mutation).
+            (:meth:`Strategy.on_checkpoint_site` needs no guard: chunks
+            stop strictly before a checkpoint site.)
     """
 
     boot: Optional[PlatformState] = None
     wake: bool = False
     snapshot_words: Optional[int] = None
+    wake_at: Optional[float] = None
+    guard: Optional[float] = None
 
 
 class Strategy:
@@ -230,7 +239,10 @@ class Strategy:
     the platform's transition methods (:meth:`TransientPlatform.go_active`,
     :meth:`~TransientPlatform.go_sleep`,
     :meth:`~TransientPlatform.begin_snapshot`,
-    :meth:`~TransientPlatform.begin_restore`).
+    :meth:`~TransientPlatform.begin_restore`,
+    :meth:`~TransientPlatform.wake`).  Each rule lives in its hook;
+    :meth:`inline_hooks` only declares, for the fast kernel's transition
+    table, where a hook acts and which transition it then takes.
     """
 
     name = "abstract"
@@ -248,44 +260,17 @@ class Strategy:
     def on_sleep(self, platform: "TransientPlatform", t: float, v: float) -> None:
         """Called every step while SLEEPING."""
 
-    def sleep_wake_threshold(self, platform: "TransientPlatform") -> Optional[float]:
-        """The rail voltage at which :meth:`on_sleep` leaves SLEEP, if any.
-
-        The SLEEP row's exit in the fast kernel's transition table:
-        returning a float asserts that, while ``v`` stays strictly below
-        it, :meth:`on_sleep` is a pure no-op (what it does at or above
-        it is :attr:`InlineHooks.wake`'s to declare).  Strategies whose
-        ``on_sleep`` is the base no-op wake never (``math.inf``); a
-        strategy with an overridden ``on_sleep`` and no declared
-        threshold returns None, which keeps its sleep per-step.
-        """
-        if type(self).on_sleep is Strategy.on_sleep:
-            return math.inf
-        return None
-
-    def active_guard(self, platform: "TransientPlatform") -> Optional[float]:
-        """The rail voltage at-or-below which :meth:`on_active` acts, if any.
-
-        The ACTIVE row's exit in the fast kernel's transition table:
-        returning a float asserts that, while the rail voltage stays
-        *strictly above* it, :meth:`on_active` is a pure no-op (no
-        snapshot trigger, no state transition, no mutation); what it
-        does at the guard is :attr:`InlineHooks.snapshot_words`'s to
-        declare.  Strategies whose ``on_active`` is the base no-op never
-        act (``-math.inf``); a strategy with an overridden ``on_active``
-        and no declared guard returns None, which keeps its ACTIVE
-        execution per-step.  (:meth:`on_checkpoint_site` needs no guard:
-        checkpoint pauses only ever happen during per-step execution —
-        chunks stop strictly before a checkpoint site.)
-        """
-        if type(self).on_active is Strategy.on_active:
-            return -math.inf
-        return None
-
     def inline_hooks(self, platform: "TransientPlatform") -> InlineHooks:
-        """What the hooks do at the declared thresholds (see
-        :class:`InlineHooks`); the base vouches for nothing."""
-        return InlineHooks()
+        """Where the hooks act and what they do there (see
+        :class:`InlineHooks`).  The base vouches only for its own no-op
+        hooks, which never act (``wake_at=inf``, ``guard=-inf``).  A
+        subclass declares the hooks it defines; one that overrides a
+        hook it does not declare keeps that hook in Python."""
+        kind = type(self)
+        return InlineHooks(
+            wake_at=math.inf if kind.on_sleep is Strategy.on_sleep else None,
+            guard=-math.inf if kind.on_active is Strategy.on_active else None,
+        )
 
     def on_checkpoint_site(
         self, platform: "TransientPlatform", t: float, v: float
@@ -390,7 +375,6 @@ class TransientPlatform(RailLoad):
         #: parks permanently instead of being re-woken by its strategy.
         self.workload_done = False
         self._operation: Optional[_Operation] = None
-        self._restored_since_boot = False
         #: Operation costs by (kind, words), the fast kernel's table
         #: profile with what its rows were built from, the running
         #: chunk's start and the machine plan its table runs, until
@@ -398,7 +382,6 @@ class TransientPlatform(RailLoad):
         self._costs: Dict[tuple, tuple] = {}
         self._table_key: Optional[tuple] = None
         self._table: Optional[TransitionTable] = None
-        self._hooks: Optional[InlineHooks] = None
         self._words: tuple = (None, None)
         self._chunk: tuple = ()
         self._plan: Optional[tuple] = None
@@ -457,6 +440,13 @@ class TransientPlatform(RailLoad):
         self.engine.cold_boot()
         self.metrics.cold_boots += 1
         self.go_active()
+
+    def wake(self) -> None:
+        """Restore the held snapshot, else cold-start."""
+        if self.store.has_snapshot():
+            self.begin_restore()
+        else:
+            self.cold_start()
 
     def _operation_cost(self, kind: str, words: int) -> "tuple[float, float]":
         """``(duration, power)`` of a ``words``-word snapshot or restore
@@ -533,9 +523,8 @@ class TransientPlatform(RailLoad):
         :meth:`advance`: brownout, boot, one strategy hook, the
         physics of the resulting state, then operation completion.  Its
         rows come from the power model, the strategy's declared
-        thresholds (:meth:`Strategy.active_guard`,
-        :meth:`Strategy.sleep_wake_threshold`) and hooks
-        (:meth:`Strategy.inline_hooks`), and the engine's progress
+        thresholds and hooks (:meth:`Strategy.inline_hooks`, read once
+        per chunk), and the engine's progress
         counter (:meth:`~repro.mcu.engine.ComputeEngine.progress_counter`),
         and are rebuilt only when one of those changes; the running state
         is set every chunk.  Each row, in :meth:`advance`'s own
@@ -589,16 +578,12 @@ class TransientPlatform(RailLoad):
         None when the present state has no row.  The rows are rebuilt
         only when what they are built from changes; the running state,
         and an ACTIVE chunk's machine plan, are set per chunk."""
-        strategy = self.strategy
         store = self.store
-        hooks = self._hooks
-        if hooks is None:
-            hooks = self._hooks = strategy.inline_hooks(self)
-        guard = strategy.active_guard(self)
+        hooks = self.strategy.inline_hooks(self)
         if self.workload_done:
-            wake, boot = math.inf, PlatformState.SLEEP
-        else:
-            wake, boot = strategy.sleep_wake_threshold(self), hooks.boot
+            # A done workload parks in SLEEP; its hooks never run again.
+            hooks = hooks._replace(boot=PlatformState.SLEEP,
+                                   wake_at=math.inf)
         state = self.state
         operation = self._operation
         plan = None
@@ -606,8 +591,8 @@ class TransientPlatform(RailLoad):
             plan = self.engine.active_plan(budget, self.stop_at_checkpoints)
         if (
             state is PlatformState.ACTIVE
-            and (guard is None or counter is None and plan is None)
-            or state is PlatformState.SLEEP and wake is None
+            and (hooks.guard is None or counter is None and plan is None)
+            or state is PlatformState.SLEEP and hooks.wake_at is None
             or state in _OPERATIONS and operation is None
         ):
             return None
@@ -626,7 +611,7 @@ class TransientPlatform(RailLoad):
                 site = 0
         key = (
             dt, frequency, budget, counter is None, total, site, energy,
-            guard, wake, boot, hooks, writing, reading, store.slot_count,
+            hooks, writing, reading, store.slot_count,
         )
         if key != self._table_key:
             self._table_key = key
@@ -652,8 +637,9 @@ class TransientPlatform(RailLoad):
 
     def _build_table(self, key: tuple) -> TransitionTable:
         """A table's rows from what :meth:`_table_profile` read."""
-        (dt, frequency, budget, no_counter, total, site, energy, guard, wake,
-         boot, hooks, writing, reading, slots) = key
+        (dt, frequency, budget, no_counter, total, site, energy, hooks,
+         writing, reading, slots) = key
+        guard, wake, boot = hooks.guard, hooks.wake_at, hooks.boot
         strategy = type(self.strategy)
         active_row = guard is not None and not no_counter
         # The transitions that return to Python, as TRANSITIONS bits.
@@ -831,8 +817,6 @@ class TransientPlatform(RailLoad):
         self.metrics = PlatformMetrics()
         self.workload_done = False
         self._operation = None
-        self._restored_since_boot = False
-        self._hooks = None
         self.strategy.configure(self)
 
     # ------------------------------------------------------------------
@@ -843,7 +827,6 @@ class TransientPlatform(RailLoad):
         """The rail crossed v_por from OFF: count the boot and let the
         strategy choose (a completed workload parks in SLEEP)."""
         self.metrics.boots += 1
-        self._restored_since_boot = False
         if self.workload_done:
             self.go_sleep()
         else:
@@ -912,7 +895,6 @@ class TransientPlatform(RailLoad):
         else:
             self.engine.restore(operation.payload)
             self.metrics.restores_completed += 1
-            self._restored_since_boot = True
             self.go_active()
             self.strategy.on_restore_complete(self, t, v)
 
@@ -944,9 +926,10 @@ class NullStrategy(Strategy):
         platform.cold_start()
 
     def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
+        hooks = super().inline_hooks(platform)
         if type(self).on_boot is not NullStrategy.on_boot:
-            return InlineHooks()
-        return InlineHooks(boot=PlatformState.ACTIVE)
+            return hooks
+        return hooks._replace(boot=PlatformState.ACTIVE)
 
 
 # ---------------------------------------------------------------------------

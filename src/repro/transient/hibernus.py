@@ -95,6 +95,7 @@ class Hibernus(Strategy):
         self.min_headroom = min_headroom
         self.full_snapshot = full_snapshot
         self._explicit_v_hibernate = v_hibernate is not None
+        self._snapshot_start_v = 0.0
 
     # -- calibration ----------------------------------------------------
 
@@ -139,43 +140,30 @@ class Hibernus(Strategy):
 
     def on_active(self, platform: TransientPlatform, t: float, v: float) -> None:
         if v <= self.v_hibernate:
-            # The voltage interrupt: snapshot now, as late as possible.
+            # The voltage interrupt: snapshot now, as late as possible
+            # (Hibernus++ calibrates V_H from the voltage it started at).
+            self._snapshot_start_v = v
             platform.begin_snapshot(full=self.full_snapshot)
 
     def on_sleep(self, platform: TransientPlatform, t: float, v: float) -> None:
         if v < self.v_restore:
             return
-        if platform.store.has_snapshot():
-            platform.begin_restore()
-        else:
-            platform.cold_start()
-
-    def sleep_wake_threshold(self, platform: TransientPlatform):
-        # on_sleep is a pure no-op strictly below V_R (see above).  A
-        # subclass that overrides on_sleep changed that contract: it must
-        # declare its own threshold or stay per-step.
-        if type(self).on_sleep is not Hibernus.on_sleep:
-            return None
-        return self.v_restore
-
-    def active_guard(self, platform: TransientPlatform):
-        # The voltage interrupt fires at v <= V_H; strictly above it
-        # on_active is a pure no-op, so ACTIVE execution may chunk down
-        # to the hibernate threshold.  A subclass with its own on_active
-        # must declare its own guard.
-        if type(self).on_active is not Hibernus.on_active:
-            return None
-        return self.v_hibernate
+        platform.wake()
 
     def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
-        # Boot sleeps; V_R restores or cold-starts; V_H snapshots.  A
-        # subclass overriding a hook vouches for it itself.
+        # Boot sleeps; V_R wakes; V_H snapshots.  The thresholds are the
+        # present ones: V_H and V_R move only in completion and
+        # power-fail hooks, never while the device sleeps or computes.
+        # A subclass overriding one of these hooks vouches for it itself.
         kind = type(self)
+        wakes = kind.on_sleep is Hibernus.on_sleep
+        snapshots = kind.on_active is Hibernus.on_active
         return InlineHooks(
             boot=(PlatformState.SLEEP if kind.on_boot is Hibernus.on_boot
                   else None),
-            wake=kind.on_sleep is Hibernus.on_sleep,
-            snapshot_words=(self.snapshot_words(platform)
-                            if kind.on_active is Hibernus.on_active
+            wake=wakes,
+            snapshot_words=(self.snapshot_words(platform) if snapshots
                             else None),
+            wake_at=self.v_restore if wakes else None,
+            guard=self.v_hibernate if snapshots else None,
         )

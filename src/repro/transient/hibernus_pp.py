@@ -28,18 +28,18 @@ paper describes.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.transient.base import (
-    InlineHooks,
-    PlatformState,
-    Strategy,
-    TransientPlatform,
-)
 from repro.spec.registry import register
+from repro.transient.base import TransientPlatform
+from repro.transient.hibernus import Hibernus
 
 
 @register("hibernus++", kind="strategy")
-class HibernusPP(Strategy):
+class HibernusPP(Hibernus):
     """Self-calibrating hibernate/restore thresholds (see module docstring).
+
+    A :class:`Hibernus` whose V_H and V_R move: it boots, snapshots and
+    wakes by Hibernus's hooks (and the transition table follows them at
+    the present thresholds); only the calibration below is its own.
 
     Args:
         v_hibernate_initial: conservative starting V_H (well above any
@@ -63,14 +63,12 @@ class HibernusPP(Strategy):
     ):
         if adapt_rate <= 0.0 or adapt_rate >= 1.0:
             raise ConfigurationError("adapt_rate must be in (0, 1)")
+        super().__init__(v_hibernate=0.0, v_restore=v_restore_initial,
+                         margin=margin)
         self._v_hibernate_initial = v_hibernate_initial
         self._v_restore_initial = v_restore_initial
-        self.margin = margin
         self.guard = guard
         self.adapt_rate = adapt_rate
-        self.v_hibernate = 0.0
-        self.v_restore = v_restore_initial
-        self._snapshot_start_v = 0.0
 
     def configure(self, platform: TransientPlatform) -> None:
         v_min = platform.config.v_min
@@ -82,54 +80,7 @@ class HibernusPP(Strategy):
         if self.v_hibernate >= self.v_restore:
             raise ConfigurationError("initial V_H must sit below initial V_R")
 
-    # -- callbacks -------------------------------------------------------
-
-    def on_boot(self, platform: TransientPlatform, t: float, v: float) -> None:
-        platform.go_sleep()
-
-    def on_active(self, platform: TransientPlatform, t: float, v: float) -> None:
-        if v <= self.v_hibernate:
-            self._snapshot_start_v = v
-            platform.begin_snapshot(full=True)
-
-    def on_sleep(self, platform: TransientPlatform, t: float, v: float) -> None:
-        if v < self.v_restore:
-            return
-        if platform.store.has_snapshot():
-            platform.begin_restore()
-        else:
-            platform.cold_start()
-
-    def sleep_wake_threshold(self, platform: TransientPlatform):
-        # V_R adapts only at wake/brownout events, never mid-sleep, so the
-        # present value is a valid chunk boundary.  Subclasses overriding
-        # on_sleep must declare their own.
-        if type(self).on_sleep is not HibernusPP.on_sleep:
-            return None
-        return self.v_restore
-
-    def active_guard(self, platform: TransientPlatform):
-        # V_H adapts only in snapshot/brownout callbacks, which fire
-        # per-step, so the present value is a valid chunk boundary while
-        # the device computes.
-        if type(self).on_active is not HibernusPP.on_active:
-            return None
-        return self.v_hibernate
-
-    def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
-        # The trigger hook only records the snapshot's start voltage,
-        # which the table does not read, and the wake hook records
-        # nothing; the adaptation (snapshot/restore completion, power failure) moves
-        # the thresholds, so those transitions return to Python.
-        kind = type(self)
-        return InlineHooks(
-            boot=(PlatformState.SLEEP if kind.on_boot is HibernusPP.on_boot
-                  else None),
-            wake=kind.on_sleep is HibernusPP.on_sleep,
-            snapshot_words=(platform.engine.full_state_words
-                            if kind.on_active is HibernusPP.on_active
-                            else None),
-        )
+    # -- adaptation ------------------------------------------------------
 
     def on_snapshot_complete(
         self, platform: TransientPlatform, t: float, v: float

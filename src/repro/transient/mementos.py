@@ -60,22 +60,20 @@ class Mementos(Strategy):
         if v < self.v_operate:
             platform.go_sleep()
             return
-        self._boot_or_restore(platform)
+        platform.wake()
 
     def on_sleep(self, platform: TransientPlatform, t: float, v: float) -> None:
         if v >= self.v_operate:
-            self._boot_or_restore(platform)
-
-    def sleep_wake_threshold(self, platform: TransientPlatform):
-        if type(self).on_sleep is not Mementos.on_sleep:
-            return None  # subclass changed sleep behaviour; stay per-step
-        return self.v_operate
+            platform.wake()
 
     def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
         # Waking at V_operate restores or cold-starts.  The boot hook
         # may do the same at once, which a table row cannot say, and
         # snapshots start at checkpoint sites: both stay in Python.
-        return InlineHooks(wake=type(self).on_sleep is Mementos.on_sleep)
+        hooks = super().inline_hooks(platform)
+        if type(self).on_sleep is not Mementos.on_sleep:
+            return hooks  # subclass changed sleep behaviour; stay per-step
+        return hooks._replace(wake=True, wake_at=self.v_operate)
 
     def on_checkpoint_site(
         self, platform: TransientPlatform, t: float, v: float
@@ -96,9 +94,3 @@ class Mementos(Strategy):
 
     def reset(self) -> None:
         self._last_snapshot_time = 0.0
-
-    def _boot_or_restore(self, platform: TransientPlatform) -> None:
-        if platform.store.has_snapshot():
-            platform.begin_restore()
-        else:
-            platform.cold_start()

@@ -85,34 +85,24 @@ class NVProcessor(Strategy):
         if v < self.v_restore:
             return
         self._flushed_this_excursion = False
-        if platform.store.has_snapshot():
-            platform.begin_restore()
-        else:
-            platform.cold_start()
-
-    def sleep_wake_threshold(self, platform: TransientPlatform):
-        if type(self).on_sleep is not NVProcessor.on_sleep:
-            return None  # subclass changed sleep behaviour; stay per-step
-        return self.v_restore
-
-    def active_guard(self, platform: TransientPlatform):
-        if type(self).on_active is not NVProcessor.on_active:
-            return None  # subclass changed active behaviour; stay per-step
-        if self._flushed_this_excursion:
-            # Already backed up: on_active is a no-op until brownout.
-            return -math.inf
-        return self.v_flush
+        platform.wake()
 
     def inline_hooks(self, platform: TransientPlatform) -> InlineHooks:
-        # The flush begins a BACKUP_WORDS snapshot; waking clears the
-        # flush latch, which moves the guard, so it stays in Python.
+        # The flush begins a BACKUP_WORDS snapshot at V_flush, and once
+        # it has fired on_active is a no-op until brownout.  Waking
+        # clears the flush latch, which moves the guard, so the wake
+        # itself stays in Python.  A subclass overriding one of these
+        # hooks vouches for it itself.
         kind = type(self)
+        flushes = kind.on_active is NVProcessor.on_active
+        guard = -math.inf if self._flushed_this_excursion else self.v_flush
         return InlineHooks(
             boot=(PlatformState.SLEEP
                   if kind.on_boot is NVProcessor.on_boot else None),
-            snapshot_words=(self.BACKUP_WORDS
-                            if kind.on_active is NVProcessor.on_active
-                            else None),
+            snapshot_words=self.BACKUP_WORDS if flushes else None,
+            wake_at=(self.v_restore if kind.on_sleep is NVProcessor.on_sleep
+                     else None),
+            guard=guard if flushes else None,
         )
 
     def on_power_fail(self, platform: TransientPlatform, t: float) -> None:

@@ -399,8 +399,8 @@ def test_base_strategy_guard_reflects_on_active_override():
 
     engine = SyntheticEngine(total_cycles=1000)
     platform = TransientPlatform(engine, Passive())
-    assert Passive().active_guard(platform) == -math.inf
-    assert Acting().active_guard(platform) is None
+    assert Passive().inline_hooks(platform).guard == -math.inf
+    assert Acting().inline_hooks(platform).guard is None
 
 
 def test_table_guard_is_inclusive():

@@ -248,13 +248,14 @@ def test_strategy_subclass_with_custom_on_sleep_falls_back():
             SignalGenerator(4.5, 4.7, rectified=True, source_resistance=1500.0)
         )
         strategy = CountingHibernus(v_hibernate=2.5, v_restore=2.9)
-        system.set_platform(TransientPlatform(
+        platform = TransientPlatform(
             SyntheticEngine(total_cycles=200_000), strategy,
             store=SnapshotStore(2),
-        ))
+        )
+        system.set_platform(platform)
         results[kernel] = system.run(0.3)
         strategies[kernel] = strategy
-    assert strategies["fast"].sleep_wake_threshold(None) is None
+    assert strategies["fast"].inline_hooks(platform).wake_at is None
     assert strategies["fast"].sleep_polls == strategies["reference"].sleep_polls
     np.testing.assert_array_equal(
         results["reference"].vcc().values, results["fast"].vcc().values
