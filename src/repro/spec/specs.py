@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import SpecError
+from repro.errors import ConfigurationError, SpecError
 from repro.spec.registry import accepted_parameters, create, validate_params
 
 
@@ -346,14 +346,16 @@ def _program_source(name: str, params: str) -> str:
 
 @functools.lru_cache(maxsize=64)
 def _check_ports(name: str, params: str) -> None:
-    """Refuse a program naming a port that ``build()`` never attaches."""
+    """Refuse a program whose generator rejects its parameters, or that
+    names a port ``build()`` never attaches."""
     from repro.mcu.assembler import assemble
     from repro.mcu.machine import OUTPUT_PORT
 
     try:
         image = assemble(_program_source(name, params))
-    except Exception:  # a rejected parameter fails that point's build()
-        return
+    except ConfigurationError as error:
+        raise SpecError(f"program {name!r} rejects parameters {params}: "
+                        f"{error}") from error
     for ins in image.instructions:
         if "p" in ins.spec.signature:
             port = ins.operands[ins.spec.signature.index("p")]

@@ -102,6 +102,16 @@ def test_a_program_reading_an_unattached_port_is_refused(program, port):
         ScenarioSpec.from_dict(payload)
 
 
+def test_a_program_parameter_its_generator_rejects_is_refused():
+    # The FFT generator takes power-of-two sizes only: an `n` of 100
+    # would otherwise validate and fail every point's build() into a
+    # stored error row.
+    with pytest.raises(SpecError, match="program 'fft' rejects parameters"):
+        fig7_spec().with_overrides({"n": 100})
+    assert fig7_spec().with_overrides({"n": 128}).platform.program_params \
+        == {"n": 128}
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(SpecError) as excinfo:
         PlatformSpec(strategy="null", engine="synthetic",

@@ -215,6 +215,19 @@ def test_sweep_rejects_bad_supervision_flags_and_stores_nothing(
     assert not store_path.exists()
 
 
+def test_sweep_refuses_a_program_parameter_and_stores_nothing(
+    tmp_path, capsys
+):
+    store_path = tmp_path / "sweep.jsonl"
+    argv = ["sweep", "--preset", "fig7", "--serial", "--duration", "0.05",
+            "--set", "n=100,128", "--output", str(store_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: program 'fft' rejects")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not store_path.exists()
+
+
 def test_serve_rejects_a_bad_default_deadline_at_startup(
     tmp_path, capsys, monkeypatch
 ):
