@@ -55,8 +55,10 @@ summary::
 
     PYTHONPATH=src python benchmarks/perf/check_regression.py
     PYTHONPATH=src python benchmarks/perf/check_regression.py \
-        --baseline BENCH_kernel.json --max-regression 0.2 \
-        --sweep-output BENCH_sweep.fresh.json
+        --baseline BENCH_kernel.json --max-regression 0.2 --output-dir .
+
+``--output-dir DIR`` writes each section's fresh results to
+``DIR/BENCH_<section>.fresh.json``, kept separate from the baselines.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from perf_explore import (
     format_summary as format_explore_summary,
@@ -287,6 +290,16 @@ def write_github_summary(sections: dict, baseline: dict, fresh: dict,
         stream.write("\n".join(lines) + "\n")
 
 
+def write_fresh(output_dir: Optional[Path], gate: str, fresh) -> None:
+    """Write one section's fresh results to
+    ``output_dir/BENCH_<gate>.fresh.json`` (nothing without a directory
+    or results)."""
+    if output_dir is not None and fresh is not None:
+        (output_dir / f"BENCH_{gate}.fresh.json").write_text(
+            json.dumps(fresh, indent=2) + "\n", encoding="utf-8"
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path,
@@ -295,36 +308,12 @@ def main(argv=None) -> int:
     parser.add_argument("--max-regression", type=float, default=0.2,
                         help="allowed fractional speedup drop (default 0.2)")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--output", type=Path, default=None,
-                        help="also write the fresh results to this path "
-                             "(kept separate from the baseline)")
+    parser.add_argument("--output-dir", type=Path, default=None,
+                        help="write each section's fresh results to "
+                             "BENCH_<section>.fresh.json in this directory")
     parser.add_argument("--sweep-baseline", type=Path,
                         default=Path(__file__).resolve().parents[2]
                         / "BENCH_sweep.json")
-    parser.add_argument("--sweep-output", type=Path, default=None,
-                        help="write the fresh sweep results to this path")
-    parser.add_argument("--skip-sweep", action="store_true",
-                        help="skip the sweep-throughput benchmarks")
-    parser.add_argument("--explore-output", type=Path, default=None,
-                        help="write the fresh exploration results to this "
-                             "path")
-    parser.add_argument("--skip-explore", action="store_true",
-                        help="skip the exploration-engine benchmarks")
-    parser.add_argument("--serve-output", type=Path, default=None,
-                        help="write the fresh service-load results to this "
-                             "path")
-    parser.add_argument("--skip-serve", action="store_true",
-                        help="skip the service-load benchmarks")
-    parser.add_argument("--obs-output", type=Path, default=None,
-                        help="write the fresh obs-overhead results to this "
-                             "path")
-    parser.add_argument("--skip-obs", action="store_true",
-                        help="skip the instrumentation-overhead benchmarks")
-    parser.add_argument("--faults-output", type=Path, default=None,
-                        help="write the fresh supervision-overhead results "
-                             "to this path")
-    parser.add_argument("--skip-faults", action="store_true",
-                        help="skip the supervision-overhead benchmarks")
     parser.add_argument("--history", type=Path,
                         default=Path(__file__).resolve().parents[2]
                         / "BENCH_history.jsonl",
@@ -333,6 +322,7 @@ def main(argv=None) -> int:
     parser.add_argument("--no-history", action="store_true",
                         help="do not append to the gate history file")
     args = parser.parse_args(argv)
+    output_dir = args.output_dir
     baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
     sections = {}
 
@@ -347,9 +337,7 @@ def main(argv=None) -> int:
         failures = [str(error)]
         fresh = fresh or {"cases": {}}
     sections["kernel"] = failures
-    if args.output is not None and fresh is not None:
-        args.output.write_text(json.dumps(fresh, indent=2) + "\n",
-                               encoding="utf-8")
+    write_fresh(output_dir, "kernel", fresh)
     if failures:
         print("kernel perf regression detected:")
         for failure in failures:
@@ -370,126 +358,101 @@ def main(argv=None) -> int:
 
     # -- sweep gate (machine-independent invariants + pool floor) --------
     sweep_fresh = None
-    if not args.skip_sweep:
-        try:
-            sweep_fresh = run_sweep_benchmarks(repeats=args.repeats)
-            sections["sweep"] = []
-        except AssertionError as error:
-            sections["sweep"] = [str(error)]
-            print(f"sweep perf regression detected:\n  - {error}")
-        if sweep_fresh is not None:
-            # Defense in depth on the pool floor: perf_sweep gates this
-            # itself, but re-check the recorded numbers here so the gate
-            # cannot silently rot into recorded-only on a multi-core
-            # runner.
-            cpus = sweep_fresh.get("cpus", os.cpu_count() or 1)
-            pool_speedup = sweep_fresh["modes"]["pool"].get("speedup", 0.0)
-            if cpus >= POOL_GATE_MIN_CPUS \
-                    and pool_speedup < POOL_SPEEDUP_FLOOR:
-                sections["sweep"].append(
-                    f"pool speedup {pool_speedup}x below the "
-                    f"{POOL_SPEEDUP_FLOOR}x floor on a {cpus}-core runner"
-                )
-            elif cpus < POOL_GATE_MIN_CPUS:
-                print(f"  NOTE: pool-vs-serial floor recorded only "
-                      f"({cpus} CPU < {POOL_GATE_MIN_CPUS}): "
-                      f"speedup {pool_speedup}x not enforced")
-            # The eventful grid's exactness gates raise inside
-            # perf_sweep; a fresh run without the mode never ran them.
-            if "eventful" not in sweep_fresh["modes"]:
-                sections["sweep"].append(
-                    "eventful mode missing from the fresh sweep run"
-                )
-        if sweep_fresh is not None:
-            if args.sweep_output is not None:
-                args.sweep_output.write_text(
-                    json.dumps(sweep_fresh, indent=2) + "\n",
-                    encoding="utf-8",
-                )
-            print("sweep perf OK: resume/pool invariants hold")
-            print(format_summary(sweep_fresh))
-            if args.sweep_baseline.exists():
-                sweep_baseline = json.loads(
-                    args.sweep_baseline.read_text(encoding="utf-8")
-                )
-                base_cached = sweep_baseline["modes"]["cached"]["speedup"]
-                fresh_cached = sweep_fresh["modes"]["cached"]["speedup"]
-                print(f"  cached speedup: {fresh_cached:.0f}x "
-                      f"(baseline {base_cached:.0f}x)")
+    try:
+        sweep_fresh = run_sweep_benchmarks(repeats=args.repeats)
+        sections["sweep"] = []
+    except AssertionError as error:
+        sections["sweep"] = [str(error)]
+        print(f"sweep perf regression detected:\n  - {error}")
+    if sweep_fresh is not None:
+        # Defense in depth on the pool floor: perf_sweep gates this
+        # itself, but re-check the recorded numbers here so the gate
+        # cannot silently rot into recorded-only on a multi-core
+        # runner.
+        cpus = sweep_fresh.get("cpus", os.cpu_count() or 1)
+        pool_speedup = sweep_fresh["modes"]["pool"].get("speedup", 0.0)
+        if cpus >= POOL_GATE_MIN_CPUS \
+                and pool_speedup < POOL_SPEEDUP_FLOOR:
+            sections["sweep"].append(
+                f"pool speedup {pool_speedup}x below the "
+                f"{POOL_SPEEDUP_FLOOR}x floor on a {cpus}-core runner"
+            )
+        elif cpus < POOL_GATE_MIN_CPUS:
+            print(f"  NOTE: pool-vs-serial floor recorded only "
+                  f"({cpus} CPU < {POOL_GATE_MIN_CPUS}): "
+                  f"speedup {pool_speedup}x not enforced")
+        # The eventful grid's exactness gates raise inside
+        # perf_sweep; a fresh run without the mode never ran them.
+        if "eventful" not in sweep_fresh["modes"]:
+            sections["sweep"].append(
+                "eventful mode missing from the fresh sweep run"
+            )
+    if sweep_fresh is not None:
+        write_fresh(output_dir, "sweep", sweep_fresh)
+        print("sweep perf OK: resume/pool invariants hold")
+        print(format_summary(sweep_fresh))
+        if args.sweep_baseline.exists():
+            sweep_baseline = json.loads(
+                args.sweep_baseline.read_text(encoding="utf-8")
+            )
+            base_cached = sweep_baseline["modes"]["cached"]["speedup"]
+            fresh_cached = sweep_fresh["modes"]["cached"]["speedup"]
+            print(f"  cached speedup: {fresh_cached:.0f}x "
+                  f"(baseline {base_cached:.0f}x)")
 
     # -- explore gate (multi-fidelity + caching invariants) --------------
     explore_fresh = None
-    if not args.skip_explore:
-        try:
-            explore_fresh = run_explore_benchmarks()
-            sections["explore"] = []
-        except AssertionError as error:
-            sections["explore"] = [str(error)]
-            print(f"exploration perf regression detected:\n  - {error}")
-        if explore_fresh is not None:
-            if args.explore_output is not None:
-                args.explore_output.write_text(
-                    json.dumps(explore_fresh, indent=2) + "\n",
-                    encoding="utf-8",
-                )
-            print("exploration perf OK: multi-fidelity and caching gates "
-                  "hold")
-            print(format_explore_summary(explore_fresh))
+    try:
+        explore_fresh = run_explore_benchmarks()
+        sections["explore"] = []
+    except AssertionError as error:
+        sections["explore"] = [str(error)]
+        print(f"exploration perf regression detected:\n  - {error}")
+    if explore_fresh is not None:
+        write_fresh(output_dir, "explore", explore_fresh)
+        print("exploration perf OK: multi-fidelity and caching gates "
+              "hold")
+        print(format_explore_summary(explore_fresh))
 
     # -- serve gate (dedupe/fairness invariants + query-rate floor) ------
     serve_fresh = None
-    if not args.skip_serve:
-        try:
-            serve_fresh = run_serve_benchmarks(repeats=args.repeats)
-            sections["serve"] = []
-        except AssertionError as error:
-            sections["serve"] = [str(error)]
-            print(f"service perf regression detected:\n  - {error}")
-        if serve_fresh is not None:
-            if args.serve_output is not None:
-                args.serve_output.write_text(
-                    json.dumps(serve_fresh, indent=2) + "\n",
-                    encoding="utf-8",
-                )
-            print("service perf OK: dedupe/fairness/query gates hold")
-            print(format_serve_summary(serve_fresh))
+    try:
+        serve_fresh = run_serve_benchmarks(repeats=args.repeats)
+        sections["serve"] = []
+    except AssertionError as error:
+        sections["serve"] = [str(error)]
+        print(f"service perf regression detected:\n  - {error}")
+    if serve_fresh is not None:
+        write_fresh(output_dir, "serve", serve_fresh)
+        print("service perf OK: dedupe/fairness/query gates hold")
+        print(format_serve_summary(serve_fresh))
 
     # -- obs gate (instrumentation overhead ceiling) ---------------------
     obs_fresh = None
-    if not args.skip_obs:
-        try:
-            obs_fresh = run_obs_benchmarks()
-            sections["obs"] = []
-        except AssertionError as error:
-            sections["obs"] = [str(error)]
-            print(f"obs overhead regression detected:\n  - {error}")
-        if obs_fresh is not None:
-            if args.obs_output is not None:
-                args.obs_output.write_text(
-                    json.dumps(obs_fresh, indent=2) + "\n",
-                    encoding="utf-8",
-                )
-            print("obs overhead OK: instrumented runs within the ceiling")
-            print(format_obs_summary(obs_fresh))
+    try:
+        obs_fresh = run_obs_benchmarks()
+        sections["obs"] = []
+    except AssertionError as error:
+        sections["obs"] = [str(error)]
+        print(f"obs overhead regression detected:\n  - {error}")
+    if obs_fresh is not None:
+        write_fresh(output_dir, "obs", obs_fresh)
+        print("obs overhead OK: instrumented runs within the ceiling")
+        print(format_obs_summary(obs_fresh))
 
     # -- faults gate (supervision overhead ceiling) ----------------------
     faults_fresh = None
-    if not args.skip_faults:
-        try:
-            faults_fresh = run_faults_benchmarks()
-            sections["faults"] = []
-        except AssertionError as error:
-            sections["faults"] = [str(error)]
-            print(f"supervision overhead regression detected:\n  - {error}")
-        if faults_fresh is not None:
-            if args.faults_output is not None:
-                args.faults_output.write_text(
-                    json.dumps(faults_fresh, indent=2) + "\n",
-                    encoding="utf-8",
-                )
-            print("supervision overhead OK: armed-but-idle supervision "
-                  "within the ceiling")
-            print(format_faults_summary(faults_fresh))
+    try:
+        faults_fresh = run_faults_benchmarks()
+        sections["faults"] = []
+    except AssertionError as error:
+        sections["faults"] = [str(error)]
+        print(f"supervision overhead regression detected:\n  - {error}")
+    if faults_fresh is not None:
+        write_fresh(output_dir, "faults", faults_fresh)
+        print("supervision overhead OK: armed-but-idle supervision "
+              "within the ceiling")
+        print(format_faults_summary(faults_fresh))
 
     write_github_summary(
         sections, baseline, fresh or {"cases": {}}, sweep_fresh,
